@@ -33,7 +33,8 @@ baseline in ``benchmarks/perf_baseline.json``:
   OLTP/analytics, 8-slot admission, seed 42), gated on wall clock, on a
   fingerprint of every operation's simulated latency plus plan-cache
   and admission counters, and on the plan-cache hit rate staying above
-  the 0.8 floor.
+  the 0.99 floor (the cache is keyed on statement templates: the mix's
+  four templates miss once each).
 * **scale** — the large-machine fast paths (ISSUE 9): the 64-PE
   ``bench_scaling.py`` points for mesh and chordal ring
   (construction + E1-style load point + scaled serving mix), gated on
@@ -413,10 +414,10 @@ def check_serving_gates(
             f" {measured['fingerprint']}, pinned {entry['expected']};"
             " regenerate benchmarks/perf_baseline.json deliberately"
         )
-    if measured["hit_rate"] <= 0.8:
+    if measured["hit_rate"] <= 0.99:
         failures.append(
             f"serving plan-cache hit rate {measured['hit_rate']:.3f} fell to"
-            " or below the 0.8 floor on the repeated-statement mix"
+            " or below the 0.99 floor on the four-template mix"
         )
     threshold = wall_threshold()
     wall, base_wall = measured["wall_s"], entry["committed"]["wall_s"]

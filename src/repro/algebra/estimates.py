@@ -26,6 +26,7 @@ from repro.exec.expressions import (
     Like,
     Literal,
     Not,
+    Param,
     conjuncts,
 )
 from repro.algebra.plan import (
@@ -181,7 +182,7 @@ class Estimator:
         for expr in plan.exprs:
             if isinstance(expr, ColumnRef):
                 ndv.append(child.ndv[expr.index])
-            elif isinstance(expr, Literal):
+            elif isinstance(expr, (Literal, Param)):
                 ndv.append(1.0)
             else:
                 ndv.append(child.rows)
@@ -347,9 +348,11 @@ class Estimator:
                     profile.ndv[expr.left.index], profile.ndv[expr.right.index], 1.0
                 )
                 return 1.0 / ndv
-            if left_col and isinstance(expr.right, Literal):
+            # A parameter estimates as the literal it stands for: only
+            # "is a constant" matters here, never the value.
+            if left_col and isinstance(expr.right, (Literal, Param)):
                 return 1.0 / max(profile.ndv[expr.left.index], 1.0)
-            if right_col and isinstance(expr.left, Literal):
+            if right_col and isinstance(expr.left, (Literal, Param)):
                 return 1.0 / max(profile.ndv[expr.right.index], 1.0)
             return DEFAULT_EQ_SELECTIVITY
         if expr.op == "<>":

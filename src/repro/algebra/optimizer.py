@@ -15,12 +15,13 @@ benchmark ablates them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.algebra.estimates import Estimator, RelProfile, TableStats
 from repro.algebra.join_order import reorder_joins
-from repro.algebra.plan import PlanNode
+from repro.algebra.plan import PlanNode, substitute_plan_params
 from repro.algebra.pruning import prune_columns
 from repro.algebra.rules import KNOWLEDGE_BASE, Rule, apply_rules
 from repro.algebra.subexpr import SharedPlan, extract_common_subexpressions
@@ -44,6 +45,22 @@ class OptimizedPlan:
     shared: list[SharedPlan] = field(default_factory=list)
     fired_rules: list[str] = field(default_factory=list)
     estimated_rows: float = 0.0
+
+    def with_params(self, params: Sequence[Any]) -> "OptimizedPlan":
+        """This plan with every parameter replaced by its value."""
+        return OptimizedPlan(
+            substitute_plan_params(self.plan, params),
+            [
+                SharedPlan(
+                    shared.token,
+                    substitute_plan_params(shared.plan, params),
+                    shared.occurrences,
+                )
+                for shared in self.shared
+            ],
+            self.fired_rules,
+            self.estimated_rows,
+        )
 
     def explain(self) -> str:
         lines = []

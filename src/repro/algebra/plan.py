@@ -23,6 +23,7 @@ from repro.exec.expressions import (
     columns_used,
     default_name,
     infer_result_type,
+    substitute_params,
     validate_against,
 )
 from repro.exec.operators import AGGREGATE_FUNCTIONS, JoinKind
@@ -745,3 +746,45 @@ class SetOpNode(PlanNode):
 
     def label(self) -> str:
         return f"SetOp[{self.op}]"
+
+
+# ---------------------------------------------------------------------------
+# Statement templates.
+# ---------------------------------------------------------------------------
+
+
+def _aggregate_with_params(aggregate: AggExpr, params: Sequence[Any]) -> AggExpr:
+    if aggregate.arg is None:
+        return aggregate
+    arg = substitute_params(aggregate.arg, params)
+    if arg is aggregate.arg:
+        return aggregate
+    return AggExpr(aggregate.func, arg, aggregate.distinct)
+
+
+def substitute_plan_params(plan: PlanNode, params: Sequence[Any]) -> PlanNode:
+    """*plan* with every ``Param`` leaf replaced by its literal.
+
+    A prepared statement keeps its plan with parameters in place and
+    instantiates it per execution.  Only nodes on the path to a
+    parameter are rebuilt; a subtree without one is returned as is.
+    """
+    children = [substitute_plan_params(child, params) for child in plan.children]
+    if isinstance(plan, SelectNode):
+        predicate = substitute_params(plan.predicate, params)
+        if predicate is not plan.predicate:
+            return SelectNode(children[0], predicate)
+    elif isinstance(plan, ProjectNode):
+        exprs = tuple(substitute_params(e, params) for e in plan.exprs)
+        if any(new is not old for new, old in zip(exprs, plan.exprs)):
+            return ProjectNode(children[0], exprs, plan.names)
+    elif isinstance(plan, JoinNode):
+        if plan.condition is not None:
+            condition = substitute_params(plan.condition, params)
+            if condition is not plan.condition:
+                return JoinNode(children[0], children[1], condition, plan.kind)
+    elif isinstance(plan, AggregateNode):
+        aggregates = [_aggregate_with_params(a, params) for a in plan.aggregates]
+        if any(new is not old for new, old in zip(aggregates, plan.aggregates)):
+            return AggregateNode(children[0], plan.group_cols, aggregates, plan.names)
+    return plan.with_children(children)

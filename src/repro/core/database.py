@@ -30,7 +30,17 @@ from repro.core.recovery import (
 )
 from repro.core.result import QueryResult
 from repro.pool.runtime import PoolRuntime
+from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_script
+
+
+def _program_tokens(program: str) -> int:
+    """Parse-charge basis of a PRISMAlog program, in SQL-lexer tokens."""
+    try:
+        return len(tokenize(program)) if program else 0
+    except PrismaError:
+        # Not lexable as SQL (``:-``): estimate by length.
+        return max(8, len(program) // 5)
 
 
 class Session:
@@ -63,9 +73,10 @@ class Session:
         return self._db.gdh.execute_sql(sql, self._state)
 
     def execute_statement(
-        self, statement, sql_text: str = "", cached: bool = False
+        self, statement, params=(), cached: bool = False
     ) -> QueryResult:
-        """Run one already-parsed statement through the GDH entry point.
+        """Run one already-parsed (or already-prepared) statement
+        through the GDH entry point, *params* filling its placeholders.
 
         Scripts and the serving layer use this instead of calling the
         GDH directly, so per-statement accounting and admission control
@@ -74,7 +85,7 @@ class Session:
         to one cache lookup.
         """
         return self._db.gdh.execute_statement(
-            statement, self._state, sql_text, cached
+            statement, self._state, params, cached
         )
 
     def query(self, sql: str) -> list[tuple]:
@@ -233,7 +244,7 @@ class PrismaDB:
                     for fragment in info.fragments:
                         resources.append((info.name, fragment.fragment_id))
             gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, program, None)
+            gdh._charge_frontend(process, _program_tokens(program), None)
             # Gather EDB relations to the query process.
             for name in sorted(referenced):
                 if not gdh.catalog.has_table(name):
@@ -312,7 +323,7 @@ class PrismaDB:
                 for shared in optimized.shared:
                     resources.extend(gdh._scan_resources(shared.plan))
             gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, program_text, None)
+            gdh._charge_frontend(process, _program_tokens(program_text), None)
             results = []
             for query, optimized in optimized_queries:
                 rows, report = gdh.executor.execute(optimized, process)

@@ -17,7 +17,9 @@ the final result assembly for that query.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import (
     BindError,
@@ -28,7 +30,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.exec.expressions import ColumnRef, Comparison, Literal, conjuncts
-from repro.algebra.optimizer import Optimizer, OptimizerOptions
+from repro.algebra.optimizer import OptimizedPlan, Optimizer, OptimizerOptions
 from repro.algebra.plan import PlanNode, ScanNode
 from repro.core.allocation import DataAllocationManager, FragmentPlacement
 from repro.core.catalog import Catalog, FragmentInfo, IndexInfo, TableInfo
@@ -44,8 +46,7 @@ from repro.pool.placement import LeastLoaded
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
 from repro.sql import ast as sql_ast
-from repro.sql.binder import Binder
-from repro.sql.lexer import tokenize
+from repro.sql.binder import Binder, BoundDelete, BoundInsert, BoundUpdate
 from repro.sql.parser import parse_statement
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
@@ -57,6 +58,11 @@ OPTIMIZE_COST_PER_NODE_S = 2e-4
 #: the GDH, replacing the parse + optimize charges above (the E5/E8
 #: compiler caches showed the same shape at expression granularity).
 PLAN_CACHE_HIT_COST_S = 2e-5
+#: Entry bound of each of a GDH's statement caches: the parse memo and,
+#: once the serving layer installs it, the plan cache.  Both are keyed
+#: on statement *templates*, so a workload's working set is its handful
+#: of statement shapes, not those times the literals it binds.
+STATEMENT_CACHE_CAPACITY = 256
 #: Wire size of a shipped DML statement / row batch header.
 STATEMENT_BYTES = 256
 
@@ -76,25 +82,34 @@ class SessionState:
 
 
 @dataclass
-class PreparedSelect:
-    """A query carried past the front end: bound, optimized, reusable.
+class Prepared:
+    """A statement carried past the front end, reusable across executions.
 
-    Produced by :meth:`GlobalDataHandler.prepare_select`; executing one
-    skips tokenize/parse/bind/optimize on the host *and* replaces the
-    simulated parse+optimize charges with one cache-lookup charge when
-    ``cached=True``.  Valid only while ``ddl_epoch`` matches the GDH's —
-    DDL changes fragment placement and schemas under the plan.
+    Produced by :meth:`GlobalDataHandler.prepare`: a query is bound and
+    optimized, DML is bound, anything else is just its AST.  ``?``
+    placeholders stay in ``bound`` as ``Param`` leaves and are filled
+    in per execution, so one of these serves every execution whose
+    parameters have the types it was prepared with (and agree on the
+    statement's ``by_value`` ones).  Nothing in it depends on a
+    parameter's value: fragment pruning reads the literal out of the
+    instantiated predicate at run time (:meth:`_target_fragments`, the
+    executor's scan pruning) and the optimizer's estimates only ask
+    whether an operand is a constant.  Valid only while ``ddl_epoch``
+    matches the GDH's — DDL changes fragment placement and schemas
+    under the plan.
     """
 
-    statement: sql_ast.SelectStmt | sql_ast.SetOpStmt
-    #: Output column names (the *logical* plan's schema).
-    columns: list[str]
-    #: The optimizer's output (plan + shared subexpressions).
-    optimized: object
-    #: Node count of the bound logical plan (the optimize charge basis).
-    frontend_nodes: int
-    #: The GDH's DDL epoch when this plan was prepared.
-    ddl_epoch: int
+    statement: sql_ast.Statement
+    #: The optimizer's output for a query, the binder's for DML, None
+    #: for everything else.
+    bound: OptimizedPlan | BoundInsert | BoundUpdate | BoundDelete | None = None
+    #: Output column names of a query (the *logical* plan's schema).
+    columns: Sequence[str] = ()
+    #: Node count of a query's bound logical plan (the optimize charge
+    #: basis).
+    frontend_nodes: int | None = None
+    #: The GDH's DDL epoch when this was prepared.
+    ddl_epoch: int = 0
 
 
 class GlobalDataHandler:
@@ -146,6 +161,11 @@ class GlobalDataHandler:
         #: every client's clock and transaction pointer, not just the
         #: facade's default session.
         self.sessions: dict[int, SessionState] = {}
+        #: Statement text -> parsed statement, oldest evicted first.  A
+        #: parse is a pure function of the text, so this is never stale
+        #: and touches no simulated charge: it only saves host time
+        #: (lock-wait retries re-submit the same text again and again).
+        self.parse_memo: dict[str, sql_ast.Statement] = {}
         #: Bumped on every DDL statement; prepared plans pin the epoch
         #: they were built under and the serving layer's plan cache
         #: invalidates on mismatch.
@@ -189,55 +209,115 @@ class GlobalDataHandler:
 
     # -- statement entry point ---------------------------------------------------------
 
+    def parse(self, text: str) -> sql_ast.Statement:
+        """:func:`parse_statement` through the parse memo."""
+        statement = self.parse_memo.get(text)
+        if statement is None:
+            statement = parse_statement(text)
+            if len(self.parse_memo) >= STATEMENT_CACHE_CAPACITY:
+                del self.parse_memo[next(iter(self.parse_memo))]
+            self.parse_memo[text] = statement
+        return statement
+
+    def prepare(
+        self, statement: sql_ast.Statement, params: Sequence[Any] = ()
+    ) -> Prepared:
+        """Bind (and, for a query, optimize) without executing.
+
+        Host-side work only — no simulated charges, no locks, no query
+        process.  The simulated parse/optimize cost is charged at
+        execution time (or replaced by the cache-hit charge when this
+        came out of the serving layer's cache), so prepare-then-execute
+        is byte-identical to executing the statement directly.  *params*
+        give the placeholders their types (see :class:`Prepared`).
+        """
+        if isinstance(statement, sql_ast.SelectStmt | sql_ast.SetOpStmt):
+            plan = self._binder(params).bind_query(statement)
+            # Optimize before locking: pushdown exposes which fragments
+            # the query can actually touch, shrinking the lock set.
+            return Prepared(
+                statement,
+                self._optimizer().optimize(plan),
+                plan.schema.names(),
+                sum(1 for _ in plan.walk()),
+                self.ddl_epoch,
+            )
+        bound = None
+        if isinstance(statement, sql_ast.InsertStmt):
+            bound = self._binder(params).bind_insert(statement)
+        elif isinstance(statement, sql_ast.UpdateStmt):
+            bound = self._binder(params).bind_update(statement)
+        elif isinstance(statement, sql_ast.DeleteStmt):
+            bound = self._binder(params).bind_delete(statement)
+        return Prepared(statement, bound, ddl_epoch=self.ddl_epoch)
+
     def execute_sql(self, text: str, session: SessionState) -> QueryResult:
-        statement = parse_statement(text)
-        return self.execute_statement(statement, session, sql_text=text)
+        return self.execute_statement(self.parse(text), session)
 
     def execute_statement(
         self,
-        statement: sql_ast.Statement | PreparedSelect,
+        statement: sql_ast.Statement | Prepared,
         session: SessionState,
-        sql_text: str = "",
+        params: Sequence[Any] = (),
         cached: bool = False,
     ) -> QueryResult:
         """The single statement entry point.
 
         Everything that executes a statement — ``Session.execute``,
-        ``execute_script``, the serving layer's cursors (which may pass
-        an already-prepared :class:`PreparedSelect`) — funnels through
-        here, so per-statement accounting and the admission queue can't
-        be skipped.  Admission (when installed) bounds how many query
-        processes overlap in simulated time: a statement arriving while
-        all slots are busy starts at the earliest slot-release time,
-        FIFO, and the wait is charged to the session's clock.
+        ``execute_script``, the serving layer's cursors (which pass an
+        already :class:`Prepared` statement and the values of its
+        placeholders) — funnels through here, so per-statement
+        accounting and the admission queue can't be skipped.  Admission
+        (when installed) bounds how many query processes overlap in
+        simulated time: a statement arriving while all slots are busy
+        starts at the earliest slot-release time, FIFO, and the wait is
+        charged to the session's clock.  ``cached`` marks a plan-cache
+        hit: the simulated front-end charge collapses to one lookup.
         """
         session.statements += 1
         ticket = None
         if self.admission is not None:
             ticket = self.admission.admit(session)
         try:
-            return self._dispatch_statement(statement, session, sql_text, cached)
+            if not isinstance(statement, Prepared):
+                statement = self.prepare(statement, params)
+            return self.execute_prepared(statement, session, params, cached)
         finally:
             if ticket is not None:
                 self.admission.release(ticket, session.clock)
 
-    def _dispatch_statement(
+    def execute_prepared(
         self,
-        statement: sql_ast.Statement | PreparedSelect,
+        prepared: Prepared,
         session: SessionState,
-        sql_text: str,
-        cached: bool,
+        params: Sequence[Any] = (),
+        cached: bool = False,
     ) -> QueryResult:
-        if isinstance(statement, PreparedSelect):
-            return self._run_prepared_select(statement, session, sql_text, cached)
-        if isinstance(statement, sql_ast.SelectStmt | sql_ast.SetOpStmt):
-            return self._run_select(statement, session, sql_text)
-        if isinstance(statement, sql_ast.InsertStmt):
-            return self._run_insert(statement, session, sql_text)
-        if isinstance(statement, sql_ast.UpdateStmt):
-            return self._run_update(statement, session, sql_text)
-        if isinstance(statement, sql_ast.DeleteStmt):
-            return self._run_delete(statement, session, sql_text)
+        """Instantiate *prepared* with *params* and run it."""
+        bound = prepared.bound
+        if bound is None:
+            return self._run_unplanned(prepared.statement, session, params)
+        if prepared.ddl_epoch != self.ddl_epoch:
+            raise TransactionError(
+                "prepared statement is stale (DDL since prepare); prepare again"
+            )
+        if params:
+            bound = bound.with_params(params)
+        if isinstance(bound, OptimizedPlan):
+            return self._run_select(prepared, bound, session, cached)
+        if isinstance(bound, BoundInsert):
+            return self._run_insert(prepared, bound, session, cached)
+        if isinstance(bound, BoundUpdate):
+            return self._run_update(prepared, bound, session, cached)
+        return self._run_delete(prepared, bound, session, cached)
+
+    def _run_unplanned(
+        self,
+        statement: sql_ast.Statement,
+        session: SessionState,
+        params: Sequence[Any],
+    ) -> QueryResult:
+        """DDL, transaction control and the utility statements."""
         if isinstance(statement, sql_ast.CreateTableStmt):
             return self._create_table(statement, session)
         if isinstance(statement, sql_ast.CreateIndexStmt):
@@ -251,7 +331,7 @@ class GlobalDataHandler:
         if isinstance(statement, sql_ast.RollbackStmt):
             return self.rollback(session)
         if isinstance(statement, sql_ast.ExplainStmt):
-            return self._explain(statement, session)
+            return self._explain(statement, params)
         if isinstance(statement, sql_ast.ShowTablesStmt):
             rows = [(name,) for name in self.catalog.table_names()]
             return QueryResult("select", columns=["table_name"], rows=rows)
@@ -687,24 +767,26 @@ class GlobalDataHandler:
 
     # -- SELECT ----------------------------------------------------------------------------
 
-    def _binder(self) -> Binder:
-        return Binder(self.catalog.schemas())
+    def _binder(self, params: Sequence[Any]) -> Binder:
+        return Binder(self.catalog.schemas(), params)
 
     def _optimizer(self) -> Optimizer:
         return Optimizer(self.catalog.statistics(), self.optimizer_options)
 
     def _charge_frontend(
-        self, process: PoolProcess, sql_text: str, plan_nodes: int | None
+        self,
+        process: PoolProcess,
+        tokens: int,
+        plan_nodes: int | None,
+        cached: bool = False,
     ) -> None:
-        if sql_text:
-            try:
-                tokens = len(tokenize(sql_text))
-            except PrismaError:
-                # PRISMAlog text (different lexer): estimate by length.
-                tokens = max(8, len(sql_text) // 5)
-        else:
-            tokens = 8
-        process.charge(tokens * PARSE_COST_PER_TOKEN_S)
+        """Charge parsing (per token; a statement that never was text
+        counts 8) and optimization (per plan node) — or, on a plan-cache
+        hit, the one lookup that stands in for both."""
+        if cached:
+            process.charge(PLAN_CACHE_HIT_COST_S)
+            return
+        process.charge((tokens or 8) * PARSE_COST_PER_TOKEN_S)
         if plan_nodes is not None:
             process.charge(plan_nodes * OPTIMIZE_COST_PER_NODE_S)
 
@@ -739,63 +821,23 @@ class GlobalDataHandler:
         walk(plan)
         return resources
 
-    def prepare_select(
-        self, statement: sql_ast.SelectStmt | sql_ast.SetOpStmt
-    ) -> PreparedSelect:
-        """Bind and optimize a query without executing it.
-
-        Host-side work only — no simulated charges, no locks, no query
-        process.  The simulated parse/optimize cost is charged at
-        execution time (or replaced by the cache-hit charge when the
-        plan came out of the serving layer's cache), so an uncached
-        prepare-then-execute is byte-identical to the direct path.
-        """
-        plan = self._binder().bind_query(statement)
-        # Optimize before locking: pushdown exposes which fragments the
-        # query can actually touch, shrinking the lock set.
-        optimized = self._optimizer().optimize(plan)
-        return PreparedSelect(
-            statement=statement,
-            columns=plan.schema.names(),
-            optimized=optimized,
-            frontend_nodes=sum(1 for _ in plan.walk()),
-            ddl_epoch=self.ddl_epoch,
-        )
-
     def _run_select(
         self,
-        statement: sql_ast.SelectStmt | sql_ast.SetOpStmt,
+        prepared: Prepared,
+        optimized: OptimizedPlan,
         session: SessionState,
-        sql_text: str,
-    ) -> QueryResult:
-        prepared = self.prepare_select(statement)
-        return self._run_prepared_select(prepared, session, sql_text, cached=False)
-
-    def _run_prepared_select(
-        self,
-        prepared: PreparedSelect,
-        session: SessionState,
-        sql_text: str,
         cached: bool,
     ) -> QueryResult:
-        if prepared.ddl_epoch != self.ddl_epoch:
-            raise TransactionError(
-                "prepared statement is stale (DDL since prepare); prepare again"
-            )
         txn, autocommit = self._ensure_txn(session)
         process = self._new_query_process(session, "select")
         try:
-            optimized = prepared.optimized
             resources = self._scan_resources(optimized.plan)
             for shared in optimized.shared:
                 resources.extend(self._scan_resources(shared.plan))
             self._lock(txn, session, process, resources, LockMode.SHARED)
-            if cached:
-                # One structural hash + lookup at the GDH stands in for
-                # the whole simulated parse/optimize front end.
-                process.charge(PLAN_CACHE_HIT_COST_S)
-            else:
-                self._charge_frontend(process, sql_text, prepared.frontend_nodes)
+            self._charge_frontend(
+                process, prepared.statement.n_tokens, prepared.frontend_nodes, cached
+            )
             try:
                 rows, report = self.executor.execute(optimized, process)
             except PrismaError:
@@ -814,13 +856,12 @@ class GlobalDataHandler:
             self._finish_query(session, process)
 
     def _explain(
-        self, statement: sql_ast.ExplainStmt, session: SessionState
+        self, statement: sql_ast.ExplainStmt, params: Sequence[Any]
     ) -> QueryResult:
         target = statement.target
         if not isinstance(target, sql_ast.SelectStmt | sql_ast.SetOpStmt):
             raise BindError("EXPLAIN supports queries only")
-        plan = self._binder().bind_query(target)
-        optimized = self._optimizer().optimize(plan)
+        optimized = self.prepare(target, params).bound.with_params(params)
         text = optimized.explain()
         lines = text.splitlines()
         lines.append(f"-- estimated rows: {optimized.estimated_rows:.0f}")
@@ -837,9 +878,12 @@ class GlobalDataHandler:
     # -- DML -------------------------------------------------------------------------------------
 
     def _run_insert(
-        self, statement: sql_ast.InsertStmt, session: SessionState, sql_text: str
+        self,
+        prepared: Prepared,
+        bound: BoundInsert,
+        session: SessionState,
+        cached: bool,
     ) -> QueryResult:
-        bound = self._binder().bind_insert(statement)
         info = self.catalog.table(bound.table)
         routed: dict[int, list[tuple]] = {}
         for row in bound.rows:
@@ -849,7 +893,7 @@ class GlobalDataHandler:
         try:
             resources = [(info.name, fid) for fid in routed]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, prepared.statement.n_tokens, None, cached)
         except PrismaError:
             self._finish_query(session, process)
             raise
@@ -901,9 +945,12 @@ class GlobalDataHandler:
         return [fragment.fragment_id for fragment in info.fragments]
 
     def _run_update(
-        self, statement: sql_ast.UpdateStmt, session: SessionState, sql_text: str
+        self,
+        prepared: Prepared,
+        bound: BoundUpdate,
+        session: SessionState,
+        cached: bool,
     ) -> QueryResult:
-        bound = self._binder().bind_update(statement)
         info = self.catalog.table(bound.table)
         assigned = {index for index, _ in bound.assignments}
         moves_rows = bool(assigned & set(info.scheme.key_columns()))
@@ -918,7 +965,7 @@ class GlobalDataHandler:
                 fragment_ids = self._target_fragments(info, bound.predicate)
             resources = [(info.name, fid) for fid in fragment_ids]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, prepared.statement.n_tokens, None, cached)
         except PrismaError:
             self._finish_query(session, process)
             raise
@@ -978,9 +1025,12 @@ class GlobalDataHandler:
             self._finish_query(session, process)
 
     def _run_delete(
-        self, statement: sql_ast.DeleteStmt, session: SessionState, sql_text: str
+        self,
+        prepared: Prepared,
+        bound: BoundDelete,
+        session: SessionState,
+        cached: bool,
     ) -> QueryResult:
-        bound = self._binder().bind_delete(statement)
         info = self.catalog.table(bound.table)
         txn, autocommit = self._ensure_txn(session)
         process = self._new_query_process(session, "delete")
@@ -988,7 +1038,7 @@ class GlobalDataHandler:
             fragment_ids = self._target_fragments(info, bound.predicate)
             resources = [(info.name, fid) for fid in fragment_ids]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, prepared.statement.n_tokens, None, cached)
         except PrismaError:
             self._finish_query(session, process)
             raise

@@ -86,6 +86,28 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True, eq=False)
+class Param(Expr):
+    """The *index*-th ``?`` of a statement template: typed, valueless.
+
+    A prepared statement is bound and optimized with these in place of
+    its parameters and instantiated per execution by
+    :func:`substitute_params`; nothing ever evaluates or compiles one.
+    The type is that of the values the template was prepared for (it
+    is part of the plan-cache key), so result schemas come out as they
+    would for a literal.
+    """
+
+    index: int
+    data_type: DataType
+
+    def key(self) -> tuple:
+        return (self.index, self.data_type.value)
+
+    def to_sql(self) -> str:
+        return f"?{self.index}"
+
+
+@dataclass(frozen=True, eq=False)
 class ColumnRef(Expr):
     """A reference to column *index* of the input row; *name* is cosmetic."""
 
@@ -250,10 +272,14 @@ class InList(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Like(Expr):
-    """SQL LIKE with ``%`` (any run) and ``_`` (any one char) wildcards."""
+    """SQL LIKE with ``%`` (any run) and ``_`` (any one char) wildcards.
+
+    In a statement template the pattern (like an :class:`InList` value)
+    may be a :class:`Param` until :func:`substitute_params` fills it in.
+    """
 
     operand: Expr
-    pattern: str
+    pattern: str | Param
     negated: bool = False
     _regex: Any = field(default=None, compare=False, repr=False)
 
@@ -362,7 +388,7 @@ def remap_columns(expr: Expr, mapping: dict[int, int]) -> Expr:
 
 def _rebuild(node: Expr, children: tuple[Expr, ...]) -> Expr:
     """Copy *node* with new children."""
-    if isinstance(node, (Literal, ColumnRef)):
+    if isinstance(node, (Literal, ColumnRef, Param)):
         return node
     if isinstance(node, Comparison):
         return Comparison(node.op, children[0], children[1])
@@ -395,8 +421,66 @@ def conjuncts(expr: Expr) -> list[Expr]:
     return [expr]
 
 
+def has_params(expr: Expr) -> bool:
+    """Does *expr* hold a :class:`Param` (IN lists and LIKE patterns
+    carry theirs as values, not children)?"""
+    for node in all_subexpressions(expr):
+        if isinstance(node, Param):
+            return True
+        if isinstance(node, InList) and any(
+            isinstance(v, Param) for v in node.values
+        ):
+            return True
+        if isinstance(node, Like) and isinstance(node.pattern, Param):
+            return True
+    return False
+
+
 def is_constant(expr: Expr) -> bool:
-    return not columns_used(expr)
+    """No column and no parameter: safe to evaluate at plan time."""
+    return not columns_used(expr) and not has_params(expr)
+
+
+def param_type(value: Any) -> DataType:
+    """The :class:`Param` type standing for *value* (NULL types like
+    the NULL literal does in :func:`infer_result_type`)."""
+    return DataType.STRING if value is None else infer_type(value)
+
+
+def substitute_params(expr: Expr, params: Sequence[Any]) -> Expr:
+    """*expr* with every :class:`Param` replaced by its literal.
+
+    Returns *expr* itself when it holds no parameter, so callers can
+    detect the no-op by identity.
+    """
+    if isinstance(expr, Param):
+        return Literal(params[expr.index])
+    if isinstance(expr, InList):
+        operand = substitute_params(expr.operand, params)
+        if operand is expr.operand and not any(
+            isinstance(v, Param) for v in expr.values
+        ):
+            return expr
+        return InList(
+            operand,
+            tuple(
+                params[v.index] if isinstance(v, Param) else v
+                for v in expr.values
+            ),
+        )
+    if isinstance(expr, Like) and isinstance(expr.pattern, Param):
+        return Like(
+            substitute_params(expr.operand, params),
+            params[expr.pattern.index],
+            expr.negated,
+        )
+    children = expr.children()
+    if not children:
+        return expr
+    replaced = tuple(substitute_params(c, params) for c in children)
+    if all(new is old for new, old in zip(replaced, children)):
+        return expr
+    return _rebuild(expr, replaced)
 
 
 def infer_result_type(expr: Expr, schema: Schema) -> DataType:
@@ -407,6 +491,8 @@ def infer_result_type(expr: Expr, schema: Schema) -> DataType:
         return infer_type(expr.value)
     if isinstance(expr, ColumnRef):
         return schema.columns[expr.index].data_type
+    if isinstance(expr, Param):
+        return expr.data_type
     if isinstance(expr, (Comparison, BoolOp, Not, IsNull, InList, Like)):
         return DataType.BOOL
     if isinstance(expr, Negate):

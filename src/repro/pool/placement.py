@@ -79,10 +79,17 @@ class LeastLoaded(PlacementPolicy):
     """The element with the least accumulated busy time (ties: lowest id)."""
 
     def choose(self, machine: Machine) -> int:
-        return min(
-            _up_nodes(machine),
-            key=lambda n: (machine.node(n).stats.busy_time_s, n),
-        )
+        # Called once per spawned query process: one pass, no per-node
+        # lookups.  Strict < keeps the lowest id among equals.
+        best, best_busy = -1, 0.0
+        for pe in machine.nodes:
+            if machine.node_is_up(pe.node_id):
+                busy = pe.stats.busy_time_s
+                if best < 0 or busy < best_busy:
+                    best, best_busy = pe.node_id, busy
+        if best < 0:
+            raise AllocationError("every processing element is down")
+        return best
 
 
 class MostFreeMemory(PlacementPolicy):

@@ -6,8 +6,10 @@ package is the client-facing half of that story for the simulator:
 
 * :class:`Connection` / :class:`Cursor` — a PEP 249-shaped surface over
   :class:`~repro.core.database.Session`, with ``?`` parameter binding;
-* :class:`PlanCache` — GDH-level statement→plan cache (structural keys,
-  DDL invalidation), so repeated statements skip parse + optimize;
+* :class:`PlanCache` — GDH-level cache of prepared statements keyed on
+  the statement *template* (text + parameter types; DDL invalidation),
+  so every execution of a template after the first skips parse, bind
+  and optimize;
 * :class:`AdmissionQueue` — bounded concurrent query processes with
   deterministic simulated-time FIFO waits.
 

@@ -6,13 +6,14 @@ The shape follows PEP 249 where it makes sense for a simulated engine —
 pretending to be a driver: there is no network, rows are already
 materialized tuples, and simulated time lives on the underlying session.
 
-Every statement funnels through the plan cache installed on the GDH
-(:func:`install_serving`): the bound token stream is the cache key, a
-hit replays the cached :class:`~repro.core.gdh.PreparedSelect` (charging
-one cache lookup instead of parse + optimize), a miss parses/prepares
-and populates the cache.  Prepared statements
-(:meth:`Connection.prepare`) additionally skip re-tokenizing the
-template on the host.
+Every statement takes the same three steps: the GDH's memoized parse of
+the text, a lookup in the plan cache installed on the GDH
+(:func:`install_serving`) under the statement's *template* key — text
+and parameter types, never values — and execution of the
+:class:`~repro.core.gdh.Prepared` statement with the parameter values
+beside it.  A hit charges one cache lookup instead of parse + optimize;
+a miss prepares (binds, optimizes) and populates the cache.  So one
+entry serves ``SELECT v FROM kv WHERE id = ?`` for every key.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.errors import InterfaceError
-from repro.core.gdh import PreparedSelect
 from repro.serve.admission import AdmissionQueue
-from repro.serve.params import bind_parameters, statement_key, template_tokens
+from repro.serve.params import bind_parameters, statement_key
 from repro.serve.plancache import DEFAULT_CAPACITY, PlanCache
 from repro.sql import ast as sql_ast
-from repro.sql.lexer import Token
-from repro.sql.parser import parse_tokens
+
+# The repo benchmark's host tracer patches the serving front end *here*,
+# by name; these two are off the statement path now but stay importable
+# from this module for it (tests/test_bench_patch_points.py).
+from repro.serve.params import template_tokens  # noqa: F401
+from repro.sql.parser import parse_tokens  # noqa: F401
 
 __all__ = ["Connection", "Cursor", "PreparedStatement", "connect", "install_serving"]
 
@@ -66,7 +70,6 @@ def install_serving(
 
 def connect(db, autocommit: bool = True) -> "Connection":
     """Open a :class:`Connection` over a fresh session of *db*."""
-    install_serving(db)
     return Connection(db, autocommit=autocommit)
 
 
@@ -81,6 +84,7 @@ class Connection:
     """
 
     def __init__(self, db, autocommit: bool = True):
+        install_serving(db)
         self._db = db
         self._session = db.session()
         self.autocommit = autocommit
@@ -138,47 +142,42 @@ class Connection:
         return self.cursor().execute(sql, params)
 
     def prepare(self, sql: str) -> "PreparedStatement":
-        """Tokenize *sql* once for repeated parameterized execution."""
+        """Parse *sql* now (syntax errors surface here) for repeated
+        parameterized execution."""
         self._check_open()
-        return PreparedStatement(self, sql, template_tokens(sql))
+        self._db.gdh.parse(sql)
+        return PreparedStatement(self, sql)
 
-    def _run_tokens(self, tokens: list[Token], params, sql_text: str):
-        """The one execution path: bind → cache lookup → GDH entry point."""
+    def _run(self, sql: str, params: Sequence | None):
+        """The one execution path: parse memo → plan cache → GDH."""
         self._check_open()
-        bound = bind_parameters(tokens, params)
         gdh = self._db.gdh
-        cache = gdh.plan_cache
-        key = statement_key(bound)
-        entry = cache.get(key) if cache is not None else None
-        cached = entry is not None
-        statement = entry if cached else parse_tokens(bound)
-        if not self.autocommit and not self._session.in_transaction:
-            shape = (
-                statement.statement
-                if isinstance(statement, PreparedSelect)
-                else statement
-            )
-            if not isinstance(shape, _TXN_CONTROL):
-                self._session.begin()
+        statement = gdh.parse(sql)
+        values = bind_parameters(statement, params)
+        key = statement_key(sql, values, statement.by_value)
+        prepared = gdh.plan_cache.get(key)
+        cached = prepared is not None
+        if (
+            not self.autocommit
+            and not self._session.in_transaction
+            and not isinstance(statement, _TXN_CONTROL)
+        ):
+            self._session.begin()
         if not cached:
-            if isinstance(statement, sql_ast.SelectStmt | sql_ast.SetOpStmt):
-                statement = gdh.prepare_select(statement)
-            if cache is not None:
-                cache.put(key, statement)
-        return self._session.execute_statement(statement, sql_text, cached)
+            prepared = gdh.prepare(statement, values)
+            gdh.plan_cache.put(key, prepared)
+        return self._session.execute_statement(prepared, values, cached)
 
 
 class PreparedStatement:
-    """A statement template lexed once; bind and run with ``execute``."""
+    """A statement template parsed up front; run it with ``execute``."""
 
-    def __init__(self, connection: Connection, sql: str, tokens: list[Token]):
+    def __init__(self, connection: Connection, sql: str):
         self._connection = connection
         self.sql = sql
-        self._tokens = tokens
 
     def execute(self, params: Sequence | None = None) -> "Cursor":
-        cursor = self._connection.cursor()
-        return cursor._run(self._tokens, params, self.sql)
+        return self._connection.cursor().execute(self.sql, params)
 
 
 class Cursor:
@@ -206,28 +205,7 @@ class Cursor:
     def execute(self, sql: str, params: Sequence | None = None) -> "Cursor":
         """Run one statement; ``?`` placeholders bind from *params*."""
         self._check_open()
-        return self._run(template_tokens(sql), params, sql)
-
-    def executemany(
-        self, sql: str, seq_of_params: Iterable[Sequence]
-    ) -> "Cursor":
-        """Run *sql* once per parameter tuple (template lexed once).
-
-        ``rowcount`` totals the affected rows; any result rows are
-        discarded, per PEP 249.
-        """
-        self._check_open()
-        tokens = template_tokens(sql)
-        affected = 0
-        for params in seq_of_params:
-            result = self._connection._run_tokens(tokens, params, sql)
-            affected += max(result.affected_rows, 0)
-        self._reset_result()
-        self.rowcount = affected
-        return self
-
-    def _run(self, tokens: list[Token], params, sql_text: str) -> "Cursor":
-        result = self._connection._run_tokens(tokens, params, sql_text)
+        result = self._connection._run(sql, params)
         self._reset_result()
         self.result = result
         if result.columns:
@@ -239,6 +217,23 @@ class Cursor:
         else:
             self.rowcount = result.affected_rows
         self._rows = result.rows or []
+        return self
+
+    def executemany(
+        self, sql: str, seq_of_params: Iterable[Sequence]
+    ) -> "Cursor":
+        """Run *sql* once per parameter tuple.
+
+        ``rowcount`` totals the affected rows; any result rows are
+        discarded, per PEP 249.
+        """
+        self._check_open()
+        affected = 0
+        for params in seq_of_params:
+            result = self._connection._run(sql, params)
+            affected += max(result.affected_rows, 0)
+        self._reset_result()
+        self.rowcount = affected
         return self
 
     # -- fetching ----------------------------------------------------------

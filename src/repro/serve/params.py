@@ -1,90 +1,68 @@
 """Parameter binding for the serving layer's ``?`` placeholders.
 
-A statement template is tokenized once; each execution splices the bound
-values into a *copy* of the token list as literal tokens and hands the
-result to :func:`repro.sql.parser.parse_tokens`.  Splicing at the token
-level (instead of rendering SQL text and re-lexing it) keeps binding
-injection-proof by construction — a string parameter becomes exactly one
-``STRING`` token, whatever characters it contains — and gives the plan
-cache a ready-made structural key: the spliced token stream itself.
+The parser turns each ``?`` into a ``Param`` node, so a statement
+template is parsed once (the GDH memoizes the parse by text), bound and
+optimized once per combination of parameter *types*, and executed any
+number of times: the values travel beside the prepared statement and
+are substituted into its plan at execution.  Binding is therefore
+injection-proof by construction — a value is never rendered into SQL
+text or tokens, it only ever becomes one literal leaf of a plan — and
+:func:`statement_key`, the plan cache's key, is cheap: the text and the
+types, no walk over the statement.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import ParseError
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.ast import Statement
+from repro.sql.lexer import Token, tokenize
 
 __all__ = ["bind_parameters", "statement_key", "template_tokens"]
+
 
 def template_tokens(sql: str) -> list[Token]:
     """Tokenize a statement template (``?`` lexes as an operator)."""
     return tokenize(sql)
 
 
-def _literal_token(value: object, at: Token) -> Token:
-    # bool before int: it is an int subclass but binds as a keyword.
-    if value is None:
-        return Token(TokenType.KEYWORD, "null", at.line, at.column)
-    if isinstance(value, bool):
-        word = "true" if value else "false"
-        return Token(TokenType.KEYWORD, word, at.line, at.column)
-    if isinstance(value, (int, float)):
-        return Token(TokenType.NUMBER, value, at.line, at.column)
-    if isinstance(value, str):
-        return Token(TokenType.STRING, value, at.line, at.column)
-    raise ParseError(
-        f"cannot bind a {type(value).__name__} parameter"
-        " (int, float, str, bool, or None)",
-        at.line,
-        at.column,
-    )
-
-
-def bind_parameters(
-    tokens: list[Token], params: tuple | list | None
-) -> list[Token]:
-    """Replace each ``?`` in *tokens* with the matching literal token.
+def bind_parameters(statement: Statement, params: Sequence | None) -> tuple:
+    """The values *statement*'s placeholders take in one execution.
 
     The placeholder count must equal ``len(params)`` exactly — binding
     too many or too few values is a programming error, not something to
-    pad silently.
+    pad silently — and every value must be one SQL has a literal for.
     """
     values = tuple(params or ())
-    bound: list[Token] = []
-    next_param = 0
-    for token in tokens:
-        if token.type is TokenType.OPERATOR and token.value == "?":
-            if next_param >= len(values):
-                raise ParseError(
-                    f"statement has more placeholders than the"
-                    f" {len(values)} bound parameter(s)",
-                    token.line,
-                    token.column,
-                )
-            bound.append(_literal_token(values[next_param], token))
-            next_param += 1
-        else:
-            bound.append(token)
-    if next_param != len(values):
+    if len(values) != statement.n_params:
         raise ParseError(
             f"{len(values)} parameter(s) bound but the statement has"
-            f" only {next_param} placeholder(s)"
+            f" {statement.n_params} placeholder(s)"
         )
-    return bound
+    for value in values:
+        if value is not None and not isinstance(value, (int, float, str)):
+            raise ParseError(
+                f"cannot bind a {type(value).__name__} parameter"
+                " (int, float, str, bool, or None)"
+            )
+    return values
 
 
-def statement_key(tokens: list[Token]) -> tuple:
-    """Structural plan-cache key for a bound token stream.
+def statement_key(sql: str, values: tuple, by_value: tuple[int, ...] = ()) -> tuple:
+    """Plan-cache key of a statement template.
 
-    The key covers every token — type and value, literals included — so
-    a hit guarantees the cached plan is *exactly* the one this statement
-    would have compiled (literal values steer fragment pruning and
-    selectivity, so a parameter-generic plan would be unsound).  Source
-    positions are deliberately excluded: the same statement typed with
-    different whitespace is the same key.
+    The text and the parameter *types*: nothing in a prepared statement
+    depends on a parameter's value (fragment pruning reads the literal
+    out of the instantiated predicate at run time; the optimizer's
+    estimates only ask whether an operand is a constant), but its result
+    schema does depend on the types — ``v + ?`` is an INT column for
+    ``1`` and a FLOAT one for ``1.0``, and ``True`` is not ``1``.  The
+    exception is a placeholder the binder must read while binding (a
+    LIMIT/OFFSET count, an ORDER BY position — the statement's
+    *by_value* indices): those join the key by value.
     """
-    return tuple(
-        (token.type.value, token.value)
-        for token in tokens
-        if token.type is not TokenType.EOF
-    )
+    types = tuple(map(type, values))
+    if by_value:
+        return (sql, types, tuple(values[index] for index in by_value))
+    return (sql, types)

@@ -2,13 +2,18 @@
 
 The same structural-hash idea as the OFM's
 :class:`~repro.exec.compiler.ExpressionCompilerCache`, lifted from
-expression granularity to whole statements: the key is the bound token
-stream (:func:`repro.serve.params.statement_key`), so a hit returns a
-plan compiled for *exactly* this statement, literals and all.  SELECTs
-cache a :class:`~repro.core.gdh.PreparedSelect` (bind + optimize
-product); other statements cache their parsed AST, which skips the
-host-side parse but not the simulated front-end charge — only a cached
-*plan* earns the cache-hit discount.
+expression granularity to whole statements.  The key is the statement
+*template* (:func:`repro.serve.params.statement_key`: text and parameter
+types); the entry is a :class:`~repro.core.gdh.Prepared` statement — a
+query bound and optimized, DML bound, anything else its AST — with
+``Param`` leaves where the ``?`` stood, instantiated with the values of
+each execution.  One entry therefore serves every execution of a
+template: a parameter-generic plan is sound here because nothing
+value-dependent is decided before run time (fragment pruning reads the
+literal out of the instantiated predicate in ``gdh._target_fragments``
+and the executor's scan pruning; selectivity estimates only ask whether
+an operand is a constant).  A hit earns the cache-hit discount on the
+simulated front-end charge whatever the statement kind.
 
 Invalidation is wholesale on DDL: the GDH bumps its ``ddl_epoch`` and
 calls :meth:`PlanCache.invalidate`, dropping every entry.  Finer-grained
@@ -16,26 +21,27 @@ invalidation (per touched table) is not worth the bookkeeping at this
 scale — DDL is rare in every workload we model.
 
 Capacity is bounded FIFO: when full, the oldest entry (Python dicts are
-insertion-ordered) is evicted.  Deterministic, and good enough for the
-repeated-template workloads the cache exists for.
+insertion-ordered) is evicted.  Deterministic, and with template keys a
+workload's whole statement repertoire fits many times over.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core.gdh import STATEMENT_CACHE_CAPACITY
 from repro.obs.api import SnapshotMixin
 
 __all__ = ["PlanCache"]
 
-#: Default entry bound; ~100 sessions × a handful of templates × the
-#: hot Zipf keys fit comfortably, while a scan of distinct ad-hoc
+#: Default entry bound — the one the GDH's parse memo has, for the same
+#: reason: entries are per template, and a scan of distinct ad-hoc
 #: statements cannot grow the cache without bound.
-DEFAULT_CAPACITY = 1024
+DEFAULT_CAPACITY = STATEMENT_CACHE_CAPACITY
 
 
 class PlanCache(SnapshotMixin):
-    """Bounded statement→plan cache with epoch invalidation."""
+    """Bounded template→prepared-statement cache with epoch invalidation."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -57,7 +63,8 @@ class PlanCache(SnapshotMixin):
         return len(self._entries)
 
     def get(self, key: tuple) -> Any | None:
-        """The cached plan/AST for *key*, or None (counts the lookup)."""
+        """The prepared statement cached for *key*, or None (counts the
+        lookup)."""
         self.lookups += 1
         entry = self._entries.get(key)
         if entry is None:
@@ -81,7 +88,7 @@ class PlanCache(SnapshotMixin):
 
         Called by the GDH's ``_ddl_changed`` with the new epoch; the
         epoch itself lives on the GDH (and inside each cached
-        ``PreparedSelect``) — the cache only needs to empty itself.
+        ``Prepared``) — the cache only needs to empty itself.
         """
         del ddl_epoch
         self._entries.clear()

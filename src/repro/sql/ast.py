@@ -17,10 +17,16 @@ from typing import Any
 
 
 class SqlExpr:
-    """Base class for parsed (unbound) expressions."""
+    """Base class for parsed (unbound) expressions.
+
+    The nodes are slotted: the GDH keeps parsed statements in its parse
+    memo, so an AST's footprint is resident memory.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name(SqlExpr):
     """A possibly qualified column reference: ``col`` or ``tab.col``."""
 
@@ -31,12 +37,23 @@ class Name(SqlExpr):
         return f"{self.qualifier}.{self.column}" if self.qualifier else self.column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(SqlExpr):
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class Param(SqlExpr):
+    """The *index*-th ``?`` placeholder (0-based, in source order).
+
+    Also stands where the grammar wants a bare constant: an IN-list
+    value, a LIKE pattern, a LIMIT/OFFSET count.
+    """
+
+    index: int
+
+
+@dataclass(frozen=True, slots=True)
 class Bin(SqlExpr):
     """Binary operator: comparisons, arithmetic, AND/OR."""
 
@@ -45,7 +62,7 @@ class Bin(SqlExpr):
     right: SqlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Un(SqlExpr):
     """Unary operator: NOT, unary minus."""
 
@@ -53,7 +70,7 @@ class Un(SqlExpr):
     operand: SqlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func(SqlExpr):
     """Scalar function call."""
 
@@ -61,7 +78,7 @@ class Func(SqlExpr):
     args: tuple[SqlExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggCall(SqlExpr):
     """Aggregate call: ``COUNT(*)``, ``SUM(DISTINCT x)``, ..."""
 
@@ -70,27 +87,27 @@ class AggCall(SqlExpr):
     distinct: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNullExpr(SqlExpr):
     operand: SqlExpr
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InExpr(SqlExpr):
     operand: SqlExpr
     values: tuple[Any, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikeExpr(SqlExpr):
     operand: SqlExpr
-    pattern: str
+    pattern: str | Param
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetweenExpr(SqlExpr):
     operand: SqlExpr
     low: SqlExpr
@@ -98,7 +115,7 @@ class BetweenExpr(SqlExpr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(SqlExpr):
     """``*`` or ``alias.*`` in a select list."""
 
@@ -151,7 +168,24 @@ FromItem = TableRef | ClosureRef
 
 
 class Statement:
-    """Base class for parsed statements."""
+    """Base class for parsed statements.
+
+    :func:`~repro.sql.parser.parse_statement` stamps what it learned
+    while lexing onto the statement, so a memoized parse carries it
+    along (plain attributes, not dataclass fields: they take no part in
+    equality).
+    """
+
+    #: Lexed tokens, EOF included — the GDH's simulated parse charge is
+    #: per token.  0 when the statement did not come from
+    #: ``parse_statement``/``parse_tokens`` (a script, a hand-built AST).
+    n_tokens: int = 0
+    #: Number of ``?`` placeholders.
+    n_params: int = 0
+    #: Placeholders the binder resolves *by value* (LIMIT/OFFSET counts,
+    #: a bare ``ORDER BY ?``): a prepared statement is only reusable for
+    #: executions that agree on these.
+    by_value: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -169,8 +203,8 @@ class SelectStmt(Statement):
     group_by: list[SqlExpr] = field(default_factory=list)
     having: SqlExpr | None = None
     order_by: list[tuple[SqlExpr, bool]] = field(default_factory=list)
-    limit: int | None = None
-    offset: int = 0
+    limit: int | Param | None = None
+    offset: int | Param = 0
     distinct: bool = False
 
 
@@ -182,8 +216,8 @@ class SetOpStmt(Statement):
     left: Statement
     right: Statement
     order_by: list[tuple[SqlExpr, bool]] = field(default_factory=list)
-    limit: int | None = None
-    offset: int = 0
+    limit: int | Param | None = None
+    offset: int | Param = 0
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ updates), which the Global Data Handler executes transactionally.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.errors import BindError, ExpressionError
+from repro.errors import BindError, ExpressionError, ParseError
 from repro.exec import expressions as ex
 from repro.exec.interpreter import evaluate
 from repro.exec.operators import JoinKind
@@ -41,10 +42,33 @@ from repro.storage.types import DataType
 # ---------------------------------------------------------------------------
 
 
+# Bound from a statement template these keep ``Param`` leaves where the
+# ``?`` stood; ``with_params`` instantiates them for one execution.
+
+
 @dataclass
 class BoundInsert:
     table: str
+    schema: Schema
+    #: Validated rows — except that a row with a cell depending on a
+    #: parameter keeps that cell as an expression, unvalidated, until
+    #: :meth:`with_params` (no storable value is an ``Expr``).
     rows: list[tuple]
+
+    def with_params(self, params: Sequence[Any]) -> "BoundInsert":
+        rows = []
+        for row in self.rows:
+            if any(isinstance(cell, ex.Expr) for cell in row):
+                row = self.schema.validate_row(
+                    tuple(
+                        _insert_constant(ex.substitute_params(cell, params))
+                        if isinstance(cell, ex.Expr)
+                        else cell
+                        for cell in row
+                    )
+                )
+            rows.append(row)
+        return BoundInsert(self.table, self.schema, rows)
 
 
 @dataclass
@@ -53,11 +77,39 @@ class BoundUpdate:
     assignments: list[tuple[int, ex.Expr]]
     predicate: ex.Expr | None
 
+    def with_params(self, params: Sequence[Any]) -> "BoundUpdate":
+        return BoundUpdate(
+            self.table,
+            [
+                (index, ex.substitute_params(value, params))
+                for index, value in self.assignments
+            ],
+            _predicate_with_params(self.predicate, params),
+        )
+
 
 @dataclass
 class BoundDelete:
     table: str
     predicate: ex.Expr | None
+
+    def with_params(self, params: Sequence[Any]) -> "BoundDelete":
+        return BoundDelete(
+            self.table, _predicate_with_params(self.predicate, params)
+        )
+
+
+def _predicate_with_params(
+    predicate: ex.Expr | None, params: Sequence[Any]
+) -> ex.Expr | None:
+    return None if predicate is None else ex.substitute_params(predicate, params)
+
+
+def _insert_constant(bound: ex.Expr):
+    try:
+        return evaluate(bound, ())
+    except ExpressionError as exc:
+        raise BindError(f"bad constant in INSERT: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +177,49 @@ class _Scope:
 
 
 class Binder:
-    """Binds statements against a name -> Schema catalog view."""
+    """Binds statements against a name -> Schema catalog view.
 
-    def __init__(self, catalog: Mapping[str, Schema]):
+    *params* are the values of the statement's ``?`` placeholders.  A
+    placeholder in expression position binds to a typed, valueless
+    ``Param`` leaf, so the result serves every execution with
+    parameters of these types; only the ones the parser marked
+    ``by_value`` (LIMIT/OFFSET counts, ORDER BY positions) are read.
+    """
+
+    def __init__(self, catalog: Mapping[str, Schema], params: Sequence[Any] = ()):
         self._catalog = catalog
+        self._params = params
+
+    def _param_value(self, param: ast.Param) -> Any:
+        try:
+            return self._params[param.index]
+        except IndexError:
+            raise ParseError(
+                f"placeholder {param.index + 1} has no bound parameter"
+                f" ({len(self._params)} bound)"
+            ) from None
+
+    def _count(self, node: int | ast.Param | None, what: str) -> int | None:
+        """A LIMIT/OFFSET count: the literal, or a placeholder's value
+        held to what the grammar asks of the literal."""
+        if not isinstance(node, ast.Param):
+            return node
+        value = self._param_value(node)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"expected {what} (found {value!r})")
+        return value
+
+    def _tail(self, stmt: ast.SelectStmt | ast.SetOpStmt):
+        """ORDER BY / LIMIT / OFFSET with by-value placeholders resolved."""
+        order_by = [
+            (ast.Lit(self._param_value(expr)), descending)
+            if isinstance(expr, ast.Param)
+            else (expr, descending)
+            for expr, descending in stmt.order_by
+        ]
+        limit = self._count(stmt.limit, "LIMIT count")
+        offset = self._count(stmt.offset, "OFFSET count")
+        return order_by, limit, offset
 
     def table_schema(self, name: str) -> Schema:
         schema = self._catalog.get(name.lower())
@@ -154,8 +245,7 @@ class Binder:
                 f" {len(right.schema)} columns"
             )
         plan: PlanNode = SetOpNode(stmt.op, left, right)
-        plan = self._apply_order_limit(plan, stmt.order_by, stmt.limit, stmt.offset)
-        return plan
+        return self._apply_order_limit(plan, *self._tail(stmt))
 
     def _bind_select(self, stmt: ast.SelectStmt) -> PlanNode:
         scope = _Scope()
@@ -183,21 +273,20 @@ class Binder:
                 # select list; carry them as hidden sort columns and strip
                 # them after sorting.
                 return self._select_with_hidden_order(
-                    stmt, plan, scope, exprs, names
+                    plan, scope, exprs, names, *self._tail(stmt)
                 )
             plan = ProjectNode(plan, exprs, names)
 
         if stmt.distinct:
             plan = DistinctNode(plan)
-        plan = self._apply_order_limit(plan, stmt.order_by, stmt.limit, stmt.offset)
-        return plan
+        return self._apply_order_limit(plan, *self._tail(stmt))
 
     def _select_with_hidden_order(
-        self, stmt: ast.SelectStmt, plan: PlanNode, scope: _Scope, exprs, names
+        self, plan: PlanNode, scope: _Scope, exprs, names, order_by, limit, offset
     ) -> PlanNode:
         visible = len(exprs)
         sort_keys: list[tuple[int, bool]] = []
-        for order_expr, descending in stmt.order_by:
+        for order_expr, descending in order_by:
             position = self._visible_position(order_expr, names, visible)
             if position is None:
                 bound = self._bind_scalar(order_expr, scope)
@@ -207,8 +296,8 @@ class Binder:
             sort_keys.append((position, descending))
         plan = ProjectNode(plan, exprs, names)
         plan = SortNode(plan, sort_keys)
-        if stmt.limit is not None or stmt.offset:
-            plan = LimitNode(plan, stmt.limit, stmt.offset)
+        if limit is not None or offset:
+            plan = LimitNode(plan, limit, offset)
         if len(exprs) > visible:
             plan = ProjectNode(
                 plan,
@@ -274,6 +363,8 @@ class Binder:
     ) -> ex.Expr:
         if isinstance(expr, ast.Lit):
             return ex.Literal(expr.value)
+        if isinstance(expr, ast.Param):
+            return ex.Param(expr.index, ex.param_type(self._param_value(expr)))
         if isinstance(expr, ast.Name):
             index, _, display = scope.resolve(expr)
             return ex.ColumnRef(index, display)
@@ -297,13 +388,14 @@ class Binder:
             return ex.IsNull(self._bind_scalar(expr.operand, scope, where_clause), expr.negated)
         if isinstance(expr, ast.InExpr):
             bound = ex.InList(
-                self._bind_scalar(expr.operand, scope, where_clause), tuple(expr.values)
+                self._bind_scalar(expr.operand, scope, where_clause),
+                self._in_values(expr),
             )
             return ex.Not(bound) if expr.negated else bound
         if isinstance(expr, ast.LikeExpr):
             return ex.Like(
                 self._bind_scalar(expr.operand, scope, where_clause),
-                expr.pattern,
+                self._like_pattern(expr),
                 expr.negated,
             )
         if isinstance(expr, ast.BetweenExpr):
@@ -323,6 +415,21 @@ class Binder:
         if isinstance(expr, ast.Star):
             raise BindError("'*' is only valid as a whole select item")
         raise BindError(f"cannot bind expression node {type(expr).__name__}")
+
+    def _in_values(self, expr: ast.InExpr) -> tuple:
+        scope = _Scope()
+        return tuple(
+            self._bind_scalar(value, scope) if isinstance(value, ast.Param) else value
+            for value in expr.values
+        )
+
+    def _like_pattern(self, expr: ast.LikeExpr) -> str | ex.Param:
+        if not isinstance(expr.pattern, ast.Param):
+            return expr.pattern
+        # What the parser says of a literal that is not a string.
+        if not isinstance(self._param_value(expr.pattern), str):
+            raise ParseError("LIKE expects a string pattern")
+        return self._bind_scalar(expr.pattern, _Scope())
 
     # -- plain select list ------------------------------------------------------------------
 
@@ -463,19 +570,21 @@ class Binder:
             full: list = [None] * len(schema)
             for position, value_expr in zip(positions, row_exprs):
                 full[position] = self._constant(value_expr)
-            rows.append(schema.validate_row(tuple(full)))
-        return BoundInsert(stmt.table.lower(), rows)
+            row = tuple(full)
+            if not any(isinstance(cell, ex.Expr) for cell in row):
+                row = schema.validate_row(row)
+            rows.append(row)
+        return BoundInsert(stmt.table.lower(), schema, rows)
 
     def _constant(self, expr: ast.SqlExpr):
+        """An INSERT cell: its value, or — when that depends on a
+        parameter — the bound expression, for ``with_params``."""
         scope = _Scope()
         try:
             bound = self._bind_scalar(expr, scope)
         except BindError:
             raise BindError("INSERT values must be constants") from None
-        try:
-            return evaluate(bound, ())
-        except ExpressionError as exc:
-            raise BindError(f"bad constant in INSERT: {exc}") from None
+        return bound if ex.has_params(bound) else _insert_constant(bound)
 
     def bind_update(self, stmt: ast.UpdateStmt) -> BoundUpdate:
         schema = self.table_schema(stmt.table)
@@ -597,8 +706,8 @@ class _PostAggEnv:
             return ex.ColumnRef(
                 len(self.group_cols) + agg_index, expr.func
             )
-        if isinstance(expr, ast.Lit):
-            return ex.Literal(expr.value)
+        if isinstance(expr, (ast.Lit, ast.Param)):
+            return self.binder._bind_scalar(expr, self.scope)
         if isinstance(expr, ast.Name):
             raise BindError(
                 f"column {expr.display()!r} must appear in GROUP BY"
@@ -622,10 +731,16 @@ class _PostAggEnv:
         if isinstance(expr, ast.IsNullExpr):
             return ex.IsNull(self.rewrite(expr.operand), expr.negated)
         if isinstance(expr, ast.InExpr):
-            bound = ex.InList(self.rewrite(expr.operand), tuple(expr.values))
+            bound = ex.InList(
+                self.rewrite(expr.operand), self.binder._in_values(expr)
+            )
             return ex.Not(bound) if expr.negated else bound
         if isinstance(expr, ast.LikeExpr):
-            return ex.Like(self.rewrite(expr.operand), expr.pattern, expr.negated)
+            return ex.Like(
+                self.rewrite(expr.operand),
+                self.binder._like_pattern(expr),
+                expr.negated,
+            )
         if isinstance(expr, ast.BetweenExpr):
             operand = self.rewrite(expr.operand)
             between = ex.and_(

@@ -28,9 +28,8 @@ KEYWORDS = frozenset(
 
 MULTI_CHAR_OPERATORS = ("<>", "!=", "<=", ">=")
 #: ``?`` is the DBAPI parameter placeholder (repro.serve); it lexes like
-#: any operator so the serving layer can splice bound values into the
-#: token stream, but the parser rejects it — an unbound placeholder must
-#: fail with a position, not silently reach the binder.
+#: any operator and parses to a ``Param`` node wherever an expression,
+#: an IN-list value, a LIKE pattern or a LIMIT/OFFSET count may stand.
 SINGLE_CHAR_TOKENS = "+-*/%(),.;=<>?"
 
 

@@ -33,6 +33,7 @@ from repro.sql.ast import (
     LikeExpr,
     Lit,
     Name,
+    Param,
     RollbackStmt,
     SelectItem,
     SelectStmt,
@@ -54,27 +55,28 @@ COMPARISON_OPS = frozenset(("=", "<>", "<", "<=", ">", ">="))
 
 
 def parse_statement(text: str) -> Statement:
-    """Parse exactly one statement (a trailing ``;`` is allowed)."""
-    parser = _Parser(tokenize(text))
-    statement = parser.statement()
-    parser.accept_operator(";")
-    parser.expect_eof()
-    return statement
+    """Parse exactly one statement (a trailing ``;`` is allowed).
+
+    A pure function of *text*, which is what lets the GDH memoize it.
+    """
+    return parse_tokens(tokenize(text))
 
 
 def parse_tokens(tokens: list[Token]) -> Statement:
     """Parse exactly one statement from an already-lexed token stream.
 
-    Used by the serving layer (:mod:`repro.serve`), which tokenizes a
-    statement template once and splices bound parameter values into the
-    token list — re-rendering SQL text only to re-tokenize it would
-    throw that work away.  The list must end with an EOF token, as
-    :func:`~repro.sql.lexer.tokenize` produces.
+    The list must end with an EOF token, as
+    :func:`~repro.sql.lexer.tokenize` produces.  Each ``?`` becomes a
+    :class:`~repro.sql.ast.Param`; the token and placeholder counts are
+    stamped on the statement (see :class:`~repro.sql.ast.Statement`).
     """
     parser = _Parser(tokens)
     statement = parser.statement()
     parser.accept_operator(";")
     parser.expect_eof()
+    statement.n_tokens = len(tokens)
+    statement.n_params = parser.n_params
+    statement.by_value = tuple(parser.by_value)
     return statement
 
 
@@ -94,6 +96,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
+        #: ``?`` placeholders consumed so far, and which of them stand
+        #: where the binder needs the value itself.
+        self.n_params = 0
+        self.by_value: list[int] = []
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -156,6 +162,20 @@ class _Parser:
     def expect_eof(self) -> None:
         if not self.at_eof():
             raise self.error("unexpected trailing input")
+
+    def accept_param(self, by_value: bool = False) -> Param | None:
+        if self.accept_operator("?") is None:
+            return None
+        param = Param(self.n_params)
+        self.n_params += 1
+        if by_value:
+            self.by_value.append(param.index)
+        return param
+
+    def expect_count(self, what: str) -> int | Param:
+        """An integer literal or a (by-value) placeholder for one."""
+        param = self.accept_param(by_value=True)
+        return self.expect_integer(what) if param is None else param
 
     # -- statements -----------------------------------------------------------------
 
@@ -352,6 +372,9 @@ class _Parser:
 
     def order_key(self) -> tuple[SqlExpr, bool]:
         expr = self.expr()
+        if isinstance(expr, Param):
+            # A bare constant is an output position, not a sort value.
+            self.by_value.append(expr.index)
         descending = False
         if self.accept_keyword("desc"):
             descending = True
@@ -359,13 +382,13 @@ class _Parser:
             self.accept_keyword("asc")
         return expr, descending
 
-    def limit_clause(self) -> tuple[int | None, int]:
+    def limit_clause(self) -> tuple[int | Param | None, int | Param]:
         limit = None
         offset = 0
         if self.accept_keyword("limit"):
-            limit = self.expect_integer("LIMIT count")
+            limit = self.expect_count("LIMIT count")
         if self.accept_keyword("offset"):
-            offset = self.expect_integer("OFFSET count")
+            offset = self.expect_count("OFFSET count")
         return limit, offset
 
     # -- DDL ---------------------------------------------------------------------------
@@ -547,17 +570,20 @@ class _Parser:
         negated = bool(self.accept_keyword("not"))
         if self.accept_keyword("in"):
             self.expect_operator("(")
-            values = [self.literal_value()]
+            values = [self.in_value()]
             while self.accept_operator(","):
-                values.append(self.literal_value())
+                values.append(self.in_value())
             self.expect_operator(")")
             return InExpr(left, tuple(values), negated)
         if self.accept_keyword("like"):
-            token = self.peek()
-            if token.type is not TokenType.STRING:
-                raise self.error("LIKE expects a string pattern")
-            self.advance()
-            return LikeExpr(left, str(token.value), negated)
+            pattern = self.accept_param()
+            if pattern is None:
+                token = self.peek()
+                if token.type is not TokenType.STRING:
+                    raise self.error("LIKE expects a string pattern")
+                self.advance()
+                pattern = str(token.value)
+            return LikeExpr(left, pattern, negated)
         if self.accept_keyword("between"):
             low = self.additive()
             self.expect_keyword("and")
@@ -595,6 +621,9 @@ class _Parser:
         if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self.advance()
             return Lit(token.value)
+        param = self.accept_param()
+        if param is not None:
+            return param
         if token.type is TokenType.KEYWORD:
             if self.accept_keyword("null"):
                 return Lit(None)
@@ -640,6 +669,10 @@ class _Parser:
             self.expect_operator(")")
             return Func(lowered, tuple(args))
         raise self.error(f"unknown function {name!r}")
+
+    def in_value(self):
+        param = self.accept_param()
+        return self.literal_value() if param is None else param
 
     def literal_value(self):
         negative = bool(self.accept_operator("-"))

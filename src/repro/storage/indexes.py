@@ -47,6 +47,9 @@ class HashIndex(_IndexBase):
     def __init__(self, name: str, key_positions: Sequence[int], unique: bool = False):
         super().__init__(name, key_positions, unique)
         self._buckets: dict[Key, list[int]] = {}
+        #: Row ids over all buckets, kept by insert/delete: the table
+        #: re-accounts its footprint (which asks ``len``) on every write.
+        self._entries = 0
 
     def insert(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
@@ -56,6 +59,7 @@ class HashIndex(_IndexBase):
                 f"unique index {self.name!r} already has key {key!r}"
             )
         bucket.append(rid)
+        self._entries += 1
 
     def delete(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
@@ -66,6 +70,7 @@ class HashIndex(_IndexBase):
             bucket.remove(rid)
         except ValueError:
             return
+        self._entries -= 1
         if not bucket:
             del self._buckets[key]
 
@@ -74,7 +79,7 @@ class HashIndex(_IndexBase):
         return list(self._buckets.get(tuple(key), ()))
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return self._entries
 
     def keys(self) -> Iterator[Key]:
         return iter(self._buckets)

@@ -97,6 +97,37 @@ class TestSelectionRules:
         assert "80.0" in rewritten.label()
         assert run(plan) == run(rewritten)
 
+    def test_parameters_are_not_folded(self):
+        # A statement template is optimized with Param leaves: nothing
+        # may evaluate them away, and the rewritten plan must give the
+        # literal plan's rows once the values are filled in.
+        from repro.algebra.plan import substitute_plan_params
+        from repro.exec.expressions import Param
+
+        p0, p1 = Param(0, DataType.FLOAT), Param(1, DataType.INT)
+        template = SelectNode(
+            ProjectNode(emp(), [col(0, "id"), col(2, "sal")], ["id", "sal"]),
+            and_(
+                Comparison(">", col(1), Arithmetic("+", p0, lit(40.0))),
+                Comparison("=", p1, lit(1)),
+            ),
+        )
+        rewritten, fired = rewrite(template)
+        assert "fold_constant_conjuncts" not in fired
+        assert "push_select_below_project" in fired
+        assert "?0" in rewritten.explain() and "?1" in rewritten.explain()
+        for params in ((40.0, 1), (40.0, 2), (10.0, 1)):
+            assert run(substitute_plan_params(rewritten, params)) == run(
+                substitute_plan_params(template, params)
+            )
+        assert run(substitute_plan_params(rewritten, (40.0, 1))) == [
+            (1, 120.0), (2, 95.0), (4, 85.0)
+        ]
+        # No parameter below: the very same tree comes back.
+        assert substitute_plan_params(emp(), (1,)).key() == emp().key()
+        plain = SelectNode(emp(), eq(col(1), lit("hr")))
+        assert substitute_plan_params(plain, ()) is plain
+
     def test_select_on_values_folds(self):
         values = ValuesNode(Schema.of(a=DataType.INT), [(1,), (2,), (3,)])
         plan = SelectNode(values, Comparison(">", col(0), lit(1)))

@@ -15,17 +15,20 @@ from repro.exec.expressions import (
     Literal,
     Negate,
     Not,
+    Param,
     and_,
     col,
     columns_used,
     conjuncts,
     default_name,
     eq,
+    has_params,
     infer_result_type,
     is_constant,
     lit,
     or_,
     remap_columns,
+    substitute_params,
     validate_against,
 )
 from repro.storage import DataType, Schema
@@ -149,6 +152,46 @@ class TestStructuralUtilities:
         assert is_constant(Arithmetic("+", lit(1), lit(2)))
         assert not is_constant(Arithmetic("+", col(0), lit(2)))
 
+    def test_a_parameter_is_neither_constant_nor_evaluable(self):
+        from repro.exec.compiler import compile_scalar
+        from repro.exec.interpreter import evaluate
+
+        param = Param(0, DataType.INT)
+        for expr in (
+            Arithmetic("+", param, lit(2)),
+            InList(lit(1), (1, param)),  # IN values are not children
+            Like(lit("x"), Param(1, DataType.STRING)),
+        ):
+            assert has_params(expr) and not is_constant(expr)
+        assert not has_params(InList(col(0), (1, 2)))
+        with pytest.raises(ExpressionError):
+            evaluate(param, ())
+        with pytest.raises(ExpressionError):
+            compile_scalar(param)
+
+    def test_substitute_params(self):
+        expr = and_(
+            eq(col(0), Param(0, DataType.INT)),
+            InList(col(1), ("a", Param(1, DataType.STRING))),
+            Like(col(1), Param(2, DataType.STRING), negated=True),
+            Comparison("<", col(2), lit(9)),
+        )
+        bound = substitute_params(expr, (5, "b", "c%"))
+        assert bound == and_(
+            eq(col(0), lit(5)),
+            InList(col(1), ("a", "b")),
+            Like(col(1), "c%", negated=True),
+            Comparison("<", col(2), lit(9)),
+        )
+        assert not has_params(bound)
+        # The parameter-free conjunct is shared, and so is a whole
+        # expression without parameters.
+        assert bound.operands[3] is expr.operands[3]
+        assert substitute_params(bound, (5, "b", "c%")) is bound
+        # Same index, other type: a different parameter (and no literal).
+        assert Param(0, DataType.INT) != Param(0, DataType.FLOAT)
+        assert Param(0, DataType.INT) != lit(0)
+
     def test_validate_against(self):
         schema = Schema.of(a=DataType.INT, b=DataType.INT)
         validate_against(eq(col(1), lit(2)), schema)
@@ -158,6 +201,19 @@ class TestStructuralUtilities:
     def test_default_name(self):
         assert default_name(col(0, "salary"), 0) == "salary"
         assert default_name(Arithmetic("+", col(0), lit(1)), 2) == "col2"
+
+
+class TestParamTypeInference:
+    def test_a_parameter_types_like_the_literal_it_stands_for(self):
+        from repro.exec.expressions import param_type
+
+        schema = Schema.of(a=DataType.INT)
+        for value in (1, 1.5, "x", True, None):
+            param = Param(0, param_type(value))
+            for make in (lambda e: e, lambda e: Arithmetic("+", col(0), e)):
+                assert infer_result_type(make(param), schema) == infer_result_type(
+                    make(lit(value)), schema
+                )
 
 
 class TestTypeInference:

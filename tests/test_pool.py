@@ -76,6 +76,29 @@ class TestPlacement:
         machine4.node(1).charge(5.0)
         assert LeastLoaded().choose(machine4) == 2
 
+    def test_least_loaded_ties_and_down_nodes(self):
+        # Same choice as min over up nodes of (busy time, id), which is
+        # what the policy used to spell out per element.
+        import random
+
+        machine = Machine(MachineConfig(n_nodes=9, disk_nodes=(0,)))
+        rng = random.Random(4)
+        for _ in range(200):
+            node = rng.randrange(9)
+            machine.node(node).charge(rng.choice([0.5, 0.5, 1.0, 0.25]))
+            if rng.random() < 0.2:
+                machine.fail_node(node)
+            if rng.random() < 0.2:
+                machine.restore_node(rng.randrange(9))
+            up = [n for n in range(9) if machine.node_is_up(n)]
+            if not up:
+                with pytest.raises(AllocationError):
+                    LeastLoaded().choose(machine)
+                continue
+            assert LeastLoaded().choose(machine) == min(
+                up, key=lambda n: (machine.node(n).stats.busy_time_s, n)
+            )
+
     def test_most_free_memory(self, machine4):
         machine4.node(0).memory.allocate(1000, "x")
         chosen = MostFreeMemory().choose(machine4)

@@ -144,6 +144,40 @@ class TestMigrate:
         cursor.execute("SELECT v FROM t WHERE id = ?", (1,))
         assert cursor.fetchall() == [(7,)]
 
+    def test_placement_changes_invalidate_template_entries(self):
+        # One template entry serves every key, so a stale one would
+        # misroute all of them: each kind of flip must drop it, and the
+        # re-prepared template must find every row at its new home.
+        db = make_db()
+        cursor = db.connect().cursor()
+        cache = db.gdh.plan_cache
+        read = "SELECT v FROM t WHERE id = ?"
+        write = "UPDATE t SET v = v + ? WHERE id = ?"
+
+        def exercise(bump):
+            for key in range(60):
+                cursor.execute(write, (bump, key))
+                assert cursor.rowcount == 1
+            for key in range(60):
+                assert cursor.execute(read, (key,)).fetchall() == [
+                    (key * 7 + exercise.total + bump,)
+                ]
+            exercise.total += bump
+            assert len(cache) == 2
+
+        exercise.total = 0
+        exercise(1)
+        for flip in (
+            lambda: db.rebalancer.migrate_fragment("t", 0),
+            lambda: db.rebalancer.split_fragment("t", 0),
+            lambda: db.rebalancer.merge_fragments("t", 1, 2),
+        ):
+            epoch, invalidations = db.gdh.ddl_epoch, cache.invalidations
+            flip()
+            assert db.gdh.ddl_epoch > epoch
+            assert cache.invalidations > invalidations and len(cache) == 0
+            exercise(1)
+
     def test_migrate_rejects_occupied_target(self):
         db = make_db(replicas=2)
         fragment = db.catalog.table("t").fragments[0]

@@ -23,8 +23,8 @@ from repro.serve import (
     bind_parameters,
     install_serving,
     statement_key,
-    template_tokens,
 )
+from repro.sql import parse_statement
 
 
 def small_db():
@@ -72,22 +72,77 @@ class TestParams:
         ).fetchone() == (hostile,)
 
     def test_param_count_mismatch_raises(self):
-        tokens = template_tokens("SELECT v FROM kv WHERE id = ?")
+        statement = parse_statement("SELECT v FROM kv WHERE id = ?")
         with pytest.raises(ParseError, match="placeholder"):
-            bind_parameters(tokens, ())
+            bind_parameters(statement, ())
         with pytest.raises(ParseError, match="placeholder"):
-            bind_parameters(tokens, (1, 2))
+            bind_parameters(statement, (1, 2))
         with pytest.raises(ParseError, match="cannot bind"):
-            bind_parameters(tokens, ([1],))
+            bind_parameters(statement, ([1],))
+        assert bind_parameters(statement, [7]) == (7,)
 
-    def test_statement_key_ignores_whitespace_not_literals(self):
-        one = statement_key(template_tokens("SELECT v FROM kv WHERE id = 1"))
-        spaced = statement_key(
-            template_tokens("SELECT   v  FROM kv\n WHERE id = 1")
+    def test_unbound_placeholder_outside_a_cursor_raises(self):
+        db = loaded_db()
+        with pytest.raises(ParseError, match="placeholder"):
+            db.execute("SELECT v FROM kv WHERE id = ?")
+        with pytest.raises(ParseError, match="placeholder"):
+            db.execute_script("DELETE FROM kv WHERE id = ?")
+
+    def test_statement_key_is_text_and_types_not_values(self):
+        sql = "SELECT v FROM kv WHERE id = ?"
+        assert statement_key(sql, (1,)) == statement_key(sql, (2,))
+        assert statement_key(sql, (1,)) != statement_key(sql, (1.0,))
+        assert statement_key(sql, (1,)) != statement_key(sql, (True,))
+        assert statement_key(sql, (None,)) != statement_key(sql, ("x",))
+        assert statement_key(sql, (1,)) != statement_key(sql + " ", (1,))
+        # A by-value placeholder (LIMIT ?) joins the key with its value.
+        limited = parse_statement("SELECT v FROM kv WHERE id > ? LIMIT ?")
+        assert limited.by_value == (1,)
+        sql = "SELECT v FROM kv WHERE id > ? LIMIT ?"
+        assert statement_key(sql, (1, 5), limited.by_value) == statement_key(
+            sql, (9, 5), limited.by_value
         )
-        other = statement_key(template_tokens("SELECT v FROM kv WHERE id = 2"))
-        assert one == spaced
-        assert one != other
+        assert statement_key(sql, (1, 5), limited.by_value) != statement_key(
+            sql, (1, 6), limited.by_value
+        )
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1)])
+    def test_int_and_float_parameters_do_not_share_a_plan(self, first, second):
+        # Regression: the old literal-token key compared values with ==,
+        # so 1 and 1.0 hit the same entry and the second execution came
+        # back with the first one's column type.
+        db = loaded_db()
+        cursor = db.connect().cursor()
+        sql = "SELECT v + ? FROM kv WHERE id = 1"
+        for value in (first, second):
+            (result,) = cursor.execute(sql, (value,)).fetchone()
+            assert result == 11 and type(result) is type(value)
+
+    def test_parameter_types_key_the_plan(self):
+        db = small_db()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT, ok BOOL)")
+        cursor = db.connect().cursor()
+        cursor.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)",
+            [(1, "a", True), (2, None, False), (3, "c", None)],
+        )
+        # Same template; None, bool and str each get their own entry —
+        # and bool stays distinct from int.
+        cache = db.gdh.plan_cache
+        entries = len(cache)
+        select = "SELECT id FROM t WHERE name = ? ORDER BY id"
+        assert cursor.execute(select, ("a",)).fetchall() == [(1,)]
+        assert cursor.execute(select, (None,)).fetchall() == []
+        assert len(cache) == entries + 2
+        select = "SELECT id FROM t WHERE ok = ? ORDER BY id"
+        assert cursor.execute(select, (True,)).fetchall() == [(1,)]
+        assert cursor.execute(select, (False,)).fetchall() == [(2,)]
+        assert len(cache) == entries + 3
+        select = "SELECT id FROM t WHERE id = ? ORDER BY id"
+        assert cursor.execute(select, (1,)).fetchall() == [(1,)]
+        hits = cache.hits
+        cursor.execute(select, (True,))
+        assert cache.hits == hits and len(cache) == entries + 5
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +237,12 @@ class TestConnection:
         assert prepared.execute((3,)).fetchone() == (30,)
         assert prepared.execute((4,)).fetchone() == (40,)
         assert prepared.execute((3,)).fetchone() == (30,)
-        # The third execute repeats a key: an exact-match cache hit.
-        assert db.gdh.plan_cache.hits >= 1
+        # One template, one entry: every execute after the first hits,
+        # whatever the key.
+        stats = db.gdh.plan_cache.stats()
+        assert (stats["lookups"], stats["hits"], stats["entries"]) == (3, 2, 1)
+        with pytest.raises(ParseError):
+            conn.prepare("SELECT v FROM kv WHERE")  # parsed at prepare
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +261,18 @@ class TestPlanCache:
         assert stats["hits"] == 4
         assert stats["hit_rate"] == pytest.approx(0.8)
 
+    def test_one_entry_serves_every_value_of_a_template(self):
+        db = loaded_db()
+        cursor = db.connect().cursor()
+        for key in range(20):
+            cursor.execute("UPDATE kv SET v = v + ? WHERE id = ?", (1, key))
+            cursor.execute("SELECT v FROM kv WHERE id = ?", (key,))
+            assert cursor.fetchone() == (key * 10 + 1,)
+        stats = db.gdh.plan_cache.stats()
+        assert (stats["lookups"], stats["hits"], stats["entries"]) == (40, 38, 2)
+        assert stats["evictions"] == 0
+        assert len(db.gdh.parse_memo) >= 2
+
     def test_hit_charges_less_than_miss(self):
         db = loaded_db()
         conn = db.connect()
@@ -210,9 +281,48 @@ class TestPlanCache:
         conn.execute("SELECT v FROM kv WHERE id = ?", (7,))
         miss_cost = session.clock - before
         before = session.clock
-        conn.execute("SELECT v FROM kv WHERE id = ?", (7,))
+        conn.execute("SELECT v FROM kv WHERE id = ?", (8,))
         hit_cost = session.clock - before
         assert hit_cost < miss_cost
+
+    @pytest.mark.parametrize(
+        "sql, params, other",
+        [
+            ("SELECT v FROM kv WHERE id = ?", (7,), (8,)),
+            ("UPDATE kv SET v = v + ? WHERE id = ?", (1, 7), (2, 8)),
+            ("DELETE FROM kv WHERE id = ?", (7,), (8,)),
+            ("INSERT INTO kv VALUES (?, ?)", (900, 0), (901, 1)),
+        ],
+    )
+    def test_hit_charges_one_lookup_whatever_the_kind(self, sql, params, other):
+        from repro.core.gdh import (
+            OPTIMIZE_COST_PER_NODE_S,
+            PARSE_COST_PER_TOKEN_S,
+            PLAN_CACHE_HIT_COST_S,
+        )
+
+        db = loaded_db()
+        gdh = db.gdh
+        charged = []
+        charge_frontend = gdh._charge_frontend
+
+        def spy(process, tokens, plan_nodes, cached=False):
+            before = process.ready_at
+            charge_frontend(process, tokens, plan_nodes, cached)
+            charged.append((cached, process.ready_at - before))
+
+        gdh._charge_frontend = spy
+        cursor = db.connect().cursor()
+        cursor.execute(sql, params)
+        cursor.execute(sql, other)
+        (miss_cached, miss), (hit_cached, hit) = charged
+        assert (miss_cached, hit_cached) == (False, True)
+        assert hit == pytest.approx(PLAN_CACHE_HIT_COST_S)
+        tokens = gdh.parse(sql).n_tokens
+        nodes = 3 if sql.startswith("SELECT") else 0
+        assert miss == pytest.approx(
+            tokens * PARSE_COST_PER_TOKEN_S + nodes * OPTIMIZE_COST_PER_NODE_S
+        )
 
     def test_ddl_invalidates(self):
         db = loaded_db()
@@ -222,13 +332,27 @@ class TestPlanCache:
         conn.execute("DROP TABLE kv")
         assert len(db.gdh.plan_cache) == 0
         assert db.gdh.plan_cache.invalidations >= 1
-        # Same statement text against a *new* table must re-prepare
-        # against the new catalog, not replay the dropped table's plan.
-        conn.execute("CREATE TABLE kv (id INT PRIMARY KEY, v INT)")
-        conn.execute("INSERT INTO kv VALUES (?, ?)", (1, 111))
+        # The same template against a *new* table (other column order,
+        # other fragmentation) must re-prepare against the new catalog,
+        # not replay the dropped table's plan.
+        conn.execute(
+            "CREATE TABLE kv (v INT, id INT PRIMARY KEY)"
+            " FRAGMENTED BY HASH(id) INTO 2"
+        )
+        conn.execute("INSERT INTO kv VALUES (?, ?)", (111, 1))
         assert conn.execute(
             "SELECT v FROM kv WHERE id = ?", (1,)
         ).fetchone() == (111,)
+
+    def test_stale_prepared_statement_is_refused(self):
+        db = loaded_db()
+        gdh = db.gdh
+        prepared = gdh.prepare(gdh.parse("SELECT v FROM kv WHERE id = ?"), (1,))
+        state = db._default_session._state
+        assert gdh.execute_statement(prepared, state, (1,)).rows == [(10,)]
+        db.execute("CREATE INDEX kv_v ON kv (v)")
+        with pytest.raises(TransactionError, match="stale"):
+            gdh.execute_statement(prepared, state, (1,))
 
     def test_create_index_invalidates(self):
         db = loaded_db()
@@ -240,6 +364,7 @@ class TestPlanCache:
         assert len(db.gdh.plan_cache) == 0
 
     def test_capacity_bound_evicts_fifo(self):
+        # Keys are opaque to the cache (in service: template keys).
         cache = PlanCache(capacity=2)
         cache.put(("a",), 1)
         cache.put(("b",), 2)
@@ -248,6 +373,24 @@ class TestPlanCache:
         assert cache.get(("a",)) is None
         assert cache.get(("b",)) == 2
         assert cache.get(("c",)) == 3
+
+    def test_caches_stay_bounded_under_distinct_literal_statements(self):
+        # 10 000 ad-hoc statements, each its own text: neither the plan
+        # cache nor the parse memo may outgrow the shared bound.
+        from repro.core.gdh import STATEMENT_CACHE_CAPACITY
+        from repro.serve.plancache import DEFAULT_CAPACITY
+
+        assert DEFAULT_CAPACITY == STATEMENT_CACHE_CAPACITY == 256
+        db = loaded_db()
+        cursor = db.connect().cursor()
+        cache, memo = db.gdh.plan_cache, db.gdh.parse_memo
+        for i in range(10_000):
+            cursor.execute(f"SELECT {i}")
+            assert len(cache) <= DEFAULT_CAPACITY
+            assert len(memo) <= STATEMENT_CACHE_CAPACITY
+        assert cursor.fetchone() == (9_999,)
+        assert len(cache) == len(memo) == DEFAULT_CAPACITY
+        assert cache.evictions >= 10_000 - DEFAULT_CAPACITY
 
     def test_snapshot_protocol(self):
         cache = PlanCache()

@@ -36,6 +36,36 @@ class TestHashIndex:
         index.delete(99, ("a",))
         assert index.lookup(("a",)) == [1]
 
+    def test_len_counts_entries_through_every_mutation(self):
+        # __len__ is a maintained counter (the table re-accounts its
+        # footprint on every write); it must track the buckets exactly,
+        # through rejected inserts and no-op deletes too.
+        import random
+
+        rng = random.Random(3)
+        index = HashIndex("i", [0], unique=False)
+        unique = HashIndex("u", [0], unique=True)
+        live = {}
+        for step in range(2000):
+            rid, key = rng.randrange(300), (rng.randrange(40),)
+            if rng.random() < 0.6 and rid not in live:
+                index.insert(rid, key)
+                live[rid] = key
+                try:
+                    unique.insert(rid, key)
+                except DuplicateKeyError:
+                    pass
+            else:
+                index.delete(rid, live.pop(rid, key))
+                unique.delete(rid, key)
+            for each in (index, unique):
+                entries = sum(len(each.lookup(k)) for k in each.keys())
+                assert len(each) == entries
+                assert each.estimated_bytes() == (
+                    64 + 48 * len(list(each.keys())) + 8 * entries
+                )
+        assert len(index) == len(live) > 0
+
     def test_empty_key_columns_rejected(self):
         with pytest.raises(StorageError):
             HashIndex("i", [])
