@@ -23,7 +23,11 @@ baseline in ``benchmarks/perf_baseline.json``:
   kernels (filter, pass-through projection, single-key hash join,
   grouped aggregate, splitter) micro-benchmarked against their
   row-at-a-time references on deterministic seeded data, gated on
-  output digests and wall clock; plus E4 and the E6/A3 closure re-run
+  output digests and wall clock; the operator chains of the repo
+  benchmark (ISSUE 13: project→global aggregate, filter→count,
+  project→grouped aggregate, project→top-N) as one generated kernel
+  against one operator call per op over the 12 000 Wisconsin rows,
+  rows *and* per-stage meters compared; plus E4 and the E6/A3 closure re-run
   with the batch path switched *off*, hard-gating that the row path
   produces the identical simulated fingerprint (the batch engine is a
   host-CPU strategy, never a semantics change) and reporting the
@@ -103,6 +107,7 @@ from repro.exec.batch import (  # noqa: E402
     compile_join_kernel,
 )
 from repro.exec.evaluation import Evaluator  # noqa: E402
+from repro.exec.pipeline import aggregate_op  # noqa: E402
 from repro.exec.expressions import Comparison, col, lit  # noqa: E402
 from repro.exec.operators import (  # noqa: E402
     AggSpec,
@@ -115,6 +120,7 @@ from repro.exec.operators import (  # noqa: E402
 from repro.exec.shuffle import compile_splitter, reference_bucket  # noqa: E402
 from repro.machine.profile import LoopProfiler  # noqa: E402
 from repro.machine.traffic import run_load_point  # noqa: E402
+from repro.workloads.wisconsin import generate_rows  # noqa: E402
 from repro.workloads import (  # noqa: E402
     load_edges,
     load_wisconsin,
@@ -762,6 +768,46 @@ COLUMNAR_MICRO = {"rows": 12_000, "right_rows": 1_200, "keys": 600, "seed": 42}
 #: (tens of ms) for a 30 % wall gate to sit above host timing noise.
 COLUMNAR_LOOPS = {"filter": 10, "project": 10, "join": 3, "agg": 5, "split": 5}
 
+#: Operator chains of the repo benchmark's shapes (ISSUE 13), over the
+#: same 12 000 Wisconsin rows as E4: one generated kernel per chain
+#: against one operator call per op.  name -> (loops, stages).
+COLUMNAR_CHAINS = {
+    # serving_mix's full-table aggregate: Project[v] -> partial aggregate.
+    "chain_project_agg": (
+        20,
+        (
+            (("project", (col(0),)),),
+            (
+                aggregate_op(
+                    (),
+                    [("count", None), ("sum", col(0)), ("min", col(0)), ("max", col(0))],
+                ),
+            ),
+        ),
+    ),
+    # analytic_closure's selection: filter -> COUNT(*).
+    "chain_filter_count": (
+        30,
+        (
+            (("select", Comparison("=", col(6), lit(7))),),
+            (aggregate_op((), [("count", None)]),),
+        ),
+    ),
+    # ... its GROUP BY: Project[ten, unique1] -> grouped aggregate.
+    "chain_project_group": (
+        10,
+        (
+            (("project", (col(4), col(0))),),
+            (aggregate_op((0,), [("count", None), ("sum", col(1))]),),
+        ),
+    ),
+    # ... its top-N: Project[unique1, stringu1] -> per-site cut.
+    "chain_project_topn": (
+        3,
+        ((("project", (col(0), col(13))),), (("topn", ((0, False),), 10, 0),)),
+    ),
+}
+
 
 def _columnar_rows(n: int, seed: int) -> list[tuple]:
     rng = random.Random(seed)
@@ -808,7 +854,24 @@ def _columnar_micro_benches() -> dict:
             buckets[reference_bucket(row, (0,), 8)].append(row)
         return buckets
 
-    return {
+    wisc = list(generate_rows(EXEC_E4["rows"], EXEC_E4["seed"]))
+    row_evaluator = Evaluator(batch=False)
+
+    def chain(runner, stages):
+        # Meters are part of the result: the fused chain must charge
+        # each stage what the operators charge themselves.
+        meters = [WorkMeter() for _ in stages]
+        out = runner.pipeline(stages).run(wisc, meters, rescan=True)
+        return out, [(m.tuples, m.hashes, m.compares) for m in meters]
+
+    chains = {
+        name: (
+            lambda stages=stages: chain(evaluator, stages),
+            lambda stages=stages: chain(row_evaluator, stages),
+        )
+        for name, (_loops, stages) in COLUMNAR_CHAINS.items()
+    }
+    return chains | {
         "filter": (
             lambda: pred_kernel(rows),
             lambda: select_rows(rows, pred_fn, meter),
@@ -837,7 +900,7 @@ def _columnar_micro_benches() -> dict:
 def measure_columnar(repeats: int) -> dict:
     measured: dict = {"micro": {}, "rerun": {}}
     for name, (batch_fn, row_fn) in _columnar_micro_benches().items():
-        loops = COLUMNAR_LOOPS[name]
+        loops = COLUMNAR_LOOPS.get(name) or COLUMNAR_CHAINS[name][0]
         batch_walls, row_walls = [], []
         outputs = []
         for _ in range(repeats):
@@ -868,6 +931,7 @@ def measure_columnar(repeats: int) -> dict:
             "wall_s_all": [round(w, 4) for w in batch_walls],
             "row_wall_s": round(row_wall, 4),
             "speedup_vs_row": round(row_wall / wall, 2) if wall > 0 else 0.0,
+            "mrows_per_s": round(loops * COLUMNAR_MICRO["rows"] / wall / 1e6, 2),
             "digest": _digest(outputs[0]),
         }
     # Whole-pipeline A/B: same database, batch path flipped off.  The

@@ -22,29 +22,21 @@ from repro.exec.closure import (
     smart_closure,
 )
 from repro.exec.evaluation import Evaluator
+from repro.exec.expressions import ColumnRef
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     Row,
     WorkMeter,
-    aggregate_rows,
-    aggregate_rows_batch,
     difference_rows,
-    distinct_rows,
     hash_join,
     hash_join_batch,
     intersect_rows,
-    limit_rows,
     nested_loop_join,
-    project_rows,
-    project_rows_batch,
-    select_rows,
-    select_rows_batch,
-    sort_rows,
-    top_n_rows,
     union_all_rows,
     union_rows,
 )
+from repro.exec.pipeline import Op, aggregate_op, op_fusable
+from repro.storage.types import DataType
 from repro.algebra.plan import (
     AggregateNode,
     ClosureNode,
@@ -72,6 +64,40 @@ _CLOSURE_ALGORITHMS = {
 }
 
 TableResolver = Callable[[str], Sequence[Row]]
+
+
+def is_int_column(arg, schema) -> bool:
+    """Is *arg* a column *schema* declares INT?  Such a column holds
+    nothing but ``int`` (storage refuses anything else), which lets a
+    group-less SUM use the C-level ``sum`` (:mod:`repro.exec.pipeline`)."""
+    return (
+        isinstance(arg, ColumnRef)
+        and schema.columns[arg.index].data_type is DataType.INT
+    )
+
+
+def _aggregate_op(node: AggregateNode) -> Op:
+    schema = node.child.schema
+    return aggregate_op(
+        node.group_cols,
+        [(a.func, a.arg, a.distinct, is_int_column(a.arg, schema)) for a in node.aggregates],
+    )
+
+
+_OPS: dict[type, Callable[[PlanNode], Op]] = {
+    SelectNode: lambda node: ("select", node.predicate),
+    ProjectNode: lambda node: ("project", node.exprs),
+    AggregateNode: _aggregate_op,
+    TopNNode: lambda node: ("topn", node.keys, node.limit, node.offset),
+    SortNode: lambda node: ("sort", node.keys),
+    LimitNode: lambda node: ("limit", node.limit, node.offset),
+    DistinctNode: lambda node: ("distinct",),
+}
+
+
+def op_of(node: PlanNode) -> Op:
+    """The pipeline op of a unary operator node (cached on the node)."""
+    return node.memo("op", _OPS[type(node)])
 
 
 class LocalExecutor:
@@ -190,61 +216,23 @@ class LocalExecutor:
 
     # -- unary ---------------------------------------------------------------------
 
-    def _run_SelectNode(self, plan: SelectNode) -> list[Row]:
-        rows = self.run(plan.child)
-        if self.evaluator.batch:
-            kernel, weight = self.evaluator.batch_predicate(plan.predicate)
-            return select_rows_batch(rows, kernel, self.meter, eval_weight=weight)
-        predicate, weight = self.evaluator.predicate(plan.predicate)
-        return select_rows(rows, predicate, self.meter, eval_weight=weight)
+    def _run_chain(self, plan: PlanNode) -> list[Row]:
+        """A maximal run of unary operators is one generated kernel
+        (a run of one is that operator's kernel), charged to the meter
+        operator by operator.  A DISTINCT aggregate has no generated
+        form: it runs alone, so its neighbours stay compiled."""
+        ops = [op_of(plan)]
+        node = plan.child
+        if op_fusable(ops[0]):
+            while type(node) in _OPS and op_fusable(op_of(node)):
+                ops.append(op_of(node))
+                node = node.child
+        rows = self.run(node)
+        pipeline = self.evaluator.pipeline((tuple(reversed(ops)),))
+        return pipeline.run(rows, (self.meter,))[0]
 
-    def _run_ProjectNode(self, plan: ProjectNode) -> list[Row]:
-        rows = self.run(plan.child)
-        if self.evaluator.batch:
-            kernel, weight = self.evaluator.batch_projector(plan.exprs)
-            return project_rows_batch(rows, kernel, self.meter, eval_weight=weight)
-        projector, weight = self.evaluator.projector(plan.exprs)
-        return project_rows(rows, projector, self.meter, eval_weight=weight)
-
-    def _run_AggregateNode(self, plan: AggregateNode) -> list[Row]:
-        rows = self.run(plan.child)
-        if (
-            self.evaluator.batch
-            and self.evaluator.compiled
-            and not any(a.distinct for a in plan.aggregates)
-        ):
-            kernel = self.evaluator.agg_kernel(
-                plan.group_cols, [(a.func, a.arg) for a in plan.aggregates]
-            )
-            return aggregate_rows_batch(rows, kernel, self.meter)
-        group_key = self.evaluator.key(plan.group_cols) if plan.group_cols else None
-        specs = []
-        for aggregate in plan.aggregates:
-            arg_fn = None
-            if aggregate.arg is not None:
-                arg_fn, _ = self.evaluator.scalar(aggregate.arg)
-            specs.append(AggSpec(aggregate.func, arg_fn, aggregate.distinct))
-        return aggregate_rows(rows, group_key, specs, self.meter)
-
-    def _run_SortNode(self, plan: SortNode) -> list[Row]:
-        rows = self.run(plan.child)
-        positions = [i for i, _ in plan.keys]
-        directions = [d for _, d in plan.keys]
-        return sort_rows(rows, positions, directions, self.meter)
-
-    def _run_TopNNode(self, plan: TopNNode) -> list[Row]:
-        rows = self.run(plan.child)
-        positions = [i for i, _ in plan.keys]
-        directions = [d for _, d in plan.keys]
-        return top_n_rows(
-            rows, positions, plan.limit, plan.offset, directions, self.meter
-        )
-
-    def _run_DistinctNode(self, plan: DistinctNode) -> list[Row]:
-        return distinct_rows(self.run(plan.child), self.meter)
-
-    def _run_LimitNode(self, plan: LimitNode) -> list[Row]:
-        return limit_rows(self.run(plan.child), plan.limit, plan.offset, self.meter)
+    _run_SelectNode = _run_ProjectNode = _run_AggregateNode = _run_chain
+    _run_SortNode = _run_TopNNode = _run_DistinctNode = _run_LimitNode = _run_chain
 
     def _run_ClosureNode(self, plan: ClosureNode) -> list[Row]:
         rows = self.run(plan.child)

@@ -70,6 +70,16 @@ class PlanNode:
             self.__dict__["_cached_key"] = cached
         return cached
 
+    def memo(self, name: str, build):
+        """``build(self)``, computed once per node (nodes are immutable
+        and a cached plan is executed many times)."""
+        slot = f"_memo_{name}"
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = build(self)
+            return value
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PlanNode) and self.key() == other.key()
 

@@ -24,6 +24,7 @@ from repro.exec.expressions import (
     conjuncts,
     is_constant,
     remap_columns,
+    substitute_columns,
 )
 from repro.exec.interpreter import evaluate, evaluate_predicate
 from repro.exec.operators import JoinKind
@@ -50,24 +51,6 @@ class Rule:
     name: str
     description: str
     apply: RuleFn
-
-
-def _substitute(expr: Expr, replacements: Sequence[Expr]) -> Expr:
-    """Replace each ``ColumnRef(i)`` in *expr* with ``replacements[i]``.
-
-    This is expression composition: pulling a predicate through a
-    projection that computes those columns.
-    """
-
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, ColumnRef):
-            return replacements[node.index]
-        children = tuple(walk(c) for c in node.children())
-        from repro.exec.expressions import _rebuild
-
-        return _rebuild(node, children)
-
-    return walk(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +113,7 @@ def push_select_below_project(plan: PlanNode) -> PlanNode | None:
     if isinstance(plan, SelectNode) and isinstance(plan.child, ProjectNode):
         project = plan.child
         try:
-            pushed = _substitute(plan.predicate, project.exprs)
+            pushed = substitute_columns(plan.predicate, project.exprs)
         except IndexError:
             return None
         return ProjectNode(
@@ -240,7 +223,7 @@ def merge_projects(plan: PlanNode) -> PlanNode | None:
     if isinstance(plan, ProjectNode) and isinstance(plan.child, ProjectNode):
         inner = plan.child
         try:
-            composed = [_substitute(e, inner.exprs) for e in plan.exprs]
+            composed = [substitute_columns(e, inner.exprs) for e in plan.exprs]
         except IndexError:
             return None
         return ProjectNode(inner.child, composed, plan.names)

@@ -20,13 +20,19 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError, PlanError
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import ColumnRef, Comparison, Literal, conjuncts
+from repro.exec.expressions import (
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Literal,
+    conjuncts,
+)
 from repro.exec.operators import JoinKind, Row, WorkMeter
+from repro.exec.pipeline import Op, aggregate_op
 from repro.exec.shuffle import SplitterCache
-from repro.algebra.local_exec import LocalExecutor
+from repro.algebra.local_exec import LocalExecutor, is_int_column, op_of
 from repro.algebra.optimizer import OptimizedPlan
 from repro.algebra.plan import (
-    AggExpr,
     AggregateNode,
     ClosureNode,
     DistinctNode,
@@ -50,7 +56,8 @@ from repro.obs.tracer import active
 from repro.ofm.manager import OFMProfile, OneFragmentManager
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
-from repro.storage.schema import Schema
+from repro.storage.schema import Column, Schema
+from repro.storage.types import DataType
 
 #: Size of a dispatched subplan message (query shipping beats data shipping).
 SUBPLAN_BYTES = 512
@@ -132,10 +139,16 @@ class DistRelation:
 
     ``partition_cols`` names the output columns the relation is
     hash-partitioned on (``None`` = unknown/arbitrary placement).
+    ``pending`` is the chain of fragment-local operators not yet run
+    over the parts, bottom first, as ``(span name, stage)`` pairs: the
+    relation *is* ``pending`` applied to each part's rows, and only
+    :meth:`DistributedExecutor._flush` may read ``parts`` of a relation
+    that has any.
     """
 
     parts: list[Part]
     partition_cols: tuple[int, ...] | None = None
+    pending: tuple[tuple[str, tuple[Op, ...]], ...] = ()
 
     @property
     def total_rows(self) -> int:
@@ -256,7 +269,7 @@ class DistributedExecutor:
             # Materialize common subexpressions once, in order.
             for shared_plan in optimized.shared:
                 self._shared[shared_plan.token] = self._exec(shared_plan.plan)
-            relation = self._exec(optimized.plan)
+            relation = self._exec_chain(optimized.plan)
             gathered = self._gather(relation, query_process)
             rows = gathered.parts[0].rows
         finally:
@@ -292,9 +305,6 @@ class DistributedExecutor:
         self._temp_counter += 1
         # Single-column ANY schema: transient OFMs hold raw row lists and
         # only use the table for memory accounting.
-        from repro.storage.schema import Column
-        from repro.storage.types import DataType
-
         schema = Schema([Column("x", DataType.ANY)])
         ofm = self.runtime.spawn(
             OneFragmentManager,
@@ -325,33 +335,89 @@ class DistributedExecutor:
         shared: dict[str, list] | None = None,
     ) -> list:
         """Run a subplan at *process*, charging its simulated CPU."""
-        self._dispatch(process)
         meter = WorkMeter()
         executor = LocalExecutor(
             tables=tables or {}, shared=shared, evaluator=self.evaluator, meter=meter
         )
         rows = executor.run(plan)
+        self._charge(process, meter, type(plan).__name__, len(rows))
+        return rows
+
+    def _charge(
+        self, process: PoolProcess, meter: WorkMeter, operator: str, n_rows: int
+    ) -> None:
+        """Charge one operator's metered work to *process* (and trace it)."""
+        self._dispatch(process)
+        tuples = int(meter.tuples)
         seconds = self.machine.cpu_time(
-            tuples=int(meter.tuples),
-            hashes=int(meter.hashes),
-            compares=int(meter.compares),
+            tuples=tuples, hashes=int(meter.hashes), compares=int(meter.compares)
         )
         started = process.ready_at
-        process.charge(seconds, tuples=int(meter.tuples))
+        process.charge(seconds, tuples=tuples)
         if self._tracer is not None:
             self._tracer.span(
                 started,
                 process.ready_at,
                 "operator.execute",
-                type(plan).__name__,
+                operator,
                 node=process.node_id,
                 actor=process.name,
-                rows=len(rows),
-                tuples=int(meter.tuples),
+                rows=n_rows,
+                tuples=tuples,
             )
-        return rows
 
-    def _row_bytes(self, schema: Schema, rows: list) -> int:
+    def _flush(self, relation: DistRelation) -> DistRelation:
+        """Run the pending chain: one kernel call per part, then the
+        charges and spans stage by stage.
+
+        The simulated machine saw one operator at a time run over all
+        parts before the next started, and must keep seeing that: a
+        processing element hosting two parts sums its busy time in that
+        order, ``LeastLoaded`` placement reads the sum, and float
+        addition does not reassociate.  So nothing is charged while the
+        kernels run; the per-stage meters are replayed stage-major
+        afterwards.  (A chain that fails charges nothing.)
+        """
+        if not relation.pending:
+            return relation
+        parts = relation.parts
+        stages = tuple(stage for _name, stage in relation.pending)
+        pipeline = self.evaluator.pipeline(stages, uses=len(parts))
+        results = []
+        for part in parts:
+            meters = [WorkMeter() for _ in stages]
+            rows, outs = pipeline.run(part.rows, meters, rescan=True)
+            results.append((Part(part.process, rows), meters, outs))
+        for index, (name, _stage) in enumerate(relation.pending):
+            for part, meters, outs in results:
+                self._charge(part.process, meters[index], name, outs[index])
+        return DistRelation(
+            [part for part, _meters, _outs in results], relation.partition_cols
+        )
+
+    def _then(
+        self,
+        relation: DistRelation,
+        partition_cols: tuple[int, ...] | None,
+        operator: str,
+        *ops: Op,
+    ) -> DistRelation:
+        """*relation* with one more fragment-local stage pending: *ops*,
+        charged together and traced under the name *operator*."""
+        return DistRelation(
+            relation.parts, partition_cols, relation.pending + ((operator, ops),)
+        )
+
+    def _extend(
+        self,
+        relation: DistRelation,
+        plan: PlanNode,
+        partition_cols: tuple[int, ...] | None,
+    ) -> DistRelation:
+        """*relation* with the unary operator *plan* pending on its parts."""
+        return self._then(relation, partition_cols, type(plan).__name__, op_of(plan))
+
+    def _row_bytes(self, rows: list) -> int:
         """Wire size estimate from actual values (sampled)."""
         if not rows:
             return 0
@@ -359,16 +425,14 @@ class DistributedExecutor:
         per_row = sum(map(_value_bytes, sample)) / len(sample)  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network
         return int(per_row * len(rows)) + 16
 
-    def _ship(
-        self, source: Part, target: PoolProcess, schema: Schema, rows: list
-    ) -> None:
+    def _ship(self, source: Part, target: PoolProcess, rows: list) -> None:
         """Move rows between processes (no-op co-located, still a message)."""
         self._dispatch(target)
-        n_bytes = self._row_bytes(schema, rows)
+        n_bytes = self._row_bytes(rows)
         # The CPU that produced these rows is charged in _run_local.
         self.runtime.send(source.process, target, n_bytes)  # prismalint: disable=PL004 -- charged in _run_local
 
-    def _gather(self, relation: DistRelation, target: PoolProcess, schema: Schema | None = None) -> DistRelation:
+    def _gather(self, relation: DistRelation, target: PoolProcess) -> DistRelation:
         """Collect every part at *target* (the fan-in of a query).
 
         Up to ``multicast_fanin`` remote parts ship point-to-point —
@@ -377,25 +441,23 @@ class DistributedExecutor:
         of :meth:`_tree_gather`, bounding the receive overheads the
         coordinator serializes.
         """
+        relation = self._flush(relation)
         parts = relation.parts
         if len(parts) == 1 and parts[0].process is target:
             return relation
         self.metrics.counter("executor.gathers").inc()
-        schema = schema or _any_schema(1)
         remote = [part for part in parts if part.process is not target]
         if len(remote) > self.multicast_fanin:
-            self._tree_gather(remote, target, schema)
+            self._tree_gather(remote, target)
         else:
             for part in remote:
-                self._ship(part, target, schema, part.rows)
+                self._ship(part, target, part.rows)
         rows: list = []
         for part in parts:
             rows.extend(part.rows)
         return DistRelation([Part(target, rows)], None)
 
-    def _tree_gather(
-        self, parts: list[Part], target: PoolProcess, schema: Schema
-    ) -> None:
+    def _tree_gather(self, parts: list[Part], target: PoolProcess) -> None:
         """Charge a wide gather as a deterministic relay-tree multicast.
 
         Parts are ordered by hosting element id (contiguous id ranges
@@ -413,7 +475,7 @@ class DistributedExecutor:
         fanin = self.multicast_fanin
         if len(parts) <= fanin:
             for part in parts:
-                self._ship(part, target, schema, part.rows)
+                self._ship(part, target, part.rows)
             return
         hops = self.machine.router.hops
         target_node = target.node_id
@@ -437,15 +499,21 @@ class DistributedExecutor:
             members = [parts[i] for i in group if i != relay_index]
             if members:
                 relays.inc()
-                self._tree_gather(members, relay.process, schema)
+                self._tree_gather(members, relay.process)
             combined = list(relay.rows)
             for member in members:
                 combined.extend(member.rows)
-            self._ship(Part(relay.process, combined), target, schema, combined)
+            self._ship(Part(relay.process, combined), target, combined)
 
     # -- dispatcher ------------------------------------------------------------------
 
     def _exec(self, plan: PlanNode) -> DistRelation:
+        """Execute *plan* down to materialized parts."""
+        return self._flush(self._exec_chain(plan))
+
+    def _exec_chain(self, plan: PlanNode) -> DistRelation:
+        """Execute *plan*, leaving its topmost fragment-local operators
+        pending — what an operator that extends the chain asks for."""
         method = getattr(self, f"_exec_{type(plan).__name__}", None)
         if method is None:
             raise ExecutionError(f"no distributed strategy for {type(plan).__name__}")
@@ -579,31 +647,12 @@ class DistributedExecutor:
                 tuple(key_cols) if key_cols and fragment_ids is None else None
             )
             return DistRelation(parts, partition_cols)
-        child = self._exec(plan.child)
-        template = SelectNode(_input_scan(plan.child.schema), plan.predicate)
-        parts = [
-            Part(
-                part.process,
-                self._run_local(part.process, template, {"__in": part.rows}),
-            )
-            for part in child.parts
-        ]
-        return DistRelation(parts, child.partition_cols)
+        child = self._exec_chain(plan.child)
+        return self._extend(child, plan, child.partition_cols)
 
     def _exec_ProjectNode(self, plan: ProjectNode) -> DistRelation:
-        child = self._exec(plan.child)
-        template = ProjectNode(
-            _input_scan(plan.child.schema), plan.exprs, plan.names
-        )
-        parts = [
-            Part(
-                part.process,
-                self._run_local(part.process, template, {"__in": part.rows}),
-            )
-            for part in child.parts
-        ]
-        partition_cols = _remap_partition(child.partition_cols, plan)
-        return DistRelation(parts, partition_cols)
+        child = self._exec_chain(plan.child)
+        return self._extend(child, plan, _remap_partition(child.partition_cols, plan))
 
     def _exec_LimitNode(self, plan: LimitNode) -> DistRelation:
         child = self._exec(plan.child)
@@ -619,27 +668,16 @@ class DistributedExecutor:
                 )
                 capped.append(Part(p.process, p.rows[:take]))
             child = DistRelation(capped, child.partition_cols)
-        gathered = self._gather(child, self._query_process, plan.schema)
-        template = LimitNode(_input_scan(plan.schema), plan.limit, plan.offset)
-        rows = self._run_local(
-            self._query_process, template, {"__in": gathered.parts[0].rows}
-        )
-        return DistRelation([Part(self._query_process, rows)], None)
+        return self._extend(self._gather(child, self._query_process), plan, None)
 
     def _exec_SortNode(self, plan: SortNode) -> DistRelation:
-        child = self._exec(plan.child)
+        child = self._exec_chain(plan.child)
         assert self._query_process is not None
-        gathered = self._gather(child, self._query_process, plan.schema)
-        template = SortNode(_input_scan(plan.schema), plan.keys)
-        rows = self._run_local(
-            self._query_process, template, {"__in": gathered.parts[0].rows}
-        )
-        return DistRelation([Part(self._query_process, rows)], None)
+        return self._extend(self._gather(child, self._query_process), plan, None)
 
     def _exec_TopNNode(self, plan: TopNNode) -> DistRelation:
-        child = self._exec(plan.child)
+        child = self._exec_chain(plan.child)
         assert self._query_process is not None
-        keep = plan.limit + plan.offset
         if len(child.parts) > 1:
             # Every site heap-cuts to its best `keep` rows *before*
             # shipping — the network saving the sort+limit fusion exists
@@ -647,40 +685,17 @@ class DistributedExecutor:
             # equal-key rows in original order, sites gather in part
             # order, and the final heap's index tie-break reproduces the
             # global stable sort exactly.
-            template = TopNNode(_input_scan(plan.schema), plan.keys, keep, 0)
-            capped = [
-                Part(
-                    p.process,
-                    self._run_local(p.process, template, {"__in": p.rows}),
-                )
-                for p in child.parts
-            ]
-            child = DistRelation(capped, child.partition_cols)
-        gathered = self._gather(child, self._query_process, plan.schema)
-        template = TopNNode(
-            _input_scan(plan.schema), plan.keys, plan.limit, plan.offset
-        )
-        rows = self._run_local(
-            self._query_process, template, {"__in": gathered.parts[0].rows}
-        )
-        return DistRelation([Part(self._query_process, rows)], None)
+            cut = ("topn", plan.keys, plan.limit + plan.offset, 0)
+            child = self._then(child, child.partition_cols, "TopNNode", cut)
+        return self._extend(self._gather(child, self._query_process), plan, None)
 
     def _exec_DistinctNode(self, plan: DistinctNode) -> DistRelation:
-        child = self._exec(plan.child)
-        schema = plan.schema
-        template = DistinctNode(_input_scan(schema))
+        child = self._exec_chain(plan.child)
         if len(child.parts) == 1:
-            part = child.parts[0]
-            rows = self._run_local(part.process, template, {"__in": part.rows})
-            return DistRelation([Part(part.process, rows)], child.partition_cols)
+            return self._extend(child, plan, child.partition_cols)
         # Repartition by whole row so duplicates meet, then local dedup.
-        all_cols = tuple(range(len(schema)))
-        repartitioned = self._repartition(child, all_cols, schema)
-        parts = [
-            Part(p.process, self._run_local(p.process, template, {"__in": p.rows}))
-            for p in repartitioned.parts
-        ]
-        return DistRelation(parts, all_cols)
+        all_cols = tuple(range(len(plan.schema)))
+        return self._extend(self._repartition(child, all_cols), plan, all_cols)
 
     # -- repartitioning machinery ----------------------------------------------------------
 
@@ -688,7 +703,6 @@ class DistributedExecutor:
         self,
         relation: DistRelation,
         key_cols: tuple[int, ...],
-        schema: Schema,
         targets: list[PoolProcess] | None = None,
     ) -> DistRelation:
         """Hash-shuffle *relation* on *key_cols* onto *targets*.
@@ -697,6 +711,7 @@ class DistributedExecutor:
         rows whose destination equals their source do not cross the
         network.
         """
+        relation = self._flush(relation)
         if targets is None:
             targets = [part.process for part in relation.parts]
         k = len(targets)
@@ -714,7 +729,7 @@ class DistributedExecutor:
                 targets=k,
             )
         if k == 1:
-            return self._gather(relation, targets[0], schema)
+            return self._gather(relation, targets[0])
         # One pass per part through a compiled, key-specialized splitter
         # (repro.exec.shuffle); bucket assignment is bit-identical to the
         # interpreted ``_hash_key(row, key_cols) % k``.
@@ -729,16 +744,14 @@ class DistributedExecutor:
             for index, rows in enumerate(outgoing):
                 if not rows:
                     continue
-                if targets[index] is part.process:
-                    buckets[index].extend(rows)
-                else:
-                    self._ship(part, targets[index], schema, rows)
-                    buckets[index].extend(rows)
+                if targets[index] is not part.process:
+                    self._ship(part, targets[index], rows)
+                buckets[index].extend(rows)
         parts = [Part(target, bucket) for target, bucket in zip(targets, buckets)]
         return DistRelation(parts, key_cols)
 
     def _broadcast(
-        self, relation: DistRelation, targets: list[PoolProcess], schema: Schema
+        self, relation: DistRelation, targets: list[PoolProcess]
     ) -> list[list]:
         """Copy the whole relation to every target; returns rows per target.
 
@@ -761,32 +774,32 @@ class DistributedExecutor:
             rows = source.rows
             remote = [t for t in targets if t is not source.process]
             if len(remote) > fanout:
-                self._tree_scatter(source, remote, schema, rows)
+                self._tree_scatter(source, remote, rows)
                 return [rows for _ in targets]
             result = []
             for target in targets:
                 if target is not source.process:
-                    self._ship(source, target, schema, rows)
+                    self._ship(source, target, rows)
                 result.append(rows)
             return result
         if len(targets) > fanout:
             for part in parts:
                 remote = [t for t in targets if t is not part.process]
                 if remote:
-                    self._tree_scatter(part, remote, schema, part.rows)
+                    self._tree_scatter(part, remote, part.rows)
             return [relation.all_rows() for _ in targets]
         result = []
         for target in targets:
             rows = []
             for part in parts:
                 if part.process is not target:
-                    self._ship(part, target, schema, part.rows)
+                    self._ship(part, target, part.rows)
                 rows.extend(part.rows)
             result.append(rows)
         return result
 
     def _tree_scatter(
-        self, source: Part, targets: list[PoolProcess], schema: Schema, rows: list
+        self, source: Part, targets: list[PoolProcess], rows: list
     ) -> None:
         """Charge one part's wide broadcast as a relay-tree multicast.
 
@@ -797,7 +810,7 @@ class DistributedExecutor:
         fanout = self.multicast_fanin
         if len(targets) <= fanout:
             for target in targets:
-                self._ship(source, target, schema, rows)
+                self._ship(source, target, rows)
             return
         hops = self.machine.router.hops
         source_node = source.process.node_id
@@ -818,25 +831,19 @@ class DistributedExecutor:
                 ),
             )
             relay = targets[relay_index]
-            self._ship(source, relay, schema, rows)
+            self._ship(source, relay, rows)
             rest = [targets[i] for i in group if i != relay_index]
             if rest:
                 relays.inc()
-                self._tree_scatter(Part(relay, rows), rest, schema, rows)
+                self._tree_scatter(Part(relay, rows), rest, rows)
 
     # -- joins ----------------------------------------------------------------------------
 
     def _exec_JoinNode(self, plan: JoinNode) -> DistRelation:
         left = self._exec(plan.left)
         right = self._exec(plan.right)
-        left_schema, right_schema = plan.left.schema, plan.right.schema
         left_keys, right_keys, _residual = plan.equi_keys()
-        template = JoinNode(
-            _input_scan(left_schema, "__left"),
-            _input_scan(right_schema, "__right"),
-            plan.condition,
-            plan.kind,
-        )
+        template = plan.memo("template", _binary_template)
 
         def local_join(process, left_rows, right_rows) -> Part:
             rows = self._run_local(
@@ -852,7 +859,7 @@ class DistributedExecutor:
             broadcast_ok = True
         if broadcast_ok:
             targets = [part.process for part in left.parts]
-            right_copies = self._broadcast(right, targets, right_schema)
+            right_copies = self._broadcast(right, targets)
             parts = [
                 local_join(part.process, part.rows, copy)
                 for part, copy in zip(left.parts, right_copies)
@@ -871,18 +878,16 @@ class DistributedExecutor:
             and len(left.parts) == len(right.parts)
         )
         if not co_partitioned:
-            left = self._repartition(left, tuple(left_keys), left_schema)
+            left = self._repartition(left, tuple(left_keys))
             targets = [part.process for part in left.parts]
-            right = self._repartition(
-                right, tuple(right_keys), right_schema, targets=targets
-            )
+            right = self._repartition(right, tuple(right_keys), targets=targets)
         parts = []
         for left_part, right_part in zip(left.parts, right.parts):
             right_rows = right_part.rows
             if right_part.process is not left_part.process:
                 # Co-partitioned but on different elements: ship the
                 # smaller stream to the larger one's element.
-                self._ship(right_part, left_part.process, right_schema, right_rows)
+                self._ship(right_part, left_part.process, right_rows)
             parts.append(local_join(left_part.process, left_part.rows, right_rows))
         partition = tuple(left_keys) if left_keys else None
         return DistRelation(parts, partition)
@@ -890,86 +895,52 @@ class DistributedExecutor:
     # -- aggregation -------------------------------------------------------------------------
 
     def _exec_AggregateNode(self, plan: AggregateNode) -> DistRelation:
-        child = self._exec(plan.child)
-        child_schema = plan.child.schema
+        child = self._exec_chain(plan.child)
         assert self._query_process is not None
-
-        if any(agg.distinct for agg in plan.aggregates) or len(child.parts) == 1:
+        if any(agg.distinct for agg in plan.aggregates):
             # DISTINCT aggregates cannot be merged from partials: gather.
+            # They have no generated form either, so the operator is a
+            # chain of its own and the chains around it stay compiled.
             target = (
                 child.parts[0].process
                 if len(child.parts) == 1
                 else self._query_process
             )
-            gathered = self._gather(child, target, child_schema)
-            template = AggregateNode(
-                _input_scan(child_schema), plan.group_cols, plan.aggregates, plan.names
-            )
-            rows = self._run_local(target, template, {"__in": gathered.parts[0].rows})
-            return DistRelation([Part(target, rows)], None)
+            return self._flush(self._extend(self._gather(child, target), plan, None))
+        if len(child.parts) == 1:
+            # Single-site: the aggregation extends the part's chain.
+            return self._extend(child, plan, None)
 
-        # Two-phase aggregation: local partials, shuffle, merge.
-        partial_aggs, merge_builder = _decompose_aggregates(plan.aggregates)
-        partial_template = AggregateNode(
-            _input_scan(child_schema), plan.group_cols, partial_aggs
-        )
-        partial_parts = [
-            Part(
-                part.process,
-                self._run_local(part.process, partial_template, {"__in": part.rows}),
-            )
-            for part in child.parts
-        ]
-        n_groups = len(plan.group_cols)
-        partial_schema = partial_template.schema
-        partials = DistRelation(partial_parts, None)
-
-        if n_groups == 0:
-            merged = self._gather(partials, self._query_process, partial_schema)
-            final_plan = merge_builder(partial_schema, n_groups, plan.names)
-            rows = self._run_local(
-                self._query_process, final_plan, {"__in": merged.parts[0].rows}
-            )
-            return DistRelation([Part(self._query_process, rows)], None)
-
+        # Two-phase aggregation: local partials, shuffle, merge.  The
+        # merge's aggregation and the projection assembling the original
+        # outputs are one charge, traced as the projection.
+        partial, merge = plan.memo("two_phase", _decompose_aggregates)
+        partials = self._then(child, None, "AggregateNode", partial)
+        if not plan.group_cols:
+            merged = self._gather(partials, self._query_process)
+            return self._then(merged, None, "ProjectNode", *merge)
         # Shuffle partials by group key so each group merges at one site.
-        group_positions = tuple(range(n_groups))
-        shuffled = self._repartition(partials, group_positions, partial_schema)
-        final_plan = merge_builder(partial_schema, n_groups, plan.names)
-        parts = [
-            Part(
-                part.process,
-                self._run_local(part.process, final_plan, {"__in": part.rows}),
-            )
-            for part in shuffled.parts
-        ]
-        return DistRelation(parts, group_positions)
+        group_positions = tuple(range(len(plan.group_cols)))
+        shuffled = self._repartition(partials, group_positions)
+        return self._then(shuffled, group_positions, "ProjectNode", *merge)
 
     # -- set operations -------------------------------------------------------------------------
 
     def _exec_SetOpNode(self, plan: SetOpNode) -> DistRelation:
         left = self._exec(plan.left)
         right = self._exec(plan.right)
-        schema = plan.schema
         if plan.op == "union_all":
             return DistRelation(left.parts + right.parts, None)
-        all_cols = tuple(range(len(schema)))
+        all_cols = tuple(range(len(plan.schema)))
         if plan.op == "union":
             combined = DistRelation(left.parts + right.parts, None)
-            repartitioned = self._repartition(combined, all_cols, schema)
-            template = DistinctNode(_input_scan(schema))
-            parts = [
-                Part(p.process, self._run_local(p.process, template, {"__in": p.rows}))
-                for p in repartitioned.parts
-            ]
-            return DistRelation(parts, all_cols)
+            repartitioned = self._repartition(combined, all_cols)
+            return self._then(repartitioned, all_cols, "DistinctNode", ("distinct",))
         # intersect / except: co-partition both sides by whole row.
-        left = self._repartition(left, all_cols, schema)
+        left = self._repartition(left, all_cols)
         targets = [part.process for part in left.parts]
-        right = self._repartition(right, all_cols, schema, targets=targets)
-        template = SetOpNode(
-            plan.op, _input_scan(schema, "__left"), _input_scan(schema, "__right")
-        )
+        right = self._repartition(right, all_cols, targets=targets)
+        template = plan.memo("template", _binary_template)
         parts = []
         for left_part, right_part in zip(left.parts, right.parts):
             rows = self._run_local(
@@ -991,16 +962,14 @@ class DistributedExecutor:
             and len(child.parts) > 1
             and child.total_rows > 0
         ):
-            return self._distributed_closure(child, plan.child.schema)
+            return self._distributed_closure(child)
         site = self._spawn_temp(self._query_process.ready_at)
-        gathered = self._gather(child, site, plan.child.schema)
+        gathered = self._gather(child, site)
         template = ClosureNode(_input_scan(plan.child.schema), plan.mode)
         rows = self._run_local(site, template, {"__in": gathered.parts[0].rows})
         return DistRelation([Part(site, rows)], None)
 
-    def _distributed_closure(
-        self, edges: DistRelation, schema: Schema
-    ) -> DistRelation:
+    def _distributed_closure(self, edges: DistRelation) -> DistRelation:
         """Parallel semi-naive transitive closure across the fragments.
 
         Each round: the delta is hash-repartitioned on its *destination*
@@ -1022,7 +991,7 @@ class DistributedExecutor:
         the host-CPU cost of the round changed.
         """
         # Edges keyed by source at their (re)partition sites.
-        edges_by_src = self._repartition(edges, (0,), schema)
+        edges_by_src = self._repartition(edges, (0,))
         sites = [part.process for part in edges_by_src.parts]
 
         # Loop-invariant build side, one hash table per site.  Rows with
@@ -1053,7 +1022,6 @@ class DistributedExecutor:
                 [Part(p.process, list(p.rows)) for p in edges.parts], None
             ),
             (0, 1),
-            schema,
             targets=sites,
         )
         totals: list[set] = []
@@ -1073,7 +1041,7 @@ class DistributedExecutor:
             rounds += 1
             if rounds > 100_000:
                 raise ExecutionError("distributed closure failed to converge")
-            delta_by_dst = self._repartition(delta, (1,), schema, targets=sites)
+            delta_by_dst = self._repartition(delta, (1,), targets=sites)
             derived_parts = []
             for index, delta_part in enumerate(delta_by_dst.parts):
                 site = delta_part.process
@@ -1097,7 +1065,7 @@ class DistributedExecutor:
                 site.charge(seconds, tuples=tuples)
                 derived_parts.append(Part(site, joined))
             derived = self._repartition(
-                DistRelation(derived_parts, None), (0, 1), schema, targets=sites
+                DistRelation(derived_parts, None), (0, 1), targets=sites
             )
             fresh_parts = []
             for index, part in enumerate(derived.parts):
@@ -1126,11 +1094,9 @@ class DistributedExecutor:
         for node in plan.walk():
             if isinstance(node, ScanNode) and node.table_name not in tables:
                 scanned = self._exec_ScanNode(node)
-                tables[node.table_name] = self._gather(
-                    scanned, site, node.schema
-                ).parts[0].rows
+                tables[node.table_name] = self._gather(scanned, site).parts[0].rows
         shared_rows = {
-            token: self._gather(rel, site, _any_schema(1)).parts[0].rows
+            token: self._gather(rel, site).parts[0].rows
             for token, rel in self._shared.items()
             if any(
                 isinstance(n, SharedScanNode) and n.token == token
@@ -1151,11 +1117,14 @@ def _input_scan(schema: Schema, name: str = "__in") -> ScanNode:
     return ScanNode(name, schema)
 
 
-def _any_schema(width: int) -> Schema:
-    from repro.storage.schema import Column
-    from repro.storage.types import DataType
-
-    return Schema([Column(f"x{i}", DataType.ANY) for i in range(width)])
+def _binary_template(plan: JoinNode | SetOpNode) -> PlanNode:
+    """*plan* over synthetic scans of the rows shipped to each site."""
+    return plan.with_children(
+        [
+            _input_scan(plan.left.schema, "__left"),
+            _input_scan(plan.right.schema, "__right"),
+        ]
+    )
 
 
 def _value_bytes(row: tuple) -> int:
@@ -1208,58 +1177,41 @@ def _least_busy():
     return LeastLoaded()
 
 
-def _decompose_aggregates(aggregates: tuple[AggExpr, ...]):
-    """Split aggregates into partial and merge phases.
+def _decompose_aggregates(plan: AggregateNode) -> tuple[Op, tuple[Op, Op]]:
+    """Split *plan* into the partial op and the merge stage's two ops.
 
-    Returns ``(partial_aggs, merge_builder)`` where *merge_builder*
-    produces the final plan over the partial schema:
-    ``merge_builder(partial_schema, n_groups, names) -> PlanNode``.
-
-    Decompositions: COUNT -> SUM of counts; SUM/MIN/MAX -> same;
-    AVG -> SUM(sums)/SUM(counts).
+    The partial phase aggregates each part by the same groups; the merge
+    phase re-aggregates the partial rows (groups first, then one column
+    per partial) and projects the original outputs.  Decompositions:
+    COUNT -> SUM of counts; SUM/MIN/MAX -> same; AVG ->
+    SUM(sums)/SUM(counts).
     """
-    partial_aggs: list[AggExpr] = []
-    #: per original aggregate: ('direct', partial_index, merge_func) or
-    #: ('avg', sum_index, count_index)
-    recipe: list[tuple] = []
-    for aggregate in aggregates:
+    n_groups = len(plan.group_cols)
+    schema = plan.child.schema
+    partials: list[tuple] = []
+    merges: list[tuple] = []
+    outputs: list = [ColumnRef(i) for i in range(n_groups)]
+
+    def partial(func: str, arg, merge_func: str) -> ColumnRef:
+        column = ColumnRef(n_groups + len(partials))
+        exact = is_int_column(arg, schema)
+        partials.append((func, arg, False, exact))
+        # A partial is as exactly an int as what it summed; a count is one.
+        merges.append((merge_func, column, False, exact or func == "count"))
+        return column
+
+    for aggregate in plan.aggregates:
         if aggregate.func == "count":
-            partial_aggs.append(aggregate)
-            recipe.append(("direct", len(partial_aggs) - 1, "sum"))
+            outputs.append(partial("count", aggregate.arg, "sum"))
         elif aggregate.func in ("sum", "min", "max"):
-            partial_aggs.append(aggregate)
-            recipe.append(("direct", len(partial_aggs) - 1, aggregate.func))
+            outputs.append(partial(aggregate.func, aggregate.arg, aggregate.func))
         elif aggregate.func == "avg":
-            partial_aggs.append(AggExpr("sum", aggregate.arg))
-            partial_aggs.append(AggExpr("count", aggregate.arg))
-            recipe.append(("avg", len(partial_aggs) - 2, len(partial_aggs) - 1))
+            total = partial("sum", aggregate.arg, "sum")
+            count = partial("count", aggregate.arg, "sum")
+            outputs.append(Arithmetic("/", total, count))
         else:  # pragma: no cover - AggExpr validates funcs
             raise PlanError(f"cannot decompose aggregate {aggregate.func}")
-
-    def merge_builder(partial_schema: Schema, n_groups: int, names) -> PlanNode:
-        from repro.exec.expressions import Arithmetic
-
-        source = _input_scan(partial_schema)
-        merge_aggs: list[AggExpr] = []
-        merge_position: dict[int, int] = {}
-        for partial_index in range(len(partial_aggs)):
-            column = ColumnRef(n_groups + partial_index)
-            func = "sum"
-            for kind, *info in recipe:
-                if kind == "direct" and info[0] == partial_index:
-                    func = info[1]
-            merge_aggs.append(AggExpr(func, column))
-            merge_position[partial_index] = n_groups + len(merge_aggs) - 1
-        merged = AggregateNode(source, tuple(range(n_groups)), merge_aggs)
-        # Final projection assembles original outputs (computing AVG).
-        exprs: list = [ColumnRef(i) for i in range(n_groups)]
-        for kind, *info in recipe:
-            if kind == "direct":
-                exprs.append(ColumnRef(merge_position[info[0]]))
-            else:
-                sum_col = ColumnRef(merge_position[info[0]])
-                count_col = ColumnRef(merge_position[info[1]])
-                exprs.append(Arithmetic("/", sum_col, count_col))
-        return ProjectNode(merged, exprs, list(names))
-
-    return tuple(partial_aggs), merge_builder
+    return (
+        aggregate_op(plan.group_cols, partials),
+        (aggregate_op(range(n_groups), merges), ("project", tuple(outputs))),
+    )

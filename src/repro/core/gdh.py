@@ -166,6 +166,13 @@ class GlobalDataHandler:
         #: and touches no simulated charge: it only saves host time
         #: (lock-wait retries re-submit the same text again and again).
         self.parse_memo: dict[str, sql_ast.Statement] = {}
+        #: id(statement) -> the bound form of a DML statement without
+        #: placeholders, oldest evicted first: a transaction parked on
+        #: ``WouldBlock`` re-submits its statement every round, and the
+        #: parse memo hands back the same object each time.  An entry
+        #: keeps its statement alive, so an id cannot come to mean
+        #: another statement while the entry exists.
+        self.bound_memo: dict[int, Prepared] = {}
         #: Bumped on every DDL statement; prepared plans pin the epoch
         #: they were built under and the serving layer's plan cache
         #: invalidates on mismatch.
@@ -242,14 +249,34 @@ class GlobalDataHandler:
                 sum(1 for _ in plan.walk()),
                 self.ddl_epoch,
             )
-        bound = None
+        if not isinstance(
+            statement, sql_ast.InsertStmt | sql_ast.UpdateStmt | sql_ast.DeleteStmt
+        ):
+            return Prepared(statement, ddl_epoch=self.ddl_epoch)
+        # Without placeholders the bound form depends on nothing but the
+        # catalog: good until the next DDL, the plan cache's own rule.
+        literal = not params and not statement.n_params
+        if literal:
+            memo = self.bound_memo.get(id(statement))
+            if (
+                memo is not None
+                and memo.statement is statement
+                and memo.ddl_epoch == self.ddl_epoch
+            ):
+                return memo
+        binder = self._binder(params)
         if isinstance(statement, sql_ast.InsertStmt):
-            bound = self._binder(params).bind_insert(statement)
+            bound = binder.bind_insert(statement)
         elif isinstance(statement, sql_ast.UpdateStmt):
-            bound = self._binder(params).bind_update(statement)
-        elif isinstance(statement, sql_ast.DeleteStmt):
-            bound = self._binder(params).bind_delete(statement)
-        return Prepared(statement, bound, ddl_epoch=self.ddl_epoch)
+            bound = binder.bind_update(statement)
+        else:
+            bound = binder.bind_delete(statement)
+        prepared = Prepared(statement, bound, ddl_epoch=self.ddl_epoch)
+        if literal:
+            if len(self.bound_memo) >= STATEMENT_CACHE_CAPACITY:
+                del self.bound_memo[next(iter(self.bound_memo))]
+            self.bound_memo[id(statement)] = prepared
+        return prepared
 
     def execute_sql(self, text: str, session: SessionState) -> QueryResult:
         return self.execute_statement(self.parse(text), session)

@@ -1,15 +1,18 @@
-"""Columnar batches and compiled batch-at-a-time kernels.
+"""Columnar batches and the public batch-kernel constructors.
 
 The paper's generative approach (Section 2.5) compiled *scalar*
 expressions into per-row routines; PR 4 extended it to shuffle
-splitters.  This module takes the last step: whole **operators** are
-compiled into batch kernels — one specialized function per (operator,
-expression-shape) that makes a single pass over a batch of rows with
-the expression code inlined, so the hot loop contains **zero per-row
-Python calls** (no predicate callable, no projector callable, no key
-extractor).  On CPython the per-row call overhead is the dominant cost
-of the old row-at-a-time path, which is exactly the "interpretation
-overhead" argument of the paper transposed to the host interpreter.
+splitters, PR 7 to whole operators, and :mod:`repro.exec.pipeline` to
+whole **chains** of operators: one specialized function per chain shape
+that passes over a batch of rows with the expression code inlined, so
+the hot loops contain **zero per-row Python calls** (no predicate
+callable, no projector callable, no key extractor) and no relation is
+built between a selection, the projection above it and the aggregation
+above that.  The constructors here — ``compile_batch_predicate``,
+``compile_batch_projector``, ``compile_agg_kernel`` — are that
+compiler's one-op chains in ``rows -> rows`` form (what the
+micro-benchmarks time); the INNER equi-join kernel, which has two
+inputs and so ends a chain, is generated here.
 
 Two data layouts are supported through :class:`ColumnBatch`:
 
@@ -33,21 +36,21 @@ for column-sliced projections (zero-copy pass-through) and for
 all-int analytics where ``array`` packing pays.
 
 Simulated-clock charges are **unchanged** by any of this: kernels are a
-host-CPU optimization, and the operators that invoke them charge the
+host-CPU optimization, and a chain charges each of its operators the
 same closed-form :class:`~repro.exec.operators.WorkMeter` totals as the
-row-at-a-time forms they replace.
+row-at-a-time form it replaces.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Sequence
-from operator import itemgetter
 from typing import Any
 
 from repro.errors import ExecutionError
-from repro.exec.compiler import _Emitter
+from repro.exec.compiler import _build_source, _Emitter
 from repro.exec.expressions import ColumnRef, Expr
+from repro.exec.pipeline import aggregate_op, kernel_of
 
 Row = tuple
 BatchKernel = Callable[[Sequence[Row]], list]
@@ -173,33 +176,14 @@ class ColumnBatch:
 
 
 # ---------------------------------------------------------------------------
-# Kernel code generation.
-#
-# Each generator builds Python source with the expression code inlined
-# (reusing the scalar/predicate emitters of repro.exec.compiler), then
-# compiles it once.  Kernels are cached per shape by the
+# Kernel constructors.  Kernels are cached per shape by the
 # ExpressionCompilerCache, exactly like row-level routines.
 # ---------------------------------------------------------------------------
 
 
-def _build_kernel(source: str, env: dict[str, Any], name: str) -> Callable:
-    namespace = dict(env)
-    code = compile(source, filename=f"<prisma:{name}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - generative batch kernels, like the expression compiler
-    fn = namespace[name]
-    fn.__prisma_source__ = source
-    return fn
-
-
 def compile_batch_predicate(expr: Expr) -> BatchKernel:
     """``rows -> surviving rows`` with the predicate inlined in one pass."""
-    emitter = _Emitter()
-    body = emitter.predicate(expr)
-    source = (
-        "def _batch_predicate(rows):\n"
-        f"    return [row for row in rows if {body}]\n"
-    )
-    return _build_kernel(source, emitter.env, "_batch_predicate")
+    return kernel_of(("select", expr))
 
 
 def compile_selection_vector(expr: Expr) -> Callable[[Sequence[Row]], list[int]]:
@@ -216,41 +200,16 @@ def compile_selection_vector(expr: Expr) -> Callable[[Sequence[Row]], list[int]]
         "def _selection_vector(rows):\n"
         f"    return [_i for _i, row in enumerate(rows) if {body}]\n"
     )
-    return _build_kernel(source, emitter.env, "_selection_vector")
+    return _build_source(source, emitter.env, "_selection_vector")
 
 
 def compile_batch_projector(exprs: Sequence[Expr]) -> BatchKernel:
     """``rows -> projected rows`` with every output expression inlined.
 
-    Pass-through projections (every output a plain column reference) skip
-    codegen entirely: ``itemgetter`` + ``map``/``zip`` run the whole
-    batch in C, producing the same tuples the generated comprehension
-    would.
+    Pass-through projections (every output a plain column reference)
+    run the whole batch in C through ``itemgetter`` + ``map``/``zip``.
     """
-    indices = batchable_projection(exprs)
-    if indices is not None:
-        if len(indices) == 1:
-            getter = itemgetter(indices[0])
-
-            def _batch_projector(rows, _g=getter):
-                return list(zip(map(_g, rows)))
-
-        else:
-            getter = itemgetter(*indices)
-
-            def _batch_projector(rows, _g=getter):
-                return list(map(_g, rows))
-
-        _batch_projector.__prisma_source__ = f"<itemgetter {indices}>"
-        return _batch_projector
-    emitter = _Emitter()
-    parts = [emitter.scalar(e) for e in exprs]
-    tuple_code = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-    source = (
-        "def _batch_projector(rows):\n"
-        f"    return [{tuple_code} for row in rows]\n"
-    )
-    return _build_kernel(source, emitter.env, "_batch_projector")
+    return kernel_of(("project", tuple(exprs)))
 
 
 def _key_exprs(positions: Sequence[int]) -> tuple[str, str]:
@@ -325,148 +284,19 @@ def compile_join_kernel(
         f"    return [row + _m for row in left for _m in get({probe_key}, _e)]",
     ]
     source = "\n".join(lines) + "\n"
-    return _build_kernel(source, {}, "_join_kernel")
-
-
-#: Aggregate functions a batch kernel can be generated for (DISTINCT
-#: aggregates keep the row-at-a-time path: per-group seen-sets don't
-#: flatten into slot updates).
-BATCH_AGGREGATES = ("count", "sum", "avg", "min", "max")
+    return _build_source(source, {}, "_join_kernel")
 
 
 def compile_agg_kernel(
     group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
 ) -> BatchKernel:
-    """Hash-aggregation kernel over flat accumulator slots.
+    """Non-DISTINCT hash aggregation; *aggregates* is ``(func, arg_or_None)``.
 
-    *aggregates* is a sequence of ``(func, arg_expr_or_None)``.  The
-    generated loop updates only the slots each aggregate actually needs
-    (SUM keeps one running total, AVG a count and a total, …);
-    accumulation order — and hence float results, NULL handling, and
+    Accumulation order — and hence float results, NULL handling, and
     first-occurrence group output order — matches
     :func:`~repro.exec.operators.aggregate_rows` exactly.
     """
-    group_cols = tuple(group_cols)
-    if not group_cols and all(
-        func == "count" and arg is None for func, arg in aggregates
-    ):
-        # Global COUNT(*) (possibly repeated) is just the batch length —
-        # no per-row loop, no codegen.  NULLs don't matter (COUNT(*)
-        # counts rows), so this is exactly the generated kernel's
-        # answer at O(1).
-        width = len(tuple(aggregates))
-
-        def _agg_kernel(rows, _w=width):
-            return [(len(rows),) * _w]
-
-        _agg_kernel.__prisma_source__ = f"<closure count(*) x{width}>"
-        return _agg_kernel
-    emitter = _Emitter()
-
-    inits: list[str] = []  # slot initial values, as code
-    updates: list[str] = []  # per-row update lines (loop body, unindented)
-    results: list[str] = []  # output value expressions over `state`
-
-    for spec_index, (func, arg) in enumerate(aggregates):
-        if func not in BATCH_AGGREGATES:
-            raise ExecutionError(f"no batch kernel for aggregate {func!r}")
-        if func == "count" and arg is None:
-            slot = len(inits)
-            inits.append("0")
-            updates.append(f"state[{slot}] += 1")
-            results.append(f"state[{slot}]")
-            continue
-        if arg is None:
-            raise ExecutionError(f"{func.upper()} needs an argument")
-        value = f"_v{spec_index}"
-        code = emitter.scalar(arg)
-        updates.append(f"{value} = {code}")
-        if func == "count":
-            slot = len(inits)
-            inits.append("0")
-            updates.append(f"if {value} is not None:")
-            updates.append(f"    state[{slot}] += 1")
-            results.append(f"state[{slot}]")
-        elif func == "sum":
-            slot = len(inits)
-            inits.append("None")
-            updates.append(f"if {value} is not None:")
-            updates.append(f"    _t = state[{slot}]")
-            updates.append(
-                f"    state[{slot}] = {value} if _t is None else _t + {value}"
-            )
-            results.append(f"state[{slot}]")
-        elif func == "avg":
-            count_slot = len(inits)
-            inits.append("0")
-            total_slot = len(inits)
-            inits.append("None")
-            updates.append(f"if {value} is not None:")
-            updates.append(f"    state[{count_slot}] += 1")
-            updates.append(f"    _t = state[{total_slot}]")
-            updates.append(
-                f"    state[{total_slot}] = {value} if _t is None else _t + {value}"
-            )
-            results.append(
-                f"(None if state[{count_slot}] == 0"
-                f" else state[{total_slot}] / state[{count_slot}])"
-            )
-        elif func == "min":
-            slot = len(inits)
-            inits.append("None")
-            updates.append(
-                f"if {value} is not None and"
-                f" (state[{slot}] is None or {value} < state[{slot}]):"
-            )
-            updates.append(f"    state[{slot}] = {value}")
-            results.append(f"state[{slot}]")
-        else:  # max
-            slot = len(inits)
-            inits.append("None")
-            updates.append(
-                f"if {value} is not None and"
-                f" (state[{slot}] is None or {value} > state[{slot}]):"
-            )
-            updates.append(f"    state[{slot}] = {value}")
-            results.append(f"state[{slot}]")
-
-    template = "[" + ", ".join(inits) + "]"
-    values = ", ".join(results)
-
-    if not group_cols:
-        # Global aggregation: one pre-seeded state, one output row even
-        # for empty input (SQL semantics; matches aggregate_rows).
-        lines = [
-            "def _agg_kernel(rows):",
-            f"    state = {template}",
-            "    for row in rows:",
-        ]
-        lines.extend(f"        {line}" for line in updates)
-        lines.append(f"    return [({values}{',' if len(results) == 1 else ''})]")
-    else:
-        if len(group_cols) == 1:
-            key_code = f"row[{group_cols[0]}]"
-            out_key = "(_k,)"
-        else:
-            key_code = "(" + ", ".join(f"row[{c}]" for c in group_cols) + ")"
-            out_key = "_k"
-        out_row = f"{out_key} + ({values}{',' if len(results) == 1 else ''})"
-        if not results:
-            out_row = out_key if len(group_cols) > 1 else "(_k,)"
-        lines = [
-            "def _agg_kernel(rows):",
-            "    groups = {}",
-            "    get = groups.get",
-            "    for row in rows:",
-            f"        _k = {key_code}",
-            "        state = get(_k)",
-            "        if state is None:",
-            f"            groups[_k] = state = {template}",
-        ]
-        lines.extend(f"        {line}" for line in updates)
-        lines.append(f"    return [{out_row} for _k, state in groups.items()]")
-    source = "\n".join(lines) + "\n"
-    return _build_kernel(source, emitter.env, "_agg_kernel")
+    return kernel_of(aggregate_op(group_cols, aggregates))
 
 
 def batchable_projection(exprs: Sequence[Expr]) -> tuple[int, ...] | None:

@@ -177,14 +177,18 @@ def _hashable(values) -> bool:
         return False
 
 
-def _build(source_expr: str, env: dict[str, Any], name: str) -> Callable:
-    source = f"def {name}(row):\n    return {source_expr}\n"
+def _build_source(source: str, env: dict[str, Any], name: str) -> Callable:
+    """Compile generated *source* and return the function it defines."""
     namespace = dict(env)
     code = compile(source, filename=f"<prisma:{name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - this *is* the expression compiler
     fn = namespace[name]
     fn.__prisma_source__ = source
     return fn
+
+
+def _build(source_expr: str, env: dict[str, Any], name: str) -> Callable:
+    return _build_source(f"def {name}(row):\n    return {source_expr}\n", env, name)
 
 
 def compile_predicate(expr: Expr) -> Callable[[Sequence[Any]], bool]:
@@ -226,6 +230,14 @@ def guard_call(fn: Callable, *args):
         raise ExpressionError(f"type error in compiled expression: {exc}") from None
 
 
+#: Entry bound of one compiler cache (all routine kinds together, FIFO).
+#: A cache holds a workload's expression *shapes*, so this is generous:
+#: no pinned workload comes near it, and ``compilations``/``hits`` — part
+#: of the observability fingerprint — are unchanged by it.  What it stops
+#: is growth without end when every statement carries a fresh literal.
+COMPILER_CACHE_CAPACITY = 2048
+
+
 class ExpressionCompilerCache(SnapshotMixin):
     """Per-OFM cache of compiled routines, keyed by *structural* hash.
 
@@ -235,23 +247,27 @@ class ExpressionCompilerCache(SnapshotMixin):
     compiled routine — repeated queries (the common case in the
     benchmarks) pay compilation once, not once per plan instance.
     Key extractors (plain position tuples, used by joins, aggregates,
-    and shuffles) are cached the same way, as are the batch kernels of
-    :mod:`repro.exec.batch` (whole-operator routines keyed by the same
-    structural shapes); all share one compilations/hits counter pair so
-    the E5 bench and the observability fingerprint see every generative
-    compilation, row-level or batch-level.
+    and shuffles), join kernels and the chain kernels of
+    :mod:`repro.exec.pipeline` are cached the same way, in one map with
+    one FIFO bound.
+
+    ``compilations``/``hits`` count *operator shapes*, whatever chain an
+    operator runs in: a chain kernel used for ``n`` parts counts ``n``
+    lookups of each of its selections, projections and aggregations —
+    what one kernel per operator counted — so the figures (which the
+    E5 bench and the observability fingerprint read) say how often the
+    generative approach saved a compilation, not how operators happen
+    to be grouped.
     """
 
     def __init__(self):
-        self._predicates: dict[Expr, Callable] = {}
-        self._projectors: dict[tuple, Callable] = {}
-        self._keys: dict[tuple[int, ...], Callable] = {}
-        self._batch_predicates: dict[Expr, Callable] = {}
-        self._batch_projectors: dict[tuple, Callable] = {}
-        self._join_kernels: dict[tuple, Callable] = {}
-        self._agg_kernels: dict[tuple, Callable] = {}
+        #: (kind, shape) -> routine, oldest first.
+        self._routines: dict[tuple, Any] = {}
         self.compilations = 0
         self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._routines)
 
     @property
     def hit_rate(self) -> float:
@@ -268,103 +284,58 @@ class ExpressionCompilerCache(SnapshotMixin):
         }
 
     def reset(self) -> None:
-        self._predicates.clear()
-        self._projectors.clear()
-        self._keys.clear()
-        self._batch_predicates.clear()
-        self._batch_projectors.clear()
-        self._join_kernels.clear()
-        self._agg_kernels.clear()
+        self._routines.clear()
         self.compilations = 0
         self.hits = 0
 
-    def predicate(self, expr: Expr) -> Callable[[Sequence[Any]], bool]:
-        fn = self._predicates.get(expr)
-        if fn is None:
-            fn = compile_predicate(expr)
-            self._predicates[expr] = fn
+    def _put(self, key: tuple, routine: Any) -> None:
+        if len(self._routines) >= COMPILER_CACHE_CAPACITY:
+            del self._routines[next(iter(self._routines))]
+        self._routines[key] = routine
+
+    def _lookup(self, kind: str, shape: Any, compile_fn: Callable, *args) -> Any:
+        key = (kind, shape)
+        routine = self._routines.get(key)
+        if routine is None:
+            routine = compile_fn(*args)
+            self._put(key, routine)
             self.compilations += 1
         else:
             self.hits += 1
-        return fn
+        return routine
+
+    def predicate(self, expr: Expr) -> Callable[[Sequence[Any]], bool]:
+        return self._lookup("predicate", expr, compile_predicate, expr)
 
     def projector(self, exprs: Sequence[Expr]) -> Callable[[Sequence[Any]], tuple]:
-        key = tuple(exprs)
-        fn = self._projectors.get(key)
-        if fn is None:
-            fn = compile_projector(exprs)
-            self._projectors[key] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
+        return self._lookup("projector", tuple(exprs), compile_projector, exprs)
 
     def key(self, positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
         shape = tuple(positions)
-        fn = self._keys.get(shape)
-        if fn is None:
-            fn = compile_key(shape)
-            self._keys[shape] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
+        return self._lookup("key", shape, compile_key, shape)
 
-    # -- batch kernels (repro.exec.batch; imported lazily — batch.py
-    # uses this module's emitter, so a top-level import would cycle) ----
-
-    def batch_predicate(self, expr: Expr) -> Callable:
-        fn = self._batch_predicates.get(expr)
-        if fn is None:
-            from repro.exec.batch import compile_batch_predicate
-
-            fn = compile_batch_predicate(expr)
-            self._batch_predicates[expr] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
-
-    def batch_projector(self, exprs: Sequence[Expr]) -> Callable:
-        key = tuple(exprs)
-        fn = self._batch_projectors.get(key)
-        if fn is None:
-            from repro.exec.batch import compile_batch_projector
-
-            fn = compile_batch_projector(exprs)
-            self._batch_projectors[key] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
+    # -- batch kernels (imported lazily: batch.py and pipeline.py use this
+    # module's emitter, so a top-level import would cycle) ----------------
 
     def join_kernel(self, left_keys: Sequence[int], right_keys: Sequence[int]) -> Callable:
-        key = (tuple(left_keys), tuple(right_keys))
-        fn = self._join_kernels.get(key)
-        if fn is None:
-            from repro.exec.batch import compile_join_kernel
+        from repro.exec.batch import compile_join_kernel
 
-            fn = compile_join_kernel(*key)
-            self._join_kernels[key] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
+        shape = (tuple(left_keys), tuple(right_keys))
+        return self._lookup("join", shape, compile_join_kernel, *shape)
 
-    def agg_kernel(
-        self, group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
-    ) -> Callable:
-        key = (
-            tuple(group_cols),
-            tuple((func, arg.key() if arg is not None else None) for func, arg in aggregates),
-        )
-        fn = self._agg_kernels.get(key)
-        if fn is None:
-            from repro.exec.batch import compile_agg_kernel
+    def pipeline(self, stages: tuple, uses: int = 1):
+        """The compiled kernel of an operator chain, about to run *uses* times."""
+        pipeline = self._routines.get(("pipeline", stages))
+        if pipeline is None:
+            from repro.exec.pipeline import compile_pipeline
 
-            fn = compile_agg_kernel(tuple(group_cols), tuple(aggregates))
-            self._agg_kernels[key] = fn
-            self.compilations += 1
-        else:
-            self.hits += 1
-        return fn
+            pipeline = compile_pipeline(stages)
+            self._put(("pipeline", stages), pipeline)
+        for shape in pipeline.operator_shapes:
+            if shape in self._routines:
+                self.hits += uses
+            else:
+                self._put(shape, True)
+                self.compilations += 1
+                self.hits += uses - 1
+        return pipeline

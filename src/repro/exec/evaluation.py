@@ -14,27 +14,24 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.exec.compiler import ExpressionCompilerCache
-from repro.exec.expressions import Expr, all_subexpressions
+from repro.exec.expressions import Expr, expression_weight
 from repro.exec.interpreter import InterpretedPredicate, InterpretedProjector
+from repro.exec.pipeline import Chain, Pipeline, RowPipeline, fusable
 
 #: Simulated-clock penalty of tree-walking interpretation per node.
 INTERPRETATION_FACTOR = 4.0
 
 
-def expression_weight(expr: Expr) -> float:
-    """Abstract cost of one evaluation: the number of tree nodes."""
-    return float(sum(1 for _ in all_subexpressions(expr)))
-
-
 class Evaluator:
-    """Produces row-level and batch-level callables for expressions.
+    """Produces row-level callables and chain kernels for expressions.
 
     ``compiled`` selects the expression back-end (E5's ablation);
-    ``batch`` selects whether operators may use the whole-batch kernels
-    of :mod:`repro.exec.batch` instead of per-row calls.  Both default
-    on; flipping ``batch`` off restores the row-at-a-time loops for
-    A/B measurement (the ``columnar`` perf-gate suite does exactly
-    that).  Neither switch changes results or simulated charges.
+    ``batch`` selects whether operator chains run through the generated
+    kernels of :mod:`repro.exec.pipeline` instead of per-row calls.
+    Both default on; flipping ``batch`` off restores the row-at-a-time
+    loops — the identity oracle, and the A/B baseline of the
+    ``columnar`` perf-gate suite.  Neither switch changes results or
+    simulated charges.
     """
 
     def __init__(
@@ -79,34 +76,17 @@ class Evaluator:
 
     # -- batch-at-a-time forms ------------------------------------------
 
-    def batch_predicate(
-        self, expr: Expr
-    ) -> tuple[Callable[[Sequence[tuple]], list], float]:
-        """A ``rows -> surviving rows`` kernel and the per-row weight.
+    def pipeline(self, stages: Chain, uses: int = 1) -> Pipeline | RowPipeline:
+        """The runner of an operator chain, about to run *uses* times.
 
-        The interpreted back-end still pays its per-row tree walk inside
-        the batch wrapper — E5's wall-clock interpretation overhead is
-        preserved — and its simulated weight keeps the interpretation
-        penalty.
+        Generated code needs the compiled back-end (the interpreted one
+        pays its per-row tree walk on the row path — E5's wall-clock
+        interpretation overhead) and a chain without DISTINCT
+        aggregates; everything else runs operator by operator.
         """
-        weight = expression_weight(expr)
-        if self.compiled:
-            return self.cache.batch_predicate(expr), weight
-        fn = InterpretedPredicate(expr)
-        return (
-            lambda rows, _fn=fn: [row for row in rows if _fn(row)],
-            weight * INTERPRETATION_FACTOR,
-        )
-
-    def batch_projector(
-        self, exprs: Sequence[Expr]
-    ) -> tuple[Callable[[Sequence[tuple]], list], float]:
-        """A ``rows -> projected rows`` kernel and the per-row weight."""
-        weight = sum(expression_weight(e) for e in exprs)
-        if self.compiled:
-            return self.cache.batch_projector(exprs), weight
-        fn = InterpretedProjector(exprs)
-        return (lambda rows, _fn=fn: [_fn(row) for row in rows], weight * INTERPRETATION_FACTOR)
+        if self.batch and self.compiled and fusable(stages):
+            return self.cache.pipeline(stages, uses)
+        return RowPipeline(stages, self)
 
     def join_kernel(self, left_keys: Sequence[int], right_keys: Sequence[int]) -> Callable:
         """A cached INNER equi-join batch kernel (compiled-only form).
@@ -116,9 +96,3 @@ class Evaluator:
         hash join, so no interpreted variant exists.
         """
         return self.cache.join_kernel(left_keys, right_keys)
-
-    def agg_kernel(
-        self, group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
-    ) -> Callable:
-        """A cached hash-aggregation batch kernel (compiled-only form)."""
-        return self.cache.agg_kernel(group_cols, aggregates)

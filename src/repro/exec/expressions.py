@@ -386,6 +386,21 @@ def remap_columns(expr: Expr, mapping: dict[int, int]) -> Expr:
     return walk(expr)
 
 
+def substitute_columns(expr: Expr, replacements: Sequence[Expr]) -> Expr:
+    """Replace each ``ColumnRef(i)`` in *expr* with ``replacements[i]``.
+
+    This is expression composition: pulling an expression through a
+    projection that computes the columns it reads.
+    """
+
+    def walk(node: Expr) -> Expr:
+        if isinstance(node, ColumnRef):
+            return replacements[node.index]
+        return _rebuild(node, tuple(walk(c) for c in node.children()))
+
+    return walk(expr)
+
+
 def _rebuild(node: Expr, children: tuple[Expr, ...]) -> Expr:
     """Copy *node* with new children."""
     if isinstance(node, (Literal, ColumnRef, Param)):
@@ -543,3 +558,8 @@ def all_subexpressions(expr: Expr) -> Iterable[Expr]:
     yield expr
     for child in expr.children():
         yield from all_subexpressions(child)
+
+
+def expression_weight(expr: Expr) -> float:
+    """Abstract cost of one evaluation: the number of tree nodes."""
+    return float(sum(1 for _ in all_subexpressions(expr)))

@@ -14,6 +14,8 @@ speedup experiments measure.
 from __future__ import annotations
 
 import enum
+import heapq
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -75,6 +77,12 @@ class JoinKind(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
+def charge_per_row(meter: WorkMeter, n: int, eval_weight: float) -> None:
+    """Closed-form work of a selection or projection over *n* rows."""
+    meter.tuples += n
+    meter.compares += n * eval_weight
+
+
 def select_rows(
     rows: Sequence[Row],
     predicate: PredicateFn,
@@ -87,8 +95,7 @@ def select_rows(
     paper's "interpretation overhead" lives in this number for the
     simulated clock (and in real wall time for E5).
     """
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
+    charge_per_row(meter, len(rows), eval_weight)
     try:
         return [row for row in rows if predicate(row)]
     except (TypeError, ZeroDivisionError) as exc:
@@ -101,46 +108,9 @@ def project_rows(
     meter: WorkMeter,
     eval_weight: float = 1.0,
 ) -> Rows:
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
+    charge_per_row(meter, len(rows), eval_weight)
     try:
         return [projector(row) for row in rows]
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"projection failed: {exc}") from None
-
-
-def select_rows_batch(
-    rows: Sequence[Row],
-    kernel: Callable[[Sequence[Row]], Rows],
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    """Filter a whole batch through one compiled kernel call.
-
-    Identical results and identical closed-form charges to
-    :func:`select_rows`; only the host-CPU shape differs (the predicate
-    code is inlined in the kernel's single pass, so there are no
-    per-row Python calls).
-    """
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
-    try:
-        return kernel(rows)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"predicate failed: {exc}") from None
-
-
-def project_rows_batch(
-    rows: Sequence[Row],
-    kernel: Callable[[Sequence[Row]], Rows],
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    """Batch-at-a-time :func:`project_rows`: same rows, same charges."""
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
-    try:
-        return kernel(rows)
     except (TypeError, ZeroDivisionError) as exc:
         raise ExecutionError(f"projection failed: {exc}") from None
 
@@ -339,9 +309,39 @@ def merge_join(
 def _sort_compares(n: int) -> float:
     if n < 2:
         return 0.0
-    import math
-
     return n * math.log2(n)
+
+
+def charge_sort(meter: WorkMeter, n: int, n_keys: int) -> None:
+    meter.compares += _sort_compares(n) * max(1, n_keys)
+    meter.tuples += n
+
+
+def charge_distinct(meter: WorkMeter, n: int, n_out: int) -> None:
+    meter.hashes += n
+    meter.tuples += n_out
+
+
+def charge_limit(meter: WorkMeter, n: int, limit: int | None, offset: int) -> None:
+    """Rows skipped by ``offset`` and rows emitted under ``limit`` are
+    tuples the operator touched; rows beyond the cap are never visited."""
+    meter.tuples += n if limit is None else min(n, offset + limit)
+
+
+def charge_top_n(meter: WorkMeter, n: int, keep: int, n_keys: int) -> None:
+    """``n·log₂(min(n, keep))`` per key column — the sort formula when
+    ``keep ≥ n``, so top-N is never charged more than the sort it replaces."""
+    meter.tuples += n
+    bound = min(n, keep)
+    if n >= 2 and bound >= 1:
+        meter.compares += n * math.log2(max(2, bound)) * max(1, n_keys)
+
+
+def charge_aggregate(meter: WorkMeter, n: int, n_out: int) -> None:
+    """One hash + one tuple per input row, one tuple per output group."""
+    meter.hashes += n
+    meter.tuples += n
+    meter.tuples += n_out
 
 
 def sort_rows(
@@ -356,8 +356,7 @@ def sort_rows(
     least-significant key outward (stability does the rest).
     """
     if meter is not None:
-        meter.compares += _sort_compares(len(rows)) * max(1, len(key_positions))
-        meter.tuples += len(rows)
+        charge_sort(meter, len(rows), len(key_positions))
     if descending is None:
         descending = [False] * len(key_positions)
     if len(descending) != len(key_positions):
@@ -383,11 +382,10 @@ def _null_safe_key(value: Any) -> tuple:
 
 
 def distinct_rows(rows: Sequence[Row], meter: WorkMeter) -> Rows:
-    meter.hashes += len(rows)
     # dict.fromkeys is the C-speed first-occurrence dedup: identical
     # rows and order to the old per-row seen-set loop.
     output: Rows = list(dict.fromkeys(rows))
-    meter.tuples += len(output)
+    charge_distinct(meter, len(rows), len(output))
     return output
 
 
@@ -397,17 +395,12 @@ def limit_rows(
     offset: int = 0,
     meter: WorkMeter | None = None,
 ) -> Rows:
-    """Slice ``rows[offset : offset+limit]``.
-
-    Rows skipped by ``offset`` and rows emitted under ``limit`` are
-    tuples the operator touched: both are charged to *meter* (rows
-    beyond the cap are never visited, so they stay free).
-    """
+    """Slice ``rows[offset : offset+limit]`` (see :func:`charge_limit`)."""
     if offset < 0 or (limit is not None and limit < 0):
         raise ExecutionError("LIMIT/OFFSET must be non-negative")
     end = None if limit is None else offset + limit
     if meter is not None:
-        meter.tuples += len(rows) if end is None else min(len(rows), end)
+        charge_limit(meter, len(rows), limit, offset)
     return list(rows[offset:end])
 
 
@@ -445,10 +438,7 @@ def top_n_rows(
     — including stability (ties resolve by original row position, the
     same order repeated stable sorts give) — but keeps only the best
     ``offset + limit`` candidates at any time, so the comparison charge
-    is ``n·log₂(min(n, offset+limit))`` per key column instead of the
-    full ``n·log₂(n)`` sort.  With ``offset+limit ≥ n`` the charge
-    degenerates to the sort formula: top-N is never charged more than
-    the sort it replaces.
+    is :func:`charge_top_n`'s instead of the full ``n·log₂(n)`` sort.
     """
     if offset < 0 or limit < 0:
         raise ExecutionError("LIMIT/OFFSET must be non-negative")
@@ -457,14 +447,8 @@ def top_n_rows(
     if len(descending) != len(key_positions):
         raise ExecutionError("top-n: key/direction lists differ in length")
     keep = offset + limit
-    n = len(rows)
     if meter is not None:
-        meter.tuples += n
-        bound = min(n, keep)
-        if n >= 2 and bound >= 1:
-            import math
-
-            meter.compares += n * math.log2(max(2, bound)) * max(1, len(key_positions))
+        charge_top_n(meter, len(rows), keep, len(key_positions))
     if keep == 0:
         return []
 
@@ -478,8 +462,6 @@ def top_n_rows(
             parts.append(_Desc(key) if desc else key)
         parts.append(index)
         return tuple(parts)
-
-    import heapq
 
     smallest = heapq.nsmallest(keep, enumerate(rows), key=decorated)
     return [row for _index, row in smallest[offset:]]
@@ -599,19 +581,15 @@ def aggregate_rows(
     ``group_key=None`` a single global row is produced even for empty
     input (COUNT gives 0, the others NULL) — SQL semantics.
 
-    Work charges are closed-form per batch (one hash + one tuple per
-    input row, one tuple per output group); the common spec shapes run
-    through batched fast paths that keep flat accumulator lists instead
-    of per-group ``_AggState`` objects.  Accumulation order — and hence
-    float results, NULL handling, and group output order — is identical
-    to the generic loop.
+    Work charges are closed-form per batch (:func:`charge_aggregate`);
+    the common spec shapes run through batched fast paths that keep
+    flat accumulator lists instead of per-group ``_AggState`` objects.
+    Accumulation order — and hence float results, NULL handling, and
+    group output order — is identical to the generic loop.
     """
-    meter.hashes += len(rows)
-    meter.tuples += len(rows)
-
     if not any(spec.distinct for spec in specs):
         output = _aggregate_fast(rows, group_key, specs)
-        meter.tuples += len(output)
+        charge_aggregate(meter, len(rows), len(output))
         return output
 
     groups: dict[tuple, list[_AggState]] = {}
@@ -643,29 +621,7 @@ def aggregate_rows(
         output.append(
             tuple(key) + tuple(state.result(spec.func) for spec, state in zip(specs, states))
         )
-    meter.tuples += len(output)
-    return output
-
-
-def aggregate_rows_batch(
-    rows: Sequence[Row],
-    kernel: Callable[[Sequence[Row]], Rows],
-    meter: WorkMeter,
-) -> Rows:
-    """Non-DISTINCT hash aggregation through one compiled kernel call.
-
-    The kernel (see :func:`repro.exec.batch.compile_agg_kernel`) inlines
-    the argument expressions and keeps per-group flat accumulator slots;
-    rows, group order, float accumulation order, and meter charges are
-    identical to :func:`aggregate_rows` on the same specs.
-    """
-    meter.hashes += len(rows)
-    meter.tuples += len(rows)
-    try:
-        output = kernel(rows)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"aggregate argument failed: {exc}") from None
-    meter.tuples += len(output)
+    charge_aggregate(meter, len(rows), len(output))
     return output
 
 
@@ -682,12 +638,12 @@ def _aggregate_fast(
         counts: dict[tuple, int] = {}
         if group_key is None:
             counts[()] = 0
-            for _row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
+            for _row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
                 counts[()] += 1
         else:
             get = counts.get
             try:
-                for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
+                for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
                     key = group_key(row)
                     counts[key] = get(key, 0) + 1
             except (TypeError, ZeroDivisionError) as exc:
@@ -700,7 +656,7 @@ def _aggregate_fast(
         groups[()] = list(template)
     get = groups.get
     try:
-        for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
+        for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
             key = group_key(row) if group_key is not None else ()
             state = get(key)
             if state is None:

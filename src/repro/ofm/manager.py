@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 from repro.errors import ExecutionError, InvalidTransactionState
 from repro.exec.evaluation import Evaluator
+from repro.exec.expressions import ColumnRef, Comparison, Literal, and_, conjuncts
 from repro.exec.operators import Row, WorkMeter
 from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.plan import PlanNode
 from repro.pool.process import PoolProcess
 from repro.storage.cursor import Cursor
+from repro.storage.indexes import OrderedIndex
 from repro.storage.markings import MarkingSet
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -187,13 +189,33 @@ class OneFragmentManager(PoolProcess):
         self._charge_meter(WorkMeter(tuples=1))
         return rid
 
-    def txn_delete_where(self, txn_id: int, predicate_expr) -> int:
+    def _victims(self, predicate_expr) -> list[tuple[int, Row]]:
+        """The ``(rid, row)`` pairs a DML predicate matches, in scan order.
+
+        A unique index matching an equality conjunct yields the one
+        possible victim without walking the fragment (and without
+        compiling a predicate per key); any other index could return
+        several rows in an order that is not the scan's, which the WAL
+        and the undo chain would then record, so those cases scan.
+        The simulated charge is the scan's either way.
+        """
+        found = (
+            None if predicate_expr is None
+            else self._index_candidates(predicate_expr, unique_only=True)
+        )
+        if found is None:
+            pairs = list(self.table.scan())
+        else:
+            rids, remaining = found
+            pairs = [(rid, self.table.get(rid)) for rid in rids]
+            predicate_expr = and_(*remaining) if remaining else None
         predicate = self._predicate(predicate_expr)
-        victims = [
-            (rid, row)
-            for rid, row in list(self.table.scan())
-            if predicate is None or predicate(row)
-        ]
+        if predicate is None:
+            return pairs
+        return [(rid, row) for rid, row in pairs if predicate(row)]  # prismalint: disable=PL101 -- charged in txn_update_where / txn_delete_where (the scan's cost)
+
+    def txn_delete_where(self, txn_id: int, predicate_expr) -> int:
+        victims = self._victims(predicate_expr)
         for rid, row in victims:
             self.table.delete(rid)
             self._log(DeleteRecord(txn_id, rid, row))
@@ -216,11 +238,8 @@ class OneFragmentManager(PoolProcess):
         changes under the table's fragmentation are the caller's problem
         — it receives the pairs and re-routes.
         """
-        predicate = self._predicate(predicate_expr)
         changed: list[tuple[Row, Row]] = []
-        for rid, row in list(self.table.scan()):
-            if predicate is not None and not predicate(row):
-                continue
+        for rid, row in self._victims(predicate_expr):
             try:
                 new_row = self.table.schema.validate_row(compute_new_row(row))
             except (TypeError, ZeroDivisionError) as exc:
@@ -333,25 +352,16 @@ class OneFragmentManager(PoolProcess):
         self._charge_meter(WorkMeter(tuples=len(self.table)))
         return list(self.table.rows())
 
-    def filtered_scan(self, predicate_expr) -> tuple[list[Row], bool]:
-        """Selection over the fragment, through an index when one fits.
+    def _index_candidates(
+        self, predicate_expr, unique_only: bool = False
+    ) -> tuple[list[int], list] | None:
+        """Row ids an index yields for one conjunct, and the conjuncts left.
 
         Looks for an equality conjunct with a matching hash/ordered
-        index, or a range conjunct with a matching ordered index; the
-        remaining conjuncts filter the candidates.  Returns
-        ``(rows, used_index)``.  Falls back to a full scan (charging the
-        full fragment) when no index applies.
+        index, or a range conjunct with a matching ordered index
+        (*unique_only*: an equality conjunct on a unique index, nothing
+        else).  ``None`` when no index applies.
         """
-        from repro.exec.expressions import (
-            ColumnRef,
-            Comparison,
-            Literal,
-            and_,
-            conjuncts,
-        )
-        from repro.storage.indexes import OrderedIndex
-
-        candidates: list[int] | None = None
         remaining = list(conjuncts(predicate_expr))
         for i, conjunct in enumerate(remaining):
             if not (
@@ -366,13 +376,14 @@ class OneFragmentManager(PoolProcess):
                 index
                 for index in self.table.indexes.values()
                 if index.key_positions == key_positions
+                and (index.unique or not unique_only)
             ]
             if not matching:
                 continue
             value = conjunct.right.value
             if conjunct.op == "=":
                 candidates = matching[0].lookup((value,))
-            elif conjunct.op in ("<", "<=", ">", ">="):
+            elif conjunct.op in ("<", "<=", ">", ">=") and not unique_only:
                 ordered = next(
                     (ix for ix in matching if isinstance(ix, OrderedIndex)), None
                 )
@@ -389,39 +400,37 @@ class OneFragmentManager(PoolProcess):
             else:
                 continue
             del remaining[i]
-            break
-        if candidates is None:
-            # No usable index: ordinary scan + filter.  The batch kernel
-            # runs the whole fragment through one compiled pass (no
-            # per-row predicate calls); charges are identical either way.
+            return candidates, remaining
+        return None
+
+    def _select(self, predicate_expr, rows: list[Row], meter: WorkMeter) -> list[Row]:
+        """*rows* through the predicate's kernel, its work on *meter*."""
+        return self.evaluator.pipeline(((("select", predicate_expr),),)).run(
+            rows, (meter,)
+        )[0]
+
+    def filtered_scan(self, predicate_expr) -> tuple[list[Row], bool]:
+        """Selection over the fragment, through an index when one fits
+        (:meth:`_index_candidates`); the remaining conjuncts filter the
+        candidates.  Returns ``(rows, used_index)``.  Falls back to a
+        full scan (charging the full fragment) when no index applies.
+        """
+        found = self._index_candidates(predicate_expr)
+        if found is None:
+            # No usable index: ordinary scan + filter, the whole
+            # fragment through one compiled pass.
             self._charge_disk_scan()
-            meter = WorkMeter(tuples=len(self.table))
-            try:
-                if self.evaluator.batch:
-                    kernel, weight = self.evaluator.batch_predicate(predicate_expr)
-                    rows = kernel(self.table.rows())
-                else:
-                    predicate, weight = self.evaluator.predicate(predicate_expr)
-                    rows = [row for row in self.table.rows() if predicate(row)]
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ExecutionError(f"predicate failed: {exc}") from None
-            meter.compares += len(self.table) * weight
+            meter = WorkMeter()
+            rows = self._select(predicate_expr, list(self.table.rows()), meter)
             self._charge_meter(meter)
             return rows, False
+        candidates, remaining = found
         rows = [self.table.get(rid) for rid in candidates if self.table.has_rid(rid)]
-        meter = WorkMeter(hashes=1, tuples=len(rows))
+        meter = WorkMeter(hashes=1)
         if remaining:
-            residual = and_(*remaining)
-            try:
-                if self.evaluator.batch:
-                    kernel, weight = self.evaluator.batch_predicate(residual)
-                    rows = kernel(rows)
-                else:
-                    predicate, weight = self.evaluator.predicate(residual)
-                    rows = [row for row in rows if predicate(row)]
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ExecutionError(f"predicate failed: {exc}") from None
-            meter.compares += len(candidates) * weight
+            rows = self._select(and_(*remaining), rows, meter)
+        else:
+            meter.tuples += len(rows)
         if self.disk_resident:
             # Index-to-page lookups are random accesses on disk.
             self._charge_disk_touch(len(rows))

@@ -15,9 +15,6 @@ from repro.core.fragmentation import stable_hash
 from repro.exec.shuffle import SplitterCache, compile_splitter, reference_bucket
 from repro.machine import Machine, MachineConfig
 from repro.pool import PoolProcess, PoolRuntime
-from repro.storage import DataType, Schema
-
-PAIR = Schema.of(src=DataType.INT, dst=DataType.INT)
 
 #: Every value family stable_hash distinguishes: small/large/negative
 #: ints, bools (an int subclass with its own routing), floats, strings
@@ -115,10 +112,10 @@ class TestRepartitionInvariants:
         edges = DistRelation(
             [Part(p, edge_rows[i::4]) for i, p in enumerate(harness.procs)], None
         )
-        edges_by_src = ex._repartition(edges, (0,), PAIR)
+        edges_by_src = ex._repartition(edges, (0,))
         sites = [part.process for part in edges_by_src.parts]
         delta = DistRelation([Part(harness.procs[0], delta_rows)], None)
-        delta_by_dst = ex._repartition(delta, (1,), PAIR, targets=sites)
+        delta_by_dst = ex._repartition(delta, (1,), targets=sites)
 
         edge_site = {}
         for index, part in enumerate(edges_by_src.parts):
@@ -140,7 +137,7 @@ class TestRepartitionInvariants:
             for i, p in enumerate(harness.procs)
         ]
         stats = self.runtime_stats(harness)
-        shuffled = ex._repartition(DistRelation(parts, None), (0,), PAIR)
+        shuffled = ex._repartition(DistRelation(parts, None), (0,))
         assert self.runtime_stats(harness) == stats  # no messages, no bytes
         assert [p.rows for p in shuffled.parts] == [p.rows for p in parts]
         assert shuffled.partition_cols == (0,)
@@ -150,7 +147,7 @@ class TestRepartitionInvariants:
         ex = harness.executor
         rows = [(42, i) for i in range(10)]  # one key: one bucket gets all
         relation = DistRelation([Part(harness.procs[0], rows)], None)
-        shuffled = ex._repartition(relation, (0,), PAIR, targets=harness.procs)
+        shuffled = ex._repartition(relation, (0,), targets=harness.procs)
         assert len(shuffled.parts) == 4
         assert [p.process for p in shuffled.parts] == harness.procs
         target = reference_bucket(rows[0], (0,), 4)
@@ -172,7 +169,7 @@ class TestBroadcastDirectShip:
         ]
         relation = DistRelation(parts, None)
         expected = relation.all_rows()
-        copies = ex._broadcast(relation, harness.procs, PAIR)
+        copies = ex._broadcast(relation, harness.procs)
         assert copies == [expected] * 4
 
     def test_direct_ship_charges_part_bytes_and_drops_the_gather_hop(self):
@@ -186,13 +183,13 @@ class TestBroadcastDirectShip:
         relation = DistRelation(parts, None)
         targets = harness.procs
         before = harness.runtime.stats.bytes_moved
-        ex._broadcast(relation, targets, PAIR)
+        ex._broadcast(relation, targets)
         shipped = harness.runtime.stats.bytes_moved - before
 
         # Cost equivalence per target: exactly the bytes of the parts not
         # already resident there, shipped straight from their sources.
         expected = sum(
-            ex._row_bytes(PAIR, part.rows)
+            ex._row_bytes(part.rows)
             for target in targets
             for part in parts
             if part.process is not target
@@ -201,9 +198,9 @@ class TestBroadcastDirectShip:
 
         # The old strategy gathered at parts[0] first: same fan-out bytes
         # plus a full extra hop for every non-resident row.
-        gather_hop = sum(ex._row_bytes(PAIR, p.rows) for p in parts[1:])
+        gather_hop = sum(ex._row_bytes(p.rows) for p in parts[1:])
         old_fan_out = sum(
-            ex._row_bytes(PAIR, relation.all_rows())
+            ex._row_bytes(relation.all_rows())
             for target in targets
             if target is not parts[0].process
         )
