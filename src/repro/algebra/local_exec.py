@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError
-from repro.exec.batch import ColumnBatch
 from repro.exec.closure import (
     naive_closure,
     seminaive_closure,
@@ -175,13 +174,7 @@ class LocalExecutor:
     # -- leaves ------------------------------------------------------------------
 
     def _run_ScanNode(self, plan: ScanNode) -> list[Row]:
-        relation = self._resolve_table(plan.table_name)
-        # Tables may be stored row-major or as ColumnBatches; the plan
-        # boundary converts to the engine's row view (cached, one zip).
-        if isinstance(relation, ColumnBatch):
-            rows = list(relation.rows())
-        else:
-            rows = list(relation)
+        rows = list(self._resolve_table(plan.table_name))
         self.meter.tuples += len(rows)
         return rows
 

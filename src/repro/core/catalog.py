@@ -15,6 +15,7 @@ import ast as _pyast
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError
+from repro.exec.expressions import ColumnRef, Comparison, Expr, Literal, conjuncts
 from repro.algebra.estimates import TableStats
 from repro.core.fragmentation import FragmentationScheme
 from repro.storage.schema import Column, Schema
@@ -73,6 +74,36 @@ class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer 
 
     def fragment_nodes(self) -> list[int]:
         return [fragment.node_id for fragment in self.fragments]
+
+    def pruned_fragments(self, predicate: Expr | None) -> list[int] | None:
+        """The fragments an equality conjunct of *predicate* on the
+        fragmentation key narrows it to; ``None`` when nothing prunes.
+
+        The one statement of this rule: the GDH's lock sets and the
+        executor's scan sets both come from here, so they cannot
+        disagree.
+        """
+        if predicate is not None:
+            for conjunct in conjuncts(predicate):
+                if (
+                    isinstance(conjunct, Comparison)
+                    and conjunct.op == "="
+                    and isinstance(conjunct.left, ColumnRef)
+                    and isinstance(conjunct.right, Literal)
+                ):
+                    pruned = self.scheme.prunable_fragments(
+                        conjunct.left.index, conjunct.right.value
+                    )
+                    if pruned is not None:
+                        return pruned
+        return None
+
+    def target_fragments(self, predicate: Expr | None) -> list[int]:
+        """Ids of the fragments *predicate* can touch (all, unpruned)."""
+        pruned = self.pruned_fragments(predicate)
+        if pruned is None:
+            return [fragment.fragment_id for fragment in self.fragments]
+        return pruned
 
     def fragment(self, fragment_id: int) -> FragmentInfo:
         """The entry for *fragment_id*.

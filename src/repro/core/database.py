@@ -30,17 +30,7 @@ from repro.core.recovery import (
 )
 from repro.core.result import QueryResult
 from repro.pool.runtime import PoolRuntime
-from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_script
-
-
-def _program_tokens(program: str) -> int:
-    """Parse-charge basis of a PRISMAlog program, in SQL-lexer tokens."""
-    try:
-        return len(tokenize(program)) if program else 0
-    except PrismaError:
-        # Not lexable as SQL (``:-``): estimate by length.
-        return max(8, len(program) // 5)
 
 
 class Session:
@@ -102,8 +92,17 @@ class Session:
         self._db.gdh.rollback(self._state)
 
     def execute_prismalog(self, program: str) -> list[QueryResult]:
-        """Run a PRISMAlog program; one result per ``? query.``."""
-        return self._db.run_prismalog(program, self._state)
+        """Run a PRISMAlog program; one result per ``? query.``.
+
+        Database relations serve as extensional predicates.  Programs
+        whose recursion is expressible by the closure operator compile
+        to ordinary algebra plans and run through the *distributed*
+        executor; general recursion falls back to the semi-naive engine
+        at the query process, with the referenced base tables gathered
+        there first.  Either way it is one statement to the GDH: counted,
+        admitted, and its fragments S-locked like a query's.
+        """
+        return self._db.gdh.execute_prismalog(program, self._state)
 
     def close(self) -> None:
         """End the session, rolling back any open transaction."""
@@ -208,147 +207,6 @@ class PrismaDB:
     def execute_prismalog(self, program: str) -> list[QueryResult]:
         return self._default_session.execute_prismalog(program)
 
-    def run_prismalog(self, program: str, state: SessionState) -> list[QueryResult]:
-        """Evaluate a PRISMAlog program against the database.
-
-        Database relations serve as extensional predicates.  Programs
-        whose recursion is expressible by the closure operator compile
-        to ordinary algebra plans and run through the *distributed*
-        executor (fragment-parallel, Section 2.3's semantics-via-algebra
-        made literal); general recursion falls back to the semi-naive
-        engine at a per-query process, with referenced base tables
-        gathered there first.  Either way the touched fragments are
-        S-locked.
-        """
-        from repro.core.locks import LockMode
-        from repro.core.transactions import TxnState
-        from repro.prismalog.compile import compile_program
-        from repro.prismalog.engine import PrismalogEngine
-        from repro.prismalog.parser import parse_program
-
-        parsed = parse_program(program)
-        compiled = compile_program(parsed, self.gdh.catalog.schemas())
-        if compiled is not None:
-            return self._run_prismalog_compiled(program, parsed, compiled, state)
-        referenced = parsed.predicates()
-        edb_tables = {}
-        edb_schemas = {}
-        gdh = self.gdh
-        txn, autocommit = gdh._ensure_txn(state)
-        process = gdh._new_query_process(state, "prismalog")
-        try:
-            resources = []
-            for name in sorted(referenced):
-                if gdh.catalog.has_table(name):
-                    info = gdh.catalog.table(name)
-                    for fragment in info.fragments:
-                        resources.append((info.name, fragment.fragment_id))
-            gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, _program_tokens(program), None)
-            # Gather EDB relations to the query process.
-            for name in sorted(referenced):
-                if not gdh.catalog.has_table(name):
-                    continue
-                info = gdh.catalog.table(name)
-                rows = []
-                for fragment in info.fragments:
-                    ofm = gdh.fragment_ofms[fragment.ofm_name]
-                    fragment_rows = ofm.scan_rows()
-                    gdh.runtime.send(
-                        ofm, process, max(64, info.schema.average_row_bytes() * len(fragment_rows))
-                    )
-                    rows.extend(fragment_rows)
-                edb_tables[name] = rows
-                edb_schemas[name] = info.schema
-            engine = PrismalogEngine(
-                edb_tables,
-                edb_schemas,
-                evaluator=gdh.executor.evaluator,
-            )
-            answers = engine.run_program(parsed)
-            meter = engine.stats.meter
-            process.charge(
-                self.machine.cpu_time(
-                    tuples=int(meter.tuples),
-                    hashes=int(meter.hashes),
-                    compares=int(meter.compares),
-                )
-            )
-            if autocommit:
-                gdh.txns.finish(txn, TxnState.COMMITTED, process.ready_at)
-            results = []
-            for answer in answers:
-                results.append(
-                    QueryResult(
-                        "prismalog",
-                        columns=answer.columns,
-                        rows=answer.rows,
-                        prismalog_stats={
-                            "compiled_to_algebra": False,
-                            "fixpoint_iterations": dict(
-                                engine.stats.fixpoint_iterations
-                            ),
-                            "closure_operator_hits": list(
-                                engine.stats.closure_operator_hits
-                            ),
-                            "materialized_rows": dict(
-                                engine.stats.materialized_rows
-                            ),
-                        },
-                    )
-                )
-            return results
-        finally:
-            gdh._finish_query(state, process)
-
-    def _run_prismalog_compiled(
-        self, program_text: str, parsed, compiled, state: SessionState
-    ) -> list[QueryResult]:
-        """Run a fully-compiled PRISMAlog program distributed."""
-        from repro.core.locks import LockMode
-        from repro.core.transactions import TxnState
-
-        gdh = self.gdh
-        txn, autocommit = gdh._ensure_txn(state)
-        process = gdh._new_query_process(state, "prismalog")
-        try:
-            optimizer = gdh._optimizer()
-            optimized_queries = [
-                (query, optimizer.optimize(plan))
-                for query, plan in compiled.query_plans
-            ]
-            resources = []
-            for _query, optimized in optimized_queries:
-                resources.extend(gdh._scan_resources(optimized.plan))
-                for shared in optimized.shared:
-                    resources.extend(gdh._scan_resources(shared.plan))
-            gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, _program_tokens(program_text), None)
-            results = []
-            for query, optimized in optimized_queries:
-                rows, report = gdh.executor.execute(optimized, process)
-                results.append(
-                    QueryResult(
-                        "prismalog",
-                        columns=optimized.plan.schema.names(),
-                        rows=sorted(rows, key=repr),
-                        report=report,
-                        prismalog_stats={
-                            "compiled_to_algebra": True,
-                            "closure_operator_hits": list(
-                                compiled.closure_predicates
-                            ),
-                            "fixpoint_iterations": {},
-                            "materialized_rows": {},
-                        },
-                    )
-                )
-            if autocommit:
-                gdh.txns.finish(txn, TxnState.COMMITTED, process.ready_at)
-            return results
-        finally:
-            gdh._finish_query(state, process)
-
     # -- bulk loading ------------------------------------------------------------------
 
     def bulk_load(self, table: str, rows: list[tuple]) -> int:
@@ -410,12 +268,6 @@ class PrismaDB:
             if copy_node == node_id
         ]
         return self.recovery.restart_fragments(names)
-
-    def fail_link(self, node_a: int, node_b: int) -> None:
-        self.gdh.faults.fail_link(node_a, node_b)
-
-    def restore_link(self, node_a: int, node_b: int) -> None:
-        self.gdh.faults.restore_link(node_a, node_b)
 
     def resolve_in_doubt(self) -> InDoubtResolution:
         """Resolve transactions left hanging by a halted coordinator."""

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError, PlanError
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import (
-    Arithmetic,
-    ColumnRef,
-    Comparison,
-    Literal,
-    conjuncts,
-)
+from repro.exec.expressions import Arithmetic, ColumnRef
 from repro.exec.operators import JoinKind, Row, WorkMeter
 from repro.exec.pipeline import Op, aggregate_op
 from repro.exec.shuffle import SplitterCache
@@ -54,6 +48,7 @@ from repro.obs.api import SnapshotMixin
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import active
 from repro.ofm.manager import OFMProfile, OneFragmentManager
+from repro.pool.placement import LeastLoaded
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
 from repro.storage.schema import Column, Schema
@@ -174,8 +169,16 @@ class ExecutionReport:
     fragments_pruned: int = 0
     index_scans: int = 0
     temp_ofms: int = 0
-    plan_text: str = ""
-    fired_rules: list[str] = field(default_factory=list)
+    #: The plan that ran; its text is rendered only when somebody asks.
+    optimized: OptimizedPlan | None = field(default=None, repr=False)
+
+    @property
+    def plan_text(self) -> str:
+        return self.optimized.explain() if self.optimized is not None else ""
+
+    @property
+    def fired_rules(self) -> list[str]:
+        return list(self.optimized.fired_rules) if self.optimized is not None else []
 
     @property
     def response_time(self) -> float:
@@ -258,11 +261,7 @@ class DistributedExecutor:
         self._temps = []
         self._shared = {}
         self._dispatched = set()
-        report = ExecutionReport(
-            started_at=query_process.ready_at,
-            plan_text=optimized.explain(),
-            fired_rules=list(optimized.fired_rules),
-        )
+        report = ExecutionReport(started_at=query_process.ready_at, optimized=optimized)
         self._report = report
         stats_before = (self.runtime.stats.messages, self.runtime.stats.bytes_moved)
         try:
@@ -309,7 +308,7 @@ class DistributedExecutor:
         ofm = self.runtime.spawn(
             OneFragmentManager,
             name=name,
-            placement=_least_busy(),
+            placement=LeastLoaded(),
             start_at=start_at,
             schema=schema,
             profile=OFMProfile.QUERY,
@@ -591,13 +590,26 @@ class DistributedExecutor:
             else:
                 yield min(live, key=lambda c: (c.ready_at, c.name))
 
-    def _exec_ScanNode(self, plan: ScanNode, fragment_ids: list[int] | None = None) -> DistRelation:
+    def _exec_ScanNode(self, plan: ScanNode, predicate=None) -> DistRelation:
+        """Read a base table at its fragment OFMs.
+
+        With *predicate* (a selection directly over the table), prune
+        fragments via the fragmentation scheme, then filter at each
+        fragment OFM — through a local index when one matches.
+        """
         info = self.catalog.table(plan.table_name)
+        fragment_ids = info.pruned_fragments(predicate)
         parts: list[Part] = []
         for ofm in self._scan_copies(info, fragment_ids):
             self._dispatch(ofm)
-            parts.append(Part(ofm, ofm.scan_rows()))
+            if predicate is None:
+                rows = ofm.scan_rows()
+            else:
+                rows, used_index = ofm.filtered_scan(predicate)
+                if used_index:
+                    self._report.index_scans += 1
             self._report.fragments_scanned += 1
+            parts.append(Part(ofm, rows))
         if not parts:
             assert self._query_process is not None
             parts = [Part(self._query_process, [])]
@@ -610,43 +622,10 @@ class DistributedExecutor:
     # -- tuple-wise unary operators -----------------------------------------------------
 
     def _exec_SelectNode(self, plan: SelectNode) -> DistRelation:
-        # Selection directly over a base table: prune fragments via the
-        # fragmentation scheme, then evaluate at each fragment OFM —
-        # through a local index when one matches the predicate.
         if isinstance(plan.child, ScanNode) and self.catalog.has_table(
             plan.child.table_name
         ):
-            info = self.catalog.table(plan.child.table_name)
-            fragment_ids = None
-            for conjunct in conjuncts(plan.predicate):
-                if (
-                    isinstance(conjunct, Comparison)
-                    and conjunct.op == "="
-                    and isinstance(conjunct.left, ColumnRef)
-                    and isinstance(conjunct.right, Literal)
-                ):
-                    pruned = info.scheme.prunable_fragments(
-                        conjunct.left.index, conjunct.right.value
-                    )
-                    if pruned is not None:
-                        fragment_ids = pruned
-                        break
-            parts: list[Part] = []
-            for ofm in self._scan_copies(info, fragment_ids):
-                self._dispatch(ofm)
-                rows, used_index = ofm.filtered_scan(plan.predicate)
-                if used_index:
-                    self._report.index_scans += 1
-                self._report.fragments_scanned += 1
-                parts.append(Part(ofm, rows))
-            if not parts:
-                assert self._query_process is not None
-                parts = [Part(self._query_process, [])]
-            key_cols = info.scheme.key_columns()
-            partition_cols = (
-                tuple(key_cols) if key_cols and fragment_ids is None else None
-            )
-            return DistRelation(parts, partition_cols)
+            return self._exec_ScanNode(plan.child, plan.predicate)
         child = self._exec_chain(plan.child)
         return self._extend(child, plan, child.partition_cols)
 
@@ -864,12 +843,8 @@ class DistributedExecutor:
                 local_join(part.process, part.rows, copy)
                 for part, copy in zip(left.parts, right_copies)
             ]
-            partition = (
-                left.partition_cols
-                if plan.kind in (JoinKind.SEMI, JoinKind.ANTI)
-                else left.partition_cols  # left columns keep their positions
-            )
-            return DistRelation(parts, partition)
+            # Left columns keep their positions, whatever the join kind.
+            return DistRelation(parts, left.partition_cols)
 
         # Strategy 2: already co-partitioned on the join keys.
         co_partitioned = (
@@ -1169,12 +1144,6 @@ def _remap_partition(
         return tuple(mapping[c] for c in partition_cols)
     except KeyError:
         return None
-
-
-def _least_busy():
-    from repro.pool.placement import LeastLoaded
-
-    return LeastLoaded()
 
 
 def _decompose_aggregates(plan: AggregateNode) -> tuple[Op, tuple[Op, Op]]:

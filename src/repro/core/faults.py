@@ -38,6 +38,7 @@ import random
 from typing import TYPE_CHECKING
 
 from repro.errors import InjectedCrash, MachineError
+from repro.machine.machine import FaultScope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.pool.runtime import PoolRuntime
@@ -189,9 +190,11 @@ class FaultInjector:
         self._require_runtime().machine.restore_node(node_id)
         self._log("restore_element", str(node_id))
 
-    def fail_link(self, u: int, v: int) -> None:
-        self._require_runtime().machine.fail_link(u, v)
+    def fail_link(self, u: int, v: int) -> bool:
+        """Cut a link; True if it was up (logged either way)."""
+        introduced = self._require_runtime().machine.fail_link(u, v)
         self._log("fail_link", str(u), str(v))
+        return introduced
 
     def restore_link(self, u: int, v: int) -> None:
         self._require_runtime().machine.restore_link(u, v)
@@ -211,7 +214,7 @@ class FaultInjector:
         fingerprint).  ``with db.faults.scope(nodes=[3]): ...``
         """
         machine = self._require_runtime().machine
-        return machine.fault_board.scope(nodes=nodes, links=links, injector=self)
+        return FaultScope(machine, nodes=nodes, links=links, injector=self)
 
     # -- event-loop fault schedule -------------------------------------------
 

@@ -36,8 +36,8 @@ buckets to fragment ids through an explicit table.  Deriving it from a
 scheme without moving a single row.
 
 Determinism: the rebalancer runs on the GDH's simulated clock, places
-fragments through the allocator's :class:`~repro.core.allocation
-.FragmentPlacement` policy, and uses no randomness — two same-seed runs
+fragments through the GDH's :class:`~repro.core.allocation
+.DataAllocationManager`, and uses no randomness — two same-seed runs
 take identical actions (the CI rebalance-determinism job diffs them).
 """
 
@@ -194,11 +194,9 @@ class RebalanceReport(SnapshotMixin):
 class Rebalancer:
     """Online fragment re-placement, supervised by the GDH.
 
-    Placement questions go to the GDH allocator's
-    :class:`~repro.core.allocation.FragmentPlacement` policy — the same
-    protocol CREATE TABLE uses — so a topology-aware policy shapes both
-    initial placement and every later move.  ``db.rebalancer`` holds one
-    per database.
+    Placement questions go to the GDH's allocator — the one CREATE
+    TABLE asks — so initial placement and every later move follow the
+    same rules.  ``db.rebalancer`` holds one per database.
     """
 
     def __init__(
@@ -265,7 +263,7 @@ class Rebalancer:
         the data is the first *live* copy — so a copy lost to an element
         crash can be migrated away from the dead element, fed by its
         surviving sibling.  Returns the action tuple, or ``None`` when
-        the policy picks the element the copy already occupies.
+        the allocator picks the element the copy already occupies.
         """
         gdh = self.gdh
         info = gdh.catalog.table(table)
@@ -337,7 +335,7 @@ class Rebalancer:
         """Carve half of a fragment's hash buckets into a new fragment.
 
         The new fragment gets the same copy count as its parent and a
-        home picked by the placement policy (excluding the parent's
+        home picked by the allocator (excluding the parent's
         elements, so the split actually sheds load).  Rows whose buckets
         move are bulk-copied online; the exclusive lock then covers the
         delta catch-up, pruning the moved rows out of the parent's
@@ -364,7 +362,7 @@ class Rebalancer:
         placed: list[tuple[int, str]] = [(target_node, primary_name)]
         used = parent_nodes | {target_node}
         for replica_index in range(1, 1 + len(fragment.replicas)):
-            replica_node = gdh.allocator.place_replica(target_node, used)
+            replica_node = gdh.allocator.place_replica(used)
             used.add(replica_node)
             placed.append((replica_node, f"{primary_name}r{replica_index}"))
         new_copies = [
@@ -501,7 +499,6 @@ class Rebalancer:
         process = gdh.gdh_process
         txn = gdh.txns.begin(process.ready_at, autocommit=True)
         hold_started = process.ready_at
-        committed = False
         try:
             for fragment_id in sorted(set(fragment_ids)):
                 floor = gdh.txns.lock(
@@ -510,18 +507,12 @@ class Rebalancer:
                 process.advance_to(floor)
             flip()
             gdh.placement_changed()
-            committed = True
+            gdh.txns.finish(txn, TxnState.COMMITTED, process.ready_at)
         finally:
             if txn.state is TxnState.ACTIVE:
-                gdh.txns.finish(
-                    txn,
-                    TxnState.COMMITTED if committed else TxnState.ABORTED,
-                    process.ready_at,
-                )
-                if not committed:
-                    # An administrative action that backed out is not a
-                    # workload abort; keep the counter meaningful.
-                    gdh.txns.aborted -= 1
+                # An administrative action that backed out is not a
+                # workload abort.
+                gdh.txns.withdraw(txn, process.ready_at)
             self.report.lock_hold_s += process.ready_at - hold_started
 
     def _moving_rows(

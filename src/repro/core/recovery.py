@@ -324,7 +324,9 @@ class RecoveryManager:
                             f"element {copy_node} is still down; restore it"
                             f" before restarting fragment copy {copy_name!r}"
                         )
-                    gdh.respawn_fragment_ofm(info, copy_name, copy_node)
+                    gdh.spawn_fragment_copy(
+                        info, copy_name, copy_node, gdh.gdh_process.ready_at
+                    )
 
         report = self._replay(
             sorted(
@@ -361,7 +363,7 @@ class RecoveryManager:
                     f"element {copy_node} is down; restore it before"
                     f" restarting fragment copy {name!r}"
                 )
-            gdh.respawn_fragment_ofm(info, name, copy_node)
+            gdh.spawn_fragment_copy(info, name, copy_node, gdh.gdh_process.ready_at)
         report = self._replay(sorted(names), catch_up=True)
         for table_name in sorted(
             {gdh.locate_fragment_copy(name)[0].name for name in names}

@@ -90,12 +90,9 @@ class TransactionManager:
         self.active.pop(txn.txn_id, None)
         return self.locks.release_all(txn.txn_id, finished_at)
 
-    def abort_all_active(self, finished_at: float) -> list[Transaction]:
-        """Abort every live transaction (crash handling)."""
-        victims = list(self.active.values())
-        for txn in victims:
-            for ofm in txn.participants.values():
-                if ofm.alive:
-                    ofm.abort(txn.txn_id)
-            self.finish(txn, TxnState.ABORTED, finished_at)
-        return victims
+    def withdraw(self, txn: Transaction, finished_at: float) -> None:
+        """End a transaction that only waited for a lock, or an
+        administrative one that backed out: its locks and wait-for
+        edges go as in an abort, but it is not counted as one."""
+        self.finish(txn, TxnState.ABORTED, finished_at)
+        self.aborted -= 1

@@ -1,4 +1,4 @@
-"""Columnar batches and the public batch-kernel constructors.
+"""The public batch-kernel constructors.
 
 The paper's generative approach (Section 2.5) compiled *scalar*
 expressions into per-row routines; PR 4 extended it to shuffle
@@ -14,26 +14,12 @@ compiler's one-op chains in ``rows -> rows`` form (what the
 micro-benchmarks time); the INNER equi-join kernel, which has two
 inputs and so ends a chain, is generated here.
 
-Two data layouts are supported through :class:`ColumnBatch`:
-
-* **row-major** — a list of tuples, the engine's wire/storage format.
-  All compiled kernels consume this view directly: a generated
-  comprehension like ``[row for row in rows if row[2] > 100]`` runs the
-  filter entirely in the interpreter's C loop.
-* **column-major** — one plain Python list per column (``array('q')``
-  backed when a column is all machine ints), with a *selection vector*
-  (list of surviving row indices) as the filter result.  Conversion in
-  either direction is a single ``zip`` and is cached, so passing a
-  batch across a plan boundary costs nothing when the layout already
-  matches.
-
-Which layout wins is an empirical question; the ``columnar`` perf-gate
-suite measures both.  On CPython the row-major compiled kernels win for
-this engine's mixed-type tuples (building a selection vector and then
-gathering costs two passes where the fused comprehension costs one),
-so the executors use the row view; the columnar path stays available
-for column-sliced projections (zero-copy pass-through) and for
-all-int analytics where ``array`` packing pays.
+A batch is a list of row tuples, the engine's wire/storage format: a
+generated comprehension like ``[row for row in rows if row[2] > 100]``
+runs the filter entirely in the interpreter's C loop.  There is no
+column-major form — on CPython, building a selection vector and then
+gathering costs two passes over this engine's mixed-type tuples where
+the fused comprehension costs one.
 
 Simulated-clock charges are **unchanged** by any of this: kernels are a
 host-CPU optimization, and a chain charges each of its operators the
@@ -43,136 +29,16 @@ row-at-a-time form it replaces.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable, Sequence
-from typing import Any
 
 from repro.errors import ExecutionError
-from repro.exec.compiler import _build_source, _Emitter
-from repro.exec.expressions import ColumnRef, Expr
+from repro.exec.compiler import _build_source
+from repro.exec.expressions import Expr
 from repro.exec.pipeline import aggregate_op, kernel_of
 
 Row = tuple
 BatchKernel = Callable[[Sequence[Row]], list]
 JoinBatchKernel = Callable[[Sequence[Row], Sequence[Row]], list]
-
-#: ``array`` typecode for packed integer columns (64-bit signed).
-_INT_TYPECODE = "q"
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-class ColumnBatch:
-    """A batch of rows with cached dual row/column representation.
-
-    Construction from either layout is O(1) (the input list is adopted,
-    not copied); the *other* layout is materialized lazily on first
-    access and cached.  Batches are treated as immutable once built —
-    callers must not mutate adopted lists.
-    """
-
-    __slots__ = ("_rows", "_columns", "_length", "_width")
-
-    def __init__(self, rows, columns, length, width):
-        self._rows = rows
-        self._columns = columns
-        self._length = length
-        self._width = width
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], width: int | None = None) -> "ColumnBatch":
-        rows = rows if isinstance(rows, list) else list(rows)
-        if width is None:
-            width = len(rows[0]) if rows else 0
-        return cls(rows, None, len(rows), width)
-
-    @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence[Any]], length: int | None = None
-    ) -> "ColumnBatch":
-        columns = list(columns)
-        if length is None:
-            length = len(columns[0]) if columns else 0
-        for column in columns:
-            if len(column) != length:
-                raise ExecutionError("ColumnBatch columns have unequal lengths")
-        return cls(None, columns, length, len(columns))
-
-    # -- shape --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def has_rows(self) -> bool:
-        return self._rows is not None
-
-    @property
-    def has_columns(self) -> bool:
-        return self._columns is not None
-
-    # -- layout access ------------------------------------------------------
-
-    def rows(self) -> list[Row]:
-        """The row-major view (materialized once, then cached)."""
-        if self._rows is None:
-            self._rows = list(zip(*self._columns)) if self._columns else []
-        return self._rows
-
-    def columns(self) -> list[Sequence[Any]]:
-        """The column-major view (materialized once, then cached)."""
-        if self._columns is None:
-            if self._rows:
-                self._columns = [list(col) for col in zip(*self._rows)]
-            else:
-                self._columns = [[] for _ in range(self._width)]
-        return self._columns
-
-    def column(self, index: int) -> Sequence[Any]:
-        return self.columns()[index]
-
-    def packed_column(self, index: int) -> Sequence[Any]:
-        """The column, ``array('q')``-packed when it is all machine ints.
-
-        Falls back to the plain list for mixed/overflowing columns
-        (bools are deliberately *not* packed: ``array`` would flatten
-        ``True`` to ``1`` and break exact round-tripping).
-        """
-        column = self.column(index)
-        if not all(
-            type(value) is int and _INT64_MIN <= value <= _INT64_MAX
-            for value in column
-        ):
-            return column
-        return array(_INT_TYPECODE, column)
-
-    # -- batch operations ----------------------------------------------------
-
-    def take(self, selection: Sequence[int]) -> "ColumnBatch":
-        """Gather the rows named by a selection vector (in order)."""
-        if self._rows is not None:
-            rows = self._rows
-            return ColumnBatch.from_rows([rows[i] for i in selection], self._width)
-        picked = [[column[i] for i in selection] for column in self.columns()]
-        return ColumnBatch.from_columns(picked, len(selection))
-
-    def project(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Column slicing: pass-through columns are shared, not copied.
-
-        Zero-copy when the column-major view exists; otherwise a compiled
-        batch projector over the row view is the cheaper route and the
-        caller should use that instead.
-        """
-        columns = self.columns()
-        return ColumnBatch.from_columns(
-            [columns[i] for i in indices], self._length
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +50,6 @@ class ColumnBatch:
 def compile_batch_predicate(expr: Expr) -> BatchKernel:
     """``rows -> surviving rows`` with the predicate inlined in one pass."""
     return kernel_of(("select", expr))
-
-
-def compile_selection_vector(expr: Expr) -> Callable[[Sequence[Row]], list[int]]:
-    """``rows -> selection vector`` (indices of surviving rows).
-
-    The opteryx-style columnar filter form: combined with
-    :meth:`ColumnBatch.take` it filters without rebuilding rows.  Kept
-    for the columnar layout and the micro-benchmarks; the fused
-    :func:`compile_batch_predicate` form is what the executors use.
-    """
-    emitter = _Emitter()
-    body = emitter.predicate(expr)
-    source = (
-        "def _selection_vector(rows):\n"
-        f"    return [_i for _i, row in enumerate(rows) if {body}]\n"
-    )
-    return _build_source(source, emitter.env, "_selection_vector")
 
 
 def compile_batch_projector(exprs: Sequence[Expr]) -> BatchKernel:
@@ -298,16 +147,3 @@ def compile_agg_kernel(
     """
     return kernel_of(aggregate_op(group_cols, aggregates))
 
-
-def batchable_projection(exprs: Sequence[Expr]) -> tuple[int, ...] | None:
-    """Column indices when every output is a plain column reference.
-
-    Such projections are pure column slices — zero copies on a
-    column-major :class:`ColumnBatch`.
-    """
-    indices = []
-    for expr in exprs:
-        if not isinstance(expr, ColumnRef):
-            return None
-        indices.append(expr.index)
-    return tuple(indices)

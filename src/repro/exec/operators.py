@@ -254,53 +254,6 @@ def nested_loop_join(
     return output
 
 
-def merge_join(
-    left: Sequence[Row],
-    right: Sequence[Row],
-    left_key: KeyFn,
-    right_key: KeyFn,
-    meter: WorkMeter,
-) -> Rows:
-    """Inner equi-join of two inputs by sorting then merging.
-
-    Kept as the classic alternative to :func:`hash_join`; the join
-    ablation benchmark compares the two.  NULL keys are dropped first.
-    """
-    left_sorted = sorted(
-        (row for row in left if not any(p is None for p in left_key(row))),
-        key=left_key,
-    )
-    right_sorted = sorted(
-        (row for row in right if not any(p is None for p in right_key(row))),
-        key=right_key,
-    )
-    meter.compares += _sort_compares(len(left_sorted)) + _sort_compares(len(right_sorted))
-    output: Rows = []
-    i = j = 0
-    while i < len(left_sorted) and j < len(right_sorted):
-        meter.compares += 1
-        lkey = left_key(left_sorted[i])
-        rkey = right_key(right_sorted[j])
-        if lkey < rkey:
-            i += 1
-        elif lkey > rkey:
-            j += 1
-        else:
-            # Find both runs of equal keys and emit their product.
-            i_end = i
-            while i_end < len(left_sorted) and left_key(left_sorted[i_end]) == lkey:
-                i_end += 1
-            j_end = j
-            while j_end < len(right_sorted) and right_key(right_sorted[j_end]) == rkey:
-                j_end += 1
-            for li in range(i, i_end):
-                for rj in range(j, j_end):
-                    output.append(left_sorted[li] + right_sorted[rj])
-            i, j = i_end, j_end
-    meter.tuples += len(output)
-    return output
-
-
 # ---------------------------------------------------------------------------
 # Sorting, duplicates, limits.
 # ---------------------------------------------------------------------------

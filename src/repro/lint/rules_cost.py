@@ -22,15 +22,11 @@ the consumer, the same contract PL004 uses.
 Batch kernels (PR 7) are metered at the *batch* boundary: the operators
 of :mod:`repro.exec.operators` charge a whole batch's closed-form work
 in one place, then run a compiled kernel whose loop carries no meter of
-its own.  Two shapes are therefore recognized as metered without
-pragmas:
-
-* **kernel factories** — row loops inside a ``lambda``/closure that a
-  ``batch_*``/``*_kernel`` function *returns* (the loop is deferred;
-  whichever batch operator invokes the kernel charges per batch), and
-* **ColumnBatch layout conversion** — methods of the ``ColumnBatch``
-  container itself (row↔column materialization), whose cost the
-  consuming kernel's operator charges once per batch.
+its own.  One shape is therefore recognized as metered without a
+pragma: **kernel factories** — row loops inside a ``lambda``/closure
+that a ``batch_*``/``*_kernel`` function *returns* (the loop is
+deferred; whichever batch operator invokes the kernel charges per
+batch).
 """
 
 from __future__ import annotations
@@ -51,15 +47,11 @@ CHARGED_DIRS = frozenset({"algebra", "core", "exec", "ofm"})
 _ROWISH_RE = re.compile(r"(^|_)(row|rows|tuple|tuples|batch|batches)(_|$)")
 
 #: Row-collection type annotations.
-_ROWISH_ANNOTATION_RE = re.compile(r"\b(Rows|Row\]|Sequence\[Row|ColumnBatch)\b")
+_ROWISH_ANNOTATION_RE = re.compile(r"\b(Rows|Row\]|Sequence\[Row)\b")
 
 #: Functions that *produce* batch kernels rather than running row work:
 #: ``batch_*`` / ``*_batch`` names and ``*_kernel`` builders.
 _KERNEL_FACTORY_RE = re.compile(r"(^|_)batch(_|$)|_kernel$")
-
-#: The dual-representation batch container; its layout-conversion
-#: methods are charged by the batch operator that consumes the batch.
-_BATCH_CONTAINER = "ColumnBatch"
 
 
 def _returned_kernel_nodes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[int]:
@@ -181,10 +173,6 @@ class UnmeteredWorkRule(ProjectRule):
             return
         for owner, fn in iter_functions(source.tree):
             if self._function_charges(fn, index):
-                continue
-            if owner == _BATCH_CONTAINER:
-                # Layout conversion inside the batch container: the
-                # batch operator consuming the result charges per batch.
                 continue
             deferred: set[int] = (
                 _returned_kernel_nodes(fn)

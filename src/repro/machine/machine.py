@@ -58,95 +58,6 @@ class MachineNodesView(SnapshotMixin):
             node.stats = type(node.stats)()
 
 
-class FaultSwitchboard:
-    """The one place element/link fault state changes.
-
-    ``Machine.fail_node``/``fail_link``/restore are thin delegates over
-    this board, and :class:`~repro.core.faults.FaultInjector` reaches
-    the machine through those same delegates — so every path that
-    degrades the machine flows through one facade.  :meth:`scope` wraps
-    a set of faults in a context manager that guarantees restore.
-    """
-
-    __slots__ = ("_machine",)
-
-    def __init__(self, machine: "Machine"):
-        self._machine = machine
-
-    def fail_node(self, node_id: int) -> bool:
-        """Take an element down; True if it was up (its links go with it)."""
-        machine = self._machine
-        machine.node(node_id)  # validates
-        if node_id in machine._down_nodes:
-            return False
-        machine._down_nodes.add(node_id)
-        # A dead element only changes routes that could traverse it:
-        # columns where it was already unreachable stay exact.
-        cols = machine._fault_dist_cols
-        for dest in [d for d, col in cols.items() if col[node_id] >= 0]:
-            del cols[dest]
-        return True
-
-    def restore_node(self, node_id: int) -> bool:
-        machine = self._machine
-        machine.node(node_id)
-        if node_id not in machine._down_nodes:
-            return False
-        machine._down_nodes.discard(node_id)
-        # A revived element can shorten any route; recompute lazily.
-        machine._fault_dist_cols.clear()
-        return True
-
-    def fail_link(self, u: int, v: int) -> bool:
-        """Fail the (bidirectional) link between two adjacent elements."""
-        machine = self._machine
-        if v not in machine.topology.neighbors(u):
-            raise MachineError(f"no link between elements {u} and {v}")
-        if (u, v) in machine._down_links:
-            return False
-        machine._down_links.add((u, v))
-        machine._down_links.add((v, u))
-        # BFS shortest paths only cross edges between consecutive
-        # levels, so a cut link leaves a destination's distances intact
-        # unless both ends were reachable exactly one hop apart.
-        cols = machine._fault_dist_cols
-        stale = [
-            dest
-            for dest, col in cols.items()
-            if col[u] >= 0 and col[v] >= 0 and abs(col[u] - col[v]) == 1
-        ]
-        for dest in stale:
-            del cols[dest]
-        return True
-
-    def restore_link(self, u: int, v: int) -> bool:
-        machine = self._machine
-        if (u, v) not in machine._down_links:
-            return False
-        machine._down_links.discard((u, v))
-        machine._down_links.discard((v, u))
-        machine._fault_dist_cols.clear()
-        return True
-
-    def active(self) -> dict[str, list]:
-        """The current fault set (down elements, one entry per link)."""
-        machine = self._machine
-        return {
-            "nodes": sorted(machine._down_nodes),
-            "links": sorted(
-                (u, v) for u, v in machine._down_links if u < v
-            ),
-        }
-
-    def scope(
-        self,
-        nodes: tuple[int, ...] | list[int] = (),
-        links: tuple[tuple[int, int], ...] | list[tuple[int, int]] = (),
-        injector=None,
-    ) -> "FaultScope":
-        return FaultScope(self._machine, nodes=nodes, links=links, injector=injector)
-
-
 class FaultScope:
     """Scoped degradation with guaranteed restore.
 
@@ -188,21 +99,19 @@ class FaultScope:
 
     def fail_node(self, node_id: int) -> None:
         """Fail one element inside the scope (restored on exit)."""
-        if self._machine.node_is_up(node_id):
-            self._failed_nodes.append(node_id)
-        if self._injector is not None:
-            self._injector.crash_element(node_id)
+        if self._injector is None:
+            introduced = self._machine.fail_node(node_id)
         else:
-            self._machine.fail_node(node_id)
+            introduced = self._machine.node_is_up(node_id)
+            self._injector.crash_element(node_id)
+        if introduced:
+            self._failed_nodes.append(node_id)
 
     def fail_link(self, u: int, v: int) -> None:
         """Cut one link inside the scope (restored on exit)."""
-        if (u, v) not in self._machine._down_links:
+        verbs = self._machine if self._injector is None else self._injector
+        if verbs.fail_link(u, v):
             self._failed_links.append((u, v))
-        if self._injector is not None:
-            self._injector.fail_link(u, v)
-        else:
-            self._machine.fail_link(u, v)
 
     def _restore_all(self) -> None:
         for u, v in reversed(self._failed_links):
@@ -252,8 +161,6 @@ class Machine:
         self._down_nodes: set[int] = set()
         self._down_links: set[tuple[int, int]] = set()
         self._fault_dist_cols: dict[int, list[int]] = {}
-        #: The fault facade: all fault-state transitions run through it.
-        self.fault_board = FaultSwitchboard(self)
         self._observatory: Observatory | None = None
 
     def observe(self) -> Observatory:
@@ -301,22 +208,67 @@ class Machine:
         return nearest
 
     # -- faults ----------------------------------------------------------------
-    # Thin delegates over the FaultSwitchboard facade; use
-    # ``machine.faults(...)`` for scoped faults with guaranteed restore.
+    # The one place element/link fault state changes; each verb answers
+    # whether it changed anything.  Use ``machine.faults(...)`` for
+    # scoped faults with guaranteed restore.
 
-    def fail_node(self, node_id: int) -> None:
-        """Take a processing element down (its links go with it)."""
-        self.fault_board.fail_node(node_id)
+    def fail_node(self, node_id: int) -> bool:
+        """Take an element down; True if it was up (its links go with it)."""
+        self.node(node_id)  # validates
+        if node_id in self._down_nodes:
+            return False
+        self._down_nodes.add(node_id)
+        # A dead element only changes routes that could traverse it:
+        # columns where it was already unreachable stay exact.
+        cols = self._fault_dist_cols
+        for dest in [d for d, col in cols.items() if col[node_id] >= 0]:
+            del cols[dest]
+        return True
 
-    def restore_node(self, node_id: int) -> None:
-        self.fault_board.restore_node(node_id)
+    def restore_node(self, node_id: int) -> bool:
+        self.node(node_id)
+        if node_id not in self._down_nodes:
+            return False
+        self._down_nodes.discard(node_id)
+        # A revived element can shorten any route; recompute lazily.
+        self._fault_dist_cols.clear()
+        return True
 
-    def fail_link(self, u: int, v: int) -> None:
+    def fail_link(self, u: int, v: int) -> bool:
         """Fail the (bidirectional) link between two adjacent elements."""
-        self.fault_board.fail_link(u, v)
+        if v not in self.topology.neighbors(u):
+            raise MachineError(f"no link between elements {u} and {v}")
+        if (u, v) in self._down_links:
+            return False
+        self._down_links.add((u, v))
+        self._down_links.add((v, u))
+        # BFS shortest paths only cross edges between consecutive
+        # levels, so a cut link leaves a destination's distances intact
+        # unless both ends were reachable exactly one hop apart.
+        cols = self._fault_dist_cols
+        stale = [
+            dest
+            for dest, col in cols.items()
+            if col[u] >= 0 and col[v] >= 0 and abs(col[u] - col[v]) == 1
+        ]
+        for dest in stale:
+            del cols[dest]
+        return True
 
-    def restore_link(self, u: int, v: int) -> None:
-        self.fault_board.restore_link(u, v)
+    def restore_link(self, u: int, v: int) -> bool:
+        if (u, v) not in self._down_links:
+            return False
+        self._down_links.discard((u, v))
+        self._down_links.discard((v, u))
+        self._fault_dist_cols.clear()
+        return True
+
+    def active_faults(self) -> dict[str, list]:
+        """The current fault set (down elements, one entry per link)."""
+        return {
+            "nodes": sorted(self._down_nodes),
+            "links": sorted((u, v) for u, v in self._down_links if u < v),
+        }
 
     def faults(
         self,
@@ -331,7 +283,7 @@ class Machine:
         the injection, use :meth:`FaultInjector.scope
         <repro.core.faults.FaultInjector.scope>`.
         """
-        return self.fault_board.scope(nodes=nodes, links=links)
+        return FaultScope(self, nodes=nodes, links=links)
 
     def node_is_up(self, node_id: int) -> bool:
         return node_id not in self._down_nodes

@@ -282,15 +282,6 @@ class Router:
             return self._walk_parent(node, destination)
         return self._columns_for(destination)[0][node]
 
-    def out_link(self, node: int, destination: int) -> int:
-        """Id of the directed link *node* forwards on toward *destination*.
-
-        Returns -1 when ``node == destination``.  The id indexes
-        :attr:`link_source` / :attr:`link_destination` and the flat
-        per-link arrays kept by the packet simulator.
-        """
-        return self.out_links_to(destination)[node]
-
     def hops(self, source: int, destination: int) -> int:
         """Shortest-path length in hops."""
         hops_fn = self._hops_fn

@@ -72,15 +72,6 @@ class FragmentRecovery:
     #: Their resolutions, in the same order ("commit"/"abort").
     in_doubt_outcomes: tuple[str, ...] = ()
 
-    def fingerprint_data(self) -> tuple:
-        return (
-            self.rows,
-            round(self.cost, 12),
-            self.locally_committed,
-            self.in_doubt,
-            self.in_doubt_outcomes,
-        )
-
 
 class OneFragmentManager(PoolProcess):
     """A customized database system for exactly one relation fragment."""

@@ -14,7 +14,7 @@ rules, and ``? goal.`` poses a set-oriented query.  Comparison builtins
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import PrismalogError
@@ -128,6 +128,9 @@ class Program:
 
     rules: list[Rule]
     queries: list[Query]
+    #: The GDH's simulated parse-charge basis, stamped by the GDH before
+    #: it runs the program (0: never was text); no part of the program.
+    n_tokens: int = field(default=0, compare=False, repr=False)
 
     def facts(self) -> list[Rule]:
         return [rule for rule in self.rules if rule.is_fact]

@@ -30,7 +30,6 @@ from repro.algebra.plan import (
     ScanNode,
     SelectNode,
     TotalScanNode,
-    ValuesNode,
 )
 from repro.prismalog.ast import Atom, Builtin, Const, Program, Rule, Var
 from repro.storage.schema import Column, Schema
@@ -440,13 +439,6 @@ def detect_transitive_closure(
     if not (right_linear or left_linear):
         return None
     return ClosureNode(ScanNode(edge.predicate, edge_def.schema))
-
-
-def facts_plan(definition: PredicateDef) -> PlanNode | None:
-    """A ValuesNode for a predicate's program facts, if it has any."""
-    if not definition.fact_rows:
-        return None
-    return ValuesNode(definition.schema, definition.fact_rows)
 
 
 def query_plan(atom: Atom, definition: PredicateDef) -> PlanNode:

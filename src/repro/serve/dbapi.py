@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from repro.errors import InterfaceError
 from repro.serve.admission import AdmissionQueue
 from repro.serve.params import bind_parameters, statement_key
-from repro.serve.plancache import DEFAULT_CAPACITY, PlanCache
+from repro.serve.plancache import PlanCache
 from repro.sql import ast as sql_ast
 
 # The repo benchmark's host tracer patches the serving front end *here*,
@@ -40,9 +40,7 @@ _TXN_CONTROL = (sql_ast.BeginStmt, sql_ast.CommitStmt, sql_ast.RollbackStmt)
 
 
 def install_serving(
-    db,
-    admission_slots: int | None = None,
-    plan_cache_capacity: int = DEFAULT_CAPACITY,
+    db, admission_slots: int | None = None
 ) -> tuple[PlanCache, AdmissionQueue | None]:
     """Install the serving hooks on *db*'s GDH (idempotent).
 
@@ -55,7 +53,7 @@ def install_serving(
     """
     gdh = db.gdh
     if gdh.plan_cache is None:
-        gdh.plan_cache = PlanCache(plan_cache_capacity)
+        gdh.plan_cache = PlanCache()
     if admission_slots is not None and (
         gdh.admission is None or gdh.admission.slots != admission_slots
     ):

@@ -10,10 +10,11 @@ query bound and optimized, DML bound, anything else its AST — with
 each execution.  One entry therefore serves every execution of a
 template: a parameter-generic plan is sound here because nothing
 value-dependent is decided before run time (fragment pruning reads the
-literal out of the instantiated predicate in ``gdh._target_fragments``
-and the executor's scan pruning; selectivity estimates only ask whether
-an operand is a constant).  A hit earns the cache-hit discount on the
-simulated front-end charge whatever the statement kind.
+literal out of the instantiated predicate — ``TableInfo.pruned_fragments``,
+for the GDH's lock sets and the executor's scan sets alike; selectivity
+estimates only ask whether an operand is a constant).  A hit earns the
+cache-hit discount on the simulated front-end charge whatever the
+statement kind.
 
 Invalidation is wholesale on DDL: the GDH bumps its ``ddl_epoch`` and
 calls :meth:`PlanCache.invalidate`, dropping every entry.  Finer-grained
@@ -83,14 +84,13 @@ class PlanCache(SnapshotMixin):
             self.evictions += 1
         self._entries[key] = entry
 
-    def invalidate(self, ddl_epoch: int) -> None:
+    def invalidate(self) -> None:
         """Drop everything: DDL moved schemas or fragment placement.
 
-        Called by the GDH's ``_ddl_changed`` with the new epoch; the
-        epoch itself lives on the GDH (and inside each cached
-        ``Prepared``) — the cache only needs to empty itself.
+        Called by the GDH's ``_ddl_changed``; the epoch itself lives on
+        the GDH (and inside each cached ``Prepared``) — the cache only
+        needs to empty itself.
         """
-        del ddl_epoch
         self._entries.clear()
         self.invalidations += 1
 

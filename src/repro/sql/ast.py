@@ -176,6 +176,10 @@ class Statement:
     equality).
     """
 
+    #: The text :func:`~repro.sql.parser.parse_statement` parsed, which is
+    #: the GDH's parse-memo key; None for a statement out of a script, a
+    #: token list or a hand-built AST.
+    text: str | None = None
     #: Lexed tokens, EOF included — the GDH's simulated parse charge is
     #: per token.  0 when the statement did not come from
     #: ``parse_statement``/``parse_tokens`` (a script, a hand-built AST).

@@ -59,7 +59,9 @@ def parse_statement(text: str) -> Statement:
 
     A pure function of *text*, which is what lets the GDH memoize it.
     """
-    return parse_tokens(tokenize(text))
+    statement = parse_tokens(tokenize(text))
+    statement.text = text
+    return statement
 
 
 def parse_tokens(tokens: list[Token]) -> Statement:

@@ -34,16 +34,3 @@ def make_filter_kernel(value):
 
     return _kernel
 
-
-class ColumnBatch:
-    def __init__(self, rows):
-        self._rows = rows
-
-    def columns(self):
-        # Layout conversion in the batch container: charged by whichever
-        # batch operator consumes the result.
-        return [list(col) for col in zip(*self._rows)]
-
-    def take(self, selection):
-        rows = self._rows
-        return [rows[i] for i in selection]

@@ -21,7 +21,7 @@ def batch_filter(rows, value):
 
 
 class BatchView:
-    # Not the ColumnBatch container: an arbitrary class looping over
-    # rows without a meter still pays.
+    # A class is no license either: looping over rows without a meter
+    # still pays.
     def widths(self, rows):
         return [len(row) for row in rows]

@@ -1,9 +1,7 @@
-"""Columnar batch engine + fused heap top-N (PR 7).
+"""Batch kernels + fused heap top-N (PR 7).
 
-Four layers of coverage:
+Three layers of coverage:
 
-* ``ColumnBatch`` unit behavior (layout round-trips, int packing,
-  selection, zero-copy projection);
 * compiled batch kernels against their row-at-a-time references on
   randomized mixed-type data (the batch engine's contract is *identical
   rows, identical order*);
@@ -23,16 +21,13 @@ import pytest
 from repro.core.database import MachineConfig, PrismaDB
 from repro.errors import ExecutionError
 from repro.exec.batch import (
-    ColumnBatch,
-    batchable_projection,
     compile_agg_kernel,
     compile_batch_predicate,
     compile_batch_projector,
     compile_join_kernel,
-    compile_selection_vector,
 )
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import Arithmetic, Comparison, col, eq, lit
+from repro.exec.expressions import Arithmetic, Comparison, col, lit
 from repro.exec.operators import (
     AggSpec,
     JoinKind,
@@ -56,61 +51,6 @@ from repro.algebra.plan import (
 from repro.algebra.rules import KNOWLEDGE_BASE, apply_rules
 from repro.storage import DataType, Schema
 from repro.workloads.wisconsin import load_wisconsin
-
-# ---------------------------------------------------------------------------
-# ColumnBatch
-# ---------------------------------------------------------------------------
-
-
-class TestColumnBatch:
-    ROWS = [(1, "a", 1.5), (2, "b", None), (3, "c", 2.5)]
-
-    def test_row_column_round_trip(self):
-        batch = ColumnBatch.from_rows(self.ROWS)
-        assert batch.columns() == [[1, 2, 3], ["a", "b", "c"], [1.5, None, 2.5]]
-        back = ColumnBatch.from_columns(batch.columns())
-        assert back.rows() == self.ROWS
-        assert len(batch) == 3
-        assert batch.width == 3
-
-    def test_adoption_is_zero_copy(self):
-        rows = list(self.ROWS)
-        batch = ColumnBatch.from_rows(rows)
-        assert batch.rows() is rows
-
-    def test_packed_column_is_int_only(self):
-        batch = ColumnBatch.from_rows([(1, True), (2, False), (3, True)])
-        packed = batch.packed_column(0)
-        assert list(packed) == [1, 2, 3]
-        assert packed.typecode == "q"
-        # Booleans round-trip as bool, so they must not pack to ints:
-        # the fallback is the plain (unpacked) column list.
-        unpacked = batch.packed_column(1)
-        assert unpacked == [True, False, True]
-        assert not isinstance(unpacked, type(packed))
-
-    def test_packed_column_rejects_overflow_and_nulls(self):
-        from array import array
-
-        too_big = ColumnBatch.from_rows([(2**63,)])
-        assert not isinstance(too_big.packed_column(0), array)
-        with_null = ColumnBatch.from_rows([(1,), (None,)])
-        assert not isinstance(with_null.packed_column(0), array)
-
-    def test_take_and_project(self):
-        batch = ColumnBatch.from_rows(self.ROWS)
-        taken = batch.take([0, 2])
-        assert taken.rows() == [self.ROWS[0], self.ROWS[2]]
-        projected = batch.project((2, 0))
-        assert projected.rows() == [(1.5, 1), (None, 2), (2.5, 3)]
-        # Pass-through projection shares the column lists (zero copy).
-        assert projected.column(1) is batch.column(0)
-
-    def test_empty_batch(self):
-        batch = ColumnBatch.from_rows([])
-        assert batch.rows() == []
-        assert len(batch) == 0
-
 
 # ---------------------------------------------------------------------------
 # Batch kernels vs row-at-a-time references
@@ -143,14 +83,6 @@ class TestBatchKernels:
         fn, _ = Evaluator().predicate(expr)
         assert kernel(rows) == select_rows(rows, fn, WorkMeter())
 
-    def test_selection_vector_agrees_with_predicate(self):
-        rows = [(i, i % 5) for i in range(100)]
-        expr = eq(col(1), lit(2))
-        indices = compile_selection_vector(expr)(rows)
-        assert [rows[i] for i in indices] == compile_batch_predicate(expr)(rows)
-        batch = ColumnBatch.from_rows(rows)
-        assert batch.take(indices).rows() == compile_batch_predicate(expr)(rows)
-
     def test_projector_matches_row_projector(self):
         rows = [(i, i + 1, "x") for i in range(50)]
         exprs = [Arithmetic("+", col(0), col(1)), col(2)]
@@ -162,12 +94,8 @@ class TestBatchKernels:
     def test_pass_through_projector(self, indices):
         rows = [(i, str(i), i * 0.5) for i in range(40)]
         exprs = [col(i) for i in indices]
-        assert batchable_projection(exprs) == tuple(indices)
         kernel = compile_batch_projector(exprs)
         assert kernel(rows) == [tuple(row[i] for i in indices) for row in rows]
-
-    def test_computed_projection_is_not_batchable(self):
-        assert batchable_projection([Arithmetic("+", col(0), lit(1))]) is None
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_join_kernel_matches_hash_join_single_key(self, seed):

@@ -58,6 +58,21 @@ def test_host_tracer_wrappers_install_and_uninstall(e2e_modules):
             "serve.plancache:put",
             "core.gdh:execute_statement",
         } <= recorded
+        # A PRISMAlog program on the compiled route: the GDH reaches the
+        # parser and the compiler through their (patched) modules.
+        db.bulk_load("kv", [(2, 3), (3, 4)])
+        before_program = set(host.summary())
+        op = host.begin(hosttrace.OP)
+        (result,) = db.execute_prismalog(
+            "p(X,Y) :- kv(X,Y). p(X,Z) :- p(X,Y), kv(Y,Z). ? p(1, X)."
+        )
+        host.finish(op)
+        assert result.prismalog_stats["compiled_to_algebra"]
+        assert {
+            "prismalog.program:parse_program",
+            "prismalog.program:compile_program",
+            "core.executor:execute",
+        } <= set(host.summary()) - before_program
     finally:
         host.uninstall()
     after = (gdh.parse_statement, dbapi.statement_key, PlanCache.__dict__["get"])

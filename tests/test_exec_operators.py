@@ -13,7 +13,6 @@ from repro.exec.operators import (
     hash_join,
     intersect_rows,
     limit_rows,
-    merge_join,
     nested_loop_join,
     project_rows,
     select_rows,
@@ -127,17 +126,6 @@ class TestOtherJoins:
                                 kind=JoinKind.SEMI) == [(1,)]
         assert nested_loop_join(left, right, condition, WorkMeter(),
                                 kind=JoinKind.ANTI) == [(9,)]
-
-    def test_merge_join_matches_hash_join(self):
-        left = [(i % 5, i) for i in range(20)]
-        right = [(i % 3, -i) for i in range(15)]
-        merged = merge_join(left, right, key0, key0, WorkMeter())
-        hashed = hash_join(left, right, key0, key0, WorkMeter())
-        assert sorted(merged) == sorted(hashed)
-
-    def test_merge_join_drops_null_keys(self):
-        out = merge_join([(None, 1), (2, 2)], [(2, 9)], key0, key0, WorkMeter())
-        assert out == [(2, 2, 2, 9)]
 
 
 class TestSort:

@@ -432,7 +432,7 @@ def test_literal_dml_is_bound_once_per_ddl_epoch(monkeypatch):
         db.execute(text)
     assert len(calls) == 1
     for _ in range(3):
-        forgetful.gdh.bound_memo.clear()
+        forgetful.gdh.parse_memo.clear()
         forgetful.execute(text)
     assert len(calls) == 4
     # The memo saves host work only: same simulated front-end charge.

@@ -449,11 +449,11 @@ class TestLinkFailures:
         before = table_contents(db)
         machine = db.machine
         neighbor = machine.topology.neighbors(0)[0]
-        db.fail_link(0, neighbor)
+        db.faults.fail_link(0, neighbor)
         # Ring of 4: the other direction still connects everything.
         assert machine.reachable(0, neighbor)
         assert table_contents(db) == before
-        db.restore_link(0, neighbor)
+        db.faults.restore_link(0, neighbor)
 
     def test_partition_surfaces_as_error_and_heals(self):
         db = make_db()
@@ -464,12 +464,12 @@ class TestLinkFailures:
         machine = db.machine
         # Cut node 2 (a fragment host on the 4-ring) off entirely.
         for neighbor in machine.topology.neighbors(2):
-            db.fail_link(2, neighbor)
+            db.faults.fail_link(2, neighbor)
         assert not machine.reachable(0, 2)
         with pytest.raises((PrismaError, LinkDownError)):
             db.query("SELECT k, v FROM t")
         for neighbor in machine.topology.neighbors(2):
-            db.restore_link(2, neighbor)
+            db.faults.restore_link(2, neighbor)
         assert table_contents(db) == before
 
     def test_scheduled_fault_fires_on_event_loop(self):

@@ -13,7 +13,6 @@ from repro.exec.operators import (
     distinct_rows,
     hash_join,
     intersect_rows,
-    merge_join,
     nested_loop_join,
     sort_rows,
     union_rows,
@@ -42,13 +41,6 @@ class TestJoinProperties:
         condition = lambda row: row[0] == row[2]  # noqa: E731
         looped = nested_loop_join(left, right, condition, WorkMeter())
         assert sorted(hashed) == sorted(looped)
-
-    @given(left=_int_rows, right=_int_rows)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_join_matches_hash_join(self, left, right):
-        merged = merge_join(left, right, key0, key0, WorkMeter())
-        hashed = hash_join(left, right, key0, key0, WorkMeter())
-        assert sorted(merged) == sorted(hashed)
 
     @given(left=_int_rows, right=_int_rows)
     @settings(max_examples=100, deadline=None)

@@ -371,13 +371,13 @@ class TestFaultFacade:
         with pytest.raises(RuntimeError):
             with machine.faults(nodes=[3], links=[(0, 1)]):
                 assert not machine.node_is_up(3)
-                assert machine.fault_board.active() == {
+                assert machine.active_faults() == {
                     "nodes": [3],
                     "links": [(0, 1)],
                 }
                 raise RuntimeError("boom")
         assert machine.node_is_up(3)
-        assert machine.fault_board.active() == {"nodes": [], "links": []}
+        assert machine.active_faults() == {"nodes": [], "links": []}
 
     def test_scope_leaves_preexisting_faults_alone(self):
         machine = Machine(MachineConfig(n_nodes=8, topology="ring"))
