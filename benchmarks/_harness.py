@@ -10,8 +10,7 @@ Also home to the benchmark-only bits of the observability layer:
 ``install_wall_clock`` is the one sanctioned place that hands a host
 clock to :class:`~repro.machine.profile.LoopProfiler` (simulation code
 never reads wall time — prismalint PL001/PL006 enforce that), and
-``digest``/``combined_fingerprint`` are the canonical hashes the perf
-gate and the A4 determinism gate pin their baselines with.
+``digest`` is the short hash the perf gate pins row sets with.
 """
 
 from __future__ import annotations
@@ -67,16 +66,6 @@ def build_parser(
 def digest(value: object) -> str:
     """Short stable digest of any repr-able value (perf-baseline pins)."""
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def combined_fingerprint(matrix: object, failover: object) -> str:
-    """Full-length digest of a (matrix, failover) fingerprint pair.
-
-    Shared by ``bench_a4_faults.py`` and the perf gate so both sides of
-    the CI determinism diff hash byte-identical payloads.
-    """
-    payload = repr((matrix, failover)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
 
 
 def install_wall_clock() -> None:

@@ -23,6 +23,7 @@ twice with the same seed and diff the files bit-for-bit::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -45,7 +46,6 @@ from repro.core.faults import (  # noqa: E402
 )
 
 from _harness import build_parser  # noqa: E402
-from _harness import combined_fingerprint as _combined  # noqa: E402
 from _harness import report  # noqa: E402
 
 CONFIG = MachineConfig(n_nodes=8, disk_nodes=(0, 4), topology="ring")
@@ -186,10 +186,9 @@ def run_element_failover(seed: int) -> dict:
 
 
 def combined_fingerprint(matrix: list[dict], failover: dict) -> str:
-    return _combined(
-        [cell["fingerprints"] for cell in matrix],
-        failover["fingerprints"],
-    )
+    """Full-length digest of every matrix cell's and the failover's fingerprints."""
+    payload = ([cell["fingerprints"] for cell in matrix], failover["fingerprints"])
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 # -- pytest entry points -----------------------------------------------------

@@ -68,7 +68,7 @@ def test_e1_throughput_curve(sweep, benchmark):
             " paper claim (Section 3.2): 'upto 20,000 packets/s per PE'."
             f"\nsimulator: {events:,} events in {wall:.2f}s wall"
             f" ({events / wall:,.0f} events/s) across the sweep;"
-            " see benchmarks/perf_gate.py for the regression gate."
+            " benchmarks/perf_gate.py pins the 20k point's event count."
         ),
     )
     # Reproduction checks: linear at low load, saturation in the claimed

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError, PlanError
+from repro.exec.closure import edge_table, ordered
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import Arithmetic, ColumnRef
 from repro.exec.operators import JoinKind, Row, WorkMeter
@@ -206,22 +207,18 @@ class DistributedExecutor:
         catalog: Catalog,
         fragment_ofms: dict[str, OneFragmentManager],
         compiled_expressions: bool = True,
-        broadcast_rows: int = BROADCAST_ROWS,
-        distributed_closure: bool = True,
-        multicast_fanin: int = MULTICAST_FANIN,
     ):
         self.runtime = runtime
         self.machine = runtime.machine
         self.catalog = catalog
         self.fragment_ofms = fragment_ofms
         self.evaluator = Evaluator(compiled=compiled_expressions)
-        self.broadcast_rows = broadcast_rows
         #: Run transitive closure as a parallel distributed fixpoint when
         #: the input is fragmented (False = gather to one transient OFM).
-        self.distributed_closure = distributed_closure
+        self.distributed_closure = True
         #: Gathers/broadcasts wider than this route through a relay tree
         #: so no process pays more than `multicast_fanin` transfers.
-        self.multicast_fanin = multicast_fanin
+        self.multicast_fanin = MULTICAST_FANIN
         #: Compiled single-pass bucket splitters, one per shuffle shape.
         self._splitters = SplitterCache()
         #: Tracer handle (None unless the runtime carries an enabled
@@ -833,7 +830,7 @@ class DistributedExecutor:
         # Strategy 1: broadcast a small right side (valid for all kinds
         # here because SEMI/ANTI/LEFT_OUTER keep the left partitioned
         # and need the *whole* right everywhere).
-        broadcast_ok = right.total_rows <= self.broadcast_rows or not left_keys
+        broadcast_ok = right.total_rows <= BROADCAST_ROWS or not left_keys
         if plan.kind is JoinKind.INNER and not left_keys:
             broadcast_ok = True
         if broadcast_ok:
@@ -969,24 +966,9 @@ class DistributedExecutor:
         edges_by_src = self._repartition(edges, (0,))
         sites = [part.process for part in edges_by_src.parts]
 
-        # Loop-invariant build side, one hash table per site.  Rows with
-        # a NULL source never join (NULL-safe equi-join semantics).
-        edge_tables: list[dict] = []
-        edge_counts: list[int] = []
-        for edge_part in edges_by_src.parts:
-            table: dict = {}
-            get = table.get
-            for row in edge_part.rows:
-                src = row[0]
-                if src is None:
-                    continue
-                bucket = get(src)
-                if bucket is None:
-                    table[src] = [row[1]]
-                else:
-                    bucket.append(row[1])
-            edge_tables.append(table)
-            edge_counts.append(len(edge_part.rows))
+        # Loop-invariant build side, one hash table per site.
+        edge_tables = [edge_table(part.rows) for part in edges_by_src.parts]
+        edge_counts = [len(part.rows) for part in edges_by_src.parts]
         # Projecting (a, c) out of a joined pair costs the projector
         # weight per output row (4x under the interpreted back-end).
         _, proj_weight = self.evaluator.projector((ColumnRef(0), ColumnRef(3)))
@@ -1056,7 +1038,7 @@ class DistributedExecutor:
             delta = DistRelation(fresh_parts, None)
 
         result_parts = [
-            Part(site, sorted(total)) for site, total in zip(sites, totals)
+            Part(site, ordered(total)) for site, total in zip(sites, totals)
         ]
         return DistRelation(result_parts, (0, 1))
 

@@ -73,12 +73,15 @@ class _ClientState:
         return self.txn_index >= len(self.transactions)
 
 
+#: A transaction picked as deadlock victim more often than this is livelocked.
+MAX_DEADLOCK_RETRIES = 25
+
+
 class InterleavedDriver:
     """Runs transaction scripts from many sessions concurrently."""
 
-    def __init__(self, db: PrismaDB, max_deadlock_retries: int = 25):
+    def __init__(self, db: PrismaDB):
         self.db = db
-        self.max_deadlock_retries = max_deadlock_retries
 
     def run(self, scripts: list[list[list[str]]]) -> DriverReport:
         """*scripts[i]* is client i's list of transactions (statement
@@ -143,7 +146,7 @@ class InterleavedDriver:
         except DeadlockError:
             report.deadlocks += 1
             client.retries += 1
-            if client.retries > self.max_deadlock_retries:
+            if client.retries > MAX_DEADLOCK_RETRIES:
                 raise
             # The GDH already aborted the transaction; retry it fresh.
             client.stmt_index = -1

@@ -26,7 +26,7 @@ Pair = tuple
 StepFn = Callable[[set, list], Iterable[Row]]
 
 
-def _ordered(rows: Iterable) -> list:
+def ordered(rows: Iterable) -> list:
     """Deterministic ordering even for heterogeneous/NULL-bearing rows."""
     rows = list(rows)
     try:
@@ -47,10 +47,23 @@ class FixpointResult:
     iterations: int
 
 
-def _adjacency(edges: Iterable[Pair]) -> dict:
+def edge_table(edges: Iterable[Pair]) -> dict:
+    """``src -> [dst, ...]``, the build side every closure round probes.
+
+    Edges with a NULL source are left out: NULL equals nothing, so no
+    path continues through them (the SQL equi-joins refuse the same
+    pairs).  They stay in the result as the base edges they are.
+    """
     adjacency: dict = {}
+    get = adjacency.get
     for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
+        if a is None:
+            continue
+        bucket = get(a)
+        if bucket is None:
+            adjacency[a] = [b]
+        else:
+            bucket.append(b)
     return adjacency
 
 
@@ -61,7 +74,7 @@ def naive_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult:
     pairs, so total work grows with (paths × depth).
     """
     edge_list = list(dict.fromkeys(edges))
-    adjacency = _adjacency(edge_list)
+    adjacency = edge_table(edge_list)
     total: set[Pair] = set(edge_list)
     iterations = 0
     while True:
@@ -76,14 +89,14 @@ def naive_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult:
                 derived.add((a, c))
                 meter.tuples += 1
         if derived == total:
-            return FixpointResult(_ordered(total), iterations)
+            return FixpointResult(ordered(total), iterations)
         total = derived
 
 
 def seminaive_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult:
     """Semi-naive iteration: only the delta joins with the edges each round."""
     edge_list = list(dict.fromkeys(edges))
-    adjacency = _adjacency(edge_list)
+    adjacency = edge_table(edge_list)
     total: set[Pair] = set(edge_list)
     delta: list[Pair] = list(total)
     iterations = 0
@@ -102,7 +115,7 @@ def seminaive_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult
                     total.add(pair)
                     new.append(pair)
         delta = new
-    return FixpointResult(_ordered(total), iterations)
+    return FixpointResult(ordered(total), iterations)
 
 
 def smart_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult:
@@ -118,15 +131,15 @@ def smart_closure(edges: Sequence[Pair], meter: WorkMeter) -> FixpointResult:
         iterations += 1
         if iterations > MAX_ITERATIONS:
             raise ExecutionError("smart closure failed to converge")
-        adjacency = _adjacency(total)
+        adjacency = edge_table(total)
         meter.hashes += len(total)
         derived = set(total)
-        for a, b in total:  # prismalint: disable=PL102 -- derives into a set and counts tuples; order cannot reach results (_ordered sorts the output)
+        for a, b in total:  # prismalint: disable=PL102 -- derives into a set and counts tuples; order cannot reach results (ordered sorts the output)
             for c in adjacency.get(b, ()):
                 derived.add((a, c))
                 meter.tuples += 1
         if derived == total:
-            return FixpointResult(_ordered(total), iterations)
+            return FixpointResult(ordered(total), iterations)
         total = derived
 
 
@@ -137,10 +150,10 @@ def reachable_from(
 
     When a recursive query binds the first argument (e.g.
     ``ancestor(john, X)``), computing the full closure first is wasteful;
-    this walks forward from the bound constants only.  The optimizer uses
-    it as the bound-argument fast path.
+    this walks forward from the bound constants only.  No plan emits it:
+    experiment E6 measures what the push-down would save.
     """
-    adjacency = _adjacency(edges)
+    adjacency = edge_table(edges)
     frontier = list(dict.fromkeys(sources))
     reached: set = set()
     iterations = 0
@@ -155,7 +168,7 @@ def reachable_from(
                     next_frontier.append(neighbor)
                     meter.tuples += 1
         frontier = next_frontier
-    return FixpointResult(_ordered(reached), iterations)
+    return FixpointResult(ordered(reached), iterations)
 
 
 def seminaive_fixpoint(
@@ -191,4 +204,4 @@ def seminaive_fixpoint(
         meter.tuples += len(new)
         meter.hashes += len(new)
         delta = new
-    return FixpointResult(_ordered(total), iterations)
+    return FixpointResult(ordered(total), iterations)

@@ -29,20 +29,15 @@ class Evaluator:
     ``batch`` selects whether operator chains run through the generated
     kernels of :mod:`repro.exec.pipeline` instead of per-row calls.
     Both default on; flipping ``batch`` off restores the row-at-a-time
-    loops — the identity oracle, and the A/B baseline of the
-    ``columnar`` perf-gate suite.  Neither switch changes results or
-    simulated charges.
+    loops — the identity oracle, and the other side of the perf gate's
+    kernel-vs-row ratios.  Neither switch changes results or simulated
+    charges.
     """
 
-    def __init__(
-        self,
-        compiled: bool = True,
-        cache: ExpressionCompilerCache | None = None,
-        batch: bool = True,
-    ):
+    def __init__(self, compiled: bool = True, batch: bool = True):
         self.compiled = compiled
         self.batch = batch
-        self.cache = cache or ExpressionCompilerCache()
+        self.cache = ExpressionCompilerCache()
 
     def predicate(self, expr: Expr) -> tuple[Callable[[Sequence[Any]], bool], float]:
         """A filter callable and its per-row simulated weight."""

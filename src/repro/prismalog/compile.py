@@ -53,7 +53,6 @@ class CompiledProgram:
 def compile_program(
     program: Program,
     edb_schemas: dict[str, Schema],
-    use_closure_operator: bool = True,
 ) -> CompiledProgram | None:
     """Compile *program* into pure algebra plans, or ``None``.
 
@@ -75,7 +74,7 @@ def compile_program(
         definition = analysis.predicates[name]
         recursive = name in analysis.recursive or len(component) > 1
         if recursive:
-            if len(component) > 1 or not use_closure_operator:
+            if len(component) > 1:
                 return None
             closure = detect_transitive_closure(
                 name, definition, analysis.predicates

@@ -79,7 +79,6 @@ class PrismalogEngine:
         edb_schemas: Mapping[str, Schema] | None = None,
         evaluator: Evaluator | None = None,
         use_closure_operator: bool = True,
-        closure_mode: str = "seminaive",
     ):
         self.edb_tables = dict(edb_tables or {})
         self.edb_schemas = dict(edb_schemas or {})
@@ -90,7 +89,6 @@ class PrismalogEngine:
             )
         self.evaluator = evaluator or Evaluator()
         self.use_closure_operator = use_closure_operator
-        self.closure_mode = closure_mode
         self.stats = EvaluationStats()
         #: Materialized relations (EDB + derived), name -> rows.
         self.relations: dict[str, list[Row]] = {
@@ -156,9 +154,6 @@ class PrismalogEngine:
             name = component[0]
             closure = detect_transitive_closure(name, predicates[name], predicates)
             if closure is not None:
-                from repro.algebra.plan import ClosureNode, ScanNode
-
-                closure = ClosureNode(closure.child, self.closure_mode)
                 executor = self._executor()
                 rows = set(tuple(r) for r in executor.run(closure))
                 self.stats.closure_operator_hits.append(name)

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import MachineConfig, PrismaDB
 from repro.exec.closure import (
     naive_closure,
     reachable_from,
@@ -14,6 +15,16 @@ from repro.exec.closure import (
 from repro.exec.operators import WorkMeter
 
 ALGORITHMS = [naive_closure, seminaive_closure, smart_closure]
+
+#: A 3-cycle plus edges with a NULL endpoint.  NULL equals nothing, so
+#: (NULL,5) o (5,NULL) derives (NULL,NULL) through 5 = 5, but
+#: (5,NULL) o (NULL,5) derives nothing: there is no (5,5).
+NULL_EDGES = [(1, 2), (2, 3), (3, 1), (None, 5), (5, None)]
+NULL_CLOSURE = sorted(
+    [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    + [(None, 5), (5, None), (None, None)],
+    key=repr,
+)
 
 
 def chain(n):
@@ -58,6 +69,10 @@ class TestClosureCorrectness:
             ("a", "b"), ("a", "c"), ("b", "c"),
         ]
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_null_endpoints_never_join(self, algorithm):
+        assert algorithm(NULL_EDGES, WorkMeter()).rows == NULL_CLOSURE
+
 
 class TestIterationCounts:
     def test_smart_uses_logarithmically_fewer_rounds(self):
@@ -94,6 +109,26 @@ class TestReachableFrom:
         full = seminaive_closure(edges, WorkMeter())
         from_zero = sorted(b for a, b in full.rows if a == 0)
         assert reachable_from(edges, [0], WorkMeter()).rows == from_zero
+
+    def test_null_source_reaches_nothing(self):
+        assert reachable_from(NULL_EDGES, [5], WorkMeter()).rows == [None]
+        assert reachable_from(NULL_EDGES, [None], WorkMeter()).rows == []
+
+
+@pytest.mark.parametrize("fragments", [1, 4])
+def test_null_closure_is_independent_of_fragmentation(fragments):
+    """SQL and PRISMAlog agree with the local operator at any fragment
+    count, and the statement ends its transaction either way."""
+    db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+    db.execute(
+        f"CREATE TABLE e (a INT, b INT) FRAGMENTED BY HASH(a) INTO {fragments}"
+    )
+    db.bulk_load("e", NULL_EDGES)
+    assert sorted(db.execute("SELECT * FROM CLOSURE(e)").rows, key=repr) == NULL_CLOSURE
+    program = "p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z). ? p(5, X)."
+    assert db.execute_prismalog(program)[0].rows == [(None,)]
+    assert not db.gdh.txns.active
+    db.session().execute("UPDATE e SET b = 6 WHERE a = 5")
 
 
 class TestGenericFixpoint:
