@@ -1,4 +1,4 @@
-"""Logical relational algebra with fixpoint extensions, plus the
+"""Logical relational algebra with the closure extension, plus the
 knowledge-based query optimizer (paper Sections 2.3 and 2.4)."""
 
 from repro.algebra.estimates import Estimator, RelProfile, TableStats
@@ -11,7 +11,6 @@ from repro.algebra.plan import (
     ClosureNode,
     DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     PlanNode,
@@ -35,7 +34,6 @@ __all__ = [
     "DeltaScanNode",
     "DistinctNode",
     "Estimator",
-    "FixpointNode",
     "JoinNode",
     "KNOWLEDGE_BASE",
     "LimitNode",

@@ -32,9 +32,7 @@ from repro.exec.expressions import (
 from repro.algebra.plan import (
     AggregateNode,
     ClosureNode,
-    DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     PlanNode,
@@ -45,7 +43,6 @@ from repro.algebra.plan import (
     SharedScanNode,
     SortNode,
     TopNNode,
-    TotalScanNode,
     ValuesNode,
 )
 from repro.exec.operators import JoinKind
@@ -55,7 +52,7 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 RANGE_SELECTIVITY = 1 / 3
 LIKE_SELECTIVITY = 0.25
 NULL_SELECTIVITY = 0.1
-#: Expansion factor guess for transitive closure / recursion.
+#: Expansion factor guess for transitive closure.
 CLOSURE_EXPANSION = 4.0
 
 
@@ -111,8 +108,6 @@ class Estimator:
     ):
         self.table_stats = table_stats
         self.shared_profiles = dict(shared_profiles or {})
-        #: Profiles for fixpoint recursion tokens while estimating steps.
-        self._recursion_profiles: dict[str, RelProfile] = {}
 
     # -- entry point ----------------------------------------------------------
 
@@ -149,19 +144,6 @@ class Estimator:
 
     def _profile_SharedScanNode(self, plan: SharedScanNode) -> RelProfile:
         profile = self.shared_profiles.get(plan.token)
-        if profile is not None:
-            return RelProfile(profile.rows, profile.row_bytes, list(profile.ndv))
-        rows = 1000.0
-        return RelProfile(rows, plan.schema.average_row_bytes(), [rows] * len(plan.schema))
-
-    def _profile_DeltaScanNode(self, plan: DeltaScanNode) -> RelProfile:
-        return self._recursion_profile(plan.token, plan)
-
-    def _profile_TotalScanNode(self, plan: TotalScanNode) -> RelProfile:
-        return self._recursion_profile(plan.token, plan)
-
-    def _recursion_profile(self, token: str, plan: PlanNode) -> RelProfile:
-        profile = self._recursion_profiles.get(token)
         if profile is not None:
             return RelProfile(profile.rows, profile.row_bytes, list(profile.ndv))
         rows = 1000.0
@@ -232,20 +214,6 @@ class Estimator:
         child = self.profile(plan.child)
         rows = min(child.rows * CLOSURE_EXPANSION, child.ndv[0] * child.ndv[1])
         return RelProfile(rows, child.row_bytes, [child.ndv[0], child.ndv[1]])
-
-    def _profile_FixpointNode(self, plan: FixpointNode) -> RelProfile:
-        base = self.profile(plan.base)
-        grown = RelProfile(
-            base.rows * CLOSURE_EXPANSION, base.row_bytes, list(base.ndv)
-        ).clamp()
-        self._recursion_profiles[plan.token] = grown
-        try:
-            # One representative step round informs the expansion a bit.
-            step = self.profile(plan.step)
-        finally:
-            self._recursion_profiles.pop(plan.token, None)
-        rows = max(grown.rows, base.rows + step.rows)
-        return RelProfile(rows, base.row_bytes, list(grown.ndv))
 
     # -- binary -----------------------------------------------------------------------
 

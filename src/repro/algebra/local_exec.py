@@ -5,8 +5,11 @@ evaluates a plan tree against main-memory relations, using the
 expression compiler (or the interpreter, under ablation) for predicates
 and projections, and metering abstract work for the simulated clock.
 
-The distributed executor (:mod:`repro.core.executor`) decomposes a plan
-into per-fragment subplans and runs each of them through one of these.
+The distributed executor (:mod:`repro.core.executor`) moves the rows and
+calls :meth:`LocalExecutor.step` for each site-local join, set operation
+and closure: rows in, rows out.  The PRISMAlog engine runs whole plans
+through :meth:`LocalExecutor.run`, binding the delta and total relations
+its step plans scan before each round of its own fixpoint loop.
 """
 
 from __future__ import annotations
@@ -14,12 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError
-from repro.exec.closure import (
-    naive_closure,
-    seminaive_closure,
-    seminaive_fixpoint,
-    smart_closure,
-)
+from repro.exec.closure import seminaive_closure
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import ColumnRef
 from repro.exec.operators import (
@@ -41,7 +39,6 @@ from repro.algebra.plan import (
     ClosureNode,
     DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     PlanNode,
@@ -55,12 +52,6 @@ from repro.algebra.plan import (
     TotalScanNode,
     ValuesNode,
 )
-
-_CLOSURE_ALGORITHMS = {
-    "naive": naive_closure,
-    "seminaive": seminaive_closure,
-    "smart": smart_closure,
-}
 
 TableResolver = Callable[[str], Sequence[Row]]
 
@@ -140,8 +131,8 @@ class LocalExecutor:
         self.meter = meter if meter is not None else WorkMeter()
         self._recursion_delta: dict[str, list[Row]] = {}
         self._recursion_total: dict[str, list[Row]] = {}
-        #: Fixpoint iteration counts per token (observability for E6/E7).
-        self.fixpoint_iterations: dict[str, int] = {}
+        #: Rounds the last closure step took (observability for E6/E7).
+        self.closure_rounds = 0
 
     # -- entry point -----------------------------------------------------------
 
@@ -161,15 +152,21 @@ class LocalExecutor:
         self._recursion_delta[token] = list(delta)
         self._recursion_total[token] = list(total)
 
-    def clear_recursion(self, token: str) -> None:
-        self._recursion_delta.pop(token, None)
-        self._recursion_total.pop(token, None)
-
     def run(self, plan: PlanNode) -> list[Row]:
         method = getattr(self, f"_run_{type(plan).__name__}", None)
         if method is None:
             raise ExecutionError(f"no executor for {type(plan).__name__}")
         return method(plan)
+
+    def step(self, plan: PlanNode, *inputs: Sequence[Row]) -> list[Row]:
+        """The join, set operation or closure at the root of *plan*
+        applied to its children's already-materialised rows."""
+        return getattr(self, f"_step_{type(plan).__name__}")(plan, *inputs)
+
+    def _run_step(self, plan: PlanNode) -> list[Row]:
+        return self.step(plan, *[self.run(child) for child in plan.children])
+
+    _run_JoinNode = _run_SetOpNode = _run_ClosureNode = _run_step
 
     # -- leaves ------------------------------------------------------------------
 
@@ -227,35 +224,16 @@ class LocalExecutor:
     _run_SelectNode = _run_ProjectNode = _run_AggregateNode = _run_chain
     _run_SortNode = _run_TopNNode = _run_DistinctNode = _run_LimitNode = _run_chain
 
-    def _run_ClosureNode(self, plan: ClosureNode) -> list[Row]:
-        rows = self.run(plan.child)
-        algorithm = _CLOSURE_ALGORITHMS[plan.mode]
-        result = algorithm([tuple(r) for r in rows], self.meter)
-        self.fixpoint_iterations[f"closure@{id(plan)}"] = result.iterations
-        return list(result.rows)
-
-    def _run_FixpointNode(self, plan: FixpointNode) -> list[Row]:
-        base_rows = self.run(plan.base)
-        token = plan.token
-
-        def step(total: set, delta: list) -> list[Row]:
-            self._recursion_delta[token] = delta
-            self._recursion_total[token] = list(total)
-            try:
-                return self.run(plan.step)
-            finally:
-                self._recursion_delta.pop(token, None)
-                self._recursion_total.pop(token, None)
-
-        result = seminaive_fixpoint(base_rows, step, self.meter)
-        self.fixpoint_iterations[token] = result.iterations
+    def _step_ClosureNode(self, plan: ClosureNode, rows: Sequence[Row]) -> list[Row]:
+        result = seminaive_closure([tuple(r) for r in rows], self.meter)
+        self.closure_rounds = result.iterations
         return list(result.rows)
 
     # -- binary -----------------------------------------------------------------------
 
-    def _run_JoinNode(self, plan: JoinNode) -> list[Row]:
-        left_rows = self.run(plan.left)
-        right_rows = self.run(plan.right)
+    def _step_JoinNode(
+        self, plan: JoinNode, left_rows: Sequence[Row], right_rows: Sequence[Row]
+    ) -> list[Row]:
         right_width = len(plan.right.schema)
         left_keys, right_keys, residual = plan.equi_keys()
         if (
@@ -293,9 +271,9 @@ class LocalExecutor:
             right_width=right_width,
         )
 
-    def _run_SetOpNode(self, plan: SetOpNode) -> list[Row]:
-        left_rows = self.run(plan.left)
-        right_rows = self.run(plan.right)
+    def _step_SetOpNode(
+        self, plan: SetOpNode, left_rows: Sequence[Row], right_rows: Sequence[Row]
+    ) -> list[Row]:
         if plan.op == "union":
             return union_rows(left_rows, right_rows, self.meter)
         if plan.op == "union_all":

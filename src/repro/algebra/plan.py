@@ -2,10 +2,12 @@
 
 PRISMAlog semantics are "defined in terms of extensions of the
 relational algebra" (Section 2.3) and SQL compiles to the same algebra,
-so this tree is the meeting point of both front-ends.  The extensions
-beyond the classical operators are :class:`ClosureNode` (the OFM's
-transitive-closure operator, Section 2.5) and :class:`FixpointNode`
-(general least-fixpoint evaluation for recursive PRISMAlog rules).
+so this tree is the meeting point of both front-ends.  The one
+extension beyond the classical operators is :class:`ClosureNode`, the
+OFM's transitive-closure operator (Section 2.5) and the algebra's only
+recursive node.  General recursion is the PRISMAlog engine's own loop
+over plain step plans, whose :class:`DeltaScanNode` /
+:class:`TotalScanNode` leaves read what the loop has derived so far.
 
 Plan nodes are immutable; rewrite rules build new trees via
 :meth:`PlanNode.with_children`.  Structural identity (``key()``) powers
@@ -195,7 +197,7 @@ class SharedScanNode(PlanNode):
 
 
 class DeltaScanNode(PlanNode):
-    """Inside a fixpoint step: the most recent delta of the recursion."""
+    """In a PRISMAlog engine step plan: the predicate's newest delta."""
 
     def __init__(self, token: str, schema: Schema):
         self.token = token
@@ -216,7 +218,7 @@ class DeltaScanNode(PlanNode):
 
 
 class TotalScanNode(PlanNode):
-    """Inside a fixpoint step: everything derived so far for the recursion."""
+    """In a PRISMAlog engine step plan: everything derived so far."""
 
     def __init__(self, token: str, schema: Schema):
         self.token = token
@@ -547,18 +549,10 @@ class TopNNode(PlanNode):
 
 
 class ClosureNode(PlanNode):
-    """Transitive closure of a binary relation (paper Section 2.5).
+    """Transitive closure of a binary relation (paper Section 2.5),
+    evaluated semi-naively — the algebra's only recursive operator."""
 
-    ``mode`` picks the algorithm: ``seminaive`` (default), ``naive``, or
-    ``smart`` — exposed so E6 can ablate them through the whole stack.
-    """
-
-    MODES = ("seminaive", "naive", "smart")
-
-    def __init__(self, child: PlanNode, mode: str = "seminaive"):
-        if mode not in self.MODES:
-            raise PlanError(f"unknown closure mode {mode!r}")
-        self.mode = mode
+    def __init__(self, child: PlanNode):
         super().__init__((child,))
         schema = self.children[0].schema
         if len(schema) != 2:
@@ -574,59 +568,10 @@ class ClosureNode(PlanNode):
         return self.children[0].schema
 
     def _key_payload(self) -> tuple:
-        return (self.mode,)
+        return ()
 
     def copy_with(self, children):
-        return ClosureNode(children[0], self.mode)
-
-    def label(self) -> str:
-        return f"Closure[{self.mode}]"
-
-
-class FixpointNode(PlanNode):
-    """General least fixpoint: ``base`` seeds, ``step`` derives from delta.
-
-    The *step* subplan reads :class:`DeltaScanNode` / :class:`TotalScanNode`
-    leaves carrying the same *token*; evaluation repeats the step with the
-    newest delta until nothing new is produced (semi-naive).
-    """
-
-    def __init__(self, base: PlanNode, step: PlanNode, token: str):
-        self.token = token
-        super().__init__((base, step))
-        base_schema, step_schema = base.schema, step.schema
-        if len(base_schema) != len(step_schema):
-            raise PlanError(
-                "fixpoint base and step have different arities:"
-                f" {len(base_schema)} vs {len(step_schema)}"
-            )
-        if not any(
-            isinstance(node, (DeltaScanNode, TotalScanNode)) and node.token == token
-            for node in step.walk()
-        ):
-            raise PlanError(
-                f"fixpoint step never reads its own recursion token {token!r}"
-            )
-
-    @property
-    def base(self) -> PlanNode:
-        return self.children[0]
-
-    @property
-    def step(self) -> PlanNode:
-        return self.children[1]
-
-    def _derive_schema(self) -> Schema:
-        return self.children[0].schema
-
-    def _key_payload(self) -> tuple:
-        return (self.token,)
-
-    def copy_with(self, children):
-        return FixpointNode(children[0], children[1], self.token)
-
-    def label(self) -> str:
-        return f"Fixpoint[{self.token}]"
+        return ClosureNode(children[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from repro.exec.expressions import ColumnRef, columns_used, remap_columns
 from repro.algebra.plan import (
     AggregateNode,
     ClosureNode,
-    DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     PlanNode,
@@ -30,7 +28,6 @@ from repro.algebra.plan import (
     SharedScanNode,
     SortNode,
     TopNNode,
-    TotalScanNode,
     ValuesNode,
 )
 from repro.exec.operators import JoinKind
@@ -70,10 +67,6 @@ def _prune(plan: PlanNode, needed: list[int]) -> tuple[PlanNode, dict[int, int]]
         # Conservative default: keep the subtree as is.
         return plan, {i: i for i in needed}
     return handler(plan, needed)
-
-
-def _identity_mapping(plan: PlanNode, needed: list[int]) -> tuple[PlanNode, dict[int, int]]:
-    return plan, {i: i for i in needed}
 
 
 def _prune_leaf(plan: PlanNode, needed: list[int]) -> tuple[PlanNode, dict[int, int]]:
@@ -202,7 +195,7 @@ def _prune_topn(plan: TopNNode, needed: list[int]) -> tuple[PlanNode, dict[int, 
 
 def _prune_all_columns(plan: PlanNode, needed: list[int]) -> tuple[PlanNode, dict[int, int]]:
     """Operators whose semantics read every column (Distinct, SetOp,
-    Closure, Fixpoint): recurse without narrowing."""
+    Closure): recurse without narrowing."""
     new_children = []
     for child in plan.children:
         new_child, child_map = _prune(child, list(range(len(child.schema))))
@@ -217,8 +210,6 @@ _HANDLERS = {
     ScanNode: _prune_leaf,
     ValuesNode: _prune_leaf,
     SharedScanNode: _prune_leaf,
-    DeltaScanNode: _identity_mapping,
-    TotalScanNode: _identity_mapping,
     SelectNode: _prune_select,
     ProjectNode: _prune_project,
     JoinNode: _prune_join,
@@ -229,5 +220,4 @@ _HANDLERS = {
     DistinctNode: _prune_all_columns,
     SetOpNode: _prune_all_columns,
     ClosureNode: _prune_all_columns,
-    FixpointNode: _prune_all_columns,
 }

@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.algebra.plan import (
-    DeltaScanNode,
-    PlanNode,
-    SharedScanNode,
-    TotalScanNode,
-)
+from repro.algebra.plan import PlanNode, SharedScanNode
 
 
 @dataclass
@@ -35,18 +30,12 @@ class SharedPlan:
 
 
 def _is_candidate(node: PlanNode) -> bool:
-    """Only non-leaf, context-free subtrees are worth materializing.
-
-    Leaves are excluded (scanning a base fragment twice is cheaper than
-    materializing a copy); subtrees that read recursion deltas are
-    context-dependent and must not be hoisted out of their fixpoint.
-    """
+    """Only non-leaf subtrees are worth materializing (scanning a base
+    fragment twice is cheaper than materializing a copy), and only ones
+    that do not already read a shared scan."""
     if not node.children:
         return False
-    return not any(
-        isinstance(n, (DeltaScanNode, TotalScanNode, SharedScanNode))
-        for n in node.walk()
-    )
+    return not any(isinstance(n, SharedScanNode) for n in node.walk())
 
 
 def extract_common_subexpressions(

@@ -31,7 +31,6 @@ from repro.algebra.plan import (
     AggregateNode,
     ClosureNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     PlanNode,
@@ -323,19 +322,13 @@ class DistributedExecutor:
         # CPU was charged by the GDH front-end (_charge_frontend).
         self.runtime.send(self._query_process, process, SUBPLAN_BYTES)  # prismalint: disable=PL004 -- charged in GDH front-end
 
-    def _run_local(
-        self,
-        process: PoolProcess,
-        plan: PlanNode,
-        tables: dict[str, list] | None = None,
-        shared: dict[str, list] | None = None,
-    ) -> list:
-        """Run a subplan at *process*, charging its simulated CPU."""
+    def _run_local(self, process: PoolProcess, plan: PlanNode, *inputs: list) -> list:
+        """Run the operator at the root of *plan* over *inputs* (its
+        children's rows, already at *process*), charging its simulated
+        CPU: a tuple per input row read, then the operator's own work."""
         meter = WorkMeter()
-        executor = LocalExecutor(
-            tables=tables or {}, shared=shared, evaluator=self.evaluator, meter=meter
-        )
-        rows = executor.run(plan)
+        meter.tuples += sum(map(len, inputs))
+        rows = LocalExecutor(evaluator=self.evaluator, meter=meter).step(plan, *inputs)
         self._charge(process, meter, type(plan).__name__, len(rows))
         return rows
 
@@ -453,48 +446,57 @@ class DistributedExecutor:
             rows.extend(part.rows)
         return DistRelation([Part(target, rows)], None)
 
-    def _tree_gather(self, parts: list[Part], target: PoolProcess) -> None:
-        """Charge a wide gather as a deterministic relay-tree multicast.
+    def _relay_groups(self, nodes: list[int], distance):
+        """The relay tree's one level below a root, for members hosted
+        at element ids *nodes*: yields ``(relay, rest)`` member
+        positions per group.
 
-        Parts are ordered by hosting element id (contiguous id ranges
+        Members are ordered by hosting element id (contiguous id ranges
         are physically close on every structured topology) and split
-        into at most ``multicast_fanin`` even groups.  Each group elects
-        the member nearest the target as relay: the rest of the group
-        ships to the relay (recursively when the group itself exceeds
-        the fan-in) and the relay forwards the group's rows in one
-        combined message.  The target therefore pays O(fanin) receive
-        overheads instead of O(parts), and long-haul flows collapse to
-        one message per subtree.  Only transfer charges move through the
-        tree; result rows are still concatenated from the original parts
-        by the caller, so answers cannot change.
+        into ``multicast_fanin`` even groups; each group elects as relay
+        the member with the fewest hops to the root, which is what
+        *distance* (element id -> hops) measures.
         """
         fanin = self.multicast_fanin
-        if len(parts) <= fanin:
-            for part in parts:
-                self._ship(part, target, part.rows)
-            return
-        hops = self.machine.router.hops
-        target_node = target.node_id
         relays = self.metrics.counter("executor.tree_relays")
-        order = sorted(range(len(parts)), key=lambda i: (parts[i].process.node_id, i))
+        order = sorted(range(len(nodes)), key=lambda i: (nodes[i], i))
         base, extra = divmod(len(order), fanin)
         start = 0
         for g in range(fanin):
             size = base + (1 if g < extra else 0)
             group = order[start : start + size]
             start += size
-            relay_index = min(
-                group,
-                key=lambda i: (
-                    hops(parts[i].process.node_id, target_node),
-                    parts[i].process.node_id,
-                    i,
-                ),
-            )
-            relay = parts[relay_index]
-            members = [parts[i] for i in group if i != relay_index]
-            if members:
+            relay = min(group, key=lambda i: (distance(nodes[i]), nodes[i], i))
+            rest = [i for i in group if i != relay]
+            if rest:
                 relays.inc()
+            yield relay, rest
+
+    def _tree_gather(self, parts: list[Part], target: PoolProcess) -> None:
+        """Charge a wide gather as a deterministic relay-tree multicast.
+
+        Within each group of :meth:`_relay_groups` the members ship to
+        the relay (recursively when the group itself exceeds the fan-in)
+        and the relay forwards the group's rows in one combined message.
+        The target therefore pays O(fanin) receive overheads instead of
+        O(parts), and long-haul flows collapse to one message per
+        subtree.  Only transfer charges move through the tree; result
+        rows are still concatenated from the original parts by the
+        caller, so answers cannot change.
+        """
+        if len(parts) <= self.multicast_fanin:
+            for part in parts:
+                self._ship(part, target, part.rows)
+            return
+        hops = self.machine.router.hops
+        target_node = target.node_id
+        nodes = [part.process.node_id for part in parts]
+        for relay_index, rest in self._relay_groups(
+            nodes, lambda node: hops(node, target_node)
+        ):
+            relay = parts[relay_index]
+            members = [parts[i] for i in rest]
+            if members:
                 self._tree_gather(members, relay.process)
             combined = list(relay.rows)
             for member in members:
@@ -779,39 +781,23 @@ class DistributedExecutor:
     ) -> None:
         """Charge one part's wide broadcast as a relay-tree multicast.
 
-        Mirror image of :meth:`_tree_gather`: targets are grouped by
-        element id, each group's member nearest the source receives one
-        copy and forwards it down its subtree.
+        Mirror image of :meth:`_tree_gather`: each group's relay
+        receives one copy and forwards it down its subtree.
         """
-        fanout = self.multicast_fanin
-        if len(targets) <= fanout:
+        if len(targets) <= self.multicast_fanin:
             for target in targets:
                 self._ship(source, target, rows)
             return
         hops = self.machine.router.hops
         source_node = source.process.node_id
-        relays = self.metrics.counter("executor.tree_relays")
-        order = sorted(range(len(targets)), key=lambda i: (targets[i].node_id, i))
-        base, extra = divmod(len(order), fanout)
-        start = 0
-        for g in range(fanout):
-            size = base + (1 if g < extra else 0)
-            group = order[start : start + size]
-            start += size
-            relay_index = min(
-                group,
-                key=lambda i: (
-                    hops(source_node, targets[i].node_id),
-                    targets[i].node_id,
-                    i,
-                ),
-            )
+        nodes = [target.node_id for target in targets]
+        for relay_index, rest in self._relay_groups(
+            nodes, lambda node: hops(source_node, node)
+        ):
             relay = targets[relay_index]
             self._ship(source, relay, rows)
-            rest = [targets[i] for i in group if i != relay_index]
             if rest:
-                relays.inc()
-                self._tree_scatter(Part(relay, rows), rest, rows)
+                self._tree_scatter(Part(relay, rows), [targets[i] for i in rest], rows)
 
     # -- joins ----------------------------------------------------------------------------
 
@@ -819,13 +805,9 @@ class DistributedExecutor:
         left = self._exec(plan.left)
         right = self._exec(plan.right)
         left_keys, right_keys, _residual = plan.equi_keys()
-        template = plan.memo("template", _binary_template)
 
         def local_join(process, left_rows, right_rows) -> Part:
-            rows = self._run_local(
-                process, template, {"__left": left_rows, "__right": right_rows}
-            )
-            return Part(process, rows)
+            return Part(process, self._run_local(process, plan, left_rows, right_rows))
 
         # Strategy 1: broadcast a small right side (valid for all kinds
         # here because SEMI/ANTI/LEFT_OUTER keep the left partitioned
@@ -912,13 +894,10 @@ class DistributedExecutor:
         left = self._repartition(left, all_cols)
         targets = [part.process for part in left.parts]
         right = self._repartition(right, all_cols, targets=targets)
-        template = plan.memo("template", _binary_template)
         parts = []
         for left_part, right_part in zip(left.parts, right.parts):
             rows = self._run_local(
-                left_part.process,
-                template,
-                {"__left": left_part.rows, "__right": right_part.rows},
+                left_part.process, plan, left_part.rows, right_part.rows
             )
             parts.append(Part(left_part.process, rows))
         return DistRelation(parts, all_cols)
@@ -928,17 +907,11 @@ class DistributedExecutor:
     def _exec_ClosureNode(self, plan: ClosureNode) -> DistRelation:
         child = self._exec(plan.child)
         assert self._query_process is not None
-        if (
-            self.distributed_closure
-            and plan.mode == "seminaive"
-            and len(child.parts) > 1
-            and child.total_rows > 0
-        ):
+        if self.distributed_closure and len(child.parts) > 1 and child.total_rows > 0:
             return self._distributed_closure(child)
         site = self._spawn_temp(self._query_process.ready_at)
         gathered = self._gather(child, site)
-        template = ClosureNode(_input_scan(plan.child.schema), plan.mode)
-        rows = self._run_local(site, template, {"__in": gathered.parts[0].rows})
+        rows = self._run_local(site, plan, gathered.parts[0].rows)
         return DistRelation([Part(site, rows)], None)
 
     def _distributed_closure(self, edges: DistRelation) -> DistRelation:
@@ -1042,46 +1015,10 @@ class DistributedExecutor:
         ]
         return DistRelation(result_parts, (0, 1))
 
-    def _exec_FixpointNode(self, plan: FixpointNode) -> DistRelation:
-        """Recursion runs at one transient OFM; every base relation the
-        step touches is gathered there first."""
-        assert self._query_process is not None
-        site = self._spawn_temp(self._query_process.ready_at)
-        tables: dict[str, list] = {}
-        for node in plan.walk():
-            if isinstance(node, ScanNode) and node.table_name not in tables:
-                scanned = self._exec_ScanNode(node)
-                tables[node.table_name] = self._gather(scanned, site).parts[0].rows
-        shared_rows = {
-            token: self._gather(rel, site).parts[0].rows
-            for token, rel in self._shared.items()
-            if any(
-                isinstance(n, SharedScanNode) and n.token == token
-                for n in plan.walk()
-            )
-        }
-        rows = self._run_local(site, plan, tables, shared_rows)
-        return DistRelation([Part(site, rows)], None)
-
 
 # ---------------------------------------------------------------------------
 # Helpers.
 # ---------------------------------------------------------------------------
-
-
-def _input_scan(schema: Schema, name: str = "__in") -> ScanNode:
-    """A synthetic scan bound to shipped-in rows at execution time."""
-    return ScanNode(name, schema)
-
-
-def _binary_template(plan: JoinNode | SetOpNode) -> PlanNode:
-    """*plan* over synthetic scans of the rows shipped to each site."""
-    return plan.with_children(
-        [
-            _input_scan(plan.left.schema, "__left"),
-            _input_scan(plan.right.schema, "__right"),
-        ]
-    )
 
 
 def _value_bytes(row: tuple) -> int:

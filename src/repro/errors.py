@@ -157,9 +157,9 @@ class InjectedCrash(Exception):  # noqa: N818 -- event, not an "...Error" condit
 class MessageOwnershipError(MachineError):
     """A message payload was mutated between send and delivery.
 
-    Raised only when the message-ownership sanitizer is enabled
-    (``PoolRuntime(sanitize=True)`` or ``REPRO_SANITIZE=1``); names the
-    sender, the receiver, and the first mutated path inside the payload.
+    Raised by the message-ownership sanitizer, which checks every
+    ``PoolRuntime.post``; names the sender, the receiver, and the first
+    mutated path inside the payload.
     """
 
 

@@ -1,29 +1,25 @@
-"""Transitive closure and fixpoint evaluation.
+"""Transitive closure of a binary relation.
 
 Section 2.5: the OFMs "support a transitive closure operator for dealing
 with recursive queries", and Section 2.3 defines PRISMAlog semantics "in
-terms of extensions of the relational algebra" — i.e. algebra plus
-fixpoints.  This module provides:
-
-* three closure algorithms over a binary relation — **naive** (re-derive
-  everything each round), **semi-naive** (join only the newly derived
-  delta), and **smart** (path doubling / squaring, logarithmically many
-  but heavier rounds) — experiment E6 compares them;
-* a *generic* semi-naive fixpoint driver used by the PRISMAlog
-  translator for arbitrary linear/non-linear recursive rule sets.
+terms of extensions of the relational algebra" — algebra plus this
+operator.  :func:`seminaive_closure` (join only the newly derived delta
+each round) is what a plan's ``ClosureNode`` runs.  The other functions
+are the baselines experiment E6 and the tests compare it against:
+**naive** (re-derive everything each round), **smart** (path doubling,
+logarithmically many but heavier rounds) and the selection-pushed
+:func:`reachable_from`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError
-from repro.exec.operators import Row, WorkMeter
+from repro.exec.operators import WorkMeter
 
 Pair = tuple
-#: A step function for the generic fixpoint: (all_rows, delta_rows) -> new
-StepFn = Callable[[set, list], Iterable[Row]]
 
 
 def ordered(rows: Iterable) -> list:
@@ -35,7 +31,7 @@ def ordered(rows: Iterable) -> list:
         return sorted(rows, key=repr)
 
 #: Safety valve: recursion on a finite database must converge long before
-#: this; hitting it means a bug in the step function.
+#: this; hitting it means a bug in the closure loop.
 MAX_ITERATIONS = 100_000
 
 
@@ -169,39 +165,3 @@ def reachable_from(
                     meter.tuples += 1
         frontier = next_frontier
     return FixpointResult(ordered(reached), iterations)
-
-
-def seminaive_fixpoint(
-    initial: Iterable[Row],
-    step: StepFn,
-    meter: WorkMeter,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FixpointResult:
-    """Generic semi-naive least fixpoint.
-
-    *step(total, delta)* must derive the consequences of the most recent
-    *delta* (given the set of all rows so far); rows already in *total*
-    are discarded here, so step functions may over-produce.
-
-    This is the engine under every recursive PRISMAlog predicate.
-    """
-    total: set[Row] = set(initial)
-    delta: list[Row] = list(total)
-    meter.tuples += len(delta)
-    iterations = 0
-    while delta:
-        iterations += 1
-        if iterations > max_iterations:
-            raise ExecutionError(
-                f"fixpoint did not converge within {max_iterations} rounds"
-            )
-        produced = step(total, delta)
-        new: list[Row] = []
-        for row in produced:
-            if row not in total:
-                total.add(row)
-                new.append(row)
-        meter.tuples += len(new)
-        meter.hashes += len(new)
-        delta = new
-    return FixpointResult(ordered(total), iterations)

@@ -42,15 +42,12 @@ PL104     static message ownership: a payload must not be mutated after
 
 Run as ``python -m repro.lint <paths>``.  Escape hatch per file or per
 line: ``# prismalint: disable=PL004 -- reason`` (unknown codes in a
-pragma are themselves reported as PL000).  Pre-existing justified
-findings live in a committed machine-readable baseline
-(``prismalint-baseline.json``; see :mod:`repro.lint.baseline`).
+pragma are themselves reported as PL000).
 
 The runtime counterpart — the message-ownership sanitizer that catches
 what static analysis cannot — lives in :mod:`repro.pool.sanitizer`.
 """
 
-from repro.lint.baseline import Baseline, apply_baseline, write_baseline
 from repro.lint.cli import ALL_RULES, main
 from repro.lint.framework import (
     ImportMap,
@@ -65,7 +62,6 @@ from repro.lint.project import ProjectIndex, ProjectRule
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "ImportMap",
     "LintError",
     "ProjectIndex",
@@ -73,9 +69,7 @@ __all__ = [
     "Rule",
     "SourceFile",
     "Violation",
-    "apply_baseline",
     "lint_paths",
     "main",
     "registered_codes",
-    "write_baseline",
 ]

@@ -1,12 +1,8 @@
 """Command-line entry point: ``python -m repro.lint <paths>``.
 
-Exit status: 0 clean (or fully baselined), 1 violations found, 2 usage
-or file errors.
-
-A committed baseline (``prismalint-baseline.json`` in the working
-directory, or ``--baseline FILE``) grandfathers pre-existing justified
-findings explicitly; ``--write-baseline`` regenerates it from the
-current findings.  ``--no-baseline`` shows the unfiltered truth.
+Exit status: 0 clean, 1 violations found, 2 usage or file errors.  A
+justified finding is suppressed where it stands, by a disable pragma
+carrying its reason (:mod:`repro.lint`).
 """
 
 from __future__ import annotations
@@ -14,9 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
-from repro.lint.baseline import Baseline, apply_baseline, write_baseline
 from repro.lint.framework import LintError, Rule, lint_paths
 from repro.lint.report import render_json, render_statistics, render_text
 from repro.lint.rules_cost import UnmeteredWorkRule
@@ -29,7 +23,7 @@ from repro.lint.rules_random import UnseededRandomRule
 from repro.lint.rules_snapshot import SnapshotConformanceRule
 from repro.lint.rules_time import WallClockRule
 
-__all__ = ["ALL_RULES", "DEFAULT_BASELINE", "main"]
+__all__ = ["ALL_RULES", "main"]
 
 #: Every registered rule class, in rule-code order.
 ALL_RULES: tuple[type[Rule], ...] = (
@@ -44,9 +38,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SnapshotConformanceRule,
     MessageOwnershipRule,
 )
-
-#: Picked up automatically from the working directory when present.
-DEFAULT_BASELINE = Path("prismalint-baseline.json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,28 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file, report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        type=Path,
-        default=None,
-        help="write current findings to FILE as a fresh baseline and exit 0",
-    )
-    parser.add_argument(
         "--statistics",
         action="store_true",
         help="append per-rule violation counts",
@@ -135,16 +104,6 @@ def _select_rules(select: set[str], ignore: set[str]) -> list[Rule]:
     return chosen
 
 
-def _resolve_baseline(args: argparse.Namespace) -> Baseline | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Baseline.load(args.baseline)
-    if DEFAULT_BASELINE.is_file():
-        return Baseline.load(DEFAULT_BASELINE)
-    return None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
@@ -155,35 +114,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         rules = _select_rules(_parse_codes(args.select), _parse_codes(args.ignore))
         violations, errors = lint_paths(args.paths, rules)
-        baseline = _resolve_baseline(args)
     except LintError as exc:
         print(f"prismalint: error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline is not None:
-        count = write_baseline(
-            args.write_baseline,
-            violations,
-            reason="grandfathered by --write-baseline; justify or fix",
-        )
-        print(
-            f"prismalint: wrote {count} baseline entr"
-            f"{'y' if count == 1 else 'ies'} "
-            f"covering {len(violations)} finding(s) to {args.write_baseline}"
-        )
-        return 2 if errors else 0
-    notes: list[str] = []
-    if baseline is not None:
-        violations, stale = apply_baseline(violations, baseline)
-        if stale:
-            notes.append(
-                f"baseline {baseline.path} has {len(stale)} stale entr"
-                f"{'y' if len(stale) == 1 else 'ies'} covering nothing "
-                "(fixed findings? prune them)"
-            )
     if args.format == "json":
-        print(render_json(violations, errors, notes))
+        print(render_json(violations, errors))
     else:
-        print(render_text(violations, errors, notes))
+        print(render_text(violations, errors))
     if args.statistics and violations:
         print(render_statistics(violations))
     if errors:

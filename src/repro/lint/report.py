@@ -16,11 +16,7 @@ def _per_rule_summary(violations: Sequence[Violation]) -> str:
     return ", ".join(f"{code} x{count}" for code, count in sorted(counts.items()))
 
 
-def render_text(
-    violations: Sequence[Violation],
-    errors: Sequence[str],
-    notes: Sequence[str] = (),
-) -> str:
+def render_text(violations: Sequence[Violation], errors: Sequence[str]) -> str:
     """GCC-style ``file:line:col: CODE message`` lines plus a summary.
 
     The failing summary line lists per-rule counts so a CI log tail is
@@ -28,7 +24,6 @@ def render_text(
     """
     lines = [violation.render() for violation in violations]
     lines.extend(f"error: {error}" for error in errors)
-    lines.extend(f"note: {note}" for note in notes)
     if violations or errors:
         lines.append(
             f"prismalint: {len(violations)} violation(s)"
@@ -42,11 +37,7 @@ def render_text(
     return "\n".join(lines)
 
 
-def render_json(
-    violations: Sequence[Violation],
-    errors: Sequence[str],
-    notes: Sequence[str] = (),
-) -> str:
+def render_json(violations: Sequence[Violation], errors: Sequence[str]) -> str:
     """Stable machine-readable output (one object, sorted violations)."""
     payload = {
         "violations": [
@@ -61,7 +52,6 @@ def render_json(
             for v in violations
         ],
         "errors": list(errors),
-        "notes": list(notes),
         "counts": dict(Counter(v.code for v in violations)),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

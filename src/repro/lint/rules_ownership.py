@@ -4,8 +4,8 @@ Messages in the real PRISMA machine are copied onto the wire; in the
 reproduction they are Python references, so a sender that keeps
 mutating a payload after :meth:`PoolRuntime.post` hands the receiver a
 *different* message than the one that was "sent".  The runtime
-sanitizer (:mod:`repro.pool.sanitizer`) catches this when it happens in
-a test run; this rule is its static complement, catching the pattern
+sanitizer (:mod:`repro.pool.sanitizer`, always on) catches this when it
+happens in a run; this rule is its static complement, catching the pattern
 before any test executes — including in paths the suite never drives.
 
 Within each function, every ``*.send(...)`` / ``*.post(...)`` call is
@@ -69,7 +69,7 @@ class MessageOwnershipRule(ProjectRule):
     hint = (
         "a sent payload belongs to the receiver; build a fresh object per "
         "message (or rebind before reuse) — the runtime sanitizer "
-        "(REPRO_SANITIZE=1) enforces the same contract dynamically"
+        "enforces the same contract on every post"
     )
 
     def check_project(

@@ -11,7 +11,6 @@ communication costs no matter which style produced them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -70,21 +69,10 @@ class RuntimeStats(SnapshotMixin):
         self.dead_letters = 0
 
 
-def _sanitize_from_env() -> bool:
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 class PoolRuntime:
     """Creates processes on a machine and passes messages between them.
 
-    With *sanitize* enabled (or ``REPRO_SANITIZE=1`` in the environment)
-    every :meth:`post` payload is structurally fingerprinted at send
+    Every :meth:`post` payload is structurally fingerprinted at send
     time and re-verified at delivery; a payload mutated in between
     raises :class:`~repro.errors.MessageOwnershipError` naming the
     sender, the receiver, and the first mutated path.  See
@@ -94,7 +82,6 @@ class PoolRuntime:
     def __init__(
         self,
         machine: Machine | MachineConfig | None = None,
-        sanitize: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if machine is None:
@@ -104,7 +91,6 @@ class PoolRuntime:
         self.machine = machine
         self.loop = EventLoop()
         self.stats = RuntimeStats()
-        self.sanitize = _sanitize_from_env() if sanitize is None else sanitize
         #: Raw tracer handle for collaborators (executor, commit,
         #: recovery) that call :func:`repro.obs.tracer.active` on it.
         self.tracer = tracer
@@ -299,7 +285,7 @@ class PoolRuntime:
                 bytes=n_bytes,
                 to_node=receiver.node_id,
             )
-        fingerprint = snapshot(payload) if self.sanitize else None
+        fingerprint = snapshot(payload)
 
         def deliver() -> None:
             if not receiver.alive:
@@ -307,17 +293,16 @@ class PoolRuntime:
                 # dropping it invisibly (senders poll stats.dead_letters).
                 self.stats.dead_letters += 1
                 return
-            if fingerprint is not None:
-                mutated = first_divergence(fingerprint, payload)
-                if mutated is not None:
-                    sender_name = sender.name if sender is not None else "<external>"
-                    raise MessageOwnershipError(
-                        f"payload mutated between send and delivery: "
-                        f"{sender_name} -> {receiver.name}, departed "
-                        f"t={departure:.6f}, delivered t={arrival:.6f}, "
-                        f"first mutated path: {mutated} (messages are "
-                        f"copied on the wire; senders must not alias them)"
-                    )
+            mutated = first_divergence(fingerprint, payload)
+            if mutated is not None:
+                sender_name = sender.name if sender is not None else "<external>"
+                raise MessageOwnershipError(
+                    f"payload mutated between send and delivery: "
+                    f"{sender_name} -> {receiver.name}, departed "
+                    f"t={departure:.6f}, delivered t={arrival:.6f}, "
+                    f"first mutated path: {mutated} (messages are "
+                    f"copied on the wire; senders must not alias them)"
+                )
             receiver.advance_to(self.loop.now)
             # Delivery bookkeeping is the runtime acting as the wire,
             # not one process reaching into another.

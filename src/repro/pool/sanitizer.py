@@ -7,16 +7,13 @@ receiver a different message than the one that was "sent" — exactly the
 shared-memory aliasing Section 3.1 forbids, and invisible to static
 analysis because the mutation happens at runtime.
 
-When enabled, the runtime takes a structural :func:`snapshot` of every
+The runtime takes a structural :func:`snapshot` of every posted
 payload at send time and, at the simulated delivery time, replays the
 walk with :func:`first_divergence` to find the first path whose value
 changed.  Snapshots capture *structure* (containers, dataclasses,
 ``__dict__``/``__slots__`` objects) without copying leaf objects, so the
-check is cheap enough for tests yet names the precise mutated path —
-``payload['rows'][2].balance`` — in its diagnostic.
-
-Off by default; enable per-runtime with ``PoolRuntime(sanitize=True)``
-or globally with ``REPRO_SANITIZE=1``.
+check is cheap enough to be always on yet names the precise mutated
+path — ``payload['rows'][2].balance`` — in its diagnostic.
 """
 
 from __future__ import annotations

@@ -92,13 +92,8 @@ def compile_program(
             for rule in definition.rules:
                 rule_plan = translate_rule(rule, analysis.predicates, set()).plans[0]
                 branches.append(_expand(rule_plan, predicate_plans))
-            if not branches:
-                if definition.is_edb:
-                    continue  # plain database relation: scans resolve there
-                raise PrismalogError(
-                    f"predicate {name!r} has no facts, rules, or database"
-                    " relation"
-                )
+            # A component lists only predicates with facts or rules
+            # (analyze_program), so there is always a first branch.
             plan = branches[0]
             for branch in branches[1:]:
                 plan = SetOpNode("union_all", plan, branch)

@@ -23,6 +23,7 @@ from repro.algebra.local_exec import LocalExecutor
 from repro.prismalog.ast import Program, Query
 from repro.prismalog.parser import parse_program, parse_query
 from repro.prismalog.translate import (
+    PredicateDef,
     ProgramAnalysis,
     analyze_program,
     detect_transitive_closure,
@@ -90,6 +91,8 @@ class PrismalogEngine:
         self.evaluator = evaluator or Evaluator()
         self.use_closure_operator = use_closure_operator
         self.stats = EvaluationStats()
+        #: Analysis of the loaded program (None until one has run).
+        self._analysis: ProgramAnalysis | None = None
         #: Materialized relations (EDB + derived), name -> rows.
         self.relations: dict[str, list[Row]] = {
             name: list(rows) for name, rows in self.edb_tables.items()
@@ -157,8 +160,7 @@ class PrismalogEngine:
                 executor = self._executor()
                 rows = set(tuple(r) for r in executor.run(closure))
                 self.stats.closure_operator_hits.append(name)
-                iterations = next(iter(executor.fixpoint_iterations.values()), 0)
-                self.stats.fixpoint_iterations[name] = iterations
+                self.stats.fixpoint_iterations[name] = executor.closure_rounds
                 self._materialize(name, rows)
                 return
 
@@ -222,15 +224,13 @@ class PrismalogEngine:
     # -- queries ----------------------------------------------------------------------
 
     def _answer(self, query: Query) -> PrismalogResult:
-        analysis = getattr(self, "_analysis", None)
+        analysis = self._analysis
         name = query.atom.predicate
         if analysis is not None and name in analysis.predicates:
             definition = analysis.predicates[name]
         else:
             if name not in self.relations or name not in self.edb_schemas:
                 raise PrismalogError(f"unknown predicate {name!r} in query")
-            from repro.prismalog.translate import PredicateDef
-
             definition = PredicateDef(
                 name, len(self.edb_schemas[name]), self.edb_schemas[name], is_edb=True
             )

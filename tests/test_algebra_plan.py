@@ -5,15 +5,16 @@ import pytest
 from repro.errors import PlanError
 from repro.exec.expressions import Arithmetic, col, eq, lit
 from repro.exec.operators import JoinKind
+from repro import PrismaDB
+from repro.algebra import plan as plan_module
 from repro.algebra.plan import (
     AggExpr,
     AggregateNode,
     ClosureNode,
-    DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
+    PlanNode,
     ProjectNode,
     ScanNode,
     SelectNode,
@@ -21,6 +22,8 @@ from repro.algebra.plan import (
     SortNode,
     ValuesNode,
 )
+from repro.prismalog.parser import parse_program
+from repro.prismalog.translate import analyze_program, translate_rule
 from repro.storage import DataType, Schema
 
 
@@ -86,10 +89,6 @@ class TestSchemas:
         with pytest.raises(PlanError):
             ClosureNode(emp)
 
-    def test_closure_mode_validated(self, dept):
-        with pytest.raises(PlanError):
-            ClosureNode(dept, mode="psychic")
-
     def test_sort_and_limit_validation(self, emp):
         with pytest.raises(PlanError):
             SortNode(emp, [])
@@ -104,16 +103,6 @@ class TestSchemas:
 
         with pytest.raises(StorageError):
             ValuesNode(schema, [("not-int",)])
-
-    def test_fixpoint_checks_token_and_arity(self, dept):
-        delta = DeltaScanNode("tc", dept.schema)
-        step = ProjectNode(delta, [col(0), col(1)], ["a", "b"])
-        FixpointNode(dept, step, "tc")  # ok
-        with pytest.raises(PlanError):
-            FixpointNode(dept, step, "othertoken")
-        narrow = ProjectNode(delta, [col(0)], ["a"])
-        with pytest.raises(PlanError):
-            FixpointNode(dept, narrow, "tc")
 
 
 class TestIdentityAndRewriting:
@@ -197,3 +186,55 @@ class TestEquiKeys:
     def test_cross_join(self, emp, dept):
         join = JoinNode(emp, dept, None)
         assert join.equi_keys() == ([], [], None)
+
+
+class TestEveryNodeHasAnEmitter:
+    """A plan node nothing emits is an executor, an estimator row and a
+    pruning row nothing reaches: every concrete node class must come out
+    of one of the two front ends."""
+
+    SQL = [
+        "SELECT 1",
+        "SELECT DISTINCT dept FROM emp WHERE sal > 10 ORDER BY dept",
+        "SELECT dept, COUNT(*) FROM emp GROUP BY dept LIMIT 3",
+        "SELECT id FROM emp ORDER BY sal DESC LIMIT 2",
+        # The repeated filtered scan becomes a shared subexpression.
+        "SELECT a.id FROM emp a JOIN emp b ON a.id = b.id"
+        " WHERE a.sal > 5 AND b.sal > 5",
+        "SELECT id FROM emp UNION SELECT src FROM edge",
+        "SELECT src, dst FROM CLOSURE(edge)",
+    ]
+    #: Compiles to algebra (facts, a closure-shaped recursion).
+    COMPILED = (
+        "link(1, 2). link(2, 3). path(X, Y) :- link(X, Y)."
+        " path(X, Y) :- link(X, Z), path(Z, Y). ? path(1, X)."
+    )
+    #: Needs the engine: non-linear recursion reads delta and total.
+    GENERAL = "t(X, Y) :- edge(X, Y). t(X, Y) :- t(X, Z), t(Z, Y)."
+
+    def test_front_ends_emit_every_concrete_node(self):
+        db = PrismaDB()
+        session = db.session()
+        session.execute("CREATE TABLE emp (id INT, dept STRING, sal FLOAT)")
+        session.execute("CREATE TABLE edge (src INT, dst INT)")
+        gdh = db.gdh
+        plans = []
+        for text in self.SQL:
+            optimized = gdh.prepare(gdh.parse(text)).bound
+            plans.append(optimized.plan)
+            plans.extend(shared.plan for shared in optimized.shared)
+        compiled = gdh.prepare(parse_program(self.COMPILED)).bound
+        plans.extend(plan for _query, plan in compiled.query_plans)
+        analysis = analyze_program(parse_program(self.GENERAL), gdh.catalog.schemas())
+        for component in analysis.components:
+            for rule in analysis.predicates[component[0]].rules:
+                plans.extend(
+                    translate_rule(rule, analysis.predicates, set(component)).plans
+                )
+        emitted = {type(node) for plan in plans for node in plan.walk()}
+        concrete = {
+            cls
+            for cls in vars(plan_module).values()
+            if isinstance(cls, type) and issubclass(cls, PlanNode) and cls is not PlanNode
+        }
+        assert emitted == concrete

@@ -23,9 +23,7 @@ from repro.algebra.plan import (
     AggExpr,
     AggregateNode,
     ClosureNode,
-    DeltaScanNode,
     DistinctNode,
-    FixpointNode,
     JoinNode,
     LimitNode,
     ProjectNode,
@@ -228,15 +226,6 @@ class TestDistributedCorrectness:
         plan = ClosureNode(ScanNode("edge", EDGE))
         check(plan, fragments)
 
-    def test_fixpoint_with_distributed_base(self, fragments):
-        edge = ScanNode("edge", EDGE)
-        step = ProjectNode(
-            JoinNode(DeltaScanNode("tc", EDGE), edge, eq(col(1), col(2))),
-            [col(0), col(3)], ["src", "dst"],
-        )
-        plan = FixpointNode(edge, step, "tc")
-        check(plan, fragments)
-
     def test_values(self, fragments):
         plan = ValuesNode(Schema.of(a=DataType.INT), [(1,), (2,)])
         check(plan, fragments)
@@ -332,3 +321,95 @@ class TestDistributedClosure:
 
         expected = sorted(nx.transitive_closure(nx.DiGraph(cyclic)).edges())
         assert sorted(rows) == expected
+
+
+def _residual_join(kind):
+    # dept ⋈ emp on dname = dept, keeping only well-paid matches.
+    condition = and_(eq(col(0), col(4)), Comparison(">", col(5), lit(80.0)))
+    return JoinNode(ScanNode("dept", DEPT), ScanNode("emp", EMP), condition, kind)
+
+
+def _dept_setop(op):
+    eng = ProjectNode(
+        SelectNode(ScanNode("emp", EMP), eq(col(2), lit("eng"))), [col(2)], ["d"]
+    )
+    return SetOpNode(op, ProjectNode(ScanNode("emp", EMP), [col(2)], ["d"]), eng)
+
+
+#: shape -> (plan, fragments, repr of (response_time, messages,
+#: bytes_shipped, busy_time_s per busy node)), captured at the commit
+#: before the executor ↔ LocalExecutor seam became rows in, rows out.
+SEAM_PINS = {
+    "non_equi_join": (
+        JoinNode(
+            ScanNode("emp", EMP), ScanNode("dept", DEPT), Comparison("<", col(2), col(4))
+        ),
+        {"emp": 4, "dept": 2},
+        "(0.001477800000000001, 18, 5106, {"
+        "0: 0.0012000000000000005, 2: 0.0013490000000000004, 3: 0.0013440000000000006, 4: 0.0013210000000000003, 5: 0.0013260000000000004, 6: 0.0011000000000000003, 7: 0.0011400000000000004, 8: 0.001045})",
+    ),
+    "left_residual": (
+        _residual_join(JoinKind.LEFT_OUTER),
+        {"emp": 4, "dept": 2},
+        "(0.002271600000000001, 16, 5405, {"
+        "0: 0.0011600000000000004, 2: 0.0011400000000000004, 3: 0.0011400000000000004, 4: 0.0011300000000000004, 5: 0.0011300000000000004, 6: 0.0015700000000000004, 7: 0.0018300000000000005, 8: 0.001045})",
+    ),
+    "semi_residual": (
+        _residual_join(JoinKind.SEMI),
+        {"emp": 4, "dept": 2},
+        "(0.0016490000000000007, 16, 4747, {"
+        "0: 0.0011600000000000004, 2: 0.0011400000000000004, 3: 0.0011400000000000004, 4: 0.0011300000000000004, 5: 0.0011300000000000004, 6: 0.0015700000000000004, 7: 0.0017450000000000005, 8: 0.001045})",
+    ),
+    "anti_residual": (
+        _residual_join(JoinKind.ANTI),
+        {"emp": 4, "dept": 2},
+        "(0.001613400000000001, 16, 4726, {"
+        "0: 0.0011600000000000004, 2: 0.0011400000000000004, 3: 0.0011400000000000004, 4: 0.0011300000000000004, 5: 0.0011300000000000004, 6: 0.0015700000000000004, 7: 0.0017350000000000004, 8: 0.001045})",
+    ),
+    "union": (
+        _dept_setop("union"),
+        {"emp": 4},
+        "(0.001918200000000001, 18, 2334, {"
+        "0: 0.0012400000000000007, 2: 0.0015100000000000005, 3: 0.0014880000000000004, 4: 0.0014450000000000005, 5: 0.0021620000000000007, 6: 0.00102, 7: 0.001045})",
+    ),
+    "union_all": (
+        _dept_setop("union_all"),
+        {"emp": 4},
+        "(0.0010432000000000006, 12, 2386, {"
+        "0: 0.0012400000000000007, 2: 0.0013600000000000003, 3: 0.0013480000000000002, 4: 0.0013150000000000004, 5: 0.0013270000000000005, 6: 0.00102, 7: 0.001045})",
+    ),
+    "intersect": (
+        _dept_setop("intersect"),
+        {"emp": 4},
+        "(0.0018834000000000008, 14, 2323, {"
+        "0: 0.0011600000000000004, 2: 0.0014900000000000004, 3: 0.0014680000000000003, 4: 0.0014250000000000005, 5: 0.002132000000000001, 6: 0.00102, 7: 0.001045})",
+    ),
+    "except": (
+        _dept_setop("except"),
+        {"emp": 4},
+        "(0.001888400000000001, 14, 2329, {"
+        "0: 0.0011600000000000004, 2: 0.0014900000000000004, 3: 0.0014680000000000003, 4: 0.0014250000000000005, 5: 0.002137000000000001, 6: 0.00102, 7: 0.001045})",
+    ),
+    "closure_single_fragment": (
+        ClosureNode(ScanNode("edge", EDGE)),
+        {"edge": 1},
+        "(0.0019030000000000002, 4, 1416, {"
+        "0: 0.0010600000000000002, 1: 0.001605, 2: 0.00115, 3: 0.00102, 4: 0.00113})",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SEAM_PINS)
+def test_site_local_operator_charges_are_pinned(shape):
+    """The shapes `perf_gate.py` does not fingerprint: every float the
+    site-local join / set-operation / closure step charges is exact."""
+    plan, fragments, pinned = SEAM_PINS[shape]
+    harness = Harness(fragments)
+    _rows, report = harness.run(plan)
+    busy = {
+        node.node_id: node.stats.busy_time_s
+        for node in harness.runtime.machine.nodes
+        if node.stats.busy_time_s
+    }
+    observed = (report.response_time, report.messages, report.bytes_shipped, busy)
+    assert repr(observed) == pinned

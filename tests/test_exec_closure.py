@@ -1,4 +1,4 @@
-"""Tests for the transitive-closure operator and fixpoint driver (E6)."""
+"""Tests for the transitive-closure operator and its baselines (E6)."""
 
 import networkx as nx
 import pytest
@@ -9,7 +9,6 @@ from repro.exec.closure import (
     naive_closure,
     reachable_from,
     seminaive_closure,
-    seminaive_fixpoint,
     smart_closure,
 )
 from repro.exec.operators import WorkMeter
@@ -129,39 +128,6 @@ def test_null_closure_is_independent_of_fragmentation(fragments):
     assert db.execute_prismalog(program)[0].rows == [(None,)]
     assert not db.gdh.txns.active
     db.session().execute("UPDATE e SET b = 6 WHERE a = 5")
-
-
-class TestGenericFixpoint:
-    def test_same_generation_program(self):
-        """sg(X,Y) :- flat(X,Y).  sg(X,Y) :- up(X,A), sg(A,B), down(B,Y)."""
-        up = {(1, 3), (2, 3)}
-        flat = {(3, 3)}
-        down = {(3, 4), (3, 5)}
-
-        def step(total, delta):
-            for a, b in delta:
-                for x, a2 in up:  # prismalint: disable=PL102 -- feeds a set-union fixpoint; asserted result is order-free
-                    if a2 == a:
-                        for b2, y in down:  # prismalint: disable=PL102 -- feeds a set-union fixpoint; asserted result is order-free
-                            if b2 == b:
-                                yield (x, y)
-
-        result = seminaive_fixpoint(flat, step, WorkMeter())
-        assert set(result.rows) == {(3, 3), (1, 4), (1, 5), (2, 4), (2, 5)}
-
-    def test_divergent_step_hits_iteration_bound(self):
-        from repro.errors import ExecutionError
-
-        def runaway(total, delta):
-            return [(max(r[0] for r in delta) + 1,)]
-
-        with pytest.raises(ExecutionError):
-            seminaive_fixpoint([(0,)], runaway, WorkMeter(), max_iterations=50)
-
-    def test_empty_initial_set(self):
-        result = seminaive_fixpoint([], lambda t, d: [], WorkMeter())
-        assert result.rows == []
-        assert result.iterations == 0
 
 
 # ---------------------------------------------------------------------------

@@ -194,65 +194,15 @@ def test_pl000_itself_can_be_disabled(tmp_path):
     assert violations == []
 
 
-def test_write_baseline_then_lint_against_it(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    violating = str(FIXTURES / "pl001_violation.py")
-    assert main([violating, "--select", "PL001", "--write-baseline", str(base)]) == 0
-    assert "wrote" in capsys.readouterr().out
-    # Same findings, now grandfathered: exit 0, no stale notes.
-    assert main([violating, "--select", "PL001", "--baseline", str(base)]) == 0
-    out = capsys.readouterr().out
-    assert "clean" in out
-    assert "stale" not in out
-
-
-def test_stale_baseline_entries_are_noted_not_fatal(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    violating = str(FIXTURES / "pl001_violation.py")
-    clean = str(FIXTURES / "pl001_clean.py")
-    assert main([violating, "--select", "PL001", "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    # The baseline covers findings the clean file no longer has.
-    assert main([clean, "--select", "PL001", "--baseline", str(base)]) == 0
-    assert "stale" in capsys.readouterr().out
-
-
-def test_no_baseline_flag_shows_the_unfiltered_truth(tmp_path, capsys):
-    base = tmp_path / "base.json"
-    violating = str(FIXTURES / "pl001_violation.py")
-    assert main([violating, "--select", "PL001", "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    code = main(
-        [violating, "--select", "PL001", "--baseline", str(base), "--no-baseline"]
-    )
-    assert code == 1
-    assert "PL001" in capsys.readouterr().out
-
-
-def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
-    base = tmp_path / "bad.json"
-    base.write_text('{"version": 99}\n')
-    clean = str(FIXTURES / "pl001_clean.py")
-    assert main([clean, "--baseline", str(base)]) == 2
-    assert "baseline" in capsys.readouterr().err
-
-
-def test_json_report_carries_counts_and_notes(tmp_path, capsys):
+def test_json_report_carries_counts(capsys):
     import json
 
-    base = tmp_path / "base.json"
     violating = str(FIXTURES / "pl001_violation.py")
     clean = str(FIXTURES / "pl001_clean.py")
-    assert main([violating, "--select", "PL001", "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    assert (
-        main([clean, "--select", "PL001", "--baseline", str(base), "--format", "json"])
-        == 0
-    )
+    assert main([clean, "--select", "PL001", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == []
     assert payload["counts"] == {}
-    assert any("stale" in note for note in payload["notes"])
     assert main([violating, "--select", "PL001", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"].get("PL001", 0) >= 3

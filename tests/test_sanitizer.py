@@ -1,5 +1,5 @@
 """Message-ownership sanitizer: mutate-after-send is caught, clean
-traffic is not, and the env-var switch works."""
+traffic is not."""
 
 import dataclasses
 
@@ -20,8 +20,8 @@ class Recorder(PoolProcess):
         self.received.append(payload)
 
 
-def _runtime(**kwargs):
-    return PoolRuntime(MachineConfig(n_nodes=4), **kwargs)
+def _runtime():
+    return PoolRuntime(MachineConfig(n_nodes=4))
 
 
 # -- snapshot / diff unit behaviour ------------------------------------------
@@ -77,20 +77,8 @@ def test_snapshot_handles_cycles():
 # -- runtime integration ------------------------------------------------------
 
 
-def test_sanitizer_off_by_default_lets_mutation_slide(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    runtime = _runtime()
-    assert runtime.sanitize is False
-    recorder = runtime.spawn(Recorder)
-    payload = {"n": 1}
-    runtime.post(None, recorder, payload)
-    payload["n"] = 2  # prismalint: disable=PL104 -- intentional violation: proves the sanitizer is off by default
-    runtime.run()
-    assert recorder.received == [{"n": 2}]
-
-
 def test_sanitizer_catches_mutate_after_send():
-    runtime = _runtime(sanitize=True)
+    runtime = _runtime()
     sender = runtime.spawn(Recorder, name="alice")
     receiver = runtime.spawn(Recorder, name="bob")
     payload = {"rows": [1, 2, 3]}
@@ -105,7 +93,7 @@ def test_sanitizer_catches_mutate_after_send():
 
 
 def test_sanitizer_passes_clean_traffic():
-    runtime = _runtime(sanitize=True)
+    runtime = _runtime()
     recorder = runtime.spawn(Recorder)
     for n in range(5):
         runtime.post(None, recorder, {"n": n})
@@ -113,22 +101,8 @@ def test_sanitizer_passes_clean_traffic():
     assert [p["n"] for p in recorder.received] == list(range(5))
 
 
-def test_env_var_enables_sanitizer(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert _runtime().sanitize is True
-    monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert _runtime().sanitize is False
-    monkeypatch.setenv("REPRO_SANITIZE", "off")
-    assert _runtime().sanitize is False
-    monkeypatch.delenv("REPRO_SANITIZE")
-    assert _runtime().sanitize is False
-    # explicit argument wins over the environment
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert _runtime(sanitize=False).sanitize is False
-
-
 def test_external_sender_named_in_diagnostic():
-    runtime = _runtime(sanitize=True)
+    runtime = _runtime()
     recorder = runtime.spawn(Recorder, name="sink")
     payload = [1, 2]
     runtime.post(None, recorder, payload)
