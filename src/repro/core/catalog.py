@@ -1,8 +1,10 @@
 """The data dictionary of the Global Data Handler (paper Section 2.2).
 
 Tracks every relation: schema, primary key, fragmentation scheme,
-fragment placement (which processing element / OFM owns each fragment),
-secondary indexes, and per-table statistics for the optimizer.
+fragment placement (on which processing element, under which OFM name,
+each fragment copy lives — which process serves it is the data
+allocation manager's table, :mod:`repro.core.allocation`), secondary
+indexes, and per-table statistics for the optimizer.
 
 The dictionary itself is critical state: it is serialized to stable
 storage on every DDL change so restart recovery can rebuild the system
@@ -12,6 +14,7 @@ storage on every DDL change so restart recovery can rebuild the system
 from __future__ import annotations
 
 import ast as _pyast
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError
@@ -124,6 +127,10 @@ class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer 
         )
 
 
+#: Where one fragment copy lives: (table, fragment, element, OFM name).
+PlacedCopy = tuple[TableInfo, FragmentInfo, int, str]
+
+
 class Catalog:
     """The data dictionary: name -> TableInfo, plus schema views."""
 
@@ -161,6 +168,21 @@ class Catalog:
     def tables(self) -> list[TableInfo]:
         """All dictionary entries, in name order."""
         return [self._tables[name] for name in sorted(self._tables)]
+
+    def placed_copies(self) -> Iterator[PlacedCopy]:
+        """Every fragment copy the dictionary places: tables in name
+        order, a fragment's primary before its replicas."""
+        for info in self.tables():
+            for fragment in info.fragments:
+                for node_id, ofm_name in fragment.all_copies():
+                    yield info, fragment, node_id, ofm_name
+
+    def locate_copy(self, ofm_name: str) -> PlacedCopy:
+        """Where the copy named *ofm_name* lives."""
+        for placed in self.placed_copies():
+            if placed[3] == ofm_name:
+                return placed
+        raise CatalogError(f"no catalog entry places fragment copy {ofm_name!r}")
 
     def adopt(self, other: "Catalog") -> None:
         """Replace this dictionary's contents with *other*'s, in place.

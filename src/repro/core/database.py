@@ -260,14 +260,13 @@ class PrismaDB:
     def restart_element(self, node_id: int) -> RecoveryReport:
         """Bring a failed element back and replay its fragment copies."""
         self.gdh.faults.restore_element(node_id)
-        names = [
-            copy_name
-            for info in self.gdh.catalog.tables()
-            for fragment in info.fragments
-            for copy_node, copy_name in fragment.all_copies()
-            if copy_node == node_id
-        ]
-        return self.recovery.restart_fragments(names)
+        return self.recovery.restart_fragments(
+            [
+                name
+                for _info, _fragment, node, name in self.gdh.catalog.placed_copies()
+                if node == node_id
+            ]
+        )
 
     def resolve_in_doubt(self) -> InDoubtResolution:
         """Resolve transactions left hanging by a halted coordinator."""
@@ -332,13 +331,11 @@ class PrismaDB:
         return self.gdh.catalog
 
     def table_row_count(self, name: str) -> int:
-        info = self.gdh.catalog.table(name)
-        total = 0
-        for fragment in info.fragments:
-            ofm = self.gdh._live_copy(fragment)
-            if ofm is not None:
-                total += len(ofm.table)
-        return total
+        return sum(
+            len(ofm.table)
+            for fragment in self.gdh.catalog.table(name).fragments
+            for ofm in self.gdh.allocator.copies(fragment)[:1]
+        )
 
     def simulated_time(self) -> float:
         """The machine-wide simulated clock horizon."""

@@ -43,6 +43,7 @@ from repro.algebra.plan import (
     TopNNode,
     ValuesNode,
 )
+from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.obs.api import SnapshotMixin
 from repro.obs.metrics import MetricsRegistry
@@ -114,10 +115,6 @@ class FragmentAccessTracker(SnapshotMixin):
             f"{table}.{fragment_id}": count
             for (table, fragment_id), count in sorted(self.counts.items())
         }
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self._marks.clear()
 
 
 @dataclass
@@ -194,8 +191,8 @@ class DistributedExecutor:
         The POOL-X runtime hosting the OFMs.
     catalog:
         The data dictionary (fragment homes).
-    fragment_ofms:
-        Registry mapping OFM name -> live process, maintained by the GDH.
+    allocator:
+        The data allocation manager (which OFMs serve a fragment).
     compiled_expressions:
         Expression back-end switch (E5 ablation).
     """
@@ -204,13 +201,13 @@ class DistributedExecutor:
         self,
         runtime: PoolRuntime,
         catalog: Catalog,
-        fragment_ofms: dict[str, OneFragmentManager],
+        allocator: DataAllocationManager,
         compiled_expressions: bool = True,
     ):
         self.runtime = runtime
         self.machine = runtime.machine
         self.catalog = catalog
-        self.fragment_ofms = fragment_ofms
+        self.allocator = allocator
         self.evaluator = Evaluator(compiled=compiled_expressions)
         #: Run transitive closure as a parallel distributed fixpoint when
         #: the input is fragmented (False = gather to one transient OFM).
@@ -557,19 +554,10 @@ class DistributedExecutor:
             if wanted is not None and fragment.fragment_id not in wanted:
                 self._report.fragments_pruned += 1
                 continue
-            copies = [
-                self.fragment_ofms[ofm_name]
-                for _node, ofm_name in fragment.all_copies()
-                if ofm_name in self.fragment_ofms
-            ]
-            if not copies:
-                raise ExecutionError(
-                    f"fragment OFM {fragment.ofm_name!r} is not running"
-                )
             live = [
                 ofm
-                for ofm in copies
-                if ofm.alive and machine.reachable(origin, ofm.node_id)
+                for ofm in self.allocator.copies(fragment)
+                if machine.reachable(origin, ofm.node_id)
             ]
             if not live:
                 raise ExecutionError(

@@ -261,9 +261,3 @@ class FaultInjector:
         """
         canonical = repr((self.seed, self.injections)).encode("utf-8")
         return hashlib.sha256(canonical).hexdigest()
-
-    def reset(self) -> None:
-        """Return to the just-constructed state (same seed, fresh RNG)."""
-        self.rng = random.Random(self.seed)
-        self._armed.clear()
-        self.injections.clear()

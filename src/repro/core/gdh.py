@@ -33,7 +33,7 @@ from repro.exec.expressions import ColumnRef, Comparison, IsNull, Literal, and_
 from repro.algebra.optimizer import OptimizedPlan, Optimizer, OptimizerOptions
 from repro.algebra.plan import PlanNode, ScanNode, SelectNode
 from repro.core.allocation import DataAllocationManager
-from repro.core.catalog import Catalog, FragmentInfo, IndexInfo, TableInfo
+from repro.core.catalog import Catalog, IndexInfo, TableInfo
 from repro.core.executor import DistributedExecutor, _value_bytes
 from repro.core.faults import FaultInjector
 from repro.core.fragmentation import SingleFragment, build_scheme
@@ -140,8 +140,6 @@ class GlobalDataHandler:
         faults: FaultInjector | None = None,
     ):
         self.runtime = runtime
-        #: E3 baseline switch: conventional disk-resident storage.
-        self.disk_resident = disk_resident
         self.machine = runtime.machine
         self.catalog = Catalog()
         self.locks = LockManager()
@@ -154,12 +152,17 @@ class GlobalDataHandler:
         self.two_phase = TwoPhaseCommit(
             runtime, self.commit_log, allow_one_phase, faults=self.faults
         )
-        self.allocator = DataAllocationManager(self.machine, reserve_node=GDH_NODE)
-        self.fragment_ofms: dict[str, OneFragmentManager] = {}
-        self.compiled_expressions = compiled_expressions
+        #: *disk_resident* is the E3 baseline switch: conventional
+        #: disk-resident storage at every OFM the allocator spawns.
+        self.allocator = DataAllocationManager(
+            runtime, GDH_NODE, compiled_expressions, disk_resident
+        )
+        #: The allocator's name -> OFM table, for readers; only the
+        #: allocator changes it.
+        self.fragment_ofms = self.allocator.ofms
         self.optimizer_options = optimizer_options or OptimizerOptions()
         self.executor = DistributedExecutor(
-            runtime, self.catalog, self.fragment_ofms, compiled_expressions
+            runtime, self.catalog, self.allocator, compiled_expressions
         )
         self.default_fragments = default_fragments
         self.gdh_process = runtime.spawn(PoolProcess, name="gdh", node=GDH_NODE)
@@ -508,21 +511,10 @@ class GlobalDataHandler:
             name=name, schema=schema, scheme=scheme, primary_key=tuple(primary_key)
         )
         for fragment_id, node_id in enumerate(nodes):
-            ofm_name = f"{name}.{fragment_id}"
-            self.spawn_fragment_copy(info, ofm_name, node_id, session.clock)
-            # Replica copies live on distinct elements (availability and
-            # read load-balancing; Section 2.2 speaks of fragment copies);
-            # which element each copy gets is the allocator's call.
-            replica_entries = []
-            used_nodes = {node_id}
-            for replica_index in range(1, n_copies):
-                replica_node = self.allocator.place_replica(used_nodes)
-                used_nodes.add(replica_node)
-                replica_name = f"{name}.{fragment_id}r{replica_index}"
-                self.spawn_fragment_copy(info, replica_name, replica_node, session.clock)
-                replica_entries.append((replica_node, replica_name))
             info.fragments.append(
-                FragmentInfo(fragment_id, node_id, ofm_name, tuple(replica_entries))
+                self.allocator.spawn_fragment(
+                    info, fragment_id, node_id, n_copies - 1, session.clock
+                )
             )
         self.catalog.create_table(info)
         if primary_key:
@@ -546,53 +538,13 @@ class GlobalDataHandler:
         fragment with no live copy must fail loudly, not silently skip
         the fragment and diverge from the durable state.
         """
-        fragment = info.fragment(fragment_id)
-        copies = [
-            self.fragment_ofms[ofm_name]
-            for _node, ofm_name in fragment.all_copies()
-            if ofm_name in self.fragment_ofms
-            and self.fragment_ofms[ofm_name].alive
-        ]
+        copies = self.allocator.copies(info.fragment(fragment_id))
         if not copies:
             raise TransactionError(
                 f"fragment {fragment_id} of table {info.name!r} has no live"
                 " copy (element down?); restart it before touching this data"
             )
         return copies
-
-    def locate_fragment_copy(self, ofm_name: str):
-        """(TableInfo, FragmentInfo, node_id) for a fragment-copy name."""
-        for info in self.catalog.tables():
-            for fragment in info.fragments:
-                for copy_node, copy_name in fragment.all_copies():
-                    if copy_name == ofm_name:
-                        return info, fragment, copy_node
-        raise CatalogError(f"no catalog entry places fragment copy {ofm_name!r}")
-
-    def spawn_fragment_copy(
-        self, info: TableInfo, ofm_name: str, node_id: int, start_at: float
-    ) -> OneFragmentManager:
-        """Spawn an empty OFM for one fragment copy of *info*.
-
-        Creates the table's indexes on it and registers the OFM; used
-        by CREATE TABLE, by crash recovery (same name => same
-        ``wal/<name>/...`` keys to replay) and by the online rebalancer
-        (new name, filled by the copy phase).
-        """
-        ofm = self.runtime.spawn(
-            OneFragmentManager,
-            name=ofm_name,
-            node=node_id,
-            start_at=start_at,
-            schema=info.schema,
-            profile=OFMProfile.FULL,
-            compiled_expressions=self.compiled_expressions,
-            disk_resident=self.disk_resident,
-        )
-        for index in info.indexes:
-            ofm.create_index(index.name, index.columns, index.unique, index.method)
-        self.fragment_ofms[ofm_name] = ofm
-        return ofm
 
     def _build_index_everywhere(self, info: TableInfo, index: IndexInfo) -> None:
         for fragment in info.fragments:
@@ -636,10 +588,8 @@ class GlobalDataHandler:
                 f"cannot drop {info.name!r}: fragments in use by active transactions"
             )
         for fragment in info.fragments:
-            for _node, ofm_name in fragment.all_copies():
-                ofm = self.fragment_ofms.pop(ofm_name, None)
-                if ofm is not None:
-                    ofm.destroy()
+            for node, ofm_name in fragment.all_copies():
+                self.allocator.retire(node, ofm_name)
         self.catalog.drop_table(info.name)
         self._ddl_changed()
         self._persist_catalog()
@@ -1146,33 +1096,20 @@ class GlobalDataHandler:
                 continue
             self.refresh_table_stats(name)
 
-    def _live_copy(self, fragment: FragmentInfo) -> OneFragmentManager | None:
-        """First live copy of a fragment (primary preferred), if any."""
-        for _node, copy_name in fragment.all_copies():
-            ofm = self.fragment_ofms.get(copy_name)
-            if ofm is not None and ofm.alive:
-                return ofm
-        return None
-
     def refresh_table_stats(self, name: str, sample_distinct: bool = False) -> None:
         info = self.catalog.table(name)
-        row_count = 0
-        total_bytes = 0
-        for fragment in info.fragments:
-            ofm = self._live_copy(fragment)
-            if ofm is None:
-                continue
-            row_count += len(ofm.table)
-            total_bytes += ofm.table.data_bytes
-        info.row_count = row_count
-        info.total_bytes = total_bytes
+        # One live copy of each fragment (none: its rows count as zero).
+        tables = [
+            ofm.table
+            for fragment in info.fragments
+            for ofm in self.allocator.copies(fragment)[:1]
+        ]
+        info.row_count = row_count = sum(len(table) for table in tables)
+        info.total_bytes = sum(table.data_bytes for table in tables)
         if sample_distinct and row_count:
             distinct: dict[str, set] = {c.name: set() for c in info.schema.columns}
-            for fragment in info.fragments:
-                ofm = self._live_copy(fragment)
-                if ofm is None:
-                    continue
-                for row in ofm.table.rows():
+            for table in tables:
+                for row in table.rows():
                     for column, value in zip(info.schema.columns, row):
                         distinct[column.name].add(value)
             info.distinct_estimates = {

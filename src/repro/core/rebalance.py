@@ -233,6 +233,10 @@ class Rebalancer:
         info = gdh.catalog.table(table)
         tracker = gdh.executor.access
         heat = tracker.delta_since(info.name) or tracker.table_counts(info.name)
+        # Heat of a fragment since merged away (or of a dropped table of
+        # the same name) is history: only listed fragments compete.
+        listed = {fragment.fragment_id for fragment in info.fragments}
+        heat = {fid: count for fid, count in heat.items() if fid in listed}
         before = len(self.report.actions)
         total = sum(heat.values())
         if total >= self.min_accesses and len(info.fragments) > 0:
@@ -286,16 +290,11 @@ class Rebalancer:
                 f"element {target_node} already hosts a copy of fragment"
                 f" {fragment_id} of {info.name!r}"
             )
-        source = gdh._live_copy(fragment)
-        if source is None:
-            raise RebalanceError(
-                f"fragment {fragment_id} of {info.name!r} has no live copy"
-                " to migrate from"
-            )
+        source = self._live_copies(info, fragment, "migrate from")[0]
 
         self._generation += 1
         new_name = f"{old_name}@g{self._generation}"
-        new_ofm = gdh.spawn_fragment_copy(
+        new_ofm = gdh.allocator.spawn_copy(
             info, new_name, target_node, gdh.gdh_process.ready_at
         )
         try:
@@ -318,11 +317,9 @@ class Rebalancer:
 
             self._locked_flip(info, [fragment_id], flip)
         except Exception:
-            self._discard(new_name)
+            gdh.allocator.retire(target_node, new_name)
             raise
-        old_ofm = gdh.fragment_ofms.pop(old_name, None)
-        if old_ofm is not None:
-            old_ofm.destroy()
+        gdh.allocator.retire(old_node, old_name)
         self.report.fragments_migrated += 1
         self.report.rows_moved += len(new_ofm.table)
         action = ("migrate", info.name, fragment_id, old_node, target_node)
@@ -345,12 +342,7 @@ class Rebalancer:
         info = gdh.catalog.table(table)
         scheme = self._rebalanced_scheme(info)
         fragment = info.fragment(fragment_id)
-        source = gdh._live_copy(fragment)
-        if source is None:
-            raise RebalanceError(
-                f"fragment {fragment_id} of {info.name!r} has no live copy"
-                " to split from"
-            )
+        source = self._live_copies(info, fragment, "split from")[0]
         new_id = max(f.fragment_id for f in info.fragments) + 1
         new_scheme = scheme.split(fragment_id, new_id)
 
@@ -358,17 +350,15 @@ class Rebalancer:
         parent_nodes = {node for node, _name in fragment.all_copies()}
         if target_node is None:
             target_node = gdh.allocator.migration_target(parent_nodes)
-        primary_name = f"{info.name}.{new_id}"
-        placed: list[tuple[int, str]] = [(target_node, primary_name)]
-        used = parent_nodes | {target_node}
-        for replica_index in range(1, 1 + len(fragment.replicas)):
-            replica_node = gdh.allocator.place_replica(used)
-            used.add(replica_node)
-            placed.append((replica_node, f"{primary_name}r{replica_index}"))
-        new_copies = [
-            gdh.spawn_fragment_copy(info, name, node, gdh.gdh_process.ready_at)
-            for node, name in placed
-        ]
+        new_fragment = gdh.allocator.spawn_fragment(
+            info,
+            new_id,
+            target_node,
+            len(fragment.replicas),
+            gdh.gdh_process.ready_at,
+            avoid=parent_nodes,
+        )
+        new_copies = gdh.allocator.copies(new_fragment)
 
         moved_rows = 0
         try:
@@ -384,26 +374,20 @@ class Rebalancer:
                 for dest in new_copies:
                     self._sync_rows(info, source, dest, moving_now)
                 # Prune the moved rows out of every parent copy.
-                for _node, name in fragment.all_copies():
-                    parent = gdh.fragment_ofms.get(name)
-                    if parent is not None and parent.alive:
-                        keep = sorted(
-                            (rid, row)
-                            for rid, row in parent.table.scan()
-                            if new_scheme.fragment_of(row) != new_id
-                        )
-                        self._rewrite(parent, keep)
-                info.fragments.append(
-                    FragmentInfo(
-                        new_id, target_node, primary_name, tuple(placed[1:])
+                for parent in gdh.allocator.copies(fragment):
+                    keep = sorted(
+                        (rid, row)
+                        for rid, row in parent.table.scan()
+                        if new_scheme.fragment_of(row) != new_id
                     )
-                )
+                    self._rewrite(parent, keep)
+                info.fragments.append(new_fragment)
                 info.scheme = new_scheme
 
             self._locked_flip(info, [fragment_id, new_id], flip)
         except Exception:
-            for _node, name in placed:
-                self._discard(name)
+            for node, name in new_fragment.all_copies():
+                gdh.allocator.retire(node, name)
             raise
         gdh.refresh_table_stats(info.name)
         self.report.fragments_split += 1
@@ -433,13 +417,9 @@ class Rebalancer:
 
         def flip() -> None:
             nonlocal folded
-            source = gdh._live_copy(source_fragment)
-            dest = gdh._live_copy(dest_fragment)
-            if source is None or dest is None:
-                raise RebalanceError(
-                    f"merge {source_id}->{dest_id} of {info.name!r} needs a"
-                    " live copy on both sides"
-                )
+            source = self._live_copies(info, source_fragment, "merge from")[0]
+            dest_copies = self._live_copies(info, dest_fragment, "merge into")
+            dest = dest_copies[0]
             incoming = sorted(source.table.scan())
             folded = len(incoming)
             base = max((rid for rid, _row in dest.table.scan()), default=-1) + 1
@@ -447,16 +427,14 @@ class Rebalancer:
                 (base + offset, row)
                 for offset, (_rid, row) in enumerate(incoming)
             ]
-            for _node, name in dest_fragment.all_copies():
-                copy = gdh.fragment_ofms.get(name)
-                if copy is not None and copy.alive:
-                    self._sync_rows(info, source, copy, merged)
+            for copy in dest_copies:
+                self._sync_rows(info, source, copy, merged)
             info.fragments.remove(source_fragment)
             info.scheme = new_scheme
 
         self._locked_flip(info, [source_id, dest_id], flip)
-        for _node, name in source_fragment.all_copies():
-            self._discard(name)
+        for node, name in source_fragment.all_copies():
+            gdh.allocator.retire(node, name)
         gdh.refresh_table_stats(info.name)
         self.report.fragments_merged += 1
         self.report.rows_moved += folded
@@ -484,6 +462,19 @@ class Rebalancer:
             f"cannot rebalance {info.name!r}: scheme {scheme.describe()!r}"
             " is not hash-based"
         )
+
+    def _live_copies(
+        self, info: TableInfo, fragment: FragmentInfo, action: str
+    ) -> list[OneFragmentManager]:
+        """The live copies an action works on; rows are read from the
+        first (the primary while it is up, a surviving replica otherwise)."""
+        copies = self.gdh.allocator.copies(fragment)
+        if not copies:
+            raise RebalanceError(
+                f"fragment {fragment.fragment_id} of {info.name!r} has no"
+                f" live copy to {action}"
+            )
+        return copies
 
     def _locked_flip(self, info: TableInfo, fragment_ids, flip) -> None:
         """Run *flip* with the fragments X-locked, then publish.
@@ -560,10 +551,3 @@ class Rebalancer:
         ofm.charge(self.gdh.machine.cpu_time(tuples=len(rows)), tuples=len(rows))
         if ofm.wal is not None:
             ofm.charge(ofm.wal.checkpoint(rows))
-
-    def _discard(self, ofm_name: str) -> None:
-        """Drop a copy from the registry and release its state (no-op if
-        an element crash already reaped it)."""
-        ofm = self.gdh.fragment_ofms.pop(ofm_name, None)
-        if ofm is not None and ofm.alive:
-            ofm.destroy()

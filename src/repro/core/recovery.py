@@ -34,14 +34,15 @@ runs bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import RecoveryError
 from repro.obs.tracer import active
+from repro.core.catalog import FragmentInfo, PlacedCopy
 from repro.core.gdh import GDH_NODE, GlobalDataHandler
 from repro.core.transactions import TxnState
-from repro.ofm.manager import OFMProfile, OneFragmentManager
+from repro.ofm.manager import OneFragmentManager
 
 
 def _fingerprint(*fields_: object) -> str:
@@ -113,11 +114,6 @@ class CrashReport:
             sorted(self.processes_killed),
         )
 
-    def reset(self) -> None:
-        self.aborted_transactions.clear()
-        self.fragments_lost = 0
-        self.processes_killed.clear()
-
 
 @dataclass
 class RecoveryReport:
@@ -167,17 +163,6 @@ class RecoveryReport:
             self.replica_catchups,
         )
 
-    def reset(self) -> None:
-        self.fragments_recovered = 0
-        self.rows_restored = 0
-        self.duration_s = 0.0
-        self.total_work_s = 0.0
-        self.committed_outcomes = 0
-        self.in_doubt_resolved = 0
-        self.commit_log_scan_s = 0.0
-        self.log_repairs = 0
-        self.replica_catchups = 0
-
 
 @dataclass
 class InDoubtResolution:
@@ -200,12 +185,6 @@ class InDoubtResolution:
         return _fingerprint(
             self.resolved, self.committed, self.aborted, self.log_repairs
         )
-
-    def reset(self) -> None:
-        self.resolved = 0
-        self.committed = 0
-        self.aborted = 0
-        self.log_repairs = 0
 
 
 class RecoveryManager:
@@ -264,15 +243,7 @@ class RecoveryManager:
             at_time=gdh.runtime.horizon(), kind="element", node_id=node_id
         )
         report.processes_killed = gdh.faults.crash_element(node_id)
-        # Fragment copies on the element lose their volatile state for
-        # good; the registry must stop routing reads/writes to them.
-        dead = sorted(
-            name for name, ofm in gdh.fragment_ofms.items() if not ofm.alive
-        )
-        for name in dead:
-            ofm = gdh.fragment_ofms.pop(name)
-            ofm.halt()
-            report.fragments_lost += 1
+        report.fragments_lost = len(gdh.allocator.reap())
         # Abort every transaction that lost a participant: phase one can
         # no longer succeed for them, and holding their locks would
         # stall the surviving elements forever.
@@ -312,30 +283,9 @@ class RecoveryManager:
         # the executor/binder share the Catalog object by reference.
         gdh.catalog.adopt(recovered_catalog)
 
-        # Element-crashed copies are missing from the registry entirely;
-        # respawn them from the recovered placement before replaying.
-        for info in gdh.catalog.tables():
-            for fragment in info.fragments:
-                for copy_node, copy_name in fragment.all_copies():
-                    if copy_name in gdh.fragment_ofms:
-                        continue
-                    if not gdh.machine.node_is_up(copy_node):
-                        raise RecoveryError(
-                            f"element {copy_node} is still down; restore it"
-                            f" before restarting fragment copy {copy_name!r}"
-                        )
-                    gdh.spawn_fragment_copy(
-                        info, copy_name, copy_node, gdh.gdh_process.ready_at
-                    )
-
-        report = self._replay(
-            sorted(
-                name
-                for name, ofm in gdh.fragment_ofms.items()
-                if ofm.profile is OFMProfile.FULL
-            ),
-            catch_up=False,
-        )
+        # Copies lost to an element crash are respawned from the
+        # recovered placement before replaying.
+        report = self._replay(gdh.catalog.placed_copies(), catch_up=False)
 
         # 3. Statistics refresh for the optimizer.
         for name in gdh.catalog.table_names():
@@ -353,28 +303,30 @@ class RecoveryManager:
         outage.
         """
         gdh = self.gdh
-        for name in names:
-            info, _fragment, copy_node = gdh.locate_fragment_copy(name)
-            ofm = gdh.fragment_ofms.get(name)
-            if ofm is not None and ofm.alive:
-                continue  # already running; replay below is idempotent
-            if not gdh.machine.node_is_up(copy_node):
-                raise RecoveryError(
-                    f"element {copy_node} is down; restore it before"
-                    f" restarting fragment copy {name!r}"
-                )
-            gdh.spawn_fragment_copy(info, name, copy_node, gdh.gdh_process.ready_at)
-        report = self._replay(sorted(names), catch_up=True)
-        for table_name in sorted(
-            {gdh.locate_fragment_copy(name)[0].name for name in names}
-        ):
+        placed = [gdh.catalog.locate_copy(name) for name in names]
+        report = self._replay(placed, catch_up=True)
+        for table_name in sorted({info.name for info, *_copy in placed}):
             gdh.refresh_table_stats(table_name)
         return report
 
-    def _replay(self, names: list[str], catch_up: bool) -> RecoveryReport:
-        """Replay the named fragment copies against the commit log."""
+    def _replay(self, placed: Iterable[PlacedCopy], catch_up: bool) -> RecoveryReport:
+        """Replay the *placed* fragment copies against the commit log,
+        each in the process serving it — a successor spawned under the
+        same name (same ``wal/<name>/...`` keys) where the element took
+        the process down.
+        """
         gdh = self.gdh
         report = RecoveryReport()
+        gdh.allocator.reap()
+        copies = [
+            (
+                fragment,
+                gdh.fragment_ofms.get(name)
+                or gdh.allocator.spawn_copy(info, name, node, gdh.gdh_process.ready_at),
+            )
+            for info, fragment, node, name in placed
+        ]
+        copies.sort(key=lambda copy: copy[1].name)
 
         scan_started = gdh.gdh_process.ready_at
         outcomes, scan_cost = gdh.commit_log.scan()
@@ -395,10 +347,8 @@ class RecoveryManager:
         )
 
         longest = 0.0
-        for name in names:
-            ofm = gdh.fragment_ofms[name]
-            if ofm.profile is not OFMProfile.FULL:
-                continue
+        for fragment, ofm in copies:
+            name = ofm.name
             replay_started = ofm.ready_at
             rows, cost = ofm.recover(lambda txn: outcomes.get(txn, "abort"))
             if self._tracer is not None:
@@ -427,7 +377,7 @@ class RecoveryManager:
                     report.committed_outcomes += 1
             if catch_up:
                 catchup_started = ofm.ready_at
-                caught_up, catchup_cost = self._catch_up(ofm)
+                caught_up, catchup_cost = self._catch_up(fragment, ofm)
                 if caught_up:
                     report.replica_catchups += 1
                     cost += catchup_cost
@@ -452,26 +402,19 @@ class RecoveryManager:
         report.total_work_s += scan_cost
         return report
 
-    def _catch_up(self, ofm: OneFragmentManager) -> tuple[bool, float]:
+    def _catch_up(
+        self, fragment: FragmentInfo, ofm: OneFragmentManager
+    ) -> tuple[bool, float]:
         """Copy state over from a live sibling if the WAL replay is stale.
 
         Returns (did catch up, simulated cost on the recovering OFM).
         """
-        gdh = self.gdh
-        _info, fragment, _node = gdh.locate_fragment_copy(ofm.name)
-        sibling = next(
-            (
-                gdh.fragment_ofms[copy_name]
-                for _copy_node, copy_name in fragment.all_copies()
-                if copy_name != ofm.name
-                and copy_name in gdh.fragment_ofms
-                and gdh.fragment_ofms[copy_name].alive
-            ),
-            None,
-        )
-        if sibling is None:
+        siblings = [
+            copy for copy in self.gdh.allocator.copies(fragment) if copy is not ofm
+        ]
+        if not siblings:
             return False, 0.0
-        return sync_copy_from(gdh, sibling, ofm)
+        return sync_copy_from(self.gdh, siblings[0], ofm)
 
     # -- in-doubt resolution ---------------------------------------------------
 

@@ -75,19 +75,6 @@ class CommitLog:
         )
         return result, cost
 
-    def outcomes(self) -> dict[int, str]:
-        """All durable decisions (cost-free view; prefer :meth:`scan`)."""
-        outcomes, _ = self.scan()
-        return outcomes
-
-    def outcome_of(self, txn_id: int) -> str:
-        key = f"gdhlog/{txn_id}"
-        if key not in self.disk:
-            return "abort"  # presumed abort
-        payload, _ = self.disk.read(key, sequential=True)
-        _, outcome = _pyast.literal_eval(payload.decode("utf-8"))
-        return str(outcome)
-
 
 @dataclass
 class CommitOutcome:

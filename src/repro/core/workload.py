@@ -279,16 +279,6 @@ class ServingReport(SnapshotMixin):
             "kinds": per_kind,
         }
 
-    def reset(self) -> None:
-        self.n_sessions = 0
-        self.operations = 0
-        self.statements = 0
-        self.deadlocks = 0
-        self.lock_waits = 0
-        self.started_at = 0.0
-        self.finished_at = 0.0
-        self.latencies_by_kind.clear()
-
 
 class _ServingClient:
     """One serving client: a connection, its RNG, its op budget."""

@@ -283,11 +283,6 @@ class ExpressionCompilerCache(SnapshotMixin):
             "hit_rate": self.hit_rate,
         }
 
-    def reset(self) -> None:
-        self._routines.clear()
-        self.compilations = 0
-        self.hits = 0
-
     def _put(self, key: tuple, routine: Any) -> None:
         if len(self._routines) >= COMPILER_CACHE_CAPACITY:
             del self._routines[next(iter(self._routines))]

@@ -59,11 +59,6 @@ class WorkMeter(SnapshotMixin):
             "compares": self.compares,
         }
 
-    def reset(self) -> None:
-        self.tuples = 0.0
-        self.hashes = 0.0
-        self.compares = 0.0
-
 
 class JoinKind(enum.Enum):
     INNER = "inner"

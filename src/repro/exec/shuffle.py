@@ -149,10 +149,3 @@ class SplitterCache(SnapshotMixin):
             "batch_invocations": self.batch_invocations,
             "row_invocations": self.row_invocations,
         }
-
-    def reset(self) -> None:
-        self._splitters.clear()
-        self.compilations = 0
-        self.hits = 0
-        self.batch_invocations = 0
-        self.row_invocations = 0

@@ -33,8 +33,8 @@ PL102     unordered iteration: no bare iteration over set-origin values
           (hash order perturbs same-seed stats fingerprints); wrap in
           ``sorted(...)``
 PL103     Snapshot conformance: anything exposing ``stats()`` /
-          ``fingerprint()`` implements the full stats/fingerprint/reset
-          triple with facade-callable signatures (``repro/obs/api.py``)
+          ``fingerprint()`` implements both, with facade-callable
+          signatures (``repro/obs/api.py``)
 PL104     static message ownership: a payload must not be mutated after
           it was shipped with ``send``/``post`` (static complement of
           the runtime sanitizer)

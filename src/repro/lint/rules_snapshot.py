@@ -1,11 +1,11 @@
 """PL103 — Snapshot-protocol conformance, checked cross-module.
 
 :mod:`repro.obs.api` defines the one shape every stats surface agrees
-on: ``stats() -> Mapping``, ``fingerprint() -> str``, ``reset() ->
-None``, all taking only ``self``.  The :class:`Observatory` facade, the
-golden-stats machinery, and the perf gate all *assume* that shape — a
-class that grew a ``stats()`` but forgot ``reset()`` works fine until
-the first ``observatory.reset()`` walks into an ``AttributeError`` mid
+on: ``stats() -> Mapping`` and ``fingerprint() -> str``, both taking
+only ``self``.  The :class:`Observatory` facade, the golden-stats
+machinery, and the perf gate all *assume* that shape — a class that
+grew a ``stats()`` but no ``fingerprint()`` works fine until the first
+``observatory.fingerprint()`` walks into an ``AttributeError`` mid
 benchmark, and a ``stats(self, verbose)`` signature breaks the facade
 at a distance.
 
@@ -16,7 +16,7 @@ modules.  This rule resolves each class's methods through the
 
 * any class exposing a concrete ``stats()`` or ``fingerprint()`` —
   directly or registered into an ``Observatory`` by constructor call —
-  implements the **full** triple (abstract bodies, ``...`` or ``raise
+  implements the **pair** (abstract bodies, ``...`` or ``raise
   NotImplementedError``, do not satisfy the requirement);
 * each leg takes only ``self`` (no required extra parameters), so the
   facade can call it blind.
@@ -35,11 +35,7 @@ from repro.lint.project import ClassInfo, FunctionInfo, ProjectIndex, ProjectRul
 
 __all__ = ["SnapshotConformanceRule"]
 
-PROTOCOL_METHODS = ("stats", "fingerprint", "reset")
-
-#: Triggering a class by one of these alone would be far too broad
-#: (`reset` is a common verb); only the distinctive legs trigger.
-_TRIGGER_METHODS = frozenset({"stats", "fingerprint"})
+PROTOCOL_METHODS = ("stats", "fingerprint")
 
 
 def _required_extra_params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
@@ -80,13 +76,13 @@ def _registered_constructor_classes(source: SourceFile) -> dict[str, ast.AST]:
 
 
 class SnapshotConformanceRule(ProjectRule):
-    """PL103: a stats surface implements the whole Snapshot triple."""
+    """PL103: a stats surface implements the whole Snapshot pair."""
 
     code = "PL103"
     name = "snapshot-conformance"
     hint = (
         "anything exposing stats()/fingerprint() is a Snapshot surface: "
-        "implement stats() + fingerprint() + reset(), each taking only "
+        "implement stats() + fingerprint(), each taking only "
         "self, so Observatory/golden-stats tooling can drive it blind "
         "(contract: repro/obs/api.py)"
     )
@@ -132,8 +128,7 @@ class SnapshotConformanceRule(ProjectRule):
             for name, info in resolved.items()
             if name in PROTOCOL_METHODS and not info.is_abstract
         }
-        triggered = forced or any(name in concrete for name in _TRIGGER_METHODS)
-        if not triggered:
+        if not (forced or concrete):
             return
         # A leg that is declared but abstract (``...``/``raise
         # NotImplementedError``) is deliberately deferred to subclasses —
@@ -150,7 +145,7 @@ class SnapshotConformanceRule(ProjectRule):
                 cls.node,
                 f"class {cls.name} exposes a Snapshot surface but has no "
                 f"concrete {'/'.join(missing)} "
-                f"(protocol: stats/fingerprint/reset, repro/obs/api.py)",
+                f"(protocol: stats/fingerprint, repro/obs/api.py)",
             )
         for name, info in concrete.items():
             extra = _required_extra_params(info.node)

@@ -15,7 +15,7 @@ Public surface:
 
 from repro.machine.config import MachineConfig, paper_prototype, small_machine
 from repro.machine.disk import Disk, DiskStats
-from repro.machine.events import EventHandle, EventLoop
+from repro.machine.events import EventLoop
 from repro.machine.machine import Machine, MachineNodesView
 from repro.machine.memory import MemoryAccount
 from repro.machine.network import NetworkStats, Packet, PacketNetwork
@@ -42,7 +42,6 @@ from repro.machine.traffic import (
 __all__ = [
     "Disk",
     "DiskStats",
-    "EventHandle",
     "EventLoop",
     "LoopProfile",
     "LoopProfiler",

@@ -12,7 +12,7 @@ on it.
 Hot-path design
 ---------------
 Every simulated packet hop costs at least one event, so the scheduler is
-the single hottest code in the repository.  Three choices keep it lean:
+the single hottest code in the repository.  Two choices keep it lean:
 
 * Heap entries are tuples, not objects.  Tuple comparison on
   ``(time, sequence)`` is a single C-level operation; there is no
@@ -25,14 +25,12 @@ the single hottest code in the repository.  Three choices keep it lean:
   zero-argument convenience API (:meth:`EventLoop.schedule_at` /
   :meth:`EventLoop.schedule`) stores the callback *as* the argument of a
   shared trampoline.
-* Cancellation is pay-for-what-you-use: only
-  :meth:`EventLoop.schedule_cancellable` /
-  :meth:`EventLoop.schedule_cancellable_at` allocate an
-  :class:`EventHandle`; the common non-cancellable path allocates
-  nothing beyond the heap tuple.
 
-The loop also keeps O(1) profiling counters — live (pending) events,
-total events fired, and the peak heap size — surfaced through
+A scheduled event fires: there is no cancellation, so the innermost
+loop tests nothing per popped event but the time bound.
+
+The loop also keeps O(1) profiling counters — pending events, total
+events fired, and the peak heap size — surfaced through
 :mod:`repro.machine.profile` and the benchmark harnesses.
 """
 
@@ -51,44 +49,6 @@ EventCallback = Callable[[], None]
 def _call0(callback: EventCallback) -> None:
     """Trampoline invoking a zero-argument callback stored as the arg."""
     callback()
-
-
-def _fire_handle(handle: "EventHandle") -> None:
-    """Trampoline firing a cancellable event through its handle."""
-    handle._fired = True
-    handle._callback()
-
-
-class EventHandle:
-    """Handle returned by the ``schedule_cancellable`` methods.
-
-    Allocated lazily: only events that may need cancelling pay for a
-    handle object; plain events are bare heap tuples.
-    """
-
-    __slots__ = ("_loop", "_callback", "_cancelled", "_fired", "time")
-
-    def __init__(self, loop: "EventLoop", time: float, callback: EventCallback):
-        self._loop = loop
-        self._callback = callback
-        self._cancelled = False
-        self._fired = False
-        self.time = time
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if not self._cancelled and not self._fired:
-            self._cancelled = True
-            self._loop._live -= 1
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether the event has already run (cancel is then a no-op)."""
-        return self._fired
 
 
 class EventLoop:
@@ -113,7 +73,6 @@ class EventLoop:
         "_now",
         "_sequence",
         "_running",
-        "_live",
         "_fired_total",
         "_heap_peak",
     )
@@ -124,7 +83,6 @@ class EventLoop:
         self._now = 0.0
         self._sequence = 0
         self._running = False
-        self._live = 0
         self._fired_total = 0
         self._heap_peak = 0
 
@@ -135,17 +93,17 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired (and not cancelled) events.  O(1)."""
-        return self._live
+        """Number of not-yet-fired events.  O(1)."""
+        return len(self._queue)
 
     @property
     def events_fired_total(self) -> int:
-        """Events fired over the loop's lifetime (cancelled skips excluded)."""
+        """Events fired over the loop's lifetime."""
         return self._fired_total
 
     @property
     def heap_peak(self) -> int:
-        """Largest heap size ever reached (cancelled zombies included)."""
+        """Largest heap size ever reached."""
         return self._heap_peak
 
     # -- scheduling ---------------------------------------------------------
@@ -165,7 +123,6 @@ class EventLoop:
         queue = self._queue
         heapq.heappush(queue, (time, self._sequence, fn, arg))
         self._sequence += 1
-        self._live += 1
         if len(queue) > self._heap_peak:
             self._heap_peak = len(queue)
 
@@ -179,37 +136,17 @@ class EventLoop:
             raise MachineError(f"negative delay: {delay}")
         self.schedule_call_at(self._now + delay, _call0, callback)
 
-    def schedule_cancellable_at(
-        self, time: float, callback: EventCallback
-    ) -> EventHandle:
-        """Like :meth:`schedule_at` but returns a cancellable handle."""
-        handle = EventHandle(self, time, callback)
-        self.schedule_call_at(time, _fire_handle, handle)
-        return handle
-
-    def schedule_cancellable(
-        self, delay: float, callback: EventCallback
-    ) -> EventHandle:
-        """Like :meth:`schedule` but returns a cancellable handle."""
-        if delay < 0:
-            raise MachineError(f"negative delay: {delay}")
-        return self.schedule_cancellable_at(self._now + delay, callback)
-
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` if none remain."""
-        queue = self._queue
-        while queue:
-            head = heapq.heappop(queue)
-            if head[2] is _fire_handle and head[3]._cancelled:
-                continue
-            self._now = head[0]
-            self._live -= 1
-            self._fired_total += 1
-            head[2](head[3])
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _seq, fn, arg = heapq.heappop(self._queue)
+        self._now = time
+        self._fired_total += 1
+        fn(arg)
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events in order.
@@ -241,7 +178,6 @@ class EventLoop:
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
-        fire_handle = _fire_handle
         time_bound = float("inf") if until is None else until
         event_bound = sys.maxsize if max_events is None else max_events
         try:
@@ -250,14 +186,11 @@ class EventLoop:
                     break
                 head = pop(queue)
                 time, _seq, fn, arg = head
-                if fn is fire_handle and arg._cancelled:
-                    continue
                 if time > time_bound:
                     push(queue, head)
                     self._now = time_bound
                     break
                 self._now = time
-                self._live -= 1
                 fn(arg)
                 fired += 1
             else:

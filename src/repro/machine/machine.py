@@ -53,10 +53,6 @@ class MachineNodesView(SnapshotMixin):
             "processes_started": sum(n.stats.processes_started for n in nodes),
         }
 
-    def reset(self) -> None:
-        for node in self._machine.nodes:
-            node.stats = type(node.stats)()
-
 
 class FaultScope:
     """Scoped degradation with guaranteed restore.

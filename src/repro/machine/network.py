@@ -99,16 +99,6 @@ class NetworkStats(SnapshotMixin):
             "delivered_per_node": dict(self.delivered_per_node),
         }
 
-    def reset(self) -> None:
-        self.injected = 0
-        self.delivered = 0
-        self.dropped = 0
-        self.local = 0
-        self.total_latency_s = 0.0
-        self.max_latency_s = 0.0
-        self.total_hops = 0
-        self.delivered_per_node = {}
-
 
 class PacketNetwork:
     """Event-driven packet network over a topology.

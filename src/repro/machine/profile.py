@@ -14,9 +14,9 @@ per instance; a profiler without a clock still reports the
 deterministic counters with ``wall_s = 0``.
 
 A profiler is a :class:`~repro.obs.api.Snapshot`: ``stats()`` reports
-the finished profile (or a live delta view before ``__exit__``),
+the finished profile (or a live delta view before ``__exit__``) and
 ``fingerprint()`` hashes only the deterministic fields (never
-``wall_s``), and ``reset()`` re-anchors at the loop's current state.
+``wall_s``).
 
 Example
 -------
@@ -133,10 +133,3 @@ class LoopProfiler:
         return fingerprint_stats(
             {key: stats[key] for key in ("events_fired", "heap_peak", "sim_time_s")}
         )
-
-    def reset(self) -> None:
-        """Drop the finished profile and re-anchor at the loop's state now."""
-        self.profile = None
-        self._fired_at_enter = self.loop.events_fired_total
-        self._sim_at_enter = self.loop.now
-        self._wall_at_enter = self.clock() if self.clock is not None else 0.0

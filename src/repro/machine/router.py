@@ -4,30 +4,25 @@ Historically routes were computed eagerly, by breadth-first search from
 every destination into three dense N^2 tables — affordable at the
 paper's 64 processing elements, but a 1024-PE mesh would pay ~3M-entry
 allocations and 1024 full BFS passes before the first packet moved.
-Routing is now computed two ways, both reproducing the original tables
-bit for bit:
+Routing now answers its two questions separately, both reproducing the
+original tables bit for bit:
 
-* **Algebraic** — the structured topologies (mesh, torus, ring,
-  single-skip chordal ring, hypercube) have closed-form shortest-path
-  distances.  Next hops follow from a greedy walk outward from the
-  destination that always steps to the lowest-numbered neighbor closing
-  the distance: that walk traces the *lexicographically minimal*
-  shortest path, which is exactly the path the original BFS produced
-  (its queue expands neighbors in ascending order, so within a level
-  nodes pop in lexicographic path order and every node's parent is the
-  lexmin-eligible predecessor).  ``hops``/``next_hop``/``path`` are
-  therefore O(1)/O(d·deg) with no tables at all.
-* **Lazy per-destination BFS** — the packet simulator wants a flat
-  per-destination column of outgoing link ids; those columns (and the
-  generic/``complete`` fallback for everything) are built on first use
-  by the same ascending-neighbor BFS as before and memoized as
-  ``array('i')``.  Router memory is O(links + touched destinations)
-  instead of O(N^2).
+* **Distances are algebraic** — the structured topologies (mesh, torus,
+  ring, single-skip chordal ring, hypercube) have closed-form
+  shortest-path distances, so ``hops`` — all the analytic cost model
+  asks — is O(1) with no tables at all.
+* **Next hops come from lazy per-destination BFS** — the packet
+  simulator wants a flat per-destination column of outgoing link ids;
+  those columns (and the distances of the generic/``complete``
+  fallback) are built on first use by the same ascending-neighbor BFS
+  as before and memoized as ``array('i')``; ``next_hop``/``path`` read
+  them.  Router memory is O(links + touched destinations) instead of
+  O(N^2).
 
 Ties always break toward the lowest-numbered neighbor, so routing is
 deterministic and simulations are reproducible; the oracle tests in
-``tests/test_router_scaling.py`` assert algebraic == BFS on every
-(node, destination) pair for all five structured families.
+``tests/test_router_scaling.py`` assert closed-form == BFS distance on
+every (node, destination) pair for all five structured families.
 """
 
 from __future__ import annotations
@@ -156,7 +151,7 @@ class Router:
 
     @property
     def has_algebraic_routes(self) -> bool:
-        """True when hops/next_hop need no tables at all."""
+        """True when hops needs no tables at all."""
         return self._hops_fn is not None
 
     @property
@@ -230,56 +225,10 @@ class Router:
             self._out_cols[destination] = col
         return col
 
-    # -- algebraic next hops -------------------------------------------------
-
-    def _walk_parent(self, node: int, destination: int) -> int:
-        """BFS-identical next hop by greedy lexmin walk from *destination*.
-
-        Step outward from the destination, always to the lowest-numbered
-        neighbor whose closed-form distance to *node* closes by one; the
-        node reached at distance 1 is exactly the parent the
-        ascending-neighbor BFS would have recorded for *node*.
-        """
-        hops_fn = self._hops_fn
-        assert hops_fn is not None
-        remaining = hops_fn(destination, node)
-        current = destination
-        neighbors = self.topology.neighbors
-        while remaining > 1:
-            remaining -= 1
-            for neighbor in neighbors(current):
-                if hops_fn(neighbor, node) == remaining:
-                    current = neighbor
-                    break
-        return current
-
-    def algebraic_next_hop(self, node: int, destination: int) -> int | None:
-        """Closed-form next hop; None when no algebraic rule applies.
-
-        Computed without touching (or building) the BFS columns — the
-        oracle tests compare this against :meth:`bfs_next_hop`.
-        """
-        if self._hops_fn is None:
-            return None
-        if node == destination:
-            return destination
-        return self._walk_parent(node, destination)
-
-    def bfs_next_hop(self, node: int, destination: int) -> int:
-        """Ground-truth next hop from the memoized BFS column."""
-        return self._columns_for(destination)[0][node]
-
     # -- public routing queries ----------------------------------------------
 
     def next_hop(self, node: int, destination: int) -> int:
         """The neighbor *node* forwards to, en route to *destination*."""
-        col = self._next_hop_cols.get(destination)
-        if col is not None:
-            return col[node]
-        if self._hops_fn is not None:
-            if node == destination:
-                return destination
-            return self._walk_parent(node, destination)
         return self._columns_for(destination)[0][node]
 
     def hops(self, source: int, destination: int) -> int:
@@ -294,35 +243,13 @@ class Router:
 
     def path(self, source: int, destination: int) -> list[int]:
         """Full node sequence from *source* to *destination*, inclusive."""
-        col = self._next_hop_cols.get(destination)
-        if col is None and self._hops_fn is not None:
-            return self._walk_path(source, destination)
-        if col is None:
-            col = self._columns_for(destination)[0]
+        col = self._columns_for(destination)[0]
         path = [source]
         node = source
         while node != destination:
             node = col[node]
             path.append(node)
         return path
-
-    def _walk_path(self, source: int, destination: int) -> list[int]:
-        """The lexmin walk of :meth:`_walk_parent`, keeping every node."""
-        hops_fn = self._hops_fn
-        assert hops_fn is not None
-        remaining = hops_fn(destination, source)
-        reverse = [destination]
-        current = destination
-        neighbors = self.topology.neighbors
-        while current != source:
-            remaining -= 1
-            for neighbor in neighbors(current):
-                if hops_fn(neighbor, source) == remaining:
-                    current = neighbor
-                    reverse.append(neighbor)
-                    break
-        reverse.reverse()
-        return reverse
 
     def mean_hops(self) -> float:
         """Average route length over distinct ordered pairs.

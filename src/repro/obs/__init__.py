@@ -6,9 +6,9 @@ Three parts, all deterministic and wall-clock free:
   recorder of spans/events timestamped by the *simulated* clock, with a
   near-zero-cost no-op mode (:func:`active`).
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — named
-  counters/gauges/histograms for cold-path instrumentation.
+  counters/histograms for cold-path instrumentation.
 * :class:`Snapshot` (:mod:`repro.obs.api`) — the one protocol
-  (``stats`` / ``fingerprint`` / ``reset``) every measurement surface
+  (``stats`` / ``fingerprint``) every measurement surface
   implements, composed into facades by :class:`Observatory` and
   exposed as ``PrismaDB.observe()`` / ``Machine.observe()``.
 
@@ -29,13 +29,12 @@ from repro.obs.export import (
     text_profile,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.tracer import DEFAULT_CAPACITY, Tracer, TraceRecord, active
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Observatory",

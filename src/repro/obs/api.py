@@ -11,8 +11,11 @@ that with one contract:
 
 * ``stats()`` — a plain mapping of counter/derived values (JSON-able);
 * ``fingerprint()`` — a SHA-256 hex digest over the canonicalized
-  stats, so two same-seed runs can be diffed bit-for-bit;
-* ``reset()`` — return the surface to its just-constructed state.
+  stats, so two same-seed runs can be diffed bit-for-bit.
+
+There is no ``reset()``: a measurement over a window is the difference
+of two ``stats()`` readings, which leaves every pinned fingerprint
+alone.
 
 :class:`Observatory` composes named ``Snapshot`` sources into one
 facade; ``PrismaDB.observe()`` / ``Machine.observe()`` /
@@ -38,13 +41,11 @@ __all__ = [
 
 @runtime_checkable
 class Snapshot(Protocol):
-    """A measurement surface: stats, a stable digest of them, a reset."""
+    """A measurement surface: stats and a stable digest of them."""
 
     def stats(self) -> Mapping[str, Any]: ...
 
     def fingerprint(self) -> str: ...
-
-    def reset(self) -> None: ...
 
 
 def canonical(value: Any) -> Any:
@@ -84,9 +85,6 @@ class SnapshotMixin:
     def stats(self) -> Mapping[str, Any]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def reset(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def fingerprint(self) -> str:
         return fingerprint_stats(self.stats())
 
@@ -96,11 +94,10 @@ class Observatory(SnapshotMixin):
 
     Sources register under a name, either directly or as a zero-argument
     factory (for owners like :class:`~repro.machine.network.PacketNetwork`
-    that *replace* their stats object on reset, so the facade must
-    always resolve the current one).  The Observatory is itself a
-    ``Snapshot``: its stats are the per-source stats keyed by name, its
-    fingerprint hashes the per-source fingerprints, and ``reset()``
-    resets every source.
+    that *replace* their stats object when measuring starts, so the
+    facade must always resolve the current one).  The Observatory is
+    itself a ``Snapshot``: its stats are the per-source stats keyed by
+    name, its fingerprint hashes the per-source fingerprints.
     """
 
     __slots__ = ("_sources",)
@@ -132,7 +129,3 @@ class Observatory(SnapshotMixin):
             (name, self.source(name).fingerprint()) for name in self.sources()
         )
         return hashlib.sha256(repr(per_source).encode("utf-8")).hexdigest()
-
-    def reset(self) -> None:
-        for name in self.sources():
-            self.source(name).reset()

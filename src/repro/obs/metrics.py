@@ -1,4 +1,4 @@
-"""Named counters, gauges, and histograms behind the ``Snapshot`` protocol.
+"""Named counters and histograms behind the ``Snapshot`` protocol.
 
 The simulator's *hot-path* counters (one increment per packet hop or
 per tuple) stay where they are — slotted dataclass fields like
@@ -6,7 +6,7 @@ per tuple) stay where they are — slotted dataclass fields like
 :class:`~repro.obs.api.Snapshot` — because a dict lookup per hop is a
 cost the event core cannot pay.  This registry is for everything else:
 cold-path instruments (per query, per shuffle, per commit) that want
-one uniform naming, reset, and fingerprint story.  A registry is itself
+one uniform naming and fingerprint story.  A registry is itself
 a ``Snapshot``, so it composes into an
 :class:`~repro.obs.api.Observatory` like any other surface.
 
@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.obs.api import SnapshotMixin
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 #: Default histogram bucket upper bounds (right-inclusive; +inf implied).
 DEFAULT_BUCKETS = (0, 1, 4, 16, 64, 256, 1024, 4096, 16384, 65536)
@@ -40,28 +40,6 @@ class Counter(SnapshotMixin):
 
     def stats(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Gauge(SnapshotMixin):
-    """A value that goes up and down (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def stats(self) -> dict[str, Any]:
-        return {"type": "gauge", "value": self.value}
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram(SnapshotMixin):
@@ -102,11 +80,6 @@ class Histogram(SnapshotMixin):
             },
         }
 
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
 
 class MetricsRegistry(SnapshotMixin):
     """Get-or-create registry of named instruments.
@@ -119,7 +92,7 @@ class MetricsRegistry(SnapshotMixin):
     __slots__ = ("_instruments",)
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
 
     def _get_or_create(self, name: str, factory, kind: type):
         instrument = self._instruments.get(name)
@@ -136,9 +109,6 @@ class MetricsRegistry(SnapshotMixin):
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), Gauge)
-
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> Histogram:
@@ -151,7 +121,3 @@ class MetricsRegistry(SnapshotMixin):
         return {
             name: dict(self._instruments[name].stats()) for name in self.names()
         }
-
-    def reset(self) -> None:
-        for instrument in self._instruments.values():
-            instrument.reset()

@@ -163,5 +163,8 @@ class Tracer:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def reset(self) -> None:
+        """Drain: forget every record (a tracer operation, not a leg of
+        the Snapshot protocol — a long run empties the ring before it
+        wraps)."""
         self.emitted = 0
         self._events.clear()

@@ -59,15 +59,6 @@ class RuntimeStats(SnapshotMixin):
             "dead_letters": self.dead_letters,
         }
 
-    def reset(self) -> None:
-        self.processes_spawned = 0
-        self.processes_terminated = 0
-        self.processes_killed = 0
-        self.messages = 0
-        self.bytes_moved = 0
-        self.local_messages = 0
-        self.dead_letters = 0
-
 
 class PoolRuntime:
     """Creates processes on a machine and passes messages between them.

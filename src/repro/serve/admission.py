@@ -83,11 +83,3 @@ class AdmissionQueue(SnapshotMixin):
             "queue_depth": dict(self.queue_depth.stats()),
             "wait_s": dict(self.wait_s.stats()),
         }
-
-    def reset(self) -> None:
-        self._free_at = [0.0] * self.slots
-        self.admitted = 0
-        self.delayed = 0
-        self.total_wait_s = 0.0
-        self.queue_depth.reset()
-        self.wait_s.reset()

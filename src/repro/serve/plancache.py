@@ -106,11 +106,3 @@ class PlanCache(SnapshotMixin):
             "invalidations": self.invalidations,
             "evictions": self.evictions,
         }
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0

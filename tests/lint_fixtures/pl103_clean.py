@@ -1,4 +1,4 @@
-"""PL103 clean: full Snapshot triples, including an inherited one."""
+"""PL103 clean: full Snapshot pairs, including an inherited one."""
 
 
 class CacheStats:
@@ -11,9 +11,6 @@ class CacheStats:
     def fingerprint(self):
         return str(self.hits)
 
-    def reset(self):
-        self.hits = 0
-
 
 class Surface:
     """Pure interface: declares the contract, implements nothing."""
@@ -24,9 +21,6 @@ class Surface:
     def fingerprint(self):
         raise NotImplementedError
 
-    def reset(self):
-        raise NotImplementedError
-
 
 class Derived(Surface):
     def stats(self):
@@ -34,9 +28,6 @@ class Derived(Surface):
 
     def fingerprint(self):
         return "0"
-
-    def reset(self):
-        pass
 
 
 def register_all(observatory):

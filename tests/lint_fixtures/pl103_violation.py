@@ -2,7 +2,7 @@
 
 
 class CacheStats:
-    """Grew a stats() but never the other two legs."""
+    """Grew a stats() but never the other leg."""
 
     def __init__(self):
         self.hits = 0
@@ -12,16 +12,13 @@ class CacheStats:
 
 
 class VerboseStats:
-    """All three legs, but stats() cannot be called blind."""
+    """Both legs, but stats() cannot be called blind."""
 
     def stats(self, verbose):
         return {"verbose": 1 if verbose else 0}
 
     def fingerprint(self):
         return "deadbeef"
-
-    def reset(self):
-        pass
 
 
 def register_all(observatory):

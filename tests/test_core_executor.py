@@ -34,6 +34,7 @@ from repro.algebra.plan import (
     ValuesNode,
 )
 from repro.algebra.subexpr import extract_common_subexpressions
+from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, TableInfo
 from repro.core.executor import DistributedExecutor
 from repro.core.fragmentation import HashFragmentation, RoundRobinFragmentation
@@ -59,7 +60,8 @@ class Harness:
         config = MachineConfig(n_nodes=16, disk_nodes=(0,))
         self.runtime = PoolRuntime(Machine(config))
         self.catalog = Catalog()
-        self.fragment_ofms: dict[str, OneFragmentManager] = {}
+        self.allocator = DataAllocationManager(self.runtime)
+        self.fragment_ofms = self.allocator.ofms
         tables = {"emp": (EMP, EMP_ROWS), "dept": (DEPT, DEPT_ROWS), "edge": (EDGE, EDGE_ROWS)}
         node = 1
         for name, (schema, rows) in tables.items():
@@ -84,7 +86,7 @@ class Harness:
                 TableInfo(name=name, schema=schema, scheme=scheme, fragments=infos)
             )
         self.executor = DistributedExecutor(
-            self.runtime, self.catalog, self.fragment_ofms
+            self.runtime, self.catalog, self.allocator
         )
         self.query_process = self.runtime.spawn(PoolProcess, name="qp", node=0)
 

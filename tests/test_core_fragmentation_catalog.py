@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, CatalogError
 from repro.machine import Machine, MachineConfig
+from repro.pool import PoolRuntime
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, IndexInfo, TableInfo
 from repro.core.fragmentation import (
@@ -163,14 +164,14 @@ class TestCatalog:
 class TestAllocation:
     def test_spreads_over_distinct_nodes(self):
         machine = Machine(MachineConfig(n_nodes=8))
-        allocator = DataAllocationManager(machine, reserve_node=0)
+        allocator = DataAllocationManager(PoolRuntime(machine), reserve_node=0)
         nodes = allocator.place_fragments(4)
         assert len(set(nodes)) == 4
         assert 0 not in nodes  # reserved for the GDH
 
     def test_wraps_when_more_fragments_than_nodes(self):
         machine = Machine(MachineConfig(n_nodes=4))
-        allocator = DataAllocationManager(machine, reserve_node=None)
+        allocator = DataAllocationManager(PoolRuntime(machine), reserve_node=None)
         nodes = allocator.place_fragments(10)
         assert len(nodes) == 10
         assert set(nodes) <= set(range(4))
@@ -178,13 +179,13 @@ class TestAllocation:
     def test_prefers_free_memory(self):
         machine = Machine(MachineConfig(n_nodes=4))
         machine.node(1).memory.allocate(10_000_000, "hog")
-        allocator = DataAllocationManager(machine, reserve_node=None)
+        allocator = DataAllocationManager(PoolRuntime(machine), reserve_node=None)
         nodes = allocator.place_fragments(3)
         assert 1 not in nodes
 
     def test_capacity_check(self):
         machine = Machine(MachineConfig(n_nodes=2))
-        allocator = DataAllocationManager(machine, reserve_node=None)
+        allocator = DataAllocationManager(PoolRuntime(machine), reserve_node=None)
         with pytest.raises(AllocationError):
             allocator.place_fragments(
                 1, expected_bytes_per_fragment=machine.config.memory_bytes + 1
@@ -192,6 +193,6 @@ class TestAllocation:
 
     def test_reserve_used_when_unavoidable(self):
         machine = Machine(MachineConfig(n_nodes=2))
-        allocator = DataAllocationManager(machine, reserve_node=0)
+        allocator = DataAllocationManager(PoolRuntime(machine), reserve_node=0)
         nodes = allocator.place_fragments(2)
         assert sorted(set(nodes)) == [0, 1]

@@ -9,6 +9,7 @@ bit-identical to the per-row implementation it replaced.
 
 import pytest
 
+from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.core.executor import DistRelation, DistributedExecutor, Part
 from repro.core.fragmentation import stable_hash
@@ -85,7 +86,9 @@ class ShuffleHarness:
     def __init__(self, n_procs: int = 4):
         config = MachineConfig(n_nodes=8, disk_nodes=(0,))
         self.runtime = PoolRuntime(Machine(config))
-        self.executor = DistributedExecutor(self.runtime, Catalog(), {})
+        self.executor = DistributedExecutor(
+            self.runtime, Catalog(), DataAllocationManager(self.runtime)
+        )
         self.query_process = self.runtime.spawn(PoolProcess, name="qp", node=0)
         self.executor._query_process = self.query_process
         self.executor._dispatched = set()

@@ -22,6 +22,7 @@ from repro.errors import (
     PrismaError,
     ProcessCrashed,
     RecoveryError,
+    TransactionAborted,
 )
 from repro.core.faults import (
     ABORT_POINTS,
@@ -243,13 +244,13 @@ class TestOnePhaseAuthority:
         with pytest.raises(InjectedCrash):
             session.execute("COMMIT")
         # The coordinator never logged the decision...
-        assert db.gdh.commit_log.outcomes() == {}
+        assert db.gdh.commit_log.scan()[0] == {}
         db.crash()
         report = db.restart()
         # ...yet the transaction is committed, and the log was repaired.
         assert (key, 42) in table_contents(db)
         assert report.log_repairs == 1
-        assert db.gdh.commit_log.outcomes() != {}
+        assert db.gdh.commit_log.scan()[0] != {}
 
     def test_commit_record_not_flipped_by_later_abort_record(self):
         """ROLLBACK of an unknown txn never appends an undoing record."""
@@ -314,8 +315,55 @@ class TestResolveInDoubt:
             session.execute("COMMIT")
         result = db.resolve_in_doubt()
         assert result.log_repairs == 1
-        assert "commit" in db.gdh.commit_log.outcomes().values()
+        assert "commit" in db.gdh.commit_log.scan()[0].values()
         assert (key, 5) in table_contents(db)
+
+
+class TestParticipantDeathBeforeDecision:
+    """A participant dies between the last statement and COMMIT: the
+    protocol's own abort path (``_abort_after_failure``), not a crash
+    point — the coordinator is alive and must clean up."""
+
+    @pytest.mark.parametrize("mode", ["1pc", "2pc"])
+    def test_commit_aborts_and_cleans_up(self, mode):
+        db = make_db()
+        baseline_keys = keys_per_fragment(db, 3)
+        for key in baseline_keys:
+            db.execute(f"INSERT INTO t VALUES ({key}, 1)")
+        baseline = table_contents(db)
+        info = db.catalog.table("t")
+        keys = keys_per_fragment(db, 1 if mode == "1pc" else 3, start=3000)
+        session = db.session()
+        session.execute("BEGIN")
+        for key in keys:
+            session.execute(f"INSERT INTO t VALUES ({key}, 2)")
+        (txn_id,) = db.gdh.txns.active
+        # The victim votes second on the 2PC path, so one participant
+        # has already prepared when the coordinator finds it dead.
+        victim_fragment = info.scheme.fragment_of((keys[-1 if mode == "1pc" else 1], 0))
+        (victim,) = db.gdh.fragment_copies(info, victim_fragment)
+        db.runtime.kill(victim)
+
+        with pytest.raises(TransactionAborted):
+            session.execute("COMMIT")
+
+        assert not session.in_transaction
+        assert db.gdh.txns.active == {}
+        assert db.gdh.locks.locks_of(txn_id) == []
+        assert db.gdh.commit_log.scan()[0][txn_id] == "abort"
+        survivors = [ofm for ofm in db.gdh.fragment_ofms.values() if ofm.alive]
+        assert len(survivors) == 2
+        for ofm in survivors:
+            assert not ofm.has_transaction_state(txn_id)
+            assert not ofm.in_doubt_transactions()
+            assert not {row[0] for row in ofm.table.rows()} & set(keys)
+        # The lost copy comes back from its WAL without the aborted rows,
+        # and the keys are writable again (no lock leaked).
+        db.recovery.restart_fragments([victim.name])
+        assert table_contents(db) == baseline
+        for key in keys:
+            db.execute(f"INSERT INTO t VALUES ({key}, 3)")
+        assert table_contents(db) == baseline | {(key, 3) for key in keys}
 
 
 def make_replicated_db(seed: int = 0) -> PrismaDB:

@@ -27,15 +27,15 @@ def test_ties_break_by_insertion_order():
 
 
 def test_ties_break_by_insertion_order_across_schedule_styles():
-    """Plain, arg-carrying, and cancellable events share one seq stream."""
+    """Plain, arg-carrying, and relative events share one seq stream."""
     loop = EventLoop()
     fired = []
     loop.schedule_at(1.0, lambda: fired.append("plain"))
     loop.schedule_call_at(1.0, fired.append, "call")
-    loop.schedule_cancellable_at(1.0, lambda: fired.append("cancellable"))
+    loop.schedule(1.0, lambda: fired.append("relative"))
     loop.schedule_call_at(1.0, fired.append, "call2")
     loop.run()
-    assert fired == ["plain", "call", "cancellable", "call2"]
+    assert fired == ["plain", "call", "relative", "call2"]
 
 
 def test_schedule_relative_delay():
@@ -113,80 +113,12 @@ def test_run_until_with_max_events_leaves_clock_at_last_fired():
     assert loop.now == 10.0
 
 
-def test_cancelled_events_do_not_fire():
-    loop = EventLoop()
-    fired = []
-    handle = loop.schedule_cancellable_at(1.0, lambda: fired.append("cancelled"))
-    loop.schedule_at(2.0, lambda: fired.append("kept"))
-    handle.cancel()
-    assert handle.cancelled
-    loop.run()
-    assert fired == ["kept"]
-
-
-def test_cancel_is_idempotent_and_pending_stays_consistent():
-    loop = EventLoop()
-    handle = loop.schedule_cancellable(1.0, lambda: None)
-    assert loop.pending == 1
-    handle.cancel()
-    handle.cancel()
-    handle.cancel()
-    assert loop.pending == 0
-    assert loop.run() == 0
-    assert loop.pending == 0
-
-
-def test_cancel_after_fire_is_a_noop():
-    loop = EventLoop()
-    fired = []
-    handle = loop.schedule_cancellable_at(1.0, lambda: fired.append("x"))
-    loop.schedule_at(2.0, lambda: fired.append("y"))
-    loop.run(until=1.0)
-    assert fired == ["x"]
-    assert handle.fired
-    # Cancelling an already-fired event must not corrupt the live count.
-    handle.cancel()
-    assert not handle.cancelled
-    assert loop.pending == 1
-    loop.run()
-    assert fired == ["x", "y"]
-
-
-def test_cancel_then_fire_from_within_callback():
-    """An earlier event cancels a later one scheduled at the same time."""
-    loop = EventLoop()
-    fired = []
-    # The canceller is inserted first, so at the shared timestamp it
-    # fires first (ties break by insertion order) and the victim —
-    # already in the heap — must be skipped, not fired.
-    loop.schedule_at(1.0, lambda: victim.cancel())
-    victim = loop.schedule_cancellable_at(1.0, lambda: fired.append("victim"))
-    fired_count = loop.run()
-    assert fired == []
-    assert fired_count == 1  # only the canceller counts
-    assert loop.now == 1.0
-
-
-def test_cancelled_events_do_not_count_toward_max_events():
-    loop = EventLoop()
-    fired = []
-    handles = [
-        loop.schedule_cancellable_at(float(i + 1), lambda i=i: fired.append(i))
-        for i in range(4)
-    ]
-    handles[0].cancel()
-    handles[2].cancel()
-    count = loop.run(max_events=2)
-    assert count == 2
-    assert fired == [1, 3]
-
-
 def test_pending_counts_only_live_events():
     loop = EventLoop()
-    handle = loop.schedule_cancellable_at(1.0, lambda: None)
+    loop.schedule_at(1.0, lambda: None)
     loop.schedule_at(2.0, lambda: None)
     assert loop.pending == 2
-    handle.cancel()
+    loop.run(until=1.5)
     assert loop.pending == 1
     loop.run()
     assert loop.pending == 0
@@ -201,9 +133,7 @@ def test_scheduling_in_the_past_is_rejected():
     with pytest.raises(MachineError):
         loop.schedule(-0.1, lambda: None)
     with pytest.raises(MachineError):
-        loop.schedule_cancellable(-0.1, lambda: None)
-    with pytest.raises(MachineError):
-        loop.schedule_cancellable_at(1.0, lambda: None)
+        loop.schedule_call_at(1.0, print, None)
 
 
 def test_step_fires_single_event():
@@ -216,17 +146,6 @@ def test_step_fires_single_event():
     assert loop.step() is True
     assert loop.step() is False
     assert fired == ["a", "b"]
-
-
-def test_step_skips_cancelled_events():
-    loop = EventLoop()
-    fired = []
-    handle = loop.schedule_cancellable_at(1.0, lambda: fired.append("dead"))
-    loop.schedule_at(2.0, lambda: fired.append("live"))
-    handle.cancel()
-    assert loop.step() is True
-    assert fired == ["live"]
-    assert loop.now == 2.0
 
 
 def test_reentrancy_guard():
@@ -267,9 +186,6 @@ def test_profile_counters():
     for i in range(5):
         loop.schedule_at(float(i + 1), lambda: None)
     assert loop.heap_peak == 5
-    handle = loop.schedule_cancellable_at(9.0, lambda: None)
-    handle.cancel()
-    assert loop.heap_peak == 6
     fired = loop.run()
     assert fired == 5
     assert loop.events_fired_total == 5

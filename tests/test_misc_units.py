@@ -98,10 +98,10 @@ class TestCommitLog:
         cost = log.record(7, "commit")
         assert cost > 0
         log.record(9, "abort")
-        assert log.outcome_of(7) == "commit"
-        assert log.outcome_of(9) == "abort"
-        assert log.outcome_of(12345) == "abort"  # presumed abort
-        assert log.outcomes() == {7: "commit", 9: "abort"}
+        outcomes, scan_cost = log.scan()
+        assert outcomes == {7: "commit", 9: "abort"}
+        assert outcomes.get(12345, "abort") == "abort"  # presumed abort
+        assert scan_cost > 0
 
 
 class TestDbaStatements:

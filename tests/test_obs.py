@@ -26,7 +26,6 @@ from repro.machine.profile import LoopProfiler
 from repro.machine.traffic import run_load_point
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Observatory,
@@ -240,17 +239,6 @@ def test_every_stats_surface_implements_snapshot():
         assert hasattr(stats, "keys") and len(stats) > 0, name
         first, second = surface.fingerprint(), surface.fingerprint()
         assert first == second and len(first) == 64, name
-        surface.reset()  # must not raise; most surfaces zero out
-        assert isinstance(surface.fingerprint(), str), name
-
-
-def test_network_stats_reset_restores_fresh_fingerprint():
-    network = PacketNetwork(MESH16)
-    fresh = network.stats.fingerprint()
-    run_load_point(network, 2_000, warmup_s=0.002, measure_s=0.004, seed=3)
-    assert network.stats.fingerprint() != fresh
-    network.stats.reset()
-    assert network.stats.fingerprint() == fresh
 
 
 def test_fault_injector_fingerprint_payload_is_unchanged():
@@ -314,28 +302,22 @@ def test_metrics_counter_gauge_histogram():
     registry = MetricsRegistry()
     registry.counter("c").inc()
     registry.counter("c").inc(4)
-    registry.gauge("g").set(2.5)
     hist = registry.histogram("h")
     for value in (0, 3, 700, 10**9):
         hist.observe(value)
     stats = registry.stats()
     assert stats["c"]["value"] == 5
-    assert stats["g"]["value"] == 2.5
     assert stats["h"]["count"] == 4
     assert stats["h"]["buckets"]["+inf"] == 1
-    assert registry.names() == ["c", "g", "h"]
-    registry.reset()
-    assert registry.stats()["c"]["value"] == 0
-    assert registry.stats()["h"]["count"] == 0
+    assert registry.names() == ["c", "h"]
 
 
 def test_metrics_kind_mismatch_is_an_error():
     registry = MetricsRegistry()
     registry.counter("x")
     with pytest.raises(TypeError):
-        registry.gauge("x")
+        registry.histogram("x")
     assert isinstance(registry.counter("x"), Counter)
-    assert isinstance(registry.gauge("y"), Gauge)
     assert isinstance(registry.histogram("z"), Histogram)
 
 

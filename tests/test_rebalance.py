@@ -20,6 +20,7 @@ from repro.core.rebalance import RebalancedFragmentation, Rebalancer
 from repro.errors import RebalanceError
 from repro.machine.machine import Machine
 from repro.serve import install_serving
+from tests.test_stateful_durability import assert_placement_agrees
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -39,6 +40,17 @@ def make_db(n_nodes=12, replicas=0, rows=60, topology="mesh"):
     db.bulk_load("t", [(i, i * 7) for i in range(rows)])
     db.quiesce()
     return db
+
+
+def stable_keys(db, copy_name):
+    """The ``wal/<name>/...`` and ``snap/<name>`` keys of one copy, on
+    every disk."""
+    return [
+        key
+        for element in db.machine.disk_nodes()
+        for key in element.disk.keys("wal/") + element.disk.keys("snap/")
+        if key.split("/")[1] == copy_name
+    ]
 
 
 def row_multiset(db, table="t"):
@@ -199,13 +211,23 @@ class TestMigrate:
         db = make_db(replicas=2)
         expected = sorted(db.query("SELECT id, v FROM t"))
         fragment = db.catalog.table("t").fragments[0]
-        victim = fragment.node_id
+        victim, lost_copy = fragment.node_id, fragment.ofm_name
+        assert stable_keys(db, lost_copy)
         db.crash_element(victim)
         action = db.rebalancer.migrate_fragment("t", 0)
         assert action is not None
         assert fragment.node_id != victim
         new_primary = db.gdh.fragment_ofms[fragment.ofm_name]
         assert new_primary.alive and new_primary.node_id == fragment.node_id
+        assert sorted(db.query("SELECT id, v FROM t")) == expected
+        # The lost copy is retired although no process was left to do
+        # it: nothing of it on any disk, nothing for restart to replay.
+        assert stable_keys(db, lost_copy) == []
+        assert_placement_agrees(db)
+        db.restart_element(victim)
+        db.crash()
+        db.restart()
+        assert_placement_agrees(db)
         assert sorted(db.query("SELECT id, v FROM t")) == expected
 
 
@@ -267,6 +289,26 @@ class TestMerge:
         ]
         assert scans[0] == scans[1]
 
+    def test_merge_retires_a_dead_source_copy(self):
+        """One copy of the source fragment died with its element: the
+        merge reads the survivor and still wipes both copies' stable
+        storage, so the restarted element brings nothing back."""
+        db = make_db(replicas=2)
+        expected = sorted(db.query("SELECT id, v FROM t"))
+        source = db.catalog.table("t").fragment(2)
+        retired = [name for _node, name in source.all_copies()]
+        assert all(stable_keys(db, name) for name in retired)
+        victim = source.replicas[0][0]
+        db.crash_element(victim)
+        db.rebalancer.merge_fragments("t", 2, 1)
+        assert [stable_keys(db, name) for name in retired] == [[], []]
+        assert_placement_agrees(db)
+        db.restart_element(victim)
+        db.crash()
+        db.restart()
+        assert_placement_agrees(db)
+        assert sorted(db.query("SELECT id, v FROM t")) == expected
+
 
 class TestControlLoop:
     def test_step_splits_the_hot_fragment(self):
@@ -283,6 +325,22 @@ class TestControlLoop:
     def test_step_ignores_quiet_windows(self):
         db = make_db()
         db.gdh.executor.access.record("t", 0, 3)
+        assert db.rebalancer.step("t") == []
+
+    def test_step_forgets_the_heat_of_retired_fragments(self):
+        """The tracker keeps counting by (table, fragment id); a round
+        considers only fragments the dictionary still lists."""
+        db = make_db(rows=120)
+        db.gdh.executor.access.record("t", 2, 500)
+        db.rebalancer.merge_fragments("t", 2, 0)
+        assert db.rebalancer.step("t") == []  # fragment 2 is history
+        # The same for a dropped table's heat under a re-used name.
+        db.gdh.executor.access.record("t", 2, 500)
+        db.execute("DROP TABLE t")
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 2"
+        )
         assert db.rebalancer.step("t") == []
 
     def test_report_fingerprint_is_deterministic(self):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import MachineConfig, PrismaDB
-from repro.errors import CatalogError
+from repro.errors import AllocationError, CatalogError
 from repro.core.catalog import Catalog
+from tests.test_stateful_durability import assert_placement_agrees
 
 
 def make_db(n_nodes=12):
@@ -22,8 +23,8 @@ def db():
     return db
 
 
-def copies_of(db, fragment_id):
-    info = db.catalog.table("t")
+def copies_of(db, fragment_id, table="t"):
+    info = db.catalog.table(table)
     return db.gdh.fragment_copies(info, fragment_id)
 
 
@@ -130,3 +131,51 @@ class TestReadBalancingAndRecovery:
     def test_drop_table_destroys_replicas(self, db):
         db.execute("DROP TABLE t")
         assert not any(name.startswith("t.") for name in db.gdh.fragment_ofms)
+
+
+class TestOutage:
+    """Placement and retirement while an element is down."""
+
+    def test_drop_with_an_element_down_leaves_nothing_to_replay(self, db):
+        victim = db.catalog.table("t").fragments[0].node_id
+        db.crash_element(victim)
+        db.execute("DROP TABLE t")
+        # No process was left on the element to wipe its copies' logs
+        # and snapshots; they are gone from every disk all the same.
+        assert_placement_agrees(db)
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 3 WITH 2 REPLICAS"
+        )
+        db.execute("INSERT INTO t VALUES (1000, 1)")
+        db.restart_element(victim)
+        db.crash()
+        db.restart()
+        assert_placement_agrees(db)
+        assert db.query("SELECT id, v FROM t") == [(1000, 1)]
+
+    def test_create_with_an_element_down_places_nothing_on_it(self):
+        db = make_db(n_nodes=8)
+        db.crash_element(3)
+        db.execute(
+            "CREATE TABLE u (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 4 WITH 2 REPLICAS"
+        )
+        info = db.catalog.table("u")
+        for fragment in info.fragments:
+            nodes = [node for node, _name in fragment.all_copies()]
+            assert 3 not in nodes and len(set(nodes)) == 2
+        assert_placement_agrees(db)
+        # Usable at once: no statement waits for the element.
+        db.execute("INSERT INTO u VALUES " + ", ".join(f"({i}, {i})" for i in range(8)))
+        assert db.execute("SELECT COUNT(*) FROM u").scalar() == 8
+        assert all(len(copies_of(db, f.fragment_id, "u")) == 2 for f in info.fragments)
+
+    def test_too_few_up_elements_for_the_copies(self):
+        db = PrismaDB(MachineConfig(n_nodes=3, disk_nodes=(0,)))
+        db.crash_element(2)
+        with pytest.raises(AllocationError):
+            db.execute("CREATE TABLE x (a INT) WITH 3 REPLICAS")
+        assert_placement_agrees(db)
+        db.execute("CREATE TABLE x (a INT) WITH 2 REPLICAS")
+        assert_placement_agrees(db)

@@ -2,9 +2,13 @@
 
 A hypothesis rule-based state machine drives a PrismaDB with random
 inserts/updates/deletes — some autocommitted, some inside explicit
-transactions that may roll back — interleaved with checkpoints and
-crash/restart cycles.  An in-memory dict tracks what *committed*; after
-every step the database must agree with it exactly.
+transactions that may roll back — interleaved with checkpoints,
+crash/restart cycles and an element outage during which the table is
+dropped and created again.  An in-memory dict tracks what *committed*;
+after every step the database must agree with it exactly, and the data
+dictionary, the registry of live OFMs and the keys on stable storage
+must agree with each other (ROADMAP item 6's catalog ↔ OFM-registry
+agreement, asserted continuously).
 
 This is the durability/atomicity contract of Sections 2.2 and 3.2
 exercised as an invariant rather than as hand-picked scenarios.
@@ -26,15 +30,44 @@ from repro.errors import StorageError
 KEYS = st.integers(min_value=0, max_value=19)
 VALUES = st.integers(min_value=-100, max_value=100)
 
+CREATE_T = "CREATE TABLE t (k INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(k) INTO 3"
+
+
+def assert_placement_agrees(db: PrismaDB) -> None:
+    """Dictionary, registry and stable storage tell one story.
+
+    Every copy the dictionary places on an up element is served by
+    exactly one live OFM on that element, and every live OFM of the
+    registry is such a copy; every ``wal/<name>/...`` and
+    ``snap/<name>`` key on every disk names a placed copy (nothing a
+    later copy of that name could replay by mistake).
+    """
+    placed = {
+        name: node
+        for info in db.catalog.tables()
+        for fragment in info.fragments
+        for node, name in fragment.all_copies()
+    }
+    serving = {
+        name: ofm.node_id
+        for name, ofm in db.gdh.fragment_ofms.items()
+        if ofm.alive
+    }
+    assert serving == {
+        name: node for name, node in placed.items() if db.machine.node_is_up(node)
+    }
+    for name, ofm in db.gdh.fragment_ofms.items():
+        assert not ofm.alive or db.runtime.process(name) is ofm
+    for element in db.machine.disk_nodes():
+        for key in element.disk.keys("wal/") + element.disk.keys("snap/"):
+            assert key.split("/")[1] in placed, (element.node_id, key)
+
 
 class DurabilityMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0, 2)))
-        self.db.execute(
-            "CREATE TABLE t (k INT PRIMARY KEY, v INT)"
-            " FRAGMENTED BY HASH(k) INTO 3"
-        )
+        self.db.execute(CREATE_T)
         #: committed state
         self.committed: dict[int, int] = {}
         #: state as seen inside the open transaction (None = autocommit)
@@ -130,12 +163,28 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.pending = None
         self.session = self.db.session()
 
+    @precondition(lambda self: self.pending is None)
+    @rule()
+    def outage_drop_and_recreate(self):
+        """Element 1 is down while the table is dropped and created
+        again: nothing of the old table may come back with the element,
+        and the new one must not wait for it."""
+        self.db.crash_element(1)
+        self.session.execute("DROP TABLE t")
+        self.session.execute(CREATE_T)
+        self.db.restart_element(1)
+        self.committed = {}
+
     # -- the contract -------------------------------------------------------------------
 
     @invariant()
     def database_equals_model(self):
         rows = dict(self.session.query("SELECT k, v FROM t"))
         assert rows == self._visible()
+
+    @invariant()
+    def placement_agrees(self):
+        assert_placement_agrees(self.db)
 
 
 TestDurability = DurabilityMachine.TestCase
