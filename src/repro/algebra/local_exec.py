@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanError
 from repro.exec.closure import seminaive_closure
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import ColumnRef
+from repro.exec.expressions import Arithmetic, ColumnRef
 from repro.exec.operators import (
     JoinKind,
     Row,
@@ -88,6 +88,47 @@ _OPS: dict[type, Callable[[PlanNode], Op]] = {
 def op_of(node: PlanNode) -> Op:
     """The pipeline op of a unary operator node (cached on the node)."""
     return node.memo("op", _OPS[type(node)])
+
+
+def two_phase_ops(plan: AggregateNode) -> tuple[Op, tuple[Op, Op]]:
+    """Split *plan*, an aggregation over several parts, into the partial
+    op each part runs and the merge stage's two ops.
+
+    The partial phase aggregates each part by the same groups; the merge
+    phase re-aggregates the partial rows (groups first, then one column
+    per partial) and projects the original outputs.  Decompositions:
+    COUNT -> SUM of counts; SUM/MIN/MAX -> same; AVG ->
+    SUM(sums)/SUM(counts).
+    """
+    n_groups = len(plan.group_cols)
+    schema = plan.child.schema
+    partials: list[tuple] = []
+    merges: list[tuple] = []
+    outputs: list = [ColumnRef(i) for i in range(n_groups)]
+
+    def partial(func: str, arg, merge_func: str) -> ColumnRef:
+        column = ColumnRef(n_groups + len(partials))
+        exact = is_int_column(arg, schema)
+        partials.append((func, arg, False, exact))
+        # A partial is as exactly an int as what it summed; a count is one.
+        merges.append((merge_func, column, False, exact or func == "count"))
+        return column
+
+    for aggregate in plan.aggregates:
+        if aggregate.func == "count":
+            outputs.append(partial("count", aggregate.arg, "sum"))
+        elif aggregate.func in ("sum", "min", "max"):
+            outputs.append(partial(aggregate.func, aggregate.arg, aggregate.func))
+        elif aggregate.func == "avg":
+            total = partial("sum", aggregate.arg, "sum")
+            count = partial("count", aggregate.arg, "sum")
+            outputs.append(Arithmetic("/", total, count))
+        else:  # pragma: no cover - AggExpr validates funcs
+            raise PlanError(f"cannot decompose aggregate {aggregate.func}")
+    return (
+        aggregate_op(plan.group_cols, partials),
+        (aggregate_op(range(n_groups), merges), ("project", tuple(outputs))),
+    )
 
 
 class LocalExecutor:

@@ -14,11 +14,12 @@ storage on every DDL change so restart recovery can rebuild the system
 from __future__ import annotations
 
 import ast as _pyast
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import CatalogError
-from repro.exec.expressions import ColumnRef, Comparison, Expr, Literal, conjuncts
+from repro.exec.expressions import ColumnRef, Comparison, Expr, Literal, Param, conjuncts
 from repro.algebra.estimates import TableStats
 from repro.core.fragmentation import FragmentationScheme
 from repro.storage.schema import Column, Schema
@@ -54,6 +55,26 @@ class FragmentInfo:
         return [(self.node_id, self.ofm_name), *self.replicas]
 
 
+#: ``(column, operand)`` of each ``column = constant`` / ``column = ?``
+#: conjunct of a predicate, in conjunct order.
+PruningKeys = tuple[tuple[int, Literal | Param], ...]
+
+
+def pruning_keys(predicate: Expr | None) -> PruningKeys:
+    """The conjuncts of *predicate* that may narrow a table to the
+    fragments holding one value of its fragmentation key."""
+    if predicate is None:
+        return ()
+    return tuple(
+        (conjunct.left.index, conjunct.right)
+        for conjunct in conjuncts(predicate)
+        if isinstance(conjunct, Comparison)
+        and conjunct.op == "="
+        and isinstance(conjunct.left, ColumnRef)
+        and isinstance(conjunct.right, Literal | Param)
+    )
+
+
 @dataclass
 class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer TableStats, not an observability Snapshot
     """Dictionary entry for one relation."""
@@ -78,32 +99,24 @@ class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer 
     def fragment_nodes(self) -> list[int]:
         return [fragment.node_id for fragment in self.fragments]
 
-    def pruned_fragments(self, predicate: Expr | None) -> list[int] | None:
-        """The fragments an equality conjunct of *predicate* on the
-        fragmentation key narrows it to; ``None`` when nothing prunes.
+    def pruned_fragments(self, keys: PruningKeys, params: Sequence[Any] = ()) -> list[int] | None:
+        """The fragments the first of *keys* (:func:`pruning_keys`) that
+        names the fragmentation key narrows the table to, a ``?`` read
+        from *params*; ``None`` when nothing prunes.
 
-        The one statement of this rule: the GDH's lock sets and the
-        executor's scan sets both come from here, so they cannot
-        disagree.
+        The one statement of this rule: a dispatch plan evaluates it once
+        per execution, for the GDH's lock set and the executor's scan set.
         """
-        if predicate is not None:
-            for conjunct in conjuncts(predicate):
-                if (
-                    isinstance(conjunct, Comparison)
-                    and conjunct.op == "="
-                    and isinstance(conjunct.left, ColumnRef)
-                    and isinstance(conjunct.right, Literal)
-                ):
-                    pruned = self.scheme.prunable_fragments(
-                        conjunct.left.index, conjunct.right.value
-                    )
-                    if pruned is not None:
-                        return pruned
+        for column, operand in keys:
+            value = params[operand.index] if isinstance(operand, Param) else operand.value
+            pruned = self.scheme.prunable_fragments(column, value)
+            if pruned is not None:
+                return pruned
         return None
 
-    def target_fragments(self, predicate: Expr | None) -> list[int]:
-        """Ids of the fragments *predicate* can touch (all, unpruned)."""
-        pruned = self.pruned_fragments(predicate)
+    def target_fragments(self, keys: PruningKeys, params: Sequence[Any] = ()) -> list[int]:
+        """Ids of the fragments *keys* can touch (all, unpruned)."""
+        pruned = self.pruned_fragments(keys, params)
         if pruned is None:
             return [fragment.fragment_id for fragment in self.fragments]
         return pruned

@@ -12,37 +12,30 @@ Response time falls out of the process timelines: each OFM's clock
 advances with its local work, transfers arrive after link delays, and
 the coordinating query process finishes when the last input lands —
 the critical path, not the sum.
+
+The executor does not walk plans itself: a query arrives as the steps
+of its dispatch plan (:mod:`repro.core.dispatch`), compiled once per
+prepared statement.  The steps call only the executor's public names
+(its step API, DESIGN §4.4); those primitives hold every simulated
+charge and message, and what has a leading underscore stays here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError
 from repro.exec.closure import edge_table, ordered
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import Arithmetic, ColumnRef
-from repro.exec.operators import JoinKind, Row, WorkMeter
-from repro.exec.pipeline import Op, aggregate_op
+from repro.exec.expressions import ColumnRef
+from repro.exec.operators import Row, WorkMeter
+from repro.exec.pipeline import Op
 from repro.exec.shuffle import SplitterCache
-from repro.algebra.local_exec import LocalExecutor, is_int_column, op_of
+from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.optimizer import OptimizedPlan
-from repro.algebra.plan import (
-    AggregateNode,
-    ClosureNode,
-    DistinctNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    SelectNode,
-    SetOpNode,
-    SharedScanNode,
-    SortNode,
-    TopNNode,
-    ValuesNode,
-)
+from repro.algebra.plan import PlanNode
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.obs.api import SnapshotMixin
@@ -54,6 +47,9 @@ from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:  # dispatch.py compiles its steps over this module
+    from repro.core.dispatch import RoutedQuery
 
 #: Size of a dispatched subplan message (query shipping beats data shipping).
 SUBPLAN_BYTES = 512
@@ -134,7 +130,7 @@ class DistRelation:
     ``pending`` is the chain of fragment-local operators not yet run
     over the parts, bottom first, as ``(span name, stage)`` pairs: the
     relation *is* ``pending`` applied to each part's rows, and only
-    :meth:`DistributedExecutor._flush` may read ``parts`` of a relation
+    :meth:`DistributedExecutor.flush` may read ``parts`` of a relation
     that has any.
     """
 
@@ -166,12 +162,16 @@ class ExecutionReport:
     fragments_pruned: int = 0
     index_scans: int = 0
     temp_ofms: int = 0
-    #: The plan that ran; its text is rendered only when somebody asks.
+    #: The plan that ran and its parameter values; the text (of the
+    #: plan with the values in place) is rendered only when asked for.
     optimized: OptimizedPlan | None = field(default=None, repr=False)
+    params: tuple = field(default=(), repr=False)
 
     @property
     def plan_text(self) -> str:
-        return self.optimized.explain() if self.optimized is not None else ""
+        if self.optimized is None:
+            return ""
+        return self.optimized.with_params(self.params).explain()
 
     @property
     def fired_rules(self) -> list[str]:
@@ -232,10 +232,14 @@ class DistributedExecutor:
         #: query process, breaking ties by readiness.
         self.read_routing = "ready"
         self._temp_counter = 0
-        # Per-execution state:
-        self._query_process: PoolProcess | None = None
+        # Per-execution state.  The public part is what a dispatch step
+        # reads: the query process, the parameter values, each access's
+        # route and the materialized shared subexpressions.
+        self.query_process: PoolProcess | None = None
+        self.params: Sequence = ()
+        self.routes: list = []
+        self.shared: dict[str, DistRelation] = {}
         self._temps: list[OneFragmentManager] = []
-        self._shared: dict[str, DistRelation] = {}
         self._dispatched: set[str] = set()
         self._report: ExecutionReport = ExecutionReport()
 
@@ -247,22 +251,26 @@ class DistributedExecutor:
     # -- entry point -----------------------------------------------------------
 
     def execute(
-        self, optimized: OptimizedPlan, query_process: PoolProcess
+        self, routed: RoutedQuery, query_process: PoolProcess
     ) -> tuple[list[Row], ExecutionReport]:
-        """Run the plan; returns (rows at the query process, report)."""
-        self._query_process = query_process
+        """Run one routed execution of a query's dispatch plan; returns
+        (rows at the query process, report)."""
+        query = routed.plan
+        self.query_process = query_process
+        self.params, self.routes = routed.params, routed.routes
         self._temps = []
-        self._shared = {}
+        self.shared = {}
         self._dispatched = set()
-        report = ExecutionReport(started_at=query_process.ready_at, optimized=optimized)
+        report = ExecutionReport(
+            started_at=query_process.ready_at, optimized=query.optimized, params=routed.params
+        )
         self._report = report
         stats_before = (self.runtime.stats.messages, self.runtime.stats.bytes_moved)
         try:
             # Materialize common subexpressions once, in order.
-            for shared_plan in optimized.shared:
-                self._shared[shared_plan.token] = self._exec(shared_plan.plan)
-            relation = self._exec_chain(optimized.plan)
-            gathered = self._gather(relation, query_process)
+            for token, step in query.shared:
+                self.shared[token] = self.flush(step(self))
+            gathered = self.gather(query.root(self), query_process)
             rows = gathered.parts[0].rows
         finally:
             for temp in self._temps:
@@ -291,7 +299,7 @@ class DistributedExecutor:
 
     # -- infrastructure ----------------------------------------------------------
 
-    def _spawn_temp(self, start_at: float) -> OneFragmentManager:
+    def spawn_temp(self, start_at: float) -> OneFragmentManager:
         """A transient query-profile OFM for intermediate results."""
         name = f"temp-ofm-{self._temp_counter}"
         self._temp_counter += 1
@@ -311,15 +319,15 @@ class DistributedExecutor:
 
     def _dispatch(self, process: PoolProcess) -> None:
         """First contact with a process in this query ships its subplan."""
-        assert self._query_process is not None
-        if process.name in self._dispatched or process is self._query_process:
+        assert self.query_process is not None
+        if process.name in self._dispatched or process is self.query_process:
             return
         self._dispatched.add(process.name)
         # Marshalling CPU is SEND_OVERHEAD_S inside send(); the plan-build
         # CPU was charged by the GDH front-end (_charge_frontend).
-        self.runtime.send(self._query_process, process, SUBPLAN_BYTES)  # prismalint: disable=PL004 -- charged in GDH front-end
+        self.runtime.send(self.query_process, process, SUBPLAN_BYTES)  # prismalint: disable=PL004 -- charged in GDH front-end
 
-    def _run_local(self, process: PoolProcess, plan: PlanNode, *inputs: list) -> list:
+    def run_local(self, process: PoolProcess, plan: PlanNode, *inputs: list) -> list:
         """Run the operator at the root of *plan* over *inputs* (its
         children's rows, already at *process*), charging its simulated
         CPU: a tuple per input row read, then the operator's own work."""
@@ -352,7 +360,7 @@ class DistributedExecutor:
                 tuples=tuples,
             )
 
-    def _flush(self, relation: DistRelation) -> DistRelation:
+    def flush(self, relation: DistRelation) -> DistRelation:
         """Run the pending chain: one kernel call per part, then the
         charges and spans stage by stage.
 
@@ -381,7 +389,7 @@ class DistributedExecutor:
             [part for part, _meters, _outs in results], relation.partition_cols
         )
 
-    def _then(
+    def then(
         self,
         relation: DistRelation,
         partition_cols: tuple[int, ...] | None,
@@ -394,15 +402,6 @@ class DistributedExecutor:
             relation.parts, partition_cols, relation.pending + ((operator, ops),)
         )
 
-    def _extend(
-        self,
-        relation: DistRelation,
-        plan: PlanNode,
-        partition_cols: tuple[int, ...] | None,
-    ) -> DistRelation:
-        """*relation* with the unary operator *plan* pending on its parts."""
-        return self._then(relation, partition_cols, type(plan).__name__, op_of(plan))
-
     def _row_bytes(self, rows: list) -> int:
         """Wire size estimate from actual values (sampled)."""
         if not rows:
@@ -411,14 +410,14 @@ class DistributedExecutor:
         per_row = sum(map(_value_bytes, sample)) / len(sample)  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network
         return int(per_row * len(rows)) + 16
 
-    def _ship(self, source: Part, target: PoolProcess, rows: list) -> None:
+    def ship(self, source: Part, target: PoolProcess, rows: list) -> None:
         """Move rows between processes (no-op co-located, still a message)."""
         self._dispatch(target)
         n_bytes = self._row_bytes(rows)
         # The CPU that produced these rows is charged in _run_local.
         self.runtime.send(source.process, target, n_bytes)  # prismalint: disable=PL004 -- charged in _run_local
 
-    def _gather(self, relation: DistRelation, target: PoolProcess) -> DistRelation:
+    def gather(self, relation: DistRelation, target: PoolProcess) -> DistRelation:
         """Collect every part at *target* (the fan-in of a query).
 
         Up to ``multicast_fanin`` remote parts ship point-to-point —
@@ -427,7 +426,7 @@ class DistributedExecutor:
         of :meth:`_tree_gather`, bounding the receive overheads the
         coordinator serializes.
         """
-        relation = self._flush(relation)
+        relation = self.flush(relation)
         parts = relation.parts
         if len(parts) == 1 and parts[0].process is target:
             return relation
@@ -437,7 +436,7 @@ class DistributedExecutor:
             self._tree_gather(remote, target)
         else:
             for part in remote:
-                self._ship(part, target, part.rows)
+                self.ship(part, target, part.rows)
         rows: list = []
         for part in parts:
             rows.extend(part.rows)
@@ -483,7 +482,7 @@ class DistributedExecutor:
         """
         if len(parts) <= self.multicast_fanin:
             for part in parts:
-                self._ship(part, target, part.rows)
+                self.ship(part, target, part.rows)
             return
         hops = self.machine.router.hops
         target_node = target.node_id
@@ -498,174 +497,79 @@ class DistributedExecutor:
             combined = list(relay.rows)
             for member in members:
                 combined.extend(member.rows)
-            self._ship(Part(relay.process, combined), target, combined)
+            self.ship(Part(relay.process, combined), target, combined)
 
-    # -- dispatcher ------------------------------------------------------------------
+    # -- base-table reads --------------------------------------------------------
 
-    def _exec(self, plan: PlanNode) -> DistRelation:
-        """Execute *plan* down to materialized parts."""
-        return self._flush(self._exec_chain(plan))
-
-    def _exec_chain(self, plan: PlanNode) -> DistRelation:
-        """Execute *plan*, leaving its topmost fragment-local operators
-        pending — what an operator that extends the chain asks for."""
-        method = getattr(self, f"_exec_{type(plan).__name__}", None)
-        if method is None:
-            raise ExecutionError(f"no distributed strategy for {type(plan).__name__}")
-        return method(plan)
-
-    # -- leaves -----------------------------------------------------------------------
-
-    def _exec_ValuesNode(self, plan: ValuesNode) -> DistRelation:
-        assert self._query_process is not None
-        return DistRelation([Part(self._query_process, list(plan.rows))], None)
-
-    def _exec_SharedScanNode(self, plan: SharedScanNode) -> DistRelation:
-        relation = self._shared.get(plan.token)
-        if relation is None:
-            raise ExecutionError(
-                f"shared subexpression {plan.token!r} not materialized"
-            )
-        return DistRelation(
-            [Part(part.process, part.rows) for part in relation.parts],
-            relation.partition_cols,
-        )
-
-    def _scan_copies(self, info, fragment_ids: list[int] | None):
-        """Yield the chosen copy OFM for each wanted fragment.
-
-        Read load-balancing across fragment copies (Section 2.2's "same
-        copy" wording — different readers may use different copies):
-        under the default ``read_routing="ready"`` policy pick the copy
-        whose element is free earliest; under ``"nearest"`` prefer the
-        live copy fewest link hops from the query process (replica-aware
-        routing — ties broken by readiness then name, so the choice
-        stays deterministic).  Copies that died with their element, or
-        that the network can no longer reach from the query process,
-        are skipped — reads fail over to a live replica and only error
-        when no copy at all survives.
-        """
-        wanted = set(fragment_ids) if fragment_ids is not None else None
-        machine = self.runtime.machine
-        origin = (
-            self._query_process.node_id if self._query_process is not None else 0
-        )
-        for fragment in info.fragments:
-            if wanted is not None and fragment.fragment_id not in wanted:
-                self._report.fragments_pruned += 1
-                continue
-            live = [
-                ofm
-                for ofm in self.allocator.copies(fragment)
-                if machine.reachable(origin, ofm.node_id)
-            ]
-            if not live:
-                raise ExecutionError(
-                    f"no live reachable copy of fragment {fragment.fragment_id}"
-                    f" of table {info.name!r}"
-                )
-            self.access.record(info.name, fragment.fragment_id)
-            if self.read_routing == "nearest":
-                yield min(
-                    live,
-                    key=lambda c: (
-                        machine.current_hops(origin, c.node_id),
-                        c.ready_at,
-                        c.name,
-                    ),
-                )
-            else:
-                yield min(live, key=lambda c: (c.ready_at, c.name))
-
-    def _exec_ScanNode(self, plan: ScanNode, predicate=None) -> DistRelation:
-        """Read a base table at its fragment OFMs.
-
-        With *predicate* (a selection directly over the table), prune
-        fragments via the fragmentation scheme, then filter at each
-        fragment OFM — through a local index when one matches.
-        """
-        info = self.catalog.table(plan.table_name)
-        fragment_ids = info.pruned_fragments(predicate)
+    def scan(self, info, fragment_ids: list[int] | None, predicate) -> DistRelation:
+        """Read *info*'s fragments *fragment_ids* (None: all), each at its
+        chosen copy (:meth:`_copy_to_read`) — with *predicate*, filtered
+        at the OFM (its ``?`` read from this execution's parameters),
+        through a local index when one matches."""
+        report = self._report
+        fragments = info.fragments
+        if fragment_ids is not None:
+            wanted = set(fragment_ids)
+            fragments = [f for f in fragments if f.fragment_id in wanted]
+            report.fragments_pruned += len(info.fragments) - len(fragments)
+        origin = self.query_process.node_id if self.query_process is not None else 0
         parts: list[Part] = []
-        for ofm in self._scan_copies(info, fragment_ids):
+        for fragment in fragments:
+            ofm = self._copy_to_read(info, fragment, origin)
             self._dispatch(ofm)
             if predicate is None:
                 rows = ofm.scan_rows()
             else:
-                rows, used_index = ofm.filtered_scan(predicate)
+                rows, used_index = ofm.filtered_scan(predicate, self.params)
                 if used_index:
-                    self._report.index_scans += 1
-            self._report.fragments_scanned += 1
+                    report.index_scans += 1
+            report.fragments_scanned += 1
             parts.append(Part(ofm, rows))
         if not parts:
-            assert self._query_process is not None
-            parts = [Part(self._query_process, [])]
+            assert self.query_process is not None
+            parts = [Part(self.query_process, [])]
         key_cols = info.scheme.key_columns()
         partition_cols = (
             tuple(key_cols) if key_cols and fragment_ids is None else None
         )
         return DistRelation(parts, partition_cols)
 
-    # -- tuple-wise unary operators -----------------------------------------------------
+    def _copy_to_read(self, info, fragment, origin: int) -> OneFragmentManager:
+        """The copy of *fragment* this read uses, chosen when it runs.
 
-    def _exec_SelectNode(self, plan: SelectNode) -> DistRelation:
-        if isinstance(plan.child, ScanNode) and self.catalog.has_table(
-            plan.child.table_name
-        ):
-            return self._exec_ScanNode(plan.child, plan.predicate)
-        child = self._exec_chain(plan.child)
-        return self._extend(child, plan, child.partition_cols)
-
-    def _exec_ProjectNode(self, plan: ProjectNode) -> DistRelation:
-        child = self._exec_chain(plan.child)
-        return self._extend(child, plan, _remap_partition(child.partition_cols, plan))
-
-    def _exec_LimitNode(self, plan: LimitNode) -> DistRelation:
-        child = self._exec(plan.child)
-        assert self._query_process is not None
-        take = None if plan.limit is None else plan.limit + plan.offset
-        if take is not None and len(child.parts) > 1:
-            # Each part can cap locally before shipping; the cap touches
-            # min(len(rows), take) tuples of simulated CPU at the part.
-            capped: list[Part] = []
-            for p in child.parts:
-                p.process.charge(
-                    self.machine.cpu_time(tuples=min(len(p.rows), take))
-                )
-                capped.append(Part(p.process, p.rows[:take]))
-            child = DistRelation(capped, child.partition_cols)
-        return self._extend(self._gather(child, self._query_process), plan, None)
-
-    def _exec_SortNode(self, plan: SortNode) -> DistRelation:
-        child = self._exec_chain(plan.child)
-        assert self._query_process is not None
-        return self._extend(self._gather(child, self._query_process), plan, None)
-
-    def _exec_TopNNode(self, plan: TopNNode) -> DistRelation:
-        child = self._exec_chain(plan.child)
-        assert self._query_process is not None
-        if len(child.parts) > 1:
-            # Every site heap-cuts to its best `keep` rows *before*
-            # shipping — the network saving the sort+limit fusion exists
-            # for.  Stability survives the cut: per-site output keeps
-            # equal-key rows in original order, sites gather in part
-            # order, and the final heap's index tie-break reproduces the
-            # global stable sort exactly.
-            cut = ("topn", plan.keys, plan.limit + plan.offset, 0)
-            child = self._then(child, child.partition_cols, "TopNNode", cut)
-        return self._extend(self._gather(child, self._query_process), plan, None)
-
-    def _exec_DistinctNode(self, plan: DistinctNode) -> DistRelation:
-        child = self._exec_chain(plan.child)
-        if len(child.parts) == 1:
-            return self._extend(child, plan, child.partition_cols)
-        # Repartition by whole row so duplicates meet, then local dedup.
-        all_cols = tuple(range(len(plan.schema)))
-        return self._extend(self._repartition(child, all_cols), plan, all_cols)
+        Read load-balancing across fragment copies (Section 2.2's "same
+        copy" wording — different readers may use different copies):
+        under the default ``read_routing="ready"`` policy pick the copy
+        whose element is free earliest; under ``"nearest"`` prefer the
+        live copy fewest link hops from the query process at *origin*
+        (replica-aware routing — ties broken by readiness then name, so
+        the choice stays deterministic).  Copies that died with their
+        element, or that the network can no longer reach from the query
+        process, are skipped — reads fail over to a live replica and
+        only error when no copy at all survives.
+        """
+        machine = self.machine
+        live = [
+            ofm
+            for ofm in self.allocator.copies(fragment)
+            if machine.reachable(origin, ofm.node_id)
+        ]
+        if not live:
+            raise ExecutionError(
+                f"no live reachable copy of fragment {fragment.fragment_id}"
+                f" of table {info.name!r}"
+            )
+        self.access.record(info.name, fragment.fragment_id)
+        if self.read_routing == "nearest":
+            return min(
+                live,
+                key=lambda c: (machine.current_hops(origin, c.node_id), c.ready_at, c.name),
+            )
+        return min(live, key=lambda c: (c.ready_at, c.name))
 
     # -- repartitioning machinery ----------------------------------------------------------
 
-    def _repartition(
+    def repartition(
         self,
         relation: DistRelation,
         key_cols: tuple[int, ...],
@@ -677,7 +581,7 @@ class DistributedExecutor:
         rows whose destination equals their source do not cross the
         network.
         """
-        relation = self._flush(relation)
+        relation = self.flush(relation)
         if targets is None:
             targets = [part.process for part in relation.parts]
         k = len(targets)
@@ -695,7 +599,7 @@ class DistributedExecutor:
                 targets=k,
             )
         if k == 1:
-            return self._gather(relation, targets[0])
+            return self.gather(relation, targets[0])
         # One pass per part through a compiled, key-specialized splitter
         # (repro.exec.shuffle); bucket assignment is bit-identical to the
         # interpreted ``_hash_key(row, key_cols) % k``.
@@ -711,12 +615,12 @@ class DistributedExecutor:
                 if not rows:
                     continue
                 if targets[index] is not part.process:
-                    self._ship(part, targets[index], rows)
+                    self.ship(part, targets[index], rows)
                 buckets[index].extend(rows)
         parts = [Part(target, bucket) for target, bucket in zip(targets, buckets)]
         return DistRelation(parts, key_cols)
 
-    def _broadcast(
+    def broadcast(
         self, relation: DistRelation, targets: list[PoolProcess]
     ) -> list[list]:
         """Copy the whole relation to every target; returns rows per target.
@@ -745,7 +649,7 @@ class DistributedExecutor:
             result = []
             for target in targets:
                 if target is not source.process:
-                    self._ship(source, target, rows)
+                    self.ship(source, target, rows)
                 result.append(rows)
             return result
         if len(targets) > fanout:
@@ -759,7 +663,7 @@ class DistributedExecutor:
             rows = []
             for part in parts:
                 if part.process is not target:
-                    self._ship(part, target, part.rows)
+                    self.ship(part, target, part.rows)
                 rows.extend(part.rows)
             result.append(rows)
         return result
@@ -774,7 +678,7 @@ class DistributedExecutor:
         """
         if len(targets) <= self.multicast_fanin:
             for target in targets:
-                self._ship(source, target, rows)
+                self.ship(source, target, rows)
             return
         hops = self.machine.router.hops
         source_node = source.process.node_id
@@ -783,126 +687,13 @@ class DistributedExecutor:
             nodes, lambda node: hops(source_node, node)
         ):
             relay = targets[relay_index]
-            self._ship(source, relay, rows)
+            self.ship(source, relay, rows)
             if rest:
                 self._tree_scatter(Part(relay, rows), [targets[i] for i in rest], rows)
 
-    # -- joins ----------------------------------------------------------------------------
-
-    def _exec_JoinNode(self, plan: JoinNode) -> DistRelation:
-        left = self._exec(plan.left)
-        right = self._exec(plan.right)
-        left_keys, right_keys, _residual = plan.equi_keys()
-
-        def local_join(process, left_rows, right_rows) -> Part:
-            return Part(process, self._run_local(process, plan, left_rows, right_rows))
-
-        # Strategy 1: broadcast a small right side (valid for all kinds
-        # here because SEMI/ANTI/LEFT_OUTER keep the left partitioned
-        # and need the *whole* right everywhere).
-        broadcast_ok = right.total_rows <= BROADCAST_ROWS or not left_keys
-        if plan.kind is JoinKind.INNER and not left_keys:
-            broadcast_ok = True
-        if broadcast_ok:
-            targets = [part.process for part in left.parts]
-            right_copies = self._broadcast(right, targets)
-            parts = [
-                local_join(part.process, part.rows, copy)
-                for part, copy in zip(left.parts, right_copies)
-            ]
-            # Left columns keep their positions, whatever the join kind.
-            return DistRelation(parts, left.partition_cols)
-
-        # Strategy 2: already co-partitioned on the join keys.
-        co_partitioned = (
-            left.partition_cols == tuple(left_keys)
-            and right.partition_cols == tuple(right_keys)
-            and len(left.parts) == len(right.parts)
-        )
-        if not co_partitioned:
-            left = self._repartition(left, tuple(left_keys))
-            targets = [part.process for part in left.parts]
-            right = self._repartition(right, tuple(right_keys), targets=targets)
-        parts = []
-        for left_part, right_part in zip(left.parts, right.parts):
-            right_rows = right_part.rows
-            if right_part.process is not left_part.process:
-                # Co-partitioned but on different elements: ship the
-                # smaller stream to the larger one's element.
-                self._ship(right_part, left_part.process, right_rows)
-            parts.append(local_join(left_part.process, left_part.rows, right_rows))
-        partition = tuple(left_keys) if left_keys else None
-        return DistRelation(parts, partition)
-
-    # -- aggregation -------------------------------------------------------------------------
-
-    def _exec_AggregateNode(self, plan: AggregateNode) -> DistRelation:
-        child = self._exec_chain(plan.child)
-        assert self._query_process is not None
-        if any(agg.distinct for agg in plan.aggregates):
-            # DISTINCT aggregates cannot be merged from partials: gather.
-            # They have no generated form either, so the operator is a
-            # chain of its own and the chains around it stay compiled.
-            target = (
-                child.parts[0].process
-                if len(child.parts) == 1
-                else self._query_process
-            )
-            return self._flush(self._extend(self._gather(child, target), plan, None))
-        if len(child.parts) == 1:
-            # Single-site: the aggregation extends the part's chain.
-            return self._extend(child, plan, None)
-
-        # Two-phase aggregation: local partials, shuffle, merge.  The
-        # merge's aggregation and the projection assembling the original
-        # outputs are one charge, traced as the projection.
-        partial, merge = plan.memo("two_phase", _decompose_aggregates)
-        partials = self._then(child, None, "AggregateNode", partial)
-        if not plan.group_cols:
-            merged = self._gather(partials, self._query_process)
-            return self._then(merged, None, "ProjectNode", *merge)
-        # Shuffle partials by group key so each group merges at one site.
-        group_positions = tuple(range(len(plan.group_cols)))
-        shuffled = self._repartition(partials, group_positions)
-        return self._then(shuffled, group_positions, "ProjectNode", *merge)
-
-    # -- set operations -------------------------------------------------------------------------
-
-    def _exec_SetOpNode(self, plan: SetOpNode) -> DistRelation:
-        left = self._exec(plan.left)
-        right = self._exec(plan.right)
-        if plan.op == "union_all":
-            return DistRelation(left.parts + right.parts, None)
-        all_cols = tuple(range(len(plan.schema)))
-        if plan.op == "union":
-            combined = DistRelation(left.parts + right.parts, None)
-            repartitioned = self._repartition(combined, all_cols)
-            return self._then(repartitioned, all_cols, "DistinctNode", ("distinct",))
-        # intersect / except: co-partition both sides by whole row.
-        left = self._repartition(left, all_cols)
-        targets = [part.process for part in left.parts]
-        right = self._repartition(right, all_cols, targets=targets)
-        parts = []
-        for left_part, right_part in zip(left.parts, right.parts):
-            rows = self._run_local(
-                left_part.process, plan, left_part.rows, right_part.rows
-            )
-            parts.append(Part(left_part.process, rows))
-        return DistRelation(parts, all_cols)
-
     # -- recursion ----------------------------------------------------------------------------------
 
-    def _exec_ClosureNode(self, plan: ClosureNode) -> DistRelation:
-        child = self._exec(plan.child)
-        assert self._query_process is not None
-        if self.distributed_closure and len(child.parts) > 1 and child.total_rows > 0:
-            return self._distributed_closure(child)
-        site = self._spawn_temp(self._query_process.ready_at)
-        gathered = self._gather(child, site)
-        rows = self._run_local(site, plan, gathered.parts[0].rows)
-        return DistRelation([Part(site, rows)], None)
-
-    def _distributed_closure(self, edges: DistRelation) -> DistRelation:
+    def parallel_closure(self, edges: DistRelation) -> DistRelation:
         """Parallel semi-naive transitive closure across the fragments.
 
         Each round: the delta is hash-repartitioned on its *destination*
@@ -924,7 +715,7 @@ class DistributedExecutor:
         the host-CPU cost of the round changed.
         """
         # Edges keyed by source at their (re)partition sites.
-        edges_by_src = self._repartition(edges, (0,))
+        edges_by_src = self.repartition(edges, (0,))
         sites = [part.process for part in edges_by_src.parts]
 
         # Loop-invariant build side, one hash table per site.
@@ -935,7 +726,7 @@ class DistributedExecutor:
         _, proj_weight = self.evaluator.projector((ColumnRef(0), ColumnRef(3)))
 
         # Totals live partitioned by whole-row hash over the same sites.
-        total_rel = self._repartition(
+        total_rel = self.repartition(
             DistRelation(
                 [Part(p.process, list(p.rows)) for p in edges.parts], None
             ),
@@ -959,7 +750,7 @@ class DistributedExecutor:
             rounds += 1
             if rounds > 100_000:
                 raise ExecutionError("distributed closure failed to converge")
-            delta_by_dst = self._repartition(delta, (1,), targets=sites)
+            delta_by_dst = self.repartition(delta, (1,), targets=sites)
             derived_parts = []
             for index, delta_part in enumerate(delta_by_dst.parts):
                 site = delta_part.process
@@ -982,7 +773,7 @@ class DistributedExecutor:
                 )
                 site.charge(seconds, tuples=tuples)
                 derived_parts.append(Part(site, joined))
-            derived = self._repartition(
+            derived = self.repartition(
                 DistRelation(derived_parts, None), (0, 1), targets=sites
             )
             fresh_parts = []
@@ -1036,58 +827,6 @@ def _value_bytes(row: tuple) -> int:
     return total
 
 
-def _remap_partition(
-    partition_cols: tuple[int, ...] | None, plan: ProjectNode
-) -> tuple[int, ...] | None:
-    """Partitioning survives a projection iff the key columns pass
-    through as plain column references."""
-    if partition_cols is None:
-        return None
-    mapping: dict[int, int] = {}
-    for position, expr in enumerate(plan.exprs):
-        if isinstance(expr, ColumnRef) and expr.index not in mapping:
-            mapping[expr.index] = position
-    try:
-        return tuple(mapping[c] for c in partition_cols)
-    except KeyError:
-        return None
-
-
-def _decompose_aggregates(plan: AggregateNode) -> tuple[Op, tuple[Op, Op]]:
-    """Split *plan* into the partial op and the merge stage's two ops.
-
-    The partial phase aggregates each part by the same groups; the merge
-    phase re-aggregates the partial rows (groups first, then one column
-    per partial) and projects the original outputs.  Decompositions:
-    COUNT -> SUM of counts; SUM/MIN/MAX -> same; AVG ->
-    SUM(sums)/SUM(counts).
-    """
-    n_groups = len(plan.group_cols)
-    schema = plan.child.schema
-    partials: list[tuple] = []
-    merges: list[tuple] = []
-    outputs: list = [ColumnRef(i) for i in range(n_groups)]
-
-    def partial(func: str, arg, merge_func: str) -> ColumnRef:
-        column = ColumnRef(n_groups + len(partials))
-        exact = is_int_column(arg, schema)
-        partials.append((func, arg, False, exact))
-        # A partial is as exactly an int as what it summed; a count is one.
-        merges.append((merge_func, column, False, exact or func == "count"))
-        return column
-
-    for aggregate in plan.aggregates:
-        if aggregate.func == "count":
-            outputs.append(partial("count", aggregate.arg, "sum"))
-        elif aggregate.func in ("sum", "min", "max"):
-            outputs.append(partial(aggregate.func, aggregate.arg, aggregate.func))
-        elif aggregate.func == "avg":
-            total = partial("sum", aggregate.arg, "sum")
-            count = partial("count", aggregate.arg, "sum")
-            outputs.append(Arithmetic("/", total, count))
-        else:  # pragma: no cover - AggExpr validates funcs
-            raise PlanError(f"cannot decompose aggregate {aggregate.func}")
-    return (
-        aggregate_op(plan.group_cols, partials),
-        (aggregate_op(range(n_groups), merges), ("project", tuple(outputs))),
-    )
+def rows_bytes(rows: list[tuple]) -> int:
+    """Wire size of shipped rows, exact (DML statements, bulk loads)."""
+    return sum(_value_bytes(row) for row in rows) + 16  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network

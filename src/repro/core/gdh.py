@@ -29,19 +29,25 @@ from repro.errors import (
     TransactionAborted,
     TransactionError,
 )
-from repro.exec.expressions import ColumnRef, Comparison, IsNull, Literal, and_
-from repro.algebra.optimizer import OptimizedPlan, Optimizer, OptimizerOptions
-from repro.algebra.plan import PlanNode, ScanNode, SelectNode
+from repro.algebra.optimizer import Optimizer, OptimizerOptions
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, IndexInfo, TableInfo
-from repro.core.executor import DistributedExecutor, _value_bytes
+from repro.core.dispatch import (
+    DeletePlan,
+    EnginePlan,
+    InsertPlan,
+    ProgramPlan,
+    QueryPlan,
+    UpdatePlan,
+)
+from repro.core.executor import DistributedExecutor, rows_bytes
 from repro.core.faults import FaultInjector
 from repro.core.fragmentation import SingleFragment, build_scheme
 from repro.core.locks import LockManager, LockMode, Resource, WouldBlock
 from repro.core.result import QueryResult
 from repro.core.transactions import Transaction, TransactionManager, TxnState
 from repro.core.twophase import CommitLog, TwoPhaseCommit
-from repro.ofm.manager import OFMProfile, OneFragmentManager
+from repro.ofm.manager import OFMProfile
 from repro.pool.placement import LeastLoaded
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
@@ -51,10 +57,8 @@ from repro.pool.runtime import PoolRuntime
 # attributes, and a name bound here at import time would dodge it.
 from repro.prismalog import compile as plog_compile, parser as plog_parser
 from repro.prismalog.ast import Program
-from repro.prismalog.compile import CompiledProgram
-from repro.prismalog.engine import PrismalogEngine
 from repro.sql import ast as sql_ast
-from repro.sql.binder import Binder, BoundDelete, BoundInsert, BoundUpdate
+from repro.sql.binder import Binder
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_statement
 from repro.storage.schema import Column, Schema
@@ -72,8 +76,6 @@ PLAN_CACHE_HIT_COST_S = 2e-5
 #: on statement *templates*, so a workload's working set is its handful
 #: of statement shapes, not those times the literals it binds.
 STATEMENT_CACHE_CAPACITY = 256
-#: Wire size of a shipped DML statement / row batch header.
-STATEMENT_BYTES = 256
 
 GDH_NODE = 0
 
@@ -96,34 +98,34 @@ class Prepared:
 
     Produced by :meth:`GlobalDataHandler.prepare`: a query is bound and
     optimized, DML is bound, a PRISMAlog program is compiled to algebra
-    when its recursion allows, anything else is just its AST.  ``?``
-    placeholders stay in ``bound`` as ``Param`` leaves and are filled
-    in per execution, so one of these serves every execution whose
-    parameters have the types it was prepared with (and agree on the
-    statement's ``by_value`` ones).  Nothing in it depends on a
-    parameter's value: fragment pruning reads the literal out of the
-    instantiated predicate at run time
+    when its recursion allows, and each of them is compiled once into
+    its *dispatch plan* (:mod:`repro.core.dispatch`), which each
+    execution only routes, locks and runs; anything else is just its
+    AST.  ``?`` placeholders stay in the dispatch plan as ``Param``
+    leaves and are filled in per execution, so one of these serves
+    every execution whose parameters have the types it was prepared
+    with (and agree on the statement's ``by_value`` ones).  Nothing in
+    it depends on a parameter's value: fragment pruning reads the value
+    when the dispatch plan routes an execution
     (:meth:`TableInfo.pruned_fragments
     <repro.core.catalog.TableInfo.pruned_fragments>`, for lock sets and
     scan sets alike) and the optimizer's estimates only ask whether an
     operand is a constant.  Valid only while ``ddl_epoch`` matches the
-    GDH's — DDL changes fragment placement and schemas under the plan.
+    GDH's — DDL and placement changes move fragments and schemas under
+    the plan.
     """
 
     statement: sql_ast.Statement | Program
-    #: The optimizer's output for a query, the binder's for DML, the
-    #: algebra plans of a compilable PRISMAlog program, None for
-    #: everything else.
-    bound: (
-        OptimizedPlan | BoundInsert | BoundUpdate | BoundDelete | CompiledProgram | None
-    ) = None
-    #: Output column names of a query (the *logical* plan's schema).
-    columns: Sequence[str] = ()
     #: Node count of a query's bound logical plan (the optimize charge
     #: basis).
     frontend_nodes: int | None = None
     #: The GDH's DDL epoch when this was prepared.
     ddl_epoch: int = 0
+    #: The dispatch plan of a planned statement (None: DDL, transaction
+    #: control and the utility statements).
+    dispatch: (
+        QueryPlan | ProgramPlan | EnginePlan | InsertPlan | UpdatePlan | DeletePlan | None
+    ) = None
 
 
 class GlobalDataHandler:
@@ -173,7 +175,7 @@ class GlobalDataHandler:
         #: facade's default session.
         self.sessions: dict[int, SessionState] = {}
         #: Statement text -> its parsed statement and, once a DML
-        #: statement without placeholders has run, its bound form with
+        #: statement without placeholders has run, its dispatch plan with
         #: the DDL epoch that bound it; oldest evicted first.  A parse is
         #: a pure function of the text and a bind of the text and the
         #: catalog, so neither touches a simulated charge: the memo only
@@ -251,20 +253,28 @@ class GlobalDataHandler:
             # the query can actually touch, shrinking the lock set.
             return Prepared(
                 statement,
-                self._optimizer().optimize(plan),
-                plan.schema.names(),
                 sum(1 for _ in plan.walk()),
                 self.ddl_epoch,
+                # Output columns: the *logical* plan's schema.
+                QueryPlan(self._optimizer().optimize(plan), plan.schema.names()),
             )
         if isinstance(statement, Program):
-            # None: general recursion, left to the semi-naive engine.
             compiled = plog_compile.compile_program(statement, self.catalog.schemas())
-            return Prepared(statement, compiled, ddl_epoch=self.ddl_epoch)
+            if compiled is None:
+                # General recursion, left to the semi-naive engine.
+                dispatch = EnginePlan(statement)
+            else:
+                optimizer = self._optimizer()
+                dispatch = ProgramPlan(
+                    [optimizer.optimize(plan) for _query, plan in compiled.query_plans],
+                    compiled,
+                )
+            return Prepared(statement, ddl_epoch=self.ddl_epoch, dispatch=dispatch)
         if not isinstance(
             statement, sql_ast.InsertStmt | sql_ast.UpdateStmt | sql_ast.DeleteStmt
         ):
             return Prepared(statement, ddl_epoch=self.ddl_epoch)
-        # Without placeholders the bound form depends on nothing but the
+        # Without placeholders the dispatch plan depends on nothing but the
         # catalog: good until the next DDL, the plan cache's own rule.
         # It rides on the parse-memo entry that produced the statement.
         memo = None
@@ -276,12 +286,13 @@ class GlobalDataHandler:
                 return memo
         binder = self._binder(params)
         if isinstance(statement, sql_ast.InsertStmt):
-            bound = binder.bind_insert(statement)
+            dispatch = InsertPlan(binder.bind_insert(statement))
         elif isinstance(statement, sql_ast.UpdateStmt):
             bound = binder.bind_update(statement)
+            dispatch = UpdatePlan(bound, self.catalog.table(bound.table).schema)
         else:
-            bound = binder.bind_delete(statement)
-        prepared = Prepared(statement, bound, ddl_epoch=self.ddl_epoch)
+            dispatch = DeletePlan(binder.bind_delete(statement))
+        prepared = Prepared(statement, ddl_epoch=self.ddl_epoch, dispatch=dispatch)
         if memo is not None:
             self.parse_memo[statement.text] = prepared
         return prepared
@@ -339,75 +350,18 @@ class GlobalDataHandler:
         params: Sequence[Any] = (),
         cached: bool = False,
     ) -> QueryResult | list[QueryResult]:
-        """Instantiate *prepared* with *params* and run it: work out the
-        statement's lock set and hand its body to :meth:`_statement`."""
-        bound = prepared.bound
-        if bound is None:
-            if isinstance(prepared.statement, Program):
-                return self._run_program_by_engine(prepared, session)
+        """Run *prepared* with *params*: route its dispatch plan — the
+        fragments each access touches, evaluated once on the values, are
+        the lock set — and hand it to :meth:`_statement`."""
+        plan = prepared.dispatch
+        if plan is None:
             return self._run_unplanned(prepared.statement, session, params)
         if prepared.ddl_epoch != self.ddl_epoch:
             raise TransactionError(
                 "prepared statement is stale (DDL since prepare); prepare again"
             )
-        if params:
-            bound = bound.with_params(params)
-        if isinstance(bound, OptimizedPlan):
-            return self._statement(
-                session, prepared, cached, "select", LockMode.SHARED,
-                self._scan_resources(bound), self._select, bound, prepared.columns
-            )
-        if isinstance(bound, CompiledProgram):
-            # Optimize before locking: pushdown exposes which fragments
-            # the queries can actually touch, shrinking the lock set.
-            optimizer = self._optimizer()
-            plans = [optimizer.optimize(plan) for _query, plan in bound.query_plans]
-            return self._statement(
-                session, prepared, cached, "prismalog", LockMode.SHARED,
-                self._scan_resources(*plans), self._run_program_plans, plans, bound
-            )
-        info = self.catalog.table(bound.table)
-        if isinstance(bound, BoundInsert):
-            routed: dict[int, list[tuple]] = {}
-            for row in bound.rows:
-                routed.setdefault(info.scheme.fragment_of(row), []).append(row)
-            fragment_ids, label, body, args = routed, "insert", self._insert, (routed,)
-        elif isinstance(bound, BoundUpdate):
-            assigned = {index for index, _ in bound.assignments}
-            moves_rows = not assigned.isdisjoint(info.scheme.key_columns())
-            # Updating the fragmentation key can change tuple homes:
-            # every fragment may send or receive, lock them all.
-            fragment_ids = info.target_fragments(None if moves_rows else bound.predicate)
-            label, body, args = "update", self._update, (bound, fragment_ids, moves_rows)
-        else:
-            fragment_ids = info.target_fragments(bound.predicate)
-            label, body, args = "delete", self._delete, (bound.predicate, fragment_ids)
-        return self._statement(
-            session, prepared, cached, label, LockMode.EXCLUSIVE,
-            [(info.name, fid) for fid in fragment_ids], body, info, *args
-        )
-
-    def _run_program_by_engine(
-        self, prepared: Prepared, session: SessionState
-    ) -> list[QueryResult]:
-        """A PRISMAlog program whose recursion has no algebra plan.  The
-        engine reads whole relations: S-lock every fragment of each
-        database relation the program mentions."""
-        program = prepared.statement
-        edb = {
-            name: self.catalog.table(name)
-            for name in sorted(program.predicates())
-            if self.catalog.has_table(name)
-        }
-        resources = [
-            (info.name, fragment.fragment_id)
-            for info in edb.values()
-            for fragment in info.fragments
-        ]
-        return self._statement(
-            session, prepared, False, "prismalog", LockMode.SHARED,
-            resources, self._run_program_engine, program, edb
-        )
+        resources, args = plan.route(self.catalog, params)
+        return self._statement(session, prepared, cached, plan, resources, *args)
 
     def _run_unplanned(
         self,
@@ -737,12 +691,17 @@ class GlobalDataHandler:
     ) -> None:
         """Acquire locks for a statement (all before any effect).
 
+        First the transaction gives up any queued request outside this
+        statement's lock set — a wait it abandoned must not hold the
+        queue for others, while a retried statement keeps its place.
         DeadlockError aborts the transaction (victim = requester);
         WouldBlock propagates with the transaction intact so the driver
         can retry the statement.
         """
+        wanted = set(resources)
+        self.locks.withdraw_waits(txn.txn_id, wanted)
         try:
-            for resource in sorted(set(resources)):
+            for resource in sorted(wanted):
                 floor = self.txns.lock(txn, resource, mode)
                 process.advance_to(floor)
         except DeadlockError:
@@ -784,46 +743,18 @@ class GlobalDataHandler:
         if plan_nodes is not None:
             process.charge(plan_nodes * OPTIMIZE_COST_PER_NODE_S)
 
-    def _scan_resources(self, *optimized: OptimizedPlan) -> list[Resource]:
-        """Fragments the plans read — pruned for point predicates.
-
-        After predicate pushdown, selections sit directly above scans;
-        a point predicate on the fragmentation column narrows the lock
-        set to the fragments the executor will actually visit.
-        """
-        resources: list[Resource] = []
-        stack: list[PlanNode] = []
-        for each in optimized:
-            stack.append(each.plan)
-            stack.extend(shared.plan for shared in each.shared)
-        while stack:
-            node = stack.pop()
-            predicate = None
-            if isinstance(node, SelectNode) and isinstance(node.child, ScanNode):
-                predicate, node = node.predicate, node.child
-            if not isinstance(node, ScanNode):
-                stack.extend(node.children)
-            elif self.catalog.has_table(node.table_name):
-                info = self.catalog.table(node.table_name)
-                resources.extend(
-                    (info.name, fid) for fid in info.target_fragments(predicate)
-                )
-        return resources
-
     def _explain(
         self, statement: sql_ast.ExplainStmt, params: Sequence[Any]
     ) -> QueryResult:
         target = statement.target
         if not isinstance(target, sql_ast.SelectStmt | sql_ast.SetOpStmt):
             raise BindError("EXPLAIN supports queries only")
-        optimized = self.prepare(target, params).bound.with_params(params)
-        text = optimized.explain()
-        lines = text.splitlines()
+        prepared = self.prepare(target, params)
+        optimized = prepared.dispatch.optimized.with_params(params)
+        lines = optimized.explain().splitlines()
         lines.append(f"-- estimated rows: {optimized.estimated_rows:.0f}")
-        resources = self._scan_resources(optimized)
-        lines.append(
-            f"-- fragments to lock/scan: {len(resources)}"
-        )
+        resources, _args = prepared.dispatch.route(self.catalog, params)
+        lines.append(f"-- fragments to lock/scan: {len(resources)}")
         return QueryResult(
             "explain",
             columns=["plan"],
@@ -837,21 +768,19 @@ class GlobalDataHandler:
         session: SessionState,
         prepared: Prepared,
         cached: bool,
-        label: str,
-        mode: LockMode,
+        plan,
         resources: list[Resource],
-        body,
         *args,
     ):
-        """Run ``body(txn, process, *args)`` as one statement.
+        """Run ``plan.run(self, txn, process, *args)`` as one statement.
 
         The one copy of what every planned statement goes through, in
         this order: the session's transaction (or one scoped to this
         statement), a query process, every lock before any effect, the
         front-end charge, the body, the end of a statement-scoped
         transaction, the end of the query process.  A query, a PRISMAlog
-        program and each DML kind differ only in *resources*, *mode* and
-        the body.
+        program and each DML kind differ only in their dispatch plan: its
+        label, its lock mode, *resources* (what it routed to) and its body.
 
         A statement-scoped reader just finishes — committed, or aborted
         when the body failed, so its locks go either way.  A writer
@@ -867,15 +796,15 @@ class GlobalDataHandler:
         scoped = txn is None
         if scoped:
             txn = self.txns.begin(session.clock, autocommit=True)
-        writes = mode is LockMode.EXCLUSIVE
-        process = self._new_query_process(session, label)
+        writes = plan.mode is LockMode.EXCLUSIVE
+        process = self._new_query_process(session, plan.label)
         try:
-            self._lock(txn, session, process, resources, mode)
+            self._lock(txn, session, process, resources, plan.mode)
             self._charge_frontend(
                 process, prepared.statement.n_tokens, prepared.frontend_nodes, cached
             )
             try:
-                result = body(txn, process, *args)
+                result = plan.run(self, txn, process, *args)
                 if scoped and writes:
                     session.clock = max(session.clock, process.ready_at)
                     session.txn = txn
@@ -896,7 +825,7 @@ class GlobalDataHandler:
         finally:
             self._finish_query(session, process)
 
-    def _at_copies(
+    def at_copies(
         self,
         txn: Transaction,
         process: PoolProcess,
@@ -911,7 +840,8 @@ class GlobalDataHandler:
         Returns what the primary answered.
 
         Neither send charges here: the statement's front end is charged
-        by :meth:`_statement`, and the OFM charges its own work.
+        by :meth:`_statement`, and the OFM charges its own work.  The
+        DML bodies of :mod:`repro.core.dispatch` ship through this.
         """
         answer = None
         for index, ofm in enumerate(self.fragment_copies(info, fragment_id)):
@@ -925,166 +855,6 @@ class GlobalDataHandler:
             reply = self.runtime.send(ofm, process, 32)  # prismalint: disable=PL004 -- see docstring
             process.advance_to(reply)
         return answer
-
-    # -- statement bodies ---------------------------------------------------------------------
-
-    def _select(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        optimized: OptimizedPlan,
-        columns: Sequence[str],
-    ) -> QueryResult:
-        rows, report = self.executor.execute(optimized, process)
-        return QueryResult("select", columns=list(columns), rows=rows, report=report)
-
-    def _run_program_plans(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        plans: list[OptimizedPlan],
-        compiled: CompiledProgram,
-    ) -> list[QueryResult]:
-        """A PRISMAlog program that compiled to algebra: its queries run
-        through the distributed executor like any SELECT (Section 2.3's
-        semantics-via-algebra made literal)."""
-        results = []
-        for optimized in plans:
-            rows, report = self.executor.execute(optimized, process)
-            results.append(
-                QueryResult(
-                    "prismalog",
-                    columns=optimized.plan.schema.names(),
-                    rows=sorted(rows, key=repr),
-                    report=report,
-                    prismalog_stats={
-                        "compiled_to_algebra": True,
-                        "closure_operator_hits": list(compiled.closure_predicates),
-                        "fixpoint_iterations": {},
-                        "materialized_rows": {},
-                    },
-                )
-            )
-        return results
-
-    def _run_program_engine(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        program: Program,
-        edb: dict[str, TableInfo],
-    ) -> list[QueryResult]:
-        """General recursion: gather the referenced relations at the
-        query process and run the semi-naive engine there."""
-        edb_tables = {}
-        for name, info in edb.items():
-            rows = edb_tables[name] = []
-            for fragment in info.fragments:
-                # The primary whenever it is alive, a replica otherwise.
-                ofm = self.fragment_copies(info, fragment.fragment_id)[0]
-                fragment_rows = ofm.scan_rows()
-                self.runtime.send(
-                    ofm,
-                    process,
-                    max(64, info.schema.average_row_bytes() * len(fragment_rows)),
-                )
-                rows.extend(fragment_rows)
-        engine = PrismalogEngine(
-            edb_tables,
-            {name: info.schema for name, info in edb.items()},
-            evaluator=self.executor.evaluator,
-        )
-        answers = engine.run_program(program)
-        stats = engine.stats
-        process.charge(
-            self.machine.cpu_time(
-                tuples=int(stats.meter.tuples),
-                hashes=int(stats.meter.hashes),
-                compares=int(stats.meter.compares),
-            )
-        )
-        return [
-            QueryResult(
-                "prismalog",
-                columns=answer.columns,
-                rows=answer.rows,
-                prismalog_stats={
-                    "compiled_to_algebra": False,
-                    "fixpoint_iterations": dict(stats.fixpoint_iterations),
-                    "closure_operator_hits": list(stats.closure_operator_hits),
-                    "materialized_rows": dict(stats.materialized_rows),
-                },
-            )
-            for answer in answers
-        ]
-
-    def _insert(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        info: TableInfo,
-        routed: dict[int, list[tuple]],
-    ) -> QueryResult:
-        for fragment_id, rows in sorted(routed.items()):
-            self.executor.access.record(info.name, fragment_id)
-            n_bytes = STATEMENT_BYTES + _rows_bytes(rows)
-            self._at_copies(txn, process, info, fragment_id, n_bytes, _insert_rows, rows)
-        return QueryResult("insert", affected_rows=sum(map(len, routed.values())))
-
-    def _update(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        info: TableInfo,
-        bound: BoundUpdate,
-        fragment_ids: list[int],
-        moves_rows: bool,
-    ) -> QueryResult:
-        new_row_fn = self._assignment_fn(info.schema, bound.assignments)
-        # Given only when the fragmentation key is assigned: the rows
-        # whose new key routes elsewhere then leave their fragment.
-        rehome = info if moves_rows else None
-        affected = 0
-        moved_rows: list[tuple] = []
-        for fragment_id in fragment_ids:
-            self.executor.access.record(info.name, fragment_id)
-            count, movers = self._at_copies(
-                txn, process, info, fragment_id, STATEMENT_BYTES,
-                _update_rows, bound.predicate, new_row_fn, rehome, fragment_id
-            )
-            affected += count
-            moved_rows += movers
-        for row in moved_rows:
-            home = info.scheme.fragment_of(row)
-            n_bytes = STATEMENT_BYTES + _rows_bytes([row])
-            self._at_copies(txn, process, info, home, n_bytes, _insert_rows, [row])
-        return QueryResult("update", affected_rows=affected)
-
-    def _delete(
-        self,
-        txn: Transaction,
-        process: PoolProcess,
-        info: TableInfo,
-        predicate,
-        fragment_ids: list[int],
-    ) -> QueryResult:
-        affected = 0
-        for fragment_id in fragment_ids:
-            self.executor.access.record(info.name, fragment_id)
-            affected += self._at_copies(
-                txn, process, info, fragment_id, STATEMENT_BYTES,
-                OneFragmentManager.txn_delete_where, predicate
-            )
-        return QueryResult("delete", affected_rows=affected)
-
-    def _assignment_fn(self, schema: Schema, assignments: list[tuple[int, object]]):
-        """row -> new row applying SET clauses (compiled)."""
-        assigned = dict(assignments)
-        exprs = tuple(
-            assigned.get(index, ColumnRef(index)) for index in range(len(schema))
-        )
-        projector, _ = self.executor.evaluator.projector(exprs)
-        return projector
 
     # -- statistics maintenance -------------------------------------------------------------------
 
@@ -1133,7 +903,7 @@ class GlobalDataHandler:
                 # Loader CPU is charged inside ofm.bulk_load (per-tuple
                 # meter + WAL checkpoint cost).
                 self.runtime.send(  # prismalint: disable=PL004 -- charged in ofm.bulk_load
-                    self.gdh_process, ofm, _rows_bytes(fragment_rows)
+                    self.gdh_process, ofm, rows_bytes(fragment_rows)
                 )
                 ofm.bulk_load(fragment_rows)
         self.refresh_table_stats(table, sample_distinct=True)
@@ -1159,48 +929,3 @@ def _program_tokens(program: str) -> int:
     except PrismaError:
         # Not lexable as SQL (``:-``): estimate by length.
         return max(8, len(program) // 5)
-
-
-def _rows_bytes(rows: list[tuple]) -> int:
-    return sum(_value_bytes(row) for row in rows) + 16  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network
-
-
-def _insert_rows(ofm: OneFragmentManager, txn_id: int, rows: list[tuple]) -> None:
-    for row in rows:
-        ofm.txn_insert(txn_id, row)
-
-
-def _update_rows(
-    ofm: OneFragmentManager,
-    txn_id: int,
-    predicate,
-    new_row_fn,
-    rehome: TableInfo | None,
-    fragment_id: int,
-) -> tuple[int, list[tuple]]:
-    """Update in place at one copy; returns (rows updated, rows that no
-    longer belong to *fragment_id*).  With *rehome* — the table, given
-    when the fragmentation key is assigned — the rows whose new key
-    routes elsewhere are deleted here again and handed back for
-    insertion at their new home."""
-    pairs = ofm.txn_update_where(txn_id, predicate, new_row_fn)
-    movers: list[tuple] = []
-    if rehome is not None:
-        for _old, new in pairs:
-            if rehome.scheme.fragment_of(new) != fragment_id:
-                movers.append(new)
-        for new in movers:
-            ofm.txn_delete_where(txn_id, _row_equality(rehome.schema, new))
-    return len(pairs), movers
-
-
-def _row_equality(schema: Schema, row: tuple):
-    """Predicate expr matching exactly *row* (used when relocating a
-    tuple whose fragmentation key changed)."""
-    parts = []
-    for index, value in enumerate(row):
-        if value is None:
-            parts.append(IsNull(ColumnRef(index)))
-        else:
-            parts.append(Comparison("=", ColumnRef(index), Literal(value)))
-    return and_(*parts)

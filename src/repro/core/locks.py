@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.errors import DeadlockError, TransactionError
@@ -74,6 +75,12 @@ class LockManager:
         self._locks: dict[Resource, _LockState] = {}
         #: txn -> set of txns it waits for (live edges only)
         self._wait_for: dict[int, set[int]] = {}
+        #: The same edges reversed: txn -> txns with an edge to it.
+        self._waited_by: dict[int, set[int]] = {}
+        #: txn -> resources it holds / is queued on, in the order it got
+        #: there, so a release touches only those.
+        self._held: dict[int, dict[Resource, None]] = {}
+        self._queued: dict[int, dict[Resource, None]] = {}
         self.deadlocks_detected = 0
         self.conflicts = 0
         #: How long an idle entry's release stamp stays relevant; the
@@ -91,11 +98,8 @@ class LockManager:
         return dict(state.holders) if state else {}
 
     def locks_of(self, txn_id: int) -> list[Resource]:
-        return [
-            resource
-            for resource, state in self._locks.items()
-            if txn_id in state.holders
-        ]
+        """What *txn_id* holds, in the order it acquired it."""
+        return list(self._held.get(txn_id, ()))
 
     # -- acquisition -------------------------------------------------------------
 
@@ -106,7 +110,9 @@ class LockManager:
         requester's simulated clock must be advanced to at least this
         value (it logically waited for the previous holder).
         """
-        state = self._locks.setdefault(resource, _LockState())
+        state = self._locks.get(resource)
+        if state is None:
+            state = self._locks[resource] = _LockState()
         held = state.holders.get(txn_id)
         if held is LockMode.EXCLUSIVE or held is mode:
             return state.last_release_time  # re-entrant / covered
@@ -133,11 +139,12 @@ class LockManager:
             if not _compatible(mode, waiting_mode)
         }
         if not conflicting and not blocking_waiters:
-            self._remove_waiter(state, txn_id)
+            self._dequeue(txn_id, resource)
             self._clear_waits(txn_id)
             state.holders[txn_id] = (
                 LockMode.EXCLUSIVE if held is LockMode.SHARED else mode
             )
+            self._held.setdefault(txn_id, {})[resource] = None
             return state.last_release_time
         # Conflict: check for deadlock before registering the wait.
         self.conflicts += 1
@@ -145,15 +152,32 @@ class LockManager:
         if self._would_deadlock(txn_id, blockers):
             self.deadlocks_detected += 1
             self._clear_waits(txn_id)
-            self._remove_waiter(state, txn_id)
+            self._dequeue(txn_id, resource)
             raise DeadlockError(
                 f"transaction {txn_id} would deadlock on fragment {resource};"
                 " chosen as victim"
             )
         self._wait_for.setdefault(txn_id, set()).update(blockers)
-        if all(waiting != txn_id for waiting, _ in state.waiters):
+        for blocker in blockers:  # prismalint: disable=PL102 -- each blocker's set gains txn_id; order cannot leak
+            self._waited_by.setdefault(blocker, set()).add(txn_id)
+        queued = self._queued.setdefault(txn_id, {})
+        if resource not in queued:
+            queued[resource] = None
             state.waiters.append((txn_id, mode))
         raise WouldBlock(txn_id, resource, blockers or set(state.holders))
+
+    def withdraw_waits(self, txn_id: int, keep: Collection[Resource]) -> None:
+        """Take *txn_id* out of the wait queues of every resource not in
+        *keep* (a statement's lock phase passes its lock set: an abandoned
+        request must not hold the queue, a retry keeps its place) — and,
+        once it waits nowhere, drop its wait-for edges."""
+        queued = self._queued.get(txn_id)
+        if not queued:
+            return
+        for resource in [r for r in queued if r not in keep]:
+            self._dequeue(txn_id, resource)
+        if txn_id not in self._queued:
+            self._clear_waits(txn_id)
 
     def _would_deadlock(self, txn_id: int, new_blockers: set[int]) -> bool:
         """Would adding edges txn_id -> new_blockers close a cycle?"""
@@ -176,20 +200,23 @@ class LockManager:
         """Drop every lock of *txn_id*; stamps the release time.
 
         Returns the resources that now have runnable waiters (the
-        driver uses this to know which sessions to retry).
+        driver uses this to know which sessions to retry), in the order
+        the transaction acquired them.  Only the entries the transaction
+        holds or waits on are visited.
         """
         unblocked: list[Resource] = []
-        for resource, state in list(self._locks.items()):
-            if txn_id in state.holders:
-                del state.holders[txn_id]
-                state.last_release_time = max(state.last_release_time, release_time)
-                if state.waiters:
-                    unblocked.append(resource)
-            self._remove_waiter(state, txn_id)
+        for resource in self._held.pop(txn_id, ()):
+            state = self._locks[resource]
+            del state.holders[txn_id]
+            state.last_release_time = max(state.last_release_time, release_time)
+            if state.waiters:
+                unblocked.append(resource)
+        for resource in list(self._queued.get(txn_id, ())):
+            self._dequeue(txn_id, resource)
         self._clear_waits(txn_id)
         # Remove txn from others' blocker sets.
-        for waiting in self._wait_for.values():
-            waiting.discard(txn_id)
+        for waiting in self._waited_by.pop(txn_id, ()):
+            self._wait_for[waiting].discard(txn_id)
         self._sweep_idle_entries(release_time)
         return unblocked
 
@@ -215,13 +242,22 @@ class LockManager:
             del self._locks[resource]
         self.entries_purged += len(stale)
 
-    def _remove_waiter(self, state: _LockState, txn_id: int) -> None:
+    def _dequeue(self, txn_id: int, resource: Resource) -> None:
+        """Drop *txn_id*'s request from *resource*'s queue, if it has one."""
+        queued = self._queued.get(txn_id)
+        if queued is None or resource not in queued:
+            return
+        del queued[resource]
+        if not queued:
+            del self._queued[txn_id]
+        state = self._locks[resource]
         state.waiters = deque(
             (waiting, mode) for waiting, mode in state.waiters if waiting != txn_id
         )
 
     def _clear_waits(self, txn_id: int) -> None:
-        self._wait_for.pop(txn_id, None)
+        for blocker in self._wait_for.pop(txn_id, ()):
+            self._waited_by[blocker].discard(txn_id)
 
     def waiting_transactions(self) -> set[int]:
         return set(self._wait_for)

@@ -90,8 +90,9 @@ class Param(Expr):
     """The *index*-th ``?`` of a statement template: typed, valueless.
 
     A prepared statement is bound and optimized with these in place of
-    its parameters and instantiated per execution by
-    :func:`substitute_params`; nothing ever evaluates or compiles one.
+    its parameters; an execution reads the values beside them or
+    instantiates (:func:`substitute_params`) what must compile, and
+    nothing ever evaluates or compiles a ``Param`` itself.
     The type is that of the values the template was prepared for (it
     is part of the plan-cache key), so result schemas come out as they
     would for a literal.
@@ -493,6 +494,23 @@ def substitute_params(expr: Expr, params: Sequence[Any]) -> Expr:
     if not children:
         return expr
     replaced = tuple(substitute_params(c, params) for c in children)
+    if all(new is old for new, old in zip(replaced, children)):
+        return expr
+    return _rebuild(expr, replaced)
+
+
+def params_to_columns(expr: Expr, offset: int) -> Expr:
+    """*expr* reading each :class:`Param` leaf from column ``offset +
+    index``: compiled once, it serves every value when called on the row
+    with the values appended.  The column behaves like the literal would
+    (NULL included) and weighs the same one node; IN lists and LIKE
+    patterns keep their parameters (values, not leaves)."""
+    if isinstance(expr, Param):
+        return ColumnRef(offset + expr.index)
+    children = expr.children()
+    if not children:
+        return expr
+    replaced = tuple(params_to_columns(c, offset) for c in children)
     if all(new is old for new, old in zip(replaced, children)):
         return expr
     return _rebuild(expr, replaced)

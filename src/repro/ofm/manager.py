@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 from repro.errors import ExecutionError, InvalidTransactionState
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import ColumnRef, Comparison, Literal, and_, conjuncts
+from repro.exec.expressions import (
+    ColumnRef,
+    Comparison,
+    Literal,
+    Param,
+    and_,
+    conjuncts,
+    substitute_params,
+)
 from repro.exec.operators import Row, WorkMeter
 from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.plan import PlanNode
@@ -180,8 +188,8 @@ class OneFragmentManager(PoolProcess):
         self._charge_meter(WorkMeter(tuples=1))
         return rid
 
-    def _victims(self, predicate_expr) -> list[tuple[int, Row]]:
-        """The ``(rid, row)`` pairs a DML predicate matches, in scan order.
+    def _victims(self, predicate_expr, params: Sequence = ()) -> list[tuple[int, Row]]:
+        """The ``(rid, row)`` pairs a DML predicate (``?`` from *params*) matches, in scan order.
 
         A unique index matching an equality conjunct yields the one
         possible victim without walking the fragment (and without
@@ -192,7 +200,7 @@ class OneFragmentManager(PoolProcess):
         """
         found = (
             None if predicate_expr is None
-            else self._index_candidates(predicate_expr, unique_only=True)
+            else self._index_candidates(predicate_expr, params, unique_only=True)
         )
         if found is None:
             pairs = list(self.table.scan())
@@ -200,13 +208,15 @@ class OneFragmentManager(PoolProcess):
             rids, remaining = found
             pairs = [(rid, self.table.get(rid)) for rid in rids]
             predicate_expr = and_(*remaining) if remaining else None
+        if predicate_expr is not None and params:
+            predicate_expr = substitute_params(predicate_expr, params)
         predicate = self._predicate(predicate_expr)
         if predicate is None:
             return pairs
         return [(rid, row) for rid, row in pairs if predicate(row)]  # prismalint: disable=PL101 -- charged in txn_update_where / txn_delete_where (the scan's cost)
 
-    def txn_delete_where(self, txn_id: int, predicate_expr) -> int:
-        victims = self._victims(predicate_expr)
+    def txn_delete_where(self, txn_id: int, predicate_expr, params: Sequence = ()) -> int:
+        victims = self._victims(predicate_expr, params)
         for rid, row in victims:
             self.table.delete(rid)
             self._log(DeleteRecord(txn_id, rid, row))
@@ -221,6 +231,7 @@ class OneFragmentManager(PoolProcess):
         txn_id: int,
         predicate_expr,
         compute_new_row: Callable[[Row], Row],
+        params: Sequence = (),
     ) -> list[tuple[Row, Row]]:
         """Update matching rows; returns (old, new) pairs.
 
@@ -230,7 +241,7 @@ class OneFragmentManager(PoolProcess):
         — it receives the pairs and re-routes.
         """
         changed: list[tuple[Row, Row]] = []
-        for rid, row in self._victims(predicate_expr):
+        for rid, row in self._victims(predicate_expr, params):
             try:
                 new_row = self.table.schema.validate_row(compute_new_row(row))
             except (TypeError, ZeroDivisionError) as exc:
@@ -344,23 +355,27 @@ class OneFragmentManager(PoolProcess):
         return list(self.table.rows())
 
     def _index_candidates(
-        self, predicate_expr, unique_only: bool = False
+        self, predicate_expr, params: Sequence = (), unique_only: bool = False
     ) -> tuple[list[int], list] | None:
         """Row ids an index yields for one conjunct, and the conjuncts left.
 
         Looks for an equality conjunct with a matching hash/ordered
         index, or a range conjunct with a matching ordered index
         (*unique_only*: an equality conjunct on a unique index, nothing
-        else).  ``None`` when no index applies.
+        else); the compared value is a literal or a ``?`` read from
+        *params*.  ``None`` when no index applies.
         """
         remaining = list(conjuncts(predicate_expr))
         for i, conjunct in enumerate(remaining):
             if not (
                 isinstance(conjunct, Comparison)
                 and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, Literal)
-                and conjunct.right.value is not None
+                and isinstance(conjunct.right, Literal | Param)
             ):
+                continue
+            right = conjunct.right
+            value = params[right.index] if isinstance(right, Param) else right.value
+            if value is None:
                 continue
             key_positions = (conjunct.left.index,)
             matching = [
@@ -371,7 +386,6 @@ class OneFragmentManager(PoolProcess):
             ]
             if not matching:
                 continue
-            value = conjunct.right.value
             if conjunct.op == "=":
                 candidates = matching[0].lookup((value,))
             elif conjunct.op in ("<", "<=", ">", ">=") and not unique_only:
@@ -400,18 +414,20 @@ class OneFragmentManager(PoolProcess):
             rows, (meter,)
         )[0]
 
-    def filtered_scan(self, predicate_expr) -> tuple[list[Row], bool]:
+    def filtered_scan(self, predicate_expr, params: Sequence = ()) -> tuple[list[Row], bool]:
         """Selection over the fragment, through an index when one fits
-        (:meth:`_index_candidates`); the remaining conjuncts filter the
-        candidates.  Returns ``(rows, used_index)``.  Falls back to a
-        full scan (charging the full fragment) when no index applies.
+        (:meth:`_index_candidates`); the remaining conjuncts, their
+        ``?`` filled in from *params*, filter the candidates.  Returns
+        ``(rows, used_index)``.  Falls back to a full scan (charging the
+        full fragment) when no index applies.
         """
-        found = self._index_candidates(predicate_expr)
+        found = self._index_candidates(predicate_expr, params)
         if found is None:
             # No usable index: ordinary scan + filter, the whole
             # fragment through one compiled pass.
             self._charge_disk_scan()
             meter = WorkMeter()
+            predicate_expr = substitute_params(predicate_expr, params) if params else predicate_expr
             rows = self._select(predicate_expr, list(self.table.rows()), meter)
             self._charge_meter(meter)
             return rows, False
@@ -419,7 +435,9 @@ class OneFragmentManager(PoolProcess):
         rows = [self.table.get(rid) for rid in candidates if self.table.has_rid(rid)]
         meter = WorkMeter(hashes=1)
         if remaining:
-            rows = self._select(and_(*remaining), rows, meter)
+            remaining = and_(*remaining)
+            remaining = substitute_params(remaining, params) if params else remaining
+            rows = self._select(remaining, rows, meter)
         else:
             meter.tuples += len(rows)
         if self.disk_resident:

@@ -4,7 +4,7 @@ The parser turns each ``?`` into a ``Param`` node, so a statement
 template is parsed once (the GDH memoizes the parse by text), bound and
 optimized once per combination of parameter *types*, and executed any
 number of times: the values travel beside the prepared statement and
-are substituted into its plan at execution.  Binding is therefore
+its dispatch plan routes each execution by them.  Binding is therefore
 injection-proof by construction — a value is never rendered into SQL
 text or tokens, it only ever becomes one literal leaf of a plan — and
 :func:`statement_key`, the plan cache's key, is cheap: the text and the
@@ -53,9 +53,9 @@ def statement_key(sql: str, values: tuple, by_value: tuple[int, ...] = ()) -> tu
     """Plan-cache key of a statement template.
 
     The text and the parameter *types*: nothing in a prepared statement
-    depends on a parameter's value (fragment pruning reads the literal
-    out of the instantiated predicate at run time; the optimizer's
-    estimates only ask whether an operand is a constant), but its result
+    depends on a parameter's value (fragment pruning reads the value
+    when an execution is routed; the optimizer's estimates only ask
+    whether an operand is a constant), but its result
     schema does depend on the types — ``v + ?`` is an INT column for
     ``1`` and a FLOAT one for ``1.0``, and ``True`` is not ``1``.  The
     exception is a placeholder the binder must read while binding (a

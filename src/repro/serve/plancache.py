@@ -6,13 +6,14 @@ expression granularity to whole statements.  The key is the statement
 *template* (:func:`repro.serve.params.statement_key`: text and parameter
 types); the entry is a :class:`~repro.core.gdh.Prepared` statement — a
 query bound and optimized, DML bound, anything else its AST — with
-``Param`` leaves where the ``?`` stood, instantiated with the values of
-each execution.  One entry therefore serves every execution of a
-template: a parameter-generic plan is sound here because nothing
-value-dependent is decided before run time (fragment pruning reads the
-literal out of the instantiated predicate — ``TableInfo.pruned_fragments``,
-for the GDH's lock sets and the executor's scan sets alike; selectivity
-estimates only ask whether an operand is a constant).  A hit earns the
+``Param`` leaves where the ``?`` stood, and its dispatch plan compiled
+(:mod:`repro.core.dispatch`).  One entry therefore serves every
+execution of a template: a parameter-generic plan is sound here because
+nothing value-dependent is decided before run time (fragment pruning
+reads the value when an execution is routed —
+``TableInfo.pruned_fragments``, for the GDH's lock sets and the
+executor's scan sets alike; selectivity estimates only ask whether an
+operand is a constant).  A hit earns the
 cache-hit discount on the simulated front-end charge whatever the
 statement kind.
 

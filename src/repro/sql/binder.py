@@ -43,7 +43,8 @@ from repro.storage.types import DataType
 
 
 # Bound from a statement template these keep ``Param`` leaves where the
-# ``?`` stood; ``with_params`` instantiates them for one execution.
+# ``?`` stood; the GDH's dispatch plan (:mod:`repro.core.dispatch`)
+# fills them in per execution.
 
 
 @dataclass
@@ -52,23 +53,9 @@ class BoundInsert:
     schema: Schema
     #: Validated rows — except that a row with a cell depending on a
     #: parameter keeps that cell as an expression, unvalidated, until
-    #: :meth:`with_params` (no storable value is an ``Expr``).
+    #: the execution that supplies the value (no storable value is an
+    #: ``Expr``).
     rows: list[tuple]
-
-    def with_params(self, params: Sequence[Any]) -> "BoundInsert":
-        rows = []
-        for row in self.rows:
-            if any(isinstance(cell, ex.Expr) for cell in row):
-                row = self.schema.validate_row(
-                    tuple(
-                        _insert_constant(ex.substitute_params(cell, params))
-                        if isinstance(cell, ex.Expr)
-                        else cell
-                        for cell in row
-                    )
-                )
-            rows.append(row)
-        return BoundInsert(self.table, self.schema, rows)
 
 
 @dataclass
@@ -77,35 +64,15 @@ class BoundUpdate:
     assignments: list[tuple[int, ex.Expr]]
     predicate: ex.Expr | None
 
-    def with_params(self, params: Sequence[Any]) -> "BoundUpdate":
-        return BoundUpdate(
-            self.table,
-            [
-                (index, ex.substitute_params(value, params))
-                for index, value in self.assignments
-            ],
-            _predicate_with_params(self.predicate, params),
-        )
-
 
 @dataclass
 class BoundDelete:
     table: str
     predicate: ex.Expr | None
 
-    def with_params(self, params: Sequence[Any]) -> "BoundDelete":
-        return BoundDelete(
-            self.table, _predicate_with_params(self.predicate, params)
-        )
 
-
-def _predicate_with_params(
-    predicate: ex.Expr | None, params: Sequence[Any]
-) -> ex.Expr | None:
-    return None if predicate is None else ex.substitute_params(predicate, params)
-
-
-def _insert_constant(bound: ex.Expr):
+def insert_constant(bound: ex.Expr):
+    """The value of a constant INSERT cell (BindError when it has none)."""
     try:
         return evaluate(bound, ())
     except ExpressionError as exc:
@@ -578,13 +545,13 @@ class Binder:
 
     def _constant(self, expr: ast.SqlExpr):
         """An INSERT cell: its value, or — when that depends on a
-        parameter — the bound expression, for ``with_params``."""
+        parameter — the bound expression, filled in per execution."""
         scope = _Scope()
         try:
             bound = self._bind_scalar(expr, scope)
         except BindError:
             raise BindError("INSERT values must be constants") from None
-        return bound if ex.has_params(bound) else _insert_constant(bound)
+        return bound if ex.has_params(bound) else insert_constant(bound)
 
     def bind_update(self, stmt: ast.UpdateStmt) -> BoundUpdate:
         schema = self.table_schema(stmt.table)

@@ -218,13 +218,12 @@ class TestEveryNodeHasAnEmitter:
         session.execute("CREATE TABLE emp (id INT, dept STRING, sal FLOAT)")
         session.execute("CREATE TABLE edge (src INT, dst INT)")
         gdh = db.gdh
+        queries = [gdh.prepare(gdh.parse(text)).dispatch for text in self.SQL]
+        queries += gdh.prepare(parse_program(self.COMPILED)).dispatch.queries
         plans = []
-        for text in self.SQL:
-            optimized = gdh.prepare(gdh.parse(text)).bound
-            plans.append(optimized.plan)
-            plans.extend(shared.plan for shared in optimized.shared)
-        compiled = gdh.prepare(parse_program(self.COMPILED)).bound
-        plans.extend(plan for _query, plan in compiled.query_plans)
+        for query in queries:
+            plans.append(query.optimized.plan)
+            plans.extend(shared.plan for shared in query.optimized.shared)
         analysis = analyze_program(parse_program(self.GENERAL), gdh.catalog.schemas())
         for component in analysis.components:
             for rule in analysis.predicates[component[0]].rules:

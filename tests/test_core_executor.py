@@ -36,6 +36,7 @@ from repro.algebra.plan import (
 from repro.algebra.subexpr import extract_common_subexpressions
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, TableInfo
+from repro.core.dispatch import QueryPlan
 from repro.core.executor import DistributedExecutor
 from repro.core.fragmentation import HashFragmentation, RoundRobinFragmentation
 from repro.ofm.manager import OFMProfile, OneFragmentManager
@@ -92,7 +93,8 @@ class Harness:
 
     def run(self, plan, shared=()):
         optimized = OptimizedPlan(plan=plan, shared=list(shared))
-        rows, report = self.executor.execute(optimized, self.query_process)
+        routed = QueryPlan(optimized).routed(self.catalog)
+        rows, report = self.executor.execute(routed, self.query_process)
         return rows, report
 
 

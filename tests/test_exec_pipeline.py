@@ -26,7 +26,8 @@ from repro.exec.expressions import (
 )
 from repro.exec.operators import WorkMeter
 from repro.exec.pipeline import Pipeline, RowPipeline, aggregate_op
-from repro.sql.binder import Binder
+from repro.core.dispatch import UpdatePlan
+from repro.sql.binder import Binder, BoundUpdate
 
 # ---------------------------------------------------------------------------
 # (a) Randomized identity: fused chain == row path, element types included.
@@ -344,9 +345,15 @@ def _dml_twin(use_index: bool):
     return db, ofm
 
 
+def _row_function(db, ofm, assignments):
+    """row -> updated row, as an UPDATE's dispatch plan builds it."""
+    plan = UpdatePlan(BoundUpdate("t", assignments, None), ofm.schema)
+    return plan.row_function(db.gdh.executor.evaluator)
+
+
 def _dml_script(db, ofm):
     binder = Binder(db.gdh.catalog.schemas(), ())
-    bump = db.gdh._assignment_fn(ofm.schema, [(2, Arithmetic("+", col(2), lit(1)))])
+    bump = _row_function(db, ofm, [(2, Arithmetic("+", col(2), lit(1)))])
     log = []
     for txn_id, (kind, where) in enumerate(
         [
@@ -397,7 +404,7 @@ def test_ten_thousand_literals_stay_within_the_compiler_cache_bound():
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     db.bulk_load("t", [(i, i) for i in range(8)])
     (ofm,) = db.gdh.fragment_ofms.values()
-    bump = db.gdh._assignment_fn(ofm.schema, [(1, lit(0))])
+    bump = _row_function(db, ofm, [(1, lit(0))])
     for k in range(10_000):
         # The unique index takes the key: nothing is compiled per literal.
         ofm.txn_update_where(1, Comparison("=", col(0), lit(k)), bump)

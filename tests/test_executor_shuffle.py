@@ -90,7 +90,7 @@ class ShuffleHarness:
             self.runtime, Catalog(), DataAllocationManager(self.runtime)
         )
         self.query_process = self.runtime.spawn(PoolProcess, name="qp", node=0)
-        self.executor._query_process = self.query_process
+        self.executor.query_process = self.query_process
         self.executor._dispatched = set()
         self.procs = [
             self.runtime.spawn(PoolProcess, name=f"p{i}", node=i + 1)
@@ -115,10 +115,10 @@ class TestRepartitionInvariants:
         edges = DistRelation(
             [Part(p, edge_rows[i::4]) for i, p in enumerate(harness.procs)], None
         )
-        edges_by_src = ex._repartition(edges, (0,))
+        edges_by_src = ex.repartition(edges, (0,))
         sites = [part.process for part in edges_by_src.parts]
         delta = DistRelation([Part(harness.procs[0], delta_rows)], None)
-        delta_by_dst = ex._repartition(delta, (1,), targets=sites)
+        delta_by_dst = ex.repartition(delta, (1,), targets=sites)
 
         edge_site = {}
         for index, part in enumerate(edges_by_src.parts):
@@ -140,7 +140,7 @@ class TestRepartitionInvariants:
             for i, p in enumerate(harness.procs)
         ]
         stats = self.runtime_stats(harness)
-        shuffled = ex._repartition(DistRelation(parts, None), (0,))
+        shuffled = ex.repartition(DistRelation(parts, None), (0,))
         assert self.runtime_stats(harness) == stats  # no messages, no bytes
         assert [p.rows for p in shuffled.parts] == [p.rows for p in parts]
         assert shuffled.partition_cols == (0,)
@@ -150,7 +150,7 @@ class TestRepartitionInvariants:
         ex = harness.executor
         rows = [(42, i) for i in range(10)]  # one key: one bucket gets all
         relation = DistRelation([Part(harness.procs[0], rows)], None)
-        shuffled = ex._repartition(relation, (0,), targets=harness.procs)
+        shuffled = ex.repartition(relation, (0,), targets=harness.procs)
         assert len(shuffled.parts) == 4
         assert [p.process for p in shuffled.parts] == harness.procs
         target = reference_bucket(rows[0], (0,), 4)
@@ -172,7 +172,7 @@ class TestBroadcastDirectShip:
         ]
         relation = DistRelation(parts, None)
         expected = relation.all_rows()
-        copies = ex._broadcast(relation, harness.procs)
+        copies = ex.broadcast(relation, harness.procs)
         assert copies == [expected] * 4
 
     def test_direct_ship_charges_part_bytes_and_drops_the_gather_hop(self):
@@ -186,7 +186,7 @@ class TestBroadcastDirectShip:
         relation = DistRelation(parts, None)
         targets = harness.procs
         before = harness.runtime.stats.bytes_moved
-        ex._broadcast(relation, targets)
+        ex.broadcast(relation, targets)
         shipped = harness.runtime.stats.bytes_moved - before
 
         # Cost equivalence per target: exactly the bytes of the parts not

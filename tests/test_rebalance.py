@@ -384,13 +384,19 @@ def nearest_oracle(db, info, origin=0):
     return chosen
 
 
+def _copies_read(db, info):
+    """The copy a full scan of *info* from element 0 reads, per fragment."""
+    executor = db.gdh.executor
+    return [executor._copy_to_read(info, fragment, 0) for fragment in info.fragments]
+
+
 class TestNearestRouting:
     @pytest.mark.parametrize("topology", ["mesh", "chordal_ring", "ring"])
     def test_nearest_matches_brute_force_oracle(self, topology):
         db = make_db(n_nodes=16, replicas=3, topology=topology)
         db.gdh.executor.read_routing = "nearest"
         info = db.catalog.table("t")
-        picked = list(db.gdh.executor._scan_copies(info, None))
+        picked = _copies_read(db, info)
         assert picked == nearest_oracle(db, info)
 
     def test_nearest_skips_dead_copies(self):
@@ -401,7 +407,7 @@ class TestNearestRouting:
         db.crash_element(victim)
         assert sorted(db.query("SELECT id, v FROM t")) == expected
         info = db.catalog.table("t")
-        picked = list(db.gdh.executor._scan_copies(info, None))
+        picked = _copies_read(db, info)
         assert picked == nearest_oracle(db, info)
         assert all(ofm.node_id != victim for ofm in picked)
 
@@ -409,7 +415,7 @@ class TestNearestRouting:
         db = make_db(n_nodes=16, replicas=2)
         assert db.gdh.executor.read_routing == "ready"
         info = db.catalog.table("t")
-        picked = list(db.gdh.executor._scan_copies(info, None))
+        picked = _copies_read(db, info)
         for fragment, choice in zip(info.fragments, picked):
             live = [
                 db.gdh.fragment_ofms[name]
