@@ -6,8 +6,10 @@ they communicate via message-passing only, i.e. no shared memory."
 
 This example uses the runtime directly — no database on top — to show
 the primitives the DBMS is built from: dynamic process creation,
-explicit allocation onto processing elements, reactive message
-handling, and the simulated clocks that make response times observable.
+explicit allocation onto processing elements, message passing with
+``PoolRuntime.send``, and the simulated clocks that make response times
+observable.  Each process's control flow is plain code: it charges its
+work, then sends; a send advances the receiver's clock to the arrival.
 
 A token travels around a ring of processes spread over the machine,
 then a scatter/gather shows the critical-path behaviour of fan-out.
@@ -27,33 +29,22 @@ class RingMember(PoolProcess):
         self.successor = None
         self.seen = 0
 
-    def handle(self, sender, payload):
-        hops_left = payload
+    def pass_token(self, hops_left: int) -> "RingMember | None":
+        """Handle one visit; returns the member now holding the token."""
         self.seen += 1
         self.charge(1e-4)  # a little work per visit
-        if hops_left > 0 and self.successor is not None:
-            self.runtime.post(self, self.successor, hops_left - 1, n_bytes=32)
+        if hops_left == 0 or self.successor is None:
+            return None
+        self.runtime.send(self, self.successor, 32)
+        return self.successor
 
 
 class Worker(PoolProcess):
-    """Does a payload-sized chunk of work and reports back."""
+    """Does a chunk of work and reports back to its coordinator."""
 
-    def __init__(self, runtime, name, node_id, coordinator=None):
-        super().__init__(runtime, name, node_id)
-        self.coordinator = coordinator
-
-    def handle(self, sender, payload):
-        self.charge(payload)  # seconds of simulated work
-        self.runtime.post(self, self.coordinator, ("done", self.name), n_bytes=64)
-
-
-class Coordinator(PoolProcess):
-    def __init__(self, runtime, name, node_id):
-        super().__init__(runtime, name, node_id)
-        self.replies = []
-
-    def handle(self, sender, payload):
-        self.replies.append(payload[1])
+    def work(self, coordinator: PoolProcess, seconds: float) -> None:
+        self.charge(seconds)  # seconds of simulated work
+        self.runtime.send(self, coordinator, 64)
 
 
 def main() -> None:
@@ -67,23 +58,26 @@ def main() -> None:
     for i, member in enumerate(members):
         member.successor = members[(i + 1) % 16]
     laps = 3
-    runtime.post(None, members[0], laps * 16)
-    runtime.run()
+    holder, hops_left = members[0], laps * 16
+    while holder is not None:
+        holder = holder.pass_token(hops_left)
+        hops_left -= 1
     print(f"token ring: {laps} laps over 16 elements")
     print(f"  every member visited {members[1].seen} times")
     print(f"  simulated completion: {runtime.horizon() * 1000:.2f} ms")
     print(f"  messages: {runtime.stats.messages}")
 
     # --- Scatter/gather: response time is the slowest branch -------------
-    coordinator = runtime.spawn(Coordinator, name="coord", node=0)
+    start = runtime.horizon()
+    coordinator = runtime.spawn(PoolProcess, name="coord", node=0, start_at=start)
     work = [0.002, 0.010, 0.004, 0.001]
-    start = runtime.loop.now
-    for i, seconds in enumerate(work):
-        worker = runtime.spawn(
-            Worker, name=f"w{i}", node=i + 1, coordinator=coordinator
-        )
-        runtime.post(None, worker, seconds)
-    runtime.run()
+    workers = [
+        runtime.spawn(Worker, name=f"w{i}", node=i + 1) for i in range(len(work))
+    ]
+    for worker in workers:  # scatter: every request leaves first ...
+        runtime.send(coordinator, worker, 32)
+    for worker, seconds in zip(workers, work):  # ... then the replies gather
+        worker.work(coordinator, seconds)
     elapsed = coordinator.ready_at - start
     print(
         f"\nscatter/gather over {len(work)} workers:"

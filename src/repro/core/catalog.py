@@ -96,9 +96,6 @@ class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer 
         )
         return TableStats(self.row_count, avg, dict(self.distinct_estimates))
 
-    def fragment_nodes(self) -> list[int]:
-        return [fragment.node_id for fragment in self.fragments]
-
     def pruned_fragments(self, keys: PruningKeys, params: Sequence[Any] = ()) -> list[int] | None:
         """The fragments the first of *keys* (:func:`pruning_keys`) that
         names the fragmentation key narrows the table to, a ``?`` read

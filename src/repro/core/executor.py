@@ -174,10 +174,6 @@ class ExecutionReport:
         return self.optimized.with_params(self.params).explain()
 
     @property
-    def fired_rules(self) -> list[str]:
-        return list(self.optimized.fired_rules) if self.optimized is not None else []
-
-    @property
     def response_time(self) -> float:
         return max(0.0, self.finished_at - self.started_at)
 

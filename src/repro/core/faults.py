@@ -20,21 +20,22 @@ replayable from a seed:
   the engine catches it, so the system is left exactly as the crash
   found it: prepared participants in doubt, locks held.
 
-Faults can fire immediately (:meth:`FaultInjector.crash_element`) or be
-placed on the simulated event loop (:meth:`FaultInjector.schedule`),
-which is how availability sweeps take an element down mid-workload.
+Faults fire when the driver calls the injector's verbs
+(:meth:`FaultInjector.crash_element`, :meth:`FaultInjector.fail_link`,
+:meth:`FaultInjector.scope`, ...); database-level consequences of an
+element crash go through
+:meth:`~repro.core.recovery.RecoveryManager.crash_element`.
 
 Every injection is appended to a log; :meth:`FaultInjector.fingerprint`
-hashes that log so two runs with the same seed and the same driver can
-be diffed bit-for-bit (the CI determinism gate does exactly this).  The
-RNG is a seeded ``random.Random`` — the lint rule PL002 holds here too.
+hashes that log and the seed so two runs with the same seed and the same
+driver can be diffed bit-for-bit (the CI determinism gate does exactly
+this).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import random
 from typing import TYPE_CHECKING
 
 from repro.errors import InjectedCrash, MachineError
@@ -106,9 +107,6 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        #: Seeded RNG for randomized fault schedules (PL002: the fault
-        #: subsystem must be replayable from its seed).
-        self.rng = random.Random(seed)
         self.runtime: PoolRuntime | None = None
         #: point -> (txn filter or None, remaining hits to skip)
         self._armed: dict[CrashPoint, tuple[int | None, int]] = {}
@@ -215,30 +213,6 @@ class FaultInjector:
         """
         machine = self._require_runtime().machine
         return FaultScope(machine, nodes=nodes, links=links, injector=self)
-
-    # -- event-loop fault schedule -------------------------------------------
-
-    def schedule(self, at_time: float, kind: str, *args: int) -> None:
-        """Place a fault on the simulated event loop.
-
-        *kind* is ``"crash_element"``, ``"restore_element"``,
-        ``"fail_link"``, or ``"restore_link"``; *args* are its element
-        ids.  The fault fires when the loop reaches *at_time* (drive it
-        with ``runtime.run(until=...)``), so a sweep can take elements
-        down and up mid-workload deterministically.
-        """
-        runtime = self._require_runtime()
-        actions = {
-            "crash_element": lambda: self.crash_element(*args),
-            "restore_element": lambda: self.restore_element(*args),
-            "fail_link": lambda: self.fail_link(*args),
-            "restore_link": lambda: self.restore_link(*args),
-        }
-        try:
-            action = actions[kind]
-        except KeyError:
-            raise MachineError(f"unknown scheduled fault kind {kind!r}") from None
-        runtime.loop.schedule_at(at_time, action)
 
     # -- determinism / Snapshot protocol --------------------------------------
 

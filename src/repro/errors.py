@@ -154,15 +154,6 @@ class InjectedCrash(Exception):  # noqa: N818 -- event, not an "...Error" condit
         self.txn_id = txn_id
 
 
-class MessageOwnershipError(MachineError):
-    """A message payload was mutated between send and delivery.
-
-    Raised by the message-ownership sanitizer, which checks every
-    ``PoolRuntime.post``; names the sender, the receiver, and the first
-    mutated path inside the payload.
-    """
-
-
 class RecoveryError(PrismaError):
     """Log corruption or an impossible state during restart recovery."""
 

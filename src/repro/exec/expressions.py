@@ -566,11 +566,6 @@ def validate_against(expr: Expr, schema: Schema) -> None:
             )
 
 
-def build_column_map(names: Sequence[str], schema: Schema) -> dict[str, int]:
-    """Helper for binders: map the given names to schema positions."""
-    return {name: schema.index_of(name) for name in names}
-
-
 def all_subexpressions(expr: Expr) -> Iterable[Expr]:
     """Every node of the tree, preorder."""
     yield expr

@@ -35,17 +35,14 @@ PL102     unordered iteration: no bare iteration over set-origin values
 PL103     Snapshot conformance: anything exposing ``stats()`` /
           ``fingerprint()`` implements both, with facade-callable
           signatures (``repro/obs/api.py``)
-PL104     static message ownership: a payload must not be mutated after
-          it was shipped with ``send``/``post`` (static complement of
-          the runtime sanitizer)
 ========  ==============================================================
 
 Run as ``python -m repro.lint <paths>``.  Escape hatch per file or per
 line: ``# prismalint: disable=PL004 -- reason`` (unknown codes in a
 pragma are themselves reported as PL000).
 
-The runtime counterpart — the message-ownership sanitizer that catches
-what static analysis cannot — lives in :mod:`repro.pool.sanitizer`.
+Message ownership needs no rule: ``PoolRuntime.send`` ships a byte
+count, not an object, so there is no payload to alias.
 """
 
 from repro.lint.cli import ALL_RULES, main

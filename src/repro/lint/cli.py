@@ -18,7 +18,6 @@ from repro.lint.rules_determinism import UnorderedIterationRule
 from repro.lint.rules_errors import ExceptionHygieneRule
 from repro.lint.rules_messaging import ClockDisciplineRule, SharedStateRule
 from repro.lint.rules_obs import ObsWallClockRule
-from repro.lint.rules_ownership import MessageOwnershipRule
 from repro.lint.rules_random import UnseededRandomRule
 from repro.lint.rules_snapshot import SnapshotConformanceRule
 from repro.lint.rules_time import WallClockRule
@@ -36,7 +35,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     UnmeteredWorkRule,
     UnorderedIterationRule,
     SnapshotConformanceRule,
-    MessageOwnershipRule,
 )
 
 

@@ -1,34 +1,26 @@
 """Intra-function dataflow helpers shared by the project-wide rules.
 
-Two small analyses over one function body, both deliberately lexical
-(statement order, not control-flow order — the simulator's coding style
-is straight-line enough that this is the right cost/precision point):
-
 * :class:`UnorderedOrigins` — which local names hold values of
   non-deterministically-ordered origin (``set``/``frozenset`` literals,
   constructors, set algebra, set-typed parameters).  Iterating such a
   value without ``sorted(...)`` perturbs stats fingerprints between
-  same-seed runs whenever ``PYTHONHASHSEED`` varies (PL102).
-* :func:`iter_mutations` — statements that mutate an object *in place*
-  through a root name (attribute/subscript stores, mutating method
-  calls, augmented assignment through a chain).  Used by PL104 to catch
-  payloads mutated after a ``send``/``post`` and by the
-  :class:`~repro.lint.project.ProjectIndex` parameter-mutation
-  summaries.
+  same-seed runs whenever ``PYTHONHASHSEED`` varies (PL102).  The
+  analysis is deliberately lexical (statement order, not control-flow
+  order — the simulator's coding style is straight-line enough that
+  this is the right cost/precision point).
+* :func:`access_path` — the names along an attribute/subscript chain,
+  which the project index uses to recognise work meters (PL101).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Iterator
 
 __all__ = [
-    "MUTATING_METHODS",
     "ORDER_SAFE_WRAPPERS",
     "UnorderedOrigins",
-    "iter_mutations",
-    "mutation_root",
+    "access_path",
 ]
 
 #: Constructors whose result has hash-dependent iteration order.
@@ -58,28 +50,6 @@ ORDER_SAFE_WRAPPERS = frozenset(
 _SET_ANNOTATION_RE = re.compile(
     r"\b(set|frozenset|Set|AbstractSet|FrozenSet|MutableSet)\b"
 )
-
-#: Methods that mutate their receiver in place.
-MUTATING_METHODS = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "extendleft",
-        "insert",
-        "pop",
-        "popitem",
-        "remove",
-        "reverse",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
-
 
 def _call_name(call: ast.Call) -> str:
     """Bare name of the called function (last attribute component)."""
@@ -181,47 +151,3 @@ def access_path(node: ast.expr) -> tuple[str, ...] | None:
             return tuple(reversed(parts))
         else:
             return None
-
-
-def mutation_root(target: ast.expr) -> tuple[str, ...] | None:
-    """Path of the object a store target mutates *in place*, or ``None``.
-
-    The mutated object is the container the final step writes into:
-    ``payload.rows[2].balance = x`` mutates ``("payload", "rows")``;
-    ``self.buf["k"] = v`` mutates ``("self", "buf")``.  A bare-name
-    rebind (``payload = ...``) returns ``None`` — rebinding is not
-    mutation.
-    """
-    if isinstance(target, ast.Attribute | ast.Subscript):
-        return access_path(target.value)
-    return None
-
-
-def iter_mutations(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[tuple[tuple[str, ...], ast.AST]]:
-    """Yield ``(mutated_path, node)`` for every in-place mutation in *fn*.
-
-    Covers attribute/subscript stores, augmented assignment through a
-    chain, and calls of known mutating methods (``payload.append(...)``
-    mutates ``("payload",)``, ``self.buf.update(...)`` mutates
-    ``("self", "buf")``).
-    """
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            targets: list[ast.expr] = list(node.targets)
-        elif isinstance(node, ast.AugAssign | ast.AnnAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
-                root = access_path(func.value)
-                if root is not None:
-                    yield root, node
-            continue
-        else:
-            continue
-        for target in targets:
-            root = mutation_root(target)
-            if root is not None:
-                yield root, node

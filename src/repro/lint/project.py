@@ -9,8 +9,8 @@ cross-module view:
 
 * a symbol table of every module, class, and function in the linted
   file set (module names recovered from the ``src`` layout);
-* per-function **summaries** — "charges a WorkMeter", "mutates
-  parameter *i*", "iterates an unordered collection" — computed once;
+* per-function **summaries** — "charges a WorkMeter", "calls what" —
+  computed once;
 * a **one-level call graph**: a function that calls a directly-charging
   helper (or hands its meter to one) is itself considered charging.
   One level is deliberate: deeper transitive closure would launder
@@ -28,7 +28,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from repro.lint.dataflow import UnorderedOrigins, access_path, iter_mutations
+from repro.lint.dataflow import access_path
 from repro.lint.framework import Rule, SourceFile, Violation
 
 __all__ = [
@@ -81,14 +81,6 @@ def _unparse(node: ast.AST) -> str:
         return ""
 
 
-def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    arguments = fn.args
-    return tuple(
-        arg.arg
-        for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
-    )
-
-
 def _is_meter_param(arg: ast.arg) -> bool:
     if _METER_NAME_RE.search(arg.arg):
         return True
@@ -132,10 +124,6 @@ class FunctionSummary:
     #: Bills work directly: mutates a meter's counters, calls
     #: ``*.charge(...)``, or hands a meter to a callee.
     charges_directly: bool
-    #: Positional-parameter names the function mutates in place.
-    mutated_params: frozenset[str]
-    #: Contains a loop/comprehension over an unordered (set-origin) value.
-    iterates_unordered: bool
     #: Bare names of everything it calls (one level of the call graph).
     calls: frozenset[str]
 
@@ -149,7 +137,6 @@ class FunctionInfo:
     name: str
     owner: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: tuple[str, ...]
     meter_params: frozenset[str]
     is_abstract: bool
     summary: FunctionSummary
@@ -166,9 +153,7 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
 
 
-def _summarise(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef, params: tuple[str, ...]
-) -> FunctionSummary:
+def _summarise(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionSummary:
     charges = False
     calls: set[str] = set()
     for node in ast.walk(fn):
@@ -202,29 +187,7 @@ def _summarise(
         ):
             if _is_meter_expr(node.target.value):
                 charges = True
-    param_set = frozenset(params)
-    mutated = frozenset(
-        path[0]
-        for path, _node in iter_mutations(fn)
-        if path[0] in param_set and path[0] != "self"
-    )
-    origins = UnorderedOrigins(fn)
-    iterates = any(
-        origins.is_unordered(node.iter)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.For)
-    ) or any(
-        origins.is_unordered(gen.iter)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp)
-        for gen in node.generators
-    )
-    return FunctionSummary(
-        charges_directly=charges,
-        mutated_params=mutated,
-        iterates_unordered=iterates,
-        calls=frozenset(calls),
-    )
+    return FunctionSummary(charges_directly=charges, calls=frozenset(calls))
 
 
 def _module_name(source: SourceFile) -> str:
@@ -269,7 +232,6 @@ class ProjectIndex:
                 class_infos[stmt.name] = info
                 self.classes.setdefault(stmt.name, []).append(info)
         for owner, fn in iter_functions(source.tree):
-            params = _param_names(fn)
             arguments = fn.args
             meter_params = frozenset(
                 arg.arg
@@ -286,10 +248,9 @@ class ProjectIndex:
                 name=fn.name,
                 owner=owner,
                 node=fn,
-                params=params,
                 meter_params=meter_params,
                 is_abstract=_is_abstract_body(fn),
-                summary=_summarise(fn, params),
+                summary=_summarise(fn),
             )
             self.functions.setdefault(fn.name, []).append(info)
             self._by_node[id(fn)] = info
@@ -376,17 +337,6 @@ class ProjectIndex:
             else:
                 missing.extend(self.unresolved_bases(info, seen))
         return tuple(missing)
-
-    def mutates_params(self, callee: str) -> bool:
-        """Does any project function named *callee* mutate a parameter?
-
-        Name-level and positional-blind: the one level of call graph the
-        index keeps is about accountability, not full type inference.
-        """
-        return any(
-            info.summary.mutated_params
-            for info in self.functions.get(callee, [])
-        )
 
 
 class ProjectRule(Rule):

@@ -3,8 +3,8 @@
 POOL-X processes "communicate via message-passing only, i.e. no shared
 memory".  In the reproduction that means a process may mutate only its
 own state; everything it wants another process to know must travel
-through :meth:`PoolRuntime.send` / :meth:`PoolRuntime.post`, which
-charge the machine's network cost model.  Two statically checkable
+through :meth:`PoolRuntime.send`, which charges the machine's network
+cost model.  Two statically checkable
 failure modes:
 
 * **PL003** — cross-process mutation: writing an attribute on an object
@@ -77,8 +77,6 @@ def _process_typed_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]
     for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]:
         if _annotation_is_process(arg.annotation):
             names.add(arg.arg)
-    if fn.name == "handle":
-        names.add("sender")  # reactive-style handler: sender is a process
     for node in ast.walk(fn):
         if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
             continue
@@ -117,7 +115,7 @@ class SharedStateRule(Rule):
     code = "PL003"
     name = "message-passing-only"
     hint = (
-        "processes own their state; communicate through PoolRuntime.send/post "
+        "processes own their state; communicate through PoolRuntime.send "
         "instead of reaching into another process (Section 3.1: no shared memory)"
     )
 

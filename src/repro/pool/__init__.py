@@ -2,19 +2,10 @@
 
 Dynamically created processes, message passing only, explicit allocation
 onto processing elements.  See :class:`PoolRuntime` and
-:class:`PoolProcess`.  The message-ownership sanitizer
-(:mod:`repro.pool.sanitizer`) enforces the no-aliasing half of the
-message-passing contract at runtime when enabled.
+:class:`PoolProcess`.
 """
 
-from repro.pool.placement import (
-    DiskNodes,
-    LeastLoaded,
-    MostFreeMemory,
-    Pinned,
-    PlacementPolicy,
-    RoundRobin,
-)
+from repro.pool.placement import LeastLoaded, PlacementPolicy, RoundRobin
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import (
     RECEIVE_OVERHEAD_S,
@@ -22,13 +13,9 @@ from repro.pool.runtime import (
     PoolRuntime,
     RuntimeStats,
 )
-from repro.pool.sanitizer import first_divergence, snapshot
 
 __all__ = [
-    "DiskNodes",
     "LeastLoaded",
-    "MostFreeMemory",
-    "Pinned",
     "PlacementPolicy",
     "PoolProcess",
     "PoolRuntime",
@@ -36,6 +23,4 @@ __all__ = [
     "RoundRobin",
     "RuntimeStats",
     "SEND_OVERHEAD_S",
-    "first_divergence",
-    "snapshot",
 ]

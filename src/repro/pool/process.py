@@ -12,16 +12,9 @@ finished everything assigned to it so far.  CPU work advances the clock
 and is charged to the hosting element; messages between processes are
 charged network transfer time by the runtime.  Response times of
 parallel computations fall out as the maximum over the involved process
-clocks — the critical path.
-
-Two usage styles are supported:
-
-* **timeline style** (used by the DBMS): the caller orchestrates
-  directly, calling :meth:`charge` and :meth:`PoolRuntime.send`; and
-* **reactive style** (closest to POOL-X itself): override
-  :meth:`handle` and drive the runtime's event loop with
-  :meth:`PoolRuntime.run`; each delivered message runs the handler at
-  the simulated arrival time.
+clocks — the critical path.  A process's control flow is the caller's
+code: it calls :meth:`charge` for work and :meth:`PoolRuntime.send` for
+each message.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ class PoolProcess:
         #: Set when the process died to a fault (element crash / kill)
         #: rather than orderly termination; volatile state is gone.
         self.failed = False
-        self.messages_handled = 0
 
     # -- simulated-time accounting -----------------------------------------
 
@@ -75,19 +67,6 @@ class PoolProcess:
     def memory(self) -> Any:
         """The local main-memory account of the hosting element."""
         return self.runtime.machine.node(self.node_id).memory
-
-    # -- reactive style ------------------------------------------------------
-
-    def handle(self, sender: "PoolProcess | None", payload: Any) -> None:
-        """Process one message; override in reactive-style subclasses.
-
-        Runs at the simulated arrival time; implementations call
-        :meth:`charge` for the work the message causes and may send
-        further messages via the runtime.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement handle()"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}@PE{self.node_id}, t={self.ready_at:.6f})"

@@ -3,10 +3,8 @@
 The runtime owns a :class:`~repro.machine.machine.Machine` and hands out
 :class:`~repro.pool.process.PoolProcess` instances placed on its
 processing elements.  All inter-process communication goes through
-:meth:`PoolRuntime.send` (timeline style) or :meth:`PoolRuntime.post`
-(reactive style); both charge the analytic network cost model of the
-machine and keep per-node message statistics, so every experiment sees
-communication costs no matter which style produced them.
+:meth:`PoolRuntime.send`, which charges the analytic network cost model
+of the machine and keeps per-node message statistics.
 """
 
 from __future__ import annotations
@@ -14,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
-from repro.errors import MachineError, MessageOwnershipError, ProcessCrashed
+from repro.errors import MachineError, ProcessCrashed
 from repro.machine.config import MachineConfig
-from repro.machine.events import EventLoop
 from repro.machine.machine import Machine
 from repro.obs.api import SnapshotMixin
 from repro.obs.tracer import Tracer, active
 from repro.pool.placement import PlacementPolicy, RoundRobin
 from repro.pool.process import PoolProcess
-from repro.pool.sanitizer import first_divergence, snapshot
 
 P = TypeVar("P", bound=PoolProcess)
 
@@ -45,7 +41,7 @@ class RuntimeStats(SnapshotMixin):
     messages: int = 0
     bytes_moved: int = 0
     local_messages: int = 0
-    #: Reactive-style messages whose receiver was dead at delivery.
+    #: Sends that raised because the receiver was dead.
     dead_letters: int = 0
 
     def stats(self) -> dict[str, int]:
@@ -61,14 +57,7 @@ class RuntimeStats(SnapshotMixin):
 
 
 class PoolRuntime:
-    """Creates processes on a machine and passes messages between them.
-
-    Every :meth:`post` payload is structurally fingerprinted at send
-    time and re-verified at delivery; a payload mutated in between
-    raises :class:`~repro.errors.MessageOwnershipError` naming the
-    sender, the receiver, and the first mutated path.  See
-    :mod:`repro.pool.sanitizer`.
-    """
+    """Creates processes on a machine and passes messages between them."""
 
     def __init__(
         self,
@@ -80,7 +69,6 @@ class PoolRuntime:
         elif isinstance(machine, MachineConfig):
             machine = Machine(machine)
         self.machine = machine
-        self.loop = EventLoop()
         self.stats = RuntimeStats()
         #: Raw tracer handle for collaborators (executor, commit,
         #: recovery) that call :func:`repro.obs.tracer.active` on it.
@@ -174,27 +162,22 @@ class PoolRuntime:
     def live_processes(self) -> list[PoolProcess]:
         return list(self._processes.values())
 
-    # -- timeline-style messaging ----------------------------------------------
+    # -- messaging -------------------------------------------------------------
 
-    def send(
-        self,
-        sender: PoolProcess,
-        receiver: PoolProcess,
-        n_bytes: int,
-        depart_at: float | None = None,
-    ) -> float:
+    def send(self, sender: PoolProcess, receiver: PoolProcess, n_bytes: int) -> float:
         """Move *n_bytes* from *sender* to *receiver*; returns arrival time.
 
-        The message leaves when the sender is free (or at *depart_at*, if
-        later), crosses the network at the machine's transfer rate, and
-        the receiver's clock is advanced to the arrival.  Send/receive
-        CPU overheads are charged on both sides.
+        The message leaves when the sender is free, crosses the network
+        at the machine's transfer rate, and the receiver's clock is
+        advanced to the arrival.  Send/receive CPU overheads are charged
+        on both sides.
         """
         if n_bytes < 0:
             raise MachineError(f"negative message size: {n_bytes}")
         # Dead peers are an error, not silence: a sender must learn its
         # message had nowhere to go (2PC turns this into abort/unreached).
         if not receiver.alive:
+            self.stats.dead_letters += 1
             if receiver.failed:
                 raise ProcessCrashed(
                     f"cannot send from {sender.name!r} to {receiver.name!r}:"
@@ -205,14 +188,20 @@ class PoolRuntime:
                 " receiver is terminated"
             )
         departure = sender.charge(SEND_OVERHEAD_S)
-        if depart_at is not None:
-            departure = max(departure, depart_at)
-            sender.advance_to(departure)
         travel = self.machine.transfer_time(sender.node_id, receiver.node_id, n_bytes)
         arrival = departure + travel
         receiver.advance_to(arrival)
         receiver.charge(RECEIVE_OVERHEAD_S)
-        self._count_message(sender, receiver, n_bytes)
+        self.stats.messages += 1
+        self.stats.bytes_moved += n_bytes
+        if sender.node_id == receiver.node_id:
+            self.stats.local_messages += 1
+        sender_stats = self.machine.node(sender.node_id).stats
+        sender_stats.messages_sent += 1
+        sender_stats.bytes_sent += n_bytes
+        receiver_stats = self.machine.node(receiver.node_id).stats
+        receiver_stats.messages_received += 1
+        receiver_stats.bytes_received += n_bytes
         if self._tracer is not None:
             self._tracer.span(
                 departure,
@@ -225,86 +214,6 @@ class PoolRuntime:
                 to_node=receiver.node_id,
             )
         return receiver.ready_at
-
-    def _count_message(
-        self, sender: PoolProcess, receiver: PoolProcess, n_bytes: int
-    ) -> None:
-        self.stats.messages += 1
-        self.stats.bytes_moved += n_bytes
-        if sender.node_id == receiver.node_id:
-            self.stats.local_messages += 1
-        sender_node = self.machine.node(sender.node_id)
-        receiver_node = self.machine.node(receiver.node_id)
-        sender_node.stats.messages_sent += 1
-        sender_node.stats.bytes_sent += n_bytes
-        receiver_node.stats.messages_received += 1
-        receiver_node.stats.bytes_received += n_bytes
-
-    # -- reactive-style messaging -----------------------------------------------
-
-    def post(
-        self,
-        sender: PoolProcess | None,
-        receiver: PoolProcess,
-        payload: Any,
-        n_bytes: int = 64,
-    ) -> None:
-        """Deliver *payload* to ``receiver.handle`` at the simulated arrival.
-
-        Used with :meth:`run`; messages from the outside world pass
-        ``sender=None`` and depart at the current loop time.
-        """
-        if sender is not None:
-            departure = sender.charge(SEND_OVERHEAD_S)
-            travel = self.machine.transfer_time(
-                sender.node_id, receiver.node_id, n_bytes
-            )
-            self._count_message(sender, receiver, n_bytes)
-        else:
-            departure = self.loop.now
-            travel = 0.0
-        arrival = max(departure + travel, self.loop.now)
-        if self._tracer is not None:
-            sender_name = sender.name if sender is not None else "<external>"
-            self._tracer.span(
-                departure,
-                arrival,
-                "process.post",
-                f"{sender_name}->{receiver.name}",
-                node=sender.node_id if sender is not None else receiver.node_id,
-                actor=sender_name,
-                bytes=n_bytes,
-                to_node=receiver.node_id,
-            )
-        fingerprint = snapshot(payload)
-
-        def deliver() -> None:
-            if not receiver.alive:
-                # The receiver died in flight; count the loss instead of
-                # dropping it invisibly (senders poll stats.dead_letters).
-                self.stats.dead_letters += 1
-                return
-            mutated = first_divergence(fingerprint, payload)
-            if mutated is not None:
-                sender_name = sender.name if sender is not None else "<external>"
-                raise MessageOwnershipError(
-                    f"payload mutated between send and delivery: "
-                    f"{sender_name} -> {receiver.name}, departed "
-                    f"t={departure:.6f}, delivered t={arrival:.6f}, "
-                    f"first mutated path: {mutated} (messages are "
-                    f"copied on the wire; senders must not alias them)"
-                )
-            receiver.advance_to(self.loop.now)
-            # Delivery bookkeeping is the runtime acting as the wire,
-            # not one process reaching into another.
-            receiver.messages_handled += 1  # prismalint: disable=PL003 -- runtime is the wire
-            receiver.handle(sender, payload)
-
-        self.loop.schedule_at(arrival, deliver)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drive reactive message delivery; returns events fired."""
-        return self.loop.run(until=until, max_events=max_events)
 
     # -- reporting ------------------------------------------------------------
 

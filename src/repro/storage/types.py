@@ -34,10 +34,6 @@ class DataType(enum.Enum):
     BOOL = "bool"
     ANY = "any"
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
     def coerce(self, value: Any) -> Any:
         """Convert *value* to this type, or raise :class:`StorageError`.
 
@@ -87,14 +83,6 @@ class DataType(enum.Enum):
         except KeyError:
             raise StorageError(f"unknown data type {name!r}") from None
 
-
-_PYTHON_TYPES = {
-    DataType.INT: int,
-    DataType.FLOAT: float,
-    DataType.STRING: str,
-    DataType.BOOL: bool,
-    DataType.ANY: object,
-}
 
 _FIXED_SIZES = {
     DataType.INT: 4,

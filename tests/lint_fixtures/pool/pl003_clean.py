@@ -8,6 +8,8 @@ class Counter(PoolProcess):
         super().__init__(runtime, name, node_id)
         self.count = 0
 
-    def handle(self, sender, payload):
+    def acknowledge(self, sender: PoolProcess) -> None:
+        # Own state is written here; the sender learns by message.
         self.count += 1
         self.charge(1e-6)
+        self.runtime.send(self, sender, 16)

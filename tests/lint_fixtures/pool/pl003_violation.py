@@ -7,16 +7,16 @@ SHARED_SCRATCH = {}
 
 
 class Producer(PoolProcess):
-    def handle(self, sender, payload):
-        SHARED_SCRATCH["last"] = payload
-        # Writing through the sender reference mutates another process.
-        sender.last_ack = payload
+    def produce(self, consumer: PoolProcess, value: int) -> None:
+        SHARED_SCRATCH["last"] = value
+        # Writing through the consumer reference mutates another process.
+        consumer.last_value = value
 
 
 class Consumer(PoolProcess):
-    def handle(self, sender, payload):
+    def consume(self) -> int:
         return SHARED_SCRATCH.get("last")
 
 
 def poke(target: PoolProcess, value: int) -> None:
-    target.mailbox = value
+    target.last_value = value

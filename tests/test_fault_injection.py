@@ -520,16 +520,6 @@ class TestLinkFailures:
             db.faults.restore_link(2, neighbor)
         assert table_contents(db) == before
 
-    def test_scheduled_fault_fires_on_event_loop(self):
-        db = make_replicated_db()
-        db.execute("INSERT INTO t VALUES (1, 1)")
-        node = node_of_primary(db)
-        at = db.simulated_time() + 1.0
-        db.faults.schedule(at, "crash_element", node)
-        db.runtime.run(until=at + 1.0)
-        assert not db.machine.node_is_up(node)
-        assert any(entry[0] == "crash_element" for entry in db.faults.injections)
-
 
 class TestDeterminism:
     def test_same_seed_same_fingerprints(self):

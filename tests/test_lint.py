@@ -22,7 +22,6 @@ CASES = {
     "PL101": ("exec/pl101_clean.py", "exec/pl101_violation.py", 5),
     "PL102": ("pl102_clean.py", "pl102_violation.py", 3),
     "PL103": ("pl103_clean.py", "pl103_violation.py", 3),
-    "PL104": ("pl104_clean.py", "pl104_violation.py", 3),
 }
 
 

@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.errors import AllocationError, MachineError
-from repro.machine import Machine, MachineConfig, small_machine
-from repro.pool import (
-    DiskNodes,
-    LeastLoaded,
-    MostFreeMemory,
-    Pinned,
-    PoolProcess,
-    PoolRuntime,
-    RoundRobin,
-)
+from repro.errors import AllocationError, MachineError, ProcessCrashed
+from repro.machine import Machine, MachineConfig
+from repro.pool import LeastLoaded, PoolProcess, RoundRobin
 
 
 class TestSpawn:
@@ -99,30 +91,6 @@ class TestPlacement:
                 up, key=lambda n: (machine.node(n).stats.busy_time_s, n)
             )
 
-    def test_most_free_memory(self, machine4):
-        machine4.node(0).memory.allocate(1000, "x")
-        chosen = MostFreeMemory().choose(machine4)
-        assert chosen != 0
-
-    def test_most_free_memory_spreads(self, machine4):
-        picks = MostFreeMemory().choose_many(machine4, 4)
-        assert sorted(picks) == [0, 1, 2, 3]
-
-    def test_pinned_validates_range(self, machine4):
-        assert Pinned(3).choose(machine4) == 3
-        with pytest.raises(AllocationError):
-            Pinned(12).choose(machine4)
-
-    def test_disk_nodes_policy(self):
-        machine = Machine(MachineConfig(n_nodes=8, disk_nodes=(2, 5)))
-        policy = DiskNodes()
-        assert [policy.choose(machine) for _ in range(3)] == [2, 5, 2]
-
-    def test_disk_nodes_requires_disks(self, ):
-        machine = Machine(MachineConfig(n_nodes=4))
-        with pytest.raises(AllocationError):
-            DiskNodes().choose(machine)
-
 
 class TestTimelineMessaging:
     def test_send_advances_receiver_past_transfer(self, runtime4):
@@ -187,46 +155,20 @@ class TestTimelineMessaging:
         b.charge(7.0)
         assert runtime4.horizon() == pytest.approx(b.ready_at)
 
-
-class _Echo(PoolProcess):
-    """Reactive process: forwards each payload to a collector."""
-
-    def __init__(self, runtime, name, node_id, collector=None):
-        super().__init__(runtime, name, node_id)
-        self.collector = collector
-
-    def handle(self, sender, payload):
-        self.charge(0.001)
-        if self.collector is not None:
-            self.runtime.post(self, self.collector, payload)
-
-
-class _Collector(PoolProcess):
-    def __init__(self, runtime, name, node_id):
-        super().__init__(runtime, name, node_id)
-        self.received = []
-
-    def handle(self, sender, payload):
-        self.received.append(payload)
-
-
-class TestReactiveMessaging:
-    def test_post_delivers_through_handler_chain(self, runtime4):
-        collector = runtime4.spawn(_Collector, node=2)
-        echo = runtime4.spawn(_Echo, node=1, collector=collector)
-        runtime4.post(None, echo, "ping")
-        runtime4.run()
-        assert collector.received == ["ping"]
-        assert echo.messages_handled == 1
-
-    def test_messages_to_dead_process_dropped(self, runtime4):
-        collector = runtime4.spawn(_Collector, node=1)
-        runtime4.post(None, collector, "a")
-        runtime4.terminate(collector)
-        runtime4.run()
-        assert collector.received == []
-
-    def test_base_process_handle_not_implemented(self, runtime4):
-        process = runtime4.spawn(PoolProcess, node=0)
-        with pytest.raises(NotImplementedError):
-            process.handle(None, "x")
+    def test_send_to_dead_receiver_raises_and_counts(self, runtime4):
+        sender = runtime4.spawn(PoolProcess, node=0)
+        crashed = runtime4.spawn(PoolProcess, node=1)
+        terminated = runtime4.spawn(PoolProcess, node=2)
+        runtime4.crash_node(1)
+        runtime4.terminate(terminated)
+        clock = sender.ready_at
+        with pytest.raises(ProcessCrashed):
+            runtime4.send(sender, crashed, 64)
+        assert runtime4.stats.dead_letters == 1
+        with pytest.raises(MachineError) as excinfo:
+            runtime4.send(sender, terminated, 64)
+        assert not isinstance(excinfo.value, ProcessCrashed)
+        assert runtime4.stats.dead_letters == 2
+        # A failed send moves nothing and charges nobody.
+        assert runtime4.stats.messages == 0
+        assert sender.ready_at == clock

@@ -1,76 +1,8 @@
-"""Reactive POOL-X semantics and machine-model edge cases."""
+"""Machine-model edge cases."""
 
 import pytest
 
 from repro.machine import Machine, MachineConfig
-from repro.pool import PoolProcess, PoolRuntime
-
-
-class _Recorder(PoolProcess):
-    def __init__(self, runtime, name, node_id):
-        super().__init__(runtime, name, node_id)
-        self.received = []
-
-    def handle(self, sender, payload):
-        self.received.append((self.runtime.loop.now, payload))
-
-
-class _Relay(PoolProcess):
-    """Forwards payloads through a chain, charging work at each hop."""
-
-    def __init__(self, runtime, name, node_id, target=None, work=0.001):
-        super().__init__(runtime, name, node_id)
-        self.target = target
-        self.work = work
-
-    def handle(self, sender, payload):
-        self.charge(self.work)
-        if self.target is not None:
-            self.runtime.post(self, self.target, payload, n_bytes=128)
-
-
-class TestReactiveSemantics:
-    def test_messages_delivered_in_arrival_order(self):
-        runtime = PoolRuntime(Machine(MachineConfig(n_nodes=4)))
-        recorder = runtime.spawn(_Recorder, node=0)
-        for payload in ("a", "b", "c"):
-            runtime.post(None, recorder, payload)
-        runtime.run()
-        assert [payload for _, payload in recorder.received] == ["a", "b", "c"]
-
-    def test_chain_latency_accumulates_hops_and_work(self):
-        runtime = PoolRuntime(Machine(MachineConfig(n_nodes=8)))
-        sink = runtime.spawn(_Recorder, node=7)
-        middle = runtime.spawn(_Relay, node=3, target=sink)
-        head = runtime.spawn(_Relay, node=0, target=middle)
-        runtime.post(None, head, "token")
-        runtime.run()
-        assert len(sink.received) == 1
-        arrival_time = sink.received[0][0]
-        # At least the two hops' work plus network travel.
-        assert arrival_time > 0.002
-
-    def test_each_hop_counts_messages(self):
-        runtime = PoolRuntime(Machine(MachineConfig(n_nodes=4)))
-        sink = runtime.spawn(_Recorder, node=2)
-        relay = runtime.spawn(_Relay, node=1, target=sink)
-        runtime.post(None, relay, "x")
-        runtime.run()
-        # Only the relay->sink hop is a counted inter-process message
-        # (external injections have no sender).
-        assert runtime.stats.messages == 1
-        assert runtime.machine.node(1).stats.messages_sent == 1
-        assert runtime.machine.node(2).stats.messages_received == 1
-
-    def test_run_until_pauses_delivery(self):
-        runtime = PoolRuntime(Machine(MachineConfig(n_nodes=4)))
-        sink = runtime.spawn(_Recorder, node=3)
-        relay = runtime.spawn(_Relay, node=0, target=sink, work=0.5)
-        runtime.post(None, relay, "slow")
-        runtime.run(until=0.1)
-        assert sink.received == []
-        runtime.run()
-        assert len(sink.received) == 1
 
 
 class TestMachineEdges:

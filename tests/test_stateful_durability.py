@@ -8,7 +8,8 @@ dropped and created again.  An in-memory dict tracks what *committed*;
 after every step the database must agree with it exactly, and the data
 dictionary, the registry of live OFMs and the keys on stable storage
 must agree with each other (ROADMAP item 6's catalog ↔ OFM-registry
-agreement, asserted continuously).
+agreement, asserted continuously), and no transaction other than the
+session's open one may be alive, hold a lock or wait for one.
 
 This is the durability/atomicity contract of Sections 2.2 and 3.2
 exercised as an invariant rather than as hand-picked scenarios.
@@ -185,6 +186,19 @@ class DurabilityMachine(RuleBasedStateMachine):
     @invariant()
     def placement_agrees(self):
         assert_placement_agrees(self.db)
+
+    @invariant()
+    def no_leaked_transactions(self):
+        """Between steps only the session's open transaction is alive,
+        and only live transactions hold or wait for locks."""
+        txns = self.db.gdh.txns
+        open_txn = self.session._state.txn
+        expected = {open_txn.txn_id} if open_txn is not None else set()
+        assert set(txns.active) == expected
+        for fragment in self.db.catalog.table("t").fragments:
+            holders = txns.locks.holders(("t", fragment.fragment_id))
+            assert set(holders) <= expected, (fragment.fragment_id, holders)
+        assert txns.locks.waiting_transactions() <= expected
 
 
 TestDurability = DurabilityMachine.TestCase
