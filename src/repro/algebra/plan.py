@@ -152,9 +152,9 @@ class ValuesNode(PlanNode):
 
     def __init__(self, schema: Schema, rows: Sequence[tuple]):
         self._schema = schema
-        self.rows: tuple[tuple, ...] = tuple(tuple(row) for row in rows)
+        self.rows: tuple[tuple, ...] = tuple(tuple(row) for row in rows)  # prismalint: disable=PL101 -- plan-time validation of a literal relation, like constant folding; its rows are charged by the operator that consumes them (LocalExecutor._run_chain)
         super().__init__(())
-        for row in self.rows:
+        for row in self.rows:  # prismalint: disable=PL101 -- as above
             schema.validate_row(row)
 
     def _derive_schema(self) -> Schema:

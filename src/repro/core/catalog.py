@@ -76,7 +76,7 @@ def pruning_keys(predicate: Expr | None) -> PruningKeys:
 
 
 @dataclass
-class TableInfo:  # prismalint: disable=PL103 -- stats() here returns optimizer TableStats, not an observability Snapshot
+class TableInfo:
     """Dictionary entry for one relation."""
 
     name: str

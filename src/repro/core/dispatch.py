@@ -253,7 +253,7 @@ class InsertPlan:
         return self.schema.validate_row(tuple(_filled(cell, params) for cell in row))  # prismalint: disable=PL101 -- as above
 
     def run(self, gdh, txn, process, info: TableInfo, routed: dict[int, list[tuple]]):
-        for fragment_id, rows in sorted(routed.items()):
+        for fragment_id, rows in sorted(routed.items()):  # prismalint: disable=PL101 -- each row is charged where it is inserted (OneFragmentManager.txn_insert)
             gdh.executor.access.record(info.name, fragment_id)
             n_bytes = STATEMENT_BYTES + rows_bytes(rows)
             gdh.at_copies(txn, process, info, fragment_id, n_bytes, _insert_rows, rows)
@@ -350,7 +350,7 @@ class UpdatePlan(_WherePlan):
             )
             affected += count
             moved_rows += movers
-        for row in moved_rows:
+        for row in moved_rows:  # prismalint: disable=PL101 -- each moved row is charged where it is re-inserted (OneFragmentManager.txn_insert)
             home = info.scheme.fragment_of(row)
             n_bytes = STATEMENT_BYTES + rows_bytes([row])
             gdh.at_copies(txn, process, info, home, n_bytes, _insert_rows, [row])
@@ -358,7 +358,7 @@ class UpdatePlan(_WherePlan):
 
 
 def _insert_rows(ofm: OneFragmentManager, txn_id: int, rows: list[tuple]) -> None:
-    for row in rows:
+    for row in rows:  # prismalint: disable=PL101 -- charged in OneFragmentManager.txn_insert
         ofm.txn_insert(txn_id, row)
 
 

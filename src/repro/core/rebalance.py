@@ -375,7 +375,7 @@ class Rebalancer:
                     self._sync_rows(info, source, dest, moving_now)
                 # Prune the moved rows out of every parent copy.
                 for parent in gdh.allocator.copies(fragment):
-                    keep = sorted(
+                    keep = sorted(  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite
                         (rid, row)
                         for rid, row in parent.table.scan()
                         if new_scheme.fragment_of(row) != new_id
@@ -422,8 +422,8 @@ class Rebalancer:
             dest = dest_copies[0]
             incoming = sorted(source.table.scan())
             folded = len(incoming)
-            base = max((rid for rid, _row in dest.table.scan()), default=-1) + 1
-            merged = sorted(dest.table.scan()) + [
+            base = max((rid for rid, _row in dest.table.scan()), default=-1) + 1  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite / _sync_rows
+            merged = sorted(dest.table.scan()) + [  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite / _sync_rows
                 (base + offset, row)
                 for offset, (_rid, row) in enumerate(incoming)
             ]

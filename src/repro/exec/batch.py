@@ -97,7 +97,7 @@ def compile_join_kernel(
         def _join_kernel(left, right, _lc=lc, _rc=rc):
             table = {}
             get = table.get
-            for row in right:
+            for row in right:  # prismalint: disable=PL101 -- kernel body; charged per batch in hash_join_batch
                 _k = row[_rc]
                 if _k is None:
                     continue
@@ -107,7 +107,7 @@ def compile_join_kernel(
                 else:
                     _b.append(row)
             _e = ()
-            return [row + _m for row in left for _m in get(row[_lc], _e)]
+            return [row + _m for row in left for _m in get(row[_lc], _e)]  # prismalint: disable=PL101 -- as above
 
         _join_kernel.__prisma_source__ = f"<closure join left[{lc}]=right[{rc}]>"
         return _join_kernel

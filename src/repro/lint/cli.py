@@ -19,7 +19,6 @@ from repro.lint.rules_errors import ExceptionHygieneRule
 from repro.lint.rules_messaging import ClockDisciplineRule, SharedStateRule
 from repro.lint.rules_obs import ObsWallClockRule
 from repro.lint.rules_random import UnseededRandomRule
-from repro.lint.rules_snapshot import SnapshotConformanceRule
 from repro.lint.rules_time import WallClockRule
 
 __all__ = ["ALL_RULES", "main"]
@@ -34,7 +33,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ObsWallClockRule,
     UnmeteredWorkRule,
     UnorderedIterationRule,
-    SnapshotConformanceRule,
 )
 
 
@@ -42,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "prismalint: project-wide static analysis for the simulated "
-            "PRISMA machine (determinism, message-passing only, clock "
-            "discipline, cost accounting, Snapshot conformance)."
+            "prismalint: per-file, per-function static analysis for the "
+            "simulated PRISMA machine (determinism, message-passing only, "
+            "clock discipline, cost accounting)."
         ),
     )
     parser.add_argument(

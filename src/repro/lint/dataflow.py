@@ -1,15 +1,14 @@
-"""Intra-function dataflow helpers shared by the project-wide rules.
+"""Intra-function dataflow for PL102.
 
-* :class:`UnorderedOrigins` — which local names hold values of
-  non-deterministically-ordered origin (``set``/``frozenset`` literals,
-  constructors, set algebra, set-typed parameters).  Iterating such a
-  value without ``sorted(...)`` perturbs stats fingerprints between
-  same-seed runs whenever ``PYTHONHASHSEED`` varies (PL102).  The
-  analysis is deliberately lexical (statement order, not control-flow
-  order — the simulator's coding style is straight-line enough that
-  this is the right cost/precision point).
-* :func:`access_path` — the names along an attribute/subscript chain,
-  which the project index uses to recognise work meters (PL101).
+:class:`UnorderedOrigins` answers which local names of one function
+hold values of non-deterministically-ordered origin (``set``/
+``frozenset`` literals, constructors, set algebra, set-typed
+parameters).  Iterating such a value without ``sorted(...)`` perturbs
+stats fingerprints between same-seed runs whenever ``PYTHONHASHSEED``
+varies.  The analysis is deliberately lexical (statement order, not
+control-flow order — the simulator's coding style is straight-line
+enough that this is the right cost/precision point) and never leaves
+the function it was built for.
 """
 
 from __future__ import annotations
@@ -17,10 +16,11 @@ from __future__ import annotations
 import ast
 import re
 
+from repro.lint.framework import FunctionNode, call_name
+
 __all__ = [
     "ORDER_SAFE_WRAPPERS",
     "UnorderedOrigins",
-    "access_path",
 ]
 
 #: Constructors whose result has hash-dependent iteration order.
@@ -51,15 +51,6 @@ _SET_ANNOTATION_RE = re.compile(
     r"\b(set|frozenset|Set|AbstractSet|FrozenSet|MutableSet)\b"
 )
 
-def _call_name(call: ast.Call) -> str:
-    """Bare name of the called function (last attribute component)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
 
 class UnorderedOrigins:
     """Which names in one function hold unordered (set-origin) values.
@@ -71,7 +62,7 @@ class UnorderedOrigins:
     the straight-line simulator code reads.
     """
 
-    def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def __init__(self, fn: FunctionNode) -> None:
         self._names: set[str] = set()
         arguments = fn.args
         for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]:
@@ -108,7 +99,7 @@ class UnorderedOrigins:
         if isinstance(expr, ast.Set | ast.SetComp):
             return True
         if isinstance(expr, ast.Call):
-            name = _call_name(expr)
+            name = call_name(expr)
             if name in _UNORDERED_CONSTRUCTORS:
                 return True
             if (
@@ -130,24 +121,3 @@ def _safe_unparse(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - malformed node
         return ""
-
-
-def access_path(node: ast.expr) -> tuple[str, ...] | None:
-    """Names along an attribute/subscript chain, rooted at a ``Name``.
-
-    ``self.buf["k"].rows`` → ``("self", "buf", "rows")`` — subscript
-    steps are transparent.  Returns ``None`` when the chain does not
-    bottom out at a plain name (a call result, say).
-    """
-    parts: list[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Name):
-            parts.append(node.id)
-            return tuple(reversed(parts))
-        else:
-            return None

@@ -1,9 +1,11 @@
 """Rule framework for prismalint.
 
 A :class:`Rule` inspects one parsed :class:`SourceFile` and yields
-:class:`Violation` records.  The framework handles the parts every rule
-needs: parsing, import resolution, and the ``# prismalint: disable=``
-escape hatch.
+:class:`Violation` records; no rule sees another file.  The framework
+handles the parts every rule needs: parsing, import resolution, the
+one function walker (:func:`iter_functions`), the one answer to "does
+this function charge for its work" (:func:`charges`), and the
+``# prismalint: disable=`` escape hatch.
 
 Disable comments come in two strengths:
 
@@ -26,22 +28,25 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.project import ProjectIndex
+from typing import Any
 
 __all__ = [
     "PRAGMA_CODE",
+    "FunctionNode",
     "ImportMap",
     "LintError",
     "Rule",
     "SourceFile",
     "Violation",
+    "call_name",
+    "charges",
+    "iter_functions",
     "iter_python_files",
     "lint_paths",
     "registered_codes",
 ]
+
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
 #: Directory names never descended into when a directory is linted.
 #: (Explicitly named files are always linted, so the violating fixtures
@@ -201,6 +206,101 @@ class ImportMap:
         return ".".join([origin, *reversed(chain)])
 
 
+def iter_functions(tree: ast.Module) -> Iterator[tuple[str | None, FunctionNode]]:
+    """Yield ``(class_name, fn)`` for every function/method not nested
+    inside another function.
+
+    A nested closure is analysed as part of its enclosing function, so
+    a function that charges on behalf of its closure still counts.
+    """
+
+    def walk(
+        node: ast.AST, owner: str | None
+    ) -> Iterator[tuple[str | None, FunctionNode]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                yield owner, child
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif not isinstance(child, ast.Lambda):
+                yield from walk(child, owner)
+
+    return walk(tree, None)
+
+
+def call_name(call: ast.Call) -> str:
+    """Bare name of the called function (last attribute component)."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
+
+
+#: A name (or last attribute) matching this denotes a work meter.
+_METER_NAME_RE = re.compile(r"(^|_)meter$|^meter(_|$)")
+_METER_ANNOTATION_RE = re.compile(r"\bWorkMeter\b")
+
+
+def _names_meter(expr: ast.expr) -> bool:
+    """Does *expr* name a work meter (``meter``, ``self._meter`` ...)?
+
+    Subscript steps are transparent; the chain must bottom out at a
+    plain name, so a call result never counts.
+    """
+    last: str | None = None
+    while isinstance(expr, ast.Attribute | ast.Subscript):
+        if last is None and isinstance(expr, ast.Attribute):
+            last = expr.attr
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return False
+    return bool(_METER_NAME_RE.search(last if last is not None else expr.id))
+
+
+def charges(fn: FunctionNode) -> bool:
+    """Does *fn* itself account for the simulated work it does?
+
+    It does when it calls ``*charge*``, bumps a meter's counters
+    (``meter.tuples += n``, ``meter.add(...)``), hands a meter to a
+    callee, or takes a meter parameter (its caller hands it the meter).
+    Nothing else counts: a callee's body is never consulted, so a
+    function whose work is billed elsewhere names that site in a
+    ``disable=`` pragma, the one place a cross-function charge is
+    written down.
+    """
+    arguments = fn.args
+    for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]:
+        if _METER_NAME_RE.search(arg.arg) or (
+            arg.annotation is not None
+            and _METER_ANNOTATION_RE.search(ast.unparse(arg.annotation))
+        ):
+            return True
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            name = call_name(node)
+            if "charge" in name:
+                return True
+            if (
+                name == "add"
+                and isinstance(node.func, ast.Attribute)
+                and _names_meter(node.func.value)
+            ):
+                return True
+            if any(
+                _names_meter(arg)
+                for arg in [*node.args, *[kw.value for kw in node.keywords]]
+            ):
+                return True
+        elif isinstance(node, ast.AugAssign) and isinstance(
+            node.target, ast.Attribute
+        ):
+            if _names_meter(node.target.value):
+                return True
+    return False
+
+
 class Rule:
     """Base class: subclasses set ``code``/``name``/``hint`` and implement
     :meth:`check` to yield violations for one file."""
@@ -208,9 +308,6 @@ class Rule:
     code: str = PRAGMA_CODE
     name: str = "abstract"
     hint: str = ""
-    #: Project-wide rules (see :class:`repro.lint.project.ProjectRule`)
-    #: flip this and receive a ProjectIndex in ``run``.
-    requires_project: bool = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -221,11 +318,7 @@ class Rule:
         raise NotImplementedError
 
     def violation(
-        self,
-        source: SourceFile,
-        node: ast.AST | None,
-        message: str,
-        hint: str | None = None,
+        self, source: SourceFile, node: ast.AST | None, message: str
     ) -> Violation:
         line = getattr(node, "lineno", 0) or 0
         col = getattr(node, "col_offset", 0) or 0
@@ -235,17 +328,11 @@ class Rule:
             col=col + 1,
             code=self.code,
             message=message,
-            hint=hint if hint is not None else self.hint,
+            hint=self.hint,
         )
 
-    def run(
-        self, source: SourceFile, index: "ProjectIndex | None" = None
-    ) -> Iterator[Violation]:
-        """Apply the rule, honouring disable pragmas.
-
-        Per-file rules ignore *index*; :class:`ProjectRule` overrides
-        this to route through :meth:`check_project`.
-        """
+    def run(self, source: SourceFile) -> Iterator[Violation]:
+        """Apply the rule, honouring disable pragmas."""
         for violation in self.check(source):
             if not source.is_disabled(self.code, violation.line):
                 yield violation
@@ -294,12 +381,8 @@ def lint_paths(
     paths: Sequence[Path | str],
     rules: Iterable[Rule],
 ) -> tuple[list[Violation], list[str]]:
-    """Lint every Python file under *paths* with *rules*.
-
-    All files are parsed up front; if any rule is project-wide a
-    :class:`~repro.lint.project.ProjectIndex` is built over the whole
-    file set and shared, so cross-module rules see every symbol no
-    matter which file they are currently reporting on.
+    """Lint every Python file under *paths* with *rules*, one file at a
+    time.
 
     Returns ``(violations, errors)`` where *errors* are files that could
     not be parsed (these should fail the run too).
@@ -307,23 +390,14 @@ def lint_paths(
     rules = list(rules)
     violations: list[Violation] = []
     errors: list[str] = []
-    sources: list[SourceFile] = []
     for path in iter_python_files(paths):
         try:
-            sources.append(SourceFile.load(path))
+            source = SourceFile.load(path)
         except LintError as exc:
             errors.append(str(exc))
-    index: "ProjectIndex | None" = None
-    if any(rule.requires_project for rule in rules):
-        from repro.lint.project import ProjectIndex
-
-        index = ProjectIndex(sources)
-    for source in sources:
+            continue
         violations.extend(_pragma_violations(source))
         for rule in rules:
-            if rule.requires_project:
-                violations.extend(rule.run(source, index))
-            else:
-                violations.extend(rule.run(source))
+            violations.extend(rule.run(source))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations, errors

@@ -31,8 +31,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.lint.dataflow import ORDER_SAFE_WRAPPERS, UnorderedOrigins
-from repro.lint.framework import Rule, SourceFile, Violation
-from repro.lint.project import iter_functions
+from repro.lint.framework import Rule, SourceFile, Violation, iter_functions
 
 __all__ = ["UnorderedIterationRule"]
 

@@ -12,9 +12,11 @@ failure modes:
   state referenced from more than one process class.  Both are shared
   memory wearing a trench coat.
 * **PL004** — clock indiscipline: a function that ships messages via
-  ``runtime.send`` but never charges any CPU anywhere suggests the work
-  that *produced* the message is unaccounted for, silently deflating
-  response times.
+  ``runtime.send`` but does not charge by
+  :func:`~repro.lint.framework.charges` (the test PL101 uses) suggests
+  the work that *produced* the message is unaccounted for, silently
+  deflating response times.  Where another function pays, the send's
+  pragma names it.
 
 Both rules apply only to modules under ``pool/``, ``machine/`` and
 ``core/`` directories — the layers that carry the simulation's
@@ -26,7 +28,15 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.framework import Rule, SourceFile, Violation
+from repro.lint.framework import (
+    FunctionNode,
+    Rule,
+    SourceFile,
+    Violation,
+    call_name,
+    charges,
+    iter_functions,
+)
 
 __all__ = ["ClockDisciplineRule", "SharedStateRule"]
 
@@ -41,25 +51,6 @@ def _in_scope(source: SourceFile) -> bool:
     return any(part in SCOPED_DIRS for part in source.path_parts()[:-1])
 
 
-def _top_level_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Functions/methods not nested inside another function.
-
-    Nested closures are analysed as part of their enclosing function, so
-    a helper that charges on behalf of its closure still counts.
-    """
-
-    def walk(node: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child)
-            elif not isinstance(child, ast.Lambda):
-                yield from walk(child)
-
-    return walk(tree)
-
-
 def _annotation_is_process(annotation: ast.expr | None) -> bool:
     if annotation is None:
         return False
@@ -70,7 +61,7 @@ def _annotation_is_process(annotation: ast.expr | None) -> bool:
     return "Process" in text or "Manager" in text
 
 
-def _process_typed_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _process_typed_names(fn: FunctionNode) -> set[str]:
     """Names in *fn* that (heuristically) refer to a PoolProcess."""
     names: set[str] = set()
     arguments = fn.args
@@ -80,10 +71,7 @@ def _process_typed_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]
     for node in ast.walk(fn):
         if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
             continue
-        func = node.value.func
-        attr = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
+        attr = call_name(node.value)
         if attr == "spawn" or (
             "process" in attr.lower() and attr not in {"live_processes", "processes"}
         ):
@@ -126,7 +114,7 @@ class SharedStateRule(Rule):
         yield from self._shared_module_state(source)
 
     def _cross_process_writes(self, source: SourceFile) -> Iterator[Violation]:
-        for fn in _top_level_functions(source.tree):
+        for _owner, fn in iter_functions(source.tree):
             process_names = _process_typed_names(fn)
             if not process_names:
                 continue
@@ -189,11 +177,7 @@ def _is_mutable_literal(value: ast.expr) -> bool:
     if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        func = value.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        return name in _MUTABLE_CONSTRUCTORS
+        return call_name(value) in _MUTABLE_CONSTRUCTORS
     return False
 
 
@@ -231,26 +215,19 @@ class ClockDisciplineRule(Rule):
     def check(self, source: SourceFile) -> Iterator[Violation]:
         if not _in_scope(source):
             return
-        for fn in _top_level_functions(source.tree):
-            sends = []
-            charges = False
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    if func.attr == "send" and "runtime" in ast.unparse(func.value):
-                        sends.append(node)
-                    elif "charge" in func.attr:
-                        charges = True
-                elif isinstance(func, ast.Name) and "charge" in func.id:
-                    charges = True
-            if charges:
+        for _owner, fn in iter_functions(source.tree):
+            if charges(fn):
                 continue
-            for send in sends:
-                yield self.violation(
-                    source,
-                    send,
-                    f"PoolRuntime.send in {fn.name}() which never charges "
-                    "the sending process",
-                )
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "send"
+                    and "runtime" in ast.unparse(node.func.value)
+                ):
+                    yield self.violation(
+                        source,
+                        node,
+                        f"PoolRuntime.send in {fn.name}() which never charges "
+                        "the sending process",
+                    )

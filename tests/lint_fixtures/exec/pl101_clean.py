@@ -11,26 +11,10 @@ def count_nulls(rows, meter):
     return nulls
 
 
-def charge_rows(process, rows):
-    process.charge(len(rows) * 1e-7)
-
-
 def drain(process, rows):
-    # No meter in sight, but the helper it calls charges: the one-level
-    # call graph must see through this.
-    charge_rows(process, rows)
+    process.charge(len(rows) * 1e-7)
     return [tuple(row) for row in rows]
 
 
-def batch_predicate(expr):
-    # A kernel factory: the row loop is deferred into the returned
-    # kernel, and the batch operator that invokes it charges per batch.
-    return lambda rows: [row for row in rows if row[0] == expr]
-
-
-def make_filter_kernel(value):
-    def _kernel(rows):
-        return [row for row in rows if row[1] > value]
-
-    return _kernel
-
+def route(rows, n_fragments):
+    return [hash(row) % n_fragments for row in rows]  # prismalint: disable=PL101 -- charged in drain

@@ -9,13 +9,19 @@ stats surface speaks the one Snapshot protocol.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
+import pkgutil
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 
+import repro
 from repro import MachineConfig, PrismaDB
 from repro.core.faults import FaultInjector
+from repro.core.workload import ConcurrentSessionDriver, ServingWorkloadSpec
 from repro.exec.compiler import ExpressionCompilerCache
 from repro.exec.operators import WorkMeter
 from repro.exec.shuffle import SplitterCache
@@ -30,6 +36,7 @@ from repro.obs import (
     MetricsRegistry,
     Observatory,
     Snapshot,
+    SnapshotMixin,
     Tracer,
     active,
     chrome_trace,
@@ -38,6 +45,7 @@ from repro.obs import (
     text_profile,
 )
 from repro.obs import tracer as tracer_module
+from repro.serve import install_serving
 from repro.workloads import load_wisconsin
 
 MESH16 = MachineConfig(n_nodes=16, topology="mesh")
@@ -210,24 +218,44 @@ def test_text_profile_aggregates_and_footers():
 
 
 def _snapshot_surfaces() -> dict[str, Snapshot]:
-    db = PrismaDB(DB_CONFIG, faults=FaultInjector(seed=1))
-    load_wisconsin(db, "wisc", 120, fragments=2, seed=2)
+    """Every stats surface a run produces, keyed by where it came from:
+    each ``db.observe()`` source of a serving, traced database, plus the
+    reports a serving run, a rebalance step and a crash/restart return."""
+    db = PrismaDB(DB_CONFIG, faults=FaultInjector(seed=1), tracer=Tracer())
+    install_serving(db, admission_slots=2)
+    db.execute(
+        "CREATE TABLE kv (id INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(id) INTO 3"
+    )
+    db.bulk_load("kv", [(i, i * 10) for i in range(48)])
     db.quiesce()
-    db.execute("SELECT COUNT(*) FROM wisc WHERE fiftypercent = 0")
+    serving = ConcurrentSessionDriver(
+        db, ServingWorkloadSpec(n_sessions=4, ops_per_session=3, seed=3, n_keys=48)
+    ).run()
+    db.gdh.executor.access.record("kv", 0, 200)
+    assert db.rebalancer.step("kv"), "the skewed window must split"
+    crash = db.crash()
+    recovery = db.restart()
+    in_doubt = db.resolve_in_doubt()
     meter = WorkMeter()
     meter.tuples += 4
     network = PacketNetwork(MESH16)
     run_load_point(network, 2_000, warmup_s=0.002, measure_s=0.004, seed=3)
+    observatory = db.observe()
+    assert set(observatory.sources()) == {
+        "admission", "expressions", "faults", "metrics", "nodes",
+        "plan_cache", "runtime", "shuffle", "tracer",
+    }
     return {
+        **{f"observe.{name}": observatory.source(name) for name in observatory.sources()},
+        "observatory": observatory,
+        "serving_report": serving,
+        "rebalance_report": db.rebalancer.report,
+        "access_tracker": db.gdh.executor.access,
+        "crash_report": crash,
+        "recovery_report": recovery,
+        "in_doubt_resolution": in_doubt,
         "network": network.stats,
-        "runtime": db.runtime.stats,
-        "nodes": db.machine.observe().source("nodes"),
         "work_meter": meter,
-        "splitters": db.gdh.executor.splitters,
-        "expressions": db.gdh.executor.evaluator.cache,
-        "faults": db.gdh.faults,
-        "metrics": db.gdh.executor.metrics,
-        "tracer": Tracer(),
         "profiler": LoopProfiler(EventLoop()),
     }
 
@@ -239,6 +267,32 @@ def test_every_stats_surface_implements_snapshot():
         assert hasattr(stats, "keys") and len(stats) > 0, name
         first, second = surface.fingerprint(), surface.fingerprint()
         assert first == second and len(first) == 64, name
+
+
+def _subclasses(cls: type) -> Iterator[type]:
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_snapshot_mixin_subclass_is_callable_blind():
+    """Every ``SnapshotMixin`` subclass in ``repro`` defines its own
+    ``stats`` and both legs take nothing beyond ``self``, so the
+    Observatory can drive any of them without knowing which it holds."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    surfaces = list(_subclasses(SnapshotMixin))
+    assert {Observatory, WorkMeter, NetworkStats} <= set(surfaces)
+    for cls in surfaces:
+        assert cls.stats is not SnapshotMixin.stats, cls
+        for leg in (cls.stats, cls.fingerprint):
+            extra = list(inspect.signature(leg).parameters.values())[1:]
+            assert all(
+                param.default is not param.empty
+                or param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+                for param in extra
+            ), f"{cls.__qualname__}.{leg.__name__}"
 
 
 def test_fault_injector_fingerprint_payload_is_unchanged():
