@@ -6,11 +6,10 @@ Results are printed *and* written to ``benchmarks/results/eN_*.txt`` so
 ``pytest benchmarks/ --benchmark-only`` leaves the measured tables on
 disk even though pytest captures stdout.
 
-Also home to the benchmark-only bits of the observability layer:
-``install_wall_clock`` is the one sanctioned place that hands a host
-clock to :class:`~repro.machine.profile.LoopProfiler` (simulation code
-never reads wall time — prismalint PL001/PL006 enforce that), and
-``digest`` is the short hash the perf gate pins row sets with.
+Also home to ``digest``, the short hash the perf gate pins row sets
+with.  Benchmarks time the host with their own ``time.perf_counter()``;
+simulation code never reads wall time (prismalint PL001/PL006 enforce
+that).
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import pathlib
-import time
 from collections.abc import Iterable, Sequence
-
-from repro.machine.profile import LoopProfiler
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -66,16 +62,6 @@ def build_parser(
 def digest(value: object) -> str:
     """Short stable digest of any repr-able value (perf-baseline pins)."""
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def install_wall_clock() -> None:
-    """Give LoopProfiler a host clock for this (benchmark) process.
-
-    Benchmarks measure real wall time; simulation code must not.  This
-    sets the class-level default so call sites stop hand-threading
-    ``clock=time.perf_counter`` through every profiler construction.
-    """
-    LoopProfiler.default_clock = time.perf_counter
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -59,8 +59,7 @@ from repro.exec.expressions import Comparison, col, lit  # noqa: E402
 from repro.exec.operators import WorkMeter  # noqa: E402
 from repro.exec.pipeline import aggregate_op  # noqa: E402
 from repro.exec.shuffle import compile_splitter, reference_bucket  # noqa: E402
-from repro.machine import PacketNetwork  # noqa: E402
-from repro.machine.profile import LoopProfiler  # noqa: E402
+from repro.machine import MachineNodesView, PacketNetwork  # noqa: E402
 from repro.machine.traffic import run_load_point  # noqa: E402
 from repro.workloads import load_edges, load_wisconsin, random_dag, setup_bank  # noqa: E402
 from repro.workloads.wisconsin import generate_rows  # noqa: E402
@@ -196,10 +195,9 @@ def run_network(tracer: Tracer | None = None) -> dict:
     window, bounded drain, seed 17."""
     network = PacketNetwork(MachineConfig(n_nodes=64, topology="mesh"), tracer=tracer)
     start = time.perf_counter()
-    with LoopProfiler(network.loop) as profiler:
-        stats = run_load_point(network, 20_000, warmup_s=0.01, measure_s=0.02, seed=17)
+    stats = run_load_point(network, 20_000, warmup_s=0.01, measure_s=0.02, seed=17)
     wall = time.perf_counter() - start
-    events, heap_peak = profiler.profile.events_fired, profiler.profile.heap_peak
+    events, heap_peak = network.loop.events_fired_total, network.loop.heap_peak
     return {
         "wall_s": wall,
         # Event count and heap peak are as deterministic as the packet
@@ -241,7 +239,7 @@ def _simulated_cost(result) -> dict:
 
 
 def _busy_total(db: PrismaDB) -> dict:
-    return {"busy_total": db.machine.observe().source("nodes").stats()["busy_total"]}
+    return {"busy_total": MachineNodesView(db.machine).stats()["busy_total"]}
 
 
 def run_e4(tracer: Tracer | None = None, loops: int = 1, batch: bool = True) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.errors import PrismaError
 from repro.machine.config import MachineConfig, paper_prototype
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, MachineNodesView
 from repro.obs.api import Observatory
 from repro.obs.tracer import Tracer
 from repro.algebra.optimizer import OptimizerOptions
@@ -124,9 +124,6 @@ class PrismaDB:
         Ablation switches for the knowledge-based optimizer (E10).
     allow_one_phase:
         Use the single-participant commit fast path (E9 ablation).
-    default_fragments:
-        Fragment count for CREATE TABLE without a FRAGMENTED BY clause
-        (hash on the primary key); default is a single fragment.
     faults:
         A :class:`~repro.core.faults.FaultInjector` for deterministic
         crash/failure experiments; a default (never-armed) injector is
@@ -144,7 +141,6 @@ class PrismaDB:
         compiled_expressions: bool = True,
         optimizer_options: OptimizerOptions | None = None,
         allow_one_phase: bool = True,
-        default_fragments: int | None = None,
         disk_resident: bool = False,
         faults: FaultInjector | None = None,
         tracer: Tracer | None = None,
@@ -162,7 +158,6 @@ class PrismaDB:
             compiled_expressions=compiled_expressions,
             optimizer_options=optimizer_options,
             allow_one_phase=allow_one_phase,
-            default_fragments=default_fragments,
             disk_resident=disk_resident,
             faults=faults,
         )
@@ -314,7 +309,7 @@ class PrismaDB:
         if self._observatory is None:
             observatory = Observatory()
             observatory.register("runtime", lambda: self.runtime.stats)
-            observatory.register("nodes", self.machine.observe().source("nodes"))
+            observatory.register("nodes", MachineNodesView(self.machine))
             observatory.register("faults", self.gdh.faults)
             observatory.register("shuffle", lambda: self.gdh.executor.splitters)
             observatory.register(

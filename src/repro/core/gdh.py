@@ -137,7 +137,6 @@ class GlobalDataHandler:
         compiled_expressions: bool = True,
         optimizer_options: OptimizerOptions | None = None,
         allow_one_phase: bool = True,
-        default_fragments: int | None = None,
         disk_resident: bool = False,
         faults: FaultInjector | None = None,
     ):
@@ -166,7 +165,6 @@ class GlobalDataHandler:
         self.executor = DistributedExecutor(
             runtime, self.catalog, self.allocator, compiled_expressions
         )
-        self.default_fragments = default_fragments
         self.gdh_process = runtime.spawn(PoolProcess, name="gdh", node=GDH_NODE)
         self._query_counter = 0
         self._session_counter = 0
@@ -444,10 +442,6 @@ class GlobalDataHandler:
         if clause is not None:
             scheme = build_scheme(
                 clause.kind, schema, clause.column, clause.count, clause.boundaries
-            )
-        elif self.default_fragments and self.default_fragments > 1 and primary_key:
-            scheme = build_scheme(
-                "hash", schema, primary_key[0], self.default_fragments
             )
         else:
             scheme = SingleFragment()

@@ -63,6 +63,8 @@ from repro.ofm.manager import OneFragmentManager
 #: :class:`RebalancedFragmentation` from plain hash fragmentation.
 #: Must keep ``n_fragments | buckets`` so the derivation is a no-op.
 BUCKETS_PER_FRAGMENT = 8
+#: The rebalancer ignores observation windows with fewer total accesses.
+MIN_ACCESSES = 64
 
 
 class RebalancedFragmentation(FragmentationScheme, kind="rebalanced"):
@@ -83,17 +85,15 @@ class RebalancedFragmentation(FragmentationScheme, kind="rebalanced"):
         self.n_fragments = len(set(self.bucket_map))
 
     @classmethod
-    def from_hash(
-        cls, scheme: HashFragmentation, buckets_per_fragment: int = BUCKETS_PER_FRAGMENT
-    ) -> "RebalancedFragmentation":
+    def from_hash(cls, scheme: HashFragmentation) -> "RebalancedFragmentation":
         """Derive from hash fragmentation without moving any row.
 
-        With ``B = n * buckets_per_fragment`` buckets and bucket ``b``
+        With ``B = n * BUCKETS_PER_FRAGMENT`` buckets and bucket ``b``
         owned by fragment ``b % n``, every key keeps its fragment:
         ``(h % B) % n == h % n`` because ``n`` divides ``B``.
         """
         n = scheme.n_fragments
-        buckets = n * max(1, buckets_per_fragment)
+        buckets = n * BUCKETS_PER_FRAGMENT
         return cls(scheme.column, tuple(b % n for b in range(buckets)))
 
     def fragment_of(self, row: tuple) -> int:
@@ -199,18 +199,11 @@ class Rebalancer:
     same rules.  ``db.rebalancer`` holds one per database.
     """
 
-    def __init__(
-        self,
-        gdh: GlobalDataHandler,
-        hot_ratio: float = 2.0,
-        min_accesses: int = 64,
-    ):
+    def __init__(self, gdh: GlobalDataHandler, hot_ratio: float = 2.0):
         self.gdh = gdh
         #: A fragment is "hot" when its window accesses exceed
         #: ``hot_ratio`` × the per-fragment mean.
         self.hot_ratio = hot_ratio
-        #: Ignore observation windows with fewer total accesses.
-        self.min_accesses = min_accesses
         self.report = RebalanceReport()
         #: Monotone suffix for migrated-copy names: a fresh OFM name is
         #: a fresh WAL key space, so the new copy's durable state never
@@ -239,7 +232,7 @@ class Rebalancer:
         heat = {fid: count for fid, count in heat.items() if fid in listed}
         before = len(self.report.actions)
         total = sum(heat.values())
-        if total >= self.min_accesses and len(info.fragments) > 0:
+        if total >= MIN_ACCESSES and len(info.fragments) > 0:
             mean = total / len(info.fragments)
             hottest = max(sorted(heat), key=lambda f: heat[f])
             if heat[hottest] >= self.hot_ratio * mean:

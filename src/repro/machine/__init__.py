@@ -7,10 +7,11 @@ Public surface:
 * :class:`Machine` — assembled nodes + interconnect + analytic cost model.
 * :class:`PacketNetwork` / :mod:`~repro.machine.traffic` — packet-level
   network simulator used by experiments E1/E2.
-* topology builders for the mesh and chordal-ring interconnects.
-* :class:`LoopProfiler` — events-fired / events-per-second / heap-peak
-  counters for the discrete-event core (see README, "Profiling the
-  simulator").
+* topology builders for the mesh and chordal-ring interconnects; every
+  hop distance comes from one BFS, :meth:`Topology.bfs`.
+* :class:`EventLoop` — the discrete-event core; its ``events_fired_total``,
+  ``heap_peak`` and ``now`` are the simulator's profiling counters (see
+  README, "Profiling the simulator").
 """
 
 from repro.machine.config import MachineConfig, paper_prototype, small_machine
@@ -20,7 +21,6 @@ from repro.machine.machine import Machine, MachineNodesView
 from repro.machine.memory import MemoryAccount
 from repro.machine.network import NetworkStats, Packet, PacketNetwork
 from repro.machine.node import NodeStats, ProcessingElement
-from repro.machine.profile import LoopProfile, LoopProfiler
 from repro.machine.router import Router
 from repro.machine.topology import (
     Topology,
@@ -43,8 +43,6 @@ __all__ = [
     "Disk",
     "DiskStats",
     "EventLoop",
-    "LoopProfile",
-    "LoopProfiler",
     "Machine",
     "MachineConfig",
     "MachineNodesView",

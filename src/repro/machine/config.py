@@ -14,8 +14,7 @@ values only set the scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.errors import MachineError
 
@@ -128,10 +127,6 @@ class MachineConfig:
         if n_bytes <= 0:
             return 0
         return (n_bytes + self.packet_bytes - 1) // self.packet_bytes
-
-    def with_(self, **overrides: Any) -> "MachineConfig":
-        """Return a copy of this config with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 def paper_prototype(disk_every: int = 8) -> MachineConfig:

@@ -112,6 +112,3 @@ class Disk:
         """Stored payload size in bytes (0 for unknown keys); free —
         metadata lookups don't touch the platters."""
         return len(self._pages.get(key, b""))
-
-    def used_bytes(self) -> int:
-        return sum(len(p) for p in self._pages.values())

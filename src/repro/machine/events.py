@@ -30,8 +30,8 @@ A scheduled event fires: there is no cancellation, so the innermost
 loop tests nothing per popped event but the time bound.
 
 The loop also keeps O(1) profiling counters — pending events, total
-events fired, and the peak heap size — surfaced through
-:mod:`repro.machine.profile` and the benchmark harnesses.
+events fired, and the peak heap size — which the benchmark harnesses
+read directly, timing the host side with their own clock.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ class EventLoop:
         until:
             Stop once simulated time would pass this bound; the clock is
             advanced exactly to *until* (events scheduled later remain
-            queued).
+            queued).  A bound before :attr:`now` is rejected: the clock
+            never runs backwards.
         max_events:
             Safety valve: stop after firing this many events.
 
@@ -167,6 +168,8 @@ class EventLoop:
         """
         if self._running:
             raise MachineError("event loop is not reentrant")
+        if until is not None and until < self._now:
+            raise MachineError(f"cannot run until the past: {until} < now {self._now}")
         self._running = True
         fired = 0
         # Local bindings: every name in the loop body resolves via

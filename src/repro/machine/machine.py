@@ -16,15 +16,13 @@ in two modes:
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.errors import LinkDownError, MachineError
 from repro.machine.config import MachineConfig
 from repro.machine.disk import Disk
 from repro.machine.node import ProcessingElement
 from repro.machine.router import Router
 from repro.machine.topology import Topology, build_topology
-from repro.obs.api import Observatory, SnapshotMixin
+from repro.obs.api import SnapshotMixin
 
 
 class MachineNodesView(SnapshotMixin):
@@ -151,21 +149,12 @@ class Machine:
         self._nearest_disk: list[int] = self._compute_nearest_disks()
         # Fault state: failed elements / directed-link pairs.  Empty in
         # the fault-free case, so the analytic hot path pays only two
-        # truthiness checks.  Routes under faults are recomputed by BFS
-        # into per-destination distance columns; a new fault invalidates
-        # only the destinations it can actually affect (see fail_link).
+        # truthiness checks.  Routes under faults are recomputed by the
+        # topology's BFS into per-destination distance columns; any
+        # fault change clears them all.
         self._down_nodes: set[int] = set()
         self._down_links: set[tuple[int, int]] = set()
         self._fault_dist_cols: dict[int, list[int]] = {}
-        self._observatory: Observatory | None = None
-
-    def observe(self) -> Observatory:
-        """Machine-level observation facade (source ``nodes``)."""
-        if self._observatory is None:
-            observatory = Observatory()
-            observatory.register("nodes", MachineNodesView(self))
-            self._observatory = observatory
-        return self._observatory
 
     # -- structure ------------------------------------------------------------
 
@@ -214,11 +203,7 @@ class Machine:
         if node_id in self._down_nodes:
             return False
         self._down_nodes.add(node_id)
-        # A dead element only changes routes that could traverse it:
-        # columns where it was already unreachable stay exact.
-        cols = self._fault_dist_cols
-        for dest in [d for d, col in cols.items() if col[node_id] >= 0]:
-            del cols[dest]
+        self._fault_dist_cols.clear()
         return True
 
     def restore_node(self, node_id: int) -> bool:
@@ -226,7 +211,6 @@ class Machine:
         if node_id not in self._down_nodes:
             return False
         self._down_nodes.discard(node_id)
-        # A revived element can shorten any route; recompute lazily.
         self._fault_dist_cols.clear()
         return True
 
@@ -238,17 +222,7 @@ class Machine:
             return False
         self._down_links.add((u, v))
         self._down_links.add((v, u))
-        # BFS shortest paths only cross edges between consecutive
-        # levels, so a cut link leaves a destination's distances intact
-        # unless both ends were reachable exactly one hop apart.
-        cols = self._fault_dist_cols
-        stale = [
-            dest
-            for dest, col in cols.items()
-            if col[u] >= 0 and col[v] >= 0 and abs(col[u] - col[v]) == 1
-        ]
-        for dest in stale:
-            del cols[dest]
+        self._fault_dist_cols.clear()
         return True
 
     def restore_link(self, u: int, v: int) -> bool:
@@ -291,33 +265,13 @@ class Machine:
     def _fault_distances_to(self, destination: int) -> list[int]:
         """Hop distances to *destination* avoiding down elements/links.
 
-        One BFS per destination (not per pair), memoized until a fault
-        that can affect it; deterministic (BFS expands neighbors in
-        topology order).  -1 marks unreachable elements.
+        One BFS per destination (not per pair), memoized until the next
+        fault change.  -1 marks unreachable elements.
         """
         col = self._fault_dist_cols.get(destination)
-        if col is not None:
-            return col
-        down_nodes = self._down_nodes
-        down_links = self._down_links
-        col = [-1] * self.n_nodes
-        if destination not in down_nodes:
-            col[destination] = 0
-            frontier = deque([destination])
-            neighbors = self.topology.neighbors
-            while frontier:
-                node = frontier.popleft()
-                d = col[node] + 1
-                for neighbor in neighbors(node):
-                    if (
-                        col[neighbor] >= 0
-                        or neighbor in down_nodes
-                        or (node, neighbor) in down_links
-                    ):
-                        continue
-                    col[neighbor] = d
-                    frontier.append(neighbor)
-        self._fault_dist_cols[destination] = col
+        if col is None:
+            col = self.topology.bfs(destination, self._down_nodes, self._down_links)[0]
+            self._fault_dist_cols[destination] = col
         return col
 
     def _hops_under_faults(self, source: int, destination: int) -> int:
@@ -375,24 +329,6 @@ class Machine:
         pipeline_fill = hops * (service + config.switch_delay_s)
         return pipeline_fill + (packets - 1) * service
 
-    def message_time(self, source: int, destination: int) -> float:
-        """Latency of a minimal control message (one packet)."""
-        return self.transfer_time(source, destination, 1)
-
-    def broadcast_time(self, source: int, n_bytes: int) -> float:
-        """Time to get *n_bytes* from *source* to every other element.
-
-        Modelled as the worst single destination (the runtime forwards
-        along a BFS tree, so the critical path is the farthest node).
-        """
-        if self.n_nodes == 1:
-            return 0.0
-        return max(
-            self.transfer_time(source, destination, n_bytes)
-            for destination in range(self.n_nodes)
-            if destination != source
-        )
-
     def cpu_time(self, tuples: int = 0, hashes: int = 0, compares: int = 0) -> float:
         """CPU cost of a batch of work on one element."""
         config = self.config
@@ -401,10 +337,6 @@ class Machine:
             + hashes * config.cpu_hash_cost_s
             + compares * config.cpu_compare_cost_s
         )
-
-    def startup_time(self, n_processes: int = 1) -> float:
-        """Cost of spawning *n_processes* (POOL-X process creation)."""
-        return n_processes * self.config.cpu_start_cost_s
 
     def disk_time(self, node_id: int, n_bytes: int, sequential: bool = True) -> float:
         """Cost of a disk access of *n_bytes* at *node_id*'s nearest disk.

@@ -80,9 +80,6 @@ class MemoryAccount:
         """Bytes currently reserved under *tag* (0 if none)."""
         return self._allocations.get(tag, 0)
 
-    def tags(self) -> list[str]:
-        return sorted(self._allocations)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryAccount({self.owner!r}, used={self.used},"

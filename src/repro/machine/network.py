@@ -41,7 +41,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.events import EventLoop
 from repro.machine.router import Router
 from repro.machine.topology import Topology, build_topology
-from repro.obs.api import Observatory, SnapshotMixin
+from repro.obs.api import SnapshotMixin
 from repro.obs.tracer import Tracer, active
 
 
@@ -139,9 +139,8 @@ class PacketNetwork:
         self.router = Router(self.topology)
         self.stats = NetworkStats()
         # Flat per-link state, indexed by the router's directed link ids:
-        # the instant each link is next free, the departure times of the
-        # packets it still holds (FIFO order), and how many packets were
-        # ever enqueued on it.
+        # the instant each link is next free and the departure times of
+        # the packets it still holds (FIFO order).
         n_links = self.router.n_directed_links
         # Hot per-hop state stays in plain lists: CPython boxes every
         # array('d')/array('q') element access, which measures ~3x
@@ -150,13 +149,11 @@ class PacketNetwork:
         # trades those bytes back for speed on what it touches per hop.
         self._link_next_free: list[float] = [0.0] * n_links
         self._link_departs: list[deque[float]] = [deque() for _ in range(n_links)]
-        self._link_enqueued: list[int] = [0] * n_links
         # Per-destination out-link columns, fetched lazily on first
         # traffic toward each destination and unboxed into lists once,
         # so memory stays O(links + touched destinations).
         self._out_cols: list[list[int] | None] = [None] * self.topology.n_nodes
         self._link_dest: list[int] = list(self.router.link_destination)
-        self._n_nodes = self.topology.n_nodes
         # Cache the derived per-hop constants: the config properties
         # recompute a division per access, which the hot path cannot pay.
         self._service_s = self.config.packet_service_time_s
@@ -167,23 +164,7 @@ class PacketNetwork:
         # One bound method reused for every hop event: creating a bound
         # method per schedule is an allocation the hot path cannot pay.
         self._arrive_cb = self._arrive
-        self.tracer = tracer
         self._tracer = active(tracer)
-        self._observatory: Observatory | None = None
-
-    def observe(self) -> Observatory:
-        """The network's :class:`~repro.obs.api.Observatory` facade.
-
-        ``stats`` registers as a factory because
-        :meth:`start_measuring` replaces the stats object.
-        """
-        if self._observatory is None:
-            observatory = Observatory()
-            observatory.register("network", lambda: self.stats)
-            if self.tracer is not None:
-                observatory.register("tracer", self.tracer)
-            self._observatory = observatory
-        return self._observatory
 
     # -- measurement control ------------------------------------------------
 
@@ -260,7 +241,6 @@ class PacketNetwork:
         depart = (next_free if next_free > now else now) + self._service_s
         self._link_next_free[link_id] = depart
         departs.append(depart)
-        self._link_enqueued[link_id] += 1
         packet.hops_taken += 1
         packet.node = self._link_dest[link_id]
         arrival = depart + self._switch_s
@@ -298,42 +278,20 @@ class PacketNetwork:
         node_counts = stats.delivered_per_node
         node_counts[packet.destination] = node_counts.get(packet.destination, 0) + 1
 
-    def _purge_departed(self, link_id: int) -> int:
-        """Drop departure records that are in the past; return queue length."""
-        departs = self._link_departs[link_id]
-        now = self.loop.now
-        while departs and departs[0] <= now:
-            departs.popleft()
-        return len(departs)
-
     # -- results ---------------------------------------------------------------
 
     def in_flight(self) -> int:
-        """Packets currently queued or in service."""
-        return sum(
-            self._purge_departed(link_id)
-            for link_id in range(self.router.n_directed_links)
-        )
+        """Packets currently queued or in service.
 
-    def throughput_per_node_pps(self, window_s: float) -> float:
-        """Mean delivered packets/second per processing element."""
-        if window_s <= 0:
-            return 0.0
-        return self.stats.delivered / window_s / self.topology.n_nodes
-
-    def link_utilization(self, window_s: float) -> dict[tuple[int, int], float]:
-        """Busy fraction of each directed link over a window."""
-        router = self.router
-        keys = zip(router.link_source, router.link_destination)
-        if window_s <= 0:
-            return {key: 0.0 for key in keys}
-        service = self._service_s
-        result = {}
-        for link_id, key in enumerate(keys):
-            # Services completed by now: ever enqueued minus still queued.
-            served = self._link_enqueued[link_id] - self._purge_departed(link_id)
-            result[key] = min(1.0, served * service / window_s)
-        return result
+        Departure records already in the past are purged on the way.
+        """
+        now = self.loop.now
+        queued = 0
+        for departs in self._link_departs:
+            while departs and departs[0] <= now:
+                departs.popleft()
+            queued += len(departs)
+        return queued
 
     def saturation_bound_pps(self) -> float:
         """Upper bound on per-node delivered throughput under uniform traffic.
@@ -344,7 +302,7 @@ class PacketNetwork:
         ``link_packets_per_second``.  This is the first-order number the
         paper's 20k packets/s/PE claim rests on.
         """
-        mean_hops = self.router.mean_hops()
+        mean_hops = self.topology.mean_hops()
         if mean_hops == 0:
             return float("inf")
         total_link_capacity = (

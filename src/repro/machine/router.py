@@ -14,10 +14,11 @@ original tables bit for bit:
 * **Next hops come from lazy per-destination BFS** — the packet
   simulator wants a flat per-destination column of outgoing link ids;
   those columns (and the distances of the generic/``complete``
-  fallback) are built on first use by the same ascending-neighbor BFS
-  as before and memoized as ``array('i')``; ``next_hop``/``path`` read
-  them.  Router memory is O(links + touched destinations) instead of
-  O(N^2).
+  fallback) are built on first use by the topology's one
+  ascending-neighbor BFS (:meth:`Topology.bfs
+  <repro.machine.topology.Topology.bfs>`) and memoized as
+  ``array('i')``; ``next_hop``/``path`` read them.  Router memory is
+  O(links + touched destinations) instead of O(N^2).
 
 Ties always break toward the lowest-numbered neighbor, so routing is
 deterministic and simulations are reproducible; the oracle tests in
@@ -28,7 +29,6 @@ every (node, destination) pair for all five structured families.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import Callable
 
 from repro.errors import TopologyError
@@ -50,7 +50,8 @@ class Router:
         self._n = n
         # One BFS proves connectivity up front (routing is lazy, but a
         # disconnected interconnect must still fail at construction).
-        reach = topology.bfs_distances(0)
+        # Its columns are not memoized: a build touches no destination.
+        reach = topology.bfs(0)[0]
         unreachable = [i for i, d in enumerate(reach) if d < 0]
         if unreachable:
             raise TopologyError(
@@ -78,7 +79,6 @@ class Router:
         self._next_hop_cols: dict[int, array] = {}
         self._dist_cols: dict[int, array] = {}
         self._out_cols: dict[int, array] = {}
-        self._mean_hops: float | None = None
         #: Closed-form hop-distance rule, or None for generic topologies.
         self._hops_fn: Callable[[int, int], int] | None = self._algebraic_hops_fn()
 
@@ -172,36 +172,12 @@ class Router:
 
     # -- lazy BFS columns ----------------------------------------------------
 
-    def _bfs_from(self, destination: int) -> tuple[array, array]:
-        """Next-hop and distance columns by ascending-neighbor BFS.
-
-        Identical, value for value, to one pass of the old eager
-        all-pairs construction.
-        """
-        fill = array("i", [-1])
-        next_col = fill * self._n
-        dist_col = fill * self._n
-        next_col[destination] = destination
-        dist_col[destination] = 0
-        frontier = deque([destination])
-        neighbors = self.topology.neighbors
-        while frontier:
-            node = frontier.popleft()
-            d = dist_col[node] + 1
-            for neighbor in neighbors(node):
-                if dist_col[neighbor] < 0:
-                    dist_col[neighbor] = d
-                    # The packet at `neighbor` heads to `node` next.
-                    next_col[neighbor] = node
-                    frontier.append(neighbor)
-        return next_col, dist_col
-
     def _columns_for(self, destination: int) -> tuple[array, array]:
         next_col = self._next_hop_cols.get(destination)
         if next_col is None:
-            next_col, dist_col = self._bfs_from(destination)
-            self._next_hop_cols[destination] = next_col
-            self._dist_cols[destination] = dist_col
+            distances, next_hops = self.topology.bfs(destination)
+            next_col = self._next_hop_cols[destination] = array("i", next_hops)
+            self._dist_cols[destination] = array("i", distances)
         return next_col, self._dist_cols[destination]
 
     def out_links_to(self, destination: int) -> array:
@@ -250,21 +226,3 @@ class Router:
             node = col[node]
             path.append(node)
         return path
-
-    def mean_hops(self) -> float:
-        """Average route length over distinct ordered pairs.
-
-        Streamed one BFS at a time (and cached), so no dense distance
-        table is ever materialized.
-        """
-        if self._mean_hops is None:
-            n = self._n
-            if n == 1:
-                self._mean_hops = 0.0
-            else:
-                bfs = self.topology.bfs_distances
-                total = 0
-                for destination in range(n):
-                    total += sum(bfs(destination))
-                self._mean_hops = total / (n * (n - 1))
-        return self._mean_hops

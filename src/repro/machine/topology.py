@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 
 from repro.errors import TopologyError
 
@@ -82,27 +82,50 @@ class Topology:
 
     # -- path metrics ---------------------------------------------------------
 
-    def bfs_distances(self, source: int) -> list[int]:
-        """Hop distance from *source* to every node (-1 if unreachable)."""
+    def bfs(
+        self,
+        root: int,
+        down_nodes: Collection[int] = (),
+        down_links: Collection[tuple[int, int]] = (),
+    ) -> tuple[list[int], list[int]]:
+        """Hop distance to *root* and next hop toward it, for every node.
+
+        The one shortest-path search of the machine: the router's lazy
+        columns, the fault-aware distances and the structural metrics
+        all read it.  Neighbors expand in ascending order, so ties break
+        toward the lowest-numbered neighbor.  Elements in *down_nodes*
+        and directed ``(u, v)`` pairs in *down_links* are skipped; -1
+        marks a node that cannot reach *root* (and every node when
+        *root* itself is down).  Plain lists: element access on an
+        ``array('i')`` boxes every read, which doubles this loop's cost.
+        """
         distances = [-1] * self.n_nodes
-        distances[source] = 0
-        frontier = deque([source])
+        next_hops = [-1] * self.n_nodes
+        if root in down_nodes:
+            return distances, next_hops
+        distances[root] = 0
+        next_hops[root] = root
+        frontier = deque([root])
+        adjacency = self._adjacency
         while frontier:
             node = frontier.popleft()
-            for neighbor in self._adjacency[node]:
-                if distances[neighbor] < 0:
-                    distances[neighbor] = distances[node] + 1
-                    frontier.append(neighbor)
-        return distances
-
-    def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.bfs_distances(0))
+            d = distances[node] + 1
+            for neighbor in adjacency[node]:
+                if distances[neighbor] >= 0 or neighbor in down_nodes:
+                    continue
+                if down_links and (node, neighbor) in down_links:
+                    continue
+                distances[neighbor] = d
+                # A packet at `neighbor` heads to `node` next.
+                next_hops[neighbor] = node
+                frontier.append(neighbor)
+        return distances, next_hops
 
     def diameter(self) -> int:
         """Longest shortest path, in hops."""
         worst = 0
         for source in range(self.n_nodes):
-            distances = self.bfs_distances(source)
+            distances = self.bfs(source)[0]
             if any(d < 0 for d in distances):
                 raise TopologyError(f"topology {self.name!r} is disconnected")
             worst = max(worst, max(distances))
@@ -114,7 +137,7 @@ class Topology:
             return 0.0
         total = 0
         for source in range(self.n_nodes):
-            distances = self.bfs_distances(source)
+            distances = self.bfs(source)[0]
             if any(d < 0 for d in distances):
                 raise TopologyError(f"topology {self.name!r} is disconnected")
             total += sum(distances)

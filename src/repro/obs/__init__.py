@@ -9,8 +9,8 @@ Three parts, all deterministic and wall-clock free:
   counters/histograms for cold-path instrumentation.
 * :class:`Snapshot` (:mod:`repro.obs.api`) — the one protocol
   (``stats`` / ``fingerprint``) every measurement surface
-  implements, composed into facades by :class:`Observatory` and
-  exposed as ``PrismaDB.observe()`` / ``Machine.observe()``.
+  implements, composed into a facade by :class:`Observatory` and
+  exposed as ``PrismaDB.observe()``.
 
 Exporters (:mod:`repro.obs.export`) turn a trace into Chrome-trace
 JSON for Perfetto or an aligned text profile.

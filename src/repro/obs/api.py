@@ -1,10 +1,9 @@
 """The ``Snapshot`` protocol — one shape for every stats surface.
 
-Before this layer existed the repo had six ad-hoc measurement surfaces
+Before this layer existed the repo had ad-hoc measurement surfaces
 (:class:`~repro.machine.network.NetworkStats`, the executor
-:class:`~repro.exec.operators.WorkMeter`,
-:class:`~repro.machine.profile.LoopProfiler`, and the cache/fault
-counters in :mod:`repro.exec.shuffle`, :mod:`repro.exec.compiler`, and
+:class:`~repro.exec.operators.WorkMeter`, and the cache/fault counters
+in :mod:`repro.exec.shuffle`, :mod:`repro.exec.compiler`, and
 :mod:`repro.core.faults`), each with its own accessor and its own
 fingerprint code copy-pasted into the benchmarks.  The protocol replaces
 that with one contract:
@@ -18,8 +17,8 @@ of two ``stats()`` readings, which leaves every pinned fingerprint
 alone.
 
 :class:`Observatory` composes named ``Snapshot`` sources into one
-facade; ``PrismaDB.observe()`` / ``Machine.observe()`` /
-``PacketNetwork.observe()`` return one.  Everything here is stdlib-only
+facade; ``PrismaDB.observe()`` returns one, with the machine's per-PE
+counters as its ``nodes`` source.  Everything here is stdlib-only
 and wall-clock free (prismalint PL001/PL006): fingerprints hash
 *simulated* state, never host state.
 """
@@ -93,9 +92,9 @@ class Observatory(SnapshotMixin):
     """Named composition of :class:`Snapshot` sources — the facade.
 
     Sources register under a name, either directly or as a zero-argument
-    factory (for owners like :class:`~repro.machine.network.PacketNetwork`
-    that *replace* their stats object when measuring starts, so the
-    facade must always resolve the current one).  The Observatory is
+    factory resolved on every read (so an owner may replace the object
+    behind a name and the facade still finds the current one).  The
+    Observatory is
     itself a ``Snapshot``: its stats are the per-source stats keyed by
     name, its fingerprint hashes the per-source fingerprints.
     """

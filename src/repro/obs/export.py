@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +25,7 @@ from repro.obs.tracer import Tracer
 __all__ = [
     "chrome_trace",
     "chrome_trace_json",
+    "format_table",
     "text_profile",
     "write_chrome_trace",
 ]
@@ -73,6 +75,22 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     return path
 
 
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Render an aligned, right-justified text table."""
+    string_rows = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in string_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt(cells: Sequence[str]) -> str:
+        return "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(cells))
+
+    lines = [fmt(list(headers)), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in string_rows)
+    return "\n".join(lines)
+
+
 def text_profile(tracer: Tracer, title: str = "trace profile") -> str:
     """Aggregate the trace into an aligned per-(kind, name) text table.
 
@@ -81,10 +99,6 @@ def text_profile(tracer: Tracer, title: str = "trace profile") -> str:
     report reads as "where did simulated time go" — the per-query
     profile the benchmarks print.
     """
-    # Imported lazily: machine.stats is instrumented code and importing
-    # it at module scope would cycle machine -> obs -> machine.
-    from repro.machine.stats import format_table
-
     totals: dict[tuple[str, str], list[float]] = defaultdict(lambda: [0, 0.0, 0.0])
     for _start, duration_s, kind, name, _node, _actor, _args in tracer.events:
         row = totals[(kind, name)]

@@ -42,14 +42,6 @@ class TestFacade:
         first = db.quiesce()
         assert db.quiesce() == first
 
-    def test_default_fragments_applied_with_pk(self):
-        db = make_db(default_fragments=4)
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        assert len(db.catalog.table("t").fragments) == 4
-        # Without a primary key there is no hash column: single fragment.
-        db.execute("CREATE TABLE u (v INT)")
-        assert len(db.catalog.table("u").fragments) == 1
-
     def test_unsupported_statement_kind(self):
         from repro.sql import ast as sql_ast
 

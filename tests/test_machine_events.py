@@ -1,6 +1,7 @@
 """Tests for the discrete-event loop."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MachineError
 from repro.machine.events import EventLoop
@@ -134,6 +135,61 @@ def test_scheduling_in_the_past_is_rejected():
         loop.schedule(-0.1, lambda: None)
     with pytest.raises(MachineError):
         loop.schedule_call_at(1.0, print, None)
+
+
+def test_run_until_the_past_is_rejected_and_keeps_the_clock():
+    loop = EventLoop()
+    fired = []
+    loop.schedule_at(1.0, lambda: fired.append(1.0))
+    loop.schedule_at(9.0, lambda: fired.append(9.0))
+    loop.run(until=5.5)
+    with pytest.raises(MachineError):
+        loop.run(until=3.0)
+    assert loop.now == 5.5
+    # The already-simulated past stays closed to new events.
+    with pytest.raises(MachineError):
+        loop.schedule_at(4.0, lambda: fired.append(4.0))
+    loop.run()
+    assert fired == [1.0, 9.0]
+
+
+#: One scripted action: schedule an event *delay* after now, run until
+#: *delta* after now (negative: a bound in the past) with an optional
+#: event cap, or fire one event.
+ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.floats(0.0, 10.0)),
+        st.tuples(st.just("run"), st.floats(-5.0, 10.0), st.none() | st.integers(0, 4)),
+        st.tuples(st.just("step")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ACTIONS)
+def test_clock_is_monotone_and_events_fire_in_time_sequence_order(actions):
+    loop = EventLoop()
+    fired: list[tuple[float, int]] = []
+    scheduled = 0
+    for action in actions:
+        before = loop.now
+        if action[0] == "schedule":
+            loop.schedule_call_at(before + action[1], fired.append, (before + action[1], scheduled))
+            scheduled += 1
+        elif action[0] == "run":
+            until = before + action[1]
+            if until < before:
+                with pytest.raises(MachineError):
+                    loop.run(until=until, max_events=action[2])
+            else:
+                loop.run(until=until, max_events=action[2])
+        else:
+            loop.step()
+        assert loop.now >= before
+    loop.run()
+    assert fired == sorted(fired)
+    assert len(fired) == scheduled
 
 
 def test_step_fires_single_event():

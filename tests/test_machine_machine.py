@@ -32,11 +32,6 @@ class TestConfig:
         with pytest.raises(MachineError):
             MachineConfig(disk_nodes=(99,))
 
-    def test_with_override(self):
-        config = MachineConfig().with_(n_nodes=16)
-        assert config.n_nodes == 16
-        assert config.topology == "mesh"
-
     def test_paper_prototype_has_disks(self):
         config = paper_prototype()
         assert config.n_nodes == 64
@@ -95,20 +90,6 @@ class TestTransferCost:
         one_hop = machine.transfer_time(0, 1, n_bytes)
         many_hops = machine.transfer_time(0, 63, n_bytes)
         assert many_hops < one_hop * hops * 0.5
-
-    def test_message_time_is_single_packet(self):
-        machine = Machine(small_machine(4))
-        config = machine.config
-        hops = machine.router.hops(0, 1)
-        expected = hops * (config.packet_service_time_s + config.switch_delay_s)
-        assert machine.message_time(0, 1) == pytest.approx(expected)
-
-    def test_broadcast_is_worst_destination(self):
-        machine = Machine(MachineConfig(n_nodes=16))
-        worst = max(
-            machine.transfer_time(0, d, 500) for d in range(1, 16)
-        )
-        assert machine.broadcast_time(0, 500) == pytest.approx(worst)
 
 
 class TestCpuAndDiskCost:

@@ -38,7 +38,7 @@ class TestMemoryAccount:
         assert account.holding("t") == 700
         account.resize("t", 0)
         assert account.holding("t") == 0
-        assert "t" not in account.tags()
+        assert account.used == 0
 
     def test_resize_respects_capacity(self):
         account = MemoryAccount(100)
@@ -112,4 +112,4 @@ class TestDisk:
         assert "k" not in disk
         assert disk.stats.writes == 1
         assert disk.stats.bytes_written == 3
-        assert disk.used_bytes() == 0
+        assert disk.size_of("k") == 0

@@ -83,21 +83,6 @@ class TestMeasurement:
         assert net.stats.delivered == 1
         assert net.stats.injected == 1
 
-    def test_throughput_per_node(self):
-        net = small_network()
-        for destination in range(1, 9):
-            net.inject(0, destination)
-        net.loop.run()
-        assert net.throughput_per_node_pps(1.0) == pytest.approx(8 / 16)
-
-    def test_link_utilization_bounded(self):
-        net = small_network()
-        for _ in range(5):
-            net.inject(0, net.topology.neighbors(0)[0])
-        net.loop.run()
-        utilization = net.link_utilization(net.loop.now)
-        assert all(0.0 <= u <= 1.0 for u in utilization.values())
-
 
 class TestTrafficGenerators:
     def test_poisson_traffic_is_deterministic_under_seed(self):

@@ -1,38 +1,18 @@
-"""Unit tests for the smaller supporting modules: statistics helpers,
-result formatting, the evaluator facade, commit log, DBA statements."""
+"""Unit tests for the smaller supporting modules: table and result
+formatting, the evaluator facade, commit log, DBA statements."""
 
 import pytest
 
 from repro import MachineConfig, PrismaDB
 from repro.machine import Machine
-from repro.machine.stats import format_table, mean, percentile, stddev, variance
 from repro.exec.evaluation import INTERPRETATION_FACTOR, Evaluator, expression_weight
 from repro.exec.expressions import Arithmetic, Comparison, and_, col, eq, lit
 from repro.core.result import QueryResult
 from repro.core.twophase import CommitLog
+from repro.obs.export import format_table
 
 
 class TestStatsHelpers:
-    def test_mean_variance_stddev(self):
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        assert mean(values) == pytest.approx(5.0)
-        assert variance(values) == pytest.approx(32 / 7)
-        assert stddev(values) == pytest.approx((32 / 7) ** 0.5)
-
-    def test_empty_and_singleton(self):
-        assert mean([]) == 0.0
-        assert variance([3.0]) == 0.0
-        assert percentile([], 50) == 0.0
-        assert percentile([7.0], 99) == 7.0
-
-    def test_percentile_interpolates(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(values, 0) == 10.0
-        assert percentile(values, 100) == 40.0
-        assert percentile(values, 50) == pytest.approx(25.0)
-        with pytest.raises(ValueError):
-            percentile(values, 150)
-
     def test_format_table_alignment(self):
         text = format_table(["name", "n"], [["a", 1], ["bb", 22]])
         lines = text.splitlines()

@@ -26,9 +26,7 @@ from repro.exec.compiler import ExpressionCompilerCache
 from repro.exec.operators import WorkMeter
 from repro.exec.shuffle import SplitterCache
 from repro.machine import MachineNodesView, PacketNetwork
-from repro.machine.events import EventLoop
 from repro.machine.network import NetworkStats
-from repro.machine.profile import LoopProfiler
 from repro.machine.traffic import run_load_point
 from repro.obs import (
     Counter,
@@ -256,7 +254,6 @@ def _snapshot_surfaces() -> dict[str, Snapshot]:
         "in_doubt_resolution": in_doubt,
         "network": network.stats,
         "work_meter": meter,
-        "profiler": LoopProfiler(EventLoop()),
     }
 
 
@@ -335,9 +332,12 @@ def test_database_observe_facade():
 
 def test_machine_observe_shares_the_nodes_view():
     db = PrismaDB(DB_CONFIG)
-    view = db.machine.observe().source("nodes")
+    view = db.observe().source("nodes")
     assert isinstance(view, MachineNodesView)
-    assert db.observe().source("nodes") is view
+    # The registered view reads the database's own machine, live.
+    before = float(view.stats()["busy_total"])
+    db.machine.node(1).charge(0.25)
+    assert float(view.stats()["busy_total"]) == pytest.approx(before + 0.25)
 
 
 def test_observatory_rejects_duplicate_sources():
@@ -382,47 +382,3 @@ def test_executor_metrics_count_shuffles():
     # The unique1 join is not on the fragmentation column, so at least
     # one side repartitioned.
     assert stats["executor.repartitions"]["value"] >= 1
-
-
-# -- LoopProfiler default clock (the PL001-plumbing bugfix) ------------------
-
-
-def test_loop_profiler_uses_the_class_default_clock():
-    ticks = iter([1.0, 3.5])
-    saved = LoopProfiler.default_clock
-    LoopProfiler.default_clock = lambda: next(ticks)
-    try:
-        with LoopProfiler(EventLoop()) as profiler:
-            pass
-        assert profiler.profile.wall_s == 2.5
-    finally:
-        LoopProfiler.default_clock = saved
-
-
-def test_loop_profiler_without_any_clock_reports_zero_wall():
-    saved = LoopProfiler.default_clock
-    LoopProfiler.default_clock = None
-    try:
-        with LoopProfiler(EventLoop()) as profiler:
-            pass
-        assert profiler.profile.wall_s == 0.0
-        assert profiler.profile.events_per_sec == 0.0
-    finally:
-        LoopProfiler.default_clock = saved
-
-
-def test_loop_profiler_fingerprint_excludes_wall_time():
-    loop = EventLoop()
-    saved = LoopProfiler.default_clock
-    try:
-        LoopProfiler.default_clock = None
-        with LoopProfiler(loop) as without_clock:
-            pass
-        ticks = iter([0.0, 123.0])
-        LoopProfiler.default_clock = lambda: next(ticks)
-        with LoopProfiler(loop) as with_clock:
-            pass
-    finally:
-        LoopProfiler.default_clock = saved
-    assert with_clock.profile.wall_s == 123.0
-    assert without_clock.fingerprint() == with_clock.fingerprint()

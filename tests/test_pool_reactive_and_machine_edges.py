@@ -9,7 +9,6 @@ class TestMachineEdges:
     def test_single_node_machine(self):
         machine = Machine(MachineConfig(n_nodes=1, topology="complete", disk_nodes=(0,)))
         assert machine.transfer_time(0, 0, 10_000) == 0.0
-        assert machine.broadcast_time(0, 100) == 0.0
         assert machine.nearest_disk_node(0) == 0
 
     def test_zero_byte_transfer_free(self):
@@ -31,8 +30,3 @@ class TestMachineEdges:
         assert memory.peak >= 1_000_000
         assert memory.used == 0
 
-    def test_startup_time_scales(self):
-        machine = Machine(MachineConfig(n_nodes=2))
-        assert machine.startup_time(3) == pytest.approx(
-            3 * machine.config.cpu_start_cost_s
-        )
