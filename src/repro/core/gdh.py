@@ -495,9 +495,19 @@ class GlobalDataHandler:
         return copies
 
     def _build_index_everywhere(self, info: TableInfo, index: IndexInfo) -> None:
-        for fragment in info.fragments:
-            for ofm in self.fragment_copies(info, fragment.fragment_id):
-                ofm.create_index(index.name, index.columns, index.unique, index.method)
+        """Build *index* on every live copy of every fragment, or on none:
+        when a copy refuses it (a duplicate within a fragment under
+        UNIQUE), drop it from the copies already built and re-raise."""
+        built = []
+        try:
+            for fragment in info.fragments:
+                for ofm in self.fragment_copies(info, fragment.fragment_id):
+                    ofm.create_index(index.name, index.columns, index.unique, index.method)
+                    built.append(ofm)
+        except Exception:
+            for ofm in built:
+                ofm.table.drop_index(index.name)
+            raise
         info.indexes.append(index)
 
     def _create_index(

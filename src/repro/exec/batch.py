@@ -75,13 +75,14 @@ def compile_join_kernel(
 ) -> JoinBatchKernel:
     """INNER equi-join kernel: build once, probe in one comprehension.
 
-    Semantics are identical to the :func:`~repro.exec.operators.hash_join`
-    INNER fast path: NULL keys on either side never match (the build
-    side skips them, so a NULL probe key simply misses), matches emit in
-    left-row order with build-insertion order inside a key, and output
-    rows are ``left_row + right_row``.  Probing with the raw value (or
-    key tuple) as the dict key gives one dict lookup per left row with
-    no key-extractor call.
+    Semantics are identical to an INNER
+    :func:`~repro.exec.operators.hash_join` without residual: NULL keys
+    on either side never match (the build side skips them, so a NULL
+    probe key simply misses), matches emit in left-row order with
+    build-insertion order inside a key, and output rows are
+    ``left_row + right_row``.  Probing with the raw value (or key tuple)
+    as the dict key gives one dict lookup per left row with no
+    key-extractor call.
     """
     left_keys = tuple(left_keys)
     right_keys = tuple(right_keys)

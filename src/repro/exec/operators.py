@@ -42,16 +42,6 @@ class WorkMeter(SnapshotMixin):
     hashes: float = 0.0
     compares: float = 0.0
 
-    def add(self, other: "WorkMeter") -> None:
-        self.tuples += other.tuples
-        self.hashes += other.hashes
-        self.compares += other.compares
-
-    def scaled(self, factor: float) -> "WorkMeter":
-        return WorkMeter(
-            self.tuples * factor, self.hashes * factor, self.compares * factor
-        )
-
     def stats(self) -> dict[str, float]:
         return {
             "tuples": self.tuples,
@@ -148,20 +138,6 @@ def hash_join(
     output: Rows = []
     append = output.append
     get = table.get
-    if kind is JoinKind.INNER and residual is None:
-        # The hot path (equi-joins in every shuffle round): no residual
-        # filter, no padding, no per-row branch ladder.
-        for row in left:
-            key = left_key(row)
-            if None in key:
-                continue
-            matches = get(key)
-            if matches:
-                for match in matches:
-                    append(row + match)
-        meter.tuples += len(output)
-        return output
-
     pad = (None,) * (right_width or 0)
     for row in left:
         key = left_key(row)
@@ -201,8 +177,8 @@ def hash_join_batch(
     The kernel (see :func:`repro.exec.batch.compile_join_kernel`) builds
     the hash table over *right* once and probes with a single
     dict-lookup loop over *left* — key extraction inlined, no per-row
-    calls.  Output rows/order and meter charges are identical to the
-    :func:`hash_join` INNER fast path.
+    calls.  Output rows/order and meter charges are identical to
+    :func:`hash_join` with ``kind=INNER`` and no residual.
     """
     meter.hashes += len(right) + len(left)
     output = kernel(left, right)
@@ -529,17 +505,12 @@ def aggregate_rows(
     ``group_key=None`` a single global row is produced even for empty
     input (COUNT gives 0, the others NULL) — SQL semantics.
 
-    Work charges are closed-form per batch (:func:`charge_aggregate`);
-    the common spec shapes run through batched fast paths that keep
-    flat accumulator lists instead of per-group ``_AggState`` objects.
-    Accumulation order — and hence float results, NULL handling, and
-    group output order — is identical to the generic loop.
+    Work charges are closed-form per batch (:func:`charge_aggregate`).
+    This is the row path (the interpreted back-end, DISTINCT aggregates,
+    the identity oracle); the compiled pipeline's aggregate kernel
+    accumulates in the same order, so float results, NULL handling and
+    group output order agree.
     """
-    if not any(spec.distinct for spec in specs):
-        output = _aggregate_fast(rows, group_key, specs)
-        charge_aggregate(meter, len(rows), len(output))
-        return output
-
     groups: dict[tuple, list[_AggState]] = {}
 
     def new_states() -> list[_AggState]:
@@ -572,77 +543,3 @@ def aggregate_rows(
     charge_aggregate(meter, len(rows), len(output))
     return output
 
-
-def _aggregate_fast(
-    rows: Sequence[Row], group_key: KeyFn | None, specs: Sequence[AggSpec]
-) -> Rows:
-    """Non-DISTINCT aggregation over flat ``[count, total, min, max]``
-    accumulator lists (4 slots per spec, one list per group)."""
-    args = [spec.arg for spec in specs]
-    n_specs = len(specs)
-
-    if n_specs == 1 and args[0] is None:
-        # Pure COUNT(*): a plain int per group.
-        counts: dict[tuple, int] = {}
-        if group_key is None:
-            counts[()] = 0
-            for _row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
-                counts[()] += 1
-        else:
-            get = counts.get
-            try:
-                for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
-                    key = group_key(row)
-                    counts[key] = get(key, 0) + 1
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ExecutionError(f"aggregate argument failed: {exc}") from None
-        return [tuple(key) + (count,) for key, count in counts.items()]
-
-    groups: dict[tuple, list] = {}
-    template = [0, None, None, None] * n_specs
-    if group_key is None:
-        groups[()] = list(template)
-    get = groups.get
-    try:
-        for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows(), which dispatches here
-            key = group_key(row) if group_key is not None else ()
-            state = get(key)
-            if state is None:
-                groups[key] = state = list(template)
-            base = 0
-            for arg in args:
-                if arg is None:
-                    state[base] += 1
-                else:
-                    value = arg(row)
-                    if value is not None:
-                        state[base] += 1
-                        total = state[base + 1]
-                        state[base + 1] = value if total is None else total + value
-                        if state[base + 2] is None or value < state[base + 2]:
-                            state[base + 2] = value
-                        if state[base + 3] is None or value > state[base + 3]:
-                            state[base + 3] = value
-                base += 4
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"aggregate argument failed: {exc}") from None
-
-    output: Rows = []
-    for key, state in groups.items():
-        values = []
-        for index, spec in enumerate(specs):
-            base = index * 4
-            func = spec.func
-            if func == "count":
-                values.append(state[base])
-            elif func == "sum":
-                values.append(state[base + 1])
-            elif func == "avg":
-                count = state[base]
-                values.append(None if count == 0 else state[base + 1] / count)
-            elif func == "min":
-                values.append(state[base + 2])
-            else:
-                values.append(state[base + 3])
-        output.append(tuple(key) + tuple(values))
-    return output

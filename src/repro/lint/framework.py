@@ -263,8 +263,8 @@ def charges(fn: FunctionNode) -> bool:
     """Does *fn* itself account for the simulated work it does?
 
     It does when it calls ``*charge*``, bumps a meter's counters
-    (``meter.tuples += n``, ``meter.add(...)``), hands a meter to a
-    callee, or takes a meter parameter (its caller hands it the meter).
+    (``meter.tuples += n``), hands a meter to a callee, or takes a meter
+    parameter (its caller hands it the meter).
     Nothing else counts: a callee's body is never consulted, so a
     function whose work is billed elsewhere names that site in a
     ``disable=`` pragma, the one place a cross-function charge is
@@ -281,12 +281,6 @@ def charges(fn: FunctionNode) -> bool:
         if isinstance(node, ast.Call):
             name = call_name(node)
             if "charge" in name:
-                return True
-            if (
-                name == "add"
-                and isinstance(node.func, ast.Attribute)
-                and _names_meter(node.func.value)
-            ):
                 return True
             if any(
                 _names_meter(arg)

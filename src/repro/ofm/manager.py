@@ -18,6 +18,10 @@ its predicates run through the per-OFM expression-compiler cache, local
 subplans execute through :class:`~repro.algebra.local_exec.LocalExecutor`
 (charging simulated CPU to the element), and — in the ``FULL`` profile —
 every update is WAL-logged so the fragment survives crashes.
+
+Markings and cursors are not modelled: a statement ships its predicate
+here and :meth:`OneFragmentManager.filtered_scan` returns the matching
+rows in one call, so no statement holds a position in the fragment.
 """
 
 from __future__ import annotations
@@ -41,9 +45,7 @@ from repro.exec.operators import Row, WorkMeter
 from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.plan import PlanNode
 from repro.pool.process import PoolProcess
-from repro.storage.cursor import Cursor
 from repro.storage.indexes import OrderedIndex
-from repro.storage.markings import MarkingSet
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.ofm.wal import (
@@ -102,7 +104,6 @@ class OneFragmentManager(PoolProcess):
         #: PRISMA proper keeps this False (main memory as primary store).
         self.disk_resident = disk_resident
         self.table = Table(name, schema, memory=self.memory)
-        self.markings = MarkingSet(self.table)
         self.evaluator = Evaluator(compiled=compiled_expressions)
         self.wal: WriteAheadLog | None = None
         if profile is OFMProfile.FULL:
@@ -149,12 +150,6 @@ class OneFragmentManager(PoolProcess):
                 self.machine.disk_time(self.node_id, n_rows * page, sequential=False)
             )
 
-    def _predicate(self, predicate_expr) -> Callable[[Row], bool] | None:
-        if predicate_expr is None:
-            return None
-        fn, _ = self.evaluator.predicate(predicate_expr)
-        return fn
-
     # -- bulk loading -----------------------------------------------------------------
 
     def bulk_load(self, rows: Sequence[Row]) -> int:
@@ -180,10 +175,10 @@ class OneFragmentManager(PoolProcess):
             self.wal.append(record)
 
     def txn_insert(self, txn_id: int, row: Row) -> int:
-        validated = self.table.schema.validate_row(row)
-        rid = self.table.insert(validated)
-        self._log(InsertRecord(txn_id, rid, validated))
-        self._undo.setdefault(txn_id, []).append(("insert", rid, validated))
+        rid = self.table.insert(row)
+        stored = self.table.get(rid)
+        self._log(InsertRecord(txn_id, rid, stored))
+        self._undo.setdefault(txn_id, []).append(("insert", rid, stored))
         self._charge_disk_touch(1)
         self._charge_meter(WorkMeter(tuples=1))
         return rid
@@ -208,11 +203,11 @@ class OneFragmentManager(PoolProcess):
             rids, remaining = found
             pairs = [(rid, self.table.get(rid)) for rid in rids]
             predicate_expr = and_(*remaining) if remaining else None
-        if predicate_expr is not None and params:
-            predicate_expr = substitute_params(predicate_expr, params)
-        predicate = self._predicate(predicate_expr)
-        if predicate is None:
+        if predicate_expr is None:
             return pairs
+        if params:
+            predicate_expr = substitute_params(predicate_expr, params)
+        predicate, _ = self.evaluator.predicate(predicate_expr)
         return [(rid, row) for rid, row in pairs if predicate(row)]  # prismalint: disable=PL101 -- charged in txn_update_where / txn_delete_where (the scan's cost)
 
     def txn_delete_where(self, txn_id: int, predicate_expr, params: Sequence = ()) -> int:
@@ -243,10 +238,11 @@ class OneFragmentManager(PoolProcess):
         changed: list[tuple[Row, Row]] = []
         for rid, row in self._victims(predicate_expr, params):
             try:
-                new_row = self.table.schema.validate_row(compute_new_row(row))
+                new_row = compute_new_row(row)
             except (TypeError, ZeroDivisionError) as exc:
                 raise ExecutionError(f"UPDATE expression failed: {exc}") from None
             old = self.table.update(rid, new_row)
+            new_row = self.table.get(rid)
             self._log(UpdateRecord(txn_id, rid, old, new_row))
             self._undo.setdefault(txn_id, []).append(("update", rid, old, new_row))
             changed.append((old, new_row))
@@ -446,10 +442,6 @@ class OneFragmentManager(PoolProcess):
         self._charge_meter(meter)
         return rows, True
 
-    def open_cursor(self, predicate_expr=None, marking: str | None = None) -> Cursor:
-        marking_obj = self.markings.get(marking) if marking else None
-        return Cursor(self.table, marking_obj, self._predicate(predicate_expr))
-
     # -- index management ------------------------------------------------------------------------
 
     def create_index(
@@ -471,17 +463,21 @@ class OneFragmentManager(PoolProcess):
         self.charge(cost)
         return cost
 
-    def crash(self) -> None:
-        """Lose all volatile state (the table stays allocated until the
-        recovery pass rebuilds it — memory accounting survives crashes
-        only in the sense that restart reuses the same element)."""
+    def _lose_volatile_state(self) -> None:
+        """The rows, the undo chains, the 2PC state and the unforced log
+        records: everything a crash takes and recovery rebuilds."""
         self.table.truncate()
         self._undo.clear()
         self._prepared.clear()
         self._committed.clear()
         if self.wal is not None:
-            # Unforced records are volatile and die with the crash.
-            self.wal._buffer.clear()
+            self.wal.lose_unforced()
+
+    def crash(self) -> None:
+        """Lose all volatile state (the table stays allocated until the
+        recovery pass rebuilds it — memory accounting survives crashes
+        only in the sense that restart reuses the same element)."""
+        self._lose_volatile_state()
 
     def halt(self) -> None:
         """This OFM's element failed: volatile state is gone for good.
@@ -492,13 +488,8 @@ class OneFragmentManager(PoolProcess):
         the memory reservation so the successor can re-account it;
         durable WAL chunks and snapshots survive on the disk elements.
         """
-        self.table.truncate()
+        self._lose_volatile_state()
         self.table.release_memory()
-        self._undo.clear()
-        self._prepared.clear()
-        self._committed.clear()
-        if self.wal is not None:
-            self.wal._buffer.clear()
 
     def recover(self, outcome_of: Callable[[int], str]) -> tuple[int, float]:
         """Rebuild the fragment from snapshot + WAL.
@@ -511,10 +502,7 @@ class OneFragmentManager(PoolProcess):
             raise InvalidTransactionState(
                 f"query-profile OFM {self.name!r} has no recovery facilities"
             )
-        self.table.truncate()
-        self._undo.clear()
-        self._prepared.clear()
-        self._committed.clear()
+        self._lose_volatile_state()
         snapshot, cost = self.wal.read_snapshot()
         for rid, row in snapshot:
             self.table.insert_with_rid(rid, row)

@@ -171,9 +171,9 @@ class WriteAheadLog:
         )
         return network + self.disk.write(key, payload, sequential=True)
 
-    @property
-    def pending(self) -> int:
-        return len(self._buffer)
+    def lose_unforced(self) -> None:
+        """A crash: buffered records are volatile and die with it."""
+        self._buffer.clear()
 
     # -- checkpointing ---------------------------------------------------------------
 

@@ -94,7 +94,9 @@ class OrderedIndex(_IndexBase):
 
     Entries are ``(key, rid)`` pairs kept sorted; point and range lookups
     use binary search.  Keys must be mutually comparable (single-type
-    columns guarantee this; NULLs are not indexable).
+    columns guarantee this).  A key with a NULL part is left out rather
+    than refused: no lookup reads a NULL key, and since every comparison
+    with NULL is false (DESIGN §8) no range holds such a row.
     """
 
     def __init__(self, name: str, key_positions: Sequence[int], unique: bool = False):
@@ -103,10 +105,8 @@ class OrderedIndex(_IndexBase):
 
     def insert(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
-        if any(part is None for part in key):
-            raise StorageError(
-                f"ordered index {self.name!r} cannot index NULL key {key!r}"
-            )
+        if None in key:
+            return
         position = bisect.bisect_left(self._entries, (key, -1))
         if self.unique and position < len(self._entries):
             existing_key, _ = self._entries[position]
@@ -118,6 +118,8 @@ class OrderedIndex(_IndexBase):
 
     def delete(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
+        if None in key:
+            return
         position = bisect.bisect_left(self._entries, (key, -1))
         while position < len(self._entries):
             entry_key, entry_rid = self._entries[position]
@@ -164,12 +166,6 @@ class OrderedIndex(_IndexBase):
                     break
             rids.append(rid)
         return rids
-
-    def min_key(self) -> Key | None:
-        return self._entries[0][0] if self._entries else None
-
-    def max_key(self) -> Key | None:
-        return self._entries[-1][0] if self._entries else None
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,8 +1,7 @@
 """Relation schemas: named, typed column lists.
 
 A :class:`Schema` validates and coerces rows (plain Python tuples),
-computes their storage footprint, and supports the structural operations
-the algebra needs — projection, concatenation for joins, renaming.
+computes their storage footprint, and concatenates for join results.
 """
 
 from __future__ import annotations
@@ -88,9 +87,6 @@ class Schema:
                 f"no column {name!r}; have {', '.join(self.names())}"
             ) from None
 
-    def column(self, name: str) -> Column:
-        return self.columns[self.index_of(name)]
-
     def types(self) -> list[DataType]:
         return [column.data_type for column in self.columns]
 
@@ -128,12 +124,6 @@ class Schema:
 
     # -- structural operations -------------------------------------------------------
 
-    def project(self, names: Sequence[str]) -> "Schema":
-        return Schema(self.column(name) for name in names)
-
-    def project_indexes(self, indexes: Sequence[int]) -> "Schema":
-        return Schema(self.columns[i] for i in indexes)
-
     def concat(self, other: "Schema", disambiguate: bool = True) -> "Schema":
         """Schema of a join result; clashing names get a ``_r`` suffix."""
         taken = set(self.names())
@@ -152,17 +142,6 @@ class Schema:
             taken.add(name)
             merged.append(column.with_name(name))
         return Schema(merged)
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        return Schema(
-            column.with_name(mapping.get(column.name, column.name))
-            for column in self.columns
-        )
-
-    def prefixed(self, prefix: str) -> "Schema":
-        return Schema(
-            column.with_name(f"{prefix}.{column.name}") for column in self.columns
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.data_type.value}" for c in self.columns)

@@ -3,20 +3,26 @@
 A :class:`Table` stores one relation fragment entirely in main memory:
 an insertion-ordered map from *row id* to tuple, plus any number of
 secondary indexes.  Row ids are stable for the life of a row, which is
-what cursors, markings, and the write-ahead log key on.
+what the indexes, the write-ahead log and the undo chains key on.
+
+Every write reaches the indexes through two private steps: ``_enter``
+puts a row in every index or, when one refuses it (a unique key already
+taken), in none; ``_remove`` takes a row out of every index.  A refused
+write leaves the rows and the indexes exactly as they were.
 
 When the table is bound to a :class:`~repro.machine.memory.MemoryAccount`
 (a processing element's 16 MByte budget), every mutation re-accounts the
 footprint, so overfilling an element raises
-:class:`~repro.errors.OutOfMemoryError` — placement has real consequences.
+:class:`~repro.errors.OutOfMemoryError` — placement has real consequences
+— and the write that would have overfilled it is taken back.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
-from repro.errors import StorageError
+from repro.errors import OutOfMemoryError, StorageError
 from repro.machine.memory import MemoryAccount
 from repro.storage.indexes import HashIndex, Index, OrderedIndex
 from repro.storage.schema import Row, Schema
@@ -63,70 +69,86 @@ class Table:
 
     # -- mutation ---------------------------------------------------------------
 
+    def _enter(self, rid: int, row: Row) -> None:
+        """Enter *row* under *rid* in every index, or in none: when an
+        index refuses it, take it back out of the indexes it entered."""
+        indexes = self.indexes.values()
+        try:
+            for index in indexes:
+                index.insert(rid, row)
+        except Exception:
+            for entered in indexes:
+                if entered is index:
+                    break
+                entered.delete(rid, row)
+            raise
+
+    def _remove(self, rid: int, row: Row) -> None:
+        """Take *row* under *rid* out of every index."""
+        for index in self.indexes.values():
+            index.delete(rid, row)
+
+    def _store(self, rid: int, row: Row) -> None:
+        """Store the validated *row* under the unused *rid* — its index
+        entries, the row and its bytes — or, when an index refuses it or
+        the element runs out of memory, none of them."""
+        self._enter(rid, row)
+        size = self.schema.row_bytes(row)
+        self._data_bytes += size
+        try:
+            self._reaccount()
+        except OutOfMemoryError:
+            self._data_bytes -= size
+            self._remove(rid, row)
+            raise
+        self._rows[rid] = row
+
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and store *row*; returns its new row id."""
         validated = self.schema.validate_row(row)
         rid = self._next_rid
-        # Index first: a unique violation must not leave a stored row.
-        for index in self.indexes.values():
-            index.insert(rid, validated)
-        self._next_rid += 1
-        self._rows[rid] = validated
-        self._data_bytes += self.schema.row_bytes(validated)
-        try:
-            self._reaccount()
-        except Exception:
-            # Roll the insert back so memory exhaustion is clean.
-            for index in self.indexes.values():
-                index.delete(rid, validated)
-            del self._rows[rid]
-            self._data_bytes -= self.schema.row_bytes(validated)
-            raise
+        self._store(rid, validated)
+        self._next_rid = rid + 1
         return rid
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
-        return [self.insert(row) for row in rows]
 
     def insert_with_rid(self, rid: int, row: Sequence[Any]) -> None:
         """Re-insert a row under a known id (recovery/undo path)."""
         if rid in self._rows:
             raise StorageError(f"row id {rid} already present in {self.name!r}")
-        validated = self.schema.validate_row(row)
-        for index in self.indexes.values():
-            index.insert(rid, validated)
-        self._rows[rid] = validated
+        self._store(rid, self.schema.validate_row(row))
         self._next_rid = max(self._next_rid, rid + 1)
-        self._data_bytes += self.schema.row_bytes(validated)
-        self._reaccount()
 
     def delete(self, rid: int) -> Row:
         """Remove and return the row under *rid*."""
         row = self.get(rid)
-        for index in self.indexes.values():
-            index.delete(rid, row)
+        self._remove(rid, row)
         del self._rows[rid]
         self._data_bytes -= self.schema.row_bytes(row)
         self._reaccount()
         return row
 
     def update(self, rid: int, new_row: Sequence[Any]) -> Row:
-        """Replace the row under *rid*; returns the old row."""
+        """Replace the row under *rid*; returns the old row.  A refused
+        update (an index or the element's memory) leaves the old row and
+        its index entries in place."""
         old_row = self.get(rid)
         validated = self.schema.validate_row(new_row)
-        for index in self.indexes.values():
-            index.delete(rid, old_row)
+        self._remove(rid, old_row)
         try:
-            for index in self.indexes.values():
-                index.insert(rid, validated)
+            self._enter(rid, validated)
         except Exception:
-            # Restore old index entries before propagating.
-            for index in self.indexes.values():
-                index.delete(rid, validated)
-                index.insert(rid, old_row)
+            self._enter(rid, old_row)
+            raise
+        growth = self.schema.row_bytes(validated) - self.schema.row_bytes(old_row)
+        self._data_bytes += growth
+        try:
+            self._reaccount()
+        except OutOfMemoryError:
+            self._data_bytes -= growth
+            self._remove(rid, validated)
+            self._enter(rid, old_row)
             raise
         self._rows[rid] = validated
-        self._data_bytes += self.schema.row_bytes(validated) - self.schema.row_bytes(old_row)
-        self._reaccount()
         return old_row
 
     def truncate(self) -> int:
@@ -182,7 +204,11 @@ class Table:
         for rid, row in self._rows.items():
             index.insert(rid, row)
         self.indexes[index.name] = index
-        self._reaccount()
+        try:
+            self._reaccount()
+        except OutOfMemoryError:
+            del self.indexes[index.name]
+            raise
         return index
 
     def drop_index(self, name: str) -> None:
@@ -190,14 +216,6 @@ class Table:
             raise StorageError(f"no index {name!r} on table {self.name!r}")
         del self.indexes[name]
         self._reaccount()
-
-    def index_on(self, columns: Sequence[str]) -> Index | None:
-        """An existing index whose key is exactly *columns*, if any."""
-        positions = tuple(self.schema.index_of(c) for c in columns)
-        for index in self.indexes.values():
-            if index.key_positions == positions:
-                return index
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={len(self)}, bytes={self.footprint_bytes()})"

@@ -43,13 +43,12 @@ def emp_schema() -> Schema:
 @pytest.fixture
 def emp_table(emp_schema) -> Table:
     table = Table("emp", emp_schema)
-    table.insert_many(
-        [
-            (1, "ada", "eng", 120.0),
-            (2, "bob", "eng", 95.0),
-            (3, "cy", "sales", 80.0),
-            (4, "dee", "sales", 85.0),
-            (5, "eve", "hr", 70.0),
-        ]
-    )
+    for row in [
+        (1, "ada", "eng", 120.0),
+        (2, "bob", "eng", 95.0),
+        (3, "cy", "sales", 80.0),
+        (4, "dee", "sales", 85.0),
+        (5, "eve", "hr", 70.0),
+    ]:
+        table.insert(row)
     return table

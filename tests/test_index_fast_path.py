@@ -4,6 +4,7 @@
 import pytest
 
 from repro import MachineConfig, PrismaDB
+from repro.errors import StorageError
 from repro.exec.expressions import Comparison, and_, col, eq, lit
 from repro.machine import Machine
 from repro.ofm import OFMProfile, OneFragmentManager
@@ -120,3 +121,60 @@ class TestThroughTheEngine:
         slow = db.execute("SELECT COUNT(*) FROM t WHERE id + 0 = 5")  # defeats index
         fast = db.execute("SELECT COUNT(*) FROM t WHERE id = 5")
         assert fast.response_time < slow.response_time
+
+
+class TestRefusedWrites:
+    """A refused write leaves no index entry, and CREATE INDEX is
+    all-or-nothing across a table's fragment copies (DESIGN §8)."""
+
+    @pytest.fixture
+    def db(self):
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        return db
+
+    def test_refused_insert_leaves_no_primary_key_entry(self, db):
+        db.execute("CREATE UNIQUE INDEX u ON t (v)")
+        db.execute("INSERT INTO t VALUES (1, 10)")
+        with pytest.raises(StorageError):
+            db.execute("INSERT INTO t VALUES (2, 10)")
+        db.execute("INSERT INTO t VALUES (3, 30)")
+        assert db.query("SELECT * FROM t WHERE id = 2") == []
+        db.execute("INSERT INTO t VALUES (2, 20)")
+        assert db.query("SELECT * FROM t WHERE id = 2") == [(2, 20)]
+        assert db.query("SELECT * FROM t WHERE id = 3") == [(3, 30)]
+
+    def test_btree_index_leaves_null_keys_out(self, db):
+        db.execute("CREATE INDEX o ON t (v) USING BTREE")
+        db.execute("INSERT INTO t VALUES (1, 10)")
+        db.execute("INSERT INTO t VALUES (2, NULL)")
+        db.execute("INSERT INTO t VALUES (3, 30)")
+        assert db.query("SELECT * FROM t WHERE id = 2") == [(2, None)]
+        assert db.query("SELECT * FROM t WHERE id = 3") == [(3, 30)]
+        assert db.query("SELECT id FROM t WHERE v < 100 ORDER BY id") == [(1,), (3,)]
+        assert db.query("SELECT id FROM t WHERE v >= 0 ORDER BY id") == [(1,), (3,)]
+        db.execute("UPDATE t SET v = NULL WHERE id = 1")
+        db.execute("UPDATE t SET v = 20 WHERE id = 2")
+        assert db.query("SELECT id FROM t WHERE v > 0 ORDER BY id") == [(2,), (3,)]
+        db.execute("DELETE FROM t WHERE v IS NULL")
+        assert db.query("SELECT id FROM t ORDER BY id") == [(2,), (3,)]
+
+    def test_create_index_is_all_or_nothing_across_fragments(self):
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(id) INTO 4"
+        )
+        for i in range(16):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+        # Two rows of the last fragment share v, so every copy before it
+        # builds a unique index on v and that one refuses it.
+        last = db.gdh.fragment_ofms["t.3"]
+        a, b = sorted(row[0] for row in last.table.rows())[:2]
+        db.execute(f"UPDATE t SET v = {a} WHERE id = {b}")
+        with pytest.raises(StorageError):
+            db.execute("CREATE UNIQUE INDEX u ON t (v)")
+        assert not any("u" in ofm.table.indexes for ofm in db.gdh.fragment_ofms.values())
+        db.execute(f"DELETE FROM t WHERE id = {b}")
+        db.execute("CREATE UNIQUE INDEX u ON t (v)")
+        assert all("u" in ofm.table.indexes for ofm in db.gdh.fragment_ofms.values())
+        assert db.query(f"SELECT id FROM t WHERE v = {a}") == [(a,)]

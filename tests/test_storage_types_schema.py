@@ -88,16 +88,6 @@ class TestSchema:
         schema = Schema.of(a=DataType.INT, b=DataType.STRING)
         assert schema.row_bytes((1, "xy")) == 4 + 4
 
-    def test_project(self):
-        schema = Schema.of(a=DataType.INT, b=DataType.STRING, c=DataType.FLOAT)
-        projected = schema.project(["c", "a"])
-        assert projected.names() == ["c", "a"]
-        assert projected.types() == [DataType.FLOAT, DataType.INT]
-
-    def test_project_indexes(self):
-        schema = Schema.of(a=DataType.INT, b=DataType.STRING)
-        assert schema.project_indexes([1]).names() == ["b"]
-
     def test_concat_disambiguates(self):
         left = Schema.of(id=DataType.INT, name=DataType.STRING)
         right = Schema.of(id=DataType.INT, city=DataType.STRING)
@@ -113,11 +103,6 @@ class TestSchema:
         left = Schema.of(id=DataType.INT)
         with pytest.raises(StorageError):
             left.concat(Schema.of(id=DataType.INT), disambiguate=False)
-
-    def test_rename_and_prefix(self):
-        schema = Schema.of(a=DataType.INT, b=DataType.INT)
-        assert schema.rename({"a": "x"}).names() == ["x", "b"]
-        assert schema.prefixed("t").names() == ["t.a", "t.b"]
 
     def test_equality_and_hash(self):
         a = Schema.of(x=DataType.INT)
