@@ -426,6 +426,9 @@ def _columnar_benches() -> dict[str, tuple]:
     the in-run oracle and the other side of the wall ratio.
     """
     rows, right = _columnar_rows(12_000, 42), _columnar_rows(1_200, 43)
+    # analytic_closure's joins: unique keys (the ids) over 1 500-row parts,
+    # the other side of the kernel's uniqueness test from ``join``.
+    part, part_right = _columnar_rows(1_500, 44), _columnar_rows(1_500, 45)
     meter = WorkMeter()  # row references need one; output never depends on it
     evaluator, row_evaluator = Evaluator(), Evaluator(batch=False)
 
@@ -438,6 +441,7 @@ def _columnar_benches() -> dict[str, tuple]:
     proj_fn, _ = evaluator.projector(proj_exprs)
 
     join_kernel = kernels.compile_join_kernel((1,), (1,))
+    unique_join_kernel = kernels.compile_join_kernel((0,), (0,))
 
     agg_kernel = kernels.compile_agg_kernel(
         (2,), [("count", None), ("sum", col(0)), ("min", col(3))]
@@ -488,6 +492,13 @@ def _columnar_benches() -> dict[str, tuple]:
             3,
             lambda: join_kernel(rows, right),
             lambda: rowops.hash_join(rows, right, lambda r: (r[1],), lambda r: (r[1],), meter),
+        ),
+        "join_unique": (
+            20,
+            lambda: unique_join_kernel(part, part_right),
+            lambda: rowops.hash_join(
+                part, part_right, lambda r: (r[0],), lambda r: (r[0],), meter
+            ),
         ),
         "agg": (
             5,

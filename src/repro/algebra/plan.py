@@ -625,14 +625,17 @@ class JoinNode(PlanNode):
         condition = self.condition.to_sql() if self.condition else "TRUE"
         return f"Join[{self.kind.value} on {condition}]"
 
-    def equi_keys(self) -> tuple[list[int], list[int], Expr | None]:
+    def equi_keys(self) -> tuple[tuple[int, ...], tuple[int, ...], Expr | None]:
         """Split the condition into equi-join key pairs and a residual.
 
         Returns ``(left_positions, right_positions, residual)`` where the
         right positions are relative to the right child's schema.  Used
         by the optimizer to pick hash joins and by the parallelizer to
-        repartition on join keys.
+        repartition on join keys; computed once per node.
         """
+        return self.memo("equi_keys", JoinNode._split_condition)
+
+    def _split_condition(self) -> tuple[tuple[int, ...], tuple[int, ...], Expr | None]:
         from repro.exec.expressions import (
             ColumnRef,
             Comparison,
@@ -645,7 +648,7 @@ class JoinNode(PlanNode):
         right_keys: list[int] = []
         residual: list[Expr] = []
         if self.condition is None:
-            return left_keys, right_keys, None
+            return (), (), None
         for conjunct in conjuncts(self.condition):
             if (
                 isinstance(conjunct, Comparison)
@@ -664,7 +667,7 @@ class JoinNode(PlanNode):
                     continue
             residual.append(conjunct)
         residual_expr = make_and(*residual) if residual else None
-        return left_keys, right_keys, residual_expr
+        return tuple(left_keys), tuple(right_keys), residual_expr
 
 
 class SetOpNode(PlanNode):

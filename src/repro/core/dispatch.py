@@ -587,7 +587,7 @@ class _StepCompiler:
 
     def _JoinNode(self, plan: JoinNode) -> Step:
         left, right = self.node(plan.left), self.node(plan.right)
-        left_keys, right_keys = (tuple(keys) for keys in plan.equi_keys()[:2])
+        left_keys, right_keys, _ = plan.equi_keys()
         condition, instantiate = _binding(plan.condition), _holds_params(plan.condition)
 
         def step(ex) -> DistRelation:

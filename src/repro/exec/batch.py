@@ -30,6 +30,7 @@ row-at-a-time form it replaces.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from operator import itemgetter
 
 from repro.errors import ExecutionError
 from repro.exec.compiler import _build_source
@@ -61,15 +62,6 @@ def compile_batch_projector(exprs: Sequence[Expr]) -> BatchKernel:
     return kernel_of(("project", tuple(exprs)))
 
 
-def _key_exprs(positions: Sequence[int]) -> tuple[str, str]:
-    """(key-building code, NULL-test code) for build-side rows."""
-    if len(positions) == 1:
-        return f"row[{positions[0]}]", f"_k is None"
-    key = "(" + ", ".join(f"row[{c}]" for c in positions) + ")"
-    null_test = " or ".join(f"row[{c}] is None" for c in positions)
-    return key, null_test
-
-
 def compile_join_kernel(
     left_keys: Sequence[int], right_keys: Sequence[int]
 ) -> JoinBatchKernel:
@@ -83,6 +75,13 @@ def compile_join_kernel(
     ``left_row + right_row``.  Probing with the raw value (or key tuple)
     as the dict key gives one dict lookup per left row with no
     key-extractor call.
+
+    A single-column build whose non-NULL keys are unique (a join on a
+    key column) is built and probed without a Python object per row:
+    the key column and the table come out of C (``map``/``zip``/
+    ``dict``), and each left row costs one lookup.  One list per build
+    row would otherwise survive until the probe ends and wake CPython's
+    cyclic collector.
     """
     left_keys = tuple(left_keys)
     right_keys = tuple(right_keys)
@@ -95,10 +94,20 @@ def compile_join_kernel(
         # Skipping compile() keeps first-query latency down.
         lc, rc = left_keys[0], right_keys[0]
 
-        def _join_kernel(left, right, _lc=lc, _rc=rc):
+        def _join_kernel(left, right, _lc=lc, _rc=rc, _key=itemgetter(rc)):
+            keys = list(map(_key, right))
+            table = dict(zip(keys, right))
+            nulls = keys.count(None) if None in table else 0
+            # Unique iff every non-NULL row made its own entry (the NULL
+            # rows share one); keys equal as dict keys (1, 1.0, True)
+            # collide, so they count as duplicates.
+            if len(table) + nulls - (nulls > 0) == len(right):
+                table.pop(None, None)
+                get = table.get
+                return [row + m for row in left if (m := get(row[_lc])) is not None]  # prismalint: disable=PL101 -- kernel body; charged per batch in hash_join_batch
             table = {}
             get = table.get
-            for row in right:  # prismalint: disable=PL101 -- kernel body; charged per batch in hash_join_batch
+            for row in right:  # prismalint: disable=PL101 -- as above
                 _k = row[_rc]
                 if _k is None:
                     continue
@@ -112,11 +121,9 @@ def compile_join_kernel(
 
         _join_kernel.__prisma_source__ = f"<closure join left[{lc}]=right[{rc}]>"
         return _join_kernel
-    build_key, build_null = _key_exprs(right_keys)
-    if len(left_keys) == 1:
-        probe_key = f"row[{left_keys[0]}]"
-    else:
-        probe_key = "(" + ", ".join(f"row[{c}]" for c in left_keys) + ")"
+    build_key = "(" + ", ".join(f"row[{c}]" for c in right_keys) + ")"
+    build_null = " or ".join(f"row[{c}] is None" for c in right_keys)
+    probe_key = "(" + ", ".join(f"row[{c}]" for c in left_keys) + ")"
     lines = [
         "def _join_kernel(left, right):",
         "    table = {}",

@@ -18,6 +18,7 @@ import heapq
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import ExecutionError
@@ -328,6 +329,11 @@ def limit_rows(
     return list(rows[offset:end])
 
 
+#: Column value types whose raw order is their null-safe order.
+_NUMBER_TYPES = frozenset({int, float})
+_STRING_TYPE = frozenset({str})
+
+
 class _Desc:
     """Inverts the ordering of one sort-key component (descending keys).
 
@@ -363,6 +369,11 @@ def top_n_rows(
     same order repeated stable sorts give) — but keeps only the best
     ``offset + limit`` candidates at any time, so the comparison charge
     is :func:`charge_top_n`'s instead of the full ``n·log₂(n)`` sort.
+
+    One ascending key over a column of numbers (no bools) or of strings
+    is cut on the raw values, extracted in C: the null-safe key orders
+    one such class exactly as the values do, and ``nsmallest`` is
+    stable, so the rows are the same without a key tuple per row.
     """
     if offset < 0 or limit < 0:
         raise ExecutionError("LIMIT/OFFSET must be non-negative")
@@ -375,6 +386,16 @@ def top_n_rows(
         charge_top_n(meter, len(rows), keep, len(key_positions))
     if keep == 0:
         return []
+    if len(key_positions) == 1 and not descending[0]:
+        keys = list(map(itemgetter(key_positions[0]), rows))
+        kinds = set(map(type, keys))
+        if kinds <= _NUMBER_TYPES or kinds == _STRING_TYPE:
+            # An iterator, like enumerate() below: given a sized input
+            # and keep >= n, nsmallest sorts instead, and with a NaN in
+            # the column a sort and the bounded heap keep different rows.
+            positions = iter(range(len(keys)))
+            best = heapq.nsmallest(keep, positions, key=keys.__getitem__)
+            return [rows[i] for i in best[offset:]]  # prismalint: disable=PL101 -- charged in charge_top_n
 
     directions = tuple(zip(key_positions, descending))
 

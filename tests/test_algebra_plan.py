@@ -150,15 +150,15 @@ class TestEquiKeys:
     def test_simple_equi_join(self, emp, dept):
         join = JoinNode(emp, dept, eq(col(1), col(3)))
         left, right, residual = join.equi_keys()
-        assert left == [1]
-        assert right == [0]
+        assert left == (1,)
+        assert right == (0,)
         assert residual is None
 
     def test_reversed_sides_normalize(self, emp, dept):
         join = JoinNode(emp, dept, eq(col(3), col(1)))
         left, right, _ = join.equi_keys()
-        assert left == [1]
-        assert right == [0]
+        assert left == (1,)
+        assert right == (0,)
 
     def test_residual_kept(self, emp, dept):
         from repro.exec.expressions import Comparison, and_
@@ -166,7 +166,7 @@ class TestEquiKeys:
         condition = and_(eq(col(1), col(3)), Comparison("<", col(2), lit(100.0)))
         join = JoinNode(emp, dept, condition)
         left, right, residual = join.equi_keys()
-        assert left == [1]
+        assert left == (1,)
         assert residual is not None
 
     def test_non_equi_only(self, emp, dept):
@@ -174,18 +174,24 @@ class TestEquiKeys:
 
         join = JoinNode(emp, dept, Comparison("<", col(0), col(3)))
         left, right, residual = join.equi_keys()
-        assert left == []
+        assert left == ()
         assert residual is not None
 
     def test_same_side_equality_is_residual(self, emp, dept):
         join = JoinNode(emp, dept, eq(col(0), col(2)))  # both left side
         left, right, residual = join.equi_keys()
-        assert left == []
+        assert left == ()
         assert residual is not None
 
     def test_cross_join(self, emp, dept):
         join = JoinNode(emp, dept, None)
-        assert join.equi_keys() == ([], [], None)
+        assert join.equi_keys() == ((), (), None)
+
+    def test_computed_once_per_node(self, emp, dept):
+        # The executor asks once per part: one split per node, immutable.
+        join = JoinNode(emp, dept, eq(col(1), col(3)))
+        assert join.equi_keys() is join.equi_keys()
+        assert join.equi_keys()[:2] == ((1,), (0,))
 
 
 class TestEveryNodeHasAnEmitter:

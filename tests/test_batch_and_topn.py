@@ -8,15 +8,20 @@ Three layers of coverage:
 * ``top_n_rows`` against the ``sort_rows`` + ``limit_rows`` oracle
   across key types, tie-breaking, direction mixes, and offsets, plus
   the LIMIT/OFFSET edge cases and charge accounting;
+* the single-column join kernel's unique-key build and the raw-value
+  top-N cut against the paths they short-cut, on the values where
+  Python's equality is surprising (``1 == 1.0 == True``, NaN, ``-0.0``);
 * plan-level rewrites (``fuse_sort_limit``, limit/top-N pushdown) and
   the distributed payoff: a fused top-N ships strictly fewer bytes
   than sort-then-limit for LIMIT < partition size.
 """
 
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.database import MachineConfig, PrismaDB
 from repro.errors import ExecutionError
@@ -33,7 +38,9 @@ from repro.exec.operators import (
     JoinKind,
     WorkMeter,
     aggregate_rows,
+    charge_top_n,
     hash_join,
+    hash_join_batch,
     limit_rows,
     project_rows,
     select_rows,
@@ -265,6 +272,173 @@ class TestTopNOracle:
         sort_meter = WorkMeter()
         sort_rows(rows, [0], meter=sort_meter)
         assert meter.compares < sort_meter.compares
+
+
+# ---------------------------------------------------------------------------
+# Single-column join kernel: unique-key build vs list-per-key build
+# ---------------------------------------------------------------------------
+
+#: One NaN object shared by several rows: dict lookups match it by identity.
+SHARED_NAN = float("nan")
+#: Probe and duplicate-build keys: NULL, the colliding 1 / 1.0 / True,
+#: -0.0 == 0.0, strings, the shared NaN and fresh NaNs (each its own key).
+_KEYS = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.sampled_from([1.0, True, False, 0.0, -0.0, "a", "b", SHARED_NAN]),
+    st.builds(float, st.just("nan")),
+)
+
+
+@st.composite
+def _unique_build(draw):
+    """Distinct non-NULL keys (fresh NaNs are distinct) plus 0, 1 or 3 NULLs."""
+    keys = draw(
+        st.lists(st.one_of(st.integers(-20, 20), st.text("ab", max_size=2)), unique=True)
+    )
+    keys += [float("nan") for _ in range(draw(st.integers(0, 2)))]
+    keys += [None] * draw(st.sampled_from([0, 1, 3]))
+    return draw(st.permutations(keys))
+
+
+@st.composite
+def _join_inputs(draw, unique):
+    build = draw(_unique_build()) if unique else draw(st.lists(_KEYS, max_size=30))
+    own = st.sampled_from(build) if build else _KEYS
+    probe = draw(st.lists(st.one_of(own, _KEYS), max_size=40))
+    left = [(key, i) for i, key in enumerate(probe)]
+    right = [(-i, key) for i, key in enumerate(build)]
+    return left, right
+
+
+def _join_both_ways(left, right):
+    """(rows, meter) from the kernel and from the row-path hash join."""
+    kernel_meter, row_meter = WorkMeter(), WorkMeter()
+    got = hash_join_batch(left, right, compile_join_kernel((0,), (1,)), kernel_meter)
+    want = hash_join(left, right, lambda r: (r[0],), lambda r: (r[1],), row_meter)
+    return (got, kernel_meter.stats()), (want, row_meter.stats())
+
+
+class TestSingleColumnJoinKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(_join_inputs))
+    def test_matches_hash_join(self, inputs):
+        kernel, row = _join_both_ways(*inputs)
+        assert kernel == row
+
+    def test_duplicate_build_keys_take_the_list_per_key_fallback(self):
+        # 1, 1.0 and True are one dict key: only the list-per-key build
+        # can emit all three matches for one probe row, in build order.
+        right = [(0, 1), (1, None), (2, 1.0), (3, None), (4, True)]
+        left = [(1, "x"), (None, "y"), (2, "z")]
+        (got, meter), want = _join_both_ways(left, right)
+        assert got == [(1, "x", 0, 1), (1, "x", 2, 1.0), (1, "x", 4, True)]
+        assert (got, meter) == want
+        assert meter == {"tuples": 3, "hashes": 8, "compares": 0.0}
+
+    def test_unique_build_with_nulls_and_nans_matches_by_identity(self):
+        fresh = float("nan")
+        right = [(0, None), (1, SHARED_NAN), (2, 5), (3, None), (4, fresh), (5, -0.0)]
+        left = [(SHARED_NAN, "a"), (float("nan"), "b"), (None, "c"), (0, "d"), (5.0, "e")]
+        (got, _), want = _join_both_ways(left, right)
+        assert got == [(SHARED_NAN, "a", 1, SHARED_NAN), (0, "d", 5, -0.0), (5.0, "e", 2, 5)]
+        assert got == want[0]
+
+
+# ---------------------------------------------------------------------------
+# top-N: the raw-value cut vs an independent reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_key(value):
+    """NULLs, then bools, then numbers, then strings (the engine's order)."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, value)
+
+
+def _sorted_cut(rows, limit, offset, descending=False):
+    """A stable sort on the null-safe key of column 0, then a slice."""
+    ordered = sorted(rows, key=lambda row: _reference_key(row[0]), reverse=descending)
+    return ordered[offset : offset + limit]
+
+
+def _heap_cut(rows, limit, offset):
+    """A bounded heap on (null-safe key, position): the engine's general path.
+
+    With a NaN in the column the order is partial, so which rows a
+    bounded heap keeps can differ from a full sort's prefix; there the
+    identity that matters is with this heap."""
+    best = heapq.nsmallest(
+        offset + limit, enumerate(rows), key=lambda item: (_reference_key(item[1][0]), item[0])
+    )
+    return [row for _index, row in best[offset:]]
+
+
+def _cut_both_ways(rows, keys, limit, offset):
+    """(rows, meter) from ``top_n_rows`` and from a compiled topn chain."""
+    positions, directions = [p for p, _ in keys], [d for _, d in keys]
+    row_meter = WorkMeter()
+    direct = top_n_rows(rows, positions, limit, offset, directions, row_meter)
+    chain_meter = WorkMeter()
+    pipeline = Evaluator().pipeline(((("topn", tuple(keys), limit, offset),),))
+    chained, outs = pipeline.run(rows, [chain_meter])
+    expected_meter = WorkMeter()
+    charge_top_n(expected_meter, len(rows), offset + limit, len(keys))
+    assert outs == [len(chained)]
+    assert row_meter.stats() == chain_meter.stats() == expected_meter.stats()
+    assert chained == direct
+    return direct
+
+
+NAN_ROWS = [(0.5, 0), (SHARED_NAN, 1), (-0.0, 2), (float("nan"), 3), (0.0, 4), (-1.5, 5)]
+
+
+class TestRawValueTopN:
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param([5, -2, 7, 0, -2, 3, 9, 1], id="ints"),
+            pytest.param([0.0, 2.5, -0.0, -1.0, 0.0, -0.0, 3.25], id="signed-zeros"),
+            pytest.param([1, 1.0, 0, 1, 0.0, 1.0, 2], id="int-float-ties"),
+            pytest.param(["pear", "fig", "", "apple", "fig", "Z"], id="strings"),
+            pytest.param([3, 1, True, 2, 0], id="one-bool-fallback"),
+            pytest.param([3, 1, None, 2, 0], id="one-null-fallback"),
+            pytest.param(["b", "a", None, "c"], id="null-among-strings-fallback"),
+        ],
+    )
+    @pytest.mark.parametrize("limit, offset", [(3, 0), (2, 2), (0, 0), (4, 10), (100, 1)])
+    def test_matches_stable_sort_then_slice(self, column, limit, offset):
+        rows = [(value, i) for i, value in enumerate(column)]
+        got = _cut_both_ways(rows, [(0, False)], limit, offset)
+        assert got == _sorted_cut(rows, limit, offset)
+
+    @pytest.mark.parametrize("limit, offset", [(1, 0), (2, 1), (3, 0), (0, 0), (6, 0), (3, 6)])
+    def test_nan_column_matches_the_decorated_heap(self, limit, offset):
+        got = _cut_both_ways(NAN_ROWS, [(0, False)], limit, offset)
+        assert got == _heap_cut(NAN_ROWS, limit, offset)
+
+    @pytest.mark.parametrize("limit, offset", [(3, 0), (2, 2), (10, 0)])
+    def test_descending_and_two_key_cuts_fall_back(self, limit, offset):
+        rows = [(v % 3, v % 2, v) for v in (5, 2, 8, 3, 3, 0, 7, 1)]
+        got = _cut_both_ways(rows, [(0, True)], limit, offset)
+        assert got == _sorted_cut(rows, limit, offset, descending=True)
+        two = _cut_both_ways(rows, [(0, False), (1, False)], limit, offset)
+        assert two == limit_rows(sort_rows(rows, [0, 1]), limit, offset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-5, 5), st.floats(allow_nan=True, width=16)), max_size=30),
+        st.integers(0, 8),
+        st.integers(0, 4),
+    )
+    def test_numbers_with_nans_match_the_decorated_heap(self, column, limit, offset):
+        rows = [(value, i) for i, value in enumerate(column)]
+        assert _cut_both_ways(rows, [(0, False)], limit, offset) == _heap_cut(rows, limit, offset)
 
 
 # ---------------------------------------------------------------------------
