@@ -7,7 +7,9 @@ Results are printed *and* written to ``benchmarks/results/eN_*.txt`` so
 disk even though pytest captures stdout.
 
 Also home to ``digest``, the short hash the perf gate pins row sets
-with.  Benchmarks time the host with their own ``time.perf_counter()``;
+with.  Importing it puts the repository root on ``sys.path``, so a
+bench can import the row-at-a-time references in ``tests/oracle``.
+Benchmarks time the host with their own ``time.perf_counter()``;
 simulation code never reads wall time (prismalint PL001/PL006 enforce
 that).
 """
@@ -17,9 +19,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import pathlib
+import sys
 from collections.abc import Iterable, Sequence
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 
 def build_parser(

@@ -9,8 +9,9 @@ Two measurements:
 * **wall-clock** (real Python time): evaluating the same predicates over
   the same rows through the compiled routine vs the tree-walking
   interpreter — the honest, hardware-independent form of the claim;
-* **simulated**: the same SELECT through two PrismaDB instances that
-  differ only in ``compiled_expressions``.
+* **simulated**: the same SELECT through two default PrismaDB
+  instances, one of them running the test-side oracle's interpreted
+  evaluator (``tests.oracle``), charged its interpretation penalty.
 """
 
 import time
@@ -30,10 +31,10 @@ from repro.exec.expressions import (
     lit,
     or_,
 )
-from repro.exec.interpreter import InterpretedPredicate
 from repro.workloads import generate_rows, load_wisconsin
 
 from _harness import report
+from tests.oracle import InterpretedPredicate, RowEvaluator, use_evaluator
 
 PREDICATES = {
     "simple": Comparison(">", col(0), lit(5000)),
@@ -121,8 +122,10 @@ def test_e5_wall_clock_speedup(wall_results, benchmark):
 def test_e5_simulated_query_cost(benchmark):
     def run(compiled: bool) -> float:
         config = MachineConfig(n_nodes=8, disk_nodes=(0,))
-        db = PrismaDB(config, compiled_expressions=compiled)
+        db = PrismaDB(config)
         load_wisconsin(db, "wisc", 2000, fragments=4)
+        if not compiled:
+            use_evaluator(db, RowEvaluator(interpreted=True))
         result = db.execute(
             "SELECT COUNT(*) FROM wisc WHERE unique1 % 97 < 31 AND ten = 3"
         )

@@ -9,11 +9,12 @@ quantities that separate the algorithms regardless of hardware.
 
 import pytest
 
-from repro.exec.closure import naive_closure, seminaive_closure, smart_closure
+from repro.exec.closure import seminaive_closure
 from repro.exec.operators import WorkMeter
 from repro.workloads import binary_tree, chain, parts_explosion, random_dag
 
 from _harness import report
+from tests.oracle import naive_closure, reachable_from, smart_closure
 
 ALGORITHMS = {
     "naive": naive_closure,
@@ -92,8 +93,6 @@ def test_e6_closure_algorithms(results, benchmark):
 def test_e6_bound_argument_fast_path(benchmark):
     """ancestor(jan, X): walking from the bound constant beats computing
     the full closure first (the optimizer's selection push)."""
-    from repro.exec.closure import reachable_from
-
     edges = random_dag(400, 1200, seed=8)
 
     def full_then_filter():

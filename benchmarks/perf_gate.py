@@ -46,23 +46,33 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 HERE = pathlib.Path(__file__).resolve().parent
-for _path in (str(HERE.parent / "src"), str(HERE)):
+# src/ for the engine, the repo root for the row-at-a-time oracle
+# (tests.oracle), benchmarks/ for the bench modules.
+for _path in (str(HERE.parent / "src"), str(HERE.parent), str(HERE)):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
 from repro import MachineConfig, PrismaDB, Tracer  # noqa: E402
 from repro.core.workload import InterleavedDriver  # noqa: E402
 from repro.exec import batch as kernels  # noqa: E402
-from repro.exec import operators as rowops  # noqa: E402
 from repro.exec.evaluation import Evaluator  # noqa: E402
 from repro.exec.expressions import Comparison, col, lit  # noqa: E402
-from repro.exec.operators import WorkMeter  # noqa: E402
+from repro.exec.operators import WorkMeter, hash_join  # noqa: E402
 from repro.exec.pipeline import aggregate_op  # noqa: E402
-from repro.exec.shuffle import compile_splitter, reference_bucket  # noqa: E402
+from repro.exec.shuffle import compile_splitter  # noqa: E402
 from repro.machine import MachineNodesView, PacketNetwork  # noqa: E402
 from repro.machine.traffic import run_load_point  # noqa: E402
 from repro.workloads import load_edges, load_wisconsin, random_dag, setup_bank  # noqa: E402
 from repro.workloads.wisconsin import generate_rows  # noqa: E402
+from tests.oracle import (  # noqa: E402
+    AggSpec,
+    RowEvaluator,
+    aggregate_rows,
+    project_rows,
+    reference_bucket,
+    select_rows,
+    use_evaluator,
+)
 
 import bench_scaling  # noqa: E402
 import bench_serving  # noqa: E402
@@ -173,7 +183,7 @@ def check_kernels(run: dict) -> list[str]:
 
 def batch_then_rows(bench: Callable[..., dict]) -> Callable[[], dict]:
     """*bench* on the batch kernels (what the pin judges), then once more
-    with every evaluator switched to the row loops."""
+    with the oracle's row loops swapped in for every evaluator."""
 
     def run() -> dict:
         batch, rows = bench(), bench(batch=False)
@@ -224,12 +234,6 @@ E4_QUERIES = [
 ]
 
 
-def _use_row_loops(db: PrismaDB) -> None:
-    db.gdh.executor.evaluator.batch = False
-    for ofm in db.gdh.fragment_ofms.values():
-        ofm.evaluator.batch = False
-
-
 def _simulated_cost(result) -> dict:
     return {
         "response_s": repr(result.response_time),
@@ -252,7 +256,7 @@ def run_e4(tracer: Tracer | None = None, loops: int = 1, batch: bool = True) -> 
     load_wisconsin(db, "wisc", WISCONSIN["rows"], fragments=8, seed=WISCONSIN["seed"])
     db.quiesce()
     if not batch:
-        _use_row_loops(db)
+        use_evaluator(db, RowEvaluator())
     start = time.perf_counter()
     queries = []
     for _ in range(loops):
@@ -270,7 +274,7 @@ def run_closure(batch: bool = True) -> dict:
     load_edges(db, "e", random_dag(500, 3_000, seed=9), fragments=8)
     db.quiesce()
     if not batch:
-        _use_row_loops(db)
+        use_evaluator(db, RowEvaluator())
     start = time.perf_counter()
     result = db.execute("SELECT COUNT(*) FROM CLOSURE(e)")
     wall = time.perf_counter() - start
@@ -430,7 +434,7 @@ def _columnar_benches() -> dict[str, tuple]:
     # the other side of the kernel's uniqueness test from ``join``.
     part, part_right = _columnar_rows(1_500, 44), _columnar_rows(1_500, 45)
     meter = WorkMeter()  # row references need one; output never depends on it
-    evaluator, row_evaluator = Evaluator(), Evaluator(batch=False)
+    evaluator, row_evaluator = Evaluator(), RowEvaluator()
 
     pred_expr = Comparison("<", col(1), lit(300))
     pred_kernel = kernels.compile_batch_predicate(pred_expr)
@@ -447,9 +451,9 @@ def _columnar_benches() -> dict[str, tuple]:
         (2,), [("count", None), ("sum", col(0)), ("min", col(3))]
     )
     agg_specs = [
-        rowops.AggSpec("count", None),
-        rowops.AggSpec("sum", lambda r: r[0]),
-        rowops.AggSpec("min", lambda r: r[3]),
+        AggSpec("count", None),
+        AggSpec("sum", lambda r: r[0]),
+        AggSpec("min", lambda r: r[3]),
     ]
 
     splitter = compile_splitter((0,), 8)
@@ -481,29 +485,29 @@ def _columnar_benches() -> dict[str, tuple]:
         "filter": (
             10,
             lambda: pred_kernel(rows),
-            lambda: rowops.select_rows(rows, pred_fn, meter),
+            lambda: select_rows(rows, pred_fn, meter),
         ),
         "project": (
             10,
             lambda: proj_kernel(rows),
-            lambda: rowops.project_rows(rows, proj_fn, meter),
+            lambda: project_rows(rows, proj_fn, meter),
         ),
         "join": (
             3,
             lambda: join_kernel(rows, right),
-            lambda: rowops.hash_join(rows, right, lambda r: (r[1],), lambda r: (r[1],), meter),
+            lambda: hash_join(rows, right, lambda r: (r[1],), lambda r: (r[1],), meter),
         ),
         "join_unique": (
             20,
             lambda: unique_join_kernel(part, part_right),
-            lambda: rowops.hash_join(
+            lambda: hash_join(
                 part, part_right, lambda r: (r[0],), lambda r: (r[0],), meter
             ),
         ),
         "agg": (
             5,
             lambda: agg_kernel(rows),
-            lambda: rowops.aggregate_rows(rows, lambda r: (r[2],), agg_specs, meter),
+            lambda: aggregate_rows(rows, lambda r: (r[2],), agg_specs, meter),
         ),
         "split": (5, lambda: splitter(rows), split_by_reference),
     } | chains

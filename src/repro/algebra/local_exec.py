@@ -1,9 +1,10 @@
 """Single-site evaluation of logical plans.
 
 This is the engine that runs *inside* a One-Fragment Manager: it
-evaluates a plan tree against main-memory relations, using the
-expression compiler (or the interpreter, under ablation) for predicates
-and projections, and metering abstract work for the simulated clock.
+evaluates a plan tree against main-memory relations, running each
+chain of unary operators as one generated kernel
+(:mod:`repro.exec.pipeline`) and the joins through compiled keys and
+predicates, and metering abstract work for the simulated clock.
 
 The distributed executor (:mod:`repro.core.executor`) moves the rows and
 calls :meth:`LocalExecutor.step` for each site-local join, set operation
@@ -32,7 +33,7 @@ from repro.exec.operators import (
     union_all_rows,
     union_rows,
 )
-from repro.exec.pipeline import Op, aggregate_op, op_fusable
+from repro.exec.pipeline import Op, aggregate_op
 from repro.storage.types import DataType
 from repro.algebra.plan import (
     AggregateNode,
@@ -141,7 +142,7 @@ class LocalExecutor:
     shared:
         Rows of materialized common subexpressions, keyed by token.
     evaluator:
-        Expression back-end (compiled by default).
+        Expression back-end; a fresh :class:`Evaluator` if omitted.
     meter:
         Work counters; a fresh one is created if omitted.
     """
@@ -250,14 +251,12 @@ class LocalExecutor:
     def _run_chain(self, plan: PlanNode) -> list[Row]:
         """A maximal run of unary operators is one generated kernel
         (a run of one is that operator's kernel), charged to the meter
-        operator by operator.  A DISTINCT aggregate has no generated
-        form: it runs alone, so its neighbours stay compiled."""
+        operator by operator."""
         ops = [op_of(plan)]
         node = plan.child
-        if op_fusable(ops[0]):
-            while type(node) in _OPS and op_fusable(op_of(node)):
-                ops.append(op_of(node))
-                node = node.child
+        while type(node) in _OPS:
+            ops.append(op_of(node))
+            node = node.child
         rows = self.run(node)
         pipeline = self.evaluator.pipeline((tuple(reversed(ops)),))
         return pipeline.run(rows, (self.meter,))[0]
@@ -277,13 +276,7 @@ class LocalExecutor:
     ) -> list[Row]:
         right_width = len(plan.right.schema)
         left_keys, right_keys, residual = plan.equi_keys()
-        if (
-            left_keys
-            and residual is None
-            and plan.kind is JoinKind.INNER
-            and self.evaluator.batch
-            and self.evaluator.compiled
-        ):
+        if left_keys and residual is None and plan.kind is JoinKind.INNER:
             kernel = self.evaluator.join_kernel(left_keys, right_keys)
             return hash_join_batch(left_rows, right_rows, kernel, self.meter)
         if left_keys:

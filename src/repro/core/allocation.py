@@ -38,17 +38,15 @@ class DataAllocationManager:
         self,
         runtime: PoolRuntime,
         reserve_node: int | None = 0,
-        compiled_expressions: bool = True,
         disk_resident: bool = False,
     ):
         """*reserve_node* (the GDH's home) is avoided while alternatives
         exist, so coordination work does not contend with fragment
-        hosting on small machines.  *compiled_expressions* and
-        *disk_resident* are handed to every OFM spawned."""
+        hosting on small machines.  *disk_resident* is handed to every
+        OFM spawned."""
         self.runtime = runtime
         self.machine = runtime.machine
         self.reserve_node = reserve_node
-        self.compiled_expressions = compiled_expressions
         self.disk_resident = disk_resident
         #: OFM name -> the process serving that fragment copy.
         self.ofms: dict[str, OneFragmentManager] = {}
@@ -151,7 +149,6 @@ class DataAllocationManager:
             start_at=start_at,
             schema=info.schema,
             profile=OFMProfile.FULL,
-            compiled_expressions=self.compiled_expressions,
             disk_resident=self.disk_resident,
         )
         for index in info.indexes:

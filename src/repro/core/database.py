@@ -117,9 +117,6 @@ class PrismaDB:
     config:
         Multi-computer hardware description; defaults to the 64-element
         prototype of Section 3.2 (with disks on every 8th element).
-    compiled_expressions:
-        Use the generative expression compiler (True, the paper's
-        design) or the interpreter baseline (False; E5 ablation).
     optimizer_options:
         Ablation switches for the knowledge-based optimizer (E10).
     allow_one_phase:
@@ -138,7 +135,6 @@ class PrismaDB:
     def __init__(
         self,
         config: MachineConfig | None = None,
-        compiled_expressions: bool = True,
         optimizer_options: OptimizerOptions | None = None,
         allow_one_phase: bool = True,
         disk_resident: bool = False,
@@ -155,7 +151,6 @@ class PrismaDB:
         self.runtime = PoolRuntime(self.machine, tracer=tracer)
         self.gdh = GlobalDataHandler(
             self.runtime,
-            compiled_expressions=compiled_expressions,
             optimizer_options=optimizer_options,
             allow_one_phase=allow_one_phase,
             disk_resident=disk_resident,

@@ -552,14 +552,12 @@ class _StepCompiler:
         child, op = self.node(plan.child), _binding(op_of(plan))
         if any(aggregate.distinct for aggregate in plan.aggregates):
             # DISTINCT aggregates cannot be merged from partials: gather.
-            # They have no generated form either, so the operator is a
-            # chain of its own and the chains around it stay compiled.
             def gathered(ex) -> DistRelation:
                 relation = child(ex)
                 parts = relation.parts
                 target = parts[0].process if len(parts) == 1 else ex.query_process
                 relation = ex.gather(relation, target)
-                return ex.flush(ex.then(relation, None, "AggregateNode", op(ex.params)))
+                return ex.then(relation, None, "AggregateNode", op(ex.params))
 
             return gathered
         # Two-phase aggregation: local partials, shuffle, merge.  The

@@ -189,8 +189,6 @@ class DistributedExecutor:
         The data dictionary (fragment homes).
     allocator:
         The data allocation manager (which OFMs serve a fragment).
-    compiled_expressions:
-        Expression back-end switch (E5 ablation).
     """
 
     def __init__(
@@ -198,13 +196,12 @@ class DistributedExecutor:
         runtime: PoolRuntime,
         catalog: Catalog,
         allocator: DataAllocationManager,
-        compiled_expressions: bool = True,
     ):
         self.runtime = runtime
         self.machine = runtime.machine
         self.catalog = catalog
         self.allocator = allocator
-        self.evaluator = Evaluator(compiled=compiled_expressions)
+        self.evaluator = Evaluator()
         #: Run transitive closure as a parallel distributed fixpoint when
         #: the input is fragmented (False = gather to one transient OFM).
         self.distributed_closure = True
@@ -600,7 +597,7 @@ class DistributedExecutor:
         # (repro.exec.shuffle); bucket assignment is bit-identical to the
         # interpreted ``_hash_key(row, key_cols) % k``.
         split = self._splitters.splitter(key_cols, k)
-        self._splitters.record_invocation(self.evaluator.batch)
+        self._splitters.record_invocation()
         buckets: list[list] = [[] for _ in range(k)]
         for part in relation.parts:
             outgoing = split(part.rows)
@@ -718,7 +715,7 @@ class DistributedExecutor:
         edge_tables = [edge_table(part.rows) for part in edges_by_src.parts]
         edge_counts = [len(part.rows) for part in edges_by_src.parts]
         # Projecting (a, c) out of a joined pair costs the projector
-        # weight per output row (4x under the interpreted back-end).
+        # weight per output row.
         _, proj_weight = self.evaluator.projector((ColumnRef(0), ColumnRef(3)))
 
         # Totals live partitioned by whole-row hash over the same sites.

@@ -134,7 +134,6 @@ class GlobalDataHandler:
     def __init__(
         self,
         runtime: PoolRuntime,
-        compiled_expressions: bool = True,
         optimizer_options: OptimizerOptions | None = None,
         allow_one_phase: bool = True,
         disk_resident: bool = False,
@@ -155,16 +154,12 @@ class GlobalDataHandler:
         )
         #: *disk_resident* is the E3 baseline switch: conventional
         #: disk-resident storage at every OFM the allocator spawns.
-        self.allocator = DataAllocationManager(
-            runtime, GDH_NODE, compiled_expressions, disk_resident
-        )
+        self.allocator = DataAllocationManager(runtime, GDH_NODE, disk_resident)
         #: The allocator's name -> OFM table, for readers; only the
         #: allocator changes it.
         self.fragment_ofms = self.allocator.ofms
         self.optimizer_options = optimizer_options or OptimizerOptions()
-        self.executor = DistributedExecutor(
-            runtime, self.catalog, self.allocator, compiled_expressions
-        )
+        self.executor = DistributedExecutor(runtime, self.catalog, self.allocator)
         self.gdh_process = runtime.spawn(PoolProcess, name="gdh", node=GDH_NODE)
         self._query_counter = 0
         self._session_counter = 0

@@ -147,11 +147,11 @@ def compile_join_kernel(
 def compile_agg_kernel(
     group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
 ) -> BatchKernel:
-    """Non-DISTINCT hash aggregation; *aggregates* is ``(func, arg_or_None)``.
+    """Hash aggregation; *aggregates* is ``(func, arg_or_None[, distinct])``.
 
-    Accumulation order — and hence float results, NULL handling, and
-    first-occurrence group output order — matches
-    :func:`~repro.exec.operators.aggregate_rows` exactly.
+    Values accumulate left to right and groups come out in
+    first-occurrence order, so float results, NULL handling and group
+    order match the row-at-a-time reference (``tests/oracle``) exactly.
     """
     return kernel_of(aggregate_op(group_cols, aggregates))
 

@@ -1,11 +1,16 @@
-"""Tuple-at-a-time expression interpreter.
+"""Tree-walking expression evaluation, for plan-time constant folding.
 
-This is the *baseline* the paper's generative approach argues against:
-"it avoids the otherwise excessive interpretation overhead incurred by a
-query expression interpreter" (Section 2.5).  The interpreter walks the
-expression tree for every row; the compiler in
-:mod:`repro.exec.compiler` generates a Python function once per query
-instead.  Experiment E5 measures the gap.
+The binder folds constant expressions (``evaluate``), and the
+optimizer's rules (:mod:`repro.algebra.rules`, ``_fold`` among them)
+fold constant predicates and evaluate selections and projections of
+literal relations, all while a statement is planned; that is all the
+engine uses this module for.  Rows are evaluated by generated code
+(:mod:`repro.exec.compiler`, :mod:`repro.exec.pipeline`) — the paper's
+generative approach, which "avoids the otherwise excessive
+interpretation overhead incurred by a query expression interpreter"
+(Section 2.5).  Wrapped as per-row callables, this walker is also that
+interpreter: the baseline experiment E5 measures, kept with the other
+row-at-a-time references in ``tests/oracle``.
 
 Both back-ends implement identical semantics; a hypothesis property test
 checks them against each other on random expressions and rows.
@@ -80,7 +85,11 @@ _ARITHMETIC = {
 
 
 def evaluate(expr: Expr, row: Sequence[Any]) -> Any:
-    """Evaluate *expr* against *row* (scalar result; may be None)."""
+    """Evaluate *expr* against *row* (scalar result; may be None).
+
+    Plan-time only: the binder and the optimizer's rules fold constants
+    with it.  Rows at run time go through generated code.
+    """
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, ColumnRef):
@@ -172,29 +181,6 @@ def evaluate(expr: Expr, row: Sequence[Any]) -> Any:
 
 
 def evaluate_predicate(expr: Expr, row: Sequence[Any]) -> bool:
-    """Evaluate *expr* as a filter: NULL results count as false."""
+    """Evaluate *expr* as a filter: NULL results count as false (the
+    optimizer's rules fold constant predicates with it)."""
     return bool(evaluate(expr, row))
-
-
-class InterpretedPredicate:
-    """A callable predicate backed by the interpreter (E5 baseline)."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-
-    def __call__(self, row: Sequence[Any]) -> bool:
-        return evaluate_predicate(self.expr, row)
-
-
-class InterpretedProjector:
-    """A callable row constructor backed by the interpreter."""
-
-    __slots__ = ("exprs",)
-
-    def __init__(self, exprs: Sequence[Expr]):
-        self.exprs = tuple(exprs)
-
-    def __call__(self, row: Sequence[Any]) -> tuple:
-        return tuple(evaluate(e, row) for e in self.exprs)

@@ -17,7 +17,7 @@ import enum
 import heapq
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
 
@@ -28,7 +28,6 @@ Row = tuple
 Rows = list
 KeyFn = Callable[[Row], tuple]
 PredicateFn = Callable[[Row], bool]
-ProjectFn = Callable[[Row], Row]
 
 
 @dataclass
@@ -59,7 +58,7 @@ class JoinKind(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Selection / projection.
+# Selection / projection (the generated kernels run them; this is the charge).
 # ---------------------------------------------------------------------------
 
 
@@ -67,38 +66,6 @@ def charge_per_row(meter: WorkMeter, n: int, eval_weight: float) -> None:
     """Closed-form work of a selection or projection over *n* rows."""
     meter.tuples += n
     meter.compares += n * eval_weight
-
-
-def select_rows(
-    rows: Sequence[Row],
-    predicate: PredicateFn,
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    """Filter *rows*; *eval_weight* is comparisons charged per evaluation.
-
-    Interpreted predicates pass a larger weight than compiled ones — the
-    paper's "interpretation overhead" lives in this number for the
-    simulated clock (and in real wall time for E5).
-    """
-    charge_per_row(meter, len(rows), eval_weight)
-    try:
-        return [row for row in rows if predicate(row)]
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"predicate failed: {exc}") from None
-
-
-def project_rows(
-    rows: Sequence[Row],
-    projector: ProjectFn,
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    charge_per_row(meter, len(rows), eval_weight)
-    try:
-        return [projector(row) for row in rows]
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"projection failed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +273,6 @@ def _null_safe_key(value: Any) -> tuple:
     return (3, value)
 
 
-def distinct_rows(rows: Sequence[Row], meter: WorkMeter) -> Rows:
-    # dict.fromkeys is the C-speed first-occurrence dedup: identical
-    # rows and order to the old per-row seen-set loop.
-    output: Rows = list(dict.fromkeys(rows))
-    charge_distinct(meter, len(rows), len(output))
-    return output
-
-
-def limit_rows(
-    rows: Sequence[Row],
-    limit: int | None,
-    offset: int = 0,
-    meter: WorkMeter | None = None,
-) -> Rows:
-    """Slice ``rows[offset : offset+limit]`` (see :func:`charge_limit`)."""
-    if offset < 0 or (limit is not None and limit < 0):
-        raise ExecutionError("LIMIT/OFFSET must be non-negative")
-    end = None if limit is None else offset + limit
-    if meter is not None:
-        charge_limit(meter, len(rows), limit, offset)
-    return list(rows[offset:end])
-
-
 #: Column value types whose raw order is their null-safe order.
 _NUMBER_TYPES = frozenset({int, float})
 _STRING_TYPE = frozenset({str})
@@ -364,7 +308,7 @@ def top_n_rows(
 ) -> Rows:
     """Fused ORDER BY + LIMIT via a bounded heap.
 
-    Produces exactly ``limit_rows(sort_rows(rows, ...), limit, offset)``
+    Produces exactly ``sort_rows(rows, ...)[offset:offset + limit]``
     — including stability (ties resolve by original row position, the
     same order repeated stable sorts give) — but keeps only the best
     ``offset + limit`` candidates at any time, so the comparison charge
@@ -418,7 +362,10 @@ def top_n_rows(
 
 
 def union_rows(left: Sequence[Row], right: Sequence[Row], meter: WorkMeter) -> Rows:
-    return distinct_rows(list(left) + list(right), meter)
+    # dict.fromkeys is the C-speed first-occurrence dedup.
+    output: Rows = list(dict.fromkeys([*left, *right]))
+    charge_distinct(meter, len(left) + len(right), len(output))
+    return output
 
 
 def union_all_rows(left: Sequence[Row], right: Sequence[Row], meter: WorkMeter) -> Rows:
@@ -457,110 +404,3 @@ def difference_rows(left: Sequence[Row], right: Sequence[Row], meter: WorkMeter)
 # ---------------------------------------------------------------------------
 
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
-
-
-@dataclass(frozen=True)
-class AggSpec:
-    """One aggregate in a GROUP BY: ``func(arg)`` with optional DISTINCT.
-
-    ``arg`` is a compiled scalar (row -> value) or ``None`` for
-    ``COUNT(*)``.
-    """
-
-    func: str
-    arg: Callable[[Row], Any] | None = None
-    distinct: bool = False
-
-    def __post_init__(self) -> None:
-        if self.func not in AGGREGATE_FUNCTIONS:
-            raise ExecutionError(f"unknown aggregate {self.func!r}")
-        if self.func != "count" and self.arg is None:
-            raise ExecutionError(f"{self.func.upper()} needs an argument")
-
-
-class _AggState:
-    __slots__ = ("count", "total", "minimum", "maximum", "seen")
-
-    def __init__(self, distinct: bool):
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.seen: set | None = set() if distinct else None
-
-    def feed(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def result(self, func: str) -> Any:
-        if func == "count":
-            return self.count
-        if func == "sum":
-            return self.total
-        if func == "avg":
-            return None if self.count == 0 else self.total / self.count
-        if func == "min":
-            return self.minimum
-        return self.maximum
-
-
-def aggregate_rows(
-    rows: Sequence[Row],
-    group_key: KeyFn | None,
-    specs: Sequence[AggSpec],
-    meter: WorkMeter,
-) -> Rows:
-    """Hash aggregation.
-
-    Output rows are ``group_key_values + aggregate_values``.  With
-    ``group_key=None`` a single global row is produced even for empty
-    input (COUNT gives 0, the others NULL) — SQL semantics.
-
-    Work charges are closed-form per batch (:func:`charge_aggregate`).
-    This is the row path (the interpreted back-end, DISTINCT aggregates,
-    the identity oracle); the compiled pipeline's aggregate kernel
-    accumulates in the same order, so float results, NULL handling and
-    group output order agree.
-    """
-    groups: dict[tuple, list[_AggState]] = {}
-
-    def new_states() -> list[_AggState]:
-        return [_AggState(spec.distinct) for spec in specs]
-
-    if group_key is None:
-        groups[()] = new_states()
-
-    try:
-        for row in rows:
-            key = group_key(row) if group_key is not None else ()
-            states = groups.get(key)
-            if states is None:
-                states = new_states()
-                groups[key] = states
-            for spec, state in zip(specs, states):
-                if spec.func == "count" and spec.arg is None:
-                    state.count += 1
-                else:
-                    assert spec.arg is not None
-                    state.feed(spec.arg(row))
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"aggregate argument failed: {exc}") from None
-
-    output: Rows = []
-    for key, states in groups.items():
-        output.append(
-            tuple(key) + tuple(state.result(spec.func) for spec, state in zip(specs, states))
-        )
-    charge_aggregate(meter, len(rows), len(output))
-    return output
-

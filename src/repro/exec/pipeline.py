@@ -35,8 +35,9 @@ aggregation extracts each argument's non-NULL column once and reduces
 it in C (``len``/``sum``/``min``/``max``); grouped aggregation and
 top-N keep their loops and read the composed expressions.  The function
 returns its rows and the cardinality after every op, from which
-:meth:`Pipeline.run` charges each stage the closed-form work its
-operator charges on the row path (:class:`RowPipeline`, the oracle).
+:meth:`Pipeline.run` charges each stage its operators' closed-form
+work.  The row-at-a-time reference these kernels must equal, rows,
+element types and charges, is the test-side oracle in ``tests/oracle``.
 
 Identity traps, all covered by ``tests/test_exec_pipeline.py``:
 
@@ -50,9 +51,13 @@ Identity traps, all covered by ``tests/test_exec_pipeline.py``:
   an unordered comparison (NaN) — exactly the ``<``/``>`` loop — once
   NULLs are filtered.
 * Groups come out in first-occurrence order.
+* A DISTINCT aggregate sees each value once, the first of those equal
+  as set members (``1``, ``1.0`` and ``True`` are one value; ``-0.0``
+  and ``0.0`` too): ``dict.fromkeys`` dedups a group-less column in
+  order, a grouped one keeps a ``set`` per group and aggregate.
 
-A dead expression is never evaluated: where the row path would raise
-on a projected column nothing reads, the fused kernel does not.
+A dead expression is never evaluated: where the row-at-a-time oracle
+would raise on a projected column nothing reads, the kernel does not.
 """
 
 from __future__ import annotations
@@ -71,20 +76,15 @@ from repro.exec.expressions import (
     substitute_columns,
 )
 from repro.exec.operators import (
-    AggSpec,
+    AGGREGATE_FUNCTIONS,
     Row,
     WorkMeter,
-    aggregate_rows,
     charge_aggregate,
     charge_distinct,
     charge_limit,
     charge_per_row,
     charge_sort,
     charge_top_n,
-    distinct_rows,
-    limit_rows,
-    project_rows,
-    select_rows,
     sort_rows,
     top_n_rows,
 )
@@ -94,89 +94,8 @@ Stage = tuple
 Chain = tuple
 
 
-def op_fusable(op: Op) -> bool:
-    """DISTINCT aggregates keep per-group seen-sets: row path only."""
-    return not (op[0] == "aggregate" and any(agg[2] for agg in op[2]))
-
-
-def fusable(stages: Chain) -> bool:
-    return all(op_fusable(op) for stage in stages for op in stage)
-
-
-# ---------------------------------------------------------------------------
-# The row path: one operator call per op.  The identity oracle.
-# ---------------------------------------------------------------------------
-
-
-def _row_select(evaluator, rows, meter, predicate):
-    fn, weight = evaluator.predicate(predicate)
-    return select_rows(rows, fn, meter, eval_weight=weight)
-
-
-def _row_project(evaluator, rows, meter, exprs):
-    fn, weight = evaluator.projector(exprs)
-    return project_rows(rows, fn, meter, eval_weight=weight)
-
-
-def _row_aggregate(evaluator, rows, meter, group_cols, aggregates):
-    group_key = evaluator.key(group_cols) if group_cols else None
-    specs = [
-        AggSpec(func, None if arg is None else evaluator.scalar(arg)[0], distinct)
-        for func, arg, distinct, _exact in aggregates
-    ]
-    return aggregate_rows(rows, group_key, specs, meter)
-
-
 def _positions(keys):
     return [i for i, _ in keys], [d for _, d in keys]
-
-
-def _row_topn(_evaluator, rows, meter, keys, limit, offset):
-    positions, directions = _positions(keys)
-    return top_n_rows(rows, positions, limit, offset, directions, meter)
-
-
-def _row_sort(_evaluator, rows, meter, keys):
-    return sort_rows(rows, *_positions(keys), meter)
-
-
-_ROW_OPS = {
-    "select": _row_select,
-    "project": _row_project,
-    "aggregate": _row_aggregate,
-    "topn": _row_topn,
-    "sort": _row_sort,
-    "limit": lambda _evaluator, rows, meter, limit, offset: limit_rows(
-        rows, limit, offset, meter
-    ),
-    "distinct": lambda _evaluator, rows, meter: distinct_rows(rows, meter),
-}
-
-
-class RowPipeline:
-    """A chain run one operator call per op, each charging its meter."""
-
-    def __init__(self, stages: Chain, evaluator):
-        self.stages = stages
-        self.evaluator = evaluator
-
-    def run(
-        self, rows: Sequence[Row], meters: Sequence[WorkMeter], rescan: bool = False
-    ) -> tuple[list[Row], list[int]]:
-        """Same contract as :meth:`Pipeline.run`."""
-        outs = []
-        for stage, meter in zip(self.stages, meters):
-            if rescan:
-                meter.tuples += len(rows)
-            for op in stage:
-                rows = _ROW_OPS[op[0]](self.evaluator, rows, meter, *op[1:])
-            outs.append(len(rows))
-        return rows, outs
-
-
-# ---------------------------------------------------------------------------
-# The fused path.
-# ---------------------------------------------------------------------------
 
 
 class Pipeline:
@@ -221,7 +140,7 @@ class Pipeline:
 
 
 def compile_pipeline(stages: Chain) -> Pipeline:
-    """Generate the kernel of a (fusable) chain."""
+    """Generate the kernel of a chain."""
     generator = _Generator()
     charges = tuple(
         tuple(generator.op(*op) for op in stage) for stage in stages
@@ -237,7 +156,7 @@ def compile_pipeline(stages: Chain) -> Pipeline:
 
 def _operator_shape(op: Op) -> tuple:
     if op[0] == "aggregate":
-        return (op[0], op[1], tuple((func, arg) for func, arg, *_ in op[2]))
+        return (op[0], op[1], tuple((func, arg, distinct) for func, arg, distinct, _ in op[2]))
     return op
 
 
@@ -353,8 +272,8 @@ class _Generator:
 
     def _aggregate(self, group_cols: Sequence[int], aggregates):
         composed = [
-            (func, None if arg is None else self._compose(arg), exact)
-            for func, arg, _distinct, exact in aggregates
+            (func, None if arg is None else self._compose(arg), distinct, exact)
+            for func, arg, distinct, exact in aggregates
         ]
         if group_cols:
             keys = [self._compose(ColumnRef(i)) for i in group_cols]
@@ -368,24 +287,34 @@ class _Generator:
         """One output row (even for empty input: SQL semantics), each
         value a C-level reduction over its argument's non-NULL column."""
         source = self.source
-        columns: dict[Expr, str] = {}
-        totals: dict[tuple[Expr, bool], str] = {}
+        columns: dict[tuple[Expr, bool], str] = {}
+        totals: dict[tuple[Expr, bool, bool], str] = {}
+
+        def column_of(arg: Expr, distinct: bool) -> str:
+            column = columns.get((arg, distinct))
+            if column is None:
+                column = columns[arg, distinct] = self._fresh("c")
+                if distinct:
+                    self.lines.append(
+                        f"{column} = list(dict.fromkeys({column_of(arg, False)}))"
+                    )
+                else:
+                    self.lines.append(
+                        f"{column} = [_v for row in {source}"
+                        f" if (_v := {self.emitter.scalar(arg)}) is not None]"
+                    )
+            return column
+
         values = []
-        for func, arg, exact in aggregates:
+        for func, arg, distinct, exact in aggregates:
             if arg is None:
                 values.append(f"len({source})")
                 continue
-            column = columns.get(arg)
-            if column is None:
-                column = columns[arg] = self._fresh("c")
-                self.lines.append(
-                    f"{column} = [_v for row in {source}"
-                    f" if (_v := {self.emitter.scalar(arg)}) is not None]"
-                )
+            column = column_of(arg, distinct)
             if func in ("sum", "avg"):
-                total = totals.get((arg, exact))
+                total = totals.get((arg, distinct, exact))
                 if total is None:
-                    total = totals[arg, exact] = self._fresh("s")
+                    total = totals[arg, distinct, exact] = self._fresh("s")
                     if exact:
                         summed = f"sum({column})"
                     else:
@@ -404,7 +333,8 @@ class _Generator:
 
     def _grouped_aggregate(self, keys: Sequence[Expr], aggregates) -> None:
         """Hash aggregation over flat accumulator slots, one list per
-        group; accumulation and group order as in ``aggregate_rows``."""
+        group; values accumulate left to right, groups come out in
+        first-occurrence order."""
         scalar = self.emitter.scalar
         inits: list[str] = []  # slot initial values, as code
         updates: list[str] = []  # per-row update lines (loop body)
@@ -414,7 +344,7 @@ class _Generator:
             inits.append(initial)
             return len(inits) - 1
 
-        for index, (func, arg, _exact) in enumerate(aggregates):
+        for index, (func, arg, distinct, _exact) in enumerate(aggregates):
             if arg is None:
                 count = slot("0")
                 updates.append(f"state[{count}] += 1")
@@ -422,7 +352,14 @@ class _Generator:
                 continue
             value = f"_v{index}"
             updates.append(f"{value} = {scalar(arg)}")
-            updates.append(f"if {value} is not None:")
+            if distinct:
+                seen = slot("set()")
+                updates.append(
+                    f"if {value} is not None and {value} not in state[{seen}]:"
+                )
+                updates.append(f"    state[{seen}].add({value})")
+            else:
+                updates.append(f"if {value} is not None:")
             if func in ("count", "avg"):
                 count = slot("0")
                 updates.append(f"    state[{count}] += 1")
@@ -470,8 +407,11 @@ class _Generator:
 def aggregate_op(group_cols: Sequence[int], aggregates: Sequence[tuple]) -> Op:
     """An ``aggregate`` op from ``(func, arg[, distinct[, exact_int]])`` specs."""
     specs = tuple((*spec, False, False)[:4] for spec in aggregates)
-    for func, arg, distinct, _exact in specs:
-        AggSpec(func, arg, distinct)  # validates the function and its arity
+    for func, arg, _distinct, _exact in specs:
+        if func not in AGGREGATE_FUNCTIONS:
+            raise ExecutionError(f"unknown aggregate {func!r}")
+        if func != "count" and arg is None:
+            raise ExecutionError(f"{func.upper()} needs an argument")
     return ("aggregate", tuple(group_cols), specs)
 
 

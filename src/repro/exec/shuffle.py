@@ -14,7 +14,8 @@ closure columns) and falls back to the real function for other types,
 so bucket assignment is **bit-identical** to the interpreted helper —
 the same rows land in the same buckets in the same order.  A property
 test (``tests/test_executor_shuffle.py``) enforces the equivalence
-against the reference hash for every value type the engine ships.
+against that helper (``reference_bucket`` in ``tests/oracle``) for
+every value type the engine ships.
 
 Generated splitters look like::
 
@@ -40,16 +41,6 @@ _MASK = 0x7FFFFFFF
 #: Same multiplier the interpreted ``_hash_key`` used (CPython's tuple
 #: hash multiplier); part of the pinned on-wire bucket assignment.
 _MULTIPLIER = 1000003
-
-
-def reference_bucket(row: tuple, key_cols: tuple[int, ...], k: int) -> int:
-    """The interpreted bucket function the compiler must reproduce."""
-    from repro.core.fragmentation import stable_hash
-
-    value = 0
-    for col in key_cols:
-        value = (value * _MULTIPLIER) ^ stable_hash(row[col])
-    return (value & _MASK) % k
 
 
 def _hash_snippet(column: int) -> str:
@@ -115,10 +106,9 @@ class SplitterCache(SnapshotMixin):
         self._splitters: dict[tuple[tuple[int, ...], int], Splitter] = {}
         self.compilations = 0
         self.hits = 0
-        #: Shuffles served while the engine ran batch kernels vs
-        #: row-at-a-time loops.  The split shows up in the Snapshot
-        #: fingerprint, so a perf bisection can tell from a recorded
-        #: trace which execution path produced a regression.
+        #: Shuffles served.  The engine has one execution path, so
+        #: ``row_invocations`` stays 0; both keys stay in the Snapshot,
+        #: whose fingerprint the golden tests pin.
         self.batch_invocations = 0
         self.row_invocations = 0
 
@@ -133,12 +123,9 @@ class SplitterCache(SnapshotMixin):
             self.hits += 1
         return fn
 
-    def record_invocation(self, batch: bool) -> None:
-        """Count one shuffle under the engine's current execution path."""
-        if batch:
-            self.batch_invocations += 1
-        else:
-            self.row_invocations += 1
+    def record_invocation(self) -> None:
+        """Count one shuffle."""
+        self.batch_invocations += 1
 
     def stats(self) -> dict[str, float]:
         lookups = self.compilations + self.hits

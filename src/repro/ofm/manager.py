@@ -93,7 +93,6 @@ class OneFragmentManager(PoolProcess):
         node_id: int,
         schema: Schema,
         profile: OFMProfile = OFMProfile.FULL,
-        compiled_expressions: bool = True,
         disk_resident: bool = False,
     ):
         super().__init__(runtime, name, node_id)
@@ -104,7 +103,7 @@ class OneFragmentManager(PoolProcess):
         #: PRISMA proper keeps this False (main memory as primary store).
         self.disk_resident = disk_resident
         self.table = Table(name, schema, memory=self.memory)
-        self.evaluator = Evaluator(compiled=compiled_expressions)
+        self.evaluator = Evaluator()
         self.wal: WriteAheadLog | None = None
         if profile is OFMProfile.FULL:
             self.wal = WriteAheadLog(runtime.machine, node_id, name)

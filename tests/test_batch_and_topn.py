@@ -34,16 +34,10 @@ from repro.exec.batch import (
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import Arithmetic, Comparison, col, lit
 from repro.exec.operators import (
-    AggSpec,
-    JoinKind,
     WorkMeter,
-    aggregate_rows,
     charge_top_n,
     hash_join,
     hash_join_batch,
-    limit_rows,
-    project_rows,
-    select_rows,
     sort_rows,
     top_n_rows,
 )
@@ -58,6 +52,16 @@ from repro.algebra.plan import (
 from repro.algebra.rules import KNOWLEDGE_BASE, apply_rules
 from repro.storage import DataType, Schema
 from repro.workloads.wisconsin import load_wisconsin
+
+from tests.oracle import (
+    INTERPRETATION_FACTOR,
+    AggSpec,
+    RowEvaluator,
+    aggregate_rows,
+    limit_rows,
+    project_rows,
+    select_rows,
+)
 
 # ---------------------------------------------------------------------------
 # Batch kernels vs row-at-a-time references
@@ -175,7 +179,7 @@ class TestBatchKernels:
 
 
 # ---------------------------------------------------------------------------
-# Batch on/off A/B at the local-executor level
+# Generated kernels vs the oracle's row loops at the local-executor level
 # ---------------------------------------------------------------------------
 
 
@@ -184,6 +188,9 @@ class TestBatchRowEquivalence:
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_same_rows_same_charges(self, compiled):
+        """Against compiled row loops the charges are identical; the
+        interpreted ones charge the projection's compares times
+        ``INTERPRETATION_FACTOR`` (the sort has no expression)."""
         rng = random.Random(5)
         rows = [
             (rng.randrange(40), rng.randrange(6), round(rng.uniform(0, 9), 2))
@@ -191,16 +198,18 @@ class TestBatchRowEquivalence:
         ]
         scan = ScanNode("t", self.SCHEMA)
         plan = ProjectNode(SortNode(scan, [(0, False)]), [col(0), col(1)])
-        results = {}
-        for batch in (True, False):
+
+        def run(evaluator):
             meter = WorkMeter()
-            executor = LocalExecutor(
-                {"t": rows},
-                evaluator=Evaluator(compiled=compiled, batch=batch),
-                meter=meter,
-            )
-            results[batch] = (executor.run(plan), meter.tuples, meter.compares)
-        assert results[True] == results[False]
+            out = LocalExecutor({"t": rows}, evaluator=evaluator, meter=meter).run(plan)
+            return out, meter.tuples, meter.compares
+
+        got, tuples, compares = run(Evaluator())
+        want, row_tuples, row_compares = run(RowEvaluator(interpreted=not compiled))
+        assert (got, tuples) == (want, row_tuples)
+        projected = 2 * len(rows)  # weight 1 per column reference
+        factor = 1.0 if compiled else INTERPRETATION_FACTOR
+        assert row_compares - compares == projected * (factor - 1)
 
 
 # ---------------------------------------------------------------------------

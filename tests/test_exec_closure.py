@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MachineConfig, PrismaDB
-from repro.exec.closure import (
-    naive_closure,
-    reachable_from,
-    seminaive_closure,
-    smart_closure,
-)
+from repro.exec.closure import seminaive_closure
 from repro.exec.operators import WorkMeter
+
+from tests.oracle import naive_closure, reachable_from, smart_closure
 
 ALGORITHMS = [naive_closure, seminaive_closure, smart_closure]
 

@@ -1,24 +1,30 @@
-"""Tests for the physical relational operators."""
+"""Tests for the physical relational operators, and for the row-at-a-time
+ones of the test-side oracle that the generated kernels are held to."""
 
 import pytest
 
 from repro.errors import ExecutionError
+from repro.exec.expressions import col
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     WorkMeter,
-    aggregate_rows,
     difference_rows,
-    distinct_rows,
     hash_join,
     intersect_rows,
-    limit_rows,
     nested_loop_join,
-    project_rows,
-    select_rows,
     sort_rows,
     union_all_rows,
     union_rows,
+)
+from repro.exec.pipeline import aggregate_op
+
+from tests.oracle import (
+    AggSpec,
+    aggregate_rows,
+    distinct_rows,
+    limit_rows,
+    project_rows,
+    select_rows,
 )
 
 
@@ -255,7 +261,8 @@ class TestAggregation:
         assert out == [(2, 3)]
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ExecutionError):
-            AggSpec("median", lambda r: r[0])
-        with pytest.raises(ExecutionError):
-            AggSpec("sum")
+        with pytest.raises(ExecutionError, match="unknown aggregate"):
+            aggregate_op((), [("median", col(0))])
+        with pytest.raises(ExecutionError, match="SUM needs an argument"):
+            aggregate_op((0,), [("sum", None, True)])
+        assert aggregate_op((), [("count", None)])[2] == (("count", None, False, False),)

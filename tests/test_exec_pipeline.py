@@ -4,7 +4,8 @@ One generated function per operator chain (``repro.exec.pipeline``)
 must be invisible: same rows with the same element types, the same
 ``WorkMeter`` totals per stage, and — through the distributed executor
 — the same simulated clocks, busy totals and ``operator.execute`` spans
-as running the chain one operator call at a time (``batch=False``).
+as running the chain one operator call at a time (the oracle's
+``RowEvaluator``, swapped in with ``use_evaluator``).
 """
 
 import math
@@ -25,9 +26,11 @@ from repro.exec.expressions import (
     lit,
 )
 from repro.exec.operators import WorkMeter
-from repro.exec.pipeline import Pipeline, RowPipeline, aggregate_op
+from repro.exec.pipeline import Pipeline, aggregate_op
 from repro.core.dispatch import UpdatePlan
 from repro.sql.binder import Binder, BoundUpdate
+
+from tests.oracle import RowEvaluator, use_evaluator
 
 # ---------------------------------------------------------------------------
 # (a) Randomized identity: fused chain == row path, element types included.
@@ -106,7 +109,7 @@ def chains(draw):
                 if func == "count" and draw(st.booleans()):
                     specs.append(("count", None))
                 else:
-                    specs.append((func, col(i)))
+                    specs.append((func, col(i), draw(st.booleans())))
                 agg_kinds.append(
                     "key" if func == "count" else "float" if func == "avg" else kinds[i]
                 )
@@ -147,9 +150,7 @@ def _run(evaluator, stages, rows, rescan):
 @given(chains(), st.booleans())
 def test_fused_chain_equals_row_path(chain, rescan):
     rows, stages = chain
-    fused, row = Evaluator(), Evaluator(batch=False)
-    assert isinstance(fused.pipeline(stages), Pipeline)
-    assert isinstance(row.pipeline(stages), RowPipeline)
+    fused, row = Evaluator(), RowEvaluator()
     got = _run(fused, stages, rows, rescan)
     want = _run(row, stages, rows, rescan)
     # repr() tells 1 from True from 1.0 and -0.0 from 0.0, and lets a
@@ -163,7 +164,7 @@ def test_sum_traps_first_value_sign_and_order():
     for values in ([True], [-0.0], [0.1] * 10, [1e16, 1.0, -1e16, 1.0], [None, None], []):
         rows = [(v,) for v in values]
         got = _run(Evaluator(), (ops,), rows, False)
-        want = _run(Evaluator(batch=False), (ops,), rows, False)
+        want = _run(RowEvaluator(), (ops,), rows, False)
         assert repr(got) == repr(want), values
 
 
@@ -188,16 +189,45 @@ def test_min_max_keep_first_of_equals_and_skip_nan():
     for values in ([1, True, 1.0], [True, 1], [math.nan, 1.0, 2.0], [2.0, math.nan, 1.0], ["b", "a", "ü"]):
         rows = [(v,) for v in values]
         got = _run(Evaluator(), (ops,), rows, False)
-        want = _run(Evaluator(batch=False), (ops,), rows, False)
+        want = _run(RowEvaluator(), (ops,), rows, False)
         assert repr(got) == repr(want), values
 
 
-def test_distinct_aggregates_and_interpreted_backend_take_the_row_path():
-    distinct = ((aggregate_op((), [("count", col(0), True)]),),)
-    assert isinstance(Evaluator().pipeline(distinct), RowPipeline)
-    plain = ((("select", Comparison(">", col(0), lit(1))),),)
-    assert isinstance(Evaluator(compiled=False).pipeline(plain), RowPipeline)
-    assert isinstance(Evaluator().pipeline(plain), Pipeline)
+@settings(max_examples=100, deadline=None)
+@given(chains())
+def test_every_chain_compiles(chain):
+    """DISTINCT aggregates included: the engine has no other chain runner."""
+    _rows, stages = chain
+    assert isinstance(Evaluator().pipeline(stages), Pipeline)
+
+
+#: Values equal as set members (1, 1.0, True; -0.0, 0.0), a NULL, and
+#: two NaNs: one object twice (a set finds it by identity) and another.
+DISTINCT_VALUES = [1, 1.0, True, math.nan, None, -0.0, 1, 0.0, math.nan, 2.5, float("nan")]
+
+
+def test_distinct_aggregates_match_the_oracle_global_and_grouped():
+    """``COUNT(x)`` and ``COUNT(DISTINCT x)`` in one aggregation never
+    share a column: the plain column keeps every non-NULL value."""
+    specs = [
+        ("count", col(1)),
+        ("count", col(1), True),
+        ("sum", col(1), True),
+        ("avg", col(1), True),
+        ("min", col(1), True),
+        ("max", col(1), True),
+        ("sum", col(1)),
+    ]
+    rows = [(i % 2, v) for i, v in enumerate(DISTINCT_VALUES)]
+    for group_cols in ((), (0,)):
+        stages = ((aggregate_op(group_cols, specs),),)
+        got = _run(Evaluator(), stages, rows, False)
+        want = _run(RowEvaluator(), stages, rows, False)
+        assert repr(got) == repr(want), group_cols
+    (global_row,), _outs, _meters = _run(
+        Evaluator(), ((aggregate_op((), specs),),), rows, False
+    )
+    assert global_row[:2] == (10, 5)
 
 
 def test_compiler_cache_counts_operator_shapes_not_chains():
@@ -223,7 +253,7 @@ ANCESTOR = (
 
 def _statements():
     """200 statements: the serving templates, the analytic templates,
-    a HAVING and a DISTINCT aggregate (which must not fuse)."""
+    a HAVING and a DISTINCT aggregate."""
     script = []
     for i in range(20):
         script += [
@@ -250,6 +280,8 @@ def _statements():
 
 
 def _twin(batch: bool, n_nodes: int = 16, fragments: int = 4):
+    """A loaded database running generated kernels, or (not *batch*)
+    the oracle's row-at-a-time loops."""
     tracer = Tracer()
     db = PrismaDB(MachineConfig(n_nodes=n_nodes, disk_nodes=(0,)), tracer=tracer)
     db.execute(f"CREATE TABLE kv (id INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(id) INTO {fragments}")
@@ -270,9 +302,8 @@ def _twin(batch: bool, n_nodes: int = 16, fragments: int = 4):
     )
     db.bulk_load("e", [(i, i + 1) for i in range(12)] + [(i, i + 3) for i in range(0, 12, 2)])
     db.bulk_load("parent", [(f"p{i}", f"p{i + 1}") for i in range(8)])
-    db.gdh.executor.evaluator.batch = batch
-    for ofm in db.gdh.fragment_ofms.values():
-        ofm.evaluator.batch = batch
+    if not batch:
+        use_evaluator(db, RowEvaluator())
     return db, tracer
 
 

@@ -2,7 +2,7 @@
 invariants, and direct-ship broadcast cost.
 
 The splitter must assign every row to the same bucket as the interpreted
-reference hash (``reference_bucket``) for every value type the engine
+reference hash (the oracle's ``reference_bucket``) for every value type the engine
 ships — that equivalence is what makes the single-pass repartition
 bit-identical to the per-row implementation it replaced.
 """
@@ -13,9 +13,11 @@ from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.core.executor import DistRelation, DistributedExecutor, Part
 from repro.core.fragmentation import stable_hash
-from repro.exec.shuffle import SplitterCache, compile_splitter, reference_bucket
+from repro.exec.shuffle import SplitterCache, compile_splitter
 from repro.machine import Machine, MachineConfig
 from repro.pool import PoolProcess, PoolRuntime
+
+from tests.oracle import reference_bucket
 
 #: Every value family stable_hash distinguishes: small/large/negative
 #: ints, bools (an int subclass with its own routing), floats, strings

@@ -1,12 +1,12 @@
 """Unit tests for the smaller supporting modules: table and result
-formatting, the evaluator facade, commit log, DBA statements."""
+formatting, expression weights, commit log, DBA statements."""
 
 import pytest
 
 from repro import MachineConfig, PrismaDB
 from repro.machine import Machine
-from repro.exec.evaluation import INTERPRETATION_FACTOR, Evaluator, expression_weight
-from repro.exec.expressions import Arithmetic, Comparison, and_, col, eq, lit
+from repro.exec.evaluation import expression_weight
+from repro.exec.expressions import Comparison, and_, col, eq, lit
 from repro.core.result import QueryResult
 from repro.core.twophase import CommitLog
 from repro.obs.export import format_table
@@ -25,23 +25,6 @@ class TestEvaluatorFacade:
     def test_weight_counts_nodes(self):
         expr = and_(eq(col(0), lit(1)), Comparison("<", col(1), lit(2)))
         assert expression_weight(expr) == 7  # and + 2 cmp + 4 leaves
-
-    def test_interpreted_weight_penalized(self):
-        expr = eq(col(0), lit(1))
-        _, compiled_weight = Evaluator(compiled=True).predicate(expr)
-        _, interpreted_weight = Evaluator(compiled=False).predicate(expr)
-        assert interpreted_weight == compiled_weight * INTERPRETATION_FACTOR
-
-    def test_backends_agree(self):
-        expr = Comparison(">", Arithmetic("+", col(0), col(1)), lit(5))
-        rows = [(2, 4), (1, 1), (None, 3)]
-        compiled_fn, _ = Evaluator(compiled=True).predicate(expr)
-        interpreted_fn, _ = Evaluator(compiled=False).predicate(expr)
-        assert [compiled_fn(r) for r in rows] == [interpreted_fn(r) for r in rows]
-
-    def test_scalar_helper(self):
-        fn, _ = Evaluator().scalar(Arithmetic("*", col(0), lit(3)))
-        assert fn((4,)) == 12
 
 
 class TestQueryResult:

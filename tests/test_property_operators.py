@@ -5,12 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec.compiler import compile_key
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     WorkMeter,
-    aggregate_rows,
     difference_rows,
-    distinct_rows,
     hash_join,
     intersect_rows,
     nested_loop_join,
@@ -22,6 +19,8 @@ from repro.core.fragmentation import (
     RangeFragmentation,
     stable_hash,
 )
+
+from tests.oracle import AggSpec, aggregate_rows, distinct_rows
 
 _values = st.one_of(st.integers(-20, 20), st.sampled_from(["a", "b", "c"]))
 _int_rows = st.lists(st.tuples(st.integers(0, 6), st.integers(-9, 9)), max_size=20)
