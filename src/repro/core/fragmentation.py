@@ -215,7 +215,9 @@ def stable_hash(value: Any) -> int:
     """Deterministic across runs (unlike ``hash(str)`` with PYTHONHASHSEED).
 
     Fragmentation must be stable so recovery re-derives the same tuple
-    homes after a restart.
+    homes after a restart.  A float whose scaled value overflows (every
+    infinity, and finite values near the top of the range) hashes by its
+    sign alone, and NaN to 0, so equal values still share a bucket.
     """
     if value is None:
         return 0
@@ -224,7 +226,12 @@ def stable_hash(value: Any) -> int:
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     if isinstance(value, float):
-        return int(value * 2654435761) & 0x7FFFFFFF
+        try:
+            return int(value * 2654435761) & 0x7FFFFFFF
+        except OverflowError:  # the scaled value is an infinity
+            return 1 if value > 0 else 2
+        except ValueError:  # NaN
+            return 0
     if isinstance(value, str):
         h = 2166136261
         for byte in value.encode("utf-8"):

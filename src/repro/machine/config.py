@@ -99,6 +99,8 @@ class MachineConfig:
             raise MachineError("link_bandwidth_bps must be positive")
         if self.packet_bits <= 0:
             raise MachineError("packet_bits must be positive")
+        if self.switch_delay_s < 0:
+            raise MachineError("switch_delay_s must not be negative")
         if self.memory_bytes <= 0:
             raise MachineError("memory_bytes must be positive")
         bad_disks = [n for n in self.disk_nodes if not 0 <= n < self.n_nodes]

@@ -18,8 +18,7 @@ the single hottest code in the repository.  Two choices keep it lean:
   ``(time, sequence)`` is a single C-level operation; there is no
   per-event instance, ``__lt__`` dispatch, or attribute access.
 * Callbacks are stored as ``(fn, arg)`` pairs and invoked as
-  ``fn(arg)``.  Hot callers (:class:`~repro.machine.network.PacketNetwork`,
-  :class:`~repro.machine.traffic.PoissonTraffic`) use
+  ``fn(arg)``.  :class:`~repro.machine.traffic.PoissonTraffic` uses
   :meth:`EventLoop.schedule_call_at` to pass a bound method plus its
   argument directly, avoiding a closure allocation per event.  The
   zero-argument convenience API (:meth:`EventLoop.schedule_at` /
@@ -31,7 +30,18 @@ loop tests nothing per popped event but the time bound.
 
 The loop also keeps O(1) profiling counters — pending events, total
 events fired, and the peak heap size — which the benchmark harnesses
-read directly, timing the host side with their own clock.
+read directly, timing the host side with their own clock: ``pending``
+is ``len(_queue)``, ``events_fired_total`` is ``_fired_total`` (bumped
+per event by :meth:`EventLoop.step`, per run by :meth:`EventLoop.run`),
+and ``heap_peak`` is ``_heap_peak``, raised after every push.
+
+A push is ``heappush(_queue, (time, _sequence, fn, arg))``, then
+``_sequence += 1``, then the ``heap_peak`` update.  The per-hop path of
+:class:`~repro.machine.network.PacketNetwork` performs exactly these
+three steps inline, saving the :meth:`EventLoop.schedule_call_at` frame
+on every hop.  It skips only the past-time check, which cannot fire
+there: an arrival is a departure (a positive service time after
+``now`` at the earliest) plus a non-negative switch delay.
 """
 
 from __future__ import annotations
@@ -105,6 +115,14 @@ class EventLoop:
     def heap_peak(self) -> int:
         """Largest heap size ever reached."""
         return self._heap_peak
+
+    def pending_args(self, fn: Callable[[Any], None]) -> list[Any]:
+        """The arguments of the not-yet-fired events that call *fn*.
+
+        Heap order, not firing order.  O(pending); meant for occasional
+        questions such as a network's packets in flight, not per event.
+        """
+        return [arg for _time, _seq, queued, arg in self._queue if queued == fn]
 
     # -- scheduling ---------------------------------------------------------
 

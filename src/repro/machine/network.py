@@ -29,12 +29,18 @@ routing step indexes a per-destination column of outgoing link ids,
 fetched lazily from the router
 (:meth:`repro.machine.router.Router.out_links_to`) so only destinations
 that actually receive traffic ever pay for a routing column.
+
+A hop records its departure instant on the packet.  Only a network
+with a ``queue_capacity`` also keeps per-link deques of departure times,
+for its occupancy check, so an unbounded network's memory is O(links +
+packets in flight) however long it runs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 
 from repro.errors import MachineError
 from repro.machine.config import MachineConfig
@@ -49,8 +55,9 @@ from repro.obs.tracer import Tracer, active
 class Packet:
     """One network packet in flight.
 
-    ``node`` is simulator bookkeeping: the element the packet is
-    currently headed to (updated as each hop is scheduled).
+    ``node`` and ``departs_at`` are simulator bookkeeping: the element
+    the packet is currently headed to and the instant it leaves the
+    link toward it (both updated as each hop is scheduled).
     """
 
     packet_id: int
@@ -59,6 +66,7 @@ class Packet:
     injected_at: float
     hops_taken: int = 0
     node: int = -1
+    departs_at: float = 0.0
 
 
 @dataclass(slots=True)
@@ -139,8 +147,8 @@ class PacketNetwork:
         self.router = Router(self.topology)
         self.stats = NetworkStats()
         # Flat per-link state, indexed by the router's directed link ids:
-        # the instant each link is next free and the departure times of
-        # the packets it still holds (FIFO order).
+        # the instant each link is next free and, on bounded queues only,
+        # the departure times of the packets it still holds (FIFO order).
         n_links = self.router.n_directed_links
         # Hot per-hop state stays in plain lists: CPython boxes every
         # array('d')/array('q') element access, which measures ~3x
@@ -148,7 +156,9 @@ class PacketNetwork:
         # compact array-typed tables live in the Router; this class
         # trades those bytes back for speed on what it touches per hop.
         self._link_next_free: list[float] = [0.0] * n_links
-        self._link_departs: list[deque[float]] = [deque() for _ in range(n_links)]
+        self._link_departs: list[deque[float]] | None = (
+            None if queue_capacity is None else [deque() for _ in range(n_links)]
+        )
         # Per-destination out-link columns, fetched lazily on first
         # traffic toward each destination and unboxed into lists once,
         # so memory stays O(links + touched destinations).
@@ -204,7 +214,9 @@ class PacketNetwork:
         once, and :meth:`inject` enters through it (with ``packet.node``
         set to the source).  The forward step applies the analytic FIFO
         law: the departure instant is computed at enqueue time and only
-        the arrival at the next switch is scheduled.
+        the arrival at the next switch is scheduled, pushed onto the
+        loop's heap inline (the push protocol is in
+        :mod:`repro.machine.events`).
         """
         node = packet.node
         destination = packet.destination
@@ -216,9 +228,11 @@ class PacketNetwork:
             out_col = list(self.router.out_links_to(destination))
             self._out_cols[destination] = out_col
         link_id = out_col[node]
-        now = self.loop.now
-        departs = self._link_departs[link_id]
-        if self.queue_capacity is not None:
+        loop = self.loop
+        now = loop._now
+        link_departs = self._link_departs
+        if link_departs is not None:
+            departs = link_departs[link_id]
             # Packets that have already departed no longer occupy the
             # queue; purge them before the occupancy check.
             while departs and departs[0] <= now:
@@ -240,11 +254,17 @@ class PacketNetwork:
         next_free = self._link_next_free[link_id]
         depart = (next_free if next_free > now else now) + self._service_s
         self._link_next_free[link_id] = depart
-        departs.append(depart)
+        if link_departs is not None:
+            departs.append(depart)
+        packet.departs_at = depart
         packet.hops_taken += 1
         packet.node = self._link_dest[link_id]
         arrival = depart + self._switch_s
-        self.loop.schedule_call_at(arrival, self._arrive_cb, packet)
+        queue = loop._queue
+        heappush(queue, (arrival, loop._sequence, self._arrive_cb, packet))
+        loop._sequence += 1
+        if len(queue) > loop._heap_peak:
+            loop._heap_peak = len(queue)
         if self._tracer is not None:
             self._tracer.span(
                 now,
@@ -283,15 +303,14 @@ class PacketNetwork:
     def in_flight(self) -> int:
         """Packets currently queued or in service.
 
-        Departure records already in the past are purged on the way.
+        Each forwarded packet has one pending arrival event; it still
+        occupies its link while its departure lies ahead of the clock.
         """
         now = self.loop.now
-        queued = 0
-        for departs in self._link_departs:
-            while departs and departs[0] <= now:
-                departs.popleft()
-            queued += len(departs)
-        return queued
+        return sum(
+            packet.departs_at > now
+            for packet in self.loop.pending_args(self._arrive_cb)
+        )
 
     def saturation_bound_pps(self) -> float:
         """Upper bound on per-node delivered throughput under uniform traffic.

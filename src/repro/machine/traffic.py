@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from math import log
 
 from repro.errors import MachineError
 from repro.machine.network import PacketNetwork
@@ -19,8 +20,20 @@ DestinationChooser = Callable[[random.Random, int, int], int]
 
 
 def uniform_destination(rng: random.Random, source: int, n_nodes: int) -> int:
-    """Any node but the source, uniformly."""
-    destination = rng.randrange(n_nodes - 1)
+    """Any node but the source, uniformly.
+
+    Draws what ``rng.randrange(n_nodes - 1)`` draws — the stdlib's own
+    ``getrandbits`` rejection loop (``Random._randbelow``) — without its
+    argument checks and extra frames, once per injected packet.
+    """
+    n = n_nodes - 1
+    if n <= 0:
+        raise MachineError(f"no destination other than the source among {n_nodes} node(s)")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    destination = getrandbits(k)
+    while destination >= n:
+        destination = getrandbits(k)
     return destination if destination < source else destination + 1
 
 
@@ -73,7 +86,7 @@ class PoissonTraffic:
         # Reused bound methods: one heap tuple per arrival, no per-event
         # bound-method or closure allocation.
         self._fire_cb = self._fire
-        self._expovariate = self._rng.expovariate
+        self._random = self._rng.random
 
     def start(self, duration_s: float) -> None:
         """Schedule arrivals at every node for *duration_s* from now."""
@@ -84,8 +97,8 @@ class PoissonTraffic:
 
     def _schedule_next(self, node: int) -> None:
         loop = self.network.loop
-        gap = self._expovariate(self.rate)
-        when = loop.now + gap
+        # rng.expovariate(rate)'s own arithmetic, without its frame.
+        when = loop.now + -log(1.0 - self._random()) / self.rate
         if self._stop_at is None or when > self._stop_at:
             return
         loop.schedule_call_at(when, self._fire_cb, node)

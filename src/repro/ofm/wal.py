@@ -204,9 +204,12 @@ class WriteAheadLog:
         if self._snapshot_key not in self.disk:
             return [], 0.0
         payload, cost = self.disk.read(self._snapshot_key, sequential=True)
-        rows = [  # prismalint: disable=PL101 -- recovery cost is charged via the disk read + transfer above
-            (rid, tuple(row)) for rid, row in _pyast.literal_eval(payload.decode())
-        ]
+        try:
+            rows = [  # prismalint: disable=PL101 -- recovery cost is charged via the disk read + transfer above
+                (rid, tuple(row)) for rid, row in _pyast.literal_eval(payload.decode())
+            ]
+        except (ValueError, SyntaxError, TypeError) as exc:
+            raise RecoveryError(f"corrupt snapshot {self._snapshot_key}: {exc}") from None
         cost += self.machine.transfer_time(self.disk.node, self.owner_node, len(payload))
         return rows, cost
 

@@ -10,6 +10,11 @@ puts a row in every index or, when one refuses it (a unique key already
 taken), in none; ``_remove`` takes a row out of every index.  A refused
 write leaves the rows and the indexes exactly as they were.
 
+Every row enters through ``_validate``: the schema's coercion, plus a
+refusal of ``inf`` and ``nan``.  Rows reach stable storage as Python
+literals (the write-ahead log and the checkpoint snapshot), and a
+non-finite float has no literal, so a table never accepts one.
+
 When the table is bound to a :class:`~repro.machine.memory.MemoryAccount`
 (a processing element's 16 MByte budget), every mutation re-accounts the
 footprint, so overfilling an element raises
@@ -20,12 +25,14 @@ footprint, so overfilling an element raises
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from math import isfinite
 from typing import Any
 
 from repro.errors import OutOfMemoryError, StorageError
 from repro.machine.memory import MemoryAccount
 from repro.storage.indexes import HashIndex, Index, OrderedIndex
 from repro.storage.schema import Row, Schema
+from repro.storage.types import DataType
 
 
 class Table:
@@ -45,6 +52,13 @@ class Table:
         self._data_bytes = 0
         self.indexes: dict[str, Index] = {}
         self._memory_tag = f"table:{name}"
+        # The columns that can hold a float, the only values _validate
+        # has to look at beyond the schema's coercion.
+        self._float_columns = tuple(
+            position
+            for position, column in enumerate(schema.columns)
+            if column.data_type in (DataType.FLOAT, DataType.ANY)
+        )
 
     # -- memory accounting ----------------------------------------------------
 
@@ -68,6 +82,19 @@ class Table:
             self.memory.free(self._memory_tag)
 
     # -- mutation ---------------------------------------------------------------
+
+    def _validate(self, row: Sequence[Any]) -> Row:
+        """Coerce *row* to the schema; refuse a non-finite float."""
+        validated = self.schema.validate_row(row)
+        for position in self._float_columns:
+            value = validated[position]
+            if isinstance(value, float) and not isfinite(value):
+                raise StorageError(
+                    f"cannot store {value!r} in column"
+                    f" {self.schema.columns[position].name!r} of {self.name!r}:"
+                    " only finite numbers are stored"
+                )
+        return validated
 
     def _enter(self, rid: int, row: Row) -> None:
         """Enter *row* under *rid* in every index, or in none: when an
@@ -105,7 +132,7 @@ class Table:
 
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and store *row*; returns its new row id."""
-        validated = self.schema.validate_row(row)
+        validated = self._validate(row)
         rid = self._next_rid
         self._store(rid, validated)
         self._next_rid = rid + 1
@@ -115,7 +142,7 @@ class Table:
         """Re-insert a row under a known id (recovery/undo path)."""
         if rid in self._rows:
             raise StorageError(f"row id {rid} already present in {self.name!r}")
-        self._store(rid, self.schema.validate_row(row))
+        self._store(rid, self._validate(row))
         self._next_rid = max(self._next_rid, rid + 1)
 
     def delete(self, rid: int) -> Row:
@@ -132,7 +159,7 @@ class Table:
         update (an index or the element's memory) leaves the old row and
         its index entries in place."""
         old_row = self.get(rid)
-        validated = self.schema.validate_row(new_row)
+        validated = self._validate(new_row)
         self._remove(rid, old_row)
         try:
             self._enter(rid, validated)

@@ -1,6 +1,8 @@
 """Edge cases across the facade: error paths, script execution,
 recovery failure modes, and less-travelled statement shapes."""
 
+import math
+
 import pytest
 
 from repro import MachineConfig, PrismaDB
@@ -9,6 +11,7 @@ from repro.errors import (
     CatalogError,
     PrismalogError,
     RecoveryError,
+    StorageError,
     TransactionError,
 )
 
@@ -132,6 +135,40 @@ class TestRecoveryEdges:
             TableInfo("ghost", Schema.of(x=DataType.INT), SingleFragment())
         )
         with pytest.raises(RecoveryError):
+            db.restart()
+
+    def test_non_finite_real_is_refused_so_the_wal_stays_recoverable(self):
+        db = make_db()
+        db.execute("CREATE TABLE t (a INT, x REAL)")
+        db.execute("INSERT INTO t VALUES (0, 2.5)")
+        with pytest.raises(StorageError):
+            db.execute("INSERT INTO t VALUES (1, 1e999)")
+        with pytest.raises(StorageError):
+            db.connect().execute("INSERT INTO t VALUES (?, ?)", (2, float("nan")))
+        with pytest.raises(StorageError):
+            db.execute("UPDATE t SET x = x * 1e308 * 10")
+        db.crash()
+        db.restart()
+        assert db.execute("SELECT a, x FROM t").rows == [(0, 2.5)]
+
+    def test_non_finite_real_is_refused_so_the_snapshot_stays_recoverable(self):
+        db = make_db()
+        db.execute("CREATE TABLE t (a INT, x REAL)")
+        with pytest.raises(StorageError):
+            db.bulk_load("t", [(1, 1.5), (2, float("nan"))])
+        db.crash()
+        db.restart()
+        assert all(math.isfinite(x) for (x,) in db.execute("SELECT x FROM t").rows)
+
+    def test_corrupt_snapshot_is_a_recovery_error_naming_its_key(self):
+        db = make_db()
+        db.execute("CREATE TABLE t (a INT, x REAL)")
+        db.bulk_load("t", [(1, 1.5)])
+        (ofm,) = db.gdh.fragment_ofms.values()
+        wal = ofm.wal
+        wal.disk.write(wal._snapshot_key, b"[(0, (1, nan))]", sequential=True)
+        db.crash()
+        with pytest.raises(RecoveryError, match=f"corrupt snapshot {wal._snapshot_key}"):
             db.restart()
 
     def test_crash_aborts_open_transactions(self):

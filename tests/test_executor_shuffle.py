@@ -9,6 +9,7 @@ bit-identical to the per-row implementation it replaced.
 
 import pytest
 
+from repro import PrismaDB
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.core.executor import DistRelation, DistributedExecutor, Part
@@ -82,6 +83,36 @@ class TestCompiledSplitter:
 # Executor-level invariants.  _repartition and _broadcast only need live
 # processes and the runtime, so a minimal harness suffices.
 # ---------------------------------------------------------------------------
+
+
+class TestNonFiniteKeys:
+    def test_non_finite_floats_hash_to_fixed_buckets(self):
+        assert stable_hash(float("inf")) == stable_hash(1e308 * 10) == stable_hash(1e300)
+        assert stable_hash(float("-inf")) == stable_hash(-1e300)
+        assert stable_hash(float("inf")) != stable_hash(float("-inf"))
+        assert stable_hash(float("nan")) == stable_hash(-float("nan"))
+        # Finite values that scale to an int keep their hash.
+        for value in (3.14, -2.5, 0.0, 1e290, -1e290):
+            assert stable_hash(value) == int(value * 2654435761) & 0x7FFFFFFF
+
+    @staticmethod
+    def db_with_overflowing_products() -> PrismaDB:
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0, 4)))
+        db.execute("CREATE TABLE t (a INT, x REAL) FRAGMENTED BY HASH(a) INTO 4")
+        db.bulk_load("t", [(i, float(i % 3) - 1.0) for i in range(24)])
+        return db
+
+    def test_distinct_over_infinite_values(self):
+        db = self.db_with_overflowing_products()
+        rows = db.execute("SELECT DISTINCT x * 1e308 * 10 FROM t").rows
+        assert sorted(rows) == [(float("-inf"),), (0.0,), (float("inf"),)]
+
+    def test_group_by_over_infinite_values(self):
+        db = self.db_with_overflowing_products()
+        rows = db.execute(
+            "SELECT x * 1e308 * 10, COUNT(*) FROM t GROUP BY x * 1e308 * 10"
+        ).rows
+        assert sorted(rows) == [(float("-inf"), 8), (0.0, 8), (float("inf"), 8)]
 
 
 class ShuffleHarness:

@@ -31,6 +31,9 @@ class TestConfig:
             MachineConfig(topology="starship")
         with pytest.raises(MachineError):
             MachineConfig(disk_nodes=(99,))
+        # A hop's arrival must not precede its enqueue.
+        with pytest.raises(MachineError):
+            MachineConfig(switch_delay_s=-1e-6)
 
     def test_paper_prototype_has_disks(self):
         config = paper_prototype()
