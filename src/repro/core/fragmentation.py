@@ -11,6 +11,7 @@ hosts each fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.errors import CatalogError
@@ -215,10 +216,14 @@ def stable_hash(value: Any) -> int:
     """Deterministic across runs (unlike ``hash(str)`` with PYTHONHASHSEED).
 
     Fragmentation must be stable so recovery re-derives the same tuple
-    homes after a restart.  A float whose scaled value overflows (every
-    infinity, and finite values near the top of the range) hashes by its
-    sign alone, and NaN to 0, so equal values still share a bucket.
+    homes after a restart.  Values that compare equal hash equal, so a
+    shuffle never separates join or group partners: ``True`` hashes as
+    ``1`` and an integral float as the int it equals.  A float whose
+    scaled value overflows (every infinity) hashes by its sign alone,
+    and NaN to 0.
     """
+    if type(value) is str:
+        return _str_hash(value)
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -226,6 +231,8 @@ def stable_hash(value: Any) -> int:
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     if isinstance(value, float):
+        if value.is_integer():
+            return int(value) & 0x7FFFFFFF
         try:
             return int(value * 2654435761) & 0x7FFFFFFF
         except OverflowError:  # the scaled value is an infinity
@@ -233,11 +240,21 @@ def stable_hash(value: Any) -> int:
         except ValueError:  # NaN
             return 0
     if isinstance(value, str):
-        h = 2166136261
-        for byte in value.encode("utf-8"):
-            h = ((h ^ byte) * 16777619) & 0xFFFFFFFF
-        return h & 0x7FFFFFFF
+        return _fnv1a(value)
     raise CatalogError(f"cannot fragment on value {value!r}")
+
+
+def _fnv1a(value: str) -> int:
+    """31-bit FNV-1a over the UTF-8 bytes."""
+    h = 2166136261
+    for byte in value.encode("utf-8"):
+        h = ((h ^ byte) * 16777619) & 0xFFFFFFFF
+    return h & 0x7FFFFFFF
+
+
+#: Exact ``str`` values memoized (a shuffle hashes the same names every
+#: round); bounded, so a stream of distinct strings cannot grow it.
+_str_hash = lru_cache(maxsize=1 << 14)(_fnv1a)
 
 
 def build_scheme(

@@ -7,6 +7,8 @@ ships — that equivalence is what makes the single-pass repartition
 bit-identical to the per-row implementation it replaced.
 """
 
+import random
+
 import pytest
 
 from repro import PrismaDB
@@ -14,6 +16,8 @@ from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
 from repro.core.executor import DistRelation, DistributedExecutor, Part
 from repro.core.fragmentation import stable_hash
+from repro.exec.closure import seminaive_closure
+from repro.exec.operators import WorkMeter
 from repro.exec.shuffle import SplitterCache, compile_splitter
 from repro.machine import Machine, MachineConfig
 from repro.pool import PoolProcess, PoolRuntime
@@ -21,10 +25,15 @@ from repro.pool import PoolProcess, PoolRuntime
 from tests.oracle import reference_bucket
 
 #: Every value family stable_hash distinguishes: small/large/negative
-#: ints, bools (an int subclass with its own routing), floats, strings
+#: ints (either side of 2**31), bools (an int subclass with its own
+#: routing), integral and other floats, infinities and NaN, strings
 #: (FNV-1a), the empty string, non-ASCII, and NULL.
-VALUES = [0, 1, -1, 7, 2**40, -(2**35), True, False, 3.14, -2.5, 0.0,
+VALUES = [0, 1, -1, 7, 2**31 - 1, 2**31, 2**40, -(2**31), -(2**35), True, False,
+          3.14, -2.5, 0.0, 7.0, -1e300, float("inf"), float("-inf"), float("nan"),
           "abc", "", "ü", "name7", None]
+
+#: Bucket counts: the power-of-two path (1 included) and the modulo path.
+BUCKET_COUNTS = [1, 2, 3, 4, 5, 7, 8, 16, 64]
 
 
 def _rows(width: int) -> list[tuple]:
@@ -37,7 +46,7 @@ def _rows(width: int) -> list[tuple]:
 
 class TestCompiledSplitter:
     @pytest.mark.parametrize("key_cols", [(0,), (1,), (0, 1), (2, 1, 0)])
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("k", BUCKET_COUNTS)
     def test_matches_reference_bucket(self, key_cols, k):
         rows = _rows(3)
         buckets = compile_splitter(key_cols, k)(rows)
@@ -50,6 +59,30 @@ class TestCompiledSplitter:
         for index, bucket in enumerate(buckets):
             expected = [r for r in rows if reference_bucket(r, key_cols, k) == index]
             assert bucket == expected
+
+    @pytest.mark.parametrize("k", BUCKET_COUNTS)
+    def test_random_mixed_batches_match_reference_bucket(self, k):
+        rng = random.Random(k)
+        for _ in range(60):
+            key_cols = tuple(rng.sample(range(3), rng.randint(1, 3)))
+            rows = [
+                tuple(
+                    rng.choice(VALUES) if rng.random() < 0.5
+                    else rng.randint(-(2**40), 2**40)
+                    for _ in range(3)
+                )
+                for _ in range(12)
+            ]
+            for index, bucket in enumerate(compile_splitter(key_cols, k)(rows)):
+                for row in bucket:
+                    assert reference_bucket(row, key_cols, k) == index
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 64])
+    @pytest.mark.parametrize("key_cols", [(0,), (1, 0), (2, 0, 1)])
+    def test_power_of_two_split_keeps_low_bits_without_modulo(self, key_cols, k):
+        source = compile_splitter(key_cols, k).__prisma_source__
+        assert "%" not in source
+        assert f" & {k - 1}](row)" in source
 
     def test_single_int_column_agrees_with_stable_hash(self):
         # The inline int fast path must match stable_hash exactly.
@@ -87,12 +120,14 @@ class TestCompiledSplitter:
 
 class TestNonFiniteKeys:
     def test_non_finite_floats_hash_to_fixed_buckets(self):
-        assert stable_hash(float("inf")) == stable_hash(1e308 * 10) == stable_hash(1e300)
-        assert stable_hash(float("-inf")) == stable_hash(-1e300)
-        assert stable_hash(float("inf")) != stable_hash(float("-inf"))
-        assert stable_hash(float("nan")) == stable_hash(-float("nan"))
-        # Finite values that scale to an int keep their hash.
-        for value in (3.14, -2.5, 0.0, 1e290, -1e290):
+        assert stable_hash(float("inf")) == stable_hash(1e308 * 10) == 1
+        assert stable_hash(float("-inf")) == 2
+        assert stable_hash(float("nan")) == stable_hash(-float("nan")) == 0
+        # An integral float hashes as the int it equals, however large.
+        for value in (0.0, -3.0, 2.0**40, 1e290, -1e290, 1e300):
+            assert stable_hash(value) == stable_hash(int(value)) == int(value) & 0x7FFFFFFF
+        # Other finite values hash their scaled product.
+        for value in (3.14, -2.5, 1e-300):
             assert stable_hash(value) == int(value * 2654435761) & 0x7FFFFFFF
 
     @staticmethod
@@ -115,9 +150,50 @@ class TestNonFiniteKeys:
         assert sorted(rows) == [(float("-inf"), 8), (0.0, 8), (float("inf"), 8)]
 
 
+class TestEqualValuesShareABucket:
+    """``1 == 1.0 == True``, so a shuffle must not separate them."""
+
+    @staticmethod
+    def db_with(fragments_a: int, fragments_b: int) -> PrismaDB:
+        db = PrismaDB(MachineConfig(n_nodes=16, disk_nodes=(0,)))
+        db.execute(
+            "CREATE TABLE a (id INT PRIMARY KEY, i INT)"
+            f" FRAGMENTED BY HASH(id) INTO {fragments_a}"
+        )
+        db.execute(
+            "CREATE TABLE b (id INT PRIMARY KEY, f FLOAT)"
+            f" FRAGMENTED BY HASH(id) INTO {fragments_b}"
+        )
+        db.bulk_load("a", [(k, k % 50) for k in range(1000)])
+        db.bulk_load("b", [(k, float(k % 50)) for k in range(1000)])
+        return db
+
+    @pytest.mark.parametrize("fragments", [1, 2, 3, 4, 5, 6, 32])
+    def test_int_float_equi_join_keeps_every_pair(self, fragments):
+        db = self.db_with(fragments, fragments)
+        rows = db.execute("SELECT COUNT(*) FROM a JOIN b ON a.i = b.f").rows
+        assert rows == [(20 * 20 * 50,)]
+
+    def test_int_float_union_removes_equal_values(self):
+        db = self.db_with(1, 4)
+        rows = db.execute(
+            "SELECT i FROM a WHERE i < 5 UNION SELECT f FROM b WHERE f < 5"
+        ).rows
+        assert sorted(rows) == [(0,), (1,), (2,), (3,), (4,)]
+
+    def test_group_by_merges_int_float_and_bool(self):
+        db = PrismaDB(MachineConfig(n_nodes=16, disk_nodes=(0,)))
+        db.execute(
+            "CREATE TABLE g (id INT PRIMARY KEY, v ANY) FRAGMENTED BY HASH(id) INTO 3"
+        )
+        db.bulk_load("g", [(k, [1, 1.0, True, 2, 2.0][k % 5]) for k in range(30)])
+        rows = db.execute("SELECT v, COUNT(*) FROM g GROUP BY v").rows
+        assert sorted(rows) == [(1, 18), (2, 12)]
+
+
 class ShuffleHarness:
     def __init__(self, n_procs: int = 4):
-        config = MachineConfig(n_nodes=8, disk_nodes=(0,))
+        config = MachineConfig(n_nodes=max(8, n_procs + 1), disk_nodes=(0,))
         self.runtime = PoolRuntime(Machine(config))
         self.executor = DistributedExecutor(
             self.runtime, Catalog(), DataAllocationManager(self.runtime)
@@ -190,6 +266,21 @@ class TestRepartitionInvariants:
         for index, part in enumerate(shuffled.parts):
             assert part.rows == (rows if index == target else [])
 
+    def test_one_target_gathers_every_part(self):
+        harness = ShuffleHarness(4)
+        ex = harness.executor
+        harness.dispatch_all()
+        parts = [
+            Part(p, [(i, j) for j in range(3 + i)]) for i, p in enumerate(harness.procs)
+        ]
+        relation = DistRelation(parts, None)
+        expected = relation.all_rows()
+        messages = harness.runtime.stats.messages
+        shuffled = ex.repartition(relation, (0,), targets=[harness.procs[0]])
+        assert [p.process for p in shuffled.parts] == [harness.procs[0]]
+        assert shuffled.parts[0].rows == expected
+        assert harness.runtime.stats.messages - messages == 3  # one per remote part
+
     @staticmethod
     def runtime_stats(harness: ShuffleHarness) -> tuple[int, int]:
         return (harness.runtime.stats.messages, harness.runtime.stats.bytes_moved)
@@ -241,3 +332,122 @@ class TestBroadcastDirectShip:
             if target is not parts[0].process
         )
         assert shipped < gather_hop + old_fan_out
+
+
+# ---------------------------------------------------------------------------
+# The distributed closure's exchange: rows against the single-site
+# operator, and its messages, bytes and per-PE busy time pinned.  The
+# benchmark only runs all-int closures over 8 fragments, so this covers
+# one site (the gather), non-int values and bucket counts that are not
+# powers of two.
+# ---------------------------------------------------------------------------
+
+#: Ints, non-integral floats, strings, NULL sources and targets, a
+#: duplicate edge and self-loops.
+MIXED_EDGES = [
+    (1, 2), (2, 3), (3, 1), (3, "x"), ("x", "y"), ("y", 2.5), (2.5, 4),
+    (4, 4), ("y", "y"), (None, 1), (4, None), (1, 2), (2.5, "x"),
+    (-7, 1), (2**40, -7), ("ü", 2**40), (0.5, "ü"), (5, 0.5),
+]
+#: All-int edges, the only kind the benchmark runs.
+INT_EDGES = [(i % 13, (i * 5 + 3) % 13) for i in range(30)] + [(-4, 2**33), (2**33, 0)]
+
+
+def _closure_run(edges: list, n_sites: int):
+    harness = ShuffleHarness(n_sites)
+    relation = DistRelation(
+        [Part(p, edges[i::n_sites]) for i, p in enumerate(harness.procs)], None
+    )
+    result = harness.executor.parallel_closure(relation)
+    busy = [node.stats.busy_time_s for node in harness.runtime.machine.nodes]
+    stats = harness.runtime.stats
+    return result.all_rows(), (stats.messages, stats.bytes_moved, busy)
+
+
+#: (edges, sites) -> (messages, bytes moved, every PE's busy seconds).
+CLOSURE_PINS = {
+    ("mixed", 1): (
+        1,
+        512,
+        [
+            0.00102, 0.009309000000000001, 0.0,
+            0.0, 0.0, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("mixed", 3): (
+        102,
+        4527,
+        [
+            0.0010600000000000002, 0.005058000000000001, 0.006607999999999999,
+            0.006403000000000001, 0.0, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("mixed", 4): (
+        137,
+        5708,
+        [
+            0.0010800000000000002, 0.006576000000000002, 0.004233000000000004,
+            0.005035000000000006, 0.0046050000000000015, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("mixed", 8): (
+        206,
+        9005,
+        [
+            0.0011600000000000004, 0.0030910000000000043, 0.003833000000000003,
+            0.004915000000000005, 0.0031570000000000044, 0.005385000000000004,
+            0.0019000000000000024, 0.001720000000000002, 0.0031280000000000045,
+        ],
+    ),
+    ("ints", 1): (
+        1,
+        512,
+        [
+            0.00102, 0.007898000000000002, 0.0,
+            0.0, 0.0, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("ints", 3): (
+        54,
+        3720,
+        [
+            0.0010600000000000002, 0.005485000000000002, 0.004244000000000001,
+            0.004839000000000003, 0.0, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("ints", 4): (
+        83,
+        4792,
+        [
+            0.0010800000000000002, 0.004612000000000002, 0.003774000000000003,
+            0.004221000000000002, 0.004101000000000002, 0.0,
+            0.0, 0.0,
+        ],
+    ),
+    ("ints", 8): (
+        140,
+        7936,
+        [
+            0.0011600000000000004, 0.003173000000000002, 0.0026460000000000025,
+            0.0034390000000000037, 0.0032990000000000033, 0.0030990000000000037,
+            0.0024680000000000027, 0.0024020000000000027, 0.0023820000000000026,
+        ],
+    ),
+}
+
+
+class TestClosureExchangePinned:
+    @pytest.mark.parametrize("n_sites", [1, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["mixed", "ints"])
+    def test_rows_and_charges(self, name, n_sites):
+        edges = MIXED_EDGES if name == "mixed" else INT_EDGES
+        rows, charges = _closure_run(edges, n_sites)
+        expected = seminaive_closure(edges, WorkMeter()).rows
+        assert len(rows) == len(expected)
+        assert set(rows) == set(expected)
+        assert charges == CLOSURE_PINS[name, n_sites]
