@@ -215,7 +215,7 @@ def test_a4_crash_matrix(benchmark):
             " authoritative WAL record."
         ),
     )
-    # The 1PC window between the two forces is repaired from the WAL.
+    # The 1PC window before the coordinator's lazy entry is repaired from the WAL.
     repaired = [c for c in matrix if c["point"] == "1pc.after_participant_commit"]
     assert repaired[0]["log_repairs"] == 1
     benchmark.pedantic(

@@ -59,7 +59,8 @@ class CrashPoint(enum.Enum):
     #: the coordinator logged the decision: the participant's WAL is
     #: authoritative — recovery must keep the transaction committed.
     ONE_PC_AFTER_PARTICIPANT_COMMIT = "1pc.after_participant_commit"
-    #: 1PC, after the coordinator's log force: committed everywhere.
+    #: 1PC, after the coordinator wrote its log entry (lazily: nothing
+    #: waits for it): committed everywhere.
     ONE_PC_AFTER_LOG_FORCE = "1pc.after_log_force"
     #: 2PC, before any PREPARE went out.
     TWO_PC_BEFORE_PREPARE = "2pc.before_prepare"
@@ -69,7 +70,8 @@ class CrashPoint(enum.Enum):
     TWO_PC_AFTER_PREPARE = "2pc.after_prepare"
     #: 2PC, decision forced to the commit log, phase two not started.
     TWO_PC_AFTER_LOG_FORCE = "2pc.after_log_force"
-    #: 2PC, after the first participant received the commit decision.
+    #: 2PC, after the first participant received the commit decision
+    #: (its commit record appended, not forced).
     TWO_PC_MID_PHASE_TWO = "2pc.mid_phase_two"
     #: Abort, before anything was logged or undone.
     ABORT_BEFORE_LOG = "abort.before_log"

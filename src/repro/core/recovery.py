@@ -17,8 +17,15 @@ Three failure shapes are handled:
   :meth:`RecoveryManager.resolve_in_doubt` drives the surviving system:
   every in-doubt participant is resolved against the durable commit
   log, with the participant's *own* forced commit record authoritative
-  (the 1PC fast path forces the participant before the coordinator's
-  log entry; restart repairs the log from it, never the reverse).
+  (the 1PC fast path forces the participant and writes the
+  coordinator's log entry lazily after it; restart repairs the log from
+  the participant, never the reverse).
+
+Presumed abort keeps most commit-path records lazy (DESIGN.md §9, "What
+a commit forces"), and replay tolerates each one missing: a prepared
+participant whose commit record died unforced is in doubt and resolves
+from the forced 2PC decision, and a transaction with no commit entry
+and no local CommitRecord aborts.
 
 Cost accounting: the commit-log scan is charged onto the restart
 critical path (`duration_s` = scan + slowest fragment), because no
@@ -365,10 +372,10 @@ class RecoveryManager:
             assert recovery is not None
             report.in_doubt_resolved += len(recovery.in_doubt)
             # Participant-authoritative repair: a transaction the WAL
-            # shows durably committed but the log does not (1PC crash
-            # between the participant's force and the coordinator's)
-            # is re-recorded, so later scans — and the sibling copies
-            # replayed after this one — see it committed.
+            # shows durably committed but the log does not (a 1PC crash
+            # before the coordinator's lazy entry) is re-recorded, so
+            # later scans — and the sibling copies replayed after this
+            # one — see it committed.
             for txn_id in recovery.locally_committed:
                 if outcomes.get(txn_id) != "commit":
                     gdh.gdh_process.charge(gdh.commit_log.record(txn_id, "commit"))

@@ -5,12 +5,18 @@ participant OFM, which forces its WAL and votes; the decision is forced
 to the coordinator's durable commit log (on a disk-equipped element);
 phase two distributes the decision.  Single-participant transactions
 take the one-phase fast path (no vote round needed when there is nobody
-to disagree with).
+to disagree with): the participant's forced commit record is the
+decision.
 
-All message and log-force costs run on the simulated clock: the
-coordinator's process advances by the two message rounds plus the log
-force, the participants by their local forces — this is what the
-E9 benchmark measures as "commit overhead".
+Presumed abort decides which writes the commit waits for: the prepare
+forces and the 2PC decision, or the one participant's force on the 1PC
+path.  The 1PC coordinator's log entry, a prepared participant's commit
+record and every abort record are written without a wait, because
+restart rebuilds each from a forced record or presumes abort when it is
+missing (DESIGN.md §9, "What a commit forces").  So the coordinator's
+clock, the commit's acknowledged latency, advances by the message
+rounds plus the forces it waits for — what the E9 benchmark measures as
+"commit overhead".
 """
 
 from __future__ import annotations
@@ -33,9 +39,15 @@ CONTROL_MESSAGE_BYTES = 64
 class CommitLog:
     """The coordinator's durable transaction-outcome log.
 
-    Presumed abort: only COMMIT decisions must be logged before phase
-    two; an unknown transaction is aborted.  (Abort decisions are logged
-    too, lazily, so restart reporting can distinguish them.)
+    Presumed abort: only a 2PC COMMIT decision must be forced before
+    phase two; an unknown transaction is aborted.  A 1PC commit entry
+    (a cache of the participant's forced record) and abort entries are
+    written lazily: the caller does not charge :meth:`record`'s cost.
+
+    A decision may be dropped from this log only after every
+    participant's WAL has forced past it: a prepared participant's
+    commit record is not forced, so until then the decision here is
+    the only durable trace of the commit.
     """
 
     def __init__(self, machine: Machine, coordinator_node: int):
@@ -46,7 +58,8 @@ class CommitLog:
         self.coordinator_node = coordinator_node
 
     def record(self, txn_id: int, outcome: str) -> float:
-        """Durably record the decision; returns the simulated cost."""
+        """Write the decision to disk; returns the simulated cost, which
+        a forcing caller charges and a lazy one does not."""
         payload = repr((txn_id, outcome)).encode("utf-8")
         network = self.machine.transfer_time(
             self.coordinator_node, self.disk.node, len(payload)
@@ -148,9 +161,9 @@ class TwoPhaseCommit:
         if len(participants) == 1 and self.allow_one_phase:
             # One-phase: the single participant's force IS the decision.
             # Its durable commit record is authoritative — the
-            # coordinator's own log entry, written after, is only a
-            # cache (restart repairs the log from the participant when
-            # a crash lands between the two; see RecoveryManager).
+            # coordinator's own log entry, written after without a wait,
+            # is only a cache (restart repairs the log from the
+            # participant when the entry is missing; see RecoveryManager).
             ofm = participants[0]
             started = coordinator.ready_at
             self._crash_point(
@@ -166,7 +179,7 @@ class TwoPhaseCommit:
             )
             arrival = self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
             coordinator.advance_to(arrival)
-            coordinator.charge(self.commit_log.record(txn.txn_id, "commit"))
+            self.commit_log.record(txn.txn_id, "commit")
             self._crash_point(CrashPoint.ONE_PC_AFTER_LOG_FORCE, txn.txn_id)
             if self._tracer is not None:
                 self._tracer.span(
@@ -228,8 +241,9 @@ class TwoPhaseCommit:
             )
         self._crash_point(CrashPoint.TWO_PC_AFTER_LOG_FORCE, txn.txn_id)
 
-        # Phase two: decision + acks.  The decision is durable; dead
-        # participants are merely unreached, not a correctness problem.
+        # Phase two: decision + acks.  The decision is durable, so the
+        # participants' commit records need no force; dead participants
+        # are merely unreached, not a correctness problem.
         phase_two_started = coordinator.ready_at
         ack_arrivals = []
         unreached = 0
@@ -277,14 +291,17 @@ class TwoPhaseCommit:
         coordinator: PoolProcess,
         cause: MachineError,
     ) -> None:
-        """A participant died before the decision: roll back and raise."""
-        coordinator.charge(self.commit_log.record(txn.txn_id, "abort"))
+        """A participant died before the decision: roll back and raise.
+
+        The abort entry is lazy (presumed abort), so only the messages
+        are charged."""
+        self.commit_log.record(txn.txn_id, "abort")
         for ofm in txn.participants.values():
             if ofm.alive and ofm.has_transaction_state(txn.txn_id):
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)
+                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
                 ofm.abort(txn.txn_id)
                 coordinator.advance_to(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
+                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
                 )
         raise TransactionAborted(
             f"transaction {txn.txn_id} aborted: participant failed during"
@@ -292,7 +309,10 @@ class TwoPhaseCommit:
         ) from cause
 
     def abort(self, txn: Transaction, coordinator: PoolProcess) -> CommitOutcome:
-        """Distribute an abort decision and undo at every participant."""
+        """Distribute an abort decision and undo at every participant.
+
+        No abort record is forced (presumed abort): the coordinator
+        waits only for the undo acknowledgements."""
         participants = [
             ofm
             for ofm in txn.participants.values()
@@ -301,16 +321,16 @@ class TwoPhaseCommit:
         messages = 0
         started = coordinator.ready_at
         self._crash_point(CrashPoint.ABORT_BEFORE_LOG, txn.txn_id)
-        coordinator.charge(self.commit_log.record(txn.txn_id, "abort"))
+        self.commit_log.record(txn.txn_id, "abort")
         arrivals = [coordinator.ready_at]
         unreached = 0
         undone = 0
         for ofm in participants:
             try:
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)
+                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
                 ofm.abort(txn.txn_id)
                 arrivals.append(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
+                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
                 )
                 messages += 2
             except MachineError:

@@ -110,10 +110,11 @@ class OneFragmentManager(PoolProcess):
         #: Per-transaction undo chains (volatile; WAL is the durable copy).
         self._undo: dict[int, list] = {}
         self._prepared: set[int] = set()
-        #: Transactions this OFM has durably committed (volatile mirror
-        #: of the WAL's forced CommitRecords; rebuilt by recover()).
-        #: In-doubt resolution consults it: a participant's own commit
-        #: record is authoritative, e.g. on the 1PC fast path.
+        #: Transactions this OFM has committed (volatile mirror of the
+        #: WAL's CommitRecords, forced on the 1PC path and lazy after a
+        #: PREPARE; rebuilt by recover()).  In-doubt resolution consults
+        #: it: a participant's own commit record is authoritative on the
+        #: 1PC fast path.
         self._committed: set[int] = set()
         #: Filled by recover(): what the last replay found.
         self.last_recovery: FragmentRecovery | None = None
@@ -263,8 +264,16 @@ class OneFragmentManager(PoolProcess):
         return True
 
     def commit(self, txn_id: int) -> None:
+        """Apply the commit decision.
+
+        Unprepared (the 1PC fast path) the CommitRecord *is* the
+        decision and is forced with the transaction's updates.  After a
+        PREPARE it is appended without a force: it reaches disk with
+        this WAL's next force or checkpoint, and a crash before then
+        leaves the transaction in doubt, resolved from the coordinator's
+        forced decision."""
         self._log(CommitRecord(txn_id))
-        if self.wal is not None:
+        if self.wal is not None and txn_id not in self._prepared:
             self.charge(self.wal.force())
         self._undo.pop(txn_id, None)
         self._prepared.discard(txn_id)
@@ -277,7 +286,11 @@ class OneFragmentManager(PoolProcess):
         one this OFM already *committed* must not get an AbortRecord
         appended after its CommitRecord (a halted-coordinator cleanup
         could otherwise flip a durably committed 1PC transaction to
-        aborted at the next replay)."""
+        aborted at the next replay).
+
+        The AbortRecord is not forced (presumed abort): replay aborts a
+        transaction with no outcome unless it prepared, and then the
+        coordinator's log, which has no commit for it, decides."""
         if txn_id not in self._undo and txn_id not in self._prepared:
             return
         chain = self._undo.pop(txn_id, [])
@@ -294,8 +307,6 @@ class OneFragmentManager(PoolProcess):
                 _, rid, old, _new = entry
                 self.table.update(rid, old)
         self._log(AbortRecord(txn_id))
-        if self.wal is not None:
-            self.charge(self.wal.force())
         self._prepared.discard(txn_id)
         self._charge_meter(WorkMeter(tuples=len(chain)))
 
@@ -303,7 +314,10 @@ class OneFragmentManager(PoolProcess):
         return txn_id in self._undo or txn_id in self._prepared
 
     def has_committed(self, txn_id: int) -> bool:
-        """Did this OFM durably commit *txn_id*?  Authoritative for 1PC."""
+        """Did this OFM commit *txn_id*?  Authoritative for 1PC, where
+        the commit record was forced and so is durable; after a PREPARE
+        the record may still be volatile, and the coordinator's forced
+        decision is what makes the commit durable."""
         return txn_id in self._committed
 
     def in_doubt_transactions(self) -> list[int]:
