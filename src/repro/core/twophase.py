@@ -8,6 +8,12 @@ take the one-phase fast path (no vote round needed when there is nobody
 to disagree with): the participant's forced commit record is the
 decision.
 
+Each round fans out and back in (:meth:`TwoPhaseCommit._round`): every
+request leaves before any reply is read and the participants work on
+their own clocks, so a round waits for its slowest participant, not
+for the sum of them — the participants on different elements work at
+the same time (paper Section 2.2).
+
 Presumed abort decides which writes the commit waits for: the prepare
 forces and the 2PC decision, or the one participant's force on the 1PC
 path.  The 1PC coordinator's log entry, a prepared participant's commit
@@ -15,18 +21,20 @@ record and every abort record are written without a wait, because
 restart rebuilds each from a forced record or presumes abort when it is
 missing (DESIGN.md §9, "What a commit forces").  So the coordinator's
 clock, the commit's acknowledged latency, advances by the message
-rounds plus the forces it waits for — what the E9 benchmark measures as
-"commit overhead".
+rounds plus the slowest of the forces each round waits for — what the
+E9 benchmark measures as "commit overhead".
 """
 
 from __future__ import annotations
 
 import ast as _pyast
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import MachineError, RecoveryError, TransactionAborted
 from repro.machine.machine import Machine
 from repro.obs.tracer import active
+from repro.ofm.manager import OneFragmentManager
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
 from repro.core.faults import CrashPoint, FaultInjector
@@ -115,10 +123,11 @@ class TwoPhaseCommit:
 
     Participant death is never silent: a send to a crashed OFM raises
     :class:`~repro.errors.MachineError`.  During phase one this aborts
-    the transaction (the dead participant resolves to abort at restart,
-    by presumed abort); after the decision is durable it only marks the
-    participant *unreached* — it will learn the outcome from the commit
-    log when its element restarts.
+    the transaction once the live participants have voted (the dead
+    participant resolves to abort at restart, by presumed abort); after
+    the decision is durable it only marks the participant *unreached* —
+    it will learn the outcome from the commit log when its element
+    restarts.
     """
 
     def __init__(
@@ -150,8 +159,6 @@ class TwoPhaseCommit:
             for ofm in txn.participants.values()
             if ofm.has_transaction_state(txn.txn_id)
         ]
-        messages = 0
-
         if not participants:
             # Read-only: nothing to make durable.
             return CommitOutcome(
@@ -164,21 +171,18 @@ class TwoPhaseCommit:
             # coordinator's own log entry, written after without a wait,
             # is only a cache (restart repairs the log from the
             # participant when the entry is missing; see RecoveryManager).
-            ofm = participants[0]
             started = coordinator.ready_at
             self._crash_point(
                 CrashPoint.ONE_PC_BEFORE_PARTICIPANT_COMMIT, txn.txn_id
             )
-            try:
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)
-                ofm.commit(txn.txn_id)
-            except MachineError as exc:
-                self._abort_after_failure(txn, coordinator, exc)
-            self._crash_point(
-                CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT, txn.txn_id
-            )
-            arrival = self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
-            coordinator.advance_to(arrival)
+            if not self._round(
+                txn.txn_id,
+                coordinator,
+                participants,
+                lambda ofm: ofm.commit(txn.txn_id),
+                CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT,
+            ):
+                self._abort_after_failure(txn, coordinator, participants)
             self.commit_log.record(txn.txn_id, "commit")
             self._crash_point(CrashPoint.ONE_PC_AFTER_LOG_FORCE, txn.txn_id)
             if self._tracer is not None:
@@ -198,23 +202,20 @@ class TwoPhaseCommit:
         # Phase one: prepare round.
         started = coordinator.ready_at
         self._crash_point(CrashPoint.TWO_PC_BEFORE_PREPARE, txn.txn_id)
-        vote_arrivals = []
-        prepared: list = []
-        for ofm in participants:
-            try:
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)
-                ofm.prepare(txn.txn_id)
-                vote_arrivals.append(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
-                )
-            except MachineError as exc:
-                # A dead participant cannot vote: the decision is abort.
-                self._abort_after_failure(txn, coordinator, exc)
-            prepared.append(ofm)
-            messages += 2
-            if len(prepared) == 1:
-                self._crash_point(CrashPoint.TWO_PC_MID_PREPARE, txn.txn_id)
-        coordinator.advance_to(max(vote_arrivals))
+        prepared = self._round(
+            txn.txn_id,
+            coordinator,
+            participants,
+            lambda ofm: ofm.prepare(txn.txn_id),
+            CrashPoint.TWO_PC_MID_PREPARE,
+        )
+        if len(prepared) < len(participants):
+            # A dead participant cannot vote: the decision is abort.
+            self._abort_after_failure(
+                txn,
+                coordinator,
+                [ofm for ofm in participants if ofm not in prepared],
+            )
         if self._tracer is not None:
             self._tracer.span(
                 started,
@@ -245,25 +246,16 @@ class TwoPhaseCommit:
         # participants' commit records need no force; dead participants
         # are merely unreached, not a correctness problem.
         phase_two_started = coordinator.ready_at
-        ack_arrivals = []
-        unreached = 0
-        delivered = 0
-        for ofm in participants:
-            try:
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)
-                ofm.commit(txn.txn_id)
-                ack_arrivals.append(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)
-                )
-                messages += 2
-            except MachineError:
-                unreached += 1
-                continue
-            delivered += 1
-            if delivered == 1:
-                self._crash_point(CrashPoint.TWO_PC_MID_PHASE_TWO, txn.txn_id)
-        if ack_arrivals:
-            coordinator.advance_to(max(ack_arrivals))
+        delivered = len(
+            self._round(
+                txn.txn_id,
+                coordinator,
+                participants,
+                lambda ofm: ofm.commit(txn.txn_id),
+                CrashPoint.TWO_PC_MID_PHASE_TWO,
+            )
+        )
+        unreached = len(participants) - delivered
         if self._tracer is not None:
             self._tracer.span(
                 phase_two_started,
@@ -279,69 +271,104 @@ class TwoPhaseCommit:
             txn.txn_id,
             True,
             len(participants),
-            messages,
+            2 * (len(participants) + delivered),
             coordinator.ready_at,
             one_phase=False,
             unreached=unreached,
         )
 
+    def _round(
+        self,
+        txn_id: int,
+        coordinator: PoolProcess,
+        participants: list[OneFragmentManager],
+        work: Callable[[OneFragmentManager], object],
+        after_first: CrashPoint | None = None,
+    ) -> list[OneFragmentManager]:
+        """One coordinator round, fanned out; returns the participants
+        it reached.
+
+        Every request leaves first, then each reached participant does
+        *work* on its own clock, then the coordinator reads the replies
+        in participant order: it waits for the slowest participant, not
+        for the sum of them.  A participant that is dead, or whose work
+        fails on the machine, is left out of the result and the others
+        go on; the caller decides what an unreached participant means.
+        *after_first* fires once the first participant has done its
+        work.
+        """
+        sent = []
+        for ofm in participants:
+            try:
+                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
+            except MachineError:
+                continue
+            sent.append(ofm)
+        reached = []
+        for ofm in sent:
+            try:
+                work(ofm)
+            except MachineError:
+                # A force that cannot reach its disk: no reply comes.
+                continue
+            reached.append(ofm)
+            if len(reached) == 1 and after_first is not None:
+                self._crash_point(after_first, txn_id)
+        for ofm in reached:
+            self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
+        return reached
+
     def _abort_after_failure(
         self,
         txn: Transaction,
         coordinator: PoolProcess,
-        cause: MachineError,
+        unreached: list[OneFragmentManager],
     ) -> None:
         """A participant died before the decision: roll back and raise.
 
-        The abort entry is lazy (presumed abort), so only the messages
-        are charged."""
+        The abort entry is lazy (presumed abort), so only the undo
+        round's messages are charged."""
         self.commit_log.record(txn.txn_id, "abort")
-        for ofm in txn.participants.values():
-            if ofm.alive and ofm.has_transaction_state(txn.txn_id):
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
-                ofm.abort(txn.txn_id)
-                coordinator.advance_to(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
-                )
+        self._round(
+            txn.txn_id,
+            coordinator,
+            [
+                ofm
+                for ofm in txn.participants.values()
+                if ofm.alive and ofm.has_transaction_state(txn.txn_id)
+            ],
+            lambda ofm: ofm.abort(txn.txn_id),
+        )
         raise TransactionAborted(
             f"transaction {txn.txn_id} aborted: participant failed during"
-            f" commit ({cause})"
-        ) from cause
+            f" commit ({', '.join(ofm.name for ofm in unreached)} unreachable)"
+        )
 
     def abort(self, txn: Transaction, coordinator: PoolProcess) -> CommitOutcome:
         """Distribute an abort decision and undo at every participant.
 
         No abort record is forced (presumed abort): the coordinator
-        waits only for the undo acknowledgements."""
+        waits only for the undo acknowledgements.  A dead participant's
+        volatile effects died with it; restart replays nothing for an
+        aborted transaction, so it only counts as unreached."""
         participants = [
             ofm
             for ofm in txn.participants.values()
             if ofm.has_transaction_state(txn.txn_id)
         ]
-        messages = 0
         started = coordinator.ready_at
         self._crash_point(CrashPoint.ABORT_BEFORE_LOG, txn.txn_id)
         self.commit_log.record(txn.txn_id, "abort")
-        arrivals = [coordinator.ready_at]
-        unreached = 0
-        undone = 0
-        for ofm in participants:
-            try:
-                self.runtime.send(coordinator, ofm, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
-                ofm.abort(txn.txn_id)
-                arrivals.append(
-                    self.runtime.send(ofm, coordinator, CONTROL_MESSAGE_BYTES)  # prismalint: disable=PL004 -- PoolRuntime.send charges SEND_OVERHEAD_S
-                )
-                messages += 2
-            except MachineError:
-                # A dead participant's volatile effects died with it;
-                # restart replays nothing for an aborted transaction.
-                unreached += 1
-                continue
-            undone += 1
-            if undone == 1:
-                self._crash_point(CrashPoint.ABORT_MID_UNDO, txn.txn_id)
-        coordinator.advance_to(max(arrivals))
+        undone = len(
+            self._round(
+                txn.txn_id,
+                coordinator,
+                participants,
+                lambda ofm: ofm.abort(txn.txn_id),
+                CrashPoint.ABORT_MID_UNDO,
+            )
+        )
+        unreached = len(participants) - undone
         if self._tracer is not None:
             self._tracer.span(
                 started,
@@ -357,7 +384,7 @@ class TwoPhaseCommit:
             txn.txn_id,
             False,
             len(participants),
-            messages,
+            2 * undone,
             coordinator.ready_at,
             one_phase=False,
             unreached=unreached,

@@ -9,7 +9,9 @@ plus the runtime's send/receive overheads for every control message —
 and check it exactly:
 
 * 1PC: the participant's WAL force;
-* 2PC: every prepare force, then the coordinator's decision force;
+* 2PC: the slowest participant's prepare force, then the coordinator's
+  decision force (each round fans out: every request leaves before the
+  first reply is read);
 * ROLLBACK: no force at all.
 
 The writes the protocol no longer waits for (the 1PC coordinator's log
@@ -21,7 +23,8 @@ import pytest
 
 from repro import MachineConfig, PrismaDB, Tracer
 from repro.core.twophase import CONTROL_MESSAGE_BYTES
-from repro.errors import TransactionAborted
+from repro.core.faults import CrashPoint
+from repro.errors import InjectedCrash, TransactionAborted
 from repro.ofm.wal import AbortRecord, CommitRecord, PrepareRecord
 from repro.pool.runtime import RECEIVE_OVERHEAD_S, SEND_OVERHEAD_S
 
@@ -76,6 +79,33 @@ def round_trip(db: PrismaDB, a: int, b: int) -> float:
     )
 
 
+def fanned_out(db: PrismaDB, node: int, ofms, work: list[float]) -> float:
+    """One fanned-out round at the coordinator on element *node*.
+
+    Participant *i* does *work[i]* after its round trip; its request
+    left behind *i* earlier sends, and its reply is read before the
+    replies of the later ones.  So the round costs its slowest
+    participant plus the overheads the fan-out staggers, not the sum.
+    """
+    last = len(ofms) - 1
+    return max(
+        round_trip(db, node, ofm.node_id)
+        + cost
+        + i * SEND_OVERHEAD_S
+        + (last - i) * RECEIVE_OVERHEAD_S
+        for i, (ofm, cost) in enumerate(zip(ofms, work))
+    )
+
+
+def decision_cost(db: PrismaDB, txn_id: int) -> float:
+    """What the coordinator's forced commit decision cost."""
+    log = db.gdh.commit_log
+    n_bytes = log.disk.size_of(f"gdhlog/{txn_id}")
+    return db.machine.transfer_time(
+        log.coordinator_node, log.disk.node, n_bytes
+    ) + log.disk.access_cost(n_bytes, sequential=True)
+
+
 def coordinator_node(db: PrismaDB, kind: str) -> int:
     """The element the last ``kind`` protocol span ran on."""
     return [record for record in db.tracer.events if record[2] == kind][-1][4]
@@ -125,19 +155,16 @@ class TestAcknowledgedLatency:
         session.execute("COMMIT")
 
         node = coordinator_node(db, "2pc.prepare")
-        log = db.gdh.commit_log
-        decision_bytes = log.disk.size_of(f"gdhlog/{txn_id}")
-        decision = db.machine.transfer_time(
-            log.coordinator_node, log.disk.node, decision_bytes
-        ) + log.disk.access_cost(decision_bytes, sequential=True)
-        # The timeline runtime delivers each vote before the next
-        # PREPARE leaves, so the round pays every participant's force.
-        prepares = sum(
+        prepares = [
             force_cost(db, ofm, chunks(ofm) - before_chunks[ofm.name])
             for ofm in ofms
+        ]
+        expected = (
+            db.machine.config.cpu_start_cost_s
+            + fanned_out(db, node, ofms, prepares)
+            + decision_cost(db, txn_id)
+            + fanned_out(db, node, ofms, [0.0] * len(ofms))
         )
-        messages = 2 * sum(round_trip(db, node, ofm.node_id) for ofm in ofms)
-        expected = db.machine.config.cpu_start_cost_s + prepares + decision + messages
         assert session.clock - before == pytest.approx(expected, rel=1e-12)
 
     def test_rollback_waits_for_no_force(self):
@@ -152,12 +179,94 @@ class TestAcknowledgedLatency:
 
         node = coordinator_node(db, "2pc.abort")
         undo = db.machine.cpu_time(tuples=1)  # each participant's one insert
-        expected = db.machine.config.cpu_start_cost_s + sum(
-            round_trip(db, node, ofm.node_id) + undo for ofm in ofms
+        expected = db.machine.config.cpu_start_cost_s + fanned_out(
+            db, node, ofms, [undo] * len(ofms)
         )
         assert session.clock - before == pytest.approx(expected, rel=1e-12)
         assert all(chunks(ofm) == before_chunks[ofm.name] for ofm in ofms)
         assert db.gdh.commit_log.scan()[0] == {txn_id: "abort"}
+
+
+class TestFannedOutRounds:
+    @staticmethod
+    def commit_latency(n_fragments: int) -> tuple[float, float]:
+        """A 2PC commit over *n_fragments* participants on distinct
+        elements: its acknowledged latency and its cheapest prepare
+        force."""
+        db = PrismaDB(
+            MachineConfig(n_nodes=8, disk_nodes=(0, 4), topology="ring"),
+            tracer=Tracer(),
+        )
+        db.execute(
+            "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)"
+            " FRAGMENTED BY HASH(id) INTO 4"
+        )
+        keys = keys_on_fragments(db, n_fragments)
+        session, ofms = open_transaction(db, keys)
+        assert len({ofm.node_id for ofm in ofms}) == n_fragments
+        before_chunks = {ofm.name: chunks(ofm) for ofm in ofms}
+        before = session.clock
+        (txn_id,) = db.gdh.txns.active
+
+        session.execute("COMMIT")
+
+        latency = session.clock - before
+        node = coordinator_node(db, "2pc.prepare")
+        prepares = [
+            force_cost(db, ofm, chunks(ofm) - before_chunks[ofm.name])
+            for ofm in ofms
+        ]
+        expected = (
+            db.machine.config.cpu_start_cost_s
+            + fanned_out(db, node, ofms, prepares)
+            + decision_cost(db, txn_id)
+            + fanned_out(db, node, ofms, [0.0] * len(ofms))
+        )
+        assert latency == pytest.approx(expected, rel=1e-12)
+        return latency, min(prepares)
+
+    def test_each_added_participant_costs_messages_not_a_force(self):
+        latencies, forces = zip(*(self.commit_latency(n) for n in (2, 3, 4)))
+        for fewer, more in zip(latencies, latencies[1:]):
+            assert 0 < more - fewer < min(forces) / 10
+
+    def test_crash_mid_prepare_leaves_one_durable_prepare_and_aborts(self):
+        db = make_db()
+        keys = keys_on_fragments(db, 3)
+        session, ofms = open_transaction(db, keys)
+        (txn_id,) = db.gdh.txns.active
+        db.faults.arm(CrashPoint.TWO_PC_MID_PREPARE)
+        with pytest.raises(InjectedCrash):
+            session.execute("COMMIT")
+        durable = [
+            ofm.name
+            for ofm in ofms
+            if PrepareRecord(txn_id) in ofm.wal.read_records()[0]
+        ]
+        assert durable == [ofms[0].name]
+
+        db.crash()
+        report = db.restart()
+
+        # No decision was logged: presumed abort resolves the prepared one.
+        assert report.in_doubt_resolved == 1
+        assert db.gdh.commit_log.scan()[0].get(txn_id) != "commit"
+        assert db.query("SELECT id FROM acct") == []
+
+    def test_a_participant_cut_off_from_its_disk_aborts_the_commit(self):
+        db = make_db()
+        keys = keys_on_fragments(db, 3)
+        session, ofms = open_transaction(db, keys)
+        disk = ofms[0].wal.disk.node
+        links = [(disk, neighbor) for neighbor in db.machine.topology.neighbors(disk)]
+        for link in links:
+            db.faults.fail_link(*link)
+        # Its prepare force fails on the machine: no vote, so abort.
+        with pytest.raises(TransactionAborted):
+            session.execute("COMMIT")
+        for link in links:
+            db.faults.restore_link(*link)
+        assert db.query("SELECT id FROM acct") == []
 
 
 class TestLazyRecordsLand:
