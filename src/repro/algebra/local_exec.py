@@ -7,10 +7,9 @@ chain of unary operators as one generated kernel
 predicates, and metering abstract work for the simulated clock.
 
 The distributed executor (:mod:`repro.core.executor`) moves the rows and
-calls :meth:`LocalExecutor.step` for each site-local join, set operation
-and closure: rows in, rows out.  The PRISMAlog engine runs whole plans
-through :meth:`LocalExecutor.run`, binding the delta and total relations
-its step plans scan before each round of its own fixpoint loop.
+calls :meth:`LocalExecutor.step` for each site-local join and set
+operation: rows in, rows out.  :meth:`LocalExecutor.run` evaluates a
+whole plan at one site.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.storage.types import DataType
 from repro.algebra.plan import (
     AggregateNode,
     ClosureNode,
-    DeltaScanNode,
     DistinctNode,
     JoinNode,
     LimitNode,
@@ -50,7 +48,6 @@ from repro.algebra.plan import (
     SharedScanNode,
     SortNode,
     TopNNode,
-    TotalScanNode,
     ValuesNode,
 )
 
@@ -171,28 +168,10 @@ class LocalExecutor:
         self.shared = dict(shared or {})
         self.evaluator = evaluator or Evaluator()
         self.meter = meter if meter is not None else WorkMeter()
-        self._recursion_delta: dict[str, list[Row]] = {}
-        self._recursion_total: dict[str, list[Row]] = {}
         #: Rounds the last closure step took (observability for E6/E7).
         self.closure_rounds = 0
 
     # -- entry point -----------------------------------------------------------
-
-    def bind_recursion(
-        self,
-        token: str,
-        delta: Sequence[Row],
-        total: Sequence[Row],
-    ) -> None:
-        """Expose delta/total relations for a recursion token.
-
-        Used by evaluators that drive their own fixpoint loop (the
-        PRISMAlog engine handles mutually recursive predicates this way,
-        binding one token per predicate of a strongly connected
-        component before evaluating each rule body).
-        """
-        self._recursion_delta[token] = list(delta)
-        self._recursion_total[token] = list(total)
 
     def run(self, plan: PlanNode) -> list[Row]:
         method = getattr(self, f"_run_{type(plan).__name__}", None)
@@ -229,22 +208,6 @@ class LocalExecutor:
             ) from None
         self.meter.tuples += len(rows)
         return list(rows)
-
-    def _run_DeltaScanNode(self, plan: DeltaScanNode) -> list[Row]:
-        try:
-            return list(self._recursion_delta[plan.token])
-        except KeyError:
-            raise ExecutionError(
-                f"delta scan outside fixpoint for token {plan.token!r}"
-            ) from None
-
-    def _run_TotalScanNode(self, plan: TotalScanNode) -> list[Row]:
-        try:
-            return list(self._recursion_total[plan.token])
-        except KeyError:
-            raise ExecutionError(
-                f"total scan outside fixpoint for token {plan.token!r}"
-            ) from None
 
     # -- unary ---------------------------------------------------------------------
 

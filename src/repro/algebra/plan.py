@@ -5,8 +5,8 @@ relational algebra" (Section 2.3) and SQL compiles to the same algebra,
 so this tree is the meeting point of both front-ends.  The one
 extension beyond the classical operators is :class:`ClosureNode`, the
 OFM's transitive-closure operator (Section 2.5) and the algebra's only
-recursive node.  General recursion is the PRISMAlog engine's own loop
-over plain step plans, whose :class:`DeltaScanNode` /
+recursive node.  Any other PRISMAlog recursion is a semi-naive loop
+over plain rule plans, whose :class:`DeltaScanNode` /
 :class:`TotalScanNode` leaves read what the loop has derived so far.
 
 Plan nodes are immutable; rewrite rules build new trees via
@@ -197,7 +197,7 @@ class SharedScanNode(PlanNode):
 
 
 class DeltaScanNode(PlanNode):
-    """In a PRISMAlog engine step plan: the predicate's newest delta."""
+    """In a semi-naive rule variant: the predicate's newest delta."""
 
     def __init__(self, token: str, schema: Schema):
         self.token = token
@@ -218,7 +218,7 @@ class DeltaScanNode(PlanNode):
 
 
 class TotalScanNode(PlanNode):
-    """In a PRISMAlog engine step plan: everything derived so far."""
+    """In a semi-naive rule variant: everything derived so far."""
 
     def __init__(self, token: str, schema: Schema):
         self.token = token

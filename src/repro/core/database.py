@@ -94,12 +94,11 @@ class Session:
     def execute_prismalog(self, program: str) -> list[QueryResult]:
         """Run a PRISMAlog program; one result per ``? query.``.
 
-        Database relations serve as extensional predicates.  Programs
-        whose recursion is expressible by the closure operator compile
-        to ordinary algebra plans and run through the *distributed*
-        executor; general recursion falls back to the semi-naive engine
-        at the query process, with the referenced base tables gathered
-        there first.  Either way it is one statement to the GDH: counted,
+        Database relations serve as extensional predicates.  The
+        program compiles to algebra plans plus fixpoints and runs
+        through the *distributed* executor: transitive closure on the
+        closure operator, any other recursion as a semi-naive loop over
+        the fragment sites.  It is one statement to the GDH: counted,
         admitted, and its fragments S-locked like a query's.
         """
         return self._db.gdh.execute_prismalog(program, self._state)

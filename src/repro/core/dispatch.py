@@ -8,7 +8,9 @@ its *accesses* (each base table it reads, with the ``column = constant``
 / ``column = ?`` conjuncts that may prune it), its lock mode and body,
 for a query the executor's plan walk flattened into *steps* (closures
 over the executor's primitives, every operator's chain op, join keys,
-aggregate decomposition and gather target worked out), for DML the rows,
+aggregate decomposition and gather target worked out) and each
+PRISMAlog recursive component it reads as a loop over such steps, for
+DML the rows,
 the victim predicate and the assignment list (its ``?`` read from the
 row's tail, :func:`~repro.exec.expressions.params_to_columns`).
 
@@ -29,6 +31,7 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import ExecutionError
+from repro.exec.closure import MAX_ITERATIONS
 from repro.exec.expressions import (
     ColumnRef,
     Comparison,
@@ -49,9 +52,7 @@ from repro.core.executor import BROADCAST_ROWS, DistRelation, DistributedExecuto
 from repro.core.locks import LockMode, Resource
 from repro.core.result import QueryResult
 from repro.ofm.manager import OneFragmentManager
-from repro.prismalog.ast import Program
-from repro.prismalog.compile import CompiledProgram
-from repro.prismalog.engine import PrismalogEngine
+from repro.prismalog.compile import CompiledProgram, RecursiveComponent
 from repro.sql.binder import BoundDelete, BoundInsert, BoundUpdate, insert_constant
 from repro.storage.schema import Schema
 
@@ -74,14 +75,26 @@ Routed = tuple[list[Resource], tuple]
 
 class QueryPlan:
     """A query's accesses and the executor's walk over it, as steps
-    (shared subexpressions first, in the order they materialize)."""
+    (recursive components first, then shared subexpressions, in the
+    order they materialize).
+
+    *closures* names the PRISMAlog predicates each closure computes,
+    keyed by the closure's plan key: their rounds are reported.
+    """
 
     label, mode = "select", LockMode.SHARED
 
-    def __init__(self, optimized: OptimizedPlan, columns: Sequence[str] = ()):
+    def __init__(
+        self,
+        optimized: OptimizedPlan,
+        columns: Sequence[str] = (),
+        components: Sequence[RecursiveComponent] = (),
+        closures: dict[tuple, list[str]] | None = None,
+    ):
         self.optimized = optimized
         self.columns = columns
-        compiler = _StepCompiler()
+        compiler = _StepCompiler(closures or {})
+        self.fixpoints = tuple(compiler.fixpoint(component) for component in components)
         self.shared = tuple((s.token, compiler.node(s.plan)) for s in optimized.shared)
         self.root = compiler.node(optimized.plan)
         #: ``(table, pruning keys)`` of every base-table scan.
@@ -129,14 +142,20 @@ class RoutedQuery:
 
 
 class ProgramPlan:
-    """A PRISMAlog program that compiled to algebra: its queries run
-    through the distributed executor like any SELECT (Section 2.3's
-    semantics-via-algebra made literal)."""
+    """A PRISMAlog program: each query runs through the distributed
+    executor like any SELECT, after the recursive components it reads
+    (Section 2.3's semantics-via-algebra made literal)."""
 
     label, mode = "prismalog", LockMode.SHARED
 
     def __init__(self, plans: Sequence[OptimizedPlan], compiled: CompiledProgram):
-        self.queries = [QueryPlan(plan) for plan in plans]
+        closures: dict[tuple, list[str]] = {}
+        for name in compiled.closure_predicates:
+            closures.setdefault(compiled.predicate_plans[name].key(), []).append(name)
+        self.queries = [
+            QueryPlan(plan, (), compiled.components_for(logical), closures)
+            for plan, (_query, logical) in zip(plans, compiled.query_plans)
+        ]
         self.closure_predicates = compiled.closure_predicates
 
     def route(self, catalog: Catalog, params: Sequence[Any]) -> Routed:
@@ -156,76 +175,11 @@ class ProgramPlan:
                     prismalog_stats={
                         "compiled_to_algebra": True,
                         "closure_operator_hits": list(self.closure_predicates),
-                        "fixpoint_iterations": {},
-                        "materialized_rows": {},
+                        "fixpoint_iterations": dict(report.rounds),
                     },
                 )
             )
         return results
-
-
-class EnginePlan:
-    """A PRISMAlog program whose recursion has no algebra plan: the
-    semi-naive engine runs at the query process over whole relations,
-    so every fragment of each database relation it mentions is S-locked
-    and gathered there."""
-
-    label, mode = "prismalog", LockMode.SHARED
-
-    def __init__(self, program: Program):
-        self.program = program
-
-    def route(self, catalog: Catalog, params: Sequence[Any]) -> Routed:
-        edb = {
-            name: catalog.table(name)
-            for name in sorted(self.program.predicates())
-            if catalog.has_table(name)
-        }
-        resources = [(info.name, f.fragment_id) for info in edb.values() for f in info.fragments]
-        return resources, (edb,)
-
-    def run(self, gdh, txn, process, edb: dict[str, TableInfo]) -> list[QueryResult]:
-        edb_tables = {}
-        for name, info in edb.items():
-            rows = edb_tables[name] = []
-            for fragment in info.fragments:
-                # The primary whenever it is alive, a replica otherwise.
-                ofm = gdh.fragment_copies(info, fragment.fragment_id)[0]
-                fragment_rows = ofm.scan_rows()
-                gdh.runtime.send(
-                    ofm,
-                    process,
-                    max(64, info.schema.average_row_bytes() * len(fragment_rows)),
-                )
-                rows.extend(fragment_rows)
-        engine = PrismalogEngine(
-            edb_tables,
-            {name: info.schema for name, info in edb.items()},
-            evaluator=gdh.executor.evaluator,
-        )
-        answers = engine.run_program(self.program)
-        stats = engine.stats
-        process.charge(
-            gdh.machine.cpu_time(
-                tuples=int(stats.meter.tuples),
-                hashes=int(stats.meter.hashes),
-                compares=int(stats.meter.compares),
-            )
-        )
-        return [
-            QueryResult(
-                "prismalog",
-                columns=answer.columns,
-                rows=answer.rows,
-                prismalog_stats={
-                    "compiled_to_algebra": False,
-                    "fixpoint_iterations": dict(stats.fixpoint_iterations),
-                    "closure_operator_hits": list(stats.closure_operator_hits),
-                    "materialized_rows": dict(stats.materialized_rows),
-                },
-            )
-            for answer in answers
-        ]
 
 
 # -- DML ---------------------------------------------------------------------------
@@ -433,7 +387,8 @@ class _StepCompiler:
     simulated machine must see them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, closures: dict[tuple, list[str]]) -> None:
+        self.closures = closures
         self.accesses: list[tuple[str, tuple]] = []
 
     def node(self, plan: PlanNode) -> Step:
@@ -649,18 +604,76 @@ class _StepCompiler:
         return step
 
     def _ClosureNode(self, plan) -> Step:
-        child = self.node(plan.child)
+        child, names = self.node(plan.child), self.closures.get(plan.key(), ())
 
         def step(ex) -> DistRelation:
-            relation = ex.flush(child(ex))
-            if ex.distributed_closure and len(relation.parts) > 1 and relation.total_rows > 0:
-                return ex.parallel_closure(relation)
-            site = ex.spawn_temp(ex.query_process.ready_at)
-            gathered = ex.gather(relation, site)
-            rows = ex.run_local(site, plan, gathered.parts[0].rows)
-            return DistRelation([Part(site, rows)], None)
+            relation = ex.closure(ex.flush(child(ex)))
+            for name in names:
+                ex.rounds[name] = ex.closure_rounds
+            return relation
 
         return step
+
+    def _DeltaScanNode(self, plan) -> Step:
+        return lambda ex: ex.deltas[plan.token]
+
+    def _TotalScanNode(self, plan) -> Step:
+        return lambda ex: ex.totals[plan.token]
+
+    def fixpoint(self, component: RecursiveComponent) -> Callable[[DistributedExecutor], None]:
+        """*component*'s semi-naive loop, run across the machine.
+
+        The relations it reads are materialized once, and the sites
+        holding them own the component's rows: each row lives at the
+        owner its whole-row hash names.  The seeds, split that way, are
+        the first deltas.  Each round runs every predicate's delta
+        variants over the current deltas and totals through the ordinary
+        join and repartition steps, splits what they derive to the
+        owners, and each owner keeps the rows it has not seen: the next
+        delta.  A round in which every delta is empty ends the loop;
+        each predicate's totals are then its materialized relation.
+        """
+        inputs = [(token, self.node(plan)) for token, plan in component.inputs]
+        seeds = [self.node(plan) for plan in component.seeds]
+        variants = [[self.node(plan) for plan in plans] for plans in component.variants]
+        names, tokens, reads = component.names, component.tokens, component.reads
+        # Each predicate's rows split on all their columns.
+        keys = [tuple(range(len(plan.schema))) for plan in component.seeds]
+
+        def run(ex) -> None:
+            for token, step in inputs:
+                if token not in ex.shared:
+                    ex.shared[token] = ex.flush(step(ex))
+            parts = [part for token in reads for part in ex.shared[token].parts]
+            sites = list({id(p.process): p.process for p in parts}.values()) or [ex.query_process]
+            # Per predicate and owner: the rows held, as a set and in order.
+            seen: list[list[set]] = [[set() for _ in sites] for _ in names]
+            held: list[list[list]] = [[[] for _ in sites] for _ in names]
+            derived = [ex.repartition(seed(ex), key, sites) for seed, key in zip(seeds, keys)]
+            rounds = 0
+            while True:
+                for index, name in enumerate(names):
+                    delta = ex.dedup_at_owners(derived[index], seen[index])
+                    for total, part in zip(held[index], delta.parts):
+                        total.extend(part.rows)
+                    ex.deltas[name] = delta
+                    totals = [Part(p.process, total) for p, total in zip(delta.parts, held[index])]
+                    ex.totals[name] = DistRelation(totals, delta.partition_cols)
+                if not any(ex.deltas[name].total_rows for name in names):
+                    break
+                rounds += 1
+                if rounds > MAX_ITERATIONS:
+                    raise ExecutionError(f"recursion over {names} did not converge")
+                produced = [
+                    DistRelation([p for step in steps for p in ex.flush(step(ex)).parts], None)
+                    for steps in variants
+                ]
+                derived = [ex.repartition(r, key, sites) for r, key in zip(produced, keys)]
+            for name, token in zip(names, tokens):
+                ex.shared[token] = ex.totals[name]
+                ex.rounds[name] = rounds
+
+        return run
 
 
 def _partition_through(plan: ProjectNode):

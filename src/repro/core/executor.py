@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
-from repro.exec.closure import ordered
+from repro.exec.closure import ordered, seminaive_closure
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import ColumnRef
 from repro.exec.operators import Row, WorkMeter
@@ -162,6 +162,8 @@ class ExecutionReport:
     fragments_pruned: int = 0
     index_scans: int = 0
     temp_ofms: int = 0
+    #: Fixpoint rounds per recursive PRISMAlog predicate the query ran.
+    rounds: dict[str, int] = field(default_factory=dict)
     #: The plan that ran and its parameter values; the text (of the
     #: plan with the values in place) is rendered only when asked for.
     optimized: OptimizedPlan | None = field(default=None, repr=False)
@@ -225,13 +227,20 @@ class DistributedExecutor:
         #: query process, breaking ties by readiness.
         self.read_routing = "ready"
         self._temp_counter = 0
+        #: Rounds the last transitive closure took.
+        self.closure_rounds = 0
         # Per-execution state.  The public part is what a dispatch step
-        # reads: the query process, the parameter values, each access's
-        # route and the materialized shared subexpressions.
+        # reads and writes: the query process, the parameter values, each
+        # access's route, the materialized shared subexpressions, a
+        # running fixpoint's per-predicate delta and total relations and
+        # the rounds each recursive predicate took.
         self.query_process: PoolProcess | None = None
         self.params: Sequence = ()
         self.routes: list = []
         self.shared: dict[str, DistRelation] = {}
+        self.deltas: dict[str, DistRelation] = {}
+        self.totals: dict[str, DistRelation] = {}
+        self.rounds: dict[str, int] = {}
         self._temps: list[OneFragmentManager] = []
         self._dispatched: set[str] = set()
         self._report: ExecutionReport = ExecutionReport()
@@ -252,15 +261,19 @@ class DistributedExecutor:
         self.query_process = query_process
         self.params, self.routes = routed.params, routed.routes
         self._temps = []
-        self.shared = {}
+        self.shared, self.deltas, self.totals = {}, {}, {}
         self._dispatched = set()
         report = ExecutionReport(
             started_at=query_process.ready_at, optimized=query.optimized, params=routed.params
         )
         self._report = report
+        self.rounds = report.rounds
         stats_before = (self.runtime.stats.messages, self.runtime.stats.bytes_moved)
         try:
-            # Materialize common subexpressions once, in order.
+            # Recursive components first, then common subexpressions
+            # (which may read them), each materialized once, in order.
+            for fixpoint in query.fixpoints:
+                fixpoint(self)
             for token, step in query.shared:
                 self.shared[token] = self.flush(step(self))
             gathered = self.gather(query.root(self), query_process)
@@ -707,6 +720,39 @@ class DistributedExecutor:
 
     # -- recursion ----------------------------------------------------------------------------------
 
+    def dedup_at_owners(self, relation: DistRelation, seen: list[set]) -> DistRelation:
+        """The rows of *relation* its owners have not seen yet.
+
+        *relation* is split on the whole row, part ``i`` at the owner
+        that keeps ``seen[i]``.  Each owner pays a hash per row it
+        checks, keeps the first occurrence of each row (``dict.fromkeys``
+        keeps arrival order: hash order must not leak into the rows,
+        PL102), drops what it already holds and remembers the rest.
+        """
+        fresh_parts = []
+        for part, owned in zip(relation.parts, seen):
+            part.process.charge(self.machine.cpu_time(hashes=len(part.rows)))
+            fresh = [row for row in dict.fromkeys(part.rows) if row not in owned]
+            owned.update(fresh)
+            fresh_parts.append(Part(part.process, fresh))
+        return DistRelation(fresh_parts, relation.partition_cols)
+
+    def closure(self, relation: DistRelation) -> DistRelation:
+        """Transitive closure of *relation*, setting ``closure_rounds``:
+        the parallel fixpoint when it is fragmented, the OFM's closure
+        operator at one transient OFM otherwise."""
+        if self.distributed_closure and len(relation.parts) > 1 and relation.total_rows > 0:
+            return self.parallel_closure(relation)
+        assert self.query_process is not None
+        site = self.spawn_temp(self.query_process.ready_at)
+        rows = self.gather(relation, site).parts[0].rows
+        meter = WorkMeter()
+        meter.tuples += len(rows)
+        result = seminaive_closure([tuple(r) for r in rows], meter)
+        self._charge(site, meter, "ClosureNode", len(result.rows))
+        self.closure_rounds = result.iterations
+        return DistRelation([Part(site, list(result.rows))], None)
+
     def parallel_closure(self, edges: DistRelation) -> DistRelation:
         """Parallel semi-naive transitive closure across the fragments.
 
@@ -746,23 +792,12 @@ class DistributedExecutor:
 
         # Totals live partitioned by whole-row hash over the same sites.
         total_rel = self.repartition(
-            DistRelation(
-                [Part(p.process, list(p.rows)) for p in edges.parts], None
-            ),
+            DistRelation([Part(p.process, list(map(tuple, p.rows))) for p in edges.parts], None),
             (0, 1),
             targets=sites,
         )
-        totals: list[set] = []
-        delta_parts: list[Part] = []
-        for part in total_rel.parts:
-            # dict.fromkeys dedups in first-occurrence order: hash order
-            # must not leak into the delta rows (PL102) — string keys
-            # would make same-seed runs PYTHONHASHSEED-dependent.
-            unique_rows = list(dict.fromkeys(map(tuple, part.rows)))
-            part.process.charge(self.machine.cpu_time(hashes=len(part.rows)))
-            totals.append(set(unique_rows))
-            delta_parts.append(Part(part.process, unique_rows))
-        delta = DistRelation(delta_parts, None)
+        totals: list[set] = [set() for _ in sites]
+        delta = self.dedup_at_owners(total_rel, totals)
 
         rounds = 0
         while delta.total_rows:
@@ -795,20 +830,9 @@ class DistributedExecutor:
                 # pins, still count this exchange as the split it replaced.
                 self._splitters.splitter((0, 1), k)
                 self._splitters.record_invocation()
-            exchanged = self._exchange(sites, derived, sites, (0, 1))
-            fresh_parts = []
-            for index, part in enumerate(exchanged.parts):
-                part.process.charge(self.machine.cpu_time(hashes=len(part.rows)))
-                seen = totals[index]
-                # Rows are tuples already; fromkeys dedups within the
-                # batch keeping first occurrences, the filter drops what
-                # earlier rounds derived — same rows, same order as the
-                # one-at-a-time membership loop.
-                fresh = [row for row in dict.fromkeys(part.rows) if row not in seen]
-                seen.update(fresh)
-                fresh_parts.append(Part(part.process, fresh))
-            delta = DistRelation(fresh_parts, None)
+            delta = self.dedup_at_owners(self._exchange(sites, derived, sites, (0, 1)), totals)
 
+        self.closure_rounds = rounds
         result_parts = [
             Part(site, ordered(total)) for site, total in zip(sites, totals)
         ]

@@ -34,7 +34,6 @@ from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, IndexInfo, TableInfo
 from repro.core.dispatch import (
     DeletePlan,
-    EnginePlan,
     InsertPlan,
     ProgramPlan,
     QueryPlan,
@@ -124,7 +123,7 @@ class Prepared:
     #: The dispatch plan of a planned statement (None: DDL, transaction
     #: control and the utility statements).
     dispatch: (
-        QueryPlan | ProgramPlan | EnginePlan | InsertPlan | UpdatePlan | DeletePlan | None
+        QueryPlan | ProgramPlan | InsertPlan | UpdatePlan | DeletePlan | None
     ) = None
 
 
@@ -253,15 +252,9 @@ class GlobalDataHandler:
             )
         if isinstance(statement, Program):
             compiled = plog_compile.compile_program(statement, self.catalog.schemas())
-            if compiled is None:
-                # General recursion, left to the semi-naive engine.
-                dispatch = EnginePlan(statement)
-            else:
-                optimizer = self._optimizer()
-                dispatch = ProgramPlan(
-                    [optimizer.optimize(plan) for _query, plan in compiled.query_plans],
-                    compiled,
-                )
+            optimizer = self._optimizer()
+            plans = [optimizer.optimize(plan) for _query, plan in compiled.query_plans]
+            dispatch = ProgramPlan(plans, compiled)
             return Prepared(statement, ddl_epoch=self.ddl_epoch, dispatch=dispatch)
         if not isinstance(
             statement, sql_ast.InsertStmt | sql_ast.UpdateStmt | sql_ast.DeleteStmt

@@ -10,7 +10,6 @@ from repro.prismalog.ast import (
     Rule,
     Var,
 )
-from repro.prismalog.engine import EvaluationStats, PrismalogEngine, PrismalogResult
 from repro.prismalog.parser import parse_program, parse_query
 from repro.prismalog.translate import (
     ProgramAnalysis,
@@ -25,9 +24,6 @@ __all__ = [
     "Atom",
     "Builtin",
     "Const",
-    "EvaluationStats",
-    "PrismalogEngine",
-    "PrismalogResult",
     "Program",
     "ProgramAnalysis",
     "Query",

@@ -12,7 +12,9 @@ not as a mode of the machine:
   at a time (:mod:`tests.oracle.evaluation`);
 * :func:`use_evaluator`, which swaps an evaluator into a live database;
 * E6's closure baselines (:mod:`tests.oracle.closure`) and the reference
-  shuffle hash (:mod:`tests.oracle.shuffle`).
+  shuffle hash (:mod:`tests.oracle.shuffle`);
+* :class:`PrismalogEngine`, the one-site PRISMAlog evaluator the
+  distributed fixpoint is checked against (:mod:`tests.oracle.prismalog`).
 """
 
 from tests.oracle.closure import naive_closure, reachable_from, smart_closure
@@ -32,10 +34,12 @@ from tests.oracle.operators import (
     project_rows,
     select_rows,
 )
+from tests.oracle.prismalog import EvaluationStats, PrismalogEngine, PrismalogResult
 from tests.oracle.shuffle import reference_bucket
 
 __all__ = [
     "AggSpec",
+    "EvaluationStats",
     "INTERPRETATION_FACTOR",
     "InterpretedPredicate",
     "InterpretedProjector",
@@ -45,6 +49,8 @@ __all__ = [
     "distinct_rows",
     "limit_rows",
     "naive_closure",
+    "PrismalogEngine",
+    "PrismalogResult",
     "project_rows",
     "reachable_from",
     "reference_bucket",

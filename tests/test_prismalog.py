@@ -1,10 +1,10 @@
-"""Tests for PRISMAlog: parser, safety analysis, translation, engine."""
+"""Tests for PRISMAlog: parser, safety analysis, translation, the
+one-site oracle engine and whole-program compilation."""
 
 import pytest
 
 from repro.errors import ParseError, PrismalogError
 from repro.prismalog import (
-    PrismalogEngine,
     analyze_program,
     detect_transitive_closure,
     parse_program,
@@ -12,6 +12,7 @@ from repro.prismalog import (
 )
 from repro.prismalog.ast import Atom, Const, Var
 from repro.storage import Column, DataType, Schema
+from tests.oracle import PrismalogEngine
 
 
 def any_schema(width):
@@ -300,8 +301,9 @@ class TestEngine:
 
 
 class TestWholeProgramCompilation:
-    """Programs compile to pure algebra when recursion fits the closure
-    operator; general recursion falls back (compile returns None)."""
+    """Every program compiles: non-recursive predicates to plans, the
+    closure pattern to the closure operator, any other recursion to a
+    recursive component the dispatch plan runs as a distributed loop."""
 
     def compile(self, text, schemas=None):
         from repro.prismalog.compile import compile_program
@@ -314,22 +316,32 @@ class TestWholeProgramCompilation:
             " tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
             " ? tc(1, X)."
         )
-        assert compiled is not None
         assert compiled.closure_predicates == ["tc"]
+        assert compiled.components == []
         assert len(compiled.query_plans) == 1
 
-    def test_mutual_recursion_does_not_compile(self):
+    def test_mutual_recursion_compiles_to_one_component(self):
         compiled = self.compile(
             "s(0, 1). even(0). odd(Y) :- even(X), s(X, Y)."
             " even(Y) :- odd(X), s(X, Y). ? even(X)."
         )
-        assert compiled is None
+        (component,) = compiled.components
+        assert component.names == ["even", "odd"]
+        assert component.tokens == ["even/1", "odd/1"]
+        # s is read from outside, materialized once; each rule has one
+        # recursive atom, so one delta variant each.
+        assert [token for token, _plan in component.inputs] == ["s/2"]
+        assert [len(plans) for plans in component.variants] == [1, 1]
+        _query, plan = compiled.query_plans[0]
+        assert compiled.components_for(plan) == [component]
 
-    def test_nonlinear_recursion_does_not_compile(self):
+    def test_nonlinear_recursion_has_a_variant_per_recursive_atom(self):
         compiled = self.compile(
             "e(1, 2). t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z). ? t(1, X)."
         )
-        assert compiled is None
+        assert compiled.closure_predicates == []
+        (component,) = compiled.components
+        assert [len(plans) for plans in component.variants] == [2]
 
     def test_compiled_plans_evaluate_correctly(self):
         from repro.algebra.local_exec import LocalExecutor
@@ -384,7 +396,7 @@ class TestWholeProgramCompilation:
         (expected,) = engine.consult(program)
         assert sorted(result.rows) == sorted(expected.rows)
 
-    def test_fallback_marks_uncompiled(self):
+    def test_general_recursion_reports_its_rounds(self):
         from repro import MachineConfig, PrismaDB
 
         db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0,)))
@@ -392,5 +404,22 @@ class TestWholeProgramCompilation:
             "s(0, 1). even(0). odd(Y) :- even(X), s(X, Y)."
             " even(Y) :- odd(X), s(X, Y). ? odd(X)."
         )
-        assert result.prismalog_stats["compiled_to_algebra"] is False
+        assert result.prismalog_stats == {
+            "compiled_to_algebra": True,
+            "closure_operator_hits": [],
+            "fixpoint_iterations": {"even": 2, "odd": 2},
+        }
         assert result.rows == [(1,)]
+        assert result.report is not None and result.response_time > 0
+
+    def test_closure_route_reports_its_rounds(self):
+        from repro import MachineConfig, PrismaDB
+
+        db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0,)))
+        chain = " ".join(f"e({i}, {i + 1})." for i in range(6))
+        (result,) = db.execute_prismalog(
+            chain + " t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z). ? t(0, X)."
+        )
+        assert result.prismalog_stats["closure_operator_hits"] == ["t"]
+        assert result.prismalog_stats["fixpoint_iterations"] == {"t": 6}
+        assert result.response_time > 0
