@@ -2,10 +2,12 @@
 
 The PRISMA project's stated research goal includes "using medium to
 coarse grain parallelism for data and knowledge processing
-applications"; recursion is the knowledge-processing kernel.  We extend
-the OFM closure operator to a parallel distributed fixpoint (per-round
-shuffle on the destination column, distributed duplicate elimination)
-and compare it with gathering to one transient OFM.
+applications"; recursion is the knowledge-processing kernel.  A
+fragmented ``CLOSURE`` runs as the one-predicate instance of the
+distributed semi-naive loop that evaluates every PRISMAlog recursion
+(per-round shuffle on the destination column, the join fused with the
+exchange to the owners, distributed duplicate elimination); we compare
+it with gathering to one transient OFM and its closure operator.
 
 The result is an honest trade-off, not a victory lap: total CPU divides
 nicely over the fragments, but every round is a barrier, per-round load

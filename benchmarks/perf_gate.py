@@ -268,8 +268,9 @@ def run_e4(tracer: Tracer | None = None, loops: int = 1, batch: bool = True) -> 
 
 
 def run_closure(batch: bool = True) -> dict:
-    """E6/A3: distributed semi-naive transitive closure of a 500-vertex,
-    3 000-edge DAG (seed 9) over 8 fragments on 32 PEs."""
+    """E6/A3: transitive closure of a 500-vertex, 3 000-edge DAG (seed 9)
+    over 8 fragments on 32 PEs, on the closure's instance of the
+    distributed semi-naive loop (its fused round body)."""
     db = PrismaDB(MachineConfig(n_nodes=32, disk_nodes=(0,)))
     load_edges(db, "e", random_dag(500, 3_000, seed=9), fragments=8)
     db.quiesce()

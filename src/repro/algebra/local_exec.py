@@ -168,8 +168,6 @@ class LocalExecutor:
         self.shared = dict(shared or {})
         self.evaluator = evaluator or Evaluator()
         self.meter = meter if meter is not None else WorkMeter()
-        #: Rounds the last closure step took (observability for E6/E7).
-        self.closure_rounds = 0
 
     # -- entry point -----------------------------------------------------------
 
@@ -228,9 +226,7 @@ class LocalExecutor:
     _run_SortNode = _run_TopNNode = _run_DistinctNode = _run_LimitNode = _run_chain
 
     def _step_ClosureNode(self, plan: ClosureNode, rows: Sequence[Row]) -> list[Row]:
-        result = seminaive_closure([tuple(r) for r in rows], self.meter)
-        self.closure_rounds = result.iterations
-        return list(result.rows)
+        return list(seminaive_closure([tuple(r) for r in rows], self.meter).rows)
 
     # -- binary -----------------------------------------------------------------------
 

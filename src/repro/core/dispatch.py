@@ -28,10 +28,11 @@ instantiated, as the literal statement would have it.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import cache
 from typing import Any
 
 from repro.errors import ExecutionError
-from repro.exec.closure import MAX_ITERATIONS
+from repro.exec.closure import MAX_ITERATIONS, ordered
 from repro.exec.expressions import (
     ColumnRef,
     Comparison,
@@ -44,15 +45,25 @@ from repro.exec.expressions import (
     params_to_columns,
     substitute_params,
 )
+from repro.exec.shuffle import hashed_edge_table
 from repro.algebra.local_exec import op_of, two_phase_ops
 from repro.algebra.optimizer import OptimizedPlan
-from repro.algebra.plan import AggregateNode, JoinNode, PlanNode, ProjectNode, ScanNode
+from repro.algebra.plan import (
+    AggregateNode,
+    DeltaScanNode,
+    JoinNode,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    SharedScanNode,
+)
 from repro.core.catalog import Catalog, TableInfo, pruning_keys
 from repro.core.executor import BROADCAST_ROWS, DistRelation, DistributedExecutor, Part, rows_bytes
 from repro.core.locks import LockMode, Resource
 from repro.core.result import QueryResult
 from repro.ofm.manager import OneFragmentManager
 from repro.prismalog.compile import CompiledProgram, RecursiveComponent
+from repro.prismalog.translate import predicate_schema
 from repro.sql.binder import BoundDelete, BoundInsert, BoundUpdate, insert_constant
 from repro.storage.schema import Schema
 
@@ -116,7 +127,7 @@ class QueryPlan:
         return routed.resources(), (routed,)
 
     def run(self, gdh, txn, process, routed: RoutedQuery) -> QueryResult:
-        rows, report = gdh.executor.execute(routed, process)
+        ((rows, report),) = gdh.executor.execute([routed], process)
         return QueryResult("select", columns=list(self.columns), rows=rows, report=report)
 
 
@@ -144,7 +155,8 @@ class RoutedQuery:
 class ProgramPlan:
     """A PRISMAlog program: each query runs through the distributed
     executor like any SELECT, after the recursive components it reads
-    (Section 2.3's semantics-via-algebra made literal)."""
+    (Section 2.3's semantics-via-algebra made literal).  The queries run
+    as one execution, so a recursion several of them read runs once."""
 
     label, mode = "prismalog", LockMode.SHARED
 
@@ -164,13 +176,12 @@ class ProgramPlan:
 
     def run(self, gdh, txn, process, routed: list[RoutedQuery]) -> list[QueryResult]:
         results = []
-        for each in routed:
-            rows, report = gdh.executor.execute(each, process)
+        for each, (answers, report) in zip(routed, gdh.executor.execute(routed, process)):
             results.append(
                 QueryResult(
                     "prismalog",
                     columns=each.plan.optimized.plan.schema.names(),
-                    rows=sorted(rows, key=repr),
+                    rows=sorted(answers, key=repr),
                     report=report,
                     prismalog_stats={
                         "compiled_to_algebra": True,
@@ -604,12 +615,24 @@ class _StepCompiler:
         return step
 
     def _ClosureNode(self, plan) -> Step:
-        child, names = self.node(plan.child), self.closures.get(plan.key(), ())
+        """A fragmented input runs the loop's one-predicate instance, any
+        other the OFM's closure operator at one site."""
+        child, key, names = self.node(plan.child), plan.key(), self.closures.get(plan.key(), ())
+        loop = closure_loop()
 
         def step(ex) -> DistRelation:
-            relation = ex.closure(ex.flush(child(ex)))
-            for name in names:
-                ex.rounds[name] = ex.closure_rounds
+            if key not in ex.memo:
+                relation = ex.flush(child(ex))
+                if ex.distributed_closure and len(relation.parts) > 1 and relation.total_rows:
+                    ex.shared[CLOSURE] = relation
+                    (relation,), rounds = loop(ex)
+                    # Ordered per site, as the closure operator's result is.
+                    parts = [Part(p.process, ordered(p.rows)) for p in relation.parts]
+                    ex.memo[key] = DistRelation(parts, relation.partition_cols), rounds
+                else:
+                    ex.memo[key] = ex.closure(relation)
+            relation, rounds = ex.memo[key]
+            ex.rounds.update(dict.fromkeys(names, rounds))
             return relation
 
         return step
@@ -621,31 +644,51 @@ class _StepCompiler:
         return lambda ex: ex.totals[plan.token]
 
     def fixpoint(self, component: RecursiveComponent) -> Callable[[DistributedExecutor], None]:
-        """*component*'s semi-naive loop, run across the machine.
+        """*component*'s loop, run once per execution: its predicates'
+        relations under their tokens, their rounds reported."""
+        loop, key = self.loop(component), tuple(component.tokens)
+
+        def run(ex) -> None:
+            if key not in ex.memo:
+                ex.memo[key] = loop(ex)
+            relations, rounds = ex.memo[key]
+            ex.shared.update(zip(component.tokens, relations))
+            ex.rounds.update(dict.fromkeys(component.names, rounds))
+
+        return run
+
+    def loop(self, component: RecursiveComponent) -> Callable[[DistributedExecutor], tuple]:
+        """*component*'s semi-naive loop across the machine; it returns
+        each predicate's relation and the rounds taken.
 
         The relations it reads are materialized once, and the sites
-        holding them own the component's rows: each row lives at the
-        owner its whole-row hash names.  The seeds, split that way, are
-        the first deltas.  Each round runs every predicate's delta
-        variants over the current deltas and totals through the ordinary
-        join and repartition steps, splits what they derive to the
-        owners, and each owner keeps the rows it has not seen: the next
-        delta.  A round in which every delta is empty ends the loop;
-        each predicate's totals are then its materialized relation.
+        holding them own the rows: each row lives at the owner its
+        whole-row hash names, and the seeds, split so, are the first
+        deltas.  Each round runs every predicate's delta variants through
+        the ordinary join and repartition steps, or :func:`_closure_round`
+        when its one variant is the closure step, and each owner keeps
+        the rows it has not seen: the next delta.  A round in which
+        every delta is empty ends the loop.
         """
         inputs = [(token, self.node(plan)) for token, plan in component.inputs]
         seeds = [self.node(plan) for plan in component.seeds]
-        variants = [[self.node(plan) for plan in plans] for plans in component.variants]
-        names, tokens, reads = component.names, component.tokens, component.reads
+        names, reads = component.names, component.reads
+        shapes = [_closure_step(plans) for plans in component.variants]
+        variants = [
+            [] if shape else list(map(self.node, plans))
+            for plans, shape in zip(component.variants, shapes)
+        ]
         # Each predicate's rows split on all their columns.
         keys = [tuple(range(len(plan.schema))) for plan in component.seeds]
 
-        def run(ex) -> None:
+        def run(ex) -> tuple[list[DistRelation], int]:
             for token, step in inputs:
                 if token not in ex.shared:
                     ex.shared[token] = ex.flush(step(ex))
             parts = [part for token in reads for part in ex.shared[token].parts]
             sites = list({id(p.process): p.process for p in parts}.values()) or [ex.query_process]
+            # The closure steps' loop-invariant sides, before any seed.
+            closures = [shape and _closure_round(ex, sites, *shape) for shape in shapes]
             # Per predicate and owner: the rows held, as a set and in order.
             seen: list[list[set]] = [[set() for _ in sites] for _ in names]
             held: list[list[list]] = [[[] for _ in sites] for _ in names]
@@ -659,6 +702,7 @@ class _StepCompiler:
                     ex.deltas[name] = delta
                     totals = [Part(p.process, total) for p, total in zip(delta.parts, held[index])]
                     ex.totals[name] = DistRelation(totals, delta.partition_cols)
+                del derived  # the raw derivations need not outlive the dedup
                 if not any(ex.deltas[name].total_rows for name in names):
                     break
                 rounds += 1
@@ -668,12 +712,63 @@ class _StepCompiler:
                     DistRelation([p for step in steps for p in ex.flush(step(ex)).parts], None)
                     for steps in variants
                 ]
-                derived = [ex.repartition(r, key, sites) for r, key in zip(produced, keys)]
-            for name, token in zip(names, tokens):
-                ex.shared[token] = ex.totals[name]
-                ex.rounds[name] = rounds
+                derived = [
+                    closure(ex) if closure else ex.repartition(relation, key, sites)
+                    for relation, closure, key in zip(produced, closures, keys)
+                ]
+            return [ex.totals[name] for name in names], rounds
 
         return run
+
+
+#: A closure's input token and predicate name in its loop.
+CLOSURE = "<closure>"
+
+
+@cache
+def closure_loop() -> Callable[[DistributedExecutor], tuple]:
+    """The closure's loop, compiled once: a one-predicate component whose
+    seed is the input (read as :data:`CLOSURE`) and whose one variant is
+    the closure step."""
+    schema = predicate_schema(CLOSURE, 2)
+    delta, edges = DeltaScanNode(CLOSURE, schema), SharedScanNode(CLOSURE, schema)
+    join = JoinNode(delta, edges, Comparison("=", ColumnRef(1), ColumnRef(2)))
+    step = ProjectNode(join, [ColumnRef(0), ColumnRef(3)], schema.names())
+    component = RecursiveComponent([CLOSURE], [CLOSURE], [CLOSURE], [], [edges], [[step]])
+    return _StepCompiler({}).loop(component)
+
+
+def _closure_step(plans: list[PlanNode]) -> tuple | None:
+    """``(delta, edges, projection)`` when *plans* is one closure step:
+    ``π(Δ.0, E.1)(Δ ⋈_{Δ.1 = E.0} E)``, Δ a binary delta and E a
+    binary relation the loop reads (a variant's shared scans are)."""
+    join = plans[0].child if len(plans) == 1 and isinstance(plans[0], ProjectNode) else None
+    if not (
+        isinstance(join, JoinNode)
+        and isinstance(join.left, DeltaScanNode)
+        and isinstance(join.right, SharedScanNode)
+        and len(join.left.schema) == len(join.right.schema) == 2
+        and join.equi_keys() == ((1,), (0,), None)
+        and [e.index if type(e) is ColumnRef else None for e in plans[0].exprs] == [0, 3]
+    ):
+        return None
+    return join.left.token, join.right.token, plans[0].exprs
+
+
+def _closure_round(ex, sites: list, delta: str, edges: str, exprs) -> Step:
+    """The closure step's fused round body: the edges meet on their
+    source over *sites* and each site builds its table once; each round
+    the delta meets them on its destination, and each site derives its
+    pairs straight into the owners' buckets."""
+    by_source = ex.repartition(ex.shared[edges], (0,), sites)
+    tables = [hashed_edge_table(part.rows) for part in by_source.parts]
+    _, weight = ex.evaluator.projector(exprs)
+
+    def round_(ex) -> DistRelation:
+        by_dst = ex.repartition(ex.deltas[delta], (1,), sites)
+        return ex.join_into_owners(by_dst.parts, by_source.parts, tables, weight)
+
+    return round_
 
 
 def _partition_through(plan: ProjectNode):

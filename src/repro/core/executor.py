@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
-from repro.exec.closure import ordered, seminaive_closure
+from repro.exec.closure import seminaive_closure
 from repro.exec.evaluation import Evaluator
-from repro.exec.expressions import ColumnRef
 from repro.exec.operators import Row, WorkMeter
 from repro.exec.pipeline import Op
-from repro.exec.shuffle import SplitterCache, derive_pairs_into_buckets, hashed_edge_table
+from repro.exec.shuffle import SplitterCache, derive_pairs_into_buckets
 from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.optimizer import OptimizedPlan
 from repro.algebra.plan import PlanNode
@@ -227,13 +226,12 @@ class DistributedExecutor:
         #: query process, breaking ties by readiness.
         self.read_routing = "ready"
         self._temp_counter = 0
-        #: Rounds the last transitive closure took.
-        self.closure_rounds = 0
         # Per-execution state.  The public part is what a dispatch step
         # reads and writes: the query process, the parameter values, each
         # access's route, the materialized shared subexpressions, a
-        # running fixpoint's per-predicate delta and total relations and
-        # the rounds each recursive predicate took.
+        # running fixpoint's per-predicate delta and total relations, the
+        # rounds each recursive predicate took, and what each recursion
+        # or closure the statement's queries read yielded.
         self.query_process: PoolProcess | None = None
         self.params: Sequence = ()
         self.routes: list = []
@@ -241,6 +239,7 @@ class DistributedExecutor:
         self.deltas: dict[str, DistRelation] = {}
         self.totals: dict[str, DistRelation] = {}
         self.rounds: dict[str, int] = {}
+        self.memo: dict[tuple, tuple] = {}
         self._temps: list[OneFragmentManager] = []
         self._dispatched: set[str] = set()
         self._report: ExecutionReport = ExecutionReport()
@@ -253,37 +252,44 @@ class DistributedExecutor:
     # -- entry point -----------------------------------------------------------
 
     def execute(
+        self, queries: Sequence[RoutedQuery], query_process: PoolProcess
+    ) -> list[tuple[list[Row], ExecutionReport]]:
+        """Run routed executions of dispatch plans in order (a PRISMAlog
+        program's queries); returns each one's rows at the query process
+        and report.  What several of them read runs once (``memo``)."""
+        self.query_process = query_process
+        self.memo, self._temps = {}, []
+        try:
+            return [self._execute(routed, query_process) for routed in queries]
+        finally:
+            for temp in self._temps:
+                temp.destroy()
+            self.memo, self.shared, self.deltas, self.totals = {}, {}, {}, {}
+
+    def _execute(
         self, routed: RoutedQuery, query_process: PoolProcess
     ) -> tuple[list[Row], ExecutionReport]:
-        """Run one routed execution of a query's dispatch plan; returns
-        (rows at the query process, report)."""
         query = routed.plan
-        self.query_process = query_process
         self.params, self.routes = routed.params, routed.routes
-        self._temps = []
         self.shared, self.deltas, self.totals = {}, {}, {}
         self._dispatched = set()
+        temps = len(self._temps)
         report = ExecutionReport(
             started_at=query_process.ready_at, optimized=query.optimized, params=routed.params
         )
         self._report = report
         self.rounds = report.rounds
         stats_before = (self.runtime.stats.messages, self.runtime.stats.bytes_moved)
-        try:
-            # Recursive components first, then common subexpressions
-            # (which may read them), each materialized once, in order.
-            for fixpoint in query.fixpoints:
-                fixpoint(self)
-            for token, step in query.shared:
-                self.shared[token] = self.flush(step(self))
-            gathered = self.gather(query.root(self), query_process)
-            rows = gathered.parts[0].rows
-        finally:
-            for temp in self._temps:
-                temp.destroy()
+        # Recursive components first, then common subexpressions
+        # (which may read them), each materialized once, in order.
+        for fixpoint in query.fixpoints:
+            fixpoint(self)
+        for token, step in query.shared:
+            self.shared[token] = self.flush(step(self))
+        rows = self.gather(query.root(self), query_process).parts[0].rows
         report.finished_at = query_process.ready_at
         report.rows_returned = len(rows)
-        report.temp_ofms = len(self._temps)
+        report.temp_ofms = len(self._temps) - temps
         report.messages = self.runtime.stats.messages - stats_before[0]
         report.bytes_shipped = self.runtime.stats.bytes_moved - stats_before[1]
         self.metrics.counter("executor.queries").inc()
@@ -737,12 +743,36 @@ class DistributedExecutor:
             fresh_parts.append(Part(part.process, fresh))
         return DistRelation(fresh_parts, relation.partition_cols)
 
-    def closure(self, relation: DistRelation) -> DistRelation:
-        """Transitive closure of *relation*, setting ``closure_rounds``:
-        the parallel fixpoint when it is fragmented, the OFM's closure
-        operator at one transient OFM otherwise."""
-        if self.distributed_closure and len(relation.parts) > 1 and relation.total_rows > 0:
-            return self.parallel_closure(relation)
+    def join_into_owners(
+        self, parts: list[Part], build: list[Part], tables: list[dict], weight: float
+    ) -> DistRelation:
+        """Join part ``i``'s pairs ``(a, b)`` on ``b`` with ``tables[i]``
+        (built from ``build[i]``) and ship each ``(a, c)`` to the *build*
+        site its whole-row hash names.  Each site is charged first, in
+        closed form, as the join/project template (a tuple per row read,
+        a hash per row built or probed, per joined row a tuple and the
+        projection's tuple and *weight* compares); the shuffle statistics
+        count the exchange as the split it spares."""
+        owners = [part.process for part in build]
+        buckets = []
+        for part, built, table in zip(parts, build, tables):
+            split = derive_pairs_into_buckets(part.rows, table, len(owners))
+            self._dispatch(part.process)
+            probe, build_rows, joined = len(part.rows), len(built.rows), sum(map(len, split))
+            tuples = probe + build_rows + 2 * joined
+            seconds = self.machine.cpu_time(
+                tuples=tuples, hashes=build_rows + probe, compares=int(joined * weight)
+            )
+            part.process.charge(seconds, tuples=tuples)
+            buckets.append(split)
+        if len(owners) > 1:
+            self._splitters.splitter((0, 1), len(owners))
+            self._splitters.record_invocation()
+        return self._exchange([part.process for part in parts], buckets, owners, (0, 1))
+
+    def closure(self, relation: DistRelation) -> tuple[DistRelation, int]:
+        """Transitive closure of *relation* and its rounds, by the OFM's
+        closure operator at one transient OFM."""
         assert self.query_process is not None
         site = self.spawn_temp(self.query_process.ready_at)
         rows = self.gather(relation, site).parts[0].rows
@@ -750,93 +780,7 @@ class DistributedExecutor:
         meter.tuples += len(rows)
         result = seminaive_closure([tuple(r) for r in rows], meter)
         self._charge(site, meter, "ClosureNode", len(result.rows))
-        self.closure_rounds = result.iterations
-        return DistRelation([Part(site, list(result.rows))], None)
-
-    def parallel_closure(self, edges: DistRelation) -> DistRelation:
-        """Parallel semi-naive transitive closure across the fragments.
-
-        Each round: the delta is hash-repartitioned on its *destination*
-        column to meet the edge fragments (hash-partitioned on their
-        *source* column — same hash, so ``delta.dst = edge.src`` pairs
-        co-locate), joined locally in parallel, and the derived pairs are
-        repartitioned on the whole row for distributed duplicate
-        elimination against per-site totals.  This extends the OFM's
-        closure operator to the multi-computer — the project's
-        "parallelism for inferencing" goal.
-
-        The per-site join state is loop-invariant: each site builds its
-        ``src -> [(dst, stable_hash(dst)), ...]`` edge hash table once
-        and probes it every round.  A derived pair ``(a, c)`` goes
-        straight into the exchange bucket its whole-row hash names, with
-        ``a``'s hash taken once per delta row and ``c``'s read from the
-        table — the same bucket, in the same order, as splitting the
-        joined list on ``(0, 1)``.  The simulated charges are computed in
-        closed form per round to match a generic join/project template
-        exactly (scan both inputs, hash build + probe, emit and project
-        the joined pairs), every site's join before any exchange charge,
-        so response times are bit-identical.
-        """
-        # Edges keyed by source at their (re)partition sites.
-        edges_by_src = self.repartition(edges, (0,))
-        sites = [part.process for part in edges_by_src.parts]
-        k = len(sites)
-
-        # Loop-invariant build side, one hash table per site, each
-        # target stored with its hash.
-        edge_tables = [hashed_edge_table(part.rows) for part in edges_by_src.parts]
-        edge_counts = [len(part.rows) for part in edges_by_src.parts]
-        # Projecting (a, c) out of a joined pair costs the projector
-        # weight per output row.
-        _, proj_weight = self.evaluator.projector((ColumnRef(0), ColumnRef(3)))
-
-        # Totals live partitioned by whole-row hash over the same sites.
-        total_rel = self.repartition(
-            DistRelation([Part(p.process, list(map(tuple, p.rows))) for p in edges.parts], None),
-            (0, 1),
-            targets=sites,
-        )
-        totals: list[set] = [set() for _ in sites]
-        delta = self.dedup_at_owners(total_rel, totals)
-
-        rounds = 0
-        while delta.total_rows:
-            rounds += 1
-            if rounds > 100_000:
-                raise ExecutionError("distributed closure failed to converge")
-            delta_by_dst = self.repartition(delta, (1,), targets=sites)
-            derived: list[list[list]] = []
-            for index, delta_part in enumerate(delta_by_dst.parts):
-                site = delta_part.process
-                self._dispatch(site)
-                buckets = derive_pairs_into_buckets(delta_part.rows, edge_tables[index], k)
-                joined = sum(map(len, buckets))
-                # Closed-form equivalent of the old template execution:
-                # scans charge a tuple per input row, the join charges a
-                # hash per build+probe row and a tuple per joined pair,
-                # the projection a tuple and proj_weight compares per pair.
-                tuples = len(delta_part.rows) + edge_counts[index] + 2 * joined
-                seconds = self.machine.cpu_time(
-                    tuples=tuples,
-                    hashes=edge_counts[index] + len(delta_part.rows),
-                    compares=int(joined * proj_weight),
-                )
-                site.charge(seconds, tuples=tuples)
-                derived.append(buckets)
-            if k > 1:
-                # The derivation split the pairs as the (0, 1) splitter
-                # would.  The lookup and the invocation are counted only
-                # so the shuffle statistics, which the golden fingerprint
-                # pins, still count this exchange as the split it replaced.
-                self._splitters.splitter((0, 1), k)
-                self._splitters.record_invocation()
-            delta = self.dedup_at_owners(self._exchange(sites, derived, sites, (0, 1)), totals)
-
-        self.closure_rounds = rounds
-        result_parts = [
-            Part(site, ordered(total)) for site, total in zip(sites, totals)
-        ]
-        return DistRelation(result_parts, (0, 1))
+        return DistRelation([Part(site, list(result.rows))], None), result.iterations
 
 
 # ---------------------------------------------------------------------------

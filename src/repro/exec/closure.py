@@ -4,7 +4,7 @@ Section 2.5: the OFMs "support a transitive closure operator for dealing
 with recursive queries", and Section 2.3 defines PRISMAlog semantics "in
 terms of extensions of the relational algebra" — algebra plus this
 operator.  :func:`seminaive_closure` (join only the newly derived delta
-each round) is what a plan's ``ClosureNode`` runs.  The baselines
+each round) is what a ``ClosureNode`` runs at one site.  The baselines
 experiment E6 and the tests compare it against — **naive** (re-derive
 everything each round), **smart** (path doubling, logarithmically many
 but heavier rounds) and the selection-pushed ``reachable_from`` — are
@@ -23,12 +23,14 @@ Pair = tuple
 
 
 def ordered(rows: Iterable) -> list:
-    """Deterministic ordering even for heterogeneous/NULL-bearing rows."""
-    rows = list(rows)
+    """Deterministic ordering even for heterogeneous/NULL-bearing rows
+    (a list is sorted in place)."""
+    rows = rows if type(rows) is list else list(rows)
     try:
-        return sorted(rows)
+        rows.sort()
     except TypeError:
-        return sorted(rows, key=repr)
+        rows.sort(key=repr)
+    return rows
 
 #: Safety valve: recursion on a finite database must converge long before
 #: this; hitting it means a bug in the closure loop.

@@ -142,7 +142,7 @@ def derive_pairs_into_buckets(rows: Iterable[tuple], table: dict, k: int) -> lis
     buckets: list[list] = [[] for _ in range(k)]
     add = [bucket.append for bucket in buckets]
     probe = table.get
-    for a, b in rows:  # prismalint: disable=PL101 -- charged in DistributedExecutor.parallel_closure
+    for a, b in rows:  # prismalint: disable=PL101 -- charged in DistributedExecutor.join_into_owners
         targets = probe(b)
         if targets:
             ha = (a & _MASK if type(a) is int else stable_hash(a)) * _MULTIPLIER

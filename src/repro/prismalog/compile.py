@@ -46,7 +46,8 @@ from repro.storage.schema import Schema
 
 @dataclass
 class RecursiveComponent:
-    """A recursion the closure operator cannot express, as plans.
+    """A recursion as plans: one the closure operator cannot express,
+    or the closure's own loop (:func:`repro.core.dispatch.closure_loop`).
 
     ``names[i]`` is materialized under ``tokens[i]``, seeded by
     ``seeds[i]`` and grown by the delta variants ``variants[i]``, whose

@@ -19,6 +19,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError, PrismalogError
+from repro.exec.closure import seminaive_closure
 from repro.exec.evaluation import Evaluator
 from repro.exec.operators import Row, WorkMeter
 from repro.algebra.local_exec import LocalExecutor
@@ -38,12 +39,19 @@ from repro.storage.schema import Schema
 
 class FixpointExecutor(LocalExecutor):
     """A :class:`LocalExecutor` whose step plans also read a fixpoint's
-    delta and total relations, bound per recursion token."""
+    delta and total relations, bound per recursion token, and which
+    keeps the rounds its last closure step took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._recursion_delta: dict[str, list[Row]] = {}
         self._recursion_total: dict[str, list[Row]] = {}
+        self.closure_rounds = 0
+
+    def _step_ClosureNode(self, plan, rows: Sequence[Row]) -> list[Row]:
+        result = seminaive_closure([tuple(r) for r in rows], self.meter)
+        self.closure_rounds = result.iterations
+        return list(result.rows)
 
     def bind_recursion(self, token: str, delta: Sequence[Row], total: Sequence[Row]) -> None:
         """Expose delta/total relations for a recursion token (one per

@@ -94,7 +94,7 @@ class Harness:
     def run(self, plan, shared=()):
         optimized = OptimizedPlan(plan=plan, shared=list(shared))
         routed = QueryPlan(optimized).routed(self.catalog)
-        rows, report = self.executor.execute(routed, self.query_process)
+        ((rows, report),) = self.executor.execute([routed], self.query_process)
         return rows, report
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro import PrismaDB
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog
+from repro.core.dispatch import CLOSURE, closure_loop
 from repro.core.executor import DistRelation, DistributedExecutor, Part
 from repro.core.fragmentation import stable_hash
 from repro.exec.closure import seminaive_closure
@@ -358,7 +359,10 @@ def _closure_run(edges: list, n_sites: int):
     relation = DistRelation(
         [Part(p, edges[i::n_sites]) for i, p in enumerate(harness.procs)], None
     )
-    result = harness.executor.parallel_closure(relation)
+    # The loop itself, not the ClosureNode step: that step would hand a
+    # one-part input to the one-site operator.
+    harness.executor.shared[CLOSURE] = relation
+    (result,), _rounds = closure_loop()(harness.executor)
     busy = [node.stats.busy_time_s for node in harness.runtime.machine.nodes]
     stats = harness.runtime.stats
     return result.all_rows(), (stats.messages, stats.bytes_moved, busy)
