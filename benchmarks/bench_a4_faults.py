@@ -54,6 +54,7 @@ CONFIG = MachineConfig(n_nodes=8, disk_nodes=(0, 4), topology="ring")
 DURABLE_POINTS = {
     CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT,
     CrashPoint.ONE_PC_AFTER_LOG_FORCE,
+    CrashPoint.TWO_PC_AFTER_PREPARE,
     CrashPoint.TWO_PC_AFTER_LOG_FORCE,
     CrashPoint.TWO_PC_MID_PHASE_TWO,
 }
@@ -208,11 +209,10 @@ def test_a4_crash_matrix(benchmark):
         ],
         notes=(
             "A transaction survives recovery exactly when a durable record"
-            " (the participant's WAL force on the 1PC path, the"
-            " coordinator's log force on 2PC) says commit; everything"
+            " (the participant's WAL force on the 1PC path, every"
+            " participant's forced vote on 2PC) says commit; everything"
             " earlier resolves by presumed abort.  'log repairs' counts"
-            " commit-log entries rebuilt from the participant's"
-            " authoritative WAL record."
+            " commit-log entries rebuilt from those records."
         ),
     )
     # The 1PC window before the coordinator's lazy entry is repaired from the WAL.

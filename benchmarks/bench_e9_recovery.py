@@ -72,10 +72,10 @@ def test_e9_commit_protocol_overhead(benchmark):
         notes=(
             "Read-only commits are free; the 1PC fast path saves a vote"
             " round and waits for one force, the participant's; full 2PC"
-            " fans its prepare round out, so it waits for the slowest"
-            " prepare force plus the coordinator's decision force.  Commit"
-            " records after a prepare, the 1PC coordinator entry and abort"
-            " records are written without a wait (presumed abort)."
+            " fans its prepare round out and waits for the slowest prepare"
+            " force, since the durable votes decide.  Every coordinator"
+            " entry, commit records after a prepare and abort records are"
+            " written without a wait (presumed abort)."
         ),
     )
     assert read_only < local

@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     e1_kinds, query_kinds = kinds(e1_tracer), kinds(query_tracer)
     assert "packet.hop" in e1_kinds and "packet.deliver" in e1_kinds
     for expected in ("operator.execute", "executor.query", "process.send",
-                     "2pc.prepare", "2pc.log_force", "2pc.phase_two",
+                     "2pc.prepare", "2pc.phase_two",
                      "recovery.log_scan", "recovery.wal_replay"):
         assert expected in query_kinds, f"missing trace kind {expected!r}"
 

@@ -616,8 +616,11 @@ class _StepCompiler:
 
     def _ClosureNode(self, plan) -> Step:
         """A fragmented input runs the loop's one-predicate instance, any
-        other the OFM's closure operator at one site."""
-        child, key, names = self.node(plan.child), plan.key(), self.closures.get(plan.key(), ())
+        other the OFM's closure operator at one site.  Its rounds are
+        reported under the PRISMAlog predicates it computes, or under
+        :data:`CLOSURE` when none does (SQL's ``CLOSURE``)."""
+        child, key = self.node(plan.child), plan.key()
+        names = self.closures.get(key) or (CLOSURE,)
         loop = closure_loop()
 
         def step(ex) -> DistRelation:

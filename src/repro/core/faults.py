@@ -66,9 +66,12 @@ class CrashPoint(enum.Enum):
     TWO_PC_BEFORE_PREPARE = "2pc.before_prepare"
     #: 2PC, after the first participant prepared (it is now in doubt).
     TWO_PC_MID_PREPARE = "2pc.mid_prepare"
-    #: 2PC, all participants prepared, decision not yet durable.
+    #: 2PC, every participant's vote durable, the commit-log entry not
+    #: yet written: the votes decide — recovery must keep the
+    #: transaction committed and rebuild the entry from them.
     TWO_PC_AFTER_PREPARE = "2pc.after_prepare"
-    #: 2PC, decision forced to the commit log, phase two not started.
+    #: 2PC, after the coordinator wrote its commit-log entry (lazily:
+    #: nothing waits for it), phase two not started.
     TWO_PC_AFTER_LOG_FORCE = "2pc.after_log_force"
     #: 2PC, after the first participant received the commit decision
     #: (its commit record appended, not forced).

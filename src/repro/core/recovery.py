@@ -8,28 +8,33 @@ Three failure shapes are handled:
   storage — data dictionary, then every durable fragment in parallel.
 * **single-element crash** (:meth:`RecoveryManager.crash_element`) — one
   PE goes down, killing only the OFM copies placed there; transactions
-  that lost a participant abort at the survivors, reads fail over to
-  replica copies, and :meth:`RecoveryManager.restart_fragments` later
-  replays just the lost fragments (catching up from a live sibling copy
-  when one exists, since its WAL missed writes committed during the
-  outage).
+  that lost a participant are decided at the survivors (a coordinator
+  halted after every vote was durable leaves one that commits; any
+  other aborts), reads fail over to replica copies, and
+  :meth:`RecoveryManager.restart_fragments` later replays just the
+  lost fragments (catching up from a live sibling copy when one exists,
+  since its WAL missed writes committed during the outage).
 * **coordinator halt** — an injected crash point stopped 2PC mid-flight;
-  :meth:`RecoveryManager.resolve_in_doubt` drives the surviving system:
-  every in-doubt participant is resolved against the durable commit
-  log, with the participant's *own* forced commit record authoritative
-  (the 1PC fast path forces the participant and writes the
-  coordinator's log entry lazily after it; restart repairs the log from
-  the participant, never the reverse).
+  :meth:`RecoveryManager.resolve_in_doubt` drives the surviving system
+  to the outcome the durable records decide.
 
-Presumed abort keeps most commit-path records lazy (DESIGN.md §9, "What
-a commit forces"), and replay tolerates each one missing: a prepared
-participant whose commit record died unforced is in doubt and resolves
-from the forced 2PC decision, and a transaction with no commit entry
-and no local CommitRecord aborts.
+The coordinator's commit log is a cache (DESIGN.md §9, "What a commit
+forces"): every entry is written without a wait, and the three places
+that decide in-doubt transactions — :meth:`RecoveryManager._replay`,
+``resolve_in_doubt`` and ``crash_element`` — rebuild a missing one from
+the participants' forced records by one rule.  A 1PC transaction
+committed iff its participant holds a durable CommitRecord; a prepared
+one iff every participant its ``PrepareRecord`` names holds a durable
+``PrepareRecord`` for it and no durable ``AbortRecord``.  A rebuilt
+commit is written to the commit log before anything can truncate a
+vote (``log_repairs``); with no entry and no such record, presumed
+abort.
 
 Cost accounting: the commit-log scan is charged onto the restart
-critical path (`duration_s` = scan + slowest fragment), because no
-fragment can resolve its in-doubt transactions before the scan returns.
+critical path (`duration_s` = scan + votes read + slowest fragment),
+because no fragment can resolve its in-doubt transactions before the
+scan returns, nor one without an entry before its participants' votes
+are read.
 OFM replays themselves run in parallel (one per element), so they
 contribute their maximum, while ``total_work_s`` sums everything.
 
@@ -44,12 +49,13 @@ import hashlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.errors import RecoveryError
+from repro.errors import CatalogError, MachineError, RecoveryError
 from repro.obs.tracer import active
 from repro.core.catalog import FragmentInfo, PlacedCopy
 from repro.core.gdh import GDH_NODE, GlobalDataHandler
-from repro.core.transactions import TxnState
+from repro.core.transactions import Transaction, TxnState
 from repro.ofm.manager import OneFragmentManager
+from repro.ofm.wal import AbortRecord, CommitRecord, PrepareRecord, WriteAheadLog
 
 
 def _fingerprint(*fields_: object) -> str:
@@ -87,6 +93,65 @@ def sync_copy_from(
         # destination's name must not win the next replay.
         dest.charge(dest.wal.checkpoint(rows))
     return True, dest.ready_at - before
+
+
+class _Votes:
+    """What the participants' durable WALs say, for one resolution pass.
+
+    Each participant's log is read at most once, from the disk its
+    copy's home writes to (so a copy that died with its element still
+    answers); the GDH process asks, and is charged for the reads.  A
+    log no route reaches counts no vote: the decision taken without it
+    is logged, and the log entry rules every later resolution.
+    """
+
+    def __init__(self, gdh: GlobalDataHandler):
+        self.gdh = gdh
+        #: Simulated time the reads took.
+        self.cost = 0.0
+        self._logs: dict[str, tuple[dict[int, PrepareRecord], set[int]]] = {}
+
+    def _log(self, name: str) -> tuple[dict[int, PrepareRecord], set[int]]:
+        """*name*'s durable votes (each PrepareRecord no AbortRecord
+        follows, by transaction) and its durable commits."""
+        if name not in self._logs:
+            gdh = self.gdh
+            try:
+                wal = WriteAheadLog(gdh.machine, gdh.catalog.locate_copy(name)[2], name)
+                records, cost = wal.read_records(gdh.gdh_process.node_id)
+            except (CatalogError, MachineError):
+                # Retired (its stable storage went with it), or its
+                # disk's element is down.
+                records = []
+            else:
+                gdh.gdh_process.charge(cost)
+                self.cost += cost
+            votes = {r.txn_id: r for r in records if isinstance(r, PrepareRecord)}
+            for record in records:
+                if isinstance(record, AbortRecord):
+                    votes.pop(record.txn_id, None)
+            committed = {r.txn_id for r in records if isinstance(r, CommitRecord)}
+            self._logs[name] = votes, committed
+        return self._logs[name]
+
+    def commits(self, prepare: PrepareRecord, voter: str = "") -> bool:
+        """The rule: every participant *prepare* names holds a durable
+        vote for its transaction (*voter*, whose log *prepare* was just
+        read from, needs no second read)."""
+        return all(
+            name == voter or prepare.txn_id in self._log(name)[0]
+            for name in prepare.participants
+        )
+
+    def decide(self, txn_id: int, names: Iterable[str]) -> bool:
+        """Whether the WALs of *names*, the transaction's participants,
+        committed *txn_id*: one holds a durable CommitRecord (the 1PC
+        decision), or one holds a vote that :meth:`commits`."""
+        logs = [self._log(name) for name in names]
+        if any(txn_id in committed for _votes, committed in logs):
+            return True
+        prepare = next((votes[txn_id] for votes, _ in logs if txn_id in votes), None)
+        return prepare is not None and self.commits(prepare)
 
 
 @dataclass
@@ -137,8 +202,9 @@ class RecoveryReport:
     in_doubt_resolved: int = 0
     #: Simulated cost of scanning the coordinator's commit log.
     commit_log_scan_s: float = 0.0
-    #: Commit-log entries rewritten from participants' authoritative
-    #: WAL commit records (1PC crash between the two forces).
+    #: Commit-log entries rebuilt from the participants' forced
+    #: records: a 1PC participant's CommitRecord, or 2PC votes that
+    #: all hold (a coordinator halted before its lazy entry).
     log_repairs: int = 0
     #: Fragments whose replayed state was caught up from a live sibling
     #: copy (their WAL missed writes committed during the outage).
@@ -233,11 +299,13 @@ class RecoveryManager:
     def crash_element(self, node_id: int) -> CrashReport:
         """One PE fails: its processes die, the survivors carry on.
 
-        Transactions that lost a participant are aborted at their live
-        participants (their locks release, so waiting work proceeds);
-        fragment copies on the element leave the registry, so reads
-        fail over to replicas and writes to a copyless fragment error
-        out rather than silently diverging.
+        Transactions that lost a participant are decided and finished at
+        their live participants (their locks release, so waiting work
+        proceeds): committed when the durable records say so — a
+        coordinator halted after every vote was forced — and aborted
+        otherwise.  Fragment copies on the element leave the registry,
+        so reads fail over to replicas and writes to a copyless fragment
+        error out rather than silently diverging.
         """
         gdh = self.gdh
         if node_id == GDH_NODE:
@@ -251,19 +319,43 @@ class RecoveryManager:
         )
         report.processes_killed = gdh.faults.crash_element(node_id)
         report.fragments_lost = len(gdh.allocator.reap())
-        # Abort every transaction that lost a participant: phase one can
-        # no longer succeed for them, and holding their locks would
+        # Finish every transaction that lost a participant: phase one
+        # can no longer succeed for it, and holding its locks would
         # stall the surviving elements forever.
+        votes = _Votes(gdh)
         for txn_id in sorted(gdh.txns.active):
             txn = gdh.txns.active[txn_id]
             if all(ofm.alive for ofm in txn.participants.values()):
                 continue
-            report.aborted_transactions.append(txn_id)
-            for ofm in txn.participants.values():
-                if ofm.alive and ofm.has_transaction_state(txn_id):
-                    ofm.abort(txn_id)
-            gdh.txns.finish(txn, TxnState.ABORTED, report.at_time)
+            entry, cost = gdh.commit_log.lookup(txn_id)
+            gdh.gdh_process.charge(cost)
+            if not self._settle(txn, entry, votes, report.at_time):
+                report.aborted_transactions.append(txn_id)
         return report
+
+    def _settle(
+        self, txn: Transaction, entry: str | None, votes: _Votes, at: float
+    ) -> bool:
+        """Decide *txn* — by its commit-log *entry*, or without one by
+        the participants' durable records — and finish it at its live
+        participants; returns whether it committed.
+
+        A decision without an entry is written to the commit log first,
+        before any participant can checkpoint its vote away."""
+        gdh = self.gdh
+        if entry is None:
+            names = [ofm.name for ofm in txn.participants.values()]
+            entry = "commit" if votes.decide(txn.txn_id, names) else "abort"
+            gdh.gdh_process.charge(gdh.commit_log.record(txn.txn_id, entry))
+        committed = entry == "commit"
+        for ofm in txn.participants.values():
+            if ofm.alive and ofm.has_transaction_state(txn.txn_id):
+                if committed:
+                    ofm.commit(txn.txn_id)
+                else:
+                    ofm.abort(txn.txn_id)
+        gdh.txns.finish(txn, TxnState.COMMITTED if committed else TxnState.ABORTED, at)
+        return committed
 
     # -- restart --------------------------------------------------------------
 
@@ -353,11 +445,26 @@ class RecoveryManager:
             1 for outcome in outcomes.values() if outcome == "commit"
         )
 
+        votes = _Votes(gdh)
+
+        def outcome_of(prepare: PrepareRecord, voter: str) -> str:
+            txn_id = prepare.txn_id
+            if txn_id not in outcomes:
+                # Rebuilt from the votes, and logged before the catch-up
+                # below can checkpoint one away.
+                committed = votes.commits(prepare, voter)
+                outcomes[txn_id] = "commit" if committed else "abort"
+                gdh.gdh_process.charge(gdh.commit_log.record(txn_id, outcomes[txn_id]))
+                if outcomes[txn_id] == "commit":
+                    report.log_repairs += 1
+                    report.committed_outcomes += 1
+            return outcomes[txn_id]
+
         longest = 0.0
         for fragment, ofm in copies:
             name = ofm.name
             replay_started = ofm.ready_at
-            rows, cost = ofm.recover(lambda txn: outcomes.get(txn, "abort"))
+            rows, cost = ofm.recover(lambda prepare: outcome_of(prepare, name))
             if self._tracer is not None:
                 self._tracer.span(
                     replay_started,
@@ -404,9 +511,10 @@ class RecoveryManager:
             report.total_work_s += cost
             longest = max(longest, cost)
 
-        # The scan precedes every (parallel) fragment replay.
-        report.duration_s = scan_cost + longest
-        report.total_work_s += scan_cost
+        # The scan, and any votes read, precede every (parallel)
+        # fragment replay.
+        report.duration_s = scan_cost + votes.cost + longest
+        report.total_work_s += scan_cost + votes.cost
         return report
 
     def _catch_up(
@@ -430,43 +538,24 @@ class RecoveryManager:
 
         The machine did not crash — participants are alive, locks are
         held.  Every active transaction is driven to its correct end:
-        commit if the durable commit log says so *or* any participant's
-        own WAL shows a durable commit (authoritative on the 1PC path;
-        the log is repaired from it), presumed abort otherwise.
+        commit if the durable commit log says so or, without an entry,
+        if the participants' WALs do — a 1PC participant's forced
+        commit record, or every named participant's vote (the log is
+        repaired from them) — presumed abort otherwise.
         """
         gdh = self.gdh
         result = InDoubtResolution()
         outcomes, scan_cost = gdh.commit_log.scan()
         gdh.gdh_process.charge(scan_cost)
+        votes = _Votes(gdh)
         at = gdh.runtime.horizon()
         for txn_id in sorted(gdh.txns.active):
-            txn = gdh.txns.active[txn_id]
-            participants = [p for p in txn.participants.values() if p.alive]
-            locally_committed = any(
-                ofm.has_committed(txn_id) for ofm in participants
-            )
-            committed = outcomes.get(txn_id) == "commit" or locally_committed
-            if committed and outcomes.get(txn_id) != "commit":
-                gdh.gdh_process.charge(gdh.commit_log.record(txn_id, "commit"))
-                result.log_repairs += 1
-            if not committed and txn_id not in outcomes:
-                # Presumed abort decides; record it for restart reporting.
-                gdh.gdh_process.charge(gdh.commit_log.record(txn_id, "abort"))
-            for ofm in participants:
-                if not ofm.has_transaction_state(txn_id):
-                    continue
-                if committed:
-                    ofm.commit(txn_id)
-                else:
-                    ofm.abort(txn_id)
-            gdh.txns.finish(
-                txn,
-                TxnState.COMMITTED if committed else TxnState.ABORTED,
-                at,
-            )
+            entry = outcomes.get(txn_id)
+            committed = self._settle(gdh.txns.active[txn_id], entry, votes, at)
             result.resolved += 1
             if committed:
                 result.committed += 1
+                result.log_repairs += entry is None
             else:
                 result.aborted += 1
         return result

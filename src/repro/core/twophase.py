@@ -1,12 +1,15 @@
 """Two-phase commit across One-Fragment Managers.
 
 The Global Data Handler coordinates: phase one sends PREPARE to every
-participant OFM, which forces its WAL and votes; the decision is forced
-to the coordinator's durable commit log (on a disk-equipped element);
-phase two distributes the decision.  Single-participant transactions
-take the one-phase fast path (no vote round needed when there is nobody
-to disagree with): the participant's forced commit record is the
-decision.
+participant OFM, which forces its WAL and votes; phase two distributes
+the decision.  The durable prepares *are* the decision: each forced
+``PrepareRecord`` names every participant, and a transaction committed
+iff all of them hold one (and no ``AbortRecord``).  The coordinator's
+commit-log entry (on a disk-equipped element) is written once every
+vote is in, without a wait — a cache that restart rebuilds from the
+votes when it is missing.  Single-participant transactions take the
+one-phase fast path (no vote round needed when there is nobody to
+disagree with): the participant's forced commit record is the decision.
 
 Each round fans out and back in (:meth:`TwoPhaseCommit._round`): every
 request leaves before any reply is read and the participants work on
@@ -15,14 +18,17 @@ for the sum of them — the participants on different elements work at
 the same time (paper Section 2.2).
 
 Presumed abort decides which writes the commit waits for: the prepare
-forces and the 2PC decision, or the one participant's force on the 1PC
-path.  The 1PC coordinator's log entry, a prepared participant's commit
-record and every abort record are written without a wait, because
-restart rebuilds each from a forced record or presumes abort when it is
-missing (DESIGN.md §9, "What a commit forces").  So the coordinator's
-clock, the commit's acknowledged latency, advances by the message
-rounds plus the slowest of the forces each round waits for — what the
-E9 benchmark measures as "commit overhead".
+forces, or the one participant's force on the 1PC path.  Every
+coordinator log entry, a prepared participant's commit record and every
+abort record are written without a wait, because restart rebuilds each
+from a forced record or presumes abort when it is missing (DESIGN.md
+§9, "What a commit forces").  So the coordinator's clock, the commit's
+acknowledged latency, advances by the message rounds plus the slowest
+of the forces each round waits for — what the E9 benchmark measures as
+"commit overhead".  A commit raises
+:class:`~repro.errors.TransactionAborted` only when some participant
+holds no durable vote: its PREPARE never arrived, or its force never
+reached the disk (:meth:`WriteAheadLog.force` drops the records then).
 """
 
 from __future__ import annotations
@@ -47,15 +53,17 @@ CONTROL_MESSAGE_BYTES = 64
 class CommitLog:
     """The coordinator's durable transaction-outcome log.
 
-    Presumed abort: only a 2PC COMMIT decision must be forced before
-    phase two; an unknown transaction is aborted.  A 1PC commit entry
-    (a cache of the participant's forced record) and abort entries are
-    written lazily: the caller does not charge :meth:`record`'s cost.
+    Every entry is a cache, written lazily (the protocol does not charge
+    :meth:`record`'s cost): a commit caches the forced record that
+    decided it — the 1PC participant's CommitRecord, or the 2PC
+    participants' PrepareRecords — and an unknown transaction is
+    presumed aborted.  Recovery charges the entries it rebuilds.
 
-    A decision may be dropped from this log only after every
-    participant's WAL has forced past it: a prepared participant's
-    commit record is not forced, so until then the decision here is
-    the only durable trace of the commit.
+    A commit entry may be dropped only after every participant's WAL
+    has forced past it (its CommitRecord durable, or a checkpoint taken
+    after it), and a participant may truncate its PrepareRecord only
+    once the entry is here: either way, one durable trace of the commit
+    must remain.
     """
 
     def __init__(self, machine: Machine, coordinator_node: int):
@@ -67,12 +75,24 @@ class CommitLog:
 
     def record(self, txn_id: int, outcome: str) -> float:
         """Write the decision to disk; returns the simulated cost, which
-        a forcing caller charges and a lazy one does not."""
+        recovery charges when it rebuilds an entry and the protocol
+        does not."""
         payload = repr((txn_id, outcome)).encode("utf-8")
         network = self.machine.transfer_time(
             self.coordinator_node, self.disk.node, len(payload)
         )
         return network + self.disk.write(f"gdhlog/{txn_id}", payload, sequential=True)
+
+    def lookup(self, txn_id: int) -> tuple[str | None, float]:
+        """One transaction's entry (None when there is none), plus the
+        simulated cost of reading it."""
+        key = f"gdhlog/{txn_id}"
+        if key not in self.disk:
+            return None, 0.0
+        payload, cost = self.disk.read(key, sequential=True)
+        return _decode_entry(key, payload)[1], cost + self.machine.transfer_time(
+            self.disk.node, self.coordinator_node, 16
+        )
 
     def scan(self) -> tuple[dict[int, str], float]:
         """All durable decisions plus the simulated cost of reading them.
@@ -86,15 +106,20 @@ class CommitLog:
         for key in self.disk.keys("gdhlog/"):
             payload, read_cost = self.disk.read(key, sequential=True)
             cost += read_cost
-            try:
-                txn_id, outcome = _pyast.literal_eval(payload.decode("utf-8"))
-            except (ValueError, SyntaxError) as exc:
-                raise RecoveryError(f"corrupt commit log entry {key}: {exc}") from None
-            result[int(txn_id)] = str(outcome)
+            txn_id, outcome = _decode_entry(key, payload)
+            result[txn_id] = outcome
         cost += self.machine.transfer_time(
             self.disk.node, self.coordinator_node, 16 * len(result) + 16
         )
         return result, cost
+
+
+def _decode_entry(key: str, payload: bytes) -> tuple[int, str]:
+    try:
+        txn_id, outcome = _pyast.literal_eval(payload.decode("utf-8"))
+    except (ValueError, SyntaxError) as exc:
+        raise RecoveryError(f"corrupt commit log entry {key}: {exc}") from None
+    return int(txn_id), str(outcome)
 
 
 @dataclass
@@ -124,10 +149,10 @@ class TwoPhaseCommit:
     Participant death is never silent: a send to a crashed OFM raises
     :class:`~repro.errors.MachineError`.  During phase one this aborts
     the transaction once the live participants have voted (the dead
-    participant resolves to abort at restart, by presumed abort); after
-    the decision is durable it only marks the participant *unreached* —
-    it will learn the outcome from the commit log when its element
-    restarts.
+    participant holds no durable vote, so every resolution aborts it);
+    once every vote is durable it only marks the participant
+    *unreached* — it will learn the outcome from the commit log when
+    its element restarts.
     """
 
     def __init__(
@@ -199,14 +224,15 @@ class TwoPhaseCommit:
                 txn.txn_id, True, 1, 2, coordinator.ready_at, one_phase=True
             )
 
-        # Phase one: prepare round.
+        # Phase one: prepare round.  Each vote names every participant.
         started = coordinator.ready_at
         self._crash_point(CrashPoint.TWO_PC_BEFORE_PREPARE, txn.txn_id)
+        names = tuple(ofm.name for ofm in participants)
         prepared = self._round(
             txn.txn_id,
             coordinator,
             participants,
-            lambda ofm: ofm.prepare(txn.txn_id),
+            lambda ofm: ofm.prepare(txn.txn_id, names),
             CrashPoint.TWO_PC_MID_PREPARE,
         )
         if len(prepared) < len(participants):
@@ -226,20 +252,10 @@ class TwoPhaseCommit:
                 actor=coordinator.name,
                 participants=len(participants),
             )
+        # Every vote is durable: the transaction is committed.  The
+        # commit-log entry only caches that, so nothing waits for it.
         self._crash_point(CrashPoint.TWO_PC_AFTER_PREPARE, txn.txn_id)
-
-        # Decision: force to the commit log before telling anyone.
-        force_started = coordinator.ready_at
-        coordinator.charge(self.commit_log.record(txn.txn_id, "commit"))
-        if self._tracer is not None:
-            self._tracer.span(
-                force_started,
-                coordinator.ready_at,
-                "2pc.log_force",
-                f"txn{txn.txn_id}",
-                node=coordinator.node_id,
-                actor=coordinator.name,
-            )
+        self.commit_log.record(txn.txn_id, "commit")
         self._crash_point(CrashPoint.TWO_PC_AFTER_LOG_FORCE, txn.txn_id)
 
         # Phase two: decision + acks.  The decision is durable, so the

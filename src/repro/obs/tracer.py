@@ -34,7 +34,7 @@ Record kinds (the ``kind`` field, also the Chrome-trace category):
 ``operator.execute``      one subplan at one OFM (span: before→after charge)
 ``executor.repartition``  one hash shuffle (instant, row/target counts)
 ``executor.query``        one whole query (span: started→finished)
-``2pc.*``                 commit-protocol phases (prepare, log_force, ...)
+``2pc.*``                 commit-protocol phases (prepare, phase_two, ...)
 ``recovery.*``            restart work (log_scan, wal_replay, catch_up)
 ========================  ==================================================
 """

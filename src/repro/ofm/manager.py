@@ -110,12 +110,6 @@ class OneFragmentManager(PoolProcess):
         #: Per-transaction undo chains (volatile; WAL is the durable copy).
         self._undo: dict[int, list] = {}
         self._prepared: set[int] = set()
-        #: Transactions this OFM has committed (volatile mirror of the
-        #: WAL's CommitRecords, forced on the 1PC path and lazy after a
-        #: PREPARE; rebuilt by recover()).  In-doubt resolution consults
-        #: it: a participant's own commit record is authoritative on the
-        #: 1PC fast path.
-        self._committed: set[int] = set()
         #: Filled by recover(): what the last replay found.
         self.last_recovery: FragmentRecovery | None = None
 
@@ -253,11 +247,15 @@ class OneFragmentManager(PoolProcess):
 
     # -- two-phase-commit participant ------------------------------------------------------
 
-    def prepare(self, txn_id: int) -> bool:
-        """Phase one: make the transaction's effects durable; vote."""
+    def prepare(self, txn_id: int, participants: Sequence[str] = ()) -> bool:
+        """Phase one: make the transaction's effects durable; vote.
+
+        The forced PrepareRecord names the transaction's *participants*
+        (OFM copy names): with their durable votes it decides the
+        transaction when the coordinator's log has no entry for it."""
         if txn_id in self._prepared:
             return True
-        self._log(PrepareRecord(txn_id))
+        self._log(PrepareRecord(txn_id, tuple(participants)))
         if self.wal is not None:
             self.charge(self.wal.force())
         self._prepared.add(txn_id)
@@ -271,13 +269,12 @@ class OneFragmentManager(PoolProcess):
         PREPARE it is appended without a force: it reaches disk with
         this WAL's next force or checkpoint, and a crash before then
         leaves the transaction in doubt, resolved from the coordinator's
-        forced decision."""
+        log entry or, without one, from the participants' votes."""
         self._log(CommitRecord(txn_id))
         if self.wal is not None and txn_id not in self._prepared:
             self.charge(self.wal.force())
         self._undo.pop(txn_id, None)
         self._prepared.discard(txn_id)
-        self._committed.add(txn_id)
 
     def abort(self, txn_id: int) -> None:
         """Undo the transaction's local effects, newest first.
@@ -290,7 +287,7 @@ class OneFragmentManager(PoolProcess):
 
         The AbortRecord is not forced (presumed abort): replay aborts a
         transaction with no outcome unless it prepared, and then the
-        coordinator's log, which has no commit for it, decides."""
+        coordinator's log or the missing vote it aborted on decides."""
         if txn_id not in self._undo and txn_id not in self._prepared:
             return
         chain = self._undo.pop(txn_id, [])
@@ -312,13 +309,6 @@ class OneFragmentManager(PoolProcess):
 
     def has_transaction_state(self, txn_id: int) -> bool:
         return txn_id in self._undo or txn_id in self._prepared
-
-    def has_committed(self, txn_id: int) -> bool:
-        """Did this OFM commit *txn_id*?  Authoritative for 1PC, where
-        the commit record was forced and so is durable; after a PREPARE
-        the record may still be volatile, and the coordinator's forced
-        decision is what makes the commit durable."""
-        return txn_id in self._committed
 
     def in_doubt_transactions(self) -> list[int]:
         """Prepared transactions with no local decision yet (sorted)."""
@@ -482,7 +472,6 @@ class OneFragmentManager(PoolProcess):
         self.table.truncate()
         self._undo.clear()
         self._prepared.clear()
-        self._committed.clear()
         if self.wal is not None:
             self.wal.lose_unforced()
 
@@ -504,11 +493,13 @@ class OneFragmentManager(PoolProcess):
         self._lose_volatile_state()
         self.table.release_memory()
 
-    def recover(self, outcome_of: Callable[[int], str]) -> tuple[int, float]:
+    def recover(self, outcome_of: Callable[[PrepareRecord], str]) -> tuple[int, float]:
         """Rebuild the fragment from snapshot + WAL.
 
-        *outcome_of(txn_id)* returns ``'commit'`` / ``'abort'`` — the
-        coordinator's durable decision (presumed abort for unknowns).
+        *outcome_of(prepare)* returns ``'commit'`` / ``'abort'`` for a
+        transaction this WAL prepared without deciding it — the
+        coordinator's entry, or the votes of the participants *prepare*
+        names (presumed abort when they do not all hold one).
         Returns (rows restored, simulated recovery cost).
         """
         if self.wal is None:
@@ -526,18 +517,18 @@ class OneFragmentManager(PoolProcess):
         # later (e.g. a cleanup sweep after the coordinator halted
         # mid-1PC) must never flip a durably committed transaction.
         locally_decided: dict[int, str] = {}
-        prepared: set[int] = set()
+        prepared: dict[int, PrepareRecord] = {}
         for record in records:
             if isinstance(record, CommitRecord):
                 locally_decided[record.txn_id] = "commit"
             elif isinstance(record, AbortRecord):
                 locally_decided.setdefault(record.txn_id, "abort")
             elif isinstance(record, PrepareRecord):
-                prepared.add(record.txn_id)
+                prepared[record.txn_id] = record
         in_doubt = sorted(
             txn_id for txn_id in prepared if txn_id not in locally_decided
         )
-        resolutions = {txn_id: str(outcome_of(txn_id)) for txn_id in in_doubt}
+        resolutions = {txn_id: str(outcome_of(prepared[txn_id])) for txn_id in in_doubt}
 
         def decide(txn_id: int) -> str:
             if txn_id in locally_decided:
@@ -562,14 +553,6 @@ class OneFragmentManager(PoolProcess):
                     self.table.update(record.rid, record.new_row)
                 else:
                     self.table.insert_with_rid(record.rid, record.new_row)
-        self._committed = {
-            txn_id
-            for txn_id, outcome in locally_decided.items()
-            if outcome == "commit"
-        }
-        self._committed.update(
-            txn_id for txn_id, outcome in resolutions.items() if outcome == "commit"
-        )
         self.last_recovery = FragmentRecovery(
             rows=len(self.table),
             cost=cost,

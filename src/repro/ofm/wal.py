@@ -7,7 +7,9 @@ implements stable storage and automatic recovery upon system failures."
 Each durable OFM keeps a WAL; records buffer in memory and are *forced*
 (written through to the nearest disk element, across the network if
 necessary) before the OFM votes in two-phase commit.  A checkpoint
-writes a full fragment snapshot and truncates the log.
+writes a full fragment snapshot and truncates the log; a prepared
+participant may truncate its PrepareRecord only once the transaction's
+decision is on the commit log's disk (DESIGN.md §9).
 
 Records serialize via ``repr``/``ast.literal_eval`` — rows contain only
 SQL literals, so this is loss-free and needs no external format.
@@ -70,7 +72,16 @@ class UpdateRecord(LogRecord):
 
 @dataclass(frozen=True)
 class PrepareRecord(LogRecord):
+    """A participant's vote.  It names the transaction's participants
+    (OFM copy names), so restart can decide a transaction whose
+    coordinator left no entry: it committed iff every named participant
+    holds a durable PrepareRecord for it and no durable AbortRecord."""
+
+    participants: tuple[str, ...] = ()
     kind: ClassVar[str] = "P"
+
+    def payload(self) -> tuple:
+        return (self.participants,)
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ _RECORD_TYPES = {
     "U": lambda txn, payload: UpdateRecord(
         txn, payload[0], tuple(payload[1]), tuple(payload[2])
     ),
-    "P": lambda txn, payload: PrepareRecord(txn),
+    "P": lambda txn, payload: PrepareRecord(txn, tuple(payload[0])),
     "C": lambda txn, payload: CommitRecord(txn),
     "A": lambda txn, payload: AbortRecord(txn),
 }
@@ -164,6 +175,9 @@ class WriteAheadLog:
         key = f"{self._chunk_prefix}{self._next_chunk}"
         self._next_chunk += 1
         self.records_written += len(self._buffer)
+        # Cleared before the transfer: a force cut off from its disk
+        # loses these records for good, so a failed PREPARE never
+        # becomes a durable vote later.
         self._buffer.clear()
         self.forces += 1
         network = self.machine.transfer_time(
@@ -213,8 +227,10 @@ class WriteAheadLog:
         cost += self.machine.transfer_time(self.disk.node, self.owner_node, len(payload))
         return rows, cost
 
-    def read_records(self) -> tuple[list[LogRecord], float]:
-        """All durable records in append order, plus the simulated cost."""
+    def read_records(self, reader: int | None = None) -> tuple[list[LogRecord], float]:
+        """All durable records in append order, plus the simulated cost
+        of shipping them to *reader* (default: the owner's element)."""
+        reader = self.owner_node if reader is None else reader
         records: list[LogRecord] = []
         cost = 0.0
         for key in sorted(
@@ -223,9 +239,7 @@ class WriteAheadLog:
         ):
             payload, read_cost = self.disk.read(key, sequential=True)
             cost += read_cost
-            cost += self.machine.transfer_time(
-                self.disk.node, self.owner_node, len(payload)
-            )
+            cost += self.machine.transfer_time(self.disk.node, reader, len(payload))
             try:
                 serialized = _pyast.literal_eval(payload.decode("utf-8"))
             except (ValueError, SyntaxError) as exc:

@@ -9,14 +9,14 @@ plus the runtime's send/receive overheads for every control message —
 and check it exactly:
 
 * 1PC: the participant's WAL force;
-* 2PC: the slowest participant's prepare force, then the coordinator's
-  decision force (each round fans out: every request leaves before the
-  first reply is read);
+* 2PC: the slowest participant's prepare force (each round fans out:
+  every request leaves before the first reply is read) — the durable
+  votes decide, so no decision force follows;
 * ROLLBACK: no force at all.
 
-The writes the protocol no longer waits for (the 1PC coordinator's log
-entry, a prepared participant's commit record, every abort record) still
-land, and a crash that beats them to disk is repaired by restart.
+The writes the protocol does not wait for (every coordinator log entry,
+a prepared participant's commit record, every abort record) still land,
+and a crash that beats them to disk is repaired by restart.
 """
 
 import pytest
@@ -97,15 +97,6 @@ def fanned_out(db: PrismaDB, node: int, ofms, work: list[float]) -> float:
     )
 
 
-def decision_cost(db: PrismaDB, txn_id: int) -> float:
-    """What the coordinator's forced commit decision cost."""
-    log = db.gdh.commit_log
-    n_bytes = log.disk.size_of(f"gdhlog/{txn_id}")
-    return db.machine.transfer_time(
-        log.coordinator_node, log.disk.node, n_bytes
-    ) + log.disk.access_cost(n_bytes, sequential=True)
-
-
 def coordinator_node(db: PrismaDB, kind: str) -> int:
     """The element the last ``kind`` protocol span ran on."""
     return [record for record in db.tracer.events if record[2] == kind][-1][4]
@@ -144,7 +135,7 @@ class TestAcknowledgedLatency:
         assert f"gdhlog/{txn_id}" in db.gdh.commit_log.disk
         assert db.gdh.commit_log.scan()[0] == {txn_id: "commit"}
 
-    def test_two_phase_commit_waits_for_prepares_and_the_decision(self):
+    def test_two_phase_commit_waits_for_its_slowest_prepare(self):
         db = make_db()
         keys = keys_on_fragments(db, 3)
         session, ofms = open_transaction(db, keys)
@@ -162,10 +153,15 @@ class TestAcknowledgedLatency:
         expected = (
             db.machine.config.cpu_start_cost_s
             + fanned_out(db, node, ofms, prepares)
-            + decision_cost(db, txn_id)
             + fanned_out(db, node, ofms, [0.0] * len(ofms))
         )
         assert session.clock - before == pytest.approx(expected, rel=1e-12)
+        # The decision is written, just not waited for; each vote names
+        # every participant.
+        assert db.gdh.commit_log.scan()[0] == {txn_id: "commit"}
+        names = tuple(ofm.name for ofm in ofms)
+        for ofm in ofms:
+            assert PrepareRecord(txn_id, names) in ofm.wal.read_records()[0]
 
     def test_rollback_waits_for_no_force(self):
         db = make_db()
@@ -219,10 +215,10 @@ class TestFannedOutRounds:
         expected = (
             db.machine.config.cpu_start_cost_s
             + fanned_out(db, node, ofms, prepares)
-            + decision_cost(db, txn_id)
             + fanned_out(db, node, ofms, [0.0] * len(ofms))
         )
         assert latency == pytest.approx(expected, rel=1e-12)
+        assert db.gdh.commit_log.scan()[0] == {txn_id: "commit"}
         return latency, min(prepares)
 
     def test_each_added_participant_costs_messages_not_a_force(self):
@@ -238,19 +234,21 @@ class TestFannedOutRounds:
         db.faults.arm(CrashPoint.TWO_PC_MID_PREPARE)
         with pytest.raises(InjectedCrash):
             session.execute("COMMIT")
+        names = tuple(ofm.name for ofm in ofms)
         durable = [
             ofm.name
             for ofm in ofms
-            if PrepareRecord(txn_id) in ofm.wal.read_records()[0]
+            if PrepareRecord(txn_id, names) in ofm.wal.read_records()[0]
         ]
         assert durable == [ofms[0].name]
 
         db.crash()
         report = db.restart()
 
-        # No decision was logged: presumed abort resolves the prepared one.
+        # Two named participants hold no vote: the prepared one aborts.
         assert report.in_doubt_resolved == 1
-        assert db.gdh.commit_log.scan()[0].get(txn_id) != "commit"
+        assert report.log_repairs == 0
+        assert db.gdh.commit_log.scan()[0] == {txn_id: "abort"}
         assert db.query("SELECT id FROM acct") == []
 
     def test_a_participant_cut_off_from_its_disk_aborts_the_commit(self):
@@ -268,6 +266,47 @@ class TestFannedOutRounds:
             db.faults.restore_link(*link)
         assert db.query("SELECT id FROM acct") == []
 
+    def test_a_failed_prepare_never_becomes_a_durable_vote(self):
+        db = make_db()
+        keys = keys_on_fragments(db, 3)
+        session, ofms = open_transaction(db, keys)
+        (first,) = db.gdh.txns.active
+        disk = ofms[0].wal.disk.node
+        links = [(disk, neighbor) for neighbor in db.machine.topology.neighbors(disk)]
+        for link in links:
+            db.faults.fail_link(*link)
+        with pytest.raises(TransactionAborted):
+            session.execute("COMMIT")
+        for link in links:
+            db.faults.restore_link(*link)
+        # The cut-off OFM forces again, for a 1PC commit on the same
+        # key: the first transaction's records died with the failed
+        # force, and only its lazy abort record rides this one.
+        session.execute(f"INSERT INTO acct VALUES ({keys[0]}, 2)")
+        cut_off = ofms[0]
+        assert [
+            type(record) for record in cut_off.wal.read_records()[0]
+            if record.txn_id == first
+        ] == [AbortRecord]
+        # Another participant's vote is durable and its abort record is
+        # not; drop the coordinator's lazy abort entry, so only the
+        # votes decide at restart.
+        names = tuple(ofm.name for ofm in ofms)
+        voters = [
+            ofm for ofm in ofms
+            if PrepareRecord(first, names) in ofm.wal.read_records()[0]
+        ]
+        assert voters and cut_off not in voters
+        db.gdh.commit_log.disk.delete(f"gdhlog/{first}")
+
+        db.crash()
+        report = db.restart()
+
+        assert report.in_doubt_resolved == len(voters)
+        assert report.log_repairs == 0
+        assert db.gdh.commit_log.scan()[0][first] == "abort"
+        assert db.query("SELECT id, bal FROM acct") == [(keys[0], 2)]
+
 
 class TestLazyRecordsLand:
     def test_participant_commit_record_rides_the_next_force(self):
@@ -278,7 +317,7 @@ class TestLazyRecordsLand:
         session.execute("COMMIT")
         first = ofms[0]
         durable = first.wal.read_records()[0]
-        assert PrepareRecord(txn_id) in durable
+        assert PrepareRecord(txn_id, tuple(ofm.name for ofm in ofms)) in durable
         assert CommitRecord(txn_id) not in durable
 
         # A later 1PC commit on the same fragment forces its WAL.
@@ -341,7 +380,7 @@ class TestDurabilityAfterAcknowledgement:
         report = db.restart()
 
         # Each participant's commit record died unforced; restart
-        # resolved it from the coordinator's forced decision.
+        # resolved it from the coordinator's lazy log entry.
         assert report.in_doubt_resolved == len(participants)
         assert balances(db) == {keys[0]: 70, keys[1]: 130}
 
@@ -388,7 +427,7 @@ class TestDurabilityAfterAcknowledgement:
         with pytest.raises(TransactionAborted):
             session.execute("COMMIT")
         durable = survivor.wal.read_records()[0]
-        assert PrepareRecord(txn_id) in durable
+        assert PrepareRecord(txn_id, (survivor.name, victim.name)) in durable
         assert AbortRecord(txn_id) not in durable
         # The coordinator's lazy abort entry never reaches the platter.
         db.gdh.commit_log.disk.delete(f"gdhlog/{txn_id}")

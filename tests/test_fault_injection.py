@@ -35,11 +35,12 @@ from repro.core.faults import (
 CONFIG = MachineConfig(n_nodes=4, disk_nodes=(0, 2), topology="ring")
 
 #: Crash points after which the transaction MUST survive recovery
-#: (something durable — the participant's or the coordinator's forced
-#: record — already says "commit").
+#: (something durable already says "commit": the 1PC participant's
+#: forced commit record, or every 2PC participant's forced vote).
 DURABLE_POINTS = {
     CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT,
     CrashPoint.ONE_PC_AFTER_LOG_FORCE,
+    CrashPoint.TWO_PC_AFTER_PREPARE,
     CrashPoint.TWO_PC_AFTER_LOG_FORCE,
     CrashPoint.TWO_PC_MID_PHASE_TWO,
 }
@@ -272,7 +273,8 @@ class TestResolveInDoubt:
     @pytest.mark.parametrize(
         "point,expect_commit",
         [
-            (CrashPoint.TWO_PC_AFTER_PREPARE, False),  # presumed abort
+            (CrashPoint.TWO_PC_MID_PREPARE, False),  # a vote is missing
+            (CrashPoint.TWO_PC_AFTER_PREPARE, True),  # the votes decide
             (CrashPoint.TWO_PC_AFTER_LOG_FORCE, True),  # log decides
             (CrashPoint.TWO_PC_MID_PHASE_TWO, True),
             (CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT, True),  # WAL decides
@@ -317,6 +319,72 @@ class TestResolveInDoubt:
         assert result.log_repairs == 1
         assert "commit" in db.gdh.commit_log.scan()[0].values()
         assert (key, 5) in table_contents(db)
+
+
+class TestVotesDecide:
+    """A coordinator halted after every vote was forced left a committed
+    transaction with no commit-log entry: every place that decides it
+    commits it and writes the entry."""
+
+    @staticmethod
+    def halt_after_the_votes(db: PrismaDB) -> tuple[list[int], int]:
+        keys = keys_per_fragment(db, 3)
+        session = db.session()
+        session.execute("BEGIN")
+        for key in keys:
+            session.execute(f"INSERT INTO t VALUES ({key}, 5)")
+        (txn_id,) = db.gdh.txns.active
+        db.faults.arm(CrashPoint.TWO_PC_AFTER_PREPARE)
+        with pytest.raises(InjectedCrash):
+            session.execute("COMMIT")
+        assert db.gdh.commit_log.scan()[0] == {}
+        return keys, txn_id
+
+    def test_restart_rebuilds_the_entry_from_the_votes(self):
+        db = make_db()
+        keys, txn_id = self.halt_after_the_votes(db)
+        db.crash()
+        report = db.restart()
+        assert report.in_doubt_resolved == 3
+        assert report.log_repairs == 1
+        assert db.gdh.commit_log.scan()[0] == {txn_id: "commit"}
+        assert table_contents(db) == {(key, 5) for key in keys}
+
+    def test_element_crash_after_the_votes_commits(self):
+        db = make_db()
+        keys, txn_id = self.halt_after_the_votes(db)
+        # A participant's element without a disk: its vote stays readable.
+        info = db.catalog.table("t")
+        disks = {element.node_id for element in db.machine.disk_nodes()}
+        node = next(
+            fragment.node_id for fragment in info.fragments
+            if fragment.node_id not in disks
+        )
+        lost = [
+            key for key in keys
+            if info.fragments[info.scheme.fragment_of((key, 0))].node_id == node
+        ]
+
+        report = db.crash_element(node)
+
+        assert report.aborted_transactions == []
+        assert db.gdh.txns.active == {}
+        assert db.gdh.commit_log.scan()[0] == {txn_id: "commit"}
+        live_rows = {
+            row
+            for ofm in db.gdh.fragment_ofms.values()
+            if ofm.alive
+            for row in ofm.table.rows()
+        }
+        assert live_rows == {(key, 5) for key in keys if key not in lost}
+        assert in_doubt_count(db) == 0
+
+        recovery = db.restart_element(node)
+
+        # The dead copy replays its vote against the entry written above.
+        assert recovery.in_doubt_resolved == len(lost) > 0
+        assert recovery.log_repairs == 0
+        assert table_contents(db) == {(key, 5) for key in keys}
 
 
 class TestParticipantDeathBeforeDecision:

@@ -29,6 +29,13 @@ log writes and a prepared participant's commit record are no longer
 forces on the commit path, so they stop counting as busy time on the
 elements that used to wait for them.  Every other digest is unchanged.
 
+Deciding a 2PC commit by its durable prepares re-pinned ``nodes`` and
+``__facade__`` again: the scenario's multi-fragment ``UPDATE orders ...
+WHERE cust = 3`` is a 2PC autocommit whose coordinator no longer waits
+for a decision force, and whose votes name their participants (a few
+more bytes per prepare force).  Every other digest is unchanged, and
+the new pins were re-verified under ``PYTHONHASHSEED=1`` and ``42``.
+
 If a deliberate behavior change moves these, re-pin with::
 
     PYTHONPATH=src python tests/golden/fingerprint_scenario.py
@@ -37,11 +44,11 @@ If a deliberate behavior change moves these, re-pin with::
 from tests.golden.fingerprint_scenario import run_scenario
 
 PINNED = {
-    "__facade__": "689790fc6b8a38720a35339244f01bc230f121d214f8472d66c42147e7373eff",
+    "__facade__": "c987e2aa98794d34d532892a4c8ad97a7a2e030b262898618a32126bcc64f87a",
     "expressions": "d688df5def39a77a7403d730e6eecc3394c75618721cc10cfeccac08a4477bb8",
     "faults": "ecffdbbb3f1d7e1f2cbb798288f3eebf849eba4a4c4aa3c6dd57edeeda6e2e07",
     "metrics": "bfa0c7c777d7d3a53770a7646d0a3f711bdfbb64d42d582299161f5176d654ae",
-    "nodes": "b64432ffca20387be36f22e1367c9494a57032c8c8134841bec8be13c7905096",
+    "nodes": "375e440ae1189a6107886b8f0577e3c049fef8a1db57da028d0c48ba14c60562",
     "runtime": "e6910616bc7839ad1102e61dadf4037d3405b168f3644b96a68ca5ae6ec252c8",
     "shuffle": "84eebeaf98364ac1388438fe50a1bbc4de1ab83719b223f825dce4e30d4ae6a7",
 }

@@ -144,7 +144,6 @@ def test_commit_and_recovery_kinds_are_traced():
         "executor.repartition",
         "process.send",
         "2pc.prepare",
-        "2pc.log_force",
         "2pc.phase_two",
         "recovery.log_scan",
         "recovery.wal_replay",

@@ -33,11 +33,11 @@ def ofm(runtime):
     )
 
 
-def always_commit(txn_id: int) -> str:
+def always_commit(prepare: PrepareRecord) -> str:
     return "commit"
 
 
-def always_abort(txn_id: int) -> str:
+def always_abort(prepare: PrepareRecord) -> str:
     return "abort"
 
 

@@ -3,8 +3,9 @@
 A hypothesis rule-based state machine drives a PrismaDB with random
 inserts/updates/deletes — some autocommitted, some inside explicit
 transactions that may roll back — interleaved with checkpoints,
-crash/restart cycles and an element outage during which the table is
-dropped and created again.  An in-memory dict tracks what *committed*;
+crash/restart cycles, commits whose coordinator halts at a named crash
+point, and an element outage during which the table is dropped and
+created again.  An in-memory dict tracks what *committed*;
 after every step the database must agree with it exactly, and the data
 dictionary, the registry of live OFMs and the keys on stable storage
 must agree with each other (ROADMAP item 6's catalog ↔ OFM-registry
@@ -26,12 +27,24 @@ from hypothesis.stateful import (
 )
 
 from repro import MachineConfig, PrismaDB
-from repro.errors import StorageError
+from repro.core.faults import ONE_PC_POINTS, TWO_PC_POINTS, CrashPoint
+from repro.errors import InjectedCrash, StorageError
 
 KEYS = st.integers(min_value=0, max_value=19)
 VALUES = st.integers(min_value=-100, max_value=100)
 
 CREATE_T = "CREATE TABLE t (k INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(k) INTO 3"
+
+#: The crash points after which the durable records say "commit"
+#: (DESIGN.md §9, "What a commit forces"); every other point of the
+#: 1PC and 2PC paths rolls the transaction back.
+COMMITTED_AFTER = {
+    CrashPoint.ONE_PC_AFTER_PARTICIPANT_COMMIT,
+    CrashPoint.ONE_PC_AFTER_LOG_FORCE,
+    CrashPoint.TWO_PC_AFTER_PREPARE,
+    CrashPoint.TWO_PC_AFTER_LOG_FORCE,
+    CrashPoint.TWO_PC_MID_PHASE_TWO,
+}
 
 
 def assert_placement_agrees(db: PrismaDB) -> None:
@@ -163,6 +176,49 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.db.restart()
         self.pending = None
         self.session = self.db.session()
+
+    @precondition(lambda self: self.pending is None)
+    @rule(
+        writes=st.dictionaries(KEYS, VALUES, min_size=1, max_size=4),
+        resolution=st.sampled_from(["resolve_in_doubt", "restart", "element"]),
+        data=st.data(),
+    )
+    def commit_through_a_crash_point(self, writes, resolution, data):
+        """A transaction writes *writes* and its coordinator halts at a
+        crash point of the path it takes (1PC on one fragment, 2PC on
+        more); then the halted commit is resolved in place, by a machine
+        restart, or by crashing and restarting one participant's element
+        (one without a disk, so its vote stays readable; in place when
+        every participant's element has a disk)."""
+        info = self.db.catalog.table("t")
+        fragments = sorted({info.scheme.fragment_of((k, 0)) for k in writes})
+        points = ONE_PC_POINTS if len(fragments) == 1 else TWO_PC_POINTS
+        point = data.draw(st.sampled_from(points), label="point")
+        self.session.begin()
+        for k, v in writes.items():
+            if k in self.committed:
+                self.session.execute(f"UPDATE t SET v = {v} WHERE k = {k}")
+            else:
+                self.session.execute(f"INSERT INTO t VALUES ({k}, {v})")
+        self.db.faults.arm(point)
+        with pytest.raises(InjectedCrash):
+            self.session.commit()
+        disks = {element.node_id for element in self.db.machine.disk_nodes()}
+        diskless = [
+            info.fragments[f].node_id for f in fragments
+            if info.fragments[f].node_id not in disks
+        ]
+        if resolution == "element" and diskless:
+            self.db.crash_element(diskless[0])
+            self.db.restart_element(diskless[0])
+        elif resolution == "restart":
+            self.db.crash()
+            self.db.restart()
+            self.session = self.db.session()
+        else:
+            self.db.resolve_in_doubt()
+        if point in COMMITTED_AFTER:
+            self.committed.update(writes)
 
     @precondition(lambda self: self.pending is None)
     @rule()
