@@ -9,12 +9,14 @@ distributed semi-naive loop that evaluates every PRISMAlog recursion
 exchange to the owners, distributed duplicate elimination); we compare
 it with gathering to one transient OFM and its closure operator.
 
-The result is an honest trade-off, not a victory lap: total CPU divides
-nicely over the fragments, but every round is a barrier, per-round load
-skews with vertex degrees, and each derivation crosses the 10 Mbit/s
-links twice.  At these scales the single-site operator usually wins on
-response time — the bench quantifies by how much, and shows the work
-*is* spread (the balance Section 3.1 says the implementor must manage).
+Total CPU divides over the fragments, but every round is a barrier,
+per-round load skews with vertex degrees, and each derivation crosses
+the 10 Mbit/s links twice.  Each round's shuffles are fan-outs — every
+site splits and sends on its own clock, so a round costs its slowest
+site, not the sum of them — and with that the distributed fixpoint
+beats the single-site operator on response time at both scales.  The
+bench quantifies by how much, and shows the work *is* spread (the
+balance Section 3.1 says the implementor must manage).
 """
 
 import pytest
@@ -83,11 +85,12 @@ def test_a3_distributed_closure_tradeoff(results, benchmark):
         rows,
         notes=(
             "Identical answers.  The distributed fixpoint spreads CPU over"
-            " the fragment sites (busy max << busy total) but pays two"
-            " shuffles per derivation and a barrier per round — at these"
-            " scales the single-site operator wins response time.  The"
-            " crossover moves with the CPU:network balance knob of"
-            " MachineConfig (Section 3.1's explicit-allocation trade-off)."
+            " the fragment sites (busy max << busy total) and pays two"
+            " shuffles per derivation and a barrier per round; each shuffle"
+            " is a fan-out that costs its slowest site, so at these scales"
+            " the distributed fixpoint wins response time.  The crossover"
+            " moves with the CPU:network balance knob of MachineConfig"
+            " (Section 3.1's explicit-allocation trade-off)."
         ),
     )
     for name, (single, parallel) in results.items():
@@ -95,8 +98,8 @@ def test_a3_distributed_closure_tradeoff(results, benchmark):
         # total CPU.
         assert parallel["busy_sites"] >= 6, name
         assert parallel["busy_max"] < 0.5 * parallel["busy_total"], name
-        # And the single-site strategy is the right default here.
-        assert single["response_s"] < parallel["response_s"], name
+        # And it pays: with fan-out shuffles the fixpoint beats one site.
+        assert parallel["response_s"] < single["response_s"], name
     benchmark.pedantic(
         run, args=(random_dag(200, 800, seed=1), 4, True), rounds=1, iterations=1
     )

@@ -256,8 +256,9 @@ def test_e7_general_recursion_by_fragments(benchmark):
         notes=(
             "Answers and rounds equal the one-site oracle's. Simulated s sums"
             " the program's queries; even/odd's second query reads the loop"
-            " its first ran. These inputs are small: each round's deltas are"
-            " a few rows, so 16 owners pay more messages per round than 4."
+            " its first ran. Same-generation's rounds carry enough rows that"
+            " 16 owners beat 4; even/odd's deltas are a few rows a round, so"
+            " 16 owners pay more messages per round than 4 and lose."
         ),
     )
     benchmark.pedantic(

@@ -579,15 +579,23 @@ class _StepCompiler:
                 lrel = ex.repartition(lrel, left_keys)
                 targets = [part.process for part in lrel.parts]
                 rrel = ex.repartition(rrel, right_keys, targets=targets)
-            parts = []
-            for left_part, right_part in zip(lrel.parts, rrel.parts):
-                right_rows = right_part.rows
-                if right_part.process is not left_part.process:
-                    # Co-partitioned but on different elements: ship the
-                    # smaller stream to the larger one's element.
-                    ex.ship(right_part, left_part.process, right_rows)
-                rows = ex.run_local(left_part.process, local, left_part.rows, right_rows)
-                parts.append(Part(left_part.process, rows))
+            pairs = list(zip(lrel.parts, rrel.parts))
+            # Co-partitioned but on different elements: ship the right
+            # stream to the left one's element, every pair at once.
+            ex.ship_all(
+                [
+                    (right_part.process, left_part.process, right_part.rows)
+                    for left_part, right_part in pairs
+                    if right_part.process is not left_part.process
+                ]
+            )
+            parts = [
+                Part(
+                    left_part.process,
+                    ex.run_local(left_part.process, local, left_part.rows, right_part.rows),
+                )
+                for left_part, right_part in pairs
+            ]
             return DistRelation(parts, left_keys or None)
 
         return step

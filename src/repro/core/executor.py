@@ -11,7 +11,14 @@ repartitioning, broadcasts, or gathers, every byte charged to the
 Response time falls out of the process timelines: each OFM's clock
 advances with its local work, transfers arrive after link delays, and
 the coordinating query process finishes when the last input lands —
-the critical path, not the sum.
+the critical path, not the sum.  The same holds inside a step that
+moves rows between several processes at once (a repartition, a
+multi-part broadcast, the co-partitioned join's pairing): it is one
+fan-out.  Every source first charges its split and the departure of
+each of its messages on its own clock; only then does each receiver's
+clock move to each arrival, paying the receive overhead in the order
+the messages were sent — the rule a gather already obeys.  So an
+exchange costs its slowest source, not the sum of them.
 
 The executor does not walk plans itself: a query arrives as the steps
 of its dispatch plan (:mod:`repro.core.dispatch`), compiled once per
@@ -422,12 +429,26 @@ class DistributedExecutor:
         per_row = sum(map(_value_bytes, sample)) / len(sample)  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network
         return int(per_row * len(rows)) + 16
 
-    def ship(self, source: Part, target: PoolProcess, rows: list) -> None:
-        """Move rows between processes (no-op co-located, still a message)."""
+    def _ship(self, source: Part, target: PoolProcess, rows: list) -> None:
+        """Move rows between processes (no-op co-located, still a message).
+
+        One message, sent now: a gather has one receiver, a one-part
+        broadcast one sender, and a relay forwards only what it received,
+        so none of them needs :meth:`ship_all`'s fan-out."""
         self._dispatch(target)
         n_bytes = self._row_bytes(rows)
-        # The CPU that produced these rows is charged in _run_local.
-        self.runtime.send(source.process, target, n_bytes)  # prismalint: disable=PL004 -- charged in _run_local
+        # The CPU that produced these rows is charged in run_local.
+        self.runtime.send(source.process, target, n_bytes)  # prismalint: disable=PL004 -- charged in run_local
+
+    def ship_all(self, moves: list[tuple[PoolProcess, PoolProcess, list]]) -> None:
+        """Move ``(source, target, rows)`` batches at once, as one fan-out:
+        each source sends on its own clock, and no target's clock moves
+        before every batch has left (:meth:`PoolRuntime.fan_out`)."""
+        messages = []
+        for source, target, rows in moves:  # prismalint: disable=PL101 -- message sizing only; the fan-out this feeds charges the network
+            self._dispatch(target)
+            messages.append((source, target, self._row_bytes(rows)))
+        self.runtime.fan_out(messages)  # prismalint: disable=PL004 -- charged in run_local
 
     def gather(self, relation: DistRelation, target: PoolProcess) -> DistRelation:
         """Collect every part at *target* (the fan-in of a query).
@@ -448,7 +469,7 @@ class DistributedExecutor:
             self._tree_gather(remote, target)
         else:
             for part in remote:
-                self.ship(part, target, part.rows)
+                self._ship(part, target, part.rows)
         rows: list = []
         for part in parts:
             rows.extend(part.rows)
@@ -494,7 +515,7 @@ class DistributedExecutor:
         """
         if len(parts) <= self.multicast_fanin:
             for part in parts:
-                self.ship(part, target, part.rows)
+                self._ship(part, target, part.rows)
             return
         hops = self.machine.router.hops
         target_node = target.node_id
@@ -509,7 +530,7 @@ class DistributedExecutor:
             combined = list(relay.rows)
             for member in members:
                 combined.extend(member.rows)
-            self.ship(Part(relay.process, combined), target, combined)
+            self._ship(Part(relay.process, combined), target, combined)
 
     # -- base-table reads --------------------------------------------------------
 
@@ -619,7 +640,9 @@ class DistributedExecutor:
         belongs at ``targets[j]``, split on *key_cols* by the shuffle hash.
 
         Each source pays a hash per row it split, then ships its buckets
-        in target order; a single target gathers instead.
+        in target order, all of it on its own clock: the exchange is one
+        fan-out, so no source waits for what the others send it.  A
+        single target gathers instead.
         """
         k = len(targets)
         sizes = [sum(map(len, split)) for split in buckets]
@@ -641,6 +664,7 @@ class DistributedExecutor:
             held = [Part(source, split[0]) for source, split in zip(sources, buckets)]
             return self.gather(DistRelation(held, None), targets[0])
         merged: list[list] = [[] for _ in range(k)]
+        moves = []
         for source, outgoing, size in zip(sources, buckets, sizes):
             # Hash-splitting is CPU work at the source.
             source.charge(self.machine.cpu_time(hashes=size))
@@ -648,8 +672,9 @@ class DistributedExecutor:
                 if not rows:
                     continue
                 if target is not source:
-                    self.ship(Part(source, rows), target, rows)
+                    moves.append((source, target, rows))
                 bucket.extend(rows)
+        self.ship_all(moves)
         parts = [Part(target, rows) for target, rows in zip(targets, merged)]
         return DistRelation(parts, key_cols)
 
@@ -658,11 +683,12 @@ class DistributedExecutor:
     ) -> list[list]:
         """Copy the whole relation to every target; returns rows per target.
 
-        Each source part ships directly to each remote target.  The old
-        implementation first gathered multi-part relations at
-        ``parts[0]`` — the same bytes then crossed the network once more
-        per target, one hop later.  Direct shipping charges the same
-        per-target transfer and drops the gather hop entirely.
+        Each source part ships directly to each remote target, all parts
+        at once (one fan-out).  The old implementation first gathered
+        multi-part relations at ``parts[0]`` — the same bytes then
+        crossed the network once more per target, one hop later.  Direct
+        shipping charges the same per-target transfer and drops the
+        gather hop entirely.
 
         Beyond ``multicast_fanin`` targets the copies fan out through
         the relay tree of :meth:`_tree_scatter` instead, so no source
@@ -682,7 +708,7 @@ class DistributedExecutor:
             result = []
             for target in targets:
                 if target is not source.process:
-                    self.ship(source, target, rows)
+                    self._ship(source, target, rows)
                 result.append(rows)
             return result
         if len(targets) > fanout:
@@ -691,15 +717,15 @@ class DistributedExecutor:
                 if remote:
                     self._tree_scatter(part, remote, part.rows)
             return [relation.all_rows() for _ in targets]
-        result = []
-        for target in targets:
-            rows = []
-            for part in parts:
-                if part.process is not target:
-                    self.ship(part, target, part.rows)
-                rows.extend(part.rows)
-            result.append(rows)
-        return result
+        self.ship_all(
+            [
+                (part.process, target, part.rows)
+                for target in targets
+                for part in parts
+                if part.process is not target
+            ]
+        )
+        return [relation.all_rows() for _ in targets]
 
     def _tree_scatter(
         self, source: Part, targets: list[PoolProcess], rows: list
@@ -711,7 +737,7 @@ class DistributedExecutor:
         """
         if len(targets) <= self.multicast_fanin:
             for target in targets:
-                self.ship(source, target, rows)
+                self._ship(source, target, rows)
             return
         hops = self.machine.router.hops
         source_node = source.process.node_id
@@ -720,7 +746,7 @@ class DistributedExecutor:
             nodes, lambda node: hops(source_node, node)
         ):
             relay = targets[relay_index]
-            self.ship(source, relay, rows)
+            self._ship(source, relay, rows)
             if rest:
                 self._tree_scatter(Part(relay, rows), [targets[i] for i in rest], rows)
 

@@ -15,8 +15,8 @@ PL002     no unseeded randomness (global ``random.*``,
           ``random.Random()`` without a seed) — deterministic replay
 PL003     message-passing only: no cross-process attribute writes, no
           module-level mutable state shared between process classes
-PL004     clock discipline: a function using ``PoolRuntime.send`` must
-          charge CPU itself (or say where it is charged)
+PL004     clock discipline: a function using ``PoolRuntime.send`` or
+          ``fan_out`` must charge CPU itself (or say where it is charged)
 PL005     no bare ``except:``; no silently swallowed ``MachineError``
 PL006     no host-time calls (``time.*``, any of them) inside ``obs``
           span paths — trace timestamps are simulated time only

@@ -12,7 +12,7 @@ failure modes:
   state referenced from more than one process class.  Both are shared
   memory wearing a trench coat.
 * **PL004** — clock indiscipline: a function that ships messages via
-  ``runtime.send`` but does not charge by
+  ``runtime.send`` or ``runtime.fan_out`` but does not charge by
   :func:`~repro.lint.framework.charges` (the test PL101 uses) suggests
   the work that *produced* the message is unaccounted for, silently
   deflating response times.  Where another function pays, the send's
@@ -222,12 +222,12 @@ class ClockDisciplineRule(Rule):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "send"
+                    and node.func.attr in ("send", "fan_out")
                     and "runtime" in ast.unparse(node.func.value)
                 ):
                     yield self.violation(
                         source,
                         node,
-                        f"PoolRuntime.send in {fn.name}() which never charges "
-                        "the sending process",
+                        f"PoolRuntime.{node.func.attr} in {fn.name}() which never "
+                        "charges the sending process",
                     )

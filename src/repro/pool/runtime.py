@@ -3,12 +3,14 @@
 The runtime owns a :class:`~repro.machine.machine.Machine` and hands out
 :class:`~repro.pool.process.PoolProcess` instances placed on its
 processing elements.  All inter-process communication goes through
-:meth:`PoolRuntime.send`, which charges the analytic network cost model
-of the machine and keeps per-node message statistics.
+:meth:`PoolRuntime.send` (one message) or :meth:`PoolRuntime.fan_out`
+(several at once), which share one cost path: they charge the analytic
+network cost model of the machine and keep per-node message statistics.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -172,6 +174,30 @@ class PoolRuntime:
         advanced to the arrival.  Send/receive CPU overheads are charged
         on both sides.
         """
+        self._check(sender, receiver, n_bytes)
+        departure, arrival = self._depart(sender, receiver, n_bytes)
+        self._arrive(sender, receiver, n_bytes, departure, arrival)
+        return receiver.ready_at
+
+    def fan_out(self, messages: Sequence[tuple[PoolProcess, PoolProcess, int]]) -> None:
+        """Send ``(sender, receiver, n_bytes)`` *messages* at once.
+
+        A fan-out, not a chain of :meth:`send` calls: every receiver is
+        checked first, so a dead one raises before anything is charged;
+        then every message departs on its sender's clock, in order; only
+        then does each receiver's clock move to each arrival, paying the
+        receive overhead in the order the messages were sent.  A sender
+        that also receives therefore starts sending without waiting for
+        what the others send it, and a many-to-many step costs its
+        slowest sender, not the sum of them.
+        """
+        for sender, receiver, n_bytes in messages:
+            self._check(sender, receiver, n_bytes)
+        flights = [self._depart(*message) for message in messages]
+        for (sender, receiver, n_bytes), (departure, arrival) in zip(messages, flights):
+            self._arrive(sender, receiver, n_bytes, departure, arrival)
+
+    def _check(self, sender: PoolProcess, receiver: PoolProcess, n_bytes: int) -> None:
         if n_bytes < 0:
             raise MachineError(f"negative message size: {n_bytes}")
         # Dead peers are an error, not silence: a sender must learn its
@@ -187,9 +213,24 @@ class PoolRuntime:
                 f"cannot send from {sender.name!r} to {receiver.name!r}:"
                 " receiver is terminated"
             )
+
+    def _depart(
+        self, sender: PoolProcess, receiver: PoolProcess, n_bytes: int
+    ) -> tuple[float, float]:
+        """The sender's half of a message: its departure and arrival."""
         departure = sender.charge(SEND_OVERHEAD_S)
         travel = self.machine.transfer_time(sender.node_id, receiver.node_id, n_bytes)
-        arrival = departure + travel
+        return departure, departure + travel
+
+    def _arrive(
+        self,
+        sender: PoolProcess,
+        receiver: PoolProcess,
+        n_bytes: int,
+        departure: float,
+        arrival: float,
+    ) -> None:
+        """The receiver's half of a message, and its accounting."""
         receiver.advance_to(arrival)
         receiver.charge(RECEIVE_OVERHEAD_S)
         self.stats.messages += 1
@@ -213,7 +254,6 @@ class PoolRuntime:
                 bytes=n_bytes,
                 to_node=receiver.node_id,
             )
-        return receiver.ready_at
 
     # -- reporting ------------------------------------------------------------
 

@@ -37,11 +37,15 @@ from repro.algebra.subexpr import extract_common_subexpressions
 from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, TableInfo
 from repro.core.dispatch import QueryPlan
-from repro.core.executor import DistributedExecutor
+from repro.core.executor import DistRelation, DistributedExecutor, Part, rows_bytes
 from repro.core.fragmentation import HashFragmentation, RoundRobinFragmentation
+from repro.errors import ProcessCrashed
+from repro.obs.tracer import Tracer
 from repro.ofm.manager import OFMProfile, OneFragmentManager
 from repro.pool import PoolProcess, PoolRuntime
+from repro.pool.runtime import RECEIVE_OVERHEAD_S, SEND_OVERHEAD_S
 from repro.storage import DataType, Schema
+from tests.oracle import reference_bucket
 
 EMP = Schema.of(id=DataType.INT, name=DataType.STRING, dept=DataType.STRING, sal=DataType.FLOAT)
 DEPT = Schema.of(dname=DataType.STRING, city=DataType.STRING)
@@ -343,6 +347,9 @@ def _dept_setop(op):
 #: shape -> (plan, fragments, repr of (response_time, messages,
 #: bytes_shipped, busy_time_s per busy node)), captured at the commit
 #: before the executor ↔ LocalExecutor seam became rows in, rows out.
+#: The set operations' response times were re-pinned when exchanges
+#: became fan-outs (each source sends on its own clock); their messages,
+#: bytes and per-node busy seconds did not move.
 SEAM_PINS = {
     "non_equi_join": (
         JoinNode(
@@ -373,7 +380,7 @@ SEAM_PINS = {
     "union": (
         _dept_setop("union"),
         {"emp": 4},
-        "(0.001918200000000001, 18, 2334, {"
+        "(0.0018382000000000008, 18, 2334, {"
         "0: 0.0012400000000000007, 2: 0.0015100000000000005, 3: 0.0014880000000000004, 4: 0.0014450000000000005, 5: 0.0021620000000000007, 6: 0.00102, 7: 0.001045})",
     ),
     "union_all": (
@@ -385,13 +392,13 @@ SEAM_PINS = {
     "intersect": (
         _dept_setop("intersect"),
         {"emp": 4},
-        "(0.0018834000000000008, 14, 2323, {"
+        "(0.0018134000000000006, 14, 2323, {"
         "0: 0.0011600000000000004, 2: 0.0014900000000000004, 3: 0.0014680000000000003, 4: 0.0014250000000000005, 5: 0.002132000000000001, 6: 0.00102, 7: 0.001045})",
     ),
     "except": (
         _dept_setop("except"),
         {"emp": 4},
-        "(0.001888400000000001, 14, 2329, {"
+        "(0.0018184000000000004, 14, 2329, {"
         "0: 0.0011600000000000004, 2: 0.0014900000000000004, 3: 0.0014680000000000003, 4: 0.0014250000000000005, 5: 0.002137000000000001, 6: 0.00102, 7: 0.001045})",
     ),
     "closure_single_fragment": (
@@ -417,3 +424,103 @@ def test_site_local_operator_charges_are_pinned(shape):
     }
     observed = (report.response_time, report.messages, report.bytes_shipped, busy)
     assert repr(observed) == pinned
+
+
+class TestExchangeFansOut:
+    """A many-to-many exchange is one fan-out: every source splits and
+    sends on its own clock, then every receiver reads its messages in
+    the order they were sent — so it costs its slowest source, not the
+    sum of them."""
+
+    SITES = 4
+
+    def harness(self):
+        runtime = PoolRuntime(
+            Machine(MachineConfig(n_nodes=8, disk_nodes=(0,))), tracer=Tracer()
+        )
+        executor = DistributedExecutor(runtime, Catalog(), DataAllocationManager(runtime))
+        executor.query_process = runtime.spawn(PoolProcess, name="qp", node=0)
+        sites = [
+            runtime.spawn(PoolProcess, name=f"s{i}", node=i + 1) for i in range(self.SITES)
+        ]
+        for site in sites:  # pre-pay the subplans: only the exchange remains
+            executor._dispatch(site)
+        return runtime, executor, sites
+
+    def rows(self, extra: dict[int, int] | None = None) -> list[list[tuple]]:
+        """Rows held per site; site *i* holds ``extra[i]`` more."""
+        extra = extra or {}
+        return [
+            [(i * 1000 + j, j) for j in range(12 + 7 * i + extra.get(i, 0))]
+            for i in range(self.SITES)
+        ]
+
+    def departures(self, runtime, site) -> list[float]:
+        return [
+            start
+            for start, _length, kind, _name, _node, actor, _args in runtime.tracer.events
+            if kind == "process.send" and actor == site.name
+        ]
+
+    def test_clocks_rebuild_from_the_cost_model(self):
+        runtime, executor, sites = self.harness()
+        held = self.rows()
+        machine = runtime.machine
+        clocks = [site.ready_at for site in sites]
+        # Each source: a hash per row split, then one send per remote
+        # non-empty bucket, in target order, all on its own clock.
+        sent = []
+        for i, (site, rows) in enumerate(zip(sites, held)):
+            clocks[i] += machine.cpu_time(hashes=len(rows))
+            for j, target in enumerate(sites):
+                bucket = [r for r in rows if reference_bucket(r, (0,), self.SITES) == j]
+                if j == i or not bucket:
+                    continue
+                clocks[i] += SEND_OVERHEAD_S
+                travel = machine.transfer_time(site.node_id, target.node_id, rows_bytes(bucket))
+                sent.append((j, clocks[i] + travel))
+        # Then each receiver reads its messages in the order they left.
+        for j, arrival in sent:
+            clocks[j] = max(clocks[j], arrival) + RECEIVE_OVERHEAD_S
+
+        relation = DistRelation([Part(site, rows) for site, rows in zip(sites, held)], None)
+        shuffled = executor.repartition(relation, (0,))
+
+        assert [site.ready_at for site in sites] == clocks
+        assert sorted(r for part in shuffled.parts for r in part.rows) == sorted(
+            r for rows in held for r in rows
+        )
+
+    @pytest.mark.parametrize("heavy", [0, SITES - 1])
+    def test_a_heavier_source_delays_no_other_departure(self, heavy):
+        runs = []
+        for extra in ({}, {heavy: 400}):
+            runtime, executor, sites = self.harness()
+            relation = DistRelation(
+                [Part(site, rows) for site, rows in zip(sites, self.rows(extra))], None
+            )
+            executor.repartition(relation, (0,))
+            runs.append(
+                [self.departures(runtime, site) for i, site in enumerate(sites) if i != heavy]
+            )
+        light, loaded = runs
+        assert all(light)
+        assert loaded == light
+
+    def test_a_dead_receiver_fails_the_fan_out_before_any_charge(self):
+        runtime, _executor, sites = self.harness()
+        for site in sites:
+            site.charge(0.001 * (site.node_id + 1))
+        runtime.kill(sites[-1])
+        live = sites[:-1]
+        clocks = [site.ready_at for site in live]
+        busy = [node.stats.busy_time_s for node in runtime.machine.nodes]
+        messages = runtime.stats.messages
+        with pytest.raises(ProcessCrashed):
+            runtime.fan_out(
+                [(live[0], live[1], 400), (live[1], live[2], 400), (live[2], sites[-1], 400)]
+            )
+        assert [site.ready_at for site in live] == clocks
+        assert [node.stats.busy_time_s for node in runtime.machine.nodes] == busy
+        assert runtime.stats.messages == messages
+        assert runtime.stats.dead_letters == 1

@@ -16,7 +16,7 @@ CASES = {
     "PL001": ("pl001_clean.py", "pl001_violation.py", 3),
     "PL002": ("pl002_clean.py", "pl002_violation.py", 3),
     "PL003": ("pool/pl003_clean.py", "pool/pl003_violation.py", 3),
-    "PL004": ("pool/pl004_clean.py", "pool/pl004_violation.py", 1),
+    "PL004": ("pool/pl004_clean.py", "pool/pl004_violation.py", 2),
     "PL005": ("pl005_clean.py", "pl005_violation.py", 2),
     "PL006": ("obs/pl006_clean.py", "obs/pl006_violation.py", 2),
     "PL101": ("exec/pl101_clean.py", "exec/pl101_violation.py", 6),
