@@ -623,10 +623,11 @@ class _StepCompiler:
         return step
 
     def _ClosureNode(self, plan) -> Step:
-        """A fragmented input runs the loop's one-predicate instance, any
-        other the OFM's closure operator at one site.  Its rounds are
-        reported under the PRISMAlog predicates it computes, or under
-        :data:`CLOSURE` when none does (SQL's ``CLOSURE``)."""
+        """A fragmented, non-empty input runs the loop's one-predicate
+        instance; a one-part or empty input the OFM's closure operator at
+        one site.  Its rounds are reported under the PRISMAlog predicates
+        it computes, or under :data:`CLOSURE` when none does (SQL's
+        ``CLOSURE``)."""
         child, key = self.node(plan.child), plan.key()
         names = self.closures.get(key) or (CLOSURE,)
         loop = closure_loop()
@@ -634,7 +635,7 @@ class _StepCompiler:
         def step(ex) -> DistRelation:
             if key not in ex.memo:
                 relation = ex.flush(child(ex))
-                if ex.distributed_closure and len(relation.parts) > 1 and relation.total_rows:
+                if len(relation.parts) > 1 and relation.total_rows:
                     ex.shared[CLOSURE] = relation
                     (relation,), rounds = loop(ex)
                     # Ordered per site, as the closure operator's result is.

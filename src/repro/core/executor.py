@@ -11,14 +11,15 @@ repartitioning, broadcasts, or gathers, every byte charged to the
 Response time falls out of the process timelines: each OFM's clock
 advances with its local work, transfers arrive after link delays, and
 the coordinating query process finishes when the last input lands —
-the critical path, not the sum.  The same holds inside a step that
-moves rows between several processes at once (a repartition, a
-multi-part broadcast, the co-partitioned join's pairing): it is one
-fan-out.  Every source first charges its split and the departure of
-each of its messages on its own clock; only then does each receiver's
-clock move to each arrival, paying the receive overhead in the order
-the messages were sent — the rule a gather already obeys.  So an
-exchange costs its slowest source, not the sum of them.
+the critical path, not the sum.  The same holds inside each step that
+moves rows (a gather, a broadcast, a repartition, the co-partitioned
+join's pairing, one hop of a relay tree): it is one fan-out through
+:meth:`DistributedExecutor.ship_all`, the executor's only way to move
+rows.  Every source first charges its split and the departure of each
+of its messages on its own clock; only then does each receiver's clock
+move to each arrival, paying the receive overhead in the order the
+messages were sent.  So an exchange costs its slowest source, not the
+sum of them.
 
 The executor does not walk plans itself: a query arrives as the steps
 of its dispatch plan (:mod:`repro.core.dispatch`), compiled once per
@@ -62,9 +63,9 @@ SUBPLAN_BYTES = 512
 #: Broadcasting a side cheaper than repartitioning both: row threshold.
 BROADCAST_ROWS = 200
 #: Widest direct fan-in/fan-out of a gather or broadcast; beyond it the
-#: executor routes through a spanning tree of relay parts.  32 keeps
-#: every 64-PE workload (max 16 fragments anywhere in the repo) on the
-#: historical direct path, so the pinned fingerprints are untouched.
+#: executor routes through a spanning tree of relay parts.  Read at each
+#: call, so a test may patch it.  No 64-PE workload in the repo has more
+#: than 16 fragments, so none of them reaches a relay.
 MULTICAST_FANIN = 32
 
 
@@ -210,12 +211,6 @@ class DistributedExecutor:
         self.catalog = catalog
         self.allocator = allocator
         self.evaluator = Evaluator()
-        #: Run transitive closure as a parallel distributed fixpoint when
-        #: the input is fragmented (False = gather to one transient OFM).
-        self.distributed_closure = True
-        #: Gathers/broadcasts wider than this route through a relay tree
-        #: so no process pays more than `multicast_fanin` transfers.
-        self.multicast_fanin = MULTICAST_FANIN
         #: Compiled single-pass bucket splitters, one per shuffle shape.
         self._splitters = SplitterCache()
         #: Tracer handle (None unless the runtime carries an enabled
@@ -429,21 +424,12 @@ class DistributedExecutor:
         per_row = sum(map(_value_bytes, sample)) / len(sample)  # prismalint: disable=PL101 -- message sizing only; the send this feeds charges the network
         return int(per_row * len(rows)) + 16
 
-    def _ship(self, source: Part, target: PoolProcess, rows: list) -> None:
-        """Move rows between processes (no-op co-located, still a message).
-
-        One message, sent now: a gather has one receiver, a one-part
-        broadcast one sender, and a relay forwards only what it received,
-        so none of them needs :meth:`ship_all`'s fan-out."""
-        self._dispatch(target)
-        n_bytes = self._row_bytes(rows)
-        # The CPU that produced these rows is charged in run_local.
-        self.runtime.send(source.process, target, n_bytes)  # prismalint: disable=PL004 -- charged in run_local
-
     def ship_all(self, moves: list[tuple[PoolProcess, PoolProcess, list]]) -> None:
         """Move ``(source, target, rows)`` batches at once, as one fan-out:
         each source sends on its own clock, and no target's clock moves
-        before every batch has left (:meth:`PoolRuntime.fan_out`)."""
+        before every batch has left (:meth:`PoolRuntime.fan_out`).  The
+        executor moves rows this way only; a co-located move is still a
+        message."""
         messages = []
         for source, target, rows in moves:  # prismalint: disable=PL101 -- message sizing only; the fan-out this feeds charges the network
             self._dispatch(target)
@@ -451,29 +437,15 @@ class DistributedExecutor:
         self.runtime.fan_out(messages)  # prismalint: disable=PL004 -- charged in run_local
 
     def gather(self, relation: DistRelation, target: PoolProcess) -> DistRelation:
-        """Collect every part at *target* (the fan-in of a query).
-
-        Up to ``multicast_fanin`` remote parts ship point-to-point —
-        exactly the historical direct gather, so the 64-PE fingerprints
-        are byte-identical.  Wider fan-ins route through the relay tree
-        of :meth:`_tree_gather`, bounding the receive overheads the
-        coordinator serializes.
-        """
+        """Collect every part at *target* (the fan-in of a query), the
+        remote ones through the relay tree of :meth:`_tree_gather`."""
         relation = self.flush(relation)
         parts = relation.parts
         if len(parts) == 1 and parts[0].process is target:
             return relation
         self.metrics.counter("executor.gathers").inc()
-        remote = [part for part in parts if part.process is not target]
-        if len(remote) > self.multicast_fanin:
-            self._tree_gather(remote, target)
-        else:
-            for part in remote:
-                self._ship(part, target, part.rows)
-        rows: list = []
-        for part in parts:
-            rows.extend(part.rows)
-        return DistRelation([Part(target, rows)], None)
+        self._tree_gather([part for part in parts if part.process is not target], target)
+        return DistRelation([Part(target, relation.all_rows())], None)
 
     def _relay_groups(self, nodes: list[int], distance):
         """The relay tree's one level below a root, for members hosted
@@ -482,11 +454,11 @@ class DistributedExecutor:
 
         Members are ordered by hosting element id (contiguous id ranges
         are physically close on every structured topology) and split
-        into ``multicast_fanin`` even groups; each group elects as relay
+        into ``MULTICAST_FANIN`` even groups; each group elects as relay
         the member with the fewest hops to the root, which is what
         *distance* (element id -> hops) measures.
         """
-        fanin = self.multicast_fanin
+        fanin = MULTICAST_FANIN
         relays = self.metrics.counter("executor.tree_relays")
         order = sorted(range(len(nodes)), key=lambda i: (nodes[i], i))
         base, extra = divmod(len(order), fanin)
@@ -502,20 +474,20 @@ class DistributedExecutor:
             yield relay, rest
 
     def _tree_gather(self, parts: list[Part], target: PoolProcess) -> None:
-        """Charge a wide gather as a deterministic relay-tree multicast.
+        """Charge a gather as a deterministic relay-tree multicast.
 
-        Within each group of :meth:`_relay_groups` the members ship to
-        the relay (recursively when the group itself exceeds the fan-in)
-        and the relay forwards the group's rows in one combined message.
-        The target therefore pays O(fanin) receive overheads instead of
-        O(parts), and long-haul flows collapse to one message per
-        subtree.  Only transfer charges move through the tree; result
+        Up to ``MULTICAST_FANIN`` parts ship to *target* as one fan-out.
+        Beyond it, within each group of :meth:`_relay_groups` the members
+        ship to the relay (recursively when the group itself exceeds the
+        fan-in) and the relay forwards the group's rows in one combined
+        message.  The target therefore pays O(fanin) receive overheads
+        instead of O(parts), and long-haul flows collapse to one message
+        per subtree.  Only transfer charges move through the tree; result
         rows are still concatenated from the original parts by the
         caller, so answers cannot change.
         """
-        if len(parts) <= self.multicast_fanin:
-            for part in parts:
-                self._ship(part, target, part.rows)
+        if len(parts) <= MULTICAST_FANIN:
+            self.ship_all([(part.process, target, part.rows) for part in parts])
             return
         hops = self.machine.router.hops
         target_node = target.node_id
@@ -530,7 +502,7 @@ class DistributedExecutor:
             combined = list(relay.rows)
             for member in members:
                 combined.extend(member.rows)
-            self._ship(Part(relay.process, combined), target, combined)
+            self.ship_all([(relay.process, target, combined)])
 
     # -- base-table reads --------------------------------------------------------
 
@@ -684,71 +656,53 @@ class DistributedExecutor:
         """Copy the whole relation to every target; returns rows per target.
 
         Each source part ships directly to each remote target, all parts
-        at once (one fan-out).  The old implementation first gathered
-        multi-part relations at ``parts[0]`` — the same bytes then
-        crossed the network once more per target, one hop later.  Direct
-        shipping charges the same per-target transfer and drops the
-        gather hop entirely.
-
-        Beyond ``multicast_fanin`` targets the copies fan out through
-        the relay tree of :meth:`_tree_scatter` instead, so no source
-        serializes more than ``multicast_fanin`` sends; at the 64-PE
-        default every workload stays on the direct path.
+        at once (one fan-out), so no copy waits on a gather hop first.
+        Beyond ``MULTICAST_FANIN`` targets each part's copies fan out
+        through the relay tree of :meth:`_tree_scatter` instead, so no
+        source serializes more than ``MULTICAST_FANIN`` sends.
         """
         self.metrics.counter("executor.broadcasts").inc()
         parts = relation.parts
-        fanout = self.multicast_fanin
-        if len(parts) == 1:
-            source = parts[0]
-            rows = source.rows
-            remote = [t for t in targets if t is not source.process]
-            if len(remote) > fanout:
-                self._tree_scatter(source, remote, rows)
-                return [rows for _ in targets]
-            result = []
-            for target in targets:
-                if target is not source.process:
-                    self._ship(source, target, rows)
-                result.append(rows)
-            return result
-        if len(targets) > fanout:
+        if len(targets) > MULTICAST_FANIN:
             for part in parts:
                 remote = [t for t in targets if t is not part.process]
                 if remote:
-                    self._tree_scatter(part, remote, part.rows)
-            return [relation.all_rows() for _ in targets]
-        self.ship_all(
-            [
-                (part.process, target, part.rows)
-                for target in targets
-                for part in parts
-                if part.process is not target
-            ]
-        )
-        return [relation.all_rows() for _ in targets]
+                    self._tree_scatter(part.process, remote, part.rows)
+        else:
+            self.ship_all(
+                [
+                    (part.process, target, part.rows)
+                    for target in targets
+                    for part in parts
+                    if part.process is not target
+                ]
+            )
+        rows = relation.all_rows()
+        return [rows for _ in targets]
 
     def _tree_scatter(
-        self, source: Part, targets: list[PoolProcess], rows: list
+        self, source: PoolProcess, targets: list[PoolProcess], rows: list
     ) -> None:
-        """Charge one part's wide broadcast as a relay-tree multicast.
+        """Charge one part's broadcast as a relay-tree multicast.
 
-        Mirror image of :meth:`_tree_gather`: each group's relay
-        receives one copy and forwards it down its subtree.
+        Mirror image of :meth:`_tree_gather`: up to ``MULTICAST_FANIN``
+        targets receive their copies as one fan-out; beyond it each
+        group's relay receives one copy and forwards it down its
+        subtree.
         """
-        if len(targets) <= self.multicast_fanin:
-            for target in targets:
-                self._ship(source, target, rows)
+        if len(targets) <= MULTICAST_FANIN:
+            self.ship_all([(source, target, rows) for target in targets])
             return
         hops = self.machine.router.hops
-        source_node = source.process.node_id
+        source_node = source.node_id
         nodes = [target.node_id for target in targets]
         for relay_index, rest in self._relay_groups(
             nodes, lambda node: hops(source_node, node)
         ):
             relay = targets[relay_index]
-            self._ship(source, relay, rows)
+            self.ship_all([(source, relay, rows)])
             if rest:
-                self._tree_scatter(Part(relay, rows), [targets[i] for i in rest], rows)
+                self._tree_scatter(relay, [targets[i] for i in rest], rows)
 
     # -- recursion ----------------------------------------------------------------------------------
 
@@ -798,7 +752,8 @@ class DistributedExecutor:
 
     def closure(self, relation: DistRelation) -> tuple[DistRelation, int]:
         """Transitive closure of *relation* and its rounds, by the OFM's
-        closure operator at one transient OFM."""
+        closure operator at one transient OFM: how a one-part or empty
+        input runs (a fragmented one runs the distributed loop)."""
         assert self.query_process is not None
         site = self.spawn_temp(self.query_process.ready_at)
         rows = self.gather(relation, site).parts[0].rows

@@ -163,6 +163,12 @@ class CrashReport:
     kind: str = "machine"
     #: The failed element, for kind="element".
     node_id: int | None = None
+    #: kind="machine": the transactions in flight at the crash (sorted).
+    #: Restart decides each from the logs, and commits one whose votes
+    #: were all durable.
+    in_flight: list[int] = field(default_factory=list)
+    #: kind="element": the transactions that lost a participant and
+    #: were aborted on the spot.
     aborted_transactions: list[int] = field(default_factory=list)
     fragments_lost: int = 0
     #: Names of processes killed by an element crash (sorted).
@@ -171,6 +177,7 @@ class CrashReport:
     def stats(self) -> dict[str, float]:
         return {
             "at_time": self.at_time,
+            "in_flight": len(self.in_flight),
             "aborted_transactions": len(self.aborted_transactions),
             "fragments_lost": self.fragments_lost,
             "processes_killed": len(self.processes_killed),
@@ -181,6 +188,7 @@ class CrashReport:
             self.kind,
             self.node_id,
             self.at_time,
+            self.in_flight,
             sorted(self.aborted_transactions),
             self.fragments_lost,
             sorted(self.processes_killed),
@@ -278,12 +286,12 @@ class RecoveryManager:
         )
         report = CrashReport(at_time=at, kind="machine")
         # In-flight transactions simply vanish (their locks with them);
-        # undo happens later from the logs, not from volatile chains.
+        # restart decides each from the logs, not from volatile chains.
         # Mark them ABORTED so a session still pointing at one fails its
         # next commit/rollback with TransactionAborted instead of running
         # the two-phase protocol on an untracked transaction.  (No
         # counter bump: these are crash casualties, not protocol aborts.)
-        report.aborted_transactions = sorted(gdh.txns.active)
+        report.in_flight = sorted(gdh.txns.active)
         for txn in gdh.txns.active.values():
             txn.state = TxnState.ABORTED
         gdh.txns.active.clear()

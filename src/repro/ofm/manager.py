@@ -30,7 +30,7 @@ import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.errors import ExecutionError, InvalidTransactionState
+from repro.errors import ExecutionError, InvalidTransactionState, TransactionError
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import (
     ColumnRef,
@@ -150,8 +150,14 @@ class OneFragmentManager(PoolProcess):
         """Load rows outside any transaction (initial population).
 
         Durable OFMs snapshot the fragment afterwards, so the load
-        survives crashes without replaying per-row log records.
+        survives crashes without replaying per-row log records.  That
+        snapshot would make an open transaction's rows durable, so a
+        copy holding transaction state refuses the load.
         """
+        if self._holds_transaction_state():
+            raise TransactionError(
+                f"cannot bulk-load {self.name!r}: it holds an open transaction's state"
+            )
         count = 0
         for row in rows:
             self.table.insert(row)
@@ -310,6 +316,10 @@ class OneFragmentManager(PoolProcess):
     def has_transaction_state(self, txn_id: int) -> bool:
         return txn_id in self._undo or txn_id in self._prepared
 
+    def _holds_transaction_state(self) -> bool:
+        """Whether any transaction holds an undo chain or a vote here."""
+        return bool(self._undo or self._prepared)
+
     def in_doubt_transactions(self) -> list[int]:
         """Prepared transactions with no local decision yet (sorted)."""
         return sorted(self._prepared)
@@ -459,8 +469,16 @@ class OneFragmentManager(PoolProcess):
     # -- crash / recovery --------------------------------------------------------------------------
 
     def checkpoint(self) -> float:
-        """Snapshot the fragment to stable storage; returns sim cost."""
-        if self.wal is None:
+        """Snapshot the fragment to stable storage; returns sim cost.
+
+        Only committed state becomes durable this way: a copy holding
+        transaction state (an undo chain or a prepared vote) takes no
+        snapshot and keeps its whole log.  Its rows include uncommitted
+        ones, which only the log's records can undo at restart, and a
+        vote may be what decides an in-doubt commit.  The first
+        checkpoint after its transactions end takes the snapshot.
+        """
+        if self.wal is None or self._holds_transaction_state():
             return 0.0
         cost = self.wal.checkpoint(list(self.table.scan()))
         self.charge(cost)

@@ -280,22 +280,23 @@ class TestSimulatedAccounting:
 
 
 class TestDistributedClosure:
-    """The parallel fixpoint strategy must agree with the gathered one."""
+    """The input decides the strategy: a fragmented, non-empty input runs
+    the distributed fixpoint, a one-part or empty one the OFM's closure
+    operator at one transient OFM; both give the same rows."""
 
     def _closure_plan(self):
         return ClosureNode(ScanNode("edge", EDGE))
 
     def test_strategies_agree(self):
-        expected = oracle(self._closure_plan())
-        for distributed in (True, False):
-            harness = Harness({"edge": 4})
-            harness.executor.distributed_closure = distributed
-            rows, _ = harness.run(self._closure_plan())
-            assert sorted(rows) == sorted(expected), distributed
+        expected = sorted(oracle(self._closure_plan()))
+        single_rows, single = Harness({"edge": 1}).run(self._closure_plan())
+        loop_rows, loop = Harness({"edge": 4}).run(self._closure_plan())
+        assert sorted(single_rows) == sorted(loop_rows) == expected
+        # Only the one-site operator spawns its transient OFM.
+        assert (single.temp_ofms, loop.temp_ofms) == (1, 0)
 
     def test_distributed_spreads_work(self):
         harness = Harness({"edge": 4})
-        harness.executor.distributed_closure = True
         harness.run(self._closure_plan())
         busy = [
             node.stats.busy_time_s
@@ -305,10 +306,17 @@ class TestDistributedClosure:
         assert len(busy) >= 3  # several elements participated
 
     def test_single_fragment_uses_local_operator(self):
-        harness = Harness({"edge": 1})
-        harness.executor.distributed_closure = True
-        rows, _ = harness.run(self._closure_plan())
+        rows, report = Harness({"edge": 1}).run(self._closure_plan())
         assert sorted(rows) == sorted(oracle(self._closure_plan()))
+        assert report.temp_ofms == 1
+
+    def test_empty_fragmented_input_uses_local_operator(self):
+        harness = Harness({"edge": 4})
+        for fragment in harness.catalog.table("edge").fragments:
+            harness.fragment_ofms[fragment.ofm_name].table.truncate()
+        rows, report = harness.run(self._closure_plan())
+        assert rows == []
+        assert report.temp_ofms == 1
 
     def test_cycles_converge_distributed(self):
         # A cyclic graph exercises convergence of the distributed rounds.
@@ -323,7 +331,6 @@ class TestDistributedClosure:
         for row in cyclic:
             fragment = info.fragments[scheme.fragment_of(row)]
             harness.fragment_ofms[fragment.ofm_name].table.insert(row)
-        harness.executor.distributed_closure = True
         rows, _ = harness.run(self._closure_plan())
         import networkx as nx
 

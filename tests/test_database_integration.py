@@ -308,6 +308,56 @@ class TestRecovery:
         assert short_recovery.duration_s <= long_recovery.duration_s
         assert loaded.table_row_count("emp") == 25
 
+    @pytest.mark.parametrize("how", ["api", "sql"])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "",
+            " FRAGMENTED BY HASH(a) INTO 2",
+            " FRAGMENTED BY HASH(a) INTO 4",
+            " FRAGMENTED BY HASH(a) INTO 2 WITH 2 REPLICAS",
+        ],
+        ids=["1-fragment", "2-fragments", "4-fragments", "2-fragments-2-replicas"],
+    )
+    def test_checkpoint_leaves_an_open_transaction_undoable(self, db, layout, how):
+        db.execute(f"CREATE TABLE t (a INT, b INT){layout}")
+        db.execute("INSERT INTO t VALUES (10, 10)")
+        session = db.session()
+        session.begin()
+        session.execute("INSERT INTO t VALUES (1, 1)")
+        if how == "api":
+            db.checkpoint()
+        else:
+            db.execute("CHECKPOINT")
+        session.rollback()
+        db.crash()
+        db.restart()
+        assert db.query("SELECT a, b FROM t ORDER BY a") == [(10, 10)]
+
+    def test_checkpoint_keeps_the_log_an_open_commit_replays(self, db):
+        db.execute("CREATE TABLE t (a INT, b INT) FRAGMENTED BY HASH(a) INTO 2")
+        db.execute("INSERT INTO t VALUES (10, 10)")
+        session = db.session()
+        session.begin()
+        session.execute("INSERT INTO t VALUES (1, 1)")
+        db.checkpoint()
+        session.commit()
+        db.crash()
+        db.restart()
+        assert db.query("SELECT a, b FROM t ORDER BY a") == [(1, 1), (10, 10)]
+        # With the transaction over, the next checkpoint snapshots again.
+        assert db.checkpoint() > 0
+
+    def test_bulk_load_refuses_a_copy_with_an_open_transaction(self, db):
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        session = db.session()
+        session.begin()
+        session.execute("INSERT INTO t VALUES (1, 1)")
+        with pytest.raises(TransactionError, match="open transaction"):
+            db.bulk_load("t", [(2, 2)])
+        session.rollback()
+        assert db.query("SELECT a, b FROM t") == []
+
     def test_repeated_crash_restart_stable(self, loaded):
         for _ in range(3):
             loaded.crash()

@@ -89,8 +89,11 @@ def in_doubt_count(db: PrismaDB) -> int:
     )
 
 
-def run_crash_scenario(mode: str, point: CrashPoint, seed: int = 0):
-    """Drive one (protocol path, crash point) cell of the matrix.
+def run_crash_scenario(
+    mode: str, point: CrashPoint, seed: int = 0, checkpoint: bool = False
+):
+    """Drive one (protocol path, crash point) cell of the matrix, with a
+    checkpoint between the halt and the crash when *checkpoint* is set.
 
     Returns everything a caller wants to assert on or fingerprint:
     (db, survivors expected?, in-doubt count at crash, fingerprints).
@@ -113,6 +116,8 @@ def run_crash_scenario(mode: str, point: CrashPoint, seed: int = 0):
         session.execute("COMMIT")
     assert crash_info.value.point == point.value
     in_doubt = in_doubt_count(db)
+    if checkpoint:
+        db.checkpoint()
 
     # The whole machine now goes down and recovers from stable storage.
     crash_report = db.crash()
@@ -187,6 +192,46 @@ class TestCrashMatrix:
             return prints
 
         assert sweep() == sweep()
+
+
+class TestCheckpointDuringHalt:
+    """A checkpoint taken while the coordinator is halted changes no
+    outcome: each 2PC cell ends as it does without one."""
+
+    @pytest.mark.parametrize("point", TWO_PC_POINTS, ids=[p.value for p in TWO_PC_POINTS])
+    def test_cell_ends_as_without_checkpoint(self, point):
+        plain, *_ = run_crash_scenario("npc", point)
+        checkpointed, baseline, victims, in_doubt, *_ = run_crash_scenario(
+            "npc", point, checkpoint=True
+        )
+        after = table_contents(checkpointed)
+        assert after == table_contents(plain)
+        assert baseline <= after
+        survivors = {row[0] for row in after} & victims
+        assert survivors == (victims if point in DURABLE_POINTS else set())
+        assert in_doubt == expected_in_doubt("npc", point)
+
+
+class TestCrashReport:
+    def test_machine_crash_reports_in_flight_transactions(self):
+        """A transaction halted after its prepare round is in flight at
+        the crash, not aborted: restart commits it."""
+        db = make_db()
+        session = db.session()
+        victims = keys_per_fragment(db, 3, start=3000)
+        session.execute("BEGIN")
+        for key in victims:
+            session.execute(f"INSERT INTO t VALUES ({key}, 2)")
+        (txn_id,) = db.gdh.txns.active
+        db.faults.arm(CrashPoint.TWO_PC_AFTER_PREPARE)
+        with pytest.raises(InjectedCrash):
+            session.execute("COMMIT")
+        report = db.crash()
+        assert report.in_flight == [txn_id]
+        assert report.aborted_transactions == []
+        assert report.stats()["in_flight"] == 1
+        db.restart()
+        assert {row[0] for row in table_contents(db)} == set(victims)
 
 
 def run_crash_scenario_for(mode: str, point: CrashPoint, seed: int = 0):

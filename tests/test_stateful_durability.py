@@ -163,10 +163,8 @@ class DurabilityMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        if self.pending is not None:
-            self.session.commit()
-            self.committed = self.pending
-            self.pending = None
+        # An open transaction stays open and its writes stay pending: a
+        # checkpoint makes only committed state durable.
         self.db.checkpoint()
 
     @rule()
