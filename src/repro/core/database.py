@@ -22,6 +22,7 @@ from repro.obs.tracer import Tracer
 from repro.algebra.optimizer import OptimizerOptions
 from repro.core.faults import FaultInjector
 from repro.core.gdh import GlobalDataHandler, SessionState
+from repro.core.rebalance import Rebalancer
 from repro.core.recovery import (
     CrashReport,
     InDoubtResolution,
@@ -157,7 +158,8 @@ class PrismaDB:
         )
         self.recovery = RecoveryManager(self.gdh)
         self._observatory: Observatory | None = None
-        self._rebalancer = None
+        #: The online re-fragmentation supervisor (:mod:`repro.core.rebalance`).
+        self.rebalancer = Rebalancer(self.gdh)
         self._default_session = self.session()
 
     # -- sessions --------------------------------------------------------------
@@ -260,24 +262,6 @@ class PrismaDB:
     def resolve_in_doubt(self) -> InDoubtResolution:
         """Resolve transactions left hanging by a halted coordinator."""
         return self.recovery.resolve_in_doubt()
-
-    # -- online rebalancing ------------------------------------------------------------
-
-    @property
-    def rebalancer(self):
-        """The online re-fragmentation supervisor (created on first use).
-
-        Imported lazily like :meth:`connect`: ``repro.core.database``
-        never pays for the rebalancer unless it is asked for.  Accessing
-        it also registers the ``rebalanced`` fragmentation kind, which
-        the dictionary needs to deserialize a catalog that was
-        rebalanced before a restart.
-        """
-        if self._rebalancer is None:
-            from repro.core.rebalance import Rebalancer
-
-            self._rebalancer = Rebalancer(self.gdh)
-        return self._rebalancer
 
     # -- introspection ---------------------------------------------------------------------
 

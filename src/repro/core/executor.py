@@ -533,10 +533,8 @@ class DistributedExecutor:
         if not parts:
             assert self.query_process is not None
             parts = [Part(self.query_process, [])]
-        key_cols = info.scheme.key_columns()
-        partition_cols = (
-            tuple(key_cols) if key_cols and fragment_ids is None else None
-        )
+        # A pruned read holds fewer parts than the shuffle has targets.
+        partition_cols = info.scheme.shuffle_key() if fragment_ids is None else None
         return DistRelation(parts, partition_cols)
 
     def _copy_to_read(self, info, fragment, origin: int) -> OneFragmentManager:

@@ -6,6 +6,11 @@ horizontally fragmented and each fragment is owned by exactly one OFM
 on one processing element.  The schemes here decide which fragment a
 tuple belongs to; the data allocation manager decides which element
 hosts each fragment.
+
+Hash fragmentation routes through a bucket map, ``BUCKETS_PER_FRAGMENT``
+buckets per fragment at CREATE TABLE, so the online rebalancer
+(:mod:`repro.core.rebalance`) reshapes a table by editing the map:
+a split or a merge moves only the rows of the buckets it reroutes.
 """
 
 from __future__ import annotations
@@ -14,40 +19,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, RebalanceError
 from repro.storage.schema import Schema
 
-
-#: kind string -> scheme class, populated by ``__init_subclass__`` (the
-#: same pattern prismalint's ``Rule`` registry uses).  Derived schemes —
-#: e.g. the rebalancer's bucket-remap scheme — register themselves by
-#: subclassing with ``kind=...`` instead of editing ``from_spec``.
-_SCHEME_KINDS: dict[str, type["FragmentationScheme"]] = {}
-
-
-def registered_kinds() -> list[str]:
-    """The fragmentation kinds the dictionary can deserialize."""
-    return sorted(_SCHEME_KINDS)
+#: Hash buckets per fragment of a fresh hash map: a fragment can split
+#: three times before it is down to one bucket.
+BUCKETS_PER_FRAGMENT = 8
 
 
 class FragmentationScheme:
     """Maps rows to fragment numbers ``0..n_fragments-1``."""
 
     n_fragments: int
-    #: Registry key of concrete subclasses (set by ``__init_subclass__``).
-    spec_kind: str = ""
-
-    def __init_subclass__(cls, kind: str | None = None, **kwargs: Any):
-        super().__init_subclass__(**kwargs)
-        if kind is not None:
-            existing = _SCHEME_KINDS.get(kind)
-            if existing is not None and existing is not cls:
-                raise CatalogError(
-                    f"fragmentation kind {kind!r} already registered"
-                    f" by {existing.__name__}"
-                )
-            cls.spec_kind = kind
-            _SCHEME_KINDS[kind] = cls
 
     def fragment_of(self, row: tuple) -> int:
         raise NotImplementedError
@@ -58,6 +41,16 @@ class FragmentationScheme:
     def key_columns(self) -> tuple[int, ...]:
         """Columns that determine the fragment (empty if none)."""
         return ()
+
+    def shuffle_key(self) -> tuple[int, ...] | None:
+        """The key columns when the executor's shuffle hash routes rows
+        exactly as this scheme does (fragment ``i`` holds the rows the
+        shuffle sends to part ``i``), else ``None``.
+
+        Only then may a scan of every fragment claim to be
+        hash-partitioned, so that a join pairs its parts by index.
+        """
+        return None
 
     def prunable_fragments(self, column: int, value: Any) -> list[int] | None:
         """Fragments that can hold rows with ``row[column] == value``.
@@ -71,21 +64,16 @@ class FragmentationScheme:
         """JSON-able description (persisted in the data dictionary)."""
         raise NotImplementedError
 
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "FragmentationScheme":
-        """Rebuild an instance from its :meth:`to_spec` payload."""
-        raise NotImplementedError
-
     @staticmethod
     def from_spec(spec: dict) -> "FragmentationScheme":
-        scheme_cls = _SCHEME_KINDS.get(spec["kind"])
-        if scheme_cls is None:
+        build = _FROM_SPEC.get(spec["kind"])
+        if build is None:
             raise CatalogError(f"unknown fragmentation kind {spec['kind']!r}")
-        return scheme_cls._from_spec(spec)
+        return build(spec)
 
 
 @dataclass
-class SingleFragment(FragmentationScheme, kind="single"):
+class SingleFragment(FragmentationScheme):
     """No fragmentation: the whole relation in one OFM."""
 
     n_fragments: int = 1
@@ -99,48 +87,109 @@ class SingleFragment(FragmentationScheme, kind="single"):
     def to_spec(self) -> dict:
         return {"kind": "single", "n_fragments": 1}
 
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "SingleFragment":
-        return cls()
 
-
-class HashFragmentation(FragmentationScheme, kind="hash"):
+class HashFragmentation(FragmentationScheme):
     """Hash on one column: equal values share a fragment (good for
-    equi-joins and point lookups on the key)."""
+    equi-joins and point lookups on the key).
 
-    def __init__(self, column: int, n_fragments: int):
+    ``bucket_map[stable_hash(key) % len(bucket_map)]`` is the fragment
+    id.  A fresh map has ``n × BUCKETS_PER_FRAGMENT`` buckets and gives
+    bucket ``b`` to fragment ``b % n``, so a row's fragment is
+    ``stable_hash(key) % n`` (``n`` divides the bucket count).  The
+    rebalancer's :meth:`split` and :meth:`merge` return edited maps;
+    after a merge the fragment ids may have gaps, which
+    :meth:`TableInfo.fragment` handles.
+    """
+
+    def __init__(
+        self,
+        column: int,
+        n_fragments: int,
+        bucket_map: tuple[int, ...] | None = None,
+    ):
         if n_fragments < 1:
             raise CatalogError(f"need at least 1 fragment, got {n_fragments}")
+        fresh = tuple(b % n_fragments for b in range(n_fragments * BUCKETS_PER_FRAGMENT))
         self.column = column
-        self.n_fragments = n_fragments
+        self.bucket_map = fresh if bucket_map is None else tuple(bucket_map)
+        self.n_fragments = len(set(self.bucket_map))
+        if self.n_fragments != n_fragments:
+            raise CatalogError(
+                f"bucket map routes to {self.n_fragments} fragments, not {n_fragments}"
+            )
+        #: Whether the map differs from a fresh one of this size.
+        self.edited = self.bucket_map != fresh
 
     def fragment_of(self, row: tuple) -> int:
-        return stable_hash(row[self.column]) % self.n_fragments
+        return self.bucket_map[stable_hash(row[self.column]) % len(self.bucket_map)]
 
     def key_columns(self) -> tuple[int, ...]:
         return (self.column,)
 
+    def shuffle_key(self) -> tuple[int, ...] | None:
+        return None if self.edited else (self.column,)
+
     def prunable_fragments(self, column: int, value: Any) -> list[int] | None:
         if column == self.column and value is not None:
-            return [stable_hash(value) % self.n_fragments]
+            return [self.bucket_map[stable_hash(value) % len(self.bucket_map)]]
         return None
 
     def describe(self) -> str:
-        return f"hash(col{self.column}) into {self.n_fragments}"
+        text = f"hash(col{self.column}) into {self.n_fragments}"
+        if self.edited:
+            text += f" over {len(self.bucket_map)} rebalanced buckets"
+        return text
 
     def to_spec(self) -> dict:
-        return {
+        spec: dict = {
             "kind": "hash",
             "column": self.column,
             "n_fragments": self.n_fragments,
         }
+        if self.edited:
+            spec["bucket_map"] = list(self.bucket_map)
+        return spec
 
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "HashFragmentation":
-        return cls(spec["column"], spec["n_fragments"])
+    # -- editing (the rebalancer) -------------------------------------------
+
+    def fragment_buckets(self, fragment_id: int) -> list[int]:
+        """The bucket indices currently routed to *fragment_id*."""
+        return [
+            bucket
+            for bucket, owner in enumerate(self.bucket_map)
+            if owner == fragment_id
+        ]
+
+    def _remapped(self, bucket_map: tuple[int, ...]) -> "HashFragmentation":
+        return HashFragmentation(self.column, len(set(bucket_map)), bucket_map)
+
+    def split(self, fragment_id: int, new_fragment_id: int) -> "HashFragmentation":
+        """Route the odd half of *fragment_id*'s buckets to a new id."""
+        buckets = self.fragment_buckets(fragment_id)
+        if len(buckets) < 2:
+            raise RebalanceError(
+                f"fragment {fragment_id} holds a single bucket; cannot split"
+            )
+        moved = set(buckets[1::2])
+        return self._remapped(
+            tuple(
+                new_fragment_id if bucket in moved else owner
+                for bucket, owner in enumerate(self.bucket_map)
+            )
+        )
+
+    def merge(self, source_id: int, dest_id: int) -> "HashFragmentation":
+        """Route every bucket of *source_id* to *dest_id*."""
+        if source_id == dest_id:
+            raise RebalanceError("cannot merge a fragment into itself")
+        if not self.fragment_buckets(source_id):
+            raise RebalanceError(f"fragment {source_id} owns no buckets")
+        return self._remapped(
+            tuple(dest_id if owner == source_id else owner for owner in self.bucket_map)
+        )
 
 
-class RangeFragmentation(FragmentationScheme, kind="range"):
+class RangeFragmentation(FragmentationScheme):
     """Range on one column: boundaries ``(b0 < b1 < ...)`` create
     fragments ``(-inf, b0), [b0, b1), ..., [bk, +inf)``."""
 
@@ -181,12 +230,8 @@ class RangeFragmentation(FragmentationScheme, kind="range"):
             "boundaries": list(self.boundaries),
         }
 
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "RangeFragmentation":
-        return cls(spec["column"], tuple(spec["boundaries"]))
 
-
-class RoundRobinFragmentation(FragmentationScheme, kind="roundrobin"):
+class RoundRobinFragmentation(FragmentationScheme):
     """Round-robin: perfect balance, no pruning (a stateful scheme —
     each table keeps its own instance)."""
 
@@ -207,9 +252,16 @@ class RoundRobinFragmentation(FragmentationScheme, kind="roundrobin"):
     def to_spec(self) -> dict:
         return {"kind": "roundrobin", "n_fragments": self.n_fragments}
 
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "RoundRobinFragmentation":
-        return cls(spec["n_fragments"])
+
+#: kind -> how to rebuild a scheme from its :meth:`~FragmentationScheme.to_spec`.
+_FROM_SPEC = {
+    "single": lambda spec: SingleFragment(),
+    "hash": lambda spec: HashFragmentation(
+        spec["column"], spec["n_fragments"], spec.get("bucket_map")
+    ),
+    "range": lambda spec: RangeFragmentation(spec["column"], tuple(spec["boundaries"])),
+    "roundrobin": lambda spec: RoundRobinFragmentation(spec["n_fragments"]),
+}
 
 
 def stable_hash(value: Any) -> int:

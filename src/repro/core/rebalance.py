@@ -16,8 +16,6 @@ Every action follows the same three-phase protocol:
 1. **copy** — new OFM copies are spawned and filled from a live source
    copy while the fragment keeps serving reads and writes (the new
    copies are invisible: nothing in the catalog routes to them yet).
-   The copy rides :func:`repro.core.recovery.sync_copy_from`, the same
-   WAL-checkpointed path replica catch-up uses.
 2. **catch-up + flip** — a short exclusive lock on the fragment drains
    in-flight statements (writers queue in the lock table exactly like
    any conflicting transaction), the delta that arrived during the copy
@@ -28,17 +26,23 @@ Every action follows the same three-phase protocol:
    fragments that no longer exist) and forces the dictionary to disk;
    the lock releases; obsolete OFMs are destroyed.
 
-Split/merge change tuple routing, so they need a scheme whose routing
-can be edited in place: :class:`RebalancedFragmentation` maps hash
-buckets to fragment ids through an explicit table.  Deriving it from a
-``HashFragmentation`` with ``n | B`` buckets is row-assignment-identical
-(``(h % B) % n == h % n``), so the first rebalance action converts the
-scheme without moving a single row.
+Every row an action moves, it moves through
+:func:`repro.core.recovery.sync_copy_from`, the WAL-checkpointed copy
+replica catch-up uses: a migrated copy takes all of its source's rows,
+a split's new copies the rows of the buckets they take over, a split's
+parent copies the rows they keep, a merge's destination copies the
+union.
+
+Split and merge give the table an edited copy of its
+:class:`~repro.core.fragmentation.HashFragmentation` bucket map, which
+reroutes only the buckets that move; a range or round-robin table has
+no map to edit.
 
 Determinism: the rebalancer runs on the GDH's simulated clock, places
 fragments through the GDH's :class:`~repro.core.allocation
 .DataAllocationManager`, and uses no randomness — two same-seed runs
-take identical actions (the CI rebalance-determinism job diffs them).
+take identical actions (the CI rebalance-determinism job diffs them,
+and diffs the A/B against ``benchmarks/results/bench_rebalance.json``).
 """
 
 from __future__ import annotations
@@ -48,121 +52,15 @@ from dataclasses import dataclass, field
 from repro.errors import RebalanceError
 from repro.obs.api import SnapshotMixin
 from repro.core.catalog import FragmentInfo, TableInfo
-from repro.core.fragmentation import (
-    FragmentationScheme,
-    HashFragmentation,
-    stable_hash,
-)
+from repro.core.fragmentation import HashFragmentation
 from repro.core.gdh import GlobalDataHandler
 from repro.core.locks import LockMode
 from repro.core.recovery import sync_copy_from
 from repro.core.transactions import TxnState
 from repro.ofm.manager import OneFragmentManager
 
-#: Hash buckets per initial fragment when deriving a
-#: :class:`RebalancedFragmentation` from plain hash fragmentation.
-#: Must keep ``n_fragments | buckets`` so the derivation is a no-op.
-BUCKETS_PER_FRAGMENT = 8
 #: The rebalancer ignores observation windows with fewer total accesses.
 MIN_ACCESSES = 64
-
-
-class RebalancedFragmentation(FragmentationScheme, kind="rebalanced"):
-    """Hash fragmentation with an editable bucket → fragment table.
-
-    ``bucket_map[stable_hash(key) % len(bucket_map)]`` is the fragment
-    id.  Splits and merges rewrite the table instead of re-hashing, so
-    only the tuples whose buckets actually move ever travel.  Fragment
-    ids may be non-contiguous after a merge; :meth:`TableInfo.fragment`
-    handles the gaps.
-    """
-
-    def __init__(self, column: int, bucket_map: tuple[int, ...]):
-        if not bucket_map:
-            raise RebalanceError("bucket map cannot be empty")
-        self.column = column
-        self.bucket_map = tuple(bucket_map)
-        self.n_fragments = len(set(self.bucket_map))
-
-    @classmethod
-    def from_hash(cls, scheme: HashFragmentation) -> "RebalancedFragmentation":
-        """Derive from hash fragmentation without moving any row.
-
-        With ``B = n * BUCKETS_PER_FRAGMENT`` buckets and bucket ``b``
-        owned by fragment ``b % n``, every key keeps its fragment:
-        ``(h % B) % n == h % n`` because ``n`` divides ``B``.
-        """
-        n = scheme.n_fragments
-        buckets = n * BUCKETS_PER_FRAGMENT
-        return cls(scheme.column, tuple(b % n for b in range(buckets)))
-
-    def fragment_of(self, row: tuple) -> int:
-        return self.bucket_map[stable_hash(row[self.column]) % len(self.bucket_map)]
-
-    def key_columns(self) -> tuple[int, ...]:
-        return (self.column,)
-
-    def prunable_fragments(self, column: int, value) -> list[int] | None:
-        if column == self.column and value is not None:
-            return [self.bucket_map[stable_hash(value) % len(self.bucket_map)]]
-        return None
-
-    def describe(self) -> str:
-        return (
-            f"rebalanced(col{self.column};"
-            f" {len(self.bucket_map)} buckets over {self.n_fragments} fragments)"
-        )
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "rebalanced",
-            "column": self.column,
-            "bucket_map": list(self.bucket_map),
-        }
-
-    @classmethod
-    def _from_spec(cls, spec: dict) -> "RebalancedFragmentation":
-        return cls(spec["column"], tuple(spec["bucket_map"]))
-
-    # -- editing ------------------------------------------------------------
-
-    def fragment_buckets(self, fragment_id: int) -> list[int]:
-        """The bucket indices currently routed to *fragment_id*."""
-        return [
-            bucket
-            for bucket, owner in enumerate(self.bucket_map)
-            if owner == fragment_id
-        ]
-
-    def split(self, fragment_id: int, new_fragment_id: int) -> "RebalancedFragmentation":
-        """Route the odd half of *fragment_id*'s buckets to a new id."""
-        buckets = self.fragment_buckets(fragment_id)
-        if len(buckets) < 2:
-            raise RebalanceError(
-                f"fragment {fragment_id} holds a single bucket; cannot split"
-            )
-        moved = set(buckets[1::2])
-        return RebalancedFragmentation(
-            self.column,
-            tuple(
-                new_fragment_id if bucket in moved else owner
-                for bucket, owner in enumerate(self.bucket_map)
-            ),
-        )
-
-    def merge(self, source_id: int, dest_id: int) -> "RebalancedFragmentation":
-        """Route every bucket of *source_id* to *dest_id*."""
-        if source_id == dest_id:
-            raise RebalanceError("cannot merge a fragment into itself")
-        if not self.fragment_buckets(source_id):
-            raise RebalanceError(f"fragment {source_id} owns no buckets")
-        return RebalancedFragmentation(
-            self.column,
-            tuple(
-                dest_id if owner == source_id else owner
-                for owner in self.bucket_map
-            ),
-        )
 
 
 @dataclass
@@ -333,7 +231,7 @@ class Rebalancer:
         """
         gdh = self.gdh
         info = gdh.catalog.table(table)
-        scheme = self._rebalanced_scheme(info)
+        scheme = self._hash_scheme(info)
         fragment = info.fragment(fragment_id)
         source = self._live_copies(info, fragment, "split from")[0]
         new_id = max(f.fragment_id for f in info.fragments) + 1
@@ -356,24 +254,20 @@ class Rebalancer:
         moved_rows = 0
         try:
             # Phase 1: bulk-copy the moving rows while traffic continues.
-            moving = self._moving_rows(source, new_scheme, new_id)
+            moving = _routed_rows(source, new_scheme, new_id)
             for dest in new_copies:
-                self._sync_rows(info, source, dest, moving)
+                sync_copy_from(gdh, source, dest, moving)
 
             def flip() -> None:
                 nonlocal moved_rows
-                moving_now = self._moving_rows(source, new_scheme, new_id)
+                moving_now = _routed_rows(source, new_scheme, new_id)
                 moved_rows = len(moving_now)
                 for dest in new_copies:
-                    self._sync_rows(info, source, dest, moving_now)
+                    sync_copy_from(gdh, source, dest, moving_now)
                 # Prune the moved rows out of every parent copy.
                 for parent in gdh.allocator.copies(fragment):
-                    keep = sorted(  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite
-                        (rid, row)
-                        for rid, row in parent.table.scan()
-                        if new_scheme.fragment_of(row) != new_id
-                    )
-                    self._rewrite(parent, keep)
+                    keep = _routed_rows(parent, new_scheme, fragment_id)
+                    sync_copy_from(gdh, parent, parent, keep)
                 info.fragments.append(new_fragment)
                 info.scheme = new_scheme
 
@@ -402,7 +296,7 @@ class Rebalancer:
         """
         gdh = self.gdh
         info = gdh.catalog.table(table)
-        scheme = self._rebalanced_scheme(info)
+        scheme = self._hash_scheme(info)
         source_fragment = info.fragment(source_id)
         dest_fragment = info.fragment(dest_id)
         new_scheme = scheme.merge(source_id, dest_id)
@@ -415,13 +309,13 @@ class Rebalancer:
             dest = dest_copies[0]
             incoming = sorted(source.table.scan())
             folded = len(incoming)
-            base = max((rid for rid, _row in dest.table.scan()), default=-1) + 1  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite / _sync_rows
-            merged = sorted(dest.table.scan()) + [  # prismalint: disable=PL101 -- charged in Rebalancer._rewrite / _sync_rows
+            base = max((rid for rid, _row in dest.table.scan()), default=-1) + 1  # prismalint: disable=PL101 -- charged in sync_copy_from
+            merged = sorted(dest.table.scan()) + [  # prismalint: disable=PL101 -- charged in sync_copy_from
                 (base + offset, row)
                 for offset, (_rid, row) in enumerate(incoming)
             ]
             for copy in dest_copies:
-                self._sync_rows(info, source, copy, merged)
+                sync_copy_from(gdh, source, copy, merged)
             info.fragments.remove(source_fragment)
             info.scheme = new_scheme
 
@@ -437,24 +331,14 @@ class Rebalancer:
 
     # -- protocol helpers ---------------------------------------------------
 
-    def _rebalanced_scheme(self, info: TableInfo) -> RebalancedFragmentation:
-        """The table's scheme as an editable bucket map.
-
-        Plain hash fragmentation converts in place (row-assignment-
-        identical, see :meth:`RebalancedFragmentation.from_hash`); other
-        schemes have no bucket structure to edit.
-        """
-        scheme = info.scheme
-        if isinstance(scheme, RebalancedFragmentation):
-            return scheme
-        if isinstance(scheme, HashFragmentation):
-            derived = RebalancedFragmentation.from_hash(scheme)
-            info.scheme = derived
-            return derived
-        raise RebalanceError(
-            f"cannot rebalance {info.name!r}: scheme {scheme.describe()!r}"
-            " is not hash-based"
-        )
+    def _hash_scheme(self, info: TableInfo) -> HashFragmentation:
+        """The table's bucket map; other schemes have none to edit."""
+        if not isinstance(info.scheme, HashFragmentation):
+            raise RebalanceError(
+                f"cannot rebalance {info.name!r}: scheme"
+                f" {info.scheme.describe()!r} is not hash-based"
+            )
+        return info.scheme
 
     def _live_copies(
         self, info: TableInfo, fragment: FragmentInfo, action: str
@@ -499,48 +383,14 @@ class Rebalancer:
                 gdh.txns.withdraw(txn, process.ready_at)
             self.report.lock_hold_s += process.ready_at - hold_started
 
-    def _moving_rows(
-        self,
-        source: OneFragmentManager,
-        scheme: RebalancedFragmentation,
-        new_id: int,
-    ) -> list[tuple[int, tuple]]:
-        return sorted(  # prismalint: disable=PL101 -- the copy these rows feed is charged in _rewrite
-            (rid, row)
-            for rid, row in source.table.scan()
-            if scheme.fragment_of(row) == new_id
-        )
 
-    def _sync_rows(
-        self,
-        info: TableInfo,
-        source: OneFragmentManager,
-        dest: OneFragmentManager,
-        rows: list[tuple[int, tuple]],
-    ) -> bool:
-        """Make *dest* hold exactly *rows*, shipped from *source*.
-
-        The partial-copy sibling of :func:`sync_copy_from` (which moves
-        a whole table): same network/CPU/WAL-checkpoint cost model,
-        sized by the rows that actually travel.  No-op when *dest*
-        already matches.
-        """
-        gdh = self.gdh
-        if dict(dest.table.scan()) == dict(rows):
-            return False
-        self._rewrite(dest, rows)
-        payload = max(64, len(rows) * info.schema.average_row_bytes())
-        if source is not dest:
-            gdh.runtime.send(source, dest, payload)  # prismalint: disable=PL004 -- receiver-side copy work charged in _rewrite
-        return True
-
-    def _rewrite(
-        self, ofm: OneFragmentManager, rows: list[tuple[int, tuple]]
-    ) -> None:
-        """Replace an OFM's rows wholesale and checkpoint the result."""
-        ofm.table.truncate()
-        for rid, row in rows:
-            ofm.table.insert_with_rid(rid, row)
-        ofm.charge(self.gdh.machine.cpu_time(tuples=len(rows)), tuples=len(rows))
-        if ofm.wal is not None:
-            ofm.charge(ofm.wal.checkpoint(rows))
+def _routed_rows(
+    ofm: OneFragmentManager, scheme: HashFragmentation, fragment_id: int
+) -> list[tuple[int, tuple]]:
+    """*ofm*'s ``(row id, row)`` pairs that *scheme* routes to
+    *fragment_id*, in row-id order."""
+    return sorted(  # prismalint: disable=PL101 -- the copy these rows feed is charged in sync_copy_from
+        (rid, row)
+        for rid, row in ofm.table.scan()
+        if scheme.fragment_of(row) == fragment_id
+    )

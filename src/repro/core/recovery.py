@@ -66,32 +66,36 @@ def sync_copy_from(
     gdh: GlobalDataHandler,
     source: OneFragmentManager,
     dest: OneFragmentManager,
+    rows: list[tuple[int, tuple]] | None = None,
 ) -> tuple[bool, float]:
-    """Make *dest* hold exactly *source*'s rows (row ids included).
+    """Make *dest* hold exactly *rows*, ``(row id, row)`` pairs shipped
+    from *source* (by default all of *source*'s rows).
 
-    The copy phase shared by replica catch-up (a recovering copy whose
-    WAL missed the outage) and online migration (a new copy being filled
-    before the catalog flip): ship the source's state across the
-    network, rebuild the destination table, and checkpoint the result so
-    the destination's own WAL is authoritative from here on.  A no-op —
-    (False, 0.0) — when the two copies already agree.
+    The one way rows move between fragment copies: replica catch-up (a
+    recovering copy whose WAL missed the outage), online migration (a
+    new copy filled before the catalog flip), and a split or merge (a
+    copy given the rows of the buckets it now owns; a parent copy that
+    is its own *source* ships nothing).  Ship the rows across the
+    network, rebuild the destination table, and checkpoint it through
+    :meth:`OneFragmentManager.checkpoint`, so stale WAL chunks under the
+    destination's name cannot win the next replay.  A no-op —
+    (False, 0.0) — when *dest* already holds *rows*.
 
     Returns (did copy, simulated cost on *dest*).
     """
-    theirs = dict(source.table.scan())
-    if dict(dest.table.scan()) == theirs:
+    if rows is None:
+        rows = sorted(source.table.scan())
+    if dict(dest.table.scan()) == dict(rows):
         return False, 0.0
     before = dest.ready_at
-    rows = sorted(theirs.items())
+    if source is not dest:
+        row_bytes = source.table.schema.row_bytes
+        gdh.runtime.send(source, dest, max(64, sum(row_bytes(row) for _rid, row in rows)))
     dest.table.truncate()
     for rid, row in rows:
         dest.table.insert_with_rid(rid, row)
-    gdh.runtime.send(source, dest, max(64, source.table.data_bytes))
     dest.charge(gdh.machine.cpu_time(tuples=len(rows)), tuples=len(rows))
-    if dest.wal is not None:
-        # Make the copied state durable: stale WAL chunks under the
-        # destination's name must not win the next replay.
-        dest.charge(dest.wal.checkpoint(rows))
+    dest.checkpoint()
     return True, dest.ready_at - before
 
 

@@ -14,10 +14,10 @@ from repro.core.faults import FaultInjector
 from repro.core.fragmentation import (
     FragmentationScheme,
     HashFragmentation,
-    registered_kinds,
+    stable_hash,
 )
-from repro.core.rebalance import RebalancedFragmentation, Rebalancer
-from repro.errors import RebalanceError
+from repro.core.rebalance import Rebalancer
+from repro.errors import CatalogError, RebalanceError
 from repro.machine.machine import Machine
 from repro.serve import install_serving
 from tests.test_stateful_durability import assert_placement_agrees
@@ -63,34 +63,46 @@ def row_multiset(db, table="t"):
 
 
 # ---------------------------------------------------------------------------
-# RebalancedFragmentation: the editable bucket map scheme.
+# HashFragmentation's bucket map: the one the rebalancer edits.
 # ---------------------------------------------------------------------------
 
 
 class TestRebalancedScheme:
     def test_registered_and_spec_roundtrip(self):
-        assert "rebalanced" in registered_kinds()
-        scheme = RebalancedFragmentation(0, (0, 1, 2, 0, 1, 2))
-        rebuilt = FragmentationScheme.from_spec(scheme.to_spec())
-        assert isinstance(rebuilt, RebalancedFragmentation)
+        scheme = HashFragmentation(0, 3).split(1, 3)
+        spec = scheme.to_spec()
+        assert spec["kind"] == "hash" and "bucket_map" in spec
+        rebuilt = FragmentationScheme.from_spec(spec)
+        assert isinstance(rebuilt, HashFragmentation)
         assert rebuilt.bucket_map == scheme.bucket_map
-        assert rebuilt.n_fragments == 3
+        assert rebuilt.n_fragments == 4
 
-    def test_from_hash_is_row_assignment_identical(self):
+    def test_fresh_map_is_plain_hash(self):
+        # A fresh map routes like stable_hash % n, and describes and
+        # persists exactly as hash fragmentation always has.
         hashed = HashFragmentation(0, 5)
-        derived = RebalancedFragmentation.from_hash(hashed)
         for key in range(500):
-            assert derived.fragment_of((key, 0)) == hashed.fragment_of((key, 0))
+            assert hashed.fragment_of((key, 0)) == stable_hash(key) % 5
+        assert hashed.describe() == "hash(col0) into 5"
+        assert hashed.to_spec() == {"kind": "hash", "column": 0, "n_fragments": 5}
+        assert hashed.shuffle_key() == (0,)
+
+    def test_edited_map_leaves_the_shuffle(self):
+        scheme = HashFragmentation(0, 3).split(0, 3)
+        assert scheme.shuffle_key() is None
+        assert scheme.key_columns() == (0,)
+        # Merging the split back restores the fresh map.
+        assert scheme.merge(3, 0).shuffle_key() == (0,)
 
     def test_pruning_matches_routing(self):
-        scheme = RebalancedFragmentation.from_hash(HashFragmentation(0, 4))
+        scheme = HashFragmentation(0, 4).split(2, 4)
         for key in range(100):
             assert scheme.prunable_fragments(0, key) == [
                 scheme.fragment_of((key, 0))
             ]
 
     def test_split_moves_half_the_buckets(self):
-        scheme = RebalancedFragmentation.from_hash(HashFragmentation(0, 3))
+        scheme = HashFragmentation(0, 3)
         after = scheme.split(1, 3)
         old = scheme.fragment_buckets(1)
         assert sorted(after.fragment_buckets(1) + after.fragment_buckets(3)) == old
@@ -99,15 +111,17 @@ class TestRebalancedScheme:
         assert after.fragment_buckets(0) == scheme.fragment_buckets(0)
 
     def test_merge_rehomes_every_bucket(self):
-        scheme = RebalancedFragmentation.from_hash(HashFragmentation(0, 3))
+        scheme = HashFragmentation(0, 3)
         after = scheme.merge(2, 0)
         assert after.fragment_buckets(2) == []
         assert after.n_fragments == 2
 
     def test_editing_errors(self):
-        with pytest.raises(RebalanceError):
-            RebalancedFragmentation(0, ())
-        single = RebalancedFragmentation(0, (0, 1))
+        with pytest.raises(CatalogError):
+            HashFragmentation(0, 0)
+        with pytest.raises(CatalogError):
+            HashFragmentation(0, 3, (0, 1))  # the map routes to 2
+        single = HashFragmentation(0, 2, (0, 1))
         with pytest.raises(RebalanceError):
             single.split(0, 2)  # one bucket cannot split
         with pytest.raises(RebalanceError):

@@ -4,8 +4,9 @@ A hypothesis rule-based state machine drives a PrismaDB with random
 inserts/updates/deletes — some autocommitted, some inside explicit
 transactions that may roll back — interleaved with checkpoints,
 crash/restart cycles, commits whose coordinator halts at a named crash
-point, and an element outage during which the table is dropped and
-created again.  An in-memory dict tracks what *committed*;
+point, an element outage during which the table is dropped and
+created again, and the online rebalancer splitting, merging and
+migrating the table's fragments.  An in-memory dict tracks what *committed*;
 after every step the database must agree with it exactly, and the data
 dictionary, the registry of live OFMs and the keys on stable storage
 must agree with each other (ROADMAP item 6's catalog ↔ OFM-registry
@@ -28,12 +29,15 @@ from hypothesis.stateful import (
 
 from repro import MachineConfig, PrismaDB
 from repro.core.faults import ONE_PC_POINTS, TWO_PC_POINTS, CrashPoint
-from repro.errors import InjectedCrash, StorageError
+from repro.core.locks import WouldBlock
+from repro.errors import InjectedCrash, RebalanceError, StorageError
 
 KEYS = st.integers(min_value=0, max_value=19)
 VALUES = st.integers(min_value=-100, max_value=100)
 
 CREATE_T = "CREATE TABLE t (k INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(k) INTO 3"
+#: Splits stop at this many fragments, so a run stays small.
+MAX_FRAGMENTS = 6
 
 #: The crash points after which the durable records say "commit"
 #: (DESIGN.md §9, "What a commit forces"); every other point of the
@@ -203,8 +207,8 @@ class DurabilityMachine(RuleBasedStateMachine):
             self.session.commit()
         disks = {element.node_id for element in self.db.machine.disk_nodes()}
         diskless = [
-            info.fragments[f].node_id for f in fragments
-            if info.fragments[f].node_id not in disks
+            info.fragment(f).node_id for f in fragments
+            if info.fragment(f).node_id not in disks
         ]
         if resolution == "element" and diskless:
             self.db.crash_element(diskless[0])
@@ -229,6 +233,50 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.session.execute(CREATE_T)
         self.db.restart_element(1)
         self.committed = {}
+
+    # -- online rebalancing ------------------------------------------------------------
+
+    def _fragment_ids(self) -> list[int]:
+        return [f.fragment_id for f in self.db.catalog.table("t").fragments]
+
+    def _placement(self) -> tuple:
+        info = self.db.catalog.table("t")
+        return info.scheme.to_spec(), [
+            (f.fragment_id, f.all_copies()) for f in info.fragments
+        ]
+
+    def _rebalance(self, action) -> None:
+        """Run one rebalancer action; one it refuses (a fragment down to
+        one bucket, an element that already holds the copy) or one an
+        open transaction's locks block is a no-op step."""
+        before = self._placement()
+        try:
+            action()
+        except RebalanceError:
+            assert self._placement() == before
+        except WouldBlock:
+            assert self.pending is not None
+            assert self._placement() == before
+
+    @precondition(lambda self: len(self._fragment_ids()) < MAX_FRAGMENTS)
+    @rule(data=st.data())
+    def split(self, data):
+        fragment_id = data.draw(st.sampled_from(self._fragment_ids()), label="fragment")
+        self._rebalance(lambda: self.db.rebalancer.split_fragment("t", fragment_id))
+
+    @precondition(lambda self: len(self._fragment_ids()) > 1)
+    @rule(data=st.data())
+    def merge(self, data):
+        source, dest = data.draw(
+            st.permutations(self._fragment_ids()), label="source, dest"
+        )[:2]
+        self._rebalance(lambda: self.db.rebalancer.merge_fragments("t", source, dest))
+
+    @rule(data=st.data(), node=st.sampled_from([None, 0, 1, 2, 3]))
+    def migrate(self, data, node):
+        """To *node*, or (None) where the allocator places it."""
+        fragment_id = data.draw(st.sampled_from(self._fragment_ids()), label="fragment")
+        self._rebalance(lambda: self.db.rebalancer.migrate_fragment("t", fragment_id, node))
 
     # -- the contract -------------------------------------------------------------------
 
