@@ -22,6 +22,8 @@ import pathlib
 import sys
 from collections.abc import Iterable, Sequence
 
+from repro.obs.export import format_table
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
@@ -70,29 +72,12 @@ def digest(value: object) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    string_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in string_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells):
-        return "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(cells))
-
-    out = [line(list(headers)), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in string_rows)
-    return "\n".join(out)
-
-
 def _fmt(cell) -> str:
     if isinstance(cell, float):
         if cell == 0:
             return "0"
         if abs(cell) >= 1000:
             return f"{cell:,.0f}"
-        if abs(cell) >= 1:
-            return f"{cell:.3g}"
         return f"{cell:.3g}"
     return str(cell)
 
@@ -105,7 +90,7 @@ def report(
     notes: str = "",
 ) -> str:
     """Print and persist one experiment table."""
-    table = format_table(headers, rows)
+    table = format_table(headers, [[_fmt(cell) for cell in row] for row in rows])
     text = f"== {experiment}: {title} ==\n{table}\n"
     if notes:
         text += f"\n{notes}\n"

@@ -250,14 +250,7 @@ class PrismaDB:
 
     def restart_element(self, node_id: int) -> RecoveryReport:
         """Bring a failed element back and replay its fragment copies."""
-        self.gdh.faults.restore_element(node_id)
-        return self.recovery.restart_fragments(
-            [
-                name
-                for _info, _fragment, node, name in self.gdh.catalog.placed_copies()
-                if node == node_id
-            ]
-        )
+        return self.recovery.restart_element(node_id)
 
     def resolve_in_doubt(self) -> InDoubtResolution:
         """Resolve transactions left hanging by a halted coordinator."""

@@ -222,11 +222,6 @@ class DistributedExecutor:
         #: Per-fragment read heat (host-side only); the GDH adds DML
         #: touches so the rebalancer sees the full access mix.
         self.access = FragmentAccessTracker()
-        #: Which copy serves a read: "ready" picks the copy whose
-        #: element frees earliest (the historical policy, fingerprint-
-        #: pinned); "nearest" prefers the copy fewest hops from the
-        #: query process, breaking ties by readiness.
-        self.read_routing = "ready"
         self._temp_counter = 0
         # Per-execution state.  The public part is what a dispatch step
         # reads and writes: the query process, the parameter values, each
@@ -542,14 +537,11 @@ class DistributedExecutor:
 
         Read load-balancing across fragment copies (Section 2.2's "same
         copy" wording — different readers may use different copies):
-        under the default ``read_routing="ready"`` policy pick the copy
-        whose element is free earliest; under ``"nearest"`` prefer the
-        live copy fewest link hops from the query process at *origin*
-        (replica-aware routing — ties broken by readiness then name, so
-        the choice stays deterministic).  Copies that died with their
-        element, or that the network can no longer reach from the query
-        process, are skipped — reads fail over to a live replica and
-        only error when no copy at all survives.
+        pick the copy whose element is free earliest, ties broken by
+        name so the choice stays deterministic.  Copies that died with
+        their element, or that the network can no longer reach from the
+        query process at *origin*, are skipped — reads fail over to a
+        live replica and only error when no copy at all survives.
         """
         machine = self.machine
         live = [
@@ -563,11 +555,6 @@ class DistributedExecutor:
                 f" of table {info.name!r}"
             )
         self.access.record(info.name, fragment.fragment_id)
-        if self.read_routing == "nearest":
-            return min(
-                live,
-                key=lambda c: (machine.current_hops(origin, c.node_id), c.ready_at, c.name),
-            )
         return min(live, key=lambda c: (c.ready_at, c.name))
 
     # -- repartitioning machinery ----------------------------------------------------------

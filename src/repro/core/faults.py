@@ -20,11 +20,14 @@ replayable from a seed:
   the engine catches it, so the system is left exactly as the crash
   found it: prepared participants in doubt, locks held.
 
-Faults fire when the driver calls the injector's verbs
-(:meth:`FaultInjector.crash_element`, :meth:`FaultInjector.fail_link`,
-:meth:`FaultInjector.scope`, ...); database-level consequences of an
-element crash go through
-:meth:`~repro.core.recovery.RecoveryManager.crash_element`.
+An element fails and comes back only through the database's verbs,
+:meth:`~repro.core.recovery.RecoveryManager.crash_element` and
+:meth:`~repro.core.recovery.RecoveryManager.restart_element` (``db.crash_element``,
+``db.restart_element``): they change the machine's fault state, kill
+or respawn the element's processes, settle the transactions that lost a
+participant and log the injection.  Links fail through the injector's
+:meth:`FaultInjector.fail_link`/:meth:`FaultInjector.restore_link`, and
+:meth:`FaultInjector.scope` combines both with guaranteed restore.
 
 Every injection is appended to a log; :meth:`FaultInjector.fingerprint`
 hashes that log and the seed so two runs with the same seed and the same
@@ -36,13 +39,16 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import InjectedCrash, MachineError
-from repro.machine.machine import FaultScope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.pool.runtime import PoolRuntime
+    from repro.core.recovery import RecoveryManager
+    from repro.machine.machine import Machine
 
 
 class CrashPoint(enum.Enum):
@@ -105,29 +111,34 @@ class FaultInjector:
     """Seeded, deterministic source of element/link/coordinator faults.
 
     One injector serves one database instance; the GDH threads it into
-    the commit protocol, the facade exposes it as ``db.faults``.  Armed
-    crash points fire once and disarm (re-arm explicitly to crash
-    again); element/link faults persist until restored.
+    the commit protocol, the facade exposes it as ``db.faults``, and the
+    database's :class:`~repro.core.recovery.RecoveryManager` binds itself
+    to it.  Armed crash points fire once and disarm (re-arm explicitly
+    to crash again); element/link faults persist until restored.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.runtime: PoolRuntime | None = None
+        self.recovery: RecoveryManager | None = None
         #: point -> (txn filter or None, remaining hits to skip)
         self._armed: dict[CrashPoint, tuple[int | None, int]] = {}
         #: Append-only log of everything that fired, in order.
         self.injections: list[tuple[str, ...]] = []
 
-    def bind(self, runtime: PoolRuntime) -> None:
-        """Attach to the runtime whose machine/processes faults target."""
-        self.runtime = runtime
+    def bind(self, recovery: RecoveryManager) -> None:
+        """Attach to the recovery manager whose elements faults target."""
+        self.recovery = recovery
 
-    def _require_runtime(self) -> PoolRuntime:
-        if self.runtime is None:
-            raise MachineError("fault injector is not bound to a runtime")
-        return self.runtime
+    def _require_recovery(self) -> RecoveryManager:
+        if self.recovery is None:
+            raise MachineError("fault injector is not bound to a database")
+        return self.recovery
 
-    def _log(self, *entry: str) -> None:
+    def _machine(self) -> Machine:
+        return self._require_recovery().gdh.runtime.machine
+
+    def record(self, *entry: str) -> None:
+        """Append one entry to the injection log."""
         self.injections.append(entry)
 
     # -- coordinator crash points --------------------------------------------
@@ -167,57 +178,55 @@ class FaultInjector:
             self._armed[point] = (wanted_txn, skip - 1)
             return
         del self._armed[point]
-        self._log("crash_point", point.value, str(txn_id))
+        self.record("crash_point", point.value, str(txn_id))
         raise InjectedCrash(point.value, txn_id)
 
-    # -- element / link faults ------------------------------------------------
-
-    def crash_element(self, node_id: int) -> list[str]:
-        """Take one processing element down, killing its processes.
-
-        Returns the names of the killed processes (sorted).  Database-
-        level consequences — aborting transactions that lost a
-        participant, dropping dead OFMs from the registry — are driven
-        by :meth:`~repro.core.recovery.RecoveryManager.crash_element`,
-        which calls this.
-        """
-        runtime = self._require_runtime()
-        runtime.machine.fail_node(node_id)
-        killed = runtime.crash_node(node_id)
-        self._log("crash_element", str(node_id), *killed)
-        return killed
-
-    def restore_element(self, node_id: int) -> None:
-        """Bring a failed element back (empty; processes are respawned
-        by restart recovery, not resurrected)."""
-        self._require_runtime().machine.restore_node(node_id)
-        self._log("restore_element", str(node_id))
+    # -- link faults ------------------------------------------------------------
 
     def fail_link(self, u: int, v: int) -> bool:
         """Cut a link; True if it was up (logged either way)."""
-        introduced = self._require_runtime().machine.fail_link(u, v)
-        self._log("fail_link", str(u), str(v))
+        introduced = self._machine().fail_link(u, v)
+        self.record("fail_link", str(u), str(v))
         return introduced
 
     def restore_link(self, u: int, v: int) -> None:
-        self._require_runtime().machine.restore_link(u, v)
-        self._log("restore_link", str(u), str(v))
+        self._machine().restore_link(u, v)
+        self.record("restore_link", str(u), str(v))
 
+    @contextmanager
     def scope(
         self,
         nodes: tuple[int, ...] | list[int] = (),
         links: tuple[tuple[int, int], ...] | list[tuple[int, int]] = (),
-    ):
-        """Scoped faults with guaranteed restore, through the injector.
+    ) -> Iterator[None]:
+        """Element crashes and link cuts with guaranteed restore:
+        ``with db.faults.scope(nodes=[3], links=[(0, 1)]): ...``.
 
-        The logged twin of :meth:`Machine.faults
-        <repro.machine.machine.Machine.faults>`: element failures also
-        crash resident processes, and every transition lands in the
-        injection log (so the scope shows up in the determinism
-        fingerprint).  ``with db.faults.scope(nodes=[3]): ...``
+        On entry each element in *nodes* crashes through
+        :meth:`RecoveryManager.crash_element
+        <repro.core.recovery.RecoveryManager.crash_element>` (its
+        transactions are settled, its copies reaped) and each link in
+        *links* is cut through :meth:`fail_link`.  On exit, exception or
+        not, exactly the faults the scope introduced are undone in
+        reverse order: elements through ``restart_element`` (their
+        copies replay and catch up), links through :meth:`restore_link`.
+        An element or link already down on entry stays down.
         """
-        machine = self._require_runtime().machine
-        return FaultScope(machine, nodes=nodes, links=links, injector=self)
+        recovery = self._require_recovery()
+        machine = recovery.gdh.runtime.machine
+        undo: list[Callable[[], object]] = []
+        try:
+            for node_id in nodes:
+                if machine.node_is_up(node_id):
+                    recovery.crash_element(node_id)
+                    undo.append(partial(recovery.restart_element, node_id))
+            for u, v in links:
+                if self.fail_link(u, v):
+                    undo.append(partial(self.restore_link, u, v))
+            yield
+        finally:
+            while undo:
+                undo.pop()()
 
     # -- determinism / Snapshot protocol --------------------------------------
 

@@ -147,7 +147,6 @@ class GlobalDataHandler:
         #: Deterministic fault injector; a default (never-armed) one is
         #: created so the crash-point hooks cost only a None check.
         self.faults = faults or FaultInjector()
-        self.faults.bind(runtime)
         self.two_phase = TwoPhaseCommit(
             runtime, self.commit_log, allow_one_phase, faults=self.faults
         )

@@ -11,9 +11,10 @@ Three failure shapes are handled:
   that lost a participant are decided at the survivors (a coordinator
   halted after every vote was durable leaves one that commits; any
   other aborts), reads fail over to replica copies, and
-  :meth:`RecoveryManager.restart_fragments` later replays just the
-  lost fragments (catching up from a live sibling copy when one exists,
-  since its WAL missed writes committed during the outage).
+  :meth:`RecoveryManager.restart_element` later brings the element back
+  and replays just the lost fragments (catching up from a live sibling
+  copy when one exists, since its WAL missed writes committed during
+  the outage).
 * **coordinator halt** — an injected crash point stopped 2PC mid-flight;
   :meth:`RecoveryManager.resolve_in_doubt` drives the surviving system
   to the outcome the durable records decide.
@@ -278,6 +279,7 @@ class RecoveryManager:
     def __init__(self, gdh: GlobalDataHandler):
         self.gdh = gdh
         self._tracer = active(gdh.runtime.tracer)
+        gdh.faults.bind(self)
 
     # -- failures -------------------------------------------------------------
 
@@ -309,7 +311,8 @@ class RecoveryManager:
         return report
 
     def crash_element(self, node_id: int) -> CrashReport:
-        """One PE fails: its processes die, the survivors carry on.
+        """One PE fails: the machine takes it down, its processes die
+        (logged as a ``crash_element`` injection), the survivors carry on.
 
         Transactions that lost a participant are decided and finished at
         their live participants (their locks release, so waiting work
@@ -329,7 +332,10 @@ class RecoveryManager:
         report = CrashReport(
             at_time=gdh.runtime.horizon(), kind="element", node_id=node_id
         )
-        report.processes_killed = gdh.faults.crash_element(node_id)
+        runtime = gdh.runtime
+        runtime.machine.fail_node(node_id)
+        report.processes_killed = runtime.crash_node(node_id)
+        gdh.faults.record("crash_element", str(node_id), *report.processes_killed)
         report.fragments_lost = len(gdh.allocator.reap())
         # Finish every transaction that lost a participant: phase one
         # can no longer succeed for it, and holding its locks would
@@ -402,6 +408,20 @@ class RecoveryManager:
         for name in gdh.catalog.table_names():
             gdh.refresh_table_stats(name)
         return report
+
+    def restart_element(self, node_id: int) -> RecoveryReport:
+        """A failed element comes back, empty: the copies placed on it
+        respawn and replay (:meth:`restart_fragments`)."""
+        gdh = self.gdh
+        gdh.runtime.machine.restore_node(node_id)
+        gdh.faults.record("restore_element", str(node_id))
+        return self.restart_fragments(
+            [
+                name
+                for _info, _fragment, node, name in gdh.catalog.placed_copies()
+                if node == node_id
+            ]
+        )
 
     def restart_fragments(self, names: Sequence[str]) -> RecoveryReport:
         """Per-fragment restart after an element came back.

@@ -52,80 +52,6 @@ class MachineNodesView(SnapshotMixin):
         }
 
 
-class FaultScope:
-    """Scoped degradation with guaranteed restore.
-
-    ``with machine.faults(nodes=[3], links=[(0, 1)]): ...`` fails the
-    given elements/links on entry and restores — in reverse order — on
-    exit, exception or not.  Only faults this scope actually introduced
-    are restored: an element already down on entry stays down.  Faults
-    added mid-scope through :meth:`fail_node`/:meth:`fail_link` join
-    the restore list.  With an *injector*
-    (:meth:`~repro.core.faults.FaultInjector.scope`), every transition
-    routes through the injector so it lands in the deterministic
-    injection log (and element failures also crash resident processes).
-    """
-
-    def __init__(
-        self,
-        machine: "Machine",
-        nodes: tuple[int, ...] | list[int] = (),
-        links: tuple[tuple[int, int], ...] | list[tuple[int, int]] = (),
-        injector=None,
-    ):
-        self._machine = machine
-        self._injector = injector
-        self._pending_nodes = list(nodes)
-        self._pending_links = [tuple(link) for link in links]
-        self._failed_nodes: list[int] = []
-        self._failed_links: list[tuple[int, int]] = []
-
-    def __enter__(self) -> "FaultScope":
-        try:
-            for node_id in self._pending_nodes:
-                self.fail_node(node_id)
-            for u, v in self._pending_links:
-                self.fail_link(u, v)
-        except BaseException:
-            self._restore_all()
-            raise
-        return self
-
-    def fail_node(self, node_id: int) -> None:
-        """Fail one element inside the scope (restored on exit)."""
-        if self._injector is None:
-            introduced = self._machine.fail_node(node_id)
-        else:
-            introduced = self._machine.node_is_up(node_id)
-            self._injector.crash_element(node_id)
-        if introduced:
-            self._failed_nodes.append(node_id)
-
-    def fail_link(self, u: int, v: int) -> None:
-        """Cut one link inside the scope (restored on exit)."""
-        verbs = self._machine if self._injector is None else self._injector
-        if verbs.fail_link(u, v):
-            self._failed_links.append((u, v))
-
-    def _restore_all(self) -> None:
-        for u, v in reversed(self._failed_links):
-            if self._injector is not None:
-                self._injector.restore_link(u, v)
-            else:
-                self._machine.restore_link(u, v)
-        self._failed_links.clear()
-        for node_id in reversed(self._failed_nodes):
-            if self._injector is not None:
-                self._injector.restore_element(node_id)
-            else:
-                self._machine.restore_node(node_id)
-        self._failed_nodes.clear()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._restore_all()
-        return False
-
-
 class Machine:
     """A configured PRISMA multi-computer instance."""
 
@@ -194,8 +120,9 @@ class Machine:
 
     # -- faults ----------------------------------------------------------------
     # The one place element/link fault state changes; each verb answers
-    # whether it changed anything.  Use ``machine.faults(...)`` for
-    # scoped faults with guaranteed restore.
+    # whether it changed anything.  They change routing only: an
+    # element's processes die through the database's ``crash_element``,
+    # which calls ``fail_node``.
 
     def fail_node(self, node_id: int) -> bool:
         """Take an element down; True if it was up (its links go with it)."""
@@ -240,21 +167,6 @@ class Machine:
             "links": sorted((u, v) for u, v in self._down_links if u < v),
         }
 
-    def faults(
-        self,
-        nodes: tuple[int, ...] | list[int] = (),
-        links: tuple[tuple[int, int], ...] | list[tuple[int, int]] = (),
-    ) -> FaultScope:
-        """Scoped degradation: ``with machine.faults(nodes=[3]): ...``.
-
-        Fails the given elements/links on entry and guarantees restore
-        on exit (exception or not); see :class:`FaultScope`.  This is
-        topology-level only — to also crash resident processes and log
-        the injection, use :meth:`FaultInjector.scope
-        <repro.core.faults.FaultInjector.scope>`.
-        """
-        return FaultScope(self, nodes=nodes, links=links)
-
     def node_is_up(self, node_id: int) -> bool:
         return node_id not in self._down_nodes
 
@@ -285,19 +197,6 @@ class Machine:
         if not self.has_faults or source == destination:
             return source not in self._down_nodes
         return self._hops_under_faults(source, destination) >= 0
-
-    def current_hops(self, source: int, destination: int) -> int:
-        """Link hops between two elements under the current fault set.
-
-        Fault-free this is the router's closed-form answer; with faults
-        it is the detour length (-1 when the pair is cut).  Replica-
-        aware read routing ranks fragment copies with this.
-        """
-        if source == destination:
-            return 0 if source not in self._down_nodes else -1
-        if self.has_faults:
-            return self._hops_under_faults(source, destination)
-        return self.router.hops(source, destination)
 
     # -- analytic cost model ----------------------------------------------------
 

@@ -143,8 +143,9 @@ class PoolRuntime:
         """Kill every live process placed on one element; returns names.
 
         The machine-level element failure (routing) is the caller's
-        responsibility (:meth:`~repro.machine.machine.Machine.fail_node`
-        — usually driven through a fault injector).
+        responsibility (:meth:`~repro.machine.machine.Machine.fail_node`;
+        :meth:`~repro.core.recovery.RecoveryManager.crash_element` does
+        both).
         """
         victims = sorted(
             name

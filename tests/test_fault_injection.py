@@ -634,6 +634,41 @@ class TestLinkFailures:
         assert table_contents(db) == before
 
 
+class TestFaultScope:
+    def test_scope_settles_transactions_and_restarts_copies(self):
+        # 8 PEs, HASH INTO 2 WITH 2 REPLICAS, an open UPDATE over every
+        # fragment: a scoped element fault is the database's crash and
+        # restart, not a routing change under a live participant.
+        db = PrismaDB(
+            MachineConfig(n_nodes=8, disk_nodes=(0, 4)), faults=FaultInjector(0)
+        )
+        db.execute(
+            "CREATE TABLE t (k INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(k) INTO 2 WITH 2 REPLICAS"
+        )
+        db.bulk_load("t", [(key, key) for key in range(40)])
+        victim = node_of_primary(db)
+        db.execute("BEGIN")
+        db.execute("UPDATE t SET v = v + 100")
+        (txn_id,) = db.gdh.txns.active
+        with db.faults.scope(nodes=[victim]):
+            assert txn_id not in db.gdh.txns.active
+        with pytest.raises(TransactionAborted):
+            db.execute("COMMIT")
+        ofms = db.gdh.fragment_ofms
+        for fragment in db.catalog.table("t").fragments:
+            copies = [ofms[name] for _node, name in fragment.all_copies()]
+            assert all(ofm.alive for ofm in copies)
+            rows = [sorted(ofm.table.rows()) for ofm in copies]
+            assert rows == [rows[0]] * len(rows)
+        assert table_contents(db) == {(key, key) for key in range(40)}
+        logged = [entry[:2] for entry in db.faults.injections]
+        assert logged == [
+            ("crash_element", str(victim)),
+            ("restore_element", str(victim)),
+        ]
+
+
 class TestDeterminism:
     def test_same_seed_same_fingerprints(self):
         def run(seed):

@@ -1,5 +1,5 @@
 """Online re-fragmentation (ISSUE 10): scheme editing, the three-phase
-migrate/split/merge protocol, replica-aware read routing, the fault
+migrate/split/merge protocol, read failover, the fault
 facade, and the shared benchmark CLI builder."""
 
 from __future__ import annotations
@@ -10,15 +10,14 @@ import sys
 import pytest
 
 from repro import MachineConfig, PrismaDB
-from repro.core.faults import FaultInjector
 from repro.core.fragmentation import (
     FragmentationScheme,
     HashFragmentation,
     stable_hash,
 )
+from repro.core.gdh import GDH_NODE
 from repro.core.rebalance import Rebalancer
-from repro.errors import CatalogError, RebalanceError
-from repro.machine.machine import Machine
+from repro.errors import CatalogError, RebalanceError, RecoveryError
 from repro.serve import install_serving
 from tests.test_stateful_durability import assert_placement_agrees
 
@@ -369,33 +368,8 @@ class TestControlLoop:
 
 
 # ---------------------------------------------------------------------------
-# Replica-aware read routing.
+# Which copy a read uses.
 # ---------------------------------------------------------------------------
-
-
-def nearest_oracle(db, info, origin=0):
-    """Brute-force reference for the executor's nearest-copy choice."""
-    machine = db.machine
-    chosen = []
-    for fragment in info.fragments:
-        live = [
-            db.gdh.fragment_ofms[name]
-            for _node, name in fragment.all_copies()
-            if name in db.gdh.fragment_ofms
-            and db.gdh.fragment_ofms[name].alive
-            and machine.reachable(origin, db.gdh.fragment_ofms[name].node_id)
-        ]
-        chosen.append(
-            min(
-                live,
-                key=lambda c: (
-                    machine.current_hops(origin, c.node_id),
-                    c.ready_at,
-                    c.name,
-                ),
-            )
-        )
-    return chosen
 
 
 def _copies_read(db, info):
@@ -405,29 +379,22 @@ def _copies_read(db, info):
 
 
 class TestNearestRouting:
-    @pytest.mark.parametrize("topology", ["mesh", "chordal_ring", "ring"])
-    def test_nearest_matches_brute_force_oracle(self, topology):
-        db = make_db(n_nodes=16, replicas=3, topology=topology)
-        db.gdh.executor.read_routing = "nearest"
-        info = db.catalog.table("t")
-        picked = _copies_read(db, info)
-        assert picked == nearest_oracle(db, info)
-
-    def test_nearest_skips_dead_copies(self):
+    def test_reads_skip_dead_copies(self):
         db = make_db(n_nodes=16, replicas=2)
-        db.gdh.executor.read_routing = "nearest"
         expected = sorted(db.query("SELECT id, v FROM t"))
         victim = db.catalog.table("t").fragments[0].node_id
         db.crash_element(victim)
         assert sorted(db.query("SELECT id, v FROM t")) == expected
         info = db.catalog.table("t")
         picked = _copies_read(db, info)
-        assert picked == nearest_oracle(db, info)
-        assert all(ofm.node_id != victim for ofm in picked)
+        ofms = db.gdh.fragment_ofms
+        for fragment, choice in zip(info.fragments, picked):
+            live = [ofms[name] for _node, name in fragment.all_copies() if name in ofms]
+            assert choice is min(live, key=lambda c: (c.ready_at, c.name))
+        assert all(ofm.alive and ofm.node_id != victim for ofm in picked)
 
     def test_default_policy_is_unchanged(self):
         db = make_db(n_nodes=16, replicas=2)
-        assert db.gdh.executor.read_routing == "ready"
         info = db.catalog.table("t")
         picked = _copies_read(db, info)
         for fragment, choice in zip(info.fragments, picked):
@@ -439,43 +406,58 @@ class TestNearestRouting:
 
 
 # ---------------------------------------------------------------------------
-# The fault facade: Machine.faults / FaultInjector.scope.
+# The fault facade: db.faults.scope.
 # ---------------------------------------------------------------------------
 
 
 class TestFaultFacade:
     def test_scope_restores_on_exception(self):
-        machine = Machine(MachineConfig(n_nodes=8, topology="ring"))
+        db = make_db(n_nodes=8, topology="ring")
+        victim = db.catalog.table("t").fragments[0].node_id
+        link = (victim, (victim + 1) % 8)
         with pytest.raises(RuntimeError):
-            with machine.faults(nodes=[3], links=[(0, 1)]):
-                assert not machine.node_is_up(3)
-                assert machine.active_faults() == {
-                    "nodes": [3],
-                    "links": [(0, 1)],
+            with db.faults.scope(nodes=[victim], links=[link]):
+                assert not db.machine.node_is_up(victim)
+                assert db.machine.active_faults() == {
+                    "nodes": [victim],
+                    "links": [link],
                 }
                 raise RuntimeError("boom")
-        assert machine.node_is_up(3)
-        assert machine.active_faults() == {"nodes": [], "links": []}
+        assert db.machine.node_is_up(victim)
+        assert db.machine.active_faults() == {"nodes": [], "links": []}
+        assert all(ofm.alive for ofm in db.gdh.fragment_ofms.values())
+        # Undone in reverse order: the link first, then the element.
+        assert [entry[0] for entry in db.faults.injections] == [
+            "crash_element", "fail_link", "restore_link", "restore_element",
+        ]
+        # A fault that fails on entry undoes the ones before it.
+        with pytest.raises(RecoveryError):
+            with db.faults.scope(nodes=[victim, GDH_NODE]):
+                pass
+        assert db.machine.active_faults() == {"nodes": [], "links": []}
 
     def test_scope_leaves_preexisting_faults_alone(self):
-        machine = Machine(MachineConfig(n_nodes=8, topology="ring"))
-        machine.fail_node(2)
-        with machine.faults(nodes=[2, 5]):
-            assert not machine.node_is_up(5)
-        assert not machine.node_is_up(2)  # was down on entry, stays down
-        assert machine.node_is_up(5)
+        db = make_db(n_nodes=8, topology="ring")
+        db.crash_element(2)
+        db.faults.fail_link(0, 1)
+        with db.faults.scope(nodes=[2, 5], links=[(0, 1), (3, 4)]):
+            assert not db.machine.node_is_up(5)
+        assert not db.machine.node_is_up(2)  # was down on entry, stays down
+        assert db.machine.node_is_up(5)
+        assert db.machine.active_faults() == {"nodes": [2], "links": [(0, 1)]}
 
     def test_injector_scope_crashes_processes_and_logs(self):
         db = make_db(replicas=2)
-        faults = FaultInjector(seed=3)
-        faults.bind(db.gdh.runtime)
         victim = db.catalog.table("t").fragments[0].node_id
         expected = sorted(db.query("SELECT id, v FROM t"))
-        with faults.scope(nodes=[victim]):
+        with db.faults.scope(nodes=[victim]):
             assert not db.machine.node_is_up(victim)
+            assert not any(
+                process.node_id == victim for process in db.runtime.live_processes()
+            )
         assert db.machine.node_is_up(victim)
         entries = [
-            entry for entry in faults.injections if entry[0] == "crash_element"
+            entry for entry in db.faults.injections if entry[0] == "crash_element"
         ]
         assert entries, "scope did not land in the injection log"
         # Replicas keep the data readable after the scoped outage.
