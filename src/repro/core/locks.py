@@ -11,10 +11,13 @@ truly block the caller; instead :meth:`LockManager.acquire` raises
 :class:`WouldBlock` after registering the request in a FIFO wait queue
 and the wait-for graph.  The workload driver re-issues the statement
 when the holder finishes; simulated waiting time is accounted because a
-later grant returns the resource's release timestamp, to which the
-waiter's clock must advance.  A request that would close a cycle in the
-wait-for graph raises :class:`~repro.errors.DeadlockError` instead (the
-requester is the victim).
+later grant returns a release timestamp, to which the waiter's clock
+must advance.  The floor depends on the mode: an X grant waits for the
+last release of any hold, an S grant only for the last release of an
+X hold, so readers of one fragment copy share it in simulated time
+rather than queueing behind each other.  A request that would close a
+cycle in the wait-for graph raises :class:`~repro.errors.DeadlockError`
+instead (the requester is the victim).
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ class WouldBlock(TransactionError):
 class _LockState:
     holders: dict[int, LockMode] = field(default_factory=dict)
     waiters: deque = field(default_factory=deque)  # (txn_id, mode)
-    last_release_time: float = 0.0
+    last_release_time: float = 0.0  # latest release of any hold
+    exclusive_release_time: float = 0.0  # latest release of an X hold
 
 
 def _compatible(requested: LockMode, held: LockMode) -> bool:
@@ -61,14 +65,20 @@ def _compatible(requested: LockMode, held: LockMode) -> bool:
 class LockManager:
     """S/X locks per fragment, FIFO queues, wait-for-graph deadlock checks.
 
+    A grant returns its wait floor, the simulated time the requester's
+    clock advances to: an X grant (new, upgrade or re-request) waits
+    for the latest release of any hold, ``last_release_time``; an S
+    grant (new or re-request) only for the latest release of an X hold,
+    ``exclusive_release_time``.  An S hold upgraded to X releases as X.
+
     Idle entries are not kept forever: an entry with no holders and no
-    waiters only carries its ``last_release_time`` (the wait floor a
-    future acquirer's clock advances to).  Once that stamp is more than
-    *retain_horizon_s* of simulated time in the past, the floor can no
-    longer move any live requester's clock (``advance_to`` is a max),
-    so the entry is purged — bounding the table under sustained
-    multi-fragment traffic instead of leaking one entry per fragment
-    ever touched.
+    waiters only carries its release stamps (the wait floors a future
+    acquirer's clock advances to).  Once ``last_release_time``, the
+    later of the two, is more than *retain_horizon_s* of simulated time
+    in the past, neither floor can move any live requester's clock
+    (``advance_to`` is a max), so the entry is purged — bounding the
+    table under sustained multi-fragment traffic instead of leaking one
+    entry per fragment ever touched.
     """
 
     def __init__(self, retain_horizon_s: float = 300.0):
@@ -106,16 +116,19 @@ class LockManager:
     def acquire(self, txn_id: int, resource: Resource, mode: LockMode) -> float:
         """Grant the lock or raise WouldBlock / DeadlockError.
 
-        On success returns the resource's last release time: the
-        requester's simulated clock must be advanced to at least this
-        value (it logically waited for the previous holder).
+        On success returns the wait floor: the requester's simulated
+        clock must be advanced to at least this value (it logically
+        waited for the previous conflicting holder).  That is the last
+        release of any hold for an X grant, of an X hold for an S grant.
         """
         state = self._locks.get(resource)
         if state is None:
             state = self._locks[resource] = _LockState()
         held = state.holders.get(txn_id)
-        if held is LockMode.EXCLUSIVE or held is mode:
+        if held is LockMode.EXCLUSIVE:
             return state.last_release_time  # re-entrant / covered
+        if held is mode:
+            return state.exclusive_release_time  # an S holder asks for S
         conflicting = {
             other
             for other, other_mode in state.holders.items()
@@ -145,6 +158,8 @@ class LockManager:
                 LockMode.EXCLUSIVE if held is LockMode.SHARED else mode
             )
             self._held.setdefault(txn_id, {})[resource] = None
+            if mode is LockMode.SHARED:
+                return state.exclusive_release_time
             return state.last_release_time
         # Conflict: check for deadlock before registering the wait.
         self.conflicts += 1
@@ -197,7 +212,8 @@ class LockManager:
     # -- release --------------------------------------------------------------------
 
     def release_all(self, txn_id: int, release_time: float) -> list[Resource]:
-        """Drop every lock of *txn_id*; stamps the release time.
+        """Drop every lock of *txn_id*; stamps the release time (as
+        the last X release too where the hold was X).
 
         Returns the resources that now have runnable waiters (the
         driver uses this to know which sessions to retry), in the order
@@ -207,8 +223,12 @@ class LockManager:
         unblocked: list[Resource] = []
         for resource in self._held.pop(txn_id, ()):
             state = self._locks[resource]
-            del state.holders[txn_id]
+            mode = state.holders.pop(txn_id)
             state.last_release_time = max(state.last_release_time, release_time)
+            if mode is LockMode.EXCLUSIVE:
+                state.exclusive_release_time = max(
+                    state.exclusive_release_time, release_time
+                )
             if state.waiters:
                 unblocked.append(resource)
         for resource in list(self._queued.get(txn_id, ())):

@@ -411,8 +411,14 @@ class RecoveryManager:
 
     def restart_element(self, node_id: int) -> RecoveryReport:
         """A failed element comes back, empty: the copies placed on it
-        respawn and replay (:meth:`restart_fragments`)."""
+        respawn and replay (:meth:`restart_fragments`).  An element that
+        is up has nothing to restart: RecoveryError, and nothing changes
+        (its copies' open transactions keep their state)."""
         gdh = self.gdh
+        if gdh.runtime.machine.node_is_up(node_id):
+            raise RecoveryError(
+                f"element {node_id} is up; only a crashed element restarts"
+            )
         gdh.runtime.machine.restore_node(node_id)
         gdh.faults.record("restore_element", str(node_id))
         return self.restart_fragments(
@@ -431,9 +437,16 @@ class RecoveryManager:
         dictionary is authoritative and only the named copies replay —
         then catch up from a live sibling copy where one exists, since
         the dead copy's WAL missed everything committed during the
-        outage.
+        outage.  A live copy has nothing to restart (replaying it would
+        drop its open transactions' rows): RecoveryError.
         """
         gdh = self.gdh
+        live = [
+            name for name in names
+            if name in gdh.fragment_ofms and gdh.fragment_ofms[name].alive
+        ]
+        if live:
+            raise RecoveryError(f"copies {live} are live; only a lost copy restarts")
         placed = [gdh.catalog.locate_copy(name) for name in names]
         report = self._replay(placed, catch_up=True)
         for table_name in sorted({info.name for info, *_copy in placed}):
@@ -523,7 +536,7 @@ class RecoveryManager:
                     report.committed_outcomes += 1
             if catch_up:
                 catchup_started = ofm.ready_at
-                caught_up, catchup_cost = self._catch_up(fragment, ofm)
+                caught_up, catchup_cost = self._catch_up(fragment, ofm, votes)
                 if caught_up:
                     report.replica_catchups += 1
                     cost += catchup_cost
@@ -550,18 +563,29 @@ class RecoveryManager:
         return report
 
     def _catch_up(
-        self, fragment: FragmentInfo, ofm: OneFragmentManager
+        self, fragment: FragmentInfo, ofm: OneFragmentManager, votes: _Votes
     ) -> tuple[bool, float]:
         """Copy state over from a live sibling if the WAL replay is stale.
 
+        The copy must hold committed rows only, and the recovering copy
+        has no undo chain for anyone's: every open transaction with
+        state on the sibling is decided and finished first (aborted,
+        unless its durable votes committed it), as :meth:`crash_element`
+        does for one that lost a participant.
+
         Returns (did catch up, simulated cost on the recovering OFM).
         """
-        siblings = [
-            copy for copy in self.gdh.allocator.copies(fragment) if copy is not ofm
-        ]
+        gdh = self.gdh
+        siblings = [copy for copy in gdh.allocator.copies(fragment) if copy is not ofm]
         if not siblings:
             return False, 0.0
-        return sync_copy_from(self.gdh, siblings[0], ofm)
+        source = siblings[0]
+        for txn_id in sorted(gdh.txns.active):
+            if source.has_transaction_state(txn_id):
+                entry, cost = gdh.commit_log.lookup(txn_id)
+                gdh.gdh_process.charge(cost)
+                self._settle(gdh.txns.active[txn_id], entry, votes, gdh.runtime.horizon())
+        return sync_copy_from(gdh, source, ofm)
 
     # -- in-doubt resolution ---------------------------------------------------
 

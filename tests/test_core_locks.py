@@ -119,6 +119,52 @@ class TestReleaseAndWaiters:
         assert locks.conflicts == 1
 
 
+class TestWaitFloors:
+    """An S grant waits for the last X release, an X grant for the last
+    release of any hold."""
+
+    def test_shared_after_a_released_reader_waits_for_nobody(self, locks):
+        locks.acquire(1, R1, S)
+        locks.release_all(1, 7.0)
+        assert locks.acquire(2, R1, S) == 0.0
+
+    def test_shared_after_a_reader_waits_for_the_last_writer(self, locks):
+        locks.acquire(1, R1, X)
+        with pytest.raises(WouldBlock):
+            locks.acquire(2, R1, S)
+        locks.release_all(1, 3.0)
+        assert locks.acquire(2, R1, S) == 3.0
+        locks.release_all(2, 9.0)
+        assert locks.acquire(3, R1, S) == 3.0
+
+    def test_exclusive_after_a_reader_gets_its_release(self, locks):
+        locks.acquire(1, R1, S)
+        with pytest.raises(WouldBlock):
+            locks.acquire(2, R1, X)
+        locks.release_all(1, 5.0)
+        assert locks.acquire(2, R1, X) == 5.0
+
+    def test_a_readers_re_request_ignores_another_readers_release(self, locks):
+        locks.acquire(1, R1, S)
+        locks.acquire(2, R1, S)
+        locks.release_all(2, 6.0)
+        assert locks.acquire(1, R1, S) == 0.0
+
+    def test_an_upgrade_waits_for_the_other_readers(self, locks):
+        locks.acquire(1, R1, S)
+        locks.acquire(2, R1, S)
+        with pytest.raises(WouldBlock):
+            locks.acquire(1, R1, X)
+        locks.release_all(2, 8.0)
+        assert locks.acquire(1, R1, X) == 8.0
+
+    def test_an_upgraded_hold_releases_as_exclusive(self, locks):
+        locks.acquire(1, R1, S)
+        locks.acquire(1, R1, X)
+        locks.release_all(1, 2.0)
+        assert locks.acquire(2, R1, S) == 2.0
+
+
 class TestDeadlocks:
     def test_two_party_deadlock_detected(self, locks):
         locks.acquire(1, R1, X)
@@ -251,7 +297,8 @@ class _ReferenceLockManager:
     """The lock manager before the per-transaction index, kept as the
     oracle: every entry visited on release, a rebuilt queue per entry,
     every blocker set scanned.  ``withdraw_waits`` is written the same
-    brute-force way."""
+    brute-force way.  Its wait floor is the mode-aware one: an S grant
+    waits for the last X release, an X grant for the last release."""
 
     def __init__(self, retain_horizon_s):
         self._locks = {}
@@ -269,7 +316,7 @@ class _ReferenceLockManager:
         state = self._locks.setdefault(resource, _LockState())
         held = state.holders.get(txn_id)
         if held is X or held is mode:
-            return state.last_release_time
+            return self._floor(state, held)
         conflicting = {
             other
             for other, other_mode in state.holders.items()
@@ -277,7 +324,7 @@ class _ReferenceLockManager:
         }
         if held is S and mode is X and not conflicting:
             state.holders[txn_id] = X
-            return state.last_release_time
+            return self._floor(state, X)
         ahead = []
         for waiting, waiting_mode in state.waiters:
             if waiting == txn_id:
@@ -288,7 +335,7 @@ class _ReferenceLockManager:
             self._remove_waiter(state, txn_id)
             self._wait_for.pop(txn_id, None)
             state.holders[txn_id] = X if held is S else mode
-            return state.last_release_time
+            return self._floor(state, state.holders[txn_id])
         self.conflicts += 1
         blockers = conflicting | blocking_waiters
         if self._would_deadlock(txn_id, blockers):
@@ -303,6 +350,14 @@ class _ReferenceLockManager:
         if all(waiting != txn_id for waiting, _ in state.waiters):
             state.waiters.append((txn_id, mode))
         raise WouldBlock(txn_id, resource, blockers or set(state.holders))
+
+    @staticmethod
+    def _floor(state, granted):
+        """An S grant waits for the last X release, an X grant for the
+        last release of any hold."""
+        if granted is S:
+            return state.exclusive_release_time
+        return state.last_release_time
 
     def _would_deadlock(self, txn_id, new_blockers):
         stack = sorted(new_blockers)
@@ -321,7 +376,10 @@ class _ReferenceLockManager:
         unblocked = []
         for resource, state in list(self._locks.items()):
             if txn_id in state.holders:
-                del state.holders[txn_id]
+                if state.holders.pop(txn_id) is X:
+                    state.exclusive_release_time = max(
+                        state.exclusive_release_time, release_time
+                    )
                 state.last_release_time = max(state.last_release_time, release_time)
                 if state.waiters:
                     unblocked.append(resource)
@@ -389,7 +447,12 @@ def _apply(manager, operation, clock):
 def _state(manager):
     return (
         {
-            resource: (dict(state.holders), list(state.waiters), state.last_release_time)
+            resource: (
+                dict(state.holders),
+                list(state.waiters),
+                state.last_release_time,
+                state.exclusive_release_time,
+            )
             for resource, state in manager._locks.items()
         },
         list(manager._locks),
@@ -456,3 +519,23 @@ def test_a_retried_statement_keeps_its_place_in_the_queue():
     with pytest.raises(WouldBlock, match=r"must wait for \[\d+\]"):
         second.execute(f"UPDATE r SET v = 3 WHERE id = {on_r0}")
     first.execute(f"UPDATE r SET v = 2 WHERE id = {on_r0}")
+
+
+def test_two_readers_of_one_fragment_share_it_in_simulated_time():
+    db, on_r0, _on_r1 = _two_fragment_db()
+    first, second, alone = db.session(), db.session(), db.session()
+    start = max(first.clock, second.clock)
+    for session in (first, second):
+        session.advance_clock(start - session.clock)
+    first.execute(f"SELECT v FROM r WHERE id = {on_r0}")
+    second.execute(f"SELECT v FROM r WHERE id = {on_r0}")
+    alone.advance_clock(first.clock + 1.0 - alone.clock)
+    solo_start = alone.clock
+    alone.execute(f"SELECT v FROM r WHERE id = {on_r0}")
+    first_latency = first.clock - start
+    second_latency = second.clock - start
+    solo_latency = alone.clock - solo_start
+    # The second reader queues for the element's CPU, a fraction of a
+    # read; floored at the first reader's release, it would pay the
+    # first one's latency plus its own statement after the lock.
+    assert second_latency - first_latency < solo_latency / 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MachineConfig, PrismaDB
-from repro.errors import AllocationError, CatalogError
+from repro.errors import AllocationError, CatalogError, RecoveryError, TransactionAborted
 from repro.core.catalog import Catalog
 from tests.test_stateful_durability import assert_placement_agrees
 
@@ -179,3 +179,76 @@ class TestOutage:
         assert_placement_agrees(db)
         db.execute("CREATE TABLE x (a INT) WITH 2 REPLICAS")
         assert_placement_agrees(db)
+
+
+# -- an aborted row is on no copy -------------------------------------------
+
+
+def _replicated(n_fragments):
+    db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0, 4)))
+    db.execute(
+        "CREATE TABLE t (k INT PRIMARY KEY, v INT)"
+        f" FRAGMENTED BY HASH(k) INTO {n_fragments} WITH 2 REPLICAS"
+    )
+    db.execute("INSERT INTO t VALUES (10, 10)")
+    return db
+
+
+def _copies_holding(db, key):
+    """The (node, copy name) pairs of *key*'s fragment, primary first."""
+    info = db.catalog.table("t")
+    return info.fragment(info.scheme.fragment_of((key, key))).all_copies()
+
+
+def _rows(db, name):
+    return sorted(db.gdh.fragment_ofms[name].table.rows())
+
+
+@pytest.mark.parametrize("n_fragments", [1, 2, 4])
+def test_restarting_an_up_element_refuses_and_keeps_open_work(n_fragments):
+    db = _replicated(n_fragments)
+    (node, primary), (_node, replica) = _copies_holding(db, 200)
+    before = (_rows(db, primary), _rows(db, replica))
+    session = db.session()
+    session.begin()
+    session.execute("INSERT INTO t VALUES (200, 200)")
+    injections = list(db.faults.injections)
+    with pytest.raises(RecoveryError, match="up"):
+        db.restart_element(node)
+    assert db.faults.injections == injections
+    session.rollback()
+    assert (_rows(db, primary), _rows(db, replica)) == before
+
+
+@pytest.mark.parametrize("end", ["ROLLBACK", "COMMIT"])
+@pytest.mark.parametrize("n_fragments", [1, 2, 4])
+def test_catch_up_copies_no_open_transaction_rows(n_fragments, end):
+    db = _replicated(n_fragments)
+    (_node, primary), (node, replica) = _copies_holding(db, 100)
+    before = _rows(db, primary)
+    db.crash_element(node)
+    session = db.session()
+    session.begin()
+    session.execute("INSERT INTO t VALUES (100, 100)")
+    db.restart_element(node)
+    # The writer held state on the copy catch-up read from, so it was
+    # decided (abort: nothing was prepared) before the copy was made.
+    with pytest.raises(TransactionAborted):
+        session.execute(end)
+    assert _rows(db, primary) == _rows(db, replica) == before
+    db.execute("INSERT INTO t VALUES (100, 100)")
+    assert _rows(db, primary) == _rows(db, replica) == sorted(before + [(100, 100)])
+
+
+def test_restarting_a_live_copy_refuses_and_keeps_open_work():
+    db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0, 4)))
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    db.execute("INSERT INTO t VALUES (10, 10)")
+    ((_node, copy),) = db.catalog.table("t").fragment(0).all_copies()
+    session = db.session()
+    session.begin()
+    session.execute("INSERT INTO t VALUES (300, 300)")
+    with pytest.raises(RecoveryError, match="live"):
+        db.recovery.restart_fragments([copy])
+    session.commit()
+    assert _rows(db, copy) == [(10, 10), (300, 300)]
