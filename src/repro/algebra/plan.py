@@ -266,6 +266,20 @@ class SelectNode(PlanNode):
         return f"Select[{self.predicate.to_sql()}]"
 
 
+def output_names(names: Sequence[str]) -> list[str]:
+    """The column names a projection outputs for *names*: kept unique
+    even if the query repeats a name (``x``, ``x_2``, ``x_3``, ...)."""
+    unique: list[str] = []
+    for name in names:
+        candidate = name
+        suffix = 1
+        while candidate in unique:
+            suffix += 1
+            candidate = f"{name}_{suffix}"
+        unique.append(candidate)
+    return unique
+
+
 class ProjectNode(PlanNode):
     def __init__(
         self,
@@ -291,18 +305,10 @@ class ProjectNode(PlanNode):
 
     def _derive_schema(self) -> Schema:
         child_schema = self.children[0].schema
-        columns = []
-        used = set()
-        for name, expr in zip(self.names, self.exprs):
-            # Keep names unique even if the query repeats output names.
-            candidate = name
-            suffix = 1
-            while candidate in used:
-                suffix += 1
-                candidate = f"{name}_{suffix}"
-            used.add(candidate)
-            columns.append(Column(candidate, infer_result_type(expr, child_schema)))
-        return Schema(columns)
+        return Schema(
+            Column(name, infer_result_type(expr, child_schema))
+            for name, expr in zip(output_names(self.names), self.exprs)
+        )
 
     def _key_payload(self) -> tuple:
         return (self.exprs, self.names)

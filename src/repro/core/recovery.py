@@ -79,13 +79,16 @@ def sync_copy_from(
     is its own *source* ships nothing).  Ship the rows across the
     network, rebuild the destination table, and checkpoint it through
     :meth:`OneFragmentManager.checkpoint`, so stale WAL chunks under the
-    destination's name cannot win the next replay.  A no-op —
-    (False, 0.0) — when *dest* already holds *rows*.
+    destination's name cannot win the next replay.  A copy of all of
+    *source* also numbers its next rows as *source* does, so both give
+    the next insert the same row id.  A no-op — (False, 0.0) — when
+    *dest* already holds *rows*.
 
     Returns (did copy, simulated cost on *dest*).
     """
     if rows is None:
         rows = sorted(source.table.scan())
+        dest.table.follow_rids(source.table)
     if dict(dest.table.scan()) == dict(rows):
         return False, 0.0
     before = dest.ready_at

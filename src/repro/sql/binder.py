@@ -31,6 +31,7 @@ from repro.algebra.plan import (
     SetOpNode,
     SortNode,
     ValuesNode,
+    output_names,
 )
 from repro.sql import ast
 from repro.storage.schema import Column, Schema
@@ -89,6 +90,16 @@ class _ScopeEntry:
     binding_name: str
     schema: Schema
     offset: int
+
+
+@dataclass
+class _Grouped:
+    """What an expression over an Aggregate's output may read: the bound
+    GROUP BY expressions (output columns 0..G-1) and the collected
+    aggregates' ``(func, arg, distinct)`` keys (columns G+i)."""
+
+    groups: list[ex.Expr]
+    aggregates: list[tuple]
 
 
 @dataclass
@@ -212,7 +223,9 @@ class Binder:
                 f" {len(right.schema)} columns"
             )
         plan: PlanNode = SetOpNode(stmt.op, left, right)
-        return self._apply_order_limit(plan, *self._tail(stmt))
+        order_by, limit, offset = self._tail(stmt)
+        keys, _ = self._order_keys(order_by, plan.schema.names(), None, None)
+        return _sort_limit(plan, keys, limit, offset)
 
     def _bind_select(self, stmt: ast.SelectStmt) -> PlanNode:
         scope = _Scope()
@@ -222,71 +235,86 @@ class Binder:
             predicate = self._bind_scalar(stmt.where, scope, where_clause=True)
             plan = SelectNode(plan, predicate)
 
-        has_aggregates = bool(stmt.group_by) or any(
+        grouped = None
+        if stmt.group_by or stmt.having is not None or any(
             _contains_aggregate(item.expr) for item in stmt.items
-        ) or (stmt.having is not None)
-
-        if has_aggregates:
-            plan, output_exprs, output_names, having = self._bind_aggregation(
-                stmt, plan, scope
+        ):
+            plan, grouped = self._bind_aggregation(stmt, plan, scope)
+        exprs, names = self._bind_select_items(stmt.items, scope, grouped)
+        if stmt.having is not None:
+            plan = SelectNode(
+                plan, self._bind_scalar(stmt.having, scope, grouped=grouped)
             )
-            if having is not None:
-                plan = SelectNode(plan, having)
-            plan = ProjectNode(plan, output_exprs, output_names)
-        else:
-            exprs, names = self._bind_select_items(stmt.items, scope)
-            if stmt.order_by and not stmt.distinct:
-                # ORDER BY may reference scope columns that are not in the
-                # select list; carry them as hidden sort columns and strip
-                # them after sorting.
-                return self._select_with_hidden_order(
-                    plan, scope, exprs, names, *self._tail(stmt)
-                )
-            plan = ProjectNode(plan, exprs, names)
 
+        order_by, limit, offset = self._tail(stmt)
+        keys, hidden = self._order_keys(
+            order_by, output_names(names), None if stmt.distinct else scope, grouped
+        )
+        plan = ProjectNode(
+            plan,
+            exprs + hidden,
+            names + [f"__order{i}" for i in range(1, len(hidden) + 1)],
+        )
         if stmt.distinct:
             plan = DistinctNode(plan)
-        return self._apply_order_limit(plan, *self._tail(stmt))
-
-    def _select_with_hidden_order(
-        self, plan: PlanNode, scope: _Scope, exprs, names, order_by, limit, offset
-    ) -> PlanNode:
-        visible = len(exprs)
-        sort_keys: list[tuple[int, bool]] = []
-        for order_expr, descending in order_by:
-            position = self._visible_position(order_expr, names, visible)
-            if position is None:
-                bound = self._bind_scalar(order_expr, scope)
-                exprs.append(bound)
-                names.append(f"__order{len(exprs) - visible}")
-                position = len(exprs) - 1
-            sort_keys.append((position, descending))
-        plan = ProjectNode(plan, exprs, names)
-        plan = SortNode(plan, sort_keys)
-        if limit is not None or offset:
-            plan = LimitNode(plan, limit, offset)
-        if len(exprs) > visible:
+        plan = _sort_limit(plan, keys, limit, offset)
+        if hidden:
+            # Strip the hidden sort columns after sorting.
             plan = ProjectNode(
                 plan,
-                [ex.ColumnRef(i, names[i]) for i in range(visible)],
-                names[:visible],
+                [ex.ColumnRef(i, name) for i, name in enumerate(names)],
+                names,
             )
         return plan
 
-    def _visible_position(
-        self, expr: ast.SqlExpr, names: list[str], visible: int
-    ) -> int | None:
-        """Resolve an ORDER BY target within the visible select list."""
-        if isinstance(expr, ast.Lit) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= visible:
+    def _order_keys(
+        self,
+        order_by: list[tuple[ast.SqlExpr, bool]],
+        names: list[str],
+        scope: _Scope | None,
+        grouped: _Grouped | None,
+    ) -> tuple[list[tuple[int, bool]], list[ex.Expr]]:
+        """The one ORDER BY rule, for every query shape.
+
+        A target is a 1-based position when it is an integer literal,
+        the output column when it is an unqualified name among the
+        output *names*, and otherwise a hidden sort column after the
+        output ones, bound like a select item (over *scope*, or over its
+        Aggregate given *grouped*).  Without a *scope* (DISTINCT, set
+        operations) a hidden target is refused; so is a literal that is
+        no integer.  Returns ``(sort keys, hidden columns)``.
+        """
+        keys: list[tuple[int, bool]] = []
+        hidden: list[ex.Expr] = []
+        for expr, descending in order_by:
+            if isinstance(expr, ast.Lit):
+                if not isinstance(expr.value, int):
+                    raise BindError(
+                        f"ORDER BY {expr.value!r}: a literal target must be"
+                        " a 1-based position"
+                    )
+                if not 1 <= expr.value <= len(names):
+                    raise BindError(
+                        f"ORDER BY position {expr.value} out of range"
+                        f" 1..{len(names)}"
+                    )
+                position = expr.value - 1
+            elif (
+                isinstance(expr, ast.Name)
+                and expr.qualifier is None
+                and expr.column in names
+            ):
+                position = names.index(expr.column)
+            elif scope is None:
                 raise BindError(
-                    f"ORDER BY position {expr.value} out of range 1..{visible}"
+                    "ORDER BY under DISTINCT or a set operation takes output"
+                    " column names or 1-based positions only"
                 )
-            return expr.value - 1
-        if isinstance(expr, ast.Name) and expr.qualifier is None:
-            if expr.column in names[:visible]:
-                return names.index(expr.column)
-        return None
+            else:
+                hidden.append(self._bind_scalar(expr, scope, grouped=grouped))
+                position = len(names) + len(hidden) - 1
+            keys.append((position, descending))
+        return keys, hidden
 
     # -- FROM --------------------------------------------------------------------------
 
@@ -326,8 +354,28 @@ class Binder:
     # -- scalar expression binding -------------------------------------------------------
 
     def _bind_scalar(
-        self, expr: ast.SqlExpr, scope: _Scope, where_clause: bool = False
+        self,
+        expr: ast.SqlExpr,
+        scope: _Scope,
+        where_clause: bool = False,
+        grouped: _Grouped | None = None,
     ) -> ex.Expr:
+        """Bind *expr* over *scope*'s row — or, given *grouped*, over the
+        output of its Aggregate, where a column may only be read through
+        a group expression or inside an aggregate."""
+        if grouped is not None:
+            slot = self._group_slot(expr, scope, grouped)
+            if slot is not None:
+                return slot
+            if isinstance(expr, ast.Name):
+                raise BindError(
+                    f"column {expr.display()!r} must appear in GROUP BY"
+                    " or inside an aggregate"
+                )
+
+        def bind(child: ast.SqlExpr) -> ex.Expr:
+            return self._bind_scalar(child, scope, where_clause, grouped)
+
         if isinstance(expr, ast.Lit):
             return ex.Literal(expr.value)
         if isinstance(expr, ast.Param):
@@ -336,39 +384,31 @@ class Binder:
             index, _, display = scope.resolve(expr)
             return ex.ColumnRef(index, display)
         if isinstance(expr, ast.Bin):
-            left = self._bind_scalar(expr.left, scope, where_clause)
-            right = self._bind_scalar(expr.right, scope, where_clause)
+            left = bind(expr.left)
+            right = bind(expr.right)
             if expr.op in ("and", "or"):
                 return ex.BoolOp(expr.op, (left, right))
             if expr.op in ex.COMPARISON_OPS:
                 return ex.Comparison(expr.op, left, right)
             return ex.Arithmetic(expr.op, left, right)
         if isinstance(expr, ast.Un):
-            operand = self._bind_scalar(expr.operand, scope, where_clause)
+            operand = bind(expr.operand)
             if expr.op == "not":
                 return ex.Not(operand)
             return ex.Negate(operand)
         if isinstance(expr, ast.Func):
-            args = tuple(self._bind_scalar(a, scope, where_clause) for a in expr.args)
-            return ex.FunctionCall(expr.name, args)
+            return ex.FunctionCall(expr.name, tuple(bind(a) for a in expr.args))
         if isinstance(expr, ast.IsNullExpr):
-            return ex.IsNull(self._bind_scalar(expr.operand, scope, where_clause), expr.negated)
+            return ex.IsNull(bind(expr.operand), expr.negated)
         if isinstance(expr, ast.InExpr):
-            bound = ex.InList(
-                self._bind_scalar(expr.operand, scope, where_clause),
-                self._in_values(expr),
-            )
+            bound = ex.InList(bind(expr.operand), self._in_values(expr))
             return ex.Not(bound) if expr.negated else bound
         if isinstance(expr, ast.LikeExpr):
-            return ex.Like(
-                self._bind_scalar(expr.operand, scope, where_clause),
-                self._like_pattern(expr),
-                expr.negated,
-            )
+            return ex.Like(bind(expr.operand), self._like_pattern(expr), expr.negated)
         if isinstance(expr, ast.BetweenExpr):
-            operand = self._bind_scalar(expr.operand, scope, where_clause)
-            low = self._bind_scalar(expr.low, scope, where_clause)
-            high = self._bind_scalar(expr.high, scope, where_clause)
+            operand = bind(expr.operand)
+            low = bind(expr.low)
+            high = bind(expr.high)
             between = ex.and_(
                 ex.Comparison(">=", operand, low), ex.Comparison("<=", operand, high)
             )
@@ -398,10 +438,10 @@ class Binder:
             raise ParseError("LIKE expects a string pattern")
         return self._bind_scalar(expr.pattern, _Scope())
 
-    # -- plain select list ------------------------------------------------------------------
+    # -- select list ---------------------------------------------------------------------------
 
     def _bind_select_items(
-        self, items: list[ast.SelectItem], scope: _Scope
+        self, items: list[ast.SelectItem], scope: _Scope, grouped: _Grouped | None
     ) -> tuple[list[ex.Expr], list[str]]:
         exprs: list[ex.Expr] = []
         names: list[str] = []
@@ -411,8 +451,7 @@ class Binder:
                     exprs.append(ex.ColumnRef(index, name))
                     names.append(name)
                 continue
-            bound = self._bind_scalar(item.expr, scope)
-            exprs.append(bound)
+            exprs.append(self._bind_scalar(item.expr, scope, grouped=grouped))
             names.append(item.alias or _derive_name(item.expr, len(names)))
         return exprs, names
 
@@ -420,16 +459,13 @@ class Binder:
 
     def _bind_aggregation(
         self, stmt: ast.SelectStmt, plan: PlanNode, scope: _Scope
-    ):
-        """Rewrite into Aggregate + post-projection.
-
-        Returns ``(aggregate_plan, post_exprs, post_names, having)``.
-        """
+    ) -> tuple[PlanNode, _Grouped]:
+        """The Aggregate over *plan*, and the context that binds the
+        select items, HAVING and ORDER BY over its output."""
         # 1. Bind GROUP BY expressions against the scope.
-        group_bound: list[ex.Expr] = [
-            self._bind_scalar(g, scope) for g in stmt.group_by
-        ]
-        # 2. Collect aggregate calls from select items and HAVING.
+        group_bound = [self._bind_scalar(g, scope) for g in stmt.group_by]
+        # 2. Collect aggregate calls from select items, HAVING and
+        #    ORDER BY, deduplicated by bound identity.
         agg_calls: list[ast.AggCall] = []
         for item in stmt.items:
             if isinstance(item.expr, ast.Star):
@@ -437,13 +473,13 @@ class Binder:
             _collect_aggregates(item.expr, agg_calls)
         if stmt.having is not None:
             _collect_aggregates(stmt.having, agg_calls)
-        # Deduplicate by bound identity.
-        bound_aggs: list[tuple[tuple, AggExpr]] = []
+        for expr, _ in stmt.order_by:
+            _collect_aggregates(expr, agg_calls)
+        agg_keys: list[tuple] = []
         for call in agg_calls:
-            arg = self._bind_scalar(call.arg, scope) if call.arg is not None else None
-            key = (call.func, arg, call.distinct)
-            if not any(existing == key for existing, _ in bound_aggs):
-                bound_aggs.append((key, AggExpr(call.func, arg, call.distinct)))
+            key = self._agg_key(call, scope)
+            if key not in agg_keys:
+                agg_keys.append(key)
 
         # 3. Group columns must be plain columns of the child; wrap others
         #    in a pre-projection.
@@ -457,63 +493,33 @@ class Binder:
                 pre_exprs.append(bound)
                 pre_names.append(f"__group{len(group_cols)}")
                 group_cols.append(len(pre_exprs) - 1)
-        aggregates = [agg for _, agg in bound_aggs]
         if len(pre_exprs) > len(plan.schema):
             plan = ProjectNode(plan, pre_exprs, pre_names)
-        aggregate_plan = AggregateNode(plan, group_cols, aggregates)
+        aggregates = [AggExpr(*key) for key in agg_keys]
+        return AggregateNode(plan, group_cols, aggregates), _Grouped(group_bound, agg_keys)
 
-        # 4. Rewrite select items (and HAVING) over the aggregate output:
-        #    group expressions map to positions 0..G-1, aggregates to G+i.
-        env = _PostAggEnv(
-            group_bound=group_bound,
-            group_cols=group_cols,
-            agg_keys=[key for key, _ in bound_aggs],
-            scope=scope,
-            binder=self,
-        )
-        post_exprs: list[ex.Expr] = []
-        post_names: list[str] = []
-        for item in stmt.items:
-            post_exprs.append(env.rewrite(item.expr))
-            post_names.append(item.alias or _derive_name(item.expr, len(post_names)))
-        having = env.rewrite(stmt.having) if stmt.having is not None else None
-        return aggregate_plan, post_exprs, post_names, having
+    def _agg_key(self, call: ast.AggCall, scope: _Scope) -> tuple:
+        arg = self._bind_scalar(call.arg, scope) if call.arg is not None else None
+        return (call.func, arg, call.distinct)
 
-    # -- ORDER BY / LIMIT ------------------------------------------------------------------------
-
-    def _apply_order_limit(
-        self,
-        plan: PlanNode,
-        order_by: list[tuple[ast.SqlExpr, bool]],
-        limit: int | None,
-        offset: int,
-    ) -> PlanNode:
-        if order_by:
-            keys: list[tuple[int, bool]] = []
-            for expr, descending in order_by:
-                keys.append((self._output_position(expr, plan.schema), descending))
-            plan = SortNode(plan, keys)
-        if limit is not None or offset:
-            plan = LimitNode(plan, limit, offset)
-        return plan
-
-    def _output_position(self, expr: ast.SqlExpr, schema: Schema) -> int:
-        """ORDER BY targets: an output column name or a 1-based position."""
-        if isinstance(expr, ast.Lit) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= len(schema):
-                raise BindError(
-                    f"ORDER BY position {expr.value} out of range 1..{len(schema)}"
-                )
-            return expr.value - 1
-        if isinstance(expr, ast.Name) and expr.qualifier is None:
-            if schema.has_column(expr.column):
-                return schema.index_of(expr.column)
-            raise BindError(
-                f"ORDER BY column {expr.column!r} is not in the select list"
-            )
-        raise BindError(
-            "ORDER BY supports output column names or 1-based positions"
-        )
+    def _group_slot(
+        self, expr: ast.SqlExpr, scope: _Scope, grouped: _Grouped
+    ) -> ex.ColumnRef | None:
+        """The Aggregate output column *expr* is, if any: a group
+        expression's slot (0..G-1) or an aggregate's (G+i)."""
+        if isinstance(expr, ast.AggCall):
+            position = grouped.aggregates.index(self._agg_key(expr, scope))
+            return ex.ColumnRef(len(grouped.groups) + position, expr.func)
+        if _contains_aggregate(expr):
+            return None
+        try:
+            bound = self._bind_scalar(expr, scope)
+        except BindError:
+            return None
+        if bound not in grouped.groups:
+            return None
+        position = grouped.groups.index(bound)
+        return ex.ColumnRef(position, _derive_name(expr, position))
 
     # -- DML --------------------------------------------------------------------------------------
 
@@ -589,6 +595,16 @@ class Binder:
 # ---------------------------------------------------------------------------
 
 
+def _sort_limit(
+    plan: PlanNode, keys: list[tuple[int, bool]], limit: int | None, offset: int
+) -> PlanNode:
+    if keys:
+        plan = SortNode(plan, keys)
+    if limit is not None or offset:
+        plan = LimitNode(plan, limit, offset)
+    return plan
+
+
 def _strip_tail(stmt: ast.Statement) -> ast.Statement:
     """Nested set-operation sides must not carry ORDER BY/LIMIT."""
     if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
@@ -640,89 +656,3 @@ def _derive_name(expr: ast.SqlExpr, position: int) -> str:
     if isinstance(expr, ast.Func):
         return expr.name
     return f"col{position}"
-
-
-@dataclass
-class _PostAggEnv:
-    """Rewrites select-item/HAVING expressions over the aggregate output."""
-
-    group_bound: list[ex.Expr]
-    group_cols: list[int]
-    agg_keys: list[tuple]
-    scope: _Scope
-    binder: Binder
-
-    def rewrite(self, expr: ast.SqlExpr) -> ex.Expr:
-        # A select item that *is* a group-by expression maps to its slot.
-        bound_try = self._try_bind(expr)
-        if bound_try is not None:
-            for position, group_expr in enumerate(self.group_bound):
-                if bound_try == group_expr:
-                    return ex.ColumnRef(position, _derive_name(expr, position))
-        if isinstance(expr, ast.AggCall):
-            arg = (
-                self.binder._bind_scalar(expr.arg, self.scope)
-                if expr.arg is not None
-                else None
-            )
-            key = (expr.func, arg, expr.distinct)
-            try:
-                agg_index = self.agg_keys.index(key)
-            except ValueError:  # pragma: no cover - collected earlier
-                raise BindError("aggregate not collected") from None
-            return ex.ColumnRef(
-                len(self.group_cols) + agg_index, expr.func
-            )
-        if isinstance(expr, (ast.Lit, ast.Param)):
-            return self.binder._bind_scalar(expr, self.scope)
-        if isinstance(expr, ast.Name):
-            raise BindError(
-                f"column {expr.display()!r} must appear in GROUP BY"
-                " or inside an aggregate"
-            )
-        if isinstance(expr, ast.Bin):
-            left = self.rewrite(expr.left)
-            right = self.rewrite(expr.right)
-            if expr.op in ("and", "or"):
-                return ex.BoolOp(expr.op, (left, right))
-            if expr.op in ex.COMPARISON_OPS:
-                return ex.Comparison(expr.op, left, right)
-            return ex.Arithmetic(expr.op, left, right)
-        if isinstance(expr, ast.Un):
-            operand = self.rewrite(expr.operand)
-            return ex.Not(operand) if expr.op == "not" else ex.Negate(operand)
-        if isinstance(expr, ast.Func):
-            return ex.FunctionCall(
-                expr.name, tuple(self.rewrite(a) for a in expr.args)
-            )
-        if isinstance(expr, ast.IsNullExpr):
-            return ex.IsNull(self.rewrite(expr.operand), expr.negated)
-        if isinstance(expr, ast.InExpr):
-            bound = ex.InList(
-                self.rewrite(expr.operand), self.binder._in_values(expr)
-            )
-            return ex.Not(bound) if expr.negated else bound
-        if isinstance(expr, ast.LikeExpr):
-            return ex.Like(
-                self.rewrite(expr.operand),
-                self.binder._like_pattern(expr),
-                expr.negated,
-            )
-        if isinstance(expr, ast.BetweenExpr):
-            operand = self.rewrite(expr.operand)
-            between = ex.and_(
-                ex.Comparison(">=", operand, self.rewrite(expr.low)),
-                ex.Comparison("<=", operand, self.rewrite(expr.high)),
-            )
-            return ex.Not(between) if expr.negated else between
-        raise BindError(
-            f"cannot use {type(expr).__name__} with GROUP BY / aggregates"
-        )
-
-    def _try_bind(self, expr: ast.SqlExpr) -> ex.Expr | None:
-        if _contains_aggregate(expr):
-            return None
-        try:
-            return self.binder._bind_scalar(expr, self.scope)
-        except BindError:
-            return None

@@ -145,6 +145,11 @@ class Table:
         self._store(rid, self._validate(row))
         self._next_rid = max(self._next_rid, rid + 1)
 
+    def follow_rids(self, source: "Table") -> None:
+        """Number the next rows at least as far on as *source* does: a
+        copy made of *source* gives its next insert the same row id."""
+        self._next_rid = max(self._next_rid, source._next_rid)
+
     def delete(self, rid: int) -> Row:
         """Remove and return the row under *rid*."""
         row = self.get(rid)

@@ -252,3 +252,26 @@ def test_restarting_a_live_copy_refuses_and_keeps_open_work():
         db.recovery.restart_fragments([copy])
     session.commit()
     assert _rows(db, copy) == [(10, 10), (300, 300)]
+
+
+@pytest.mark.parametrize("n_fragments", [1, 2, 4])
+def test_a_caught_up_copy_numbers_rows_as_its_sibling(n_fragments):
+    """An insert a machine crash rolled back took a row id on both
+    copies.  A copy whose element then restarts alone catches up from
+    its sibling, and the next insert gets the same row id on both."""
+    db = _replicated(n_fragments)
+    session = db.session()
+    session.begin()
+    session.execute("INSERT INTO t VALUES (100, 100)")
+    db.crash()
+    db.restart()
+    copies = _copies_holding(db, 100)
+    node = next(node for node, _name in copies if node != 0)  # not the supervisor
+    db.crash_element(node)
+    db.restart_element(node)
+    db.execute("INSERT INTO t VALUES (100, 100)")
+    (_, primary), (_, replica) = copies
+    primary_image, replica_image = (
+        sorted(db.gdh.fragment_ofms[name].table.scan()) for name in (primary, replica)
+    )
+    assert primary_image == replica_image

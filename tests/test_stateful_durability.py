@@ -5,12 +5,15 @@ inserts/updates/deletes — some autocommitted, some inside explicit
 transactions that may roll back — interleaved with checkpoints,
 crash/restart cycles, commits whose coordinator halts at a named crash
 point, an element outage during which the table is dropped and
-created again, and the online rebalancer splitting, merging and
-migrating the table's fragments.  An in-memory dict tracks what *committed*;
-after every step the database must agree with it exactly, and the data
-dictionary, the registry of live OFMs and the keys on stable storage
-must agree with each other (ROADMAP item 6's catalog ↔ OFM-registry
-agreement, asserted continuously), and no transaction other than the
+created again, the online rebalancer splitting, merging and
+migrating the table's fragments, and an element holding a copy of a
+replicated second table failing and coming back while a transaction is
+open.  An in-memory dict a table tracks what *committed*; after every
+step the database must agree with it exactly, and the data dictionary,
+the registry of live OFMs and the keys on stable storage must agree
+with each other (ROADMAP item 6's catalog ↔ OFM-registry agreement,
+asserted continuously), every live copy of a fragment must hold the
+same rows under the same row ids, and no transaction other than the
 session's open one may be alive, hold a lock or wait for one.
 
 This is the durability/atomicity contract of Sections 2.2 and 3.2
@@ -30,12 +33,23 @@ from hypothesis.stateful import (
 from repro import MachineConfig, PrismaDB
 from repro.core.faults import ONE_PC_POINTS, TWO_PC_POINTS, CrashPoint
 from repro.core.locks import WouldBlock
-from repro.errors import InjectedCrash, RebalanceError, StorageError
+from repro.errors import (
+    InjectedCrash,
+    RebalanceError,
+    StorageError,
+    TransactionAborted,
+)
 
 KEYS = st.integers(min_value=0, max_value=19)
 VALUES = st.integers(min_value=-100, max_value=100)
 
 CREATE_T = "CREATE TABLE t (k INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(k) INTO 3"
+#: The replicated table: each fragment has a copy on two elements.
+CREATE_R = (
+    "CREATE TABLE r (k INT PRIMARY KEY, v INT) FRAGMENTED BY HASH(k) INTO 2"
+    " WITH 2 REPLICAS"
+)
+TABLES = st.sampled_from(["t", "r"])
 #: Splits stop at this many fragments, so a run stays small.
 MAX_FRAGMENTS = 6
 
@@ -86,58 +100,75 @@ class DurabilityMachine(RuleBasedStateMachine):
         super().__init__()
         self.db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0, 2)))
         self.db.execute(CREATE_T)
-        #: committed state
-        self.committed: dict[int, int] = {}
+        self.db.execute(CREATE_R)
+        #: committed state, a dict of rows a table
+        self.committed: dict[str, dict[int, int]] = {"t": {}, "r": {}}
         #: state as seen inside the open transaction (None = autocommit)
         self.session = self.db.session()
-        self.pending: dict[int, int] | None = None
+        self.pending: dict[str, dict[int, int]] | None = None
+        #: (table, fragment id) of every fragment the open transaction wrote
+        self.written: set[tuple[str, int]] = set()
 
     # -- helpers -------------------------------------------------------------
 
-    def _visible(self) -> dict[int, int]:
+    def _visible(self) -> dict[str, dict[int, int]]:
+        """The rows the session sees; also what its next statement mutates."""
         return self.pending if self.pending is not None else self.committed
 
-    def _target(self) -> dict[int, int]:
-        """The dict the next statement mutates."""
-        if self.pending is not None:
-            return self.pending
-        return self.committed
+    def _end_transaction(self) -> None:
+        self.pending = None
+        self.written = set()
+
+    def _writes(self, table: str, k: int | None = None) -> None:
+        """Note that the open transaction (if any) writes the fragment
+        of *table* that key *k* routes to — all of them when *k* is None."""
+        if self.pending is None:
+            return
+        info = self.db.catalog.table(table)
+        if k is None:
+            self.written |= {(table, f.fragment_id) for f in info.fragments}
+        else:
+            self.written.add((table, info.scheme.fragment_of((k, 0))))
 
     # -- autocommit / in-txn DML ------------------------------------------------
 
-    @rule(k=KEYS, v=VALUES)
-    def insert(self, k, v):
-        visible = self._visible()
+    @rule(table=TABLES, k=KEYS, v=VALUES)
+    def insert(self, table, k, v):
+        visible = self._visible()[table]
         if k in visible:
             with pytest.raises(StorageError):
-                self.session.execute(f"INSERT INTO t VALUES ({k}, {v})")
+                self.session.execute(f"INSERT INTO {table} VALUES ({k}, {v})")
             # Statement-level failure aborts the enclosing transaction
             # (the engine has no savepoints): pending work is gone.
-            self.pending = None
+            self._end_transaction()
             assert not self.session.in_transaction
             return
-        self.session.execute(f"INSERT INTO t VALUES ({k}, {v})")
-        self._target()[k] = v
+        self._writes(table, k)
+        self.session.execute(f"INSERT INTO {table} VALUES ({k}, {v})")
+        visible[k] = v
 
-    @rule(k=KEYS, v=VALUES)
-    def update(self, k, v):
-        result = self.session.execute(f"UPDATE t SET v = {v} WHERE k = {k}")
-        target = self._target()
+    @rule(table=TABLES, k=KEYS, v=VALUES)
+    def update(self, table, k, v):
+        self._writes(table, k)
+        result = self.session.execute(f"UPDATE {table} SET v = {v} WHERE k = {k}")
+        target = self._visible()[table]
         assert result.affected_rows == (1 if k in target else 0)
         if k in target:
             target[k] = v
 
-    @rule(k=KEYS)
-    def delete(self, k):
-        result = self.session.execute(f"DELETE FROM t WHERE k = {k}")
-        target = self._target()
+    @rule(table=TABLES, k=KEYS)
+    def delete(self, table, k):
+        self._writes(table, k)
+        result = self.session.execute(f"DELETE FROM {table} WHERE k = {k}")
+        target = self._visible()[table]
         assert result.affected_rows == (1 if k in target else 0)
         target.pop(k, None)
 
-    @rule(v=VALUES)
-    def update_all(self, v):
-        self.session.execute(f"UPDATE t SET v = {v}")
-        target = self._target()
+    @rule(table=TABLES, v=VALUES)
+    def update_all(self, table, v):
+        self._writes(table)
+        self.session.execute(f"UPDATE {table} SET v = {v}")
+        target = self._visible()[table]
         for k in target:
             target[k] = v
 
@@ -147,7 +178,7 @@ class DurabilityMachine(RuleBasedStateMachine):
     @rule()
     def begin(self):
         self.session.begin()
-        self.pending = dict(self.committed)
+        self.pending = {table: dict(rows) for table, rows in self.committed.items()}
 
     @precondition(lambda self: self.pending is not None)
     @rule()
@@ -155,13 +186,13 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.session.commit()
         assert self.pending is not None
         self.committed = self.pending
-        self.pending = None
+        self._end_transaction()
 
     @precondition(lambda self: self.pending is not None)
     @rule()
     def rollback(self):
         self.session.rollback()
-        self.pending = None
+        self._end_transaction()
 
     # -- durability events ------------------------------------------------------------
 
@@ -176,7 +207,7 @@ class DurabilityMachine(RuleBasedStateMachine):
         # Whatever was in flight dies with the machine.
         self.db.crash()
         self.db.restart()
-        self.pending = None
+        self._end_transaction()
         self.session = self.db.session()
 
     @precondition(lambda self: self.pending is None)
@@ -198,7 +229,7 @@ class DurabilityMachine(RuleBasedStateMachine):
         point = data.draw(st.sampled_from(points), label="point")
         self.session.begin()
         for k, v in writes.items():
-            if k in self.committed:
+            if k in self.committed["t"]:
                 self.session.execute(f"UPDATE t SET v = {v} WHERE k = {k}")
             else:
                 self.session.execute(f"INSERT INTO t VALUES ({k}, {v})")
@@ -220,7 +251,7 @@ class DurabilityMachine(RuleBasedStateMachine):
         else:
             self.db.resolve_in_doubt()
         if point in COMMITTED_AFTER:
-            self.committed.update(writes)
+            self.committed["t"].update(writes)
 
     @precondition(lambda self: self.pending is None)
     @rule()
@@ -232,7 +263,41 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.session.execute("DROP TABLE t")
         self.session.execute(CREATE_T)
         self.db.restart_element(1)
-        self.committed = {}
+        self.committed["t"] = {}
+
+    @precondition(lambda self: self.pending is not None)
+    @rule(data=st.data())
+    def outage_with_a_transaction_open(self, data):
+        """A diskless element holding a copy of ``r`` fails and comes
+        back (its copies replay and catch up) while the session's
+        transaction is open.  The transaction survives exactly when it
+        wrote no fragment with a copy there; meanwhile reads of ``r``
+        fail over to the surviving copies.  (Diskless, because a copy
+        whose WAL disk is down cannot commit.)"""
+        disks = {element.node_id for element in self.db.machine.disk_nodes()}
+        holders = {
+            node
+            for fragment in self.db.catalog.table("r").fragments
+            for node, _ in fragment.all_copies()
+        }
+        element = data.draw(st.sampled_from(sorted(holders - disks)), label="element")
+        on_element = {
+            (table, fragment.fragment_id)
+            for table in ("t", "r")
+            for fragment in self.db.catalog.table(table).fragments
+            if any(node == element for node, _ in fragment.all_copies())
+        }
+        survives = not self.written & on_element
+        with self.db.faults.scope(nodes=[element]):
+            if survives:
+                rows = dict(self.session.query("SELECT k, v FROM r"))
+                assert rows == self._visible()["r"]
+        if not survives:
+            with pytest.raises(TransactionAborted):
+                self.session.query("SELECT k, v FROM r")
+            assert not self.session.in_transaction
+            self._end_transaction()
+        assert self.session.in_transaction == survives
 
     # -- online rebalancing ------------------------------------------------------------
 
@@ -282,8 +347,20 @@ class DurabilityMachine(RuleBasedStateMachine):
 
     @invariant()
     def database_equals_model(self):
-        rows = dict(self.session.query("SELECT k, v FROM t"))
-        assert rows == self._visible()
+        for table, want in self._visible().items():
+            assert dict(self.session.query(f"SELECT k, v FROM {table}")) == want
+
+    @invariant()
+    def copies_agree(self):
+        """Every live copy of a fragment holds the same rows under the
+        same row ids, open transactions' writes included."""
+        for table in ("t", "r"):
+            for fragment in self.db.catalog.table(table).fragments:
+                images = [
+                    sorted(ofm.table.scan())
+                    for ofm in self.db.gdh.allocator.copies(fragment)
+                ]
+                assert all(image == images[0] for image in images), (table, fragment)
 
     @invariant()
     def placement_agrees(self):
@@ -297,9 +374,10 @@ class DurabilityMachine(RuleBasedStateMachine):
         open_txn = self.session._state.txn
         expected = {open_txn.txn_id} if open_txn is not None else set()
         assert set(txns.active) == expected
-        for fragment in self.db.catalog.table("t").fragments:
-            holders = txns.locks.holders(("t", fragment.fragment_id))
-            assert set(holders) <= expected, (fragment.fragment_id, holders)
+        for table in ("t", "r"):
+            for fragment in self.db.catalog.table(table).fragments:
+                holders = txns.locks.holders((table, fragment.fragment_id))
+                assert set(holders) <= expected, (table, fragment.fragment_id, holders)
         assert txns.locks.waiting_transactions() <= expected
 
 
