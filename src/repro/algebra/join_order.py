@@ -94,9 +94,6 @@ def _greedy_order(
         offsets[start] + j: j for j in range(len(inputs[start].schema))
     }
 
-    def applicable(pred) -> bool:
-        return all(input_of(c) in joined for c in columns_used(pred))
-
     def attachable(candidate: int) -> list:
         future = joined | {candidate}
         return [

@@ -15,6 +15,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ExpressionError
+from repro.exec.compiler import compile_predicate, compile_projector, compile_scalar, guard_call
 from repro.exec.expressions import (
     ColumnRef,
     Expr,
@@ -26,7 +27,6 @@ from repro.exec.expressions import (
     remap_columns,
     substitute_columns,
 )
-from repro.exec.interpreter import evaluate, evaluate_predicate
 from repro.exec.operators import JoinKind
 from repro.algebra.plan import (
     DistinctNode,
@@ -76,7 +76,7 @@ def fold_constant_conjuncts(plan: PlanNode) -> PlanNode | None:
         if is_constant(part):
             changed = True
             try:
-                value = evaluate_predicate(part, ())
+                value = guard_call(compile_predicate(part), ())
             except ExpressionError:
                 # Leave faulty constants in place: they must raise at
                 # execution time, not silently disappear.
@@ -100,8 +100,9 @@ def select_on_values(plan: PlanNode) -> PlanNode | None:
     if isinstance(plan, SelectNode) and isinstance(plan.child, ValuesNode):
         values = plan.child
         try:
+            predicate = compile_predicate(plan.predicate)
             rows = [  # prismalint: disable=PL101 -- constant folding at plan time; optimizer work is not simulated execution
-                row for row in values.rows if evaluate_predicate(plan.predicate, row)
+                row for row in values.rows if guard_call(predicate, row)
             ]
         except ExpressionError:
             return None  # must fail at run time instead
@@ -239,8 +240,9 @@ def project_on_values(plan: PlanNode) -> PlanNode | None:
     ):
         values = plan.child
         try:
+            projector = compile_projector(plan.exprs)
             rows = [  # prismalint: disable=PL101 -- constant folding at plan time (<= 64 rows); optimizer work is not simulated execution
-                tuple(evaluate(e, row) for e in plan.exprs) for row in values.rows
+                guard_call(projector, row) for row in values.rows
             ]
         except ExpressionError:
             return None
@@ -374,7 +376,7 @@ def _fold(expr: Expr) -> Expr:
         rebuilt = _rebuild(expr, folded)
     if is_constant(rebuilt) and not isinstance(rebuilt, Literal):
         try:
-            return Literal(evaluate(rebuilt, ()))
+            return Literal(guard_call(compile_scalar(rebuilt), ()))
         except ExpressionError:
             return rebuilt
     return rebuilt

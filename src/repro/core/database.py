@@ -230,9 +230,7 @@ class PrismaDB:
 
     def crash(self) -> CrashReport:
         """Simulate a machine-wide failure (volatile state lost)."""
-        report = self.recovery.crash()
-        # Open sessions lose their transactions.
-        return report
+        return self.recovery.crash()
 
     def restart(self) -> RecoveryReport:
         """Recover committed state from stable storage."""
@@ -263,7 +261,7 @@ class PrismaDB:
 
         Sources (all :class:`~repro.obs.api.Snapshot`):
 
-        ========== ====================================================
+        ===============  ==============================================
         ``runtime``      :class:`~repro.pool.runtime.RuntimeStats`
         ``nodes``        per-PE busy/tuple/message counters (machine)
         ``faults``       :class:`~repro.core.faults.FaultInjector`
@@ -271,7 +269,11 @@ class PrismaDB:
         ``expressions``  the expression-compiler cache
         ``metrics``      the executor's cold-path metric registry
         ``tracer``       the tracer, when one was passed at construction
-        ========== ====================================================
+        ``plan_cache``   the serving plan cache, once
+                         :func:`~repro.serve.dbapi.install_serving` ran
+        ``admission``    the admission queue, once ``install_serving``
+                         ran with ``admission_slots``
+        ===============  ==============================================
 
         This replaces reaching into per-subsystem attributes
         (``db.runtime.stats``, ``db.gdh.executor.evaluator.cache`` …);

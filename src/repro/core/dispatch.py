@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.errors import ExecutionError
 from repro.exec.closure import MAX_ITERATIONS, ordered
+from repro.exec.compiler import compile_scalar
 from repro.exec.expressions import (
     ColumnRef,
     Comparison,
@@ -64,7 +65,7 @@ from repro.core.result import QueryResult
 from repro.ofm.manager import OneFragmentManager
 from repro.prismalog.compile import CompiledProgram, RecursiveComponent
 from repro.prismalog.translate import predicate_schema
-from repro.sql.binder import BoundDelete, BoundInsert, BoundUpdate, insert_constant
+from repro.sql.binder import BoundDelete, BoundInsert, BoundUpdate, insert_value
 from repro.storage.schema import Schema
 
 #: Wire size of a shipped DML statement / row batch header.
@@ -201,8 +202,10 @@ class InsertPlan:
 
     def __init__(self, bound: BoundInsert):
         #: Validated rows, except that a cell waiting for a parameter is
-        #: still its expression (its row is validated once filled in).
-        self.table, self.schema, self.rows = bound.table, bound.schema, bound.rows
+        #: still open (its row is validated once filled in): a plain ``?``
+        #: as its ``Param``, an expression over ``?`` as its routine.
+        self.table, self.schema = bound.table, bound.schema
+        self.rows = [tuple(map(_open_cell, row)) for row in bound.rows]  # prismalint: disable=PL101 -- prepare time; each row is charged where it is inserted (OneFragmentManager.txn_insert)
 
     def route(self, catalog: Catalog, params: Sequence[Any]) -> Routed:
         rows = [self._fill(row, params) for row in self.rows] if params else self.rows  # prismalint: disable=PL101 -- the statement's VALUES; each row is charged where it is inserted (OneFragmentManager.txn_insert)
@@ -213,7 +216,7 @@ class InsertPlan:
         return [(info.name, fragment_id) for fragment_id in routed], (info, routed)
 
     def _fill(self, row: tuple, params: Sequence[Any]) -> tuple:
-        if not any(isinstance(cell, Expr) for cell in row):  # prismalint: disable=PL101 -- one VALUES row's cells, as above
+        if not any(type(cell) is Param or callable(cell) for cell in row):  # prismalint: disable=PL101 -- one VALUES row's cells, as above
             return row
         return self.schema.validate_row(tuple(_filled(cell, params) for cell in row))  # prismalint: disable=PL101 -- as above
 
@@ -225,12 +228,24 @@ class InsertPlan:
         return QueryResult("insert", affected_rows=sum(map(len, routed.values())))
 
 
+def _open_cell(cell):
+    """An INSERT cell as prepared: an expression over ``?`` compiled into
+    a ``params -> value`` routine (each ``?`` read from the parameter
+    tuple as its row, :func:`params_to_columns`); anything else as is."""
+    if type(cell) is Param or not isinstance(cell, Expr):
+        return cell
+    reading = params_to_columns(cell, 0)
+    if has_params(reading):  # an IN list or LIKE pattern holds the ``?``
+        return lambda params: compile_scalar(substitute_params(cell, params))(())
+    return compile_scalar(reading)
+
+
 def _filled(cell, params: Sequence[Any]):
     """An INSERT cell's value in one execution."""
     if type(cell) is Param:
         return params[cell.index]
-    if isinstance(cell, Expr):
-        return insert_constant(substitute_params(cell, params))
+    if callable(cell):
+        return insert_value(cell, params)
     return cell
 
 

@@ -7,9 +7,10 @@ interpretation overhead incurred by a query expression interpreter."
 We do exactly that in Python: an expression tree is translated once into
 Python source for a specialized function, compiled with :func:`compile`,
 and the resulting code object is executed per row — no tree walking, no
-operator dispatch.  Semantics match :mod:`repro.exec.interpreter`
-exactly (NULL-safe comparisons, NULL-propagating arithmetic); a property
-test enforces the equivalence.
+operator dispatch.  It is the engine's only evaluator: the optimizer and
+the binder fold constants by running it on the empty row.  A property
+test holds it to the tree-walking interpreter kept as a reference in
+``tests/oracle`` (NULL-safe comparisons, NULL-propagating arithmetic).
 
 Generated predicates look like::
 
@@ -19,12 +20,14 @@ Generated predicates look like::
 Errors that can only be detected at run time (division by zero, type
 confusion between incomparable values) surface as ``ZeroDivisionError``
 or ``TypeError`` from the generated code; :func:`guard_call` converts
-them to :class:`~repro.errors.ExpressionError` so both back-ends raise
-the same exception type.
+them to :class:`~repro.errors.ExpressionError`, the exception the
+interpreter raises.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -135,9 +138,10 @@ class _Emitter:
     # -- helpers ------------------------------------------------------------------
 
     def _literal(self, value: Any) -> str:
-        if value is None or isinstance(value, (bool, int, float)):
+        # ``repr`` of inf or nan is no Python literal: bind those as constants.
+        if value is None or isinstance(value, (bool, int, str)):
             return repr(value)
-        if isinstance(value, str):
+        if isinstance(value, float) and math.isfinite(value):
             return repr(value)
         return self.bind("const", value)
 
@@ -180,7 +184,10 @@ def _hashable(values) -> bool:
 def _build_source(source: str, env: dict[str, Any], name: str) -> Callable:
     """Compile generated *source* and return the function it defines."""
     namespace = dict(env)
-    code = compile(source, filename=f"<prisma:{name}>", mode="exec")
+    with warnings.catch_warnings():
+        # ``(5) is None`` (IS NULL of a constant) means what it says.
+        warnings.simplefilter("ignore", SyntaxWarning)
+        code = compile(source, filename=f"<prisma:{name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - this *is* the expression compiler
     fn = namespace[name]
     fn.__prisma_source__ = source

@@ -1,9 +1,9 @@
 """Scalar expression trees.
 
 Shared by the SQL binder, the PRISMAlog translator, the optimizer, and
-both evaluation back-ends (the tuple-at-a-time interpreter and the
-generative compiler of Section 2.5).  Expressions are immutable and
-hashable, so the optimizer can detect common subexpressions by value.
+the generative compiler of Section 2.5 that evaluates them.  Expressions
+are immutable and hashable, so the optimizer can detect common
+subexpressions by value.
 
 NULL semantics (documented deviation from SQL's three-valued logic,
 which the 1988 paper predates): any comparison involving NULL is false;

@@ -9,13 +9,13 @@ updates), which the Global Data Handler executes transactionally.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import BindError, ExpressionError, ParseError
 from repro.exec import expressions as ex
-from repro.exec.interpreter import evaluate
+from repro.exec.compiler import compile_scalar, guard_call
 from repro.exec.operators import JoinKind
 from repro.algebra.plan import (
     AggExpr,
@@ -74,8 +74,14 @@ class BoundDelete:
 
 def insert_constant(bound: ex.Expr):
     """The value of a constant INSERT cell (BindError when it has none)."""
+    return insert_value(compile_scalar(bound), ())
+
+
+def insert_value(routine: Callable[[Sequence[Any]], Any], row: Sequence[Any]):
+    """An INSERT cell's value: its generated *routine* run on *row* (``()``
+    for a constant; the parameters, for a cell over ``?``)."""
     try:
-        return evaluate(bound, ())
+        return guard_call(routine, row)
     except ExpressionError as exc:
         raise BindError(f"bad constant in INSERT: {exc}") from None
 

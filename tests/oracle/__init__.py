@@ -7,7 +7,9 @@ not as a mode of the machine:
 
 * the row operators and the one-call-per-op chain runner
   (:mod:`tests.oracle.operators`);
-* the tree-walking interpreted predicates and projections, E5's
+* the tree-walking expression interpreter, the reference the compiler is
+  checked against (:mod:`tests.oracle.interpreter`);
+* the interpreted predicates and projections built on it, E5's
   baseline, and :class:`RowEvaluator`, which serves either back-end row
   at a time (:mod:`tests.oracle.evaluation`);
 * :func:`use_evaluator`, which swaps an evaluator into a live database;
@@ -25,6 +27,7 @@ from tests.oracle.evaluation import (
     RowEvaluator,
     use_evaluator,
 )
+from tests.oracle.interpreter import evaluate, evaluate_predicate
 from tests.oracle.operators import (
     AggSpec,
     RowPipeline,
@@ -47,6 +50,8 @@ __all__ = [
     "RowPipeline",
     "aggregate_rows",
     "distinct_rows",
+    "evaluate",
+    "evaluate_predicate",
     "limit_rows",
     "naive_closure",
     "PrismalogEngine",

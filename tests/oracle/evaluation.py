@@ -18,9 +18,9 @@ from typing import Any
 
 from repro.exec.compiler import ExpressionCompilerCache
 from repro.exec.expressions import Expr, expression_weight
-from repro.exec.interpreter import evaluate, evaluate_predicate
 from repro.exec.operators import WorkMeter, hash_join
 
+from tests.oracle.interpreter import evaluate, evaluate_predicate
 from tests.oracle.operators import RowPipeline
 
 #: Simulated-clock penalty of tree-walking interpretation per node.

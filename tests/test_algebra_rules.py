@@ -223,6 +223,21 @@ class TestProjectionRules:
         assert isinstance(rewritten, ValuesNode)
         assert rewritten.rows == ((10,), (20,))
 
+    def test_faulty_constants_are_left_to_fail_at_run_time(self):
+        # Plan-time folding runs generated code; an expression that
+        # raises there stays in the plan, so execution raises as well.
+        values = ValuesNode(Schema.of(a=DataType.INT), [(1,), (2,)])
+        one_over_zero = Arithmetic("/", lit(1), lit(0))
+        for plan, kind in (
+            (SelectNode(emp(), Comparison(">", one_over_zero, lit(0))), SelectNode),
+            (SelectNode(emp(), Comparison(">", col(2), one_over_zero)), SelectNode),
+            (SelectNode(values, Comparison(">", Arithmetic("/", col(0), lit(0)), lit(1))), SelectNode),
+            (ProjectNode(values, [Arithmetic("/", col(0), lit(0))], ["x"]), ProjectNode),
+        ):
+            rewritten, _ = rewrite(plan)
+            assert isinstance(rewritten, kind)
+            assert "/ 0" in rewritten.explain()
+
     def test_join_with_empty_side_becomes_empty(self):
         empty = ValuesNode(DEPT, [])
         plan = JoinNode(emp(), empty, eq(col(1), col(3)))

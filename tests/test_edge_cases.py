@@ -183,6 +183,39 @@ class TestRecoveryEdges:
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
 
+class TestNonFiniteLiterals:
+    """inf and nan have no Python literal: generated code binds them as
+    constants, so a query over one neither fails with a NameError nor
+    leaves its statement's transaction holding locks."""
+
+    @pytest.fixture
+    def db(self):
+        db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0,)))
+        db.execute("CREATE TABLE t (a INT, x REAL) FRAGMENTED BY HASH(a) INTO 2")
+        db.execute("INSERT INTO t VALUES (0, 2.5)")
+        return db
+
+    @pytest.mark.parametrize(
+        "sql,rows",
+        [
+            ("SELECT a FROM t WHERE x < 1e999", [(0,)]),
+            ("SELECT x * 1e999 FROM t", [(math.inf,)]),
+            ("SELECT a FROM t WHERE x > -1e999", [(0,)]),
+        ],
+    )
+    def test_literal_query_answers_and_releases_its_locks(self, db, sql, rows):
+        assert db.query(sql) == rows
+        assert not db.gdh.txns.active
+        assert db.execute("DELETE FROM t WHERE x > 1e999").affected_rows == 0
+
+    def test_parameter_query_answers_and_releases_its_locks(self, db):
+        cursor = db.connect().cursor()
+        cursor.execute("SELECT a FROM t WHERE x < ?", (math.inf,))
+        assert cursor.fetchall() == [(0,)]
+        assert not db.gdh.txns.active
+        assert db.execute("DELETE FROM t WHERE x > 1e999").affected_rows == 0
+
+
 class TestPrismalogEdges:
     def test_mismatched_edb_tables_and_schemas(self):
         from tests.oracle import PrismalogEngine

@@ -6,6 +6,10 @@ hypothesis test at the bottom enforces that over random expressions and
 rows.
 """
 
+import math
+import warnings
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +40,8 @@ from repro.exec.expressions import (
     lit,
     or_,
 )
-from repro.exec.interpreter import evaluate, evaluate_predicate
+
+from tests.oracle.interpreter import evaluate, evaluate_predicate
 
 
 class TestInterpreterSemantics:
@@ -152,6 +157,18 @@ class TestCompiledMatchesHandPicked:
         with pytest.raises(ExpressionError):
             guard_call(comparer, (1, "x"))
 
+    def test_non_finite_literals_are_bound_constants(self):
+        assert compile_predicate(Comparison("<", col(0), lit(math.inf)))((2.5,)) is True
+        assert compile_scalar(Arithmetic("*", col(0), lit(-math.inf)))((2.5,)) == -math.inf
+        nan = compile_scalar(lit(math.nan))(())
+        assert nan != nan
+
+    def test_is_null_of_a_constant_compiles_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compile_predicate(IsNull(lit(5)))(()) is False
+            assert compile_scalar(IsNull(Negate(lit(5)), negated=True))(()) is True
+
     def test_generated_source_attached(self):
         fn = compile_predicate(eq(col(0), lit(1)))
         assert "def _compiled_predicate(row):" in fn.__prisma_source__
@@ -192,9 +209,13 @@ _values = st.one_of(
     st.booleans(),
 )
 
+# inf and nan have no Python literal: the compiler binds them as constants.
+_non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+
 _numeric_literal = st.one_of(
     st.integers(min_value=-20, max_value=20),
     st.floats(min_value=-20, max_value=20, allow_nan=False),
+    _non_finite,
 )
 
 _columns = st.builds(ColumnRef, st.integers(min_value=0, max_value=ROW_WIDTH - 1))
@@ -233,38 +254,63 @@ _predicates = st.recursive(
     max_leaves=6,
 )
 
+# Row-less constants, NULL and division included: what the binder and the
+# optimizer's folding rules compile and run on the empty row.
+_constant_scalar = st.recursive(
+    st.builds(Literal, st.one_of(st.none(), _numeric_literal)),
+    lambda children: st.one_of(
+        st.builds(
+            Arithmetic,
+            st.sampled_from(["+", "-", "*", "/", "%"]),
+            children,
+            children,
+        ),
+        st.builds(Negate, children),
+    ),
+    max_leaves=4,
+)
+
+_constants = st.one_of(
+    _constant_scalar,
+    st.builds(
+        Comparison,
+        st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
+        _constant_scalar,
+        _constant_scalar,
+    ),
+    st.builds(IsNull, _constant_scalar, st.booleans()),
+)
+
 _rows = st.tuples(*([_values] * ROW_WIDTH))
+
+
+def _assert_agrees(reference, compiled, row, as_result=lambda value: value):
+    """*compiled* on *row* gives what *reference* gives (nan equal to
+    nan), or both raise ExpressionError."""
+    try:
+        expected = reference(row)
+    except ExpressionError:
+        with pytest.raises(ExpressionError):
+            guard_call(compiled, row)
+        return
+    result = as_result(guard_call(compiled, row))
+    assert result == expected or (result != result and expected != expected)
 
 
 @given(expr=_predicates, row=_rows)
 @settings(max_examples=300, deadline=None)
 def test_property_compiled_equals_interpreted(expr, row):
-    try:
-        expected = evaluate_predicate(expr, row)
-        expected_error = None
-    except ExpressionError:
-        expected = None
-        expected_error = ExpressionError
-    compiled = compile_predicate(expr)
-    if expected_error is not None:
-        with pytest.raises(ExpressionError):
-            guard_call(compiled, row)
-    else:
-        assert bool(guard_call(compiled, row)) == expected
+    _assert_agrees(partial(evaluate_predicate, expr), compile_predicate(expr), row, bool)
 
 
 @given(expr=_numeric_scalar, row=_rows)
 @settings(max_examples=200, deadline=None)
 def test_property_scalar_compiled_equals_interpreted(expr, row):
-    try:
-        expected = evaluate(expr, row)
-        failed = False
-    except ExpressionError:
-        failed = True
-    compiled = compile_scalar(expr)
-    if failed:
-        with pytest.raises(ExpressionError):
-            guard_call(compiled, row)
-    else:
-        result = guard_call(compiled, row)
-        assert result == expected or (result != result and expected != expected)
+    _assert_agrees(partial(evaluate, expr), compile_scalar(expr), row)
+
+
+@given(expr=_constants)
+@settings(max_examples=200, deadline=None)
+def test_property_constant_folding_compiled_equals_interpreted(expr):
+    _assert_agrees(partial(evaluate, expr), compile_scalar(expr), ())
+    _assert_agrees(partial(evaluate_predicate, expr), compile_predicate(expr), (), bool)

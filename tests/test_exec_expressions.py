@@ -154,7 +154,7 @@ class TestStructuralUtilities:
 
     def test_a_parameter_is_neither_constant_nor_evaluable(self):
         from repro.exec.compiler import compile_scalar
-        from repro.exec.interpreter import evaluate
+        from tests.oracle.interpreter import evaluate
 
         param = Param(0, DataType.INT)
         for expr in (

@@ -7,6 +7,7 @@ import pytest
 
 from repro import MachineConfig, PrismaDB
 from repro.errors import (
+    BindError,
     InterfaceError,
     ParseError,
     TransactionAborted,
@@ -183,6 +184,49 @@ class TestCursor:
         )
         assert cursor.rowcount == 3
         assert db.query("SELECT COUNT(*) FROM kv WHERE id >= 200") == [(4,)]
+
+    def test_insert_cells_over_parameters_compile_once(self, monkeypatch):
+        from repro.core import dispatch
+
+        db = small_db()
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        cursor = db.connect().cursor()
+        compile_scalar, compiled = dispatch.compile_scalar, []
+
+        def counting(expr):
+            compiled.append(expr)
+            return compile_scalar(expr)
+
+        monkeypatch.setattr(dispatch, "compile_scalar", counting)
+        sql = "INSERT INTO t VALUES (? + 1, -?)"
+        cursor.execute(sql, (1, 2))
+        assert len(compiled) == 2  # one routine per cell, at prepare time
+        hits = db.gdh.plan_cache.hits
+        compilations = db.observe().stats()["expressions"]["compilations"]
+        cursor.executemany(sql, [(5, 6), (7, 8)])
+        assert cursor.rowcount == 2
+        assert len(compiled) == 2
+        assert db.gdh.plan_cache.hits == hits + 2
+        assert db.observe().stats()["expressions"]["compilations"] == compilations
+        # A None parameter is another template type: NULL propagates.
+        cursor.executemany(sql, [(None, 3), (9, None)])
+        assert sorted(db.query("SELECT a, b FROM t"), key=repr) == sorted(
+            [(2, -2), (6, -6), (8, -8), (None, -3), (10, None)], key=repr
+        )
+        with pytest.raises(BindError, match="division by zero"):
+            cursor.execute("INSERT INTO t VALUES (1 / ?, 0)", (0,))
+        assert not db.gdh.txns.active
+        assert db.table_row_count("t") == 5
+
+    def test_insert_cells_with_in_list_and_like_parameters(self):
+        db = small_db()
+        db.execute("CREATE TABLE t (a INT, b BOOL)")
+        cursor = db.connect().cursor()
+        sql = "INSERT INTO t VALUES (?, 1 IN (?, 2)), (?, 'ab' LIKE ?)"
+        cursor.executemany(sql, [(1, 1, 2, "a%"), (3, 5, 4, "b%")])
+        assert sorted(db.query("SELECT a, b FROM t")) == [
+            (1, True), (2, True), (3, False), (4, False)
+        ]
 
     def test_closed_surfaces_raise(self):
         db = loaded_db()
